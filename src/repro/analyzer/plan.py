@@ -7,12 +7,13 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 * the selected granularity together with the variable split ``Tt`` / ``Te``,
 * the aggregation targets derived from the RETURN clause, and
 * fast helpers used on the per-event hot path (variable binding, local
-  predicate filtering, adjacency checks).
+  predicate filtering, adjacency checks), compiled once per plan so that no
+  aggregator carries a copy.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.classifier import PredicateClassification, classify_predicates
@@ -27,6 +28,32 @@ from repro.events.event import Event
 from repro.query.aggregates import AggregateSpec
 from repro.query.query import Query
 from repro.query.semantics import Semantics
+
+
+class FoldStep(NamedTuple):
+    """What binding an event to one variable does to the type-grained cells.
+
+    Compiled once per plan (Algorithm 1 reads nothing else about the
+    pattern): the cells to collect predecessor trends from, whether the
+    event also starts a trend of its own, and which of the plan's targets
+    the event itself occurs in.
+    """
+
+    variable: str
+    #: variables whose cells hold the trends the event extends
+    predecessors: Tuple[str, ...]
+    #: 1 when ``variable`` is a start type (the event begins a new trend)
+    starts: int
+    #: per plan target, in order: is it a target on ``variable``?
+    own: Tuple[bool, ...]
+    #: per plan target: the attribute to read off the event, else ``None``
+    attributes: Tuple[Optional[str], ...]
+
+
+#: One event resolved against a plan: a ``(step, values)`` pair per variable
+#: the event binds to, ``values`` aligned with the plan's targets.  Empty for
+#: events of types the pattern does not mention.
+Binding = Tuple[Tuple[FoldStep, Tuple], ...]
 
 
 class CograPlan:
@@ -91,6 +118,28 @@ class CograPlan:
             if not any(self._local_by_variable.get(v) for v in variables):
                 self._unconditional_by_type[event_type] = variables
 
+        self._fold_steps: Dict[str, FoldStep] = {
+            variable: FoldStep(
+                variable=variable,
+                predecessors=tuple(self.automaton.pred_types(variable)),
+                starts=1 if self.automaton.is_start(variable) else 0,
+                own=tuple(target == variable for target, _ in self.targets),
+                attributes=tuple(
+                    attribute if target == variable else None
+                    for target, attribute in self.targets
+                ),
+            )
+            for variable in self.automaton.variables
+        }
+        # bindings that do not depend on the event at all: no local predicate
+        # decides the variables and no target reads an attribute
+        no_values = (None,) * len(self.targets)
+        self._constant_bindings: Dict[str, Binding] = {
+            event_type: tuple((self._fold_steps[v], no_values) for v in variables)
+            for event_type, variables in self._unconditional_by_type.items()
+            if not any(any(self._fold_steps[v].attributes) for v in variables)
+        }
+
     def _resolve_granularity(self, forced: Optional[Granularity]) -> Granularity:
         """Apply a forced granularity after checking it preserves correctness."""
         if forced is None:
@@ -131,6 +180,31 @@ class CograPlan:
         return tuple(
             variable for variable in variables if self.passes_local(event, variable)
         )
+
+    def bind(self, event: Event) -> Optional[Binding]:
+        """Resolve ``event`` once, for every window and aggregator it reaches.
+
+        Returns one ``(step, values)`` pair per candidate variable, ``()``
+        for an event whose type the pattern does not mention (it binds to
+        nothing but may still break contiguity), and ``None`` for an event
+        of a pattern type that every local predicate rejects (Section 7:
+        such events are filtered before they reach an aggregator).
+        """
+        binding = self._constant_bindings.get(event.event_type)
+        if binding is not None:
+            return binding
+        variables = self.candidate_variables(event)
+        if not variables:
+            if self.automaton.is_relevant_type(event.event_type):
+                return None
+            return ()
+        get = event.attributes.get
+        binding = []
+        for variable in variables:
+            step = self._fold_steps[variable]
+            values = tuple([a if a is None else get(a) for a in step.attributes])
+            binding.append((step, values))
+        return tuple(binding)
 
     def passes_local(self, event: Event, variable: str) -> bool:
         """True when ``event`` satisfies every local predicate of ``variable``."""

@@ -34,8 +34,10 @@ from repro.query.aggregates import AggregateFunction, AggregateSpec
 #: A target is a (variable, attribute) pair; attribute is None for COUNT(E).
 Target = Tuple[str, Optional[str]]
 
-# indices into the per-target state list
+# offsets of one target's four slots inside the flat slot list
 _COUNT, _SUM, _MIN, _MAX = 0, 1, 2, 3
+#: slots per target; target ``i`` of ``targets`` starts at offset ``i * WIDTH``
+WIDTH = 4
 
 
 class TrendAccumulator:
@@ -49,15 +51,14 @@ class TrendAccumulator:
         planner).
     """
 
-    __slots__ = ("targets", "trend_count", "_states")
+    __slots__ = ("targets", "trend_count", "slots")
 
     def __init__(self, targets: Tuple[Target, ...]):
         self.targets = targets
         self.trend_count = 0
-        # per-target [occurrence count, sum, min, max]
-        self._states: Dict[Target, list] = {
-            target: [0, 0, None, None] for target in targets
-        }
+        #: one flat list, ``[occurrence count, sum, min, max]`` per target in
+        #: the order of ``targets`` (which the plan fixes once per query)
+        self.slots: list = [0, 0, None, None] * len(targets)
 
     # -- constructors -------------------------------------------------------
 
@@ -80,7 +81,7 @@ class TrendAccumulator:
         """An independent copy of this accumulator."""
         duplicate = TrendAccumulator(self.targets)
         duplicate.trend_count = self.trend_count
-        duplicate._states = {target: list(state) for target, state in self._states.items()}
+        duplicate.slots = list(self.slots)
         return duplicate
 
     # -- predicates ----------------------------------------------------------
@@ -97,12 +98,21 @@ class TrendAccumulator:
         if other.trend_count == 0:
             return
         self.trend_count += other.trend_count
-        for target, state in self._states.items():
-            other_state = other._states[target]
-            state[_COUNT] += other_state[_COUNT]
-            state[_SUM] += other_state[_SUM]
-            state[_MIN] = _minimum(state[_MIN], other_state[_MIN])
-            state[_MAX] = _maximum(state[_MAX], other_state[_MAX])
+        slots = self.slots
+        other_slots = other.slots
+        for base in range(0, len(slots), WIDTH):
+            slots[base] += other_slots[base]
+            slots[base + 1] += other_slots[base + 1]
+            low = other_slots[base + 2]
+            if low is None:
+                continue  # min and max are set together
+            current = slots[base + 2]
+            if current is None or not current <= low:
+                slots[base + 2] = low
+            high = other_slots[base + 3]
+            current = slots[base + 3]
+            if current is None or not current >= high:
+                slots[base + 3] = high
 
     def merged(self, other: "TrendAccumulator") -> "TrendAccumulator":
         """Non-destructive :meth:`merge`."""
@@ -122,28 +132,6 @@ class TrendAccumulator:
             return result
         result._apply_event(event, variable, result.trend_count)
         return result
-
-    def extend(self, event: Event, variable: str) -> None:
-        """In-place :meth:`extended`: append ``event`` to every trend.
-
-        For callers that own a scratch accumulator (the type-grained batch
-        path builds a fresh predecessor merge per event) this skips the
-        defensive copy; the resulting state is identical.
-        """
-        if self.trend_count == 0:
-            return
-        self._apply_event(event, variable, self.trend_count)
-
-    def include_singleton(self, event: Event, variable: str) -> None:
-        """In-place ``merge(singleton(event, variable, self.targets))``.
-
-        Skips building the intermediate one-trend accumulator.  The state
-        updates are identical: merging a fresh singleton adds a trend count
-        of 1 and the event's own count/sum/min/max contributions, which is
-        exactly one multiplicity-1 application of the event.
-        """
-        self.trend_count += 1
-        self._apply_event(event, variable, 1)
 
     def extend_batch(
         self, events: Iterable[Event], variable: str
@@ -169,31 +157,37 @@ class TrendAccumulator:
 
     def _apply_event(self, event: Event, variable: str, multiplicity: int) -> None:
         """Account for ``event`` occurring once in ``multiplicity`` trends."""
-        for (target_variable, attribute), state in self._states.items():
+        slots = self.slots
+        base = -WIDTH
+        for target_variable, attribute in self.targets:
+            base += WIDTH
             if target_variable != variable:
                 continue
-            state[_COUNT] += multiplicity
+            slots[base] += multiplicity
             if attribute is None:
                 continue
             value = event.get(attribute)
             if value is None:
                 continue
             try:
-                state[_SUM] += value * multiplicity
+                slots[base + 1] += value * multiplicity
             except OverflowError:
                 # Under skip-till-any-match the trend count is exponential in
                 # the number of events, so SUM/AVG over enormous windows can
                 # exceed the float range; saturate instead of failing.
-                state[_SUM] = float("inf") if value >= 0 else float("-inf")
-            state[_MIN] = _minimum(state[_MIN], value)
-            state[_MAX] = _maximum(state[_MAX], value)
+                slots[base + 1] = float("inf") if value >= 0 else float("-inf")
+            current = slots[base + 2]
+            if current is None or not current <= value:
+                slots[base + 2] = value
+            current = slots[base + 3]
+            if current is None or not current >= value:
+                slots[base + 3] = value
 
     # -- result extraction ------------------------------------------------------
 
     def occurrence_count(self, variable: str, attribute: Optional[str] = None) -> int:
         """Total occurrences of ``variable`` over all summarised trends."""
-        state = self._lookup(variable, attribute)
-        return state[_COUNT]
+        return self.slots[self._base(variable, attribute) + _COUNT]
 
     def result_value(self, spec: AggregateSpec):
         """Value of the RETURN-clause aggregate ``spec`` for this accumulator.
@@ -204,34 +198,37 @@ class TrendAccumulator:
         if spec.is_count_star:
             return self.trend_count
         function = spec.function
+        slots = self.slots
         if function is AggregateFunction.COUNT:
-            return self._lookup(spec.variable, None)[_COUNT]
-        state = self._lookup(spec.variable, spec.attribute)
+            return slots[self._base(spec.variable, None) + _COUNT]
+        base = self._base(spec.variable, spec.attribute)
         if function is AggregateFunction.SUM:
-            return state[_SUM]
+            return slots[base + _SUM]
         if function is AggregateFunction.MIN:
-            return state[_MIN]
+            return slots[base + _MIN]
         if function is AggregateFunction.MAX:
-            return state[_MAX]
+            return slots[base + _MAX]
         if function is AggregateFunction.AVG:
-            if state[_COUNT] == 0:
+            if slots[base + _COUNT] == 0:
                 return None
-            return state[_SUM] / state[_COUNT]
+            return slots[base + _SUM] / slots[base + _COUNT]
         raise InvalidQueryError(f"unsupported aggregation function {function}")  # pragma: no cover
 
     def results(self, specs: Iterable[AggregateSpec]) -> Dict[str, object]:
         """Mapping from column name to value for all requested aggregates."""
         return {spec.name: self.result_value(spec) for spec in specs}
 
-    def _lookup(self, variable: Optional[str], attribute: Optional[str]) -> list:
+    def _base(self, variable: Optional[str], attribute: Optional[str]) -> int:
+        """Offset of the first slot of target ``(variable, attribute)``."""
+        targets = self.targets
         key = (variable, attribute)
-        if key in self._states:
-            return self._states[key]
+        if key in targets:
+            return targets.index(key) * WIDTH
         # COUNT(E) may be requested while only (E, attr) targets are tracked;
         # occurrence counts agree across attributes of the same variable.
-        for (target_variable, _), state in self._states.items():
+        for index, (target_variable, _) in enumerate(targets):
             if target_variable == variable:
-                return state
+                return index * WIDTH
         raise InvalidQueryError(
             f"aggregate over {variable}.{attribute} was not planned for this query"
         )
@@ -245,32 +242,13 @@ class TrendAccumulator:
         The benchmark harness sums these to reproduce the paper's
         "number of maintained aggregates" memory metric.
         """
-        return 1 + 4 * len(self._states)
+        return 1 + len(self.slots)
 
     def __repr__(self) -> str:
         parts = [f"trends={self.trend_count}"]
-        for (variable, attribute), state in self._states.items():
+        for index, (variable, attribute) in enumerate(self.targets):
             label = variable if attribute is None else f"{variable}.{attribute}"
-            parts.append(
-                f"{label}: count={state[_COUNT]} sum={state[_SUM]} "
-                f"min={state[_MIN]} max={state[_MAX]}"
-            )
+            count, total, low, high = self.slots[index * WIDTH:(index + 1) * WIDTH]
+            parts.append(f"{label}: count={count} sum={total} min={low} max={high}")
         return f"TrendAccumulator({', '.join(parts)})"
 
-
-def _minimum(left, right):
-    """Minimum treating ``None`` as 'no value yet'."""
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left <= right else right
-
-
-def _maximum(left, right):
-    """Maximum treating ``None`` as 'no value yet'."""
-    if left is None:
-        return right
-    if right is None:
-        return left
-    return left if left >= right else right

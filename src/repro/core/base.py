@@ -20,6 +20,10 @@ from repro.events.event import Event
 class SubstreamAggregator:
     """Base class of the per-(window, group) aggregators."""
 
+    # an executor holds one aggregator per open (window, group); subclasses
+    # that declare their own __slots__ stay free of a per-instance __dict__
+    __slots__ = ("plan", "events_processed")
+
     def __init__(self, plan: CograPlan):
         self.plan = plan
         self.events_processed = 0
@@ -29,6 +33,20 @@ class SubstreamAggregator:
     def process(self, event: Event) -> None:
         """Update the maintained aggregates with ``event``."""
         raise NotImplementedError
+
+    def process_run(self, run) -> None:
+        """Update the aggregates with an ordered run of bound events.
+
+        ``run`` is a sized sequence of ``(event, binding)`` pairs, the
+        binding being what :meth:`CograPlan.bind` resolved for the event
+        (the executor binds an event once and hands the same run to the
+        aggregator of every window the event falls into).  Equivalent to
+        calling :meth:`process` on each event in order, which is what
+        aggregators that have no use for the binding do.
+        """
+        process = self.process
+        for event, _binding in run:
+            process(event)
 
     # -- results ------------------------------------------------------------------
 

@@ -62,6 +62,7 @@ class QueryExecutor:
         self._min_open_window: Optional[int] = None
         self._last_time: Optional[float] = None
         self._events_seen = 0
+        #: event types the pattern mentions (read by the runtime's router)
         self._relevant_types = frozenset(
             self.plan.automaton.variable_types[variable]
             for variable in self.plan.automaton.variables
@@ -90,67 +91,73 @@ class QueryExecutor:
         else:
             emitted = self._close_expired_windows(event.time)
 
-        if self._is_filtered_out(event):
-            return emitted
+        if self.plan.bind(event) is None:
+            return emitted  # rejected by the local predicates (Section 7)
 
         key = partition_key if partition_key is not None else self.plan.partition_key(event)
         if count_window is None:
             window = self.query.window
             window_ids = [0] if window is None else window.windows_of(event.time)
+        aggregators = self._aggregators
         for window_id in window_ids:
-            aggregator = self._aggregators.get((window_id, key))
+            aggregator = aggregators.get((window_id, key))
             if aggregator is None:
-                aggregator = self._aggregator_factory(self.plan)
-                self._aggregators[(window_id, key)] = aggregator
-                self._window_groups.setdefault(window_id, set()).add(key)
-                if self._min_open_window is None or window_id < self._min_open_window:
-                    self._min_open_window = window_id
+                aggregator = self._open_aggregator(window_id, key)
             aggregator.process(event)
         return emitted
 
-    def batch_is_quiet(self, start_time: float, end_time: float) -> bool:
-        """True when an ordered run over ``[start_time, end_time]`` cannot emit.
+    def quiet_windows(self, start_time: float, end_time: float) -> Optional[List[int]]:
+        """Window ids of a quiet run over ``[start_time, end_time]``, else ``None``.
 
         "Quiet" means no open window closes during the run and every event
-        falls into the same window set, so :meth:`process_batch` may skip
-        the per-event expiry checks and feed whole runs to one aggregator.
-        Queries without a WITHIN clause never emit mid-stream, so they are
-        always quiet.
+        falls into the same window set -- the one returned -- so
+        :meth:`process_batch` may skip the per-event expiry checks and feed
+        whole runs to one aggregator per window.  ``None`` when the run is
+        not quiet.  Queries without a WITHIN clause never emit mid-stream,
+        so they are always quiet.
         """
         window = self.query.window
         if window is None:
-            return True
+            return [0]
         if window.is_count_based:
             # the run's time span says nothing about ordinal boundaries, so
             # count windows always take the per-event path
-            return False
+            return None
         if (
             self._min_open_window is not None
             and window.window_end(self._min_open_window) <= end_time
         ):
-            return False
-        return window.windows_of(start_time) == window.windows_of(end_time)
+            return None
+        window_ids = window.windows_of(start_time)
+        if end_time != start_time and window.windows_of(end_time) != window_ids:
+            return None
+        return window_ids
 
     def process_batch(
-        self, events: List[Event], partition_key: Optional[Tuple] = None
+        self,
+        events: List[Event],
+        partition_key: Optional[Tuple] = None,
+        window_ids: Optional[List[int]] = None,
     ) -> List[GroupResult]:
         """Feed an ordered run of events; ≡ per-event :meth:`process`.
 
-        When the run is quiet (see :meth:`batch_is_quiet`) the per-event
-        order/expiry/window bookkeeping is hoisted out of the loop, the run
-        is grouped by partition key, and each target aggregator sees its
-        whole group in a single call -- aggregators that expose
-        ``process_run`` fold it in one frame.  Grouping non-consecutive
-        same-key events together is safe *because* the run is quiet: no
-        window closes mid-run, each (window, key) aggregator only ever sees
-        its own key's events in their original relative order, and window
-        emission sorts group keys -- so state and output are byte-identical
-        to the per-event path.  Non-quiet runs fall back to per-event
-        processing.
+        When the run is quiet (see :meth:`quiet_windows`) the per-event
+        order/expiry/window bookkeeping is hoisted out of the loop: every
+        event is bound once (:meth:`CograPlan.bind`), the bound events are
+        grouped by partition key, and each group is handed -- the same list
+        -- to the aggregator of every window of the run.  Grouping
+        non-consecutive same-key events together is safe *because* the run
+        is quiet: no window closes mid-run, each (window, key) aggregator
+        only ever sees its own key's events in their original relative
+        order, and window emission sorts group keys -- so state and output
+        are byte-identical to the per-event path.  Non-quiet runs fall back
+        to per-event processing.
 
         ``partition_key``, when given, asserts that every event in the run
         shares that key (the caller already grouped), skipping the per-event
-        key computation.
+        key computation.  ``window_ids``, when given, is what
+        :meth:`quiet_windows` just returned for this run (the streaming
+        runtime asks every target executor before feeding any).
         """
         count = len(events)
         if count == 0:
@@ -159,7 +166,9 @@ class QueryExecutor:
             return self.process(events[0], partition_key=partition_key)
         first_time = events[0].time
         last_time = events[-1].time
-        if not self.batch_is_quiet(first_time, last_time):
+        if window_ids is None:
+            window_ids = self.quiet_windows(first_time, last_time)
+        if window_ids is None:
             emitted: List[GroupResult] = []
             for event in events:
                 emitted.extend(self.process(event, partition_key=partition_key))
@@ -177,43 +186,29 @@ class QueryExecutor:
             previous = event.time
         self._last_time = last_time
         self._events_seen += count
-        live = [event for event in events if not self._is_filtered_out(event)]
-        if not live:
-            return []
-        if partition_key is not None:
-            groups: Iterable[Tuple[Tuple, List[Event]]] = ((partition_key, live),)
-        else:
-            key_of = self.plan.partition_key
-            grouped: Dict[Tuple, List[Event]] = {}
-            for event in live:
-                key = key_of(event)
-                bucket = grouped.get(key)
-                if bucket is None:
-                    grouped[key] = [event]
-                else:
-                    bucket.append(event)
-            groups = grouped.items()
-        window = self.query.window
-        window_ids = [0] if window is None else window.windows_of(first_time)
+        bind = self.plan.bind
+        key_of = self.plan.partition_key
+        grouped: Dict[Tuple, list] = {}
+        for event in events:
+            binding = bind(event)
+            if binding is None:
+                continue  # rejected by the local predicates (Section 7)
+            key = key_of(event) if partition_key is None else partition_key
+            run = grouped.get(key)
+            if run is None:
+                grouped[key] = [(event, binding)]
+            else:
+                run.append((event, binding))
+        # dispatch is per aggregator, not per plan: after a live granularity
+        # migration one executor holds aggregators of two granularities, and
+        # each folds the run its own way
         aggregators = self._aggregators
-        for key, group in groups:
+        for key, run in grouped.items():
             for window_id in window_ids:
                 aggregator = aggregators.get((window_id, key))
                 if aggregator is None:
-                    aggregator = self._aggregator_factory(self.plan)
-                    aggregators[(window_id, key)] = aggregator
-                    self._window_groups.setdefault(window_id, set()).add(key)
-                    if self._min_open_window is None or window_id < self._min_open_window:
-                        self._min_open_window = window_id
-                process_run = getattr(aggregator, "process_run", None)
-                if process_run is not None:
-                    process_run(group)
-                elif len(group) == 1:
-                    aggregator.process(group[0])
-                else:
-                    aggregator_process = aggregator.process
-                    for event in group:
-                        aggregator_process(event)
+                    aggregator = self._open_aggregator(window_id, key)
+                aggregator.process_run(run)
         return []
 
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
@@ -275,16 +270,14 @@ class QueryExecutor:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _is_filtered_out(self, event: Event) -> bool:
-        """Local predicates filter events of pattern types (Section 7).
-
-        Events of types that do not occur in the pattern are never filtered
-        here: they are invisible to the skip-till semantics but must still
-        reach the pattern-grained aggregator to break contiguity.
-        """
-        if event.event_type not in self._relevant_types:
-            return False
-        return not self.plan.candidate_variables(event)
+    def _open_aggregator(self, window_id: int, key: Tuple) -> SubstreamAggregator:
+        """Create the aggregator of a (window, group) seen for the first time."""
+        aggregator = self._aggregator_factory(self.plan)
+        self._aggregators[(window_id, key)] = aggregator
+        self._window_groups.setdefault(window_id, set()).add(key)
+        if self._min_open_window is None or window_id < self._min_open_window:
+            self._min_open_window = window_id
+        return aggregator
 
     def _close_count_windows(self, current_window: int) -> List[GroupResult]:
         """Emit every open count window that precedes ``current_window``."""

@@ -86,8 +86,8 @@ class PatternGrainedAggregator(SubstreamAggregator):
         self._last_variable = variable
         self._last_cell = cell
 
-    def process_run(self, events) -> None:
-        """Process an ordered run of events; ≡ sequential :meth:`process` calls.
+    def process_run(self, run) -> None:
+        """Process an ordered run of bound events; ≡ sequential :meth:`process` calls.
 
         Maximal sub-runs of adjacent middle-of-pattern events (same
         variable, neither start nor end) are folded through
@@ -97,21 +97,18 @@ class PatternGrainedAggregator(SubstreamAggregator):
         per-event path, so the resulting state is identical.
         """
         plan = self.plan
-        candidate_variables = plan.candidate_variables
         adjacency_satisfied = plan.adjacency_satisfied
-        is_start = plan.is_start
-        is_end = plan.is_end
         index = 0
-        count = len(events)
+        count = len(run)
         while index < count:
-            event = events[index]
-            variables = candidate_variables(event)
-            if not variables:
+            event, binding = run[index]
+            if not binding:
                 self.process(event)
                 index += 1
                 continue
-            variable = variables[0]
-            if is_start(variable) or is_end(variable):
+            step = binding[0][0]
+            variable = step.variable
+            if step.starts or plan.is_end(variable):
                 self.process(event)
                 index += 1
                 continue
@@ -125,30 +122,23 @@ class PatternGrainedAggregator(SubstreamAggregator):
                 self.process(event)
                 index += 1
                 continue
-            # collect the maximal adjacent middle run starting here
-            run = [event]
+            # collect the maximal adjacent run of the same (middle) variable
+            middle = [event]
             last_event = event
             stop = index + 1
             while stop < count:
-                candidate = events[stop]
-                next_variables = candidate_variables(candidate)
-                if not next_variables:
-                    break
-                next_variable = next_variables[0]
+                candidate, next_binding = run[stop]
                 if (
-                    next_variable != variable
-                    or is_start(next_variable)
-                    or is_end(next_variable)
-                    or not adjacency_satisfied(
-                        last_event, variable, candidate, next_variable
-                    )
+                    not next_binding
+                    or next_binding[0][0] is not step
+                    or not adjacency_satisfied(last_event, variable, candidate, variable)
                 ):
                     break
-                run.append(candidate)
+                middle.append(candidate)
                 last_event = candidate
                 stop += 1
-            self.events_processed += len(run)
-            self._last_cell = self._last_cell.extend_batch(run, variable)
+            self.events_processed += len(middle)
+            self._last_cell = self._last_cell.extend_batch(middle, variable)
             self._last_event = last_event
             self._last_variable = variable
             index = stop

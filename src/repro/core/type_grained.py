@@ -14,16 +14,18 @@ Table 5 of the paper and the final count is 43.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.analyzer.plan import CograPlan
-from repro.core.aggregate_state import TrendAccumulator
+from repro.core.aggregate_state import WIDTH, TrendAccumulator
 from repro.core.base import SubstreamAggregator
 from repro.events.event import Event
 
 
 class TypeGrainedAggregator(SubstreamAggregator):
     """Maintains one trend accumulator per pattern variable."""
+
+    __slots__ = ("_cells",)
 
     def __init__(self, plan: CograPlan):
         super().__init__(plan)
@@ -37,76 +39,14 @@ class TypeGrainedAggregator(SubstreamAggregator):
     # -- hot path -----------------------------------------------------------------
 
     def process(self, event: Event) -> None:
-        """Algorithm 1, lines 3-8 (generalised to all Table 8 aggregates)."""
-        plan = self.plan
-        variables = plan.candidate_variables(event)
-        if not variables:
-            return  # irrelevant events are skipped under skip-till-any-match
-        self.events_processed += 1
+        """Algorithm 1, lines 3-8: a run of one event."""
+        binding = self.plan.bind(event)
+        if binding:
+            self.events_processed += _fold(self._cells, ((event, binding),))
 
-        # Compute the new per-event accumulators against the *old* cells so
-        # that an event bound to several variables (Section 8, repeated
-        # types) is never its own predecessor.
-        new_cells: List[Tuple[str, TrendAccumulator]] = []
-        for variable in variables:
-            predecessor = TrendAccumulator.zero(plan.targets)
-            for predecessor_variable in plan.automaton.pred_types(variable):
-                predecessor.merge(self._cells[predecessor_variable])
-            cell = predecessor.extended(event, variable)
-            if plan.is_start(variable):
-                cell.merge(
-                    TrendAccumulator.singleton(event, variable, plan.targets)
-                )
-            new_cells.append((variable, cell))
-
-        for variable, cell in new_cells:
-            self._cells[variable].merge(cell)
-
-    def process_run(self, events) -> None:
-        """Process an ordered run of events; ≡ sequential :meth:`process` calls.
-
-        The per-event recurrence is identical, but plan lookups are hoisted
-        out of the loop and the predecessor merge is extended in place
-        (:meth:`TrendAccumulator.extend` / :meth:`~TrendAccumulator.include_singleton`)
-        instead of allocating three intermediate accumulators per event.
-        Events bound to several variables (repeated types, Section 8) still
-        buffer their new cells so an event is never its own predecessor.
-        """
-        plan = self.plan
-        candidate_variables = plan.candidate_variables
-        targets = plan.targets
-        pred_types = plan.automaton.pred_types
-        is_start = plan.is_start
-        cells = self._cells
-        zero = TrendAccumulator.zero
-        processed = 0
-        for event in events:
-            variables = candidate_variables(event)
-            if not variables:
-                continue
-            processed += 1
-            if len(variables) == 1:
-                variable = variables[0]
-                cell = zero(targets)
-                for predecessor_variable in pred_types(variable):
-                    cell.merge(cells[predecessor_variable])
-                cell.extend(event, variable)
-                if is_start(variable):
-                    cell.include_singleton(event, variable)
-                cells[variable].merge(cell)
-                continue
-            new_cells: List[Tuple[str, TrendAccumulator]] = []
-            for variable in variables:
-                cell = zero(targets)
-                for predecessor_variable in pred_types(variable):
-                    cell.merge(cells[predecessor_variable])
-                cell.extend(event, variable)
-                if is_start(variable):
-                    cell.include_singleton(event, variable)
-                new_cells.append((variable, cell))
-            for variable, cell in new_cells:
-                cells[variable].merge(cell)
-        self.events_processed += processed
+    def process_run(self, run) -> None:
+        """Algorithm 1, lines 3-8, over an ordered run of bound events."""
+        self.events_processed += _fold(self._cells, run)
 
     # -- results -------------------------------------------------------------------
 
@@ -125,3 +65,83 @@ class TypeGrainedAggregator(SubstreamAggregator):
 
     def storage_units(self) -> int:
         return sum(cell.storage_units for cell in self._cells.values())
+
+
+def _fold(cells: Dict[str, TrendAccumulator], run) -> int:
+    """Fold a run of bound events into ``cells`` in place; returns how many bound.
+
+    Binding an event to ``variable`` adds to that variable's cell the
+    trends of every predecessor cell, each extended by the event, plus
+    the one-event trend if ``variable`` is a start type.  The literal
+    recurrence builds that summary in three fresh accumulators and then
+    merges it; here it is added slot by slot straight into the cell, in
+    the literal recurrence's order of additions (float sums depend on
+    it), so no accumulator is built per event.  A Kleene self-loop reads
+    its own cell as a predecessor, which works because every slot is
+    read before it is written.
+    """
+    processed = 0
+    for _event, binding in run:
+        if not binding:
+            continue
+        processed += 1
+        source = cells
+        if len(binding) > 1:
+            # an event bound to several variables (repeated types,
+            # Section 8) is never its own predecessor: every binding
+            # reads the cells as they were before the event
+            source = dict(cells)
+            for step, _values in binding:
+                source[step.variable] = cells[step.variable].copy()
+        for (variable, predecessors, starts, own, _attributes), values in binding:
+            extended = 0
+            for name in predecessors:
+                extended += source[name].trend_count
+            multiplicity = extended + starts
+            if not multiplicity:
+                continue  # nothing to extend and no trend to start
+            cell = cells[variable]
+            cell.trend_count += multiplicity
+            slots = cell.slots
+            base = -WIDTH
+            for is_own, value in zip(own, values):
+                base += WIDTH
+                count = total = 0
+                low = high = None
+                for name in predecessors:
+                    theirs = source[name].slots
+                    count += theirs[base]
+                    total += theirs[base + 1]
+                    other = theirs[base + 2]
+                    if other is not None:
+                        if low is None or not low <= other:
+                            low = other
+                        other = theirs[base + 3]
+                        if high is None or not high >= other:
+                            high = other
+                if is_own:
+                    count += multiplicity
+                    if value is not None:
+                        if extended:
+                            try:
+                                total += value * extended
+                            except OverflowError:
+                                # the trend count is exponential in the
+                                # number of events; saturate SUM/AVG
+                                total = float("inf") if value >= 0 else float("-inf")
+                        if starts:
+                            total += value
+                        if low is None or not low <= value:
+                            low = value
+                        if high is None or not high >= value:
+                            high = value
+                slots[base] += count
+                slots[base + 1] += total
+                if low is not None:
+                    current = slots[base + 2]
+                    if current is None or not current <= low:
+                        slots[base + 2] = low
+                    current = slots[base + 3]
+                    if current is None or not current >= high:
+                        slots[base + 3] = high
+    return processed

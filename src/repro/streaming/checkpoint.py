@@ -36,7 +36,7 @@ from time import perf_counter as _perf_counter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analyzer.plan import plan_query
-from repro.core.aggregate_state import TrendAccumulator
+from repro.core.aggregate_state import WIDTH, TrendAccumulator
 from repro.core.executor import QueryExecutor
 from repro.core.parallel import shard_index
 from repro.errors import CheckpointError, StateQuotaError
@@ -64,11 +64,14 @@ def restore_event(state: Dict[str, object]) -> Event:
 
 def snapshot_accumulator(accumulator: TrendAccumulator) -> Dict[str, object]:
     """JSON-safe representation of one trend accumulator."""
+    slots = accumulator.slots
     return {
         "targets": [list(target) for target in accumulator.targets],
         "trend_count": accumulator.trend_count,
         # per-target [occurrence count, sum, min, max], aligned with targets
-        "states": [list(accumulator._states[target]) for target in accumulator.targets],
+        "states": [
+            slots[base : base + WIDTH] for base in range(0, len(slots), WIDTH)
+        ],
     }
 
 
@@ -77,8 +80,7 @@ def restore_accumulator(state: Dict[str, object]) -> TrendAccumulator:
     targets = tuple((variable, attribute) for variable, attribute in state["targets"])
     accumulator = TrendAccumulator(targets)
     accumulator.trend_count = int(state["trend_count"])
-    for target, cell in zip(targets, state["states"]):
-        accumulator._states[target] = list(cell)
+    accumulator.slots = [value for cell in state["states"] for value in cell]
     return accumulator
 
 

@@ -876,7 +876,7 @@ class StreamingRuntime(PipelineDriver):
         """Route a released wave grouped into consecutive same-type runs.
 
         Runs during which no target query can emit (see
-        :meth:`QueryExecutor.batch_is_quiet`) are fed to the executors as
+        :meth:`QueryExecutor.quiet_windows`) are fed to the executors as
         whole same-``(type, partition-key)`` sub-runs; anything else falls
         back to the per-event :meth:`_route`, so record content and order
         never differ from the per-event path.
@@ -904,22 +904,22 @@ class StreamingRuntime(PipelineDriver):
             run = released[index:stop]
             index = stop
             last_time = run[-1].time
-            quiet = True
-            for registered in targets:
-                if not registered.executor.batch_is_quiet(first.time, last_time):
-                    quiet = False
-                    break
-            if not quiet:
+            quiet = [
+                registered.executor.quiet_windows(first.time, last_time)
+                for registered in targets
+            ]
+            if any(window_ids is None for window_ids in quiet):
                 for event in run:
                     records.extend(route(event, watermark))
                 continue
-            for registered in targets:
-                self._apply_run(registered, run, watermark, records)
+            for registered, window_ids in zip(targets, quiet):
+                self._apply_run(registered, run, window_ids, watermark, records)
 
     def _apply_run(
         self,
         registered: RegisteredQuery,
         run: List[Event],
+        window_ids: List[int],
         watermark: float,
         records: List[EmissionRecord],
     ) -> None:
@@ -928,13 +928,14 @@ class StreamingRuntime(PipelineDriver):
         The executor groups the run by partition key internally (see
         :meth:`QueryExecutor.process_batch`), so interleaved group keys --
         the common case under GROUP-BY -- no longer fragment the run.
+        ``window_ids`` is the executor's ``quiet_windows`` answer for the run.
         """
         instruments = registered.instruments
         if instruments is None:
-            results = registered.executor.process_batch(run)
+            results = registered.executor.process_batch(run, window_ids=window_ids)
         else:
             started = _time.perf_counter()
-            results = registered.executor.process_batch(run)
+            results = registered.executor.process_batch(run, window_ids=window_ids)
             instruments.observe_execution_batch(
                 len(run), _time.perf_counter() - started, 1 if results else 0
             )

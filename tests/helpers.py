@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Tuple
 
+from repro.core.aggregate_state import TrendAccumulator
 from repro.core.results import GroupResult
+from repro.core.type_grained import TypeGrainedAggregator
+from repro.events.event import Event
 
 
 def results_by_key(results: Iterable[GroupResult]) -> Dict[Tuple, Dict[str, object]]:
@@ -47,3 +50,30 @@ def assert_results_equal(left: Iterable[GroupResult], right: Iterable[GroupResul
 def total_trend_count(results: Iterable[GroupResult]) -> int:
     """Sum of COUNT(*) over all result rows."""
     return sum(result.trend_count for result in results)
+
+
+def reference_type_grained_process(aggregator: TypeGrainedAggregator, event: Event) -> None:
+    """Algorithm 1, lines 3-8, literally: the oracle of the in-place fold.
+
+    ``zero`` -> ``merge`` the predecessor cells -> ``extended`` by the event
+    -> ``merge(singleton)`` for a start type, every new cell computed
+    against the cells as they were before the event and merged afterwards.
+    Three accumulators are built per binding; the production fold builds
+    none and must leave the aggregator in exactly this state.
+    """
+    plan = aggregator.plan
+    variables = plan.candidate_variables(event)
+    if not variables:
+        return
+    aggregator.events_processed += 1
+    new_cells = []
+    for variable in variables:
+        predecessor = TrendAccumulator.zero(plan.targets)
+        for predecessor_variable in plan.automaton.pred_types(variable):
+            predecessor.merge(aggregator.cell(predecessor_variable))
+        cell = predecessor.extended(event, variable)
+        if plan.is_start(variable):
+            cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))
+        new_cells.append((variable, cell))
+    for variable, cell in new_cells:
+        aggregator.cell(variable).merge(cell)

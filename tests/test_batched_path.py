@@ -139,23 +139,6 @@ class TestAccumulatorBatchOps:
 
         assert repr(batched) == repr(folded)
 
-    @settings(max_examples=30, deadline=None)
-    @given(values=st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=10))
-    def test_in_place_ops_equal_their_copying_forms(self, values):
-        targets = (("A", None), ("A", "v"))
-        events = [
-            Event("A", float(index), {"v": value})
-            for index, value in enumerate(values)
-        ]
-        copying = TrendAccumulator.singleton(events[0], "A", targets)
-        in_place = TrendAccumulator.singleton(events[0], "A", targets)
-        for event in events:
-            copying = copying.extended(event, "A")
-            copying.merge(TrendAccumulator.singleton(event, "A", targets))
-            in_place.extend(event, "A")
-            in_place.include_singleton(event, "A")
-        assert repr(in_place) == repr(copying)
-
 
 # ---------------------------------------------------------------------------
 # the executor: key-grouped quiet runs

@@ -8,6 +8,7 @@ granularity, through an actual JSON round trip.
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.core.aggregate_state import TrendAccumulator
 from repro.errors import CheckpointError
 from repro.events.event import Event
 from repro.events.stream import sort_events
+from repro.query.parser import parse_query
 from repro.streaming.checkpoint import (
     load_checkpoint,
     restore_accumulator,
@@ -24,6 +26,7 @@ from repro.streaming.checkpoint import (
     snapshot_aggregator,
     snapshot_event,
 )
+from repro.streaming.jsonl import record_to_json_line
 from repro.streaming.runtime import StreamingRuntime
 
 QUERIES = {
@@ -298,6 +301,116 @@ class TestPrimitiveSnapshots:
         restored = restore_accumulator(
             json.loads(json.dumps(snapshot_accumulator(accumulator)))
         )
-        assert restored.trend_count == accumulator.trend_count
+        assert snapshot_accumulator(restored) == snapshot_accumulator(accumulator)
+        assert restored.trend_count == accumulator.trend_count == 2
         assert restored.targets == accumulator.targets
-        assert restored._states == accumulator._states
+        assert restored.occurrence_count("A") == accumulator.occurrence_count("A") == 2
+        query = parse_query(
+            "RETURN COUNT(*), COUNT(A), SUM(A.v), AVG(A.v), MIN(A.v), MAX(A.v) "
+            "PATTERN A+ SEMANTICS skip-till-any-match"
+        )
+        expected = [2, 2, 13, 6.5, 4, 9]
+        assert [restored.result_value(spec) for spec in query.aggregates] == expected
+        assert [accumulator.result_value(spec) for spec in query.aggregates] == expected
+
+
+# ---------------------------------------------------------------------------
+# wire compatibility with checkpoints written before the flat accumulator layout
+# ---------------------------------------------------------------------------
+
+WIRE_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1_type_grained.json"
+WIRE_CUT = 150
+WIRE_QUERIES = {
+    "pairs": """
+        RETURN g, COUNT(*), MAX(A.v)
+        PATTERN SEQ(A+, B)
+        SEMANTICS skip-till-any-match
+        GROUP-BY g
+        WITHIN 20 seconds SLIDE 5 seconds
+    """,
+    "kleene": """
+        RETURN g, COUNT(*), COUNT(A), SUM(A.v), AVG(A.v), MIN(A.v), MAX(A.v)
+        PATTERN A+
+        SEMANTICS skip-till-any-match
+        GROUP-BY g
+        WITHIN 20 seconds SLIDE 5 seconds
+    """,
+}
+
+
+def wire_stream():
+    """The arrival-ordered stream the committed fixture was cut from."""
+    rng = random.Random(41)
+    events = [
+        Event(
+            rng.choice("AAB"),
+            round(index * 0.2 + rng.uniform(0.0, 2.0), 3),
+            {"g": rng.choice("xyz"), "v": round(rng.uniform(1.0, 90.0), 2)},
+            sequence=index,
+        )
+        for index in range(300)
+    ]
+    return events
+
+
+def wire_runtime():
+    runtime = StreamingRuntime(lateness=3.0)
+    for name, text in WIRE_QUERIES.items():
+        runtime.register(text, name=name)
+    return runtime
+
+
+def write_wire_fixture(path=WIRE_FIXTURE):
+    """Regenerate the fixture: ``python tests/test_streaming_checkpoint.py``.
+
+    The committed file was written by this function at commit ``d941543``
+    (dict-of-lists accumulators); regenerating it with later code would
+    only prove that the code can read what it writes itself.
+    """
+    runtime = wire_runtime()
+    runtime.process_batch(wire_stream()[:WIRE_CUT])
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(runtime.checkpoint(), indent=1, sort_keys=True) + "\n")
+
+
+class TestCheckpointWireCompatibility:
+    def test_checkpoint_written_by_the_dict_layout_restores_byte_identically(self):
+        events = wire_stream()
+        state = json.loads(WIRE_FIXTURE.read_text())
+        assert state["version"] == 1
+        classes = {
+            aggregator["class"]
+            for executor in state["executors"].values()
+            for _window, _key, aggregator in executor["aggregators"]
+        }
+        assert classes == {"TypeGrainedAggregator"}
+
+        resumed = wire_runtime()
+        resumed.restore(state)
+        records = resumed.process_batch(events[WIRE_CUT:])
+        records.extend(resumed.flush())
+
+        uninterrupted = wire_runtime()
+        expected = uninterrupted.process_batch(events[:WIRE_CUT])
+        # the fixture's cut is mid-window: everything before it is still open
+        expected.extend(uninterrupted.process_batch(events[WIRE_CUT:]))
+        expected.extend(uninterrupted.flush())
+        emitted_before_cut = len(expected) - len(records)
+        assert emitted_before_cut >= 0
+        assert [record_to_json_line(r) for r in records] == [
+            record_to_json_line(r) for r in expected[emitted_before_cut:]
+        ]
+        assert len(records) > 20
+
+    def test_current_code_writes_what_the_fixture_holds(self):
+        runtime = wire_runtime()
+        runtime.process_batch(wire_stream()[:WIRE_CUT])
+        current = json.loads(json.dumps(runtime.checkpoint()))
+        fixture = json.loads(WIRE_FIXTURE.read_text())
+        # "metrics" and "registry" carry wall-clock readings; the rest is state
+        for section in ("version", "queries", "ingest", "emitted_counts", "executors"):
+            assert current[section] == fixture[section], section
+
+
+if __name__ == "__main__":
+    write_wire_fixture()
