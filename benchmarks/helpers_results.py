@@ -75,54 +75,6 @@ def append_bench_record(
     return record
 
 
-def last_committed_record(bench: str) -> Optional[dict]:
-    """The newest HEAD-committed ``BENCH_streaming.json`` record for ``bench``.
-
-    Returns ``None`` when there is no committed file, it does not parse,
-    or it holds no record for the bench -- callers treat all three as
-    "no baseline to compare against".
-    """
-    try:
-        text = subprocess.run(
-            ["git", "show", "HEAD:" + BENCH_RESULTS_PATH.name],
-            cwd=BENCH_RESULTS_PATH.parent,
-            capture_output=True,
-            text=True,
-            timeout=30,
-            check=True,
-        ).stdout
-        document = json.loads(text)
-        records = document.get("records", [])
-    except (OSError, subprocess.SubprocessError, ValueError, AttributeError):
-        return None
-    newest = None
-    for record in records:
-        if isinstance(record, dict) and record.get("bench") == bench:
-            newest = record
-    return newest
-
-
-def bench_reset_requested() -> bool:
-    """True when the HEAD commit message carries ``[bench-reset]``.
-
-    The escape hatch shared with ``check_regression.py``: margin
-    assertions report instead of failing, so an intentional slowdown can
-    land and re-baseline the trajectory.
-    """
-    try:
-        message = subprocess.run(
-            ["git", "log", "-1", "--format=%B"],
-            cwd=BENCH_RESULTS_PATH.parent,
-            capture_output=True,
-            text=True,
-            timeout=30,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.SubprocessError):
-        return False
-    return "[bench-reset]" in message
-
-
 def results_signature(results: Iterable[GroupResult]) -> Tuple:
     """Order-independent signature of a result set for equality checks."""
     return tuple(

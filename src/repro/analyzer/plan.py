@@ -264,7 +264,8 @@ class CograPlan:
 
     def partition_key(self, event: Event) -> Tuple:
         """Grouping key of ``event`` (GROUP-BY plus ``[attr]`` predicates)."""
-        return tuple(event.get(attribute) for attribute in self.partition_attributes)
+        get = event.attributes.get
+        return tuple([get(attribute) for attribute in self.partition_attributes])
 
     def describe(self) -> str:
         """Readable multi-line explanation of the plan (like EXPLAIN)."""

@@ -369,13 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "smaller ones reduce emission latency",
     )
     stream.add_argument(
-        "--no-ship-serialized",
-        action="store_true",
-        help="with --workers >1: ship worker batches as plain event lists "
-        "instead of pre-pickled blobs (slower; useful when debugging the "
-        "worker protocol -- results are identical either way)",
-    )
-    stream.add_argument(
         "--rebalance",
         action="store_true",
         help="with --workers >1: adaptively migrate hot partition-key "
@@ -690,8 +683,6 @@ def _stream_flag_overrides(args) -> dict:
         put("shards", "ship_interval", args.ship_interval)
     if args.decode_batch_size is not None:
         put("batch", "decode_batch_size", args.decode_batch_size)
-    if args.no_ship_serialized:
-        put("batch", "ship_serialized", False)
     if args.rebalance:
         # a nested layer: deep-merging preserves any shards.rebalance.*
         # tuning keys a --config file provides alongside the flag

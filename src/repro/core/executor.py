@@ -70,58 +70,25 @@ class QueryExecutor:
 
     # -- streaming interface -------------------------------------------------------
 
-    def process(self, event: Event, partition_key: Optional[Tuple] = None) -> List[GroupResult]:
-        """Feed one event; return the results of windows that just closed.
-
-        ``partition_key`` lets a caller that already computed the event's
-        grouping key (the streaming runtime routes one event to several
-        executors sharing the same partition attributes) skip recomputing it.
-        """
-        if self._last_time is not None and event.time < self._last_time:
-            raise StreamOrderError(
-                f"event at time {event.time} arrived after time {self._last_time}"
-            )
-        self._last_time = event.time
-        self._events_seen += 1
-
-        count_window = self._count_window
-        if count_window is not None:
-            window_ids = [count_window.window_of_ordinal(self._events_seen - 1)]
-            emitted = self._close_count_windows(window_ids[0])
-        else:
-            emitted = self._close_expired_windows(event.time)
-
-        if self.plan.bind(event) is None:
-            return emitted  # rejected by the local predicates (Section 7)
-
-        key = partition_key if partition_key is not None else self.plan.partition_key(event)
-        if count_window is None:
-            window = self.query.window
-            window_ids = [0] if window is None else window.windows_of(event.time)
-        aggregators = self._aggregators
-        for window_id in window_ids:
-            aggregator = aggregators.get((window_id, key))
-            if aggregator is None:
-                aggregator = self._open_aggregator(window_id, key)
-            aggregator.process(event)
-        return emitted
+    def process(self, event: Event) -> List[GroupResult]:
+        """Feed one event; return the results of windows that just closed."""
+        return self._fold((event,), None)
 
     def quiet_windows(self, start_time: float, end_time: float) -> Optional[List[int]]:
         """Window ids of a quiet run over ``[start_time, end_time]``, else ``None``.
 
         "Quiet" means no open window closes during the run and every event
-        falls into the same window set -- the one returned -- so
-        :meth:`process_batch` may skip the per-event expiry checks and feed
-        whole runs to one aggregator per window.  ``None`` when the run is
-        not quiet.  Queries without a WITHIN clause never emit mid-stream,
-        so they are always quiet.
+        falls into the same window set -- the one returned -- so the run can
+        be folded as a whole: one expiry check, one aggregator lookup per
+        (window, key).  ``None`` when the run is not quiet.  Queries without
+        a WITHIN clause never emit mid-stream, so they are always quiet.
         """
         window = self.query.window
         if window is None:
             return [0]
         if window.is_count_based:
             # the run's time span says nothing about ordinal boundaries, so
-            # count windows always take the per-event path
+            # count windows are fed event by event
             return None
         if (
             self._min_open_window is not None
@@ -134,58 +101,60 @@ class QueryExecutor:
         return window_ids
 
     def process_batch(
-        self,
-        events: List[Event],
-        partition_key: Optional[Tuple] = None,
-        window_ids: Optional[List[int]] = None,
+        self, events: List[Event], window_ids: Optional[List[int]] = None
     ) -> List[GroupResult]:
-        """Feed an ordered run of events; ≡ per-event :meth:`process`.
+        """Feed an ordered run of events; ≡ :meth:`process` on each in turn.
 
-        When the run is quiet (see :meth:`quiet_windows`) the per-event
-        order/expiry/window bookkeeping is hoisted out of the loop: every
-        event is bound once (:meth:`CograPlan.bind`), the bound events are
-        grouped by partition key, and each group is handed -- the same list
-        -- to the aggregator of every window of the run.  Grouping
-        non-consecutive same-key events together is safe *because* the run
-        is quiet: no window closes mid-run, each (window, key) aggregator
-        only ever sees its own key's events in their original relative
-        order, and window emission sorts group keys -- so state and output
-        are byte-identical to the per-event path.  Non-quiet runs fall back
-        to per-event processing.
-
-        ``partition_key``, when given, asserts that every event in the run
-        shares that key (the caller already grouped), skipping the per-event
-        key computation.  ``window_ids``, when given, is what
-        :meth:`quiet_windows` just returned for this run (the streaming
-        runtime asks every target executor before feeding any).
+        ``window_ids``, when given, is what :meth:`quiet_windows` just
+        returned for this run (the streaming runtime asks every target
+        executor before feeding any).
         """
-        count = len(events)
-        if count == 0:
-            return []
-        if count == 1:
-            return self.process(events[0], partition_key=partition_key)
-        first_time = events[0].time
-        last_time = events[-1].time
-        if window_ids is None:
-            window_ids = self.quiet_windows(first_time, last_time)
-        if window_ids is None:
-            emitted: List[GroupResult] = []
-            for event in events:
-                emitted.extend(self.process(event, partition_key=partition_key))
+        return self._fold(events, window_ids)
+
+    def _fold(self, events, window_ids: Optional[List[int]]) -> List[GroupResult]:
+        """Close what the run expires, bind each event once, fold by key.
+
+        A quiet run (see :meth:`quiet_windows`) is folded whole: every event
+        is bound once (:meth:`CograPlan.bind`), the bound events are grouped
+        by partition key, and each group is handed -- the same list -- to
+        the aggregator of every window of the run.  Grouping non-consecutive
+        same-key events together is safe *because* the run is quiet: no
+        window closes mid-run, each (window, key) aggregator only ever sees
+        its own key's events in their original relative order, and window
+        emission sorts group keys.  Any other run is folded as runs of one,
+        each closing the windows its event expires before it is placed, so
+        state and output never depend on how the stream was sliced.
+        """
+        if window_ids is None and len(events) > 1:
+            window_ids = self.quiet_windows(events[0].time, events[-1].time)
+            if window_ids is None:
+                return [
+                    result
+                    for event in events
+                    for result in self._fold((event,), None)
+                ]
+        emitted: List[GroupResult] = []
+        if not events:
             return emitted
-        if self._last_time is not None and first_time < self._last_time:
-            raise StreamOrderError(
-                f"event at time {first_time} arrived after time {self._last_time}"
-            )
-        previous = first_time
+        previous = self._last_time
         for event in events:
-            if event.time < previous:
+            if previous is not None and event.time < previous:
                 raise StreamOrderError(
                     f"event at time {event.time} arrived after time {previous}"
                 )
             previous = event.time
-        self._last_time = last_time
-        self._events_seen += count
+        self._last_time = previous
+        if window_ids is None:  # a run of one: close what its event expires
+            count_window = self._count_window
+            if count_window is not None:
+                window_ids = [count_window.window_of_ordinal(self._events_seen)]
+                emitted = self._close_count_windows(window_ids[0])
+            else:
+                time = events[0].time
+                emitted = self._close_expired_windows(time)
+                window = self.query.window
+                window_ids = [0] if window is None else window.windows_of(time)
+        self._events_seen += len(events)
         bind = self.plan.bind
         key_of = self.plan.partition_key
         grouped: Dict[Tuple, list] = {}
@@ -193,7 +162,7 @@ class QueryExecutor:
             binding = bind(event)
             if binding is None:
                 continue  # rejected by the local predicates (Section 7)
-            key = key_of(event) if partition_key is None else partition_key
+            key = key_of(event)
             run = grouped.get(key)
             if run is None:
                 grouped[key] = [(event, binding)]
@@ -209,7 +178,7 @@ class QueryExecutor:
                 if aggregator is None:
                     aggregator = self._open_aggregator(window_id, key)
                 aggregator.process_run(run)
-        return []
+        return emitted
 
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
         """Process a whole stream and return every emitted result."""

@@ -87,12 +87,18 @@ class SourceError(CograError):
 class LateEventError(StreamOrderError):
     """Raised by the streaming runtime when an event arrives later than the
     configured lateness bound allows and the late-event policy is ``raise``.
+
+    ``records`` holds what the earlier events of the same ``process_batch``
+    slice had already emitted (their windows are evicted, so nothing else
+    can produce them again); the driver loop delivers them before the error
+    propagates.
     """
 
     def __init__(self, message: str, event=None, watermark: float | None = None):
         super().__init__(message)
         self.event = event
         self.watermark = watermark
+        self.records: list = []
 
 
 class WorkerCrashError(CograError):

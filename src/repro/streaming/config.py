@@ -418,23 +418,16 @@ class ShardConfig:
 
 @dataclass(frozen=True)
 class BatchConfig:
-    """Hot-path batching: decode granularity and shard wire format.
+    """Hot-path batching: the decode granularity.
 
     ``decode_batch_size`` is how many events the driver pulls from the
     source (and pushes through the runtime) per slice; larger slices
     amortise per-event Python overhead, smaller ones reduce emission
     latency.  When checkpointing is on, the effective slice size is
     clamped so no slice straddles a checkpoint boundary.
-
-    ``ship_serialized`` makes the sharded runtime ship each wave to a
-    worker as one pre-pickled blob (and the workers' result acks back the
-    same way) instead of a list of event objects.  Results are identical
-    either way; disable it when debugging the worker protocol so the
-    queue messages stay plain, inspectable Python objects.
     """
 
     decode_batch_size: int = 256
-    ship_serialized: bool = True
 
     def __post_init__(self) -> None:
         value = self.decode_batch_size
@@ -442,7 +435,6 @@ class BatchConfig:
             raise ConfigError(
                 f"decode_batch_size must be a positive integer, got {value!r}"
             )
-        _require_bool(self.ship_serialized, "ship_serialized")
 
 
 @dataclass(frozen=True)
@@ -1037,7 +1029,6 @@ class JobConfig:
                 rebalance=self.shards.rebalance,
                 max_inflight=self.backpressure.max_inflight,
                 observability=observability,
-                ship_serialized=self.batch.ship_serialized,
                 replan=self.replan,
             )
         else:

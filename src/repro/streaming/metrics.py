@@ -176,25 +176,14 @@ class StreamingMetrics:
 
     # -- recording hooks (called by the runtime) -----------------------------
 
-    def record_ingest(self, event_time: float, buffered: int) -> None:
-        """Account for one event entering the reorder buffer."""
-        if self._started_at is None:
-            self._started_at = self._clock()
-        self._children["events_ingested"].inc()
-        if event_time > self.max_event_time:
-            self.max_event_time = event_time
-        peak = self._children["events_buffered_peak"]
-        if buffered > peak.value:
-            peak.set(buffered)
-
     def record_ingest_batch(
         self, count: int, max_event_time: float, buffered_peak: int
     ) -> None:
-        """Account for ``count`` events entering the buffer in one slice.
+        """Account for the ``count`` events of one slice entering the buffer.
 
-        The batched counterpart of :meth:`record_ingest`: one counter
-        increment for the slice plus single max/high-water updates, so the
-        totals match ``count`` individual calls exactly.
+        ``max_event_time`` is the newest event time among them and
+        ``buffered_peak`` the highest buffer occupancy after any of their
+        pushes; the first slice with events starts the throughput clock.
         """
         if count <= 0:
             return
@@ -220,13 +209,6 @@ class StreamingMetrics:
         """Account for ``count`` punctuation (watermark-carrying) events."""
         if count:
             self._children["punctuations_seen"].inc(count)
-
-    def record_late(self, rerouted: bool) -> None:
-        """Account for one late event (dropped or sent to the side channel)."""
-        if rerouted:
-            self._children["late_events_rerouted"].inc()
-        else:
-            self._children["late_events_dropped"].inc()
 
     def record_late_batch(self, dropped: int, rerouted: int) -> None:
         """Account for a slice's late events in two counter increments."""

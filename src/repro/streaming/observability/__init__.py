@@ -100,30 +100,22 @@ class QueryInstruments:
         self.results = results
         self.latency = latency
 
-    def observe_execution(self, seconds: float, matched: bool) -> None:
-        self.events.inc()
-        if matched:
-            self.matched.inc()
-        self.latency.observe(seconds)
-
     def observe_execution_batch(
         self, count: int, seconds: float, matched: int
     ) -> None:
-        """Account a whole same-query run in three amortised updates.
+        """Account one run of ``count`` events fed to the query's executor.
 
         ``events``/``matched`` totals stay exact; the latency histogram
-        receives the run's mean per-event latency ``count`` times (via
-        ``observe_many``), so its ``count``/``sum`` match the per-event
-        path while individual bucket placement is averaged over the run.
-        ``matched`` is already documented as layout-sensitive, so run-level
-        match attribution is within its contract.
+        receives the run's mean per-event latency ``count`` times, so its
+        ``count`` is the number of events while individual bucket placement
+        is averaged over the run.  ``matched`` is documented as
+        layout-sensitive, so run-level match attribution is within its
+        contract.
         """
-        if count <= 0:
-            return
         self.events.inc(count)
         if matched:
             self.matched.inc(matched)
-        self.latency.observe_many([seconds / count] * count)
+        self.latency.observe(seconds / count, count)
 
 
 class ShardInstruments:

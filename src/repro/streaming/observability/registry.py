@@ -85,31 +85,13 @@ class _HistogramChild:
         self.sum = 0.0
         self.count = 0
 
-    def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
+    def observe(self, value: float, count: int = 1) -> None:
+        """Record ``count`` observations of ``value``."""
+        self.sum += value * count
+        self.count += count
         # first bound with value <= bound; the C bisect keeps this cheap
         # enough for one observation per event on the hot path
-        self.counts[bisect_left(self.bounds, value)] += 1
-
-    def observe_many(self, values) -> None:
-        """Record a whole slice of observations in one call.
-
-        Equivalent to ``observe`` per value but with the sum/count updates
-        amortised over the slice -- the batched driver loop's counterpart
-        of per-event ``observe``.
-        """
-        if not values:
-            return
-        total = 0.0
-        counts = self.counts
-        bounds = self.bounds
-        bisect = bisect_left
-        for value in values:
-            total += value
-            counts[bisect(bounds, value)] += 1
-        self.sum += total
-        self.count += len(values)
+        self.counts[bisect_left(self.bounds, value)] += count
 
     def quantile(self, q: float) -> float:
         return histogram_quantile(self.bounds, self.counts, q)
@@ -257,12 +239,8 @@ class Histogram(_Family):
     def _new_child(self) -> _HistogramChild:
         return _HistogramChild(self.bounds)
 
-    def observe(self, value: float) -> None:
-        self._default.observe(value)
-
-    def observe_many(self, values) -> None:
-        """Record a slice of observations against the unlabelled child."""
-        self._default.observe_many(values)
+    def observe(self, value: float, count: int = 1) -> None:
+        self._default.observe(value, count)
 
     def quantile(self, q: float) -> float:
         return self._default.quantile(q)

@@ -7,9 +7,8 @@
 * events may arrive out of order within a configurable lateness bound --
   the ingestion layer (:mod:`repro.streaming.ingest`) restores order and
   generates watermarks;
-* every event is routed **once** through a shared type/partition index:
-  queries that cannot be affected by an event's type never see it, and
-  queries sharing the same partition attributes share one key computation;
+* every event is routed **once** through a shared type index: queries
+  that cannot be affected by an event's type never see it;
 * window results are emitted incrementally as the watermark passes each
   window's end (:mod:`repro.streaming.emission`), not at end of stream;
 * the whole runtime state can be checkpointed mid-stream and restored into
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from functools import partial
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.engine import CograEngine
@@ -111,7 +111,7 @@ class PipelineDriver:
     """The source → process → emit → sink driver loop shared by the runtimes.
 
     Subclasses provide the runtime interface the loop is written against:
-    ``process(event)`` / ``flush()`` / ``checkpoint()`` /
+    ``process_batch(events)`` / ``flush()`` / ``checkpoint()`` /
     ``take_late_events()`` / ``drain_pending()`` -- both
     :class:`StreamingRuntime` and
     :class:`~repro.streaming.sharded.ShardedRuntime` do, so the CLI,
@@ -120,14 +120,15 @@ class PipelineDriver:
     emission records), :meth:`run` the eager one (collect, or push into a
     :class:`~repro.streaming.sources.Sink`).
 
-    The loop is batch-grained: events are pulled from the source in slices
-    of :attr:`decode_batch_size` (see
+    Events are pulled from the source in slices of
+    :attr:`decode_batch_size` (see
     :meth:`~repro.streaming.sources.EventSource.batches`; latency-sensitive
     live sources yield singleton slices) and pushed through
-    ``process_batch`` -- semantically identical to per-event ``process``
-    but with the per-event overhead amortised.  Slices are split at
-    checkpoint-interval boundaries so periodic checkpoints still land at
-    exact ingested-event counts.
+    ``process_batch``, whose result never depends on how the stream was
+    sliced.  Slices are split at checkpoint-interval boundaries so periodic
+    checkpoints still land at exact ingested-event counts.  Both runtimes
+    push a slice through their reorder buffer with :meth:`_ingest`, the one
+    place that counts what was ingested.
     """
 
     #: default slice size for :meth:`drive`'s source pulls; overridden per
@@ -168,7 +169,8 @@ class PipelineDriver:
         metrics_exporter:
             Optional
             :class:`~repro.streaming.observability.JsonlMetricsExporter`.
-            Once per ingested event the loop offers it the runtime's
+            Once per chunk (a pulled slice, or the part of it up to the
+            next checkpoint boundary) the loop offers it the runtime's
             :meth:`registry_snapshot`; the exporter samples at most once
             per its configured interval, and a final sample is taken after
             the flush so the time series always ends with the complete
@@ -205,6 +207,86 @@ class PipelineDriver:
             yield from session.finish()
         finally:
             session.close()
+
+    def _ingest(self, events: Iterable[Event], apply) -> None:
+        """Push a slice through the reorder buffer, event by event.
+
+        ``apply(batch, trace)`` is called for every push that was not late
+        -- late events and their accounting end here.  ``trace`` is the
+        pushed event's sampled root span (its ``ingest`` child already
+        finished) or ``None``; sampling only adds spans, it never changes
+        what ``apply`` is called with.  The ingested / punctuation / late /
+        released tallies reach :attr:`metrics` once per slice, also when a
+        raising late policy aborts it, so the totals never depend on the
+        slicing.
+        """
+        ingestor = self._ingestor
+        push = ingestor.push
+        tracer = self.observability.tracer
+        sample = tracer.start_trace if tracer.enabled else None
+        reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
+        ingested = punctuations = released = late_dropped = late_rerouted = 0
+        max_time = watermark = -math.inf
+        buffered_peak = -1
+        trace = span = None
+        try:
+            for event in events:
+                if sample is not None:
+                    trace = sample(
+                        "event", event_type=event.event_type, event_time=event.time
+                    )
+                    span = None if trace is None else trace.child("ingest")
+                try:
+                    batch = push(event)
+                except LateEventError:
+                    # the raising policy still accounts for the event, like
+                    # the drop and side-channel policies do
+                    ingested += 1
+                    late_dropped += 1
+                    max_time = max(max_time, event.time)
+                    buffered_peak = max(buffered_peak, len(ingestor))
+                    if span is not None:
+                        span.annotate(late=True)
+                        span.finish()
+                    raise
+                if span is not None:
+                    span.annotate(
+                        released=len(batch.released),
+                        late=batch.late_event is not None,
+                        punctuation=batch.punctuation,
+                    )
+                    span.finish()
+                if batch.punctuation:
+                    punctuations += 1
+                else:
+                    # batch.buffered is post-push occupancy from the ingestor
+                    # itself; late events never entered the buffer
+                    ingested += 1
+                    if event.time > max_time:
+                        max_time = event.time
+                    if batch.buffered > buffered_peak:
+                        buffered_peak = batch.buffered
+                if batch.late_event is not None:
+                    if reroutes:
+                        late_rerouted += 1
+                    else:
+                        late_dropped += 1
+                else:
+                    released += len(batch.released)
+                    if batch.advanced:
+                        watermark = batch.watermark
+                    apply(batch, trace)
+                if trace is not None:
+                    trace.finish()
+        finally:
+            if trace is not None:
+                trace.finish()  # idempotent; closes the root of an aborted push
+            metrics = self.metrics
+            metrics.record_punctuation(punctuations)
+            metrics.record_ingest_batch(ingested, max_time, buffered_peak)
+            metrics.record_late_batch(late_dropped, late_rerouted)
+            metrics.record_release(released)
+            metrics.record_watermark(watermark)
 
     def _await_sink_ready(
         self, ready: Callable[[], bool], backpressure: BackpressureConfig
@@ -421,7 +503,13 @@ class DriveSession:
             chunk = batch if start == 0 and end == total else batch[start:end]
             self.processed += end - start
             start = end
-            yield from driver.process_batch(chunk)
+            try:
+                yield from driver.process_batch(chunk)
+            except LateEventError as error:
+                # a raising late policy aborts the slice, not the results
+                # its earlier events already produced
+                yield from error.records
+                raise
             if self._on_late is not None:
                 late = driver.take_late_events()
                 if late:
@@ -474,7 +562,6 @@ class RegisteredQuery:
         "order",
         "relevant_types",
         "broadcast",
-        "partition_signature",
         "instruments",
     )
 
@@ -499,7 +586,6 @@ class RegisteredQuery:
             engine.query.semantics is Semantics.CONTIGUOUS
             or engine._emit_empty_groups
         )
-        self.partition_signature: Tuple[str, ...] = engine.plan.partition_attributes
 
     @property
     def executor(self) -> QueryExecutor:
@@ -679,211 +765,88 @@ class StreamingRuntime(PipelineDriver):
             )
 
     def process(self, event: Event) -> List[EmissionRecord]:
-        """Ingest one (possibly out-of-order) event; return emitted results."""
-        # the sampling decision is one attribute check in the common
-        # (tracing off / unsampled) case; a sampled event records a span
-        # tree ingest -> route -> execute -> emit under this root
-        trace = self.observability.start_trace(
-            "event", event_type=event.event_type, event_time=event.time
-        )
-        if trace is None:
-            records = self._process(event, None)
-        else:
-            with trace:
-                records = self._process(event, trace)
-                trace.annotate(records=len(records))
-        if self._replan_policy is not None and self._replan_controller.due(1):
-            self._replan_now()
-        return records
-
-    def _process(self, event: Event, trace) -> List[EmissionRecord]:
-        self._check_processable()
-        span = trace.child("ingest") if trace is not None else None
-        try:
-            batch = self._ingestor.push(event)
-        except LateEventError:
-            # the raising policy still accounts for the event, so metrics
-            # stay consistent with the drop/side-channel paths
-            self.metrics.record_ingest(event.time, len(self._ingestor))
-            self.metrics.record_late(rerouted=False)
-            if span is not None:
-                span.annotate(late=True)
-                span.finish()
-            raise
-        if span is not None:
-            span.annotate(
-                released=len(batch.released),
-                late=batch.late_event is not None,
-                punctuation=batch.punctuation,
-            )
-            span.finish()
-        if batch.punctuation:
-            self.metrics.record_punctuation()
-        else:
-            # batch.buffered is post-push occupancy from the ingestor itself;
-            # late events never entered the buffer and do not inflate it
-            self.metrics.record_ingest(event.time, batch.buffered)
-        if batch.late_event is not None:
-            self.metrics.record_late(
-                rerouted=self._ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-            )
-            return []
-
-        records: List[EmissionRecord] = []
-        if batch.released:
-            self.metrics.record_release(len(batch.released))
-            started = _time.perf_counter()
-            if trace is None:
-                for released in batch.released:
-                    records.extend(self._route(released, batch.watermark))
-            else:
-                with trace.child("route", events=len(batch.released)) as route:
-                    for released in batch.released:
-                        with route.child("execute", event_type=released.event_type):
-                            records.extend(self._route(released, batch.watermark))
-            self.metrics.record_processing_seconds(_time.perf_counter() - started)
-        if batch.advanced:
-            self.metrics.record_watermark(batch.watermark)
-            span = (
-                trace.child("emit", watermark=batch.watermark)
-                if trace is not None
-                else None
-            )
-            for registered in self._queries:
-                emitted = self._controller.advance(
-                    registered.name, registered.executor, batch.watermark
-                )
-                if emitted:
-                    if registered.instruments is not None:
-                        registered.instruments.results.inc(len(emitted))
-                    records.extend(emitted)
-            if span is not None:
-                span.finish()
-        self.metrics.record_emission(len(records))
-        return records
+        """Ingest one (possibly out-of-order) event: a slice of one."""
+        return self.process_batch([event])
 
     def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
-        """Ingest a slice of (possibly out-of-order) events in one frame.
+        """Ingest a slice of (possibly out-of-order) events; return what emits.
 
-        Semantically identical to concatenating :meth:`process` over the
-        slice -- same records in the same order, same watermark and window
-        emission timing -- but the per-event bookkeeping (tracing checks,
-        metric observes, route lookups) is amortised over the slice and
-        released waves are fed to the executors as same-``(type, key)``
-        runs.  With tracing enabled the per-event path is used so span
-        trees stay per event.
+        The records, their order, the watermark stamps and the window
+        emission timing depend only on the events and their order, never on
+        how the stream was cut into slices: every event is pushed through
+        the reorder buffer on its own, and what a push releases is fed to
+        the executors as same-type runs (see :meth:`_route_slice`).  With a
+        raising late policy the records the slice's earlier events emitted
+        travel on the :class:`~repro.errors.LateEventError` (``.records``).
         """
-        if not events:
-            self._check_processable()
-            return []
-        if self.observability.tracer.enabled:
-            records: List[EmissionRecord] = []
-            for event in events:
-                records.extend(self.process(event))
-            return records
         self._check_processable()
-        metrics = self.metrics
-        ingestor = self._ingestor
-        push = ingestor.push
-        queries = self._queries
-        advance = self._controller.advance
-        perf_counter = _time.perf_counter
-        reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-        records = []
-        ingested = 0
-        punctuations = 0
-        max_time = -math.inf
-        buffered_peak = -1
-        released_total = 0
-        late_dropped = 0
-        late_rerouted = 0
-        processing = 0.0
-        watermark_seen = -math.inf
+        records: List[EmissionRecord] = []
         try:
-            for event in events:
-                try:
-                    batch = push(event)
-                except LateEventError:
-                    # match the per-event path's accounting for the
-                    # raising event before the error propagates
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    buffered = len(ingestor)
-                    if buffered > buffered_peak:
-                        buffered_peak = buffered
-                    late_dropped += 1
-                    raise
-                if batch.punctuation:
-                    punctuations += 1
-                else:
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    if batch.buffered > buffered_peak:
-                        buffered_peak = batch.buffered
-                if batch.late_event is not None:
-                    if reroutes:
-                        late_rerouted += 1
-                    else:
-                        late_dropped += 1
-                    continue
-                released = batch.released
-                if released:
-                    released_total += len(released)
-                    started = perf_counter()
-                    self._route_slice(released, batch.watermark, records)
-                    processing += perf_counter() - started
-                if batch.advanced:
-                    watermark = batch.watermark
-                    if watermark > watermark_seen:
-                        watermark_seen = watermark
-                    for registered in queries:
-                        emitted = advance(
-                            registered.name, registered.executor, watermark
-                        )
-                        if emitted:
-                            if registered.instruments is not None:
-                                registered.instruments.results.inc(len(emitted))
-                            records.extend(emitted)
+            self._ingest(events, partial(self._apply_push, records))
+        except LateEventError as error:
+            error.records = records
+            raise
         finally:
-            # flush the amortised counters even when a raising late policy
-            # aborts the slice, so totals match the per-event path exactly
-            if punctuations:
-                metrics.record_punctuation(punctuations)
-            if ingested:
-                metrics.record_ingest_batch(ingested, max_time, buffered_peak)
-            if late_dropped or late_rerouted:
-                metrics.record_late_batch(late_dropped, late_rerouted)
-            if released_total:
-                metrics.record_release(released_total)
-                metrics.record_processing_seconds(processing)
-            if watermark_seen > -math.inf:
-                metrics.record_watermark(watermark_seen)
-            metrics.record_emission(len(records))
+            self.metrics.record_emission(len(records))
         if self._replan_policy is not None and self._replan_controller.due(
             len(events)
         ):
             self._replan_now()
         return records
 
+    def _apply_push(self, records: List[EmissionRecord], batch, trace) -> None:
+        """Route what one push released, then emit what its watermark closes."""
+        emitted_before = len(records)
+        released = batch.released
+        if released:
+            started = _time.perf_counter()
+            if trace is None:
+                self._route_slice(released, batch.watermark, records)
+            else:
+                with trace.child("route", events=len(released)) as route:
+                    self._route_slice(released, batch.watermark, records, route)
+            self.metrics.record_processing_seconds(_time.perf_counter() - started)
+        if batch.advanced:
+            if trace is None:
+                self._advance_emission(batch.watermark, records)
+            else:
+                with trace.child("emit", watermark=batch.watermark):
+                    self._advance_emission(batch.watermark, records)
+        if trace is not None:
+            trace.annotate(records=len(records) - emitted_before)
+
+    def _advance_emission(
+        self, watermark: float, records: List[EmissionRecord]
+    ) -> None:
+        """Emit, query by query, the windows ending at or before ``watermark``."""
+        advance = self._controller.advance
+        for registered in self._queries:
+            emitted = advance(registered.name, registered.executor, watermark)
+            if emitted:
+                if registered.instruments is not None:
+                    registered.instruments.results.inc(len(emitted))
+                records.extend(emitted)
+
     def _route_slice(
         self,
         released: List[Event],
         watermark: float,
         records: List[EmissionRecord],
+        span=None,
     ) -> None:
-        """Route a released wave grouped into consecutive same-type runs.
+        """Deliver in-order events to the queries their types can affect.
 
-        Runs during which no target query can emit (see
-        :meth:`QueryExecutor.quiet_windows`) are fed to the executors as
-        whole same-``(type, partition-key)`` sub-runs; anything else falls
-        back to the per-event :meth:`_route`, so record content and order
-        never differ from the per-event path.
+        The one router.  ``released`` is cut into consecutive same-type
+        runs; a run during which no target query can emit (see
+        :meth:`QueryExecutor.quiet_windows`) is fed to each target whole,
+        anything else -- a single event, a run that closes a window, a
+        count-windowed query -- event by event to every target in turn, so
+        record content and order are those of the arrival order.  ``span``
+        is a sampled ``route`` span; each run adds an ``execute`` child.
         """
         count = len(released)
-        route = self._route
         resolved = self._resolved_routes
+        apply_run = self._apply_run
         index = 0
         while index < count:
             first = released[index]
@@ -897,51 +860,58 @@ class StreamingRuntime(PipelineDriver):
             if not targets:
                 index = stop
                 continue
-            if stop - index == 1:
-                records.extend(route(first, watermark))
-                index = stop
-                continue
             run = released[index:stop]
             index = stop
-            last_time = run[-1].time
-            quiet = [
-                registered.executor.quiet_windows(first.time, last_time)
-                for registered in targets
-            ]
-            if any(window_ids is None for window_ids in quiet):
+            execute = (
+                None
+                if span is None
+                else span.child("execute", event_type=event_type, events=len(run))
+            )
+            quiet = None
+            if len(run) > 1:
+                quiet = [
+                    registered.executor.quiet_windows(first.time, run[-1].time)
+                    for registered in targets
+                ]
+                if None in quiet:
+                    quiet = None
+            if quiet is None:
                 for event in run:
-                    records.extend(route(event, watermark))
-                continue
-            for registered, window_ids in zip(targets, quiet):
-                self._apply_run(registered, run, window_ids, watermark, records)
+                    one = (event,)
+                    for registered in targets:
+                        apply_run(registered, one, None, watermark, records)
+            else:
+                for registered, window_ids in zip(targets, quiet):
+                    apply_run(registered, run, window_ids, watermark, records)
+            if execute is not None:
+                execute.finish()
 
     def _apply_run(
         self,
         registered: RegisteredQuery,
-        run: List[Event],
-        window_ids: List[int],
+        run,
+        window_ids: Optional[List[int]],
         watermark: float,
         records: List[EmissionRecord],
     ) -> None:
-        """Feed one quiet same-type run to one executor in a single batch call.
+        """Feed one same-type run to one executor; collect what it closes.
 
         The executor groups the run by partition key internally (see
         :meth:`QueryExecutor.process_batch`), so interleaved group keys --
-        the common case under GROUP-BY -- no longer fragment the run.
-        ``window_ids`` is the executor's ``quiet_windows`` answer for the run.
+        the common case under GROUP-BY -- do not fragment the run.
+        ``window_ids`` is the executor's ``quiet_windows`` answer for a
+        quiet run, ``None`` for a run of one.
         """
         instruments = registered.instruments
         if instruments is None:
-            results = registered.executor.process_batch(run, window_ids=window_ids)
+            results = registered.executor.process_batch(run, window_ids)
         else:
             started = _time.perf_counter()
-            results = registered.executor.process_batch(run, window_ids=window_ids)
+            results = registered.executor.process_batch(run, window_ids)
             instruments.observe_execution_batch(
                 len(run), _time.perf_counter() - started, 1 if results else 0
             )
         if results:
-            # a quiet run cannot emit; this is the executor's own
-            # safety fallback surfacing -- collect exactly like _route
             collected = self._controller.collect(registered.name, results, watermark)
             if collected:
                 if instruments is not None:
@@ -984,14 +954,7 @@ class StreamingRuntime(PipelineDriver):
         if watermark is not None and watermark > self._ordered_watermark:
             self._ordered_watermark = watermark
             self.metrics.record_watermark(watermark)
-            for registered in self._queries:
-                emitted = self._controller.advance(
-                    registered.name, registered.executor, watermark
-                )
-                if emitted:
-                    if registered.instruments is not None:
-                        registered.instruments.results.inc(len(emitted))
-                    records.extend(emitted)
+            self._advance_emission(watermark, records)
         self.metrics.record_emission(len(records))
         if self._replan_policy is not None and self._replan_controller.due(count):
             self._replan_now()
@@ -1005,11 +968,10 @@ class StreamingRuntime(PipelineDriver):
         if remaining:
             self.metrics.record_release(len(remaining))
             started = _time.perf_counter()
-            for released in remaining:
-                # drained events run past the watermark; windows they close
-                # are end-of-stream emissions, so the record context is inf
-                # (a stale finite watermark would violate wm >= window_end)
-                records.extend(self._route(released, math.inf))
+            # drained events run past the watermark; windows they close
+            # are end-of-stream emissions, so the record context is inf
+            # (a stale finite watermark would violate wm >= window_end)
+            self._route_slice(remaining, math.inf, records)
             self.metrics.record_processing_seconds(_time.perf_counter() - started)
         for registered in self._queries:
             closed = self._controller.close(registered.name, registered.executor)
@@ -1029,42 +991,6 @@ class StreamingRuntime(PipelineDriver):
         uniformly.
         """
         return []
-
-    def _route(self, event: Event, watermark: float) -> List[EmissionRecord]:
-        """Deliver one in-order event to the queries its type can affect.
-
-        The partition key is computed once per distinct partition-attribute
-        signature and shared across the executors that use it.
-        """
-        targets = self._resolved_routes.get(event.event_type)
-        if targets is None:
-            targets = self._flat_targets(event.event_type)
-        keys: Dict[Tuple[str, ...], Tuple] = {}
-        records: List[EmissionRecord] = []
-        for registered in targets:
-            signature = registered.partition_signature
-            key = keys.get(signature)
-            if key is None:
-                key = registered.engine.plan.partition_key(event)
-                keys[signature] = key
-            instruments = registered.instruments
-            if instruments is None:
-                results = registered.executor.process(event, partition_key=key)
-            else:
-                started = _time.perf_counter()
-                results = registered.executor.process(event, partition_key=key)
-                instruments.observe_execution(
-                    _time.perf_counter() - started, bool(results)
-                )
-            if results:
-                collected = self._controller.collect(
-                    registered.name, results, watermark
-                )
-                if collected:
-                    if instruments is not None:
-                        instruments.results.inc(len(collected))
-                    records.extend(collected)
-        return records
 
     def _flat_targets(self, event_type: str) -> Tuple[RegisteredQuery, ...]:
         """Merge type-routed and broadcast queries for one type, once.

@@ -89,7 +89,7 @@ from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
 from repro.core.parallel import shard_index
 from repro.core.results import GroupResult
-from repro.errors import CheckpointError, LateEventError, WorkerCrashError
+from repro.errors import CheckpointError, WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.parser import parse_query
@@ -562,7 +562,6 @@ def _worker_loop(
     inbox,
     outbox,
     obs_enabled: bool = True,
-    ship_serialized: bool = False,
 ) -> None:
     """Body of one worker process.
 
@@ -572,12 +571,11 @@ def _worker_loop(
     Takes plain queue-like objects so tests can run it synchronously in
     process with pre-loaded :class:`queue.Queue` instances.
 
-    With ``ship_serialized`` the parent ships each wave's events as one
-    pre-pickled blob (``bytes`` in the message slot) decoded here once per
-    wave, and this worker blob-encodes the emission records of its batch and
-    flush acknowledgements the same way.  Event payloads are detected by
-    type, so a mixed stream of blob and plain waves (e.g. a replay recorded
-    under a different setting) still decodes correctly.
+    The parent ships each wave's events as one pre-pickled blob
+    (:func:`_encode_event_blob`) decoded here once per wave, and this worker
+    blob-encodes the emission records of its batch and flush
+    acknowledgements the same way; an empty wave or acknowledgement travels
+    as the empty list.
 
     The worker's observability counts events/matches/latency but *not*
     results (``count_results=False``): emitted records ship to the parent,
@@ -605,10 +603,10 @@ def _worker_loop(
             started = _time.perf_counter()
             if op == "batch":
                 events, watermark = message[2], message[3]
-                if type(events) is bytes:
+                if events:
                     events = _decode_event_blob(events)
                 records = runtime.process_ordered(events, watermark)
-                if ship_serialized and records:
+                if records:
                     records = _encode_record_blob(records)
                 outbox.put(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
@@ -618,11 +616,11 @@ def _worker_loop(
                 # single-process flush routing drained events at +inf; the
                 # +inf advance then closes every remaining window
                 events = message[2]
-                if type(events) is bytes:
+                if events:
                     events = _decode_event_blob(events)
                 records = runtime.process_ordered(events, math.inf)
                 records.extend(runtime.flush())
-                if ship_serialized and records:
+                if records:
                     records = _encode_record_blob(records)
                 outbox.put(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
@@ -761,14 +759,6 @@ class ShardedRuntime(PipelineDriver):
         The block is accounted as ``backpressure_waits`` /
         ``backpressure_seconds`` in :attr:`metrics`.  Mirrors the
         ``backpressure.max_inflight`` JobConfig field.
-    ship_serialized:
-        Ship each wave of events as one pre-pickled blob per worker (and
-        blob-encode acknowledgement records the same way) instead of letting
-        the IPC queue pickle ``Event`` objects one by one.  On by default;
-        disable it (``batch.ship_serialized`` in JobConfig, or here) when
-        debugging the wire protocol -- plain messages are inspectable in
-        queue dumps and tracebacks, blobs are not.  Results are identical
-        either way.
     replan:
         Adaptive granularity re-planning: a
         :class:`~repro.streaming.replan.ReplanPolicy`, a
@@ -793,7 +783,6 @@ class ShardedRuntime(PipelineDriver):
         rebalance: Union["RebalancePolicy", RebalanceConfig, Dict, None] = None,
         max_inflight: int = 64,
         observability: Optional[Observability] = None,
-        ship_serialized: bool = True,
         replan=None,
     ):
         # the kwargs are one corner of the declarative JobConfig API: the
@@ -823,11 +812,6 @@ class ShardedRuntime(PipelineDriver):
         self._emit_empty_groups = emit_empty_groups
         self._ship_interval = ship_interval
         self._max_batch = max_batch
-        if not isinstance(ship_serialized, bool):
-            raise ValueError(
-                f"ship_serialized must be a boolean, got {ship_serialized!r}"
-            )
-        self._ship_serialized = ship_serialized
         #: epochs allowed in flight before ingestion blocks on worker acks
         #: (validated by the owning BackpressureConfig section)
         self._max_inflight = BackpressureConfig(max_inflight=max_inflight).max_inflight
@@ -882,6 +866,8 @@ class ShardedRuntime(PipelineDriver):
         #: wedges, every fully-delivered ack is already in the buffer, and
         #: recovery simply attaches a fresh queue + pump for the replacement
         self._ack_queues: List = []
+        #: the pump thread of each current ack queue, joined by close()
+        self._pumps: List[threading.Thread] = []
         self._ack_buffer: "_queue.Queue" = _queue.Queue()
         self._started = False
         self._flushed = False
@@ -1008,12 +994,7 @@ class ShardedRuntime(PipelineDriver):
         self._routing_plan = self._engines[self._specs[0].name].plan
         self._ack_buffer = _queue.Queue()
         self._ack_queues = [self._context.Queue() for _ in range(self.shard_count)]
-        for ack_queue in self._ack_queues:
-            threading.Thread(
-                target=_pump_acks,
-                args=(ack_queue, self._ack_buffer),
-                daemon=True,
-            ).start()
+        self._pumps = [self._start_pump(queue) for queue in self._ack_queues]
         self._inboxes = [self._context.Queue() for _ in range(self.shard_count)]
         self._outboxes = [[] for _ in range(self.shard_count)]
         self.shard_stats = [ShardStats() for _ in range(self.shard_count)]
@@ -1036,7 +1017,6 @@ class ShardedRuntime(PipelineDriver):
                     self._inboxes[shard],
                     self._ack_queues[shard],
                     self.observability.enabled,
-                    self._ship_serialized,
                 ),
                 daemon=True,
                 name=f"cogra-shard-{shard}",
@@ -1054,6 +1034,14 @@ class ShardedRuntime(PipelineDriver):
                     f"unexpected worker handshake {ack[:2]!r}", shard=ack[2]
                 )
             ready.add(ack[2])
+
+    def _start_pump(self, ack_queue) -> threading.Thread:
+        """Start the daemon thread moving ``ack_queue`` into the ack buffer."""
+        pump = threading.Thread(
+            target=_pump_acks, args=(ack_queue, self._ack_buffer), daemon=True
+        )
+        pump.start()
+        return pump
 
     def close(self) -> None:
         """Stop the worker processes (idempotent).
@@ -1081,6 +1069,14 @@ class ShardedRuntime(PipelineDriver):
                 ack_queue.put(_PUMP_STOP)  # releases the pump thread
             except (OSError, ValueError):  # pragma: no cover - teardown race
                 pass
+        for pump in self._pumps:
+            # a pump still reading when its queue's descriptors are closed
+            # (by the queue's feeder thread, some time after close()) can
+            # read from whatever pipe reuses the number -- the next
+            # runtime's ready handshake, which then never arrives.  A pump
+            # whose worker was killed mid-write never sees the stop
+            # sentinel; it stays blocked on the old pipe and is left behind
+            pump.join(timeout=1.0)
         for q in self._inboxes + self._ack_queues:
             try:
                 # never let interpreter exit join these queues' feeder
@@ -1093,6 +1089,7 @@ class ShardedRuntime(PipelineDriver):
         self._procs = []
         self._inboxes = []
         self._ack_queues = []
+        self._pumps = []
 
     def __enter__(self) -> "ShardedRuntime":
         return self
@@ -1192,15 +1189,11 @@ class ShardedRuntime(PipelineDriver):
         the dead incarnation's own acknowledgement already did.  Stale
         acknowledgements from a replaced incarnation are dropped.
         """
-        _, epoch, shard, records, seconds = ack
-        records = records or ()
-        if isinstance(records, bytes):
-            # a blob-shipped acknowledgement: one decode per wave
-            records = _decode_record_blob(records)
-        elif isinstance(records, (dict, str)):
-            # checkpoint/metrics payloads and stray ready handshakes carry
-            # no emission records; their epochs still resolve below
-            records = ()
+        _, epoch, shard, payload, seconds = ack
+        # only a non-empty batch/flush acknowledgement carries a record
+        # blob; checkpoint/metrics payloads and stray ready handshakes carry
+        # no emission records, but their epochs still resolve below
+        records = _decode_record_blob(payload) if isinstance(payload, bytes) else ()
         if epoch <= -_REPLAY_OFFSET:
             epoch = -epoch - _REPLAY_OFFSET
             entry = self._inflight.get(epoch)
@@ -1269,11 +1262,7 @@ class ShardedRuntime(PipelineDriver):
             # re-acknowledged by the replay and deduplicated.
             self._inboxes[shard] = self._context.Queue()
             self._ack_queues[shard] = self._context.Queue()
-            threading.Thread(
-                target=_pump_acks,
-                args=(self._ack_queues[shard], self._ack_buffer),
-                daemon=True,
-            ).start()
+            self._pumps[shard] = self._start_pump(self._ack_queues[shard])
             self._procs[shard] = self._context.Process(
                 target=_worker_loop,
                 args=(
@@ -1282,7 +1271,6 @@ class ShardedRuntime(PipelineDriver):
                     self._inboxes[shard],
                     self._ack_queues[shard],
                     self.observability.enabled,
-                    self._ship_serialized,
                 ),
                 daemon=True,
                 name=f"cogra-shard-{shard}-r{self.restart_counts[shard]}",
@@ -1521,11 +1509,7 @@ class ShardedRuntime(PipelineDriver):
         payloads = {}
         for shard in shards:
             events = self._outboxes[shard]
-            payload = (
-                _encode_event_blob(events)
-                if self._ship_serialized and events
-                else events
-            )
+            payload = _encode_event_blob(events) if events else events
             payloads[shard] = ("batch", self._epoch, payload, watermark)
             self.shard_stats[shard].record_shipment(len(events))
             instruments = self._shard_instruments[shard]
@@ -1907,78 +1891,54 @@ class ShardedRuntime(PipelineDriver):
             )
 
     def process(self, event: Event) -> List[EmissionRecord]:
-        """Ingest one (possibly out-of-order) event; return merged emissions.
+        """Ingest one (possibly out-of-order) event: a slice of one."""
+        return self.process_batch([event])
+
+    def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
+        """Ingest an arrival-ordered slice of events; return merged emissions.
 
         Emission is asynchronous: records surface once the owning worker has
         acknowledged the batch and every earlier epoch is complete, so a
-        given call may return results triggered by earlier events.  All
-        records are delivered by the end of :meth:`flush`.
+        given call may return results triggered by earlier events (also
+        after a raising late policy aborted a slice: what was ready then
+        is returned by the next call).  All records are delivered by the
+        end of :meth:`flush`.  Shipping decisions (``ship_interval``,
+        ``max_batch``, backpressure) happen per push, so wave boundaries and
+        watermark stamps never depend on the slicing; acknowledgements are
+        drained once per slice, so the parent does not serialise on the
+        ack-buffer lock between consecutive pushes.
         """
         self._check_usable()
         if not self._started:
             self._start()
-        trace = self.observability.start_trace(
-            "event", event_type=event.event_type, event_time=event.time
-        )
-        if trace is None:
-            return self._process(event, None)
-        with trace:
-            records = self._process(event, trace)
-            trace.annotate(records=len(records))
-            return records
+        self._ingest(events, self._apply_push)
+        self._drain_acks(block=False)
+        return self._take_ready()
 
-    def _process(self, event: Event, trace) -> List[EmissionRecord]:
-        """Body of :meth:`process`; ``trace`` is a sampled root span or None.
+    def _apply_push(self, batch, trace) -> None:
+        """Route what one push released to the outboxes; ship what is due.
 
         Parent-side spans cover ingest and route/ship; per-event execution
         happens inside the worker processes and shows up in their latency
         histograms instead.
         """
-        ingest = None if trace is None else trace.child("ingest")
-        try:
-            batch = self._ingestor.push(event)
-        except LateEventError:
-            self.metrics.record_ingest(event.time, len(self._ingestor))
-            self.metrics.record_late(rerouted=False)
-            if ingest is not None:
-                ingest.annotate(late=True)
-                ingest.finish()
-            raise
-        if batch.punctuation:
-            self.metrics.record_punctuation()
-        else:
-            self.metrics.record_ingest(event.time, batch.buffered)
-        if ingest is not None:
-            ingest.annotate(
-                released=len(batch.released),
-                late=batch.late_event is not None,
-                punctuation=batch.punctuation,
-            )
-            ingest.finish()
-        if batch.late_event is not None:
-            self.metrics.record_late(
-                rerouted=self._ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-            )
-            return self._take_ready()
         if batch.released:
-            self.metrics.record_release(len(batch.released))
             if trace is None:
                 self._route_released(batch.released)
             else:
                 with trace.child("route", events=len(batch.released)):
                     self._route_released(batch.released)
         if batch.advanced:
-            self.metrics.record_watermark(batch.watermark)
             self._pending_watermark = batch.watermark
         self._maybe_rebalance()
         self._maybe_replan()
         self._pushes_since_ship += 1
-        if self._pushes_since_ship >= self._ship_interval:
+        if self._pushes_since_ship >= self._ship_interval or any(
+            len(outbox) >= self._max_batch for outbox in self._outboxes
+        ):
             # carries the newest watermark (coalescing intermediate ones:
             # emitting windows at a later watermark changes when results
             # appear, never which results appear)
-            self._ship_outboxes(self._pending_watermark)
-        elif any(len(outbox) >= self._max_batch for outbox in self._outboxes):
             self._ship_outboxes(self._pending_watermark)
         if len(self._inflight) > self._max_inflight:
             # bounded inboxes: block ingestion until the workers drain below
@@ -1988,103 +1948,6 @@ class ShardedRuntime(PipelineDriver):
                 self._apply_ack(self._next_ack())
                 self._release_ready_epochs()
             self.metrics.record_backpressure(_time.perf_counter() - blocked_at)
-        self._drain_acks(block=False)
-        return self._take_ready()
-
-    def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
-        """Ingest an arrival-ordered slice of events; ≡ per-event :meth:`process`.
-
-        The driver loop's batch entry point.  Ingest/route/ship runs in one
-        fused loop with the per-event metric observes amortised into
-        per-slice totals, and -- the big win -- acknowledgements are drained
-        once per slice instead of once per event, so the parent stops
-        serialising on the ack-buffer lock between consecutive pushes.
-        Shipping decisions (``ship_interval``, ``max_batch``, backpressure)
-        still happen per push, so wave boundaries, watermark stamps and the
-        records they produce are identical to the per-event path.
-        """
-        self._check_usable()
-        if not events:
-            return []
-        if not self._started:
-            self._start()
-        if self.observability.tracer.enabled:
-            # sampled tracing wants one root span per event: keep the
-            # traced path on the per-event call
-            records: List[EmissionRecord] = []
-            for event in events:
-                records.extend(self.process(event))
-            return records
-        ingestor = self._ingestor
-        push = ingestor.push
-        metrics = self.metrics
-        perf_counter = _time.perf_counter
-        reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-        ingested = punctuations = released_total = 0
-        late_dropped = late_rerouted = 0
-        max_time = -math.inf
-        buffered_peak = -1
-        watermark_seen = -math.inf
-        try:
-            for event in events:
-                try:
-                    batch = push(event)
-                except LateEventError:
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    buffered = len(ingestor)
-                    if buffered > buffered_peak:
-                        buffered_peak = buffered
-                    late_dropped += 1
-                    raise
-                if batch.punctuation:
-                    punctuations += 1
-                else:
-                    ingested += 1
-                    if event.time > max_time:
-                        max_time = event.time
-                    if batch.buffered > buffered_peak:
-                        buffered_peak = batch.buffered
-                if batch.late_event is not None:
-                    if reroutes:
-                        late_rerouted += 1
-                    else:
-                        late_dropped += 1
-                    continue
-                if batch.released:
-                    released_total += len(batch.released)
-                    self._route_released(batch.released)
-                if batch.advanced:
-                    watermark_seen = batch.watermark
-                    self._pending_watermark = batch.watermark
-                self._maybe_rebalance()
-                self._maybe_replan()
-                self._pushes_since_ship += 1
-                if self._pushes_since_ship >= self._ship_interval:
-                    self._ship_outboxes(self._pending_watermark)
-                elif any(
-                    len(outbox) >= self._max_batch for outbox in self._outboxes
-                ):
-                    self._ship_outboxes(self._pending_watermark)
-                if len(self._inflight) > self._max_inflight:
-                    blocked_at = perf_counter()
-                    while len(self._inflight) > self._max_inflight:
-                        self._apply_ack(self._next_ack())
-                        self._release_ready_epochs()
-                    metrics.record_backpressure(perf_counter() - blocked_at)
-        finally:
-            # flushed even when a LateEventError aborts the slice, so the
-            # counters match the per-event path's totals exactly
-            metrics.record_punctuation(punctuations)
-            metrics.record_ingest_batch(ingested, max_time, buffered_peak)
-            metrics.record_late_batch(late_dropped, late_rerouted)
-            if released_total:
-                metrics.record_release(released_total)
-            if watermark_seen != -math.inf:
-                metrics.record_watermark(watermark_seen)
-        self._drain_acks(block=False)
-        return self._take_ready()
 
     def _take_ready(self) -> List[EmissionRecord]:
         ready = self._ready_records
@@ -2119,11 +1982,7 @@ class ShardedRuntime(PipelineDriver):
         payloads = {}
         for shard in range(self.shard_count):
             events = self._outboxes[shard]
-            payload = (
-                _encode_event_blob(events)
-                if self._ship_serialized and events
-                else events
-            )
+            payload = _encode_event_blob(events) if events else events
             payloads[shard] = ("flush", self._epoch, payload)
             self.shard_stats[shard].record_shipment(len(events))
             self._outboxes[shard] = []

@@ -4,25 +4,28 @@ The batched pipeline -- sliced JSONL decode, :meth:`StreamingRuntime.
 process_batch`, the executor's key-grouped quiet-run batching, the
 accumulators' one-frame folds, and the sharded runtime's pre-pickled blob
 shipping -- is a pure performance layout.  Every test here pins the same
-contract: for any stream and any slicing, the batched path produces
-byte-identical records (and identical counter totals) to the per-event
-path, including under worker SIGKILL recovery and mid-stream rebalancing
-with blob shipping on.
+contract: for any stream and any slicing, down to slices of one, the
+records (and the counter totals) are byte-identical -- with tracing on or
+off, when a raising late policy aborts a slice, under worker SIGKILL
+recovery and under mid-stream rebalancing.
 """
 
 import os
 import random
 import signal
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aggregate_state import TrendAccumulator
 from repro.core.executor import QueryExecutor
+from repro.errors import LateEventError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.jsonl import read_jsonl_event_batches, read_jsonl_events
+from repro.streaming.observability import Observability, Tracer
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.sharded import ShardedRuntime
 
@@ -179,34 +182,169 @@ class TestExecutorBatchParity:
 # ---------------------------------------------------------------------------
 
 
+def traced(sample_rate, spans):
+    """Runtime keyword arguments for one tracer arm (``None`` = no tracer)."""
+    if sample_rate is None:
+        return {}
+    tracer = Tracer(sample_rate=sample_rate, sink=spans.append, rng=random.Random(5))
+    return {"observability": Observability(tracer=tracer)}
+
+
+def with_late_event(events, lateness, raising):
+    """``events`` with, when ``raising``, one event far behind the watermark."""
+    if not raising:
+        return events
+    late = Event("A", events[150].time - lateness - 25.0, {"g": "u", "v": 1})
+    return events[:200] + [late] + events[200:]
+
+
+def feed(runtime, slices):
+    """Push ``slices``; returns (records, the LateEventError that ended it)."""
+    records = []
+    for group in slices:
+        try:
+            records.extend(runtime.process_batch(group))
+        except LateEventError as error:
+            return records, error
+    return records, None
+
+
 class TestRuntimeBatchParity:
-    @settings(max_examples=10, deadline=None)
+    @pytest.mark.parametrize("raising", [False, True])
+    @pytest.mark.parametrize("sample_rate", [None, 0.0, 1.0])
+    @settings(max_examples=5, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         lateness=st.sampled_from([0.0, 3.0]),
         sizes=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=3),
     )
-    def test_process_batch_is_byte_identical_to_process(self, seed, lateness, sizes):
-        events = shuffle_within(make_stream(count=300, seed=seed), lateness, seed)
+    def test_process_batch_is_byte_identical_to_process(
+        self, seed, lateness, sizes, sample_rate, raising
+    ):
+        events = with_late_event(
+            shuffle_within(make_stream(count=300, seed=seed), lateness, seed),
+            lateness,
+            raising,
+        )
+        policy = "raise" if raising else "drop"
 
-        per_event = StreamingRuntime(lateness=lateness)
+        per_event = StreamingRuntime(lateness=lateness, late_policy=policy)
         per_event.register(QUERY_ANY, name="any")
         per_event.register(QUERY_NEXT, name="next")
         expected = []
+        expected_error = None
         for event in events:
-            expected.extend(per_event.process(event))
-        expected.extend(per_event.flush())
+            try:
+                expected.extend(per_event.process(event))
+            except LateEventError as error:
+                expected_error = error
+                break
 
-        batched = StreamingRuntime(lateness=lateness)
+        spans = []
+        batched = StreamingRuntime(
+            lateness=lateness, late_policy=policy, **traced(sample_rate, spans)
+        )
         batched.register(QUERY_ANY, name="any")
         batched.register(QUERY_NEXT, name="next")
-        got = []
-        for group in chunked(events, sizes):
-            got.extend(batched.process_batch(group))
-        got.extend(batched.flush())
+        got, error = feed(batched, chunked(events, sizes))
 
+        assert (error is None) == (expected_error is None) == (not raising)
+        if error is not None:
+            # the slice's earlier events emitted before the late one raised
+            assert error.event is expected_error.event
+            assert expected_error.records == []
+            got.extend(error.records)
+            # the driver loop delivers them before the error propagates
+            driven = StreamingRuntime(lateness=lateness, late_policy=policy)
+            driven.register(QUERY_ANY, name="any")
+            driven.register(QUERY_NEXT, name="next")
+            delivered = []
+            with pytest.raises(LateEventError):
+                for record in driven.drive(events, decode_batch_size=sizes[0]):
+                    delivered.append(record)
+            assert record_dicts(delivered) == record_dicts(expected)
+        else:
+            expected.extend(per_event.flush())
+            got.extend(batched.flush())
         assert record_dicts(got) == record_dicts(expected)
         assert counter_totals(batched) == counter_totals(per_event)
+        if sample_rate == 1.0:
+            roots = [span for span in spans if span["parent"] is None]
+            assert len(roots) == batched.metrics.events_ingested
+            assert {"event", "ingest", "route"} <= {span["name"] for span in spans}
+        else:
+            assert spans == []
+
+    @pytest.mark.parametrize("raising", [False, True])
+    @pytest.mark.parametrize("sample_rate", [None, 0.0, 1.0])
+    @settings(max_examples=2, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        sizes=st.lists(st.integers(min_value=1, max_value=64), min_size=1, max_size=3),
+    )
+    def test_sharded_process_batch_matches_process(
+        self, seed, sizes, sample_rate, raising
+    ):
+        events = with_late_event(make_stream(count=300, seed=seed), 0.0, raising)
+        policy = "raise" if raising else "drop"
+
+        def run(slices, **kwargs):
+            runtime = ShardedRuntime(
+                workers=2, lateness=0.0, ship_interval=8, late_policy=policy, **kwargs
+            )
+            runtime.register(QUERY_ANY, name="q")
+            try:
+                records, error = feed(runtime, slices)
+                if error is not None:
+                    # the parent keeps what was ready for the next call instead
+                    assert error.records == []
+                records.extend(runtime.flush())
+            finally:
+                runtime.close()
+            return runtime, records, error
+
+        per_event, expected, expected_error = run([[event] for event in events])
+        spans = []
+        batched, got, error = run(chunked(events, sizes), **traced(sample_rate, spans))
+
+        assert (error is None) == (expected_error is None) == (not raising)
+        assert canonical(got) == canonical(expected)
+        assert counter_totals(batched) == counter_totals(per_event)
+        if sample_rate == 1.0:
+            roots = [span for span in spans if span["name"] == "event"]
+            assert len(roots) == batched.metrics.events_ingested
+            assert {"event", "ingest", "route"} <= {span["name"] for span in spans}
+        else:
+            assert spans == []
+
+    @pytest.mark.parametrize("sample_rate", [0.0, 1e-9, 1.0])
+    def test_tracing_never_changes_the_executor_calls(self, monkeypatch, sample_rate):
+        """Sampling adds spans; it must not select a different processing path."""
+        calls = []
+        for name in ("process", "process_batch"):
+            original = getattr(QueryExecutor, name)
+
+            def recording(executor, fed, *args, _name=name, _call=original, **kwargs):
+                calls.append((_name, len(fed) if _name == "process_batch" else 1))
+                return _call(executor, fed, *args, **kwargs)
+
+            monkeypatch.setattr(QueryExecutor, name, recording)
+        events = shuffle_within(make_stream(count=300, seed=7), 3.0, 7)
+
+        def entry_calls(**kwargs):
+            del calls[:]
+            runtime = StreamingRuntime(lateness=3.0, **kwargs)
+            runtime.register(QUERY_ANY, name="any")
+            runtime.register(QUERY_NEXT, name="next")
+            runtime.run(events, decode_batch_size=32)
+            return list(calls)
+
+        untraced = entry_calls()
+        spans = []
+        assert entry_calls(**traced(sample_rate, spans)) == untraced
+        assert any(length > 1 for _name, length in untraced)
+        if sample_rate < 1.0:
+            assert spans == []  # 1e-9 is enabled, yet samples nothing here
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -293,18 +431,9 @@ class TestShardedBlobParity:
         single.register(QUERY_ANY, name="q")
         expected = canonical(single.run(events))
 
-        for ship_serialized in (True, False):
-            runtime = ShardedRuntime(
-                workers=2,
-                lateness=0.0,
-                ship_interval=8,
-                ship_serialized=ship_serialized,
-            )
-            runtime.register(QUERY_ANY, name="q")
-            records = runtime.run(events)
-            assert canonical(records) == expected, (
-                f"sharded results diverge with ship_serialized={ship_serialized}"
-            )
+        runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
+        runtime.register(QUERY_ANY, name="q")
+        assert canonical(runtime.run(events)) == expected
 
     @settings(max_examples=3, deadline=None)
     @given(
@@ -327,7 +456,6 @@ class TestShardedBlobParity:
             lateness=0.0,
             ship_interval=8,
             max_restarts=2,
-            ship_serialized=True,
         )
         runtime.register(QUERY_ANY, name="q")
 
@@ -357,9 +485,7 @@ class TestShardedBlobParity:
         single.register(QUERY_ANY, name="q")
         expected = canonical(single.run(events))
 
-        runtime = ShardedRuntime(
-            workers=2, lateness=0.0, ship_interval=8, ship_serialized=True
-        )
+        runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY_ANY, name="q")
         rng = random.Random(slot_seed)
         records = []

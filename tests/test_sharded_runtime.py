@@ -25,6 +25,8 @@ from repro.streaming.runtime import StreamingRuntime, group_results
 from repro.streaming.sharded import (
     ShardedRuntime,
     _QuerySpec,
+    _decode_record_blob,
+    _encode_event_blob,
     _worker_loop,
 )
 from repro.query.parser import parse_query
@@ -463,7 +465,7 @@ class TestWorkerLoopInProcess:
             Event("A", 1.0, {"g": "x", "v": 2}),
             Event("B", 2.0, {"g": "x", "v": 1}, sequence=1),
         ]
-        inbox.put(("batch", 0, events, None))
+        inbox.put(("batch", 0, _encode_event_blob(events), None))
         inbox.put(("flush", 1, []))
         inbox.put(None)
         _worker_loop(0, self._specs(), inbox, outbox)
@@ -474,12 +476,14 @@ class TestWorkerLoopInProcess:
         assert (ok, epoch, shard, records) == ("ok", 0, 0, [])
         ok, epoch, shard, records, _ = outbox.get_nowait()
         assert (ok, epoch) == ("ok", 1)
+        records = _decode_record_blob(records)
         assert [r.result.trend_count for r in records] == [1]
         assert all(math.isinf(r.watermark) for r in records)
 
     def test_checkpoint_and_restore_ops(self):
         inbox, outbox = queue.Queue(), queue.Queue()
-        inbox.put(("batch", 0, [Event("A", 1.0, {"g": "x", "v": 2})], 0.5))
+        wave = _encode_event_blob([Event("A", 1.0, {"g": "x", "v": 2})])
+        inbox.put(("batch", 0, wave, 0.5))
         inbox.put(("checkpoint", 1))
         inbox.put(None)
         _worker_loop(0, self._specs(), inbox, outbox)

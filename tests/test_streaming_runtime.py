@@ -482,8 +482,8 @@ class TestMetrics:
         ticks = iter([100.0, 104.0, 104.0])
         metrics = StreamingMetrics(clock=lambda: next(ticks))
         assert metrics.elapsed_seconds() == 0.0  # before the first event
-        metrics.record_ingest(1.0, 0)  # starts the clock at 100.0
-        metrics.record_ingest(2.0, 0)  # does not consult the clock again
+        metrics.record_ingest_batch(1, 1.0, 0)  # starts the clock at 100.0
+        metrics.record_ingest_batch(1, 2.0, 0)  # does not consult the clock again
         assert metrics.elapsed_seconds() == 4.0
         assert metrics.throughput() == pytest.approx(0.5)  # 2 events / 4 s
 
