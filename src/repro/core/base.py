@@ -8,12 +8,12 @@ analyzer (Table 4).
 
 from __future__ import annotations
 
-from typing import Dict
+from functools import lru_cache
+from typing import Dict, Type
 
 from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import TrendAccumulator
-from repro.errors import PlanningError
 from repro.events.event import Event
 
 
@@ -34,19 +34,24 @@ class SubstreamAggregator:
         """Update the maintained aggregates with ``event``."""
         raise NotImplementedError
 
-    def process_run(self, run) -> None:
+    def process_run(self, run, also=()) -> None:
         """Update the aggregates with an ordered run of bound events.
 
         ``run`` is a sized sequence of ``(event, binding)`` pairs, the
-        binding being what :meth:`CograPlan.bind` resolved for the event
-        (the executor binds an event once and hands the same run to the
-        aggregator of every window the event falls into).  Equivalent to
-        calling :meth:`process` on each event in order, which is what
-        aggregators that have no use for the binding do.
+        binding being what :meth:`CograPlan.bind` resolved for the event.
+        ``also`` holds aggregators of the same class -- the same group in
+        the other windows the run falls into -- that receive the same run:
+        the executor binds an event once and dispatches once per (group,
+        run), and an aggregator that can share per-event work across
+        windows does.  Equivalent to calling :meth:`process` on each event
+        in order, on ``self`` and on each of ``also``, which is what
+        aggregators that have no use for either do.
         """
         process = self.process
         for event, _binding in run:
             process(event)
+        for other in also:
+            other.process_run(run)
 
     # -- results ------------------------------------------------------------------
 
@@ -78,21 +83,26 @@ class SubstreamAggregator:
         return 0
 
 
-def create_aggregator(plan: CograPlan) -> SubstreamAggregator:
-    """Instantiate the aggregator matching the plan's granularity."""
-    # imported lazily to avoid circular imports at package load time
+@lru_cache(maxsize=None)
+def aggregator_class(granularity: Granularity) -> Type[SubstreamAggregator]:
+    """The aggregator class that evaluates plans of ``granularity`` (Table 4).
+
+    Resolved on first use, not at import time: the aggregator modules
+    import this one.
+    """
     from repro.core.event_grained import EventGrainedAggregator
     from repro.core.mixed_grained import MixedGrainedAggregator
     from repro.core.pattern_grained import PatternGrainedAggregator
     from repro.core.type_grained import TypeGrainedAggregator
 
-    granularity = plan.granularity
-    if granularity is Granularity.PATTERN:
-        return PatternGrainedAggregator(plan)
-    if granularity is Granularity.TYPE:
-        return TypeGrainedAggregator(plan)
-    if granularity is Granularity.MIXED:
-        return MixedGrainedAggregator(plan)
-    if granularity is Granularity.EVENT:
-        return EventGrainedAggregator(plan)
-    raise PlanningError(f"no aggregator for granularity {granularity}")  # pragma: no cover
+    return {
+        Granularity.PATTERN: PatternGrainedAggregator,
+        Granularity.TYPE: TypeGrainedAggregator,
+        Granularity.MIXED: MixedGrainedAggregator,
+        Granularity.EVENT: EventGrainedAggregator,
+    }[granularity]
+
+
+def create_aggregator(plan: CograPlan) -> SubstreamAggregator:
+    """Instantiate the aggregator matching the plan's granularity."""
+    return aggregator_class(plan.granularity)(plan)

@@ -5,14 +5,22 @@ one sub-stream aggregator per (window, group) combination.  Aggregator
 instances are created lazily on the first event of a sub-stream and torn
 down as soon as their window expires, at which point the aggregation result
 of every group in the window is emitted.
+
+The open aggregators live in one index, ``{window_id: {key: aggregator}}``:
+emission and expiry are per window (pop one table), and a run of events is
+dispatched once per (group, run) -- the group's aggregators in the run's
+windows are looked up in the windows' tables and handed the run together
+(:meth:`SubstreamAggregator.process_run`).  The layout is private;
+:meth:`QueryExecutor.open_aggregators` and :meth:`QueryExecutor.adopt` are
+how checkpointing and the replan loop read and replace it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analyzer.plan import CograPlan, plan_query
-from repro.core.base import SubstreamAggregator, create_aggregator
+from repro.core.base import SubstreamAggregator, aggregator_class, create_aggregator
 from repro.core.partitioner import window_bounds
 from repro.core.results import GroupResult
 from repro.errors import StreamOrderError
@@ -46,7 +54,14 @@ class QueryExecutor:
             raise TypeError(f"expected a Query or CograPlan, got {type(query).__name__}")
         self.query = self.plan.query
         self.emit_empty_groups = emit_empty_groups
+        #: plan -> aggregator for any plan of this query (a restore after a
+        #: live migration rebuilds aggregators of the previous granularity)
         self._aggregator_factory = aggregator_factory or create_aggregator
+        #: the same for this executor's own plan, resolved once: the class
+        #: itself unless a factory was injected
+        self._new_aggregator = aggregator_factory or aggregator_class(
+            self.plan.granularity
+        )
 
         window = self.query.window
         #: set for count-based tumbling windows, which place events by
@@ -55,8 +70,13 @@ class QueryExecutor:
         self._count_window = (
             window if window is not None and window.is_count_based else None
         )
-        self._aggregators: Dict[Tuple[int, Tuple], SubstreamAggregator] = {}
-        self._window_groups: Dict[int, Set[Tuple]] = {}
+        #: window id -> group key -> aggregator; a table exists only while
+        #: it holds an aggregator
+        self._windows: Dict[int, Dict[Tuple, SubstreamAggregator]] = {}
+        #: largest window id holding an aggregator adopted under another plan
+        #: of this query (window ids start at 0): up to it a group's windows
+        #: may hold aggregators of two classes, see :meth:`adopt`
+        self._adopted_until = -1
         #: smallest open window id, or None; window ends grow with the id,
         #: so expiry checks can bail out in O(1) when nothing can close
         self._min_open_window: Optional[int] = None
@@ -79,8 +99,8 @@ class QueryExecutor:
 
         "Quiet" means no open window closes during the run and every event
         falls into the same window set -- the one returned -- so the run can
-        be folded as a whole: one expiry check, one aggregator lookup per
-        (window, key).  ``None`` when the run is not quiet.  Queries without
+        be folded as a whole: one expiry check, one dispatch per key.
+        ``None`` when the run is not quiet.  Queries without
         a WITHIN clause never emit mid-stream, so they are always quiet.
         """
         window = self.query.window
@@ -116,8 +136,8 @@ class QueryExecutor:
 
         A quiet run (see :meth:`quiet_windows`) is folded whole: every event
         is bound once (:meth:`CograPlan.bind`), the bound events are grouped
-        by partition key, and each group is handed -- the same list -- to
-        the aggregator of every window of the run.  Grouping non-consecutive
+        by partition key, and each group is handed -- in one call -- to the
+        key's aggregators in all windows of the run.  Grouping non-consecutive
         same-key events together is safe *because* the run is quiet: no
         window closes mid-run, each (window, key) aggregator only ever sees
         its own key's events in their original relative order, and window
@@ -168,16 +188,38 @@ class QueryExecutor:
                 grouped[key] = [(event, binding)]
             else:
                 run.append((event, binding))
-        # dispatch is per aggregator, not per plan: after a live granularity
-        # migration one executor holds aggregators of two granularities, and
-        # each folds the run its own way
-        aggregators = self._aggregators
+        if not grouped or not window_ids:
+            return emitted
+        # every key of the run gets an aggregator in every window of the run,
+        # so a table created here never stays empty
+        windows = self._windows
+        tables = []
+        for window_id in window_ids:
+            table = windows.get(window_id)
+            if table is None:
+                table = windows[window_id] = {}
+                if self._min_open_window is None or window_id < self._min_open_window:
+                    self._min_open_window = window_id
+            tables.append(table)
+        first = tables[0]
+        rest = tables[1:]
+        one_class = window_ids[0] > self._adopted_until
+        new_aggregator = self._new_aggregator
+        plan = self.plan
         for key, run in grouped.items():
-            for window_id in window_ids:
-                aggregator = aggregators.get((window_id, key))
+            head = first.get(key)
+            if head is None:
+                head = first[key] = new_aggregator(plan)
+            also = []
+            for table in rest:
+                aggregator = table.get(key)
                 if aggregator is None:
-                    aggregator = self._open_aggregator(window_id, key)
-                aggregator.process_run(run)
+                    aggregator = table[key] = new_aggregator(plan)
+                also.append(aggregator)
+            if one_class:
+                head.process_run(run, also)
+            else:
+                _process_run_by_class(head, also, run)
         return emitted
 
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
@@ -191,7 +233,7 @@ class QueryExecutor:
     def flush(self) -> List[GroupResult]:
         """Close every remaining window and return its results."""
         emitted: List[GroupResult] = []
-        for window_id in sorted(self._window_groups):
+        for window_id in sorted(self._windows):
             emitted.extend(self._emit_window(window_id))
         self._min_open_window = None
         return emitted
@@ -215,13 +257,24 @@ class QueryExecutor:
         """Number of events fed into the executor so far."""
         return self._events_seen
 
+    @property
+    def last_time(self) -> Optional[float]:
+        """Largest event time or watermark seen so far (``None`` before any)."""
+        return self._last_time
+
     def open_window_count(self) -> int:
         """Number of windows currently maintained."""
-        return len(self._window_groups)
+        return len(self._windows)
 
     def open_group_count(self) -> int:
         """Number of (window, group) aggregators currently maintained."""
-        return len(self._aggregators)
+        return sum(len(table) for table in self._windows.values())
+
+    def open_aggregators(self) -> Iterator[Tuple[int, Tuple, SubstreamAggregator]]:
+        """Every open ``(window_id, key, aggregator)``, in no particular order."""
+        for window_id, table in self._windows.items():
+            for key, aggregator in table.items():
+                yield window_id, key, aggregator
 
     def storage_units(self) -> int:
         """Scalar values currently stored across every open aggregator.
@@ -229,24 +282,46 @@ class QueryExecutor:
         This is the machine-independent memory metric used by the
         benchmark harness to reproduce the paper's memory charts.
         """
-        return sum(aggregator.storage_units() for aggregator in self._aggregators.values())
+        return sum(
+            aggregator.storage_units() for _, _, aggregator in self.open_aggregators()
+        )
 
     def stored_event_count(self) -> int:
         """Matched events currently stored across every open aggregator."""
         return sum(
-            aggregator.stored_event_count() for aggregator in self._aggregators.values()
+            aggregator.stored_event_count()
+            for _, _, aggregator in self.open_aggregators()
         )
 
-    # -- internals ---------------------------------------------------------------------
+    # -- state transfer (checkpoint restore, live migration) --------------------------
 
-    def _open_aggregator(self, window_id: int, key: Tuple) -> SubstreamAggregator:
-        """Create the aggregator of a (window, group) seen for the first time."""
-        aggregator = self._aggregator_factory(self.plan)
-        self._aggregators[(window_id, key)] = aggregator
-        self._window_groups.setdefault(window_id, set()).add(key)
-        if self._min_open_window is None or window_id < self._min_open_window:
-            self._min_open_window = window_id
-        return aggregator
+    def adopt(
+        self,
+        events_seen: int,
+        last_time: Optional[float],
+        aggregators: Iterable[Tuple[int, Tuple, SubstreamAggregator]],
+    ) -> None:
+        """Replace the runtime state by the given one.
+
+        ``aggregators`` are ``(window_id, key, aggregator)`` entries as
+        :meth:`open_aggregators` yields them; whatever was open is discarded.
+        An aggregator built under another plan of the same query is kept as
+        it is: a live granularity migration leaves the open windows to the
+        previous granularity's aggregators until the watermark closes them,
+        while groups new to those windows aggregate under this executor's
+        plan.
+        """
+        self._events_seen = events_seen
+        self._last_time = last_time
+        self._windows = {}
+        self._adopted_until = -1
+        for window_id, key, aggregator in aggregators:
+            self._windows.setdefault(window_id, {})[key] = aggregator
+            if aggregator.plan is not self.plan and window_id > self._adopted_until:
+                self._adopted_until = window_id
+        self._min_open_window = min(self._windows) if self._windows else None
+
+    # -- internals ---------------------------------------------------------------------
 
     def _close_count_windows(self, current_window: int) -> List[GroupResult]:
         """Emit every open count window that precedes ``current_window``."""
@@ -254,15 +329,11 @@ class QueryExecutor:
             return []
         emitted: List[GroupResult] = []
         expired = [
-            window_id
-            for window_id in self._window_groups
-            if window_id < current_window
+            window_id for window_id in self._windows if window_id < current_window
         ]
         for window_id in sorted(expired):
             emitted.extend(self._emit_window(window_id))
-        self._min_open_window = (
-            min(self._window_groups) if self._window_groups else None
-        )
+        self._min_open_window = min(self._windows) if self._windows else None
         return emitted
 
     def _close_expired_windows(self, time: float) -> List[GroupResult]:
@@ -278,23 +349,20 @@ class QueryExecutor:
         emitted: List[GroupResult] = []
         expired = [
             window_id
-            for window_id in self._window_groups
+            for window_id in self._windows
             if window.window_end(window_id) <= time
         ]
         for window_id in sorted(expired):
             emitted.extend(self._emit_window(window_id))
-        self._min_open_window = (
-            min(self._window_groups) if self._window_groups else None
-        )
+        self._min_open_window = min(self._windows) if self._windows else None
         return emitted
 
     def _emit_window(self, window_id: int) -> List[GroupResult]:
-        keys = self._window_groups.pop(window_id, set())
+        table = self._windows.pop(window_id)
         start, end = window_bounds(self.query.window, window_id)
         emitted: List[GroupResult] = []
-        for key in sorted(keys, key=repr):
-            aggregator = self._aggregators.pop((window_id, key))
-            accumulator = aggregator.final_accumulator()
+        for key in sorted(table, key=repr):
+            accumulator = table[key].final_accumulator()
             if accumulator.trend_count == 0 and not self.emit_empty_groups:
                 continue
             group = dict(zip(self.plan.partition_attributes, key))
@@ -309,3 +377,21 @@ class QueryExecutor:
                 )
             )
         return emitted
+
+
+def _process_run_by_class(head, also, run) -> None:
+    """``head.process_run(run, also)`` when ``also`` may hold other classes.
+
+    Each class folds a run its own way, so every stretch of consecutive
+    same-class aggregators gets its own call.  Window ids ascend and a
+    migration only affects windows open at the time, so there are at most
+    two stretches per migration still in flight.
+    """
+    stretch = []
+    for aggregator in also:
+        if type(aggregator) is type(head):
+            stretch.append(aggregator)
+        else:
+            head.process_run(run, stretch)
+            head, stretch = aggregator, []
+    head.process_run(run, stretch)

@@ -86,7 +86,7 @@ class PatternGrainedAggregator(SubstreamAggregator):
         self._last_variable = variable
         self._last_cell = cell
 
-    def process_run(self, run) -> None:
+    def process_run(self, run, also=()) -> None:
         """Process an ordered run of bound events; ≡ sequential :meth:`process` calls.
 
         Maximal sub-runs of adjacent middle-of-pattern events (same
@@ -94,7 +94,9 @@ class PatternGrainedAggregator(SubstreamAggregator):
         :meth:`TrendAccumulator.extend_batch`: one accumulator copy per
         sub-run instead of one per event.  Every other event -- start/end
         bindings, unmatched events, contiguity breakers -- takes the
-        per-event path, so the resulting state is identical.
+        per-event path, so the resulting state is identical.  The state
+        is one last event per window, so nothing is shared across windows:
+        the aggregators of ``also`` fold the run themselves.
         """
         plan = self.plan
         adjacency_satisfied = plan.adjacency_satisfied
@@ -142,6 +144,8 @@ class PatternGrainedAggregator(SubstreamAggregator):
             self._last_event = last_event
             self._last_variable = variable
             index = stop
+        for other in also:
+            other.process_run(run)
 
     def _reset_last(self) -> None:
         """Invalidate the partial trends ending at the last matched event."""

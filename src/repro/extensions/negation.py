@@ -52,7 +52,7 @@ from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.core.aggregate_state import TrendAccumulator
-from repro.core.base import SubstreamAggregator
+from repro.core.base import SubstreamAggregator, create_aggregator
 from repro.core.event_grained import EventGrainedAggregator
 from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.errors import InvalidPatternError, PlanningError
@@ -482,8 +482,6 @@ def create_negation_aggregator(
 ) -> SubstreamAggregator:
     """Build the negation-aware aggregator for the plan's granularity."""
     if not components:
-        from repro.core.base import create_aggregator
-
         return create_aggregator(plan)
     granularity = plan.granularity
     if granularity is Granularity.PATTERN:

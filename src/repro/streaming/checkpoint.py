@@ -284,17 +284,29 @@ def restore_aggregator_state(aggregator, snapshot: Dict[str, object]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _entry_order(entry) -> Tuple[int, str]:
+    """Canonical position of a ``[window_id, key, state]`` snapshot entry.
+
+    The entries are a set keyed by ``(window_id, key)`` -- restore, merge,
+    split and the delta diff all treat them so; one order makes snapshots
+    of equal state equal and diffable.
+    """
+    return (entry[0], repr(entry[1]))
+
+
 def snapshot_executor(executor: QueryExecutor) -> Dict[str, object]:
     """JSON-safe representation of one executor's runtime state."""
+    aggregators = [
+        [window_id, list(key), snapshot_aggregator(aggregator)]
+        for window_id, key, aggregator in executor.open_aggregators()
+    ]
+    aggregators.sort(key=_entry_order)
     return {
         "query": executor.query.name,
         "granularity": executor.plan.granularity.value,
         "events_seen": executor.events_seen,
-        "last_time": executor._last_time,
-        "aggregators": [
-            [window_id, list(key), snapshot_aggregator(aggregator)]
-            for (window_id, key), aggregator in executor._aggregators.items()
-        ],
+        "last_time": executor.last_time,
+        "aggregators": aggregators,
     }
 
 
@@ -311,18 +323,12 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
             f"checkpoint was taken at granularity {state['granularity']!r} but "
             f"the plan selects {granularity!r}"
         )
-    executor._events_seen = int(state["events_seen"])
-    last_time = state["last_time"]
-    executor._last_time = None if last_time is None else float(last_time)
-    executor._aggregators = {}
-    executor._window_groups = {}
     # after a granularity migration still-open windows keep aggregators of
     # the previous granularity; rebuild those under a plan forced to their
     # recorded granularity (restore_aggregator_state stays the final check)
     plans = {granularity: executor.plan}
+    restored = []
     for window_id, key_values, aggregator_state in state["aggregators"]:
-        window_id = int(window_id)
-        key = tuple(key_values)
         recorded = _CLASS_GRANULARITY.get(aggregator_state["class"], granularity)
         plan = plans.get(recorded)
         if plan is None:
@@ -330,10 +336,12 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
             plans[recorded] = plan
         aggregator = executor._aggregator_factory(plan)
         restore_aggregator_state(aggregator, aggregator_state)
-        executor._aggregators[(window_id, key)] = aggregator
-        executor._window_groups.setdefault(window_id, set()).add(key)
-    executor._min_open_window = (
-        min(executor._window_groups) if executor._window_groups else None
+        restored.append((int(window_id), tuple(key_values), aggregator))
+    last_time = state["last_time"]
+    executor.adopt(
+        int(state["events_seen"]),
+        None if last_time is None else float(last_time),
+        restored,
     )
 
 
@@ -352,7 +360,7 @@ def merge_executor_snapshots(
     """
     first = snapshots[0]
     aggregators = [entry for snapshot in snapshots for entry in snapshot["aggregators"]]
-    aggregators.sort(key=lambda entry: (entry[0], repr(entry[1])))
+    aggregators.sort(key=_entry_order)
     last_times = [s["last_time"] for s in snapshots if s["last_time"] is not None]
     return {
         "query": first["query"],

@@ -190,12 +190,14 @@ def observe_executor(executor) -> Dict[str, float]:
     watermark, so the measure tracks the recent stream without a separate
     decay mechanism.
     """
-    aggregators = executor._aggregators
     keeps_events = executor.plan.granularity.keeps_events
     return {
-        "open": float(len(aggregators)),
+        "open": float(executor.open_group_count()),
         "events": float(
-            sum(aggregator.events_processed for aggregator in aggregators.values())
+            sum(
+                aggregator.events_processed
+                for _, _, aggregator in executor.open_aggregators()
+            )
         ),
         "events_seen": float(executor.events_seen),
         # stored matched events are directly observable only under plans

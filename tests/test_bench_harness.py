@@ -151,15 +151,15 @@ import importlib.util
 from pathlib import Path
 
 
-def _load_gate():
-    path = Path(__file__).resolve().parent.parent / "benchmarks" / "check_regression.py"
-    spec = importlib.util.spec_from_file_location("check_regression", path)
+def _load_benchmark_script(name):
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-gate = _load_gate()
+gate = _load_benchmark_script("check_regression")
 
 
 def record(bench, throughput, **extra):
@@ -231,3 +231,70 @@ class TestRegressionGate:
         )
         assert failures == []
         assert any("skipped" in line for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# the pair count behind every performance claim (benchmarks/ab_pairs.py)
+# ---------------------------------------------------------------------------
+
+ab_pairs = _load_benchmark_script("ab_pairs")
+
+_END_TO_END = (
+    "throughput_eps", "result_latency_p50_ms", "cpu_s_per_mevent", "peak_rss_mib", "setup_s",
+)
+
+
+def write_run_table(directory, rows):
+    """A ``run_table.csv`` of ``(kind, throughput, latency)`` rows; the other
+    end-to-end metrics are constant."""
+    directory.mkdir()
+    lines = ["run_id,kind," + ",".join(_END_TO_END)]
+    for index, (kind, throughput, latency) in enumerate(rows):
+        lines.append(f"r{index},{kind},{throughput},{latency},50.0,24.5,0.1")
+    (directory / "run_table.csv").write_text("\n".join(lines) + "\n")
+    return directory
+
+
+class TestPairTable:
+    def table(self, tmp_path, parent_rows, change_rows):
+        lines = ab_pairs.pair_table(
+            write_run_table(tmp_path / "parent", parent_rows),
+            write_run_table(tmp_path / "change", change_rows),
+        )
+        assert lines[0].split()[0] == "metric"
+        rows = {line.split()[0]: line.split() for line in lines[1:]}
+        assert tuple(rows) == _END_TO_END  # BENCHMARK.json's end-to-end metrics
+        return rows
+
+    def test_ties_count_for_neither_side_and_lower_is_better_where_declared(self, tmp_path):
+        rows = self.table(
+            tmp_path,
+            [("run", 100.0, 10.0), ("run", 100.0, 10.0), ("run", 100.0, 10.0)],
+            [("run", 110.0, 9.0), ("run", 100.0, 10.0), ("run", 90.0, 12.0)],
+        )
+        # higher is better: 110 > 100 wins, 100 = 100 does not, 90 < 100 loses
+        assert rows["throughput_eps"][1] == "1/3"
+        # lower is better: 9 < 10 wins, the tie does not, 12 > 10 loses
+        assert rows["result_latency_p50_ms"][1] == "1/3"
+        # identical on both sides: all ties, none won
+        assert rows["peak_rss_mib"][1] == "0/3"
+        # parent median [q1, q3], change median, change/parent
+        assert rows["throughput_eps"][2:] == ["100", "[100,", "100]", "100", "1.000"]
+        assert rows["result_latency_p50_ms"][2:] == ["10", "[10,", "10]", "10", "1.000"]
+
+    def test_only_run_rows_are_paired(self, tmp_path):
+        rows = self.table(
+            tmp_path,
+            [
+                ("run", 100.0, 10.0),
+                ("measured", 1.0, 999.0),
+                ("run-traced", 1.0, 999.0),
+                ("run", 200.0, 20.0),
+            ],
+            [("warmup", 999.0, 1.0), ("run", 90.0, 8.0), ("run", 260.0, 16.0)],
+        )
+        # (100, 90) lost and (200, 260) won; had the other rows been paired
+        # there would be three pairs and other medians
+        assert rows["throughput_eps"][1] == "1/2"
+        assert rows["result_latency_p50_ms"][1] == "2/2"
+        assert rows["throughput_eps"][2:] == ["150", "[125,", "175]", "175", "1.167"]

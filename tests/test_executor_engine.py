@@ -73,6 +73,75 @@ class TestWindows:
         assert executor.open_window_count() == 1  # only the latest window remains
 
 
+class TestOpenAggregatorIndex:
+    """A window's table exists exactly while it holds an aggregator."""
+
+    @staticmethod
+    def assert_nothing_open(executor):
+        assert executor.open_window_count() == 0
+        assert executor.open_group_count() == 0
+        assert list(executor.open_aggregators()) == []
+        assert executor._windows == {}  # no empty table survives either
+
+    def test_nothing_survives_a_flush(self):
+        executor = QueryExecutor(
+            simple_query(window=WindowSpec(10.0, 2.0), group_by=("g",))
+        )
+        events = [Event("A", float(t), {"g": t % 3}) for t in range(30)]
+        executor.process_batch(events[:7])
+        for event in events[7:]:
+            executor.process(event)
+        assert executor.open_window_count() == 5
+        assert executor.open_group_count() == len(list(executor.open_aggregators()))
+        assert all(executor._windows.values())
+        executor.flush()
+        self.assert_nothing_open(executor)
+
+    def test_nothing_survives_200_closed_windows(self):
+        executor = QueryExecutor(
+            simple_query(window=WindowSpec(10.0, 5.0), group_by=("g",))
+        )
+        results = []
+        for index in range(1005):
+            results.extend(executor.process(Event("A", float(index), {"g": index % 4})))
+            assert executor.open_window_count() <= 2
+            assert all(executor._windows.values())
+        assert len({result.window_id for result in results}) >= 199
+        results.extend(executor.advance_time(2000.0))
+        assert len({result.window_id for result in results}) > 200
+        self.assert_nothing_open(executor)
+
+    def test_a_run_rejected_by_local_predicates_opens_no_window(self):
+        query = (
+            QueryBuilder()
+            .pattern(kleene_plus("A"))
+            .semantics("skip-till-any-match")
+            .aggregate(count_star())
+            .where_attribute_equals("A", "keep", True)
+            .window(WindowSpec(10.0, 5.0))
+            .build()
+        )
+        executor = QueryExecutor(query, emit_empty_groups=True)
+        rejected = [Event("A", float(t), {"keep": False}) for t in range(1, 4)]
+        assert executor.process_batch(rejected) == []
+        assert executor.process(Event("A", 4.0, {"keep": False})) == []
+        assert executor.events_seen == 4
+        self.assert_nothing_open(executor)
+        assert executor.flush() == []
+
+    def test_empty_groups_include_one_whose_events_bound_to_nothing(self):
+        # a Z event is not rejected (no local predicate is about it), it
+        # just binds to no variable: its group exists, with no trend
+        query = simple_query(window=WindowSpec(10.0, 5.0), group_by=("g",))
+        events = [Event("Z", 6.0, {"g": "idle"}), Event("A", 7.0, {"g": "busy"})]
+        hidden = QueryExecutor(query).run(events)
+        assert [(r.window_id, r.group["g"]) for r in hidden] == [(0, "busy"), (1, "busy")]
+        shown = QueryExecutor(query, emit_empty_groups=True).run(events)
+        assert [(r.window_id, r.group["g"], r.trend_count) for r in shown] == [
+            (0, "busy", 1), (0, "idle", 0), (1, "busy", 1), (1, "idle", 0),
+        ]
+
+
 class TestGrouping:
     def test_group_by_partitions_results(self):
         query = simple_query(group_by=("g",))

@@ -408,8 +408,24 @@ class TestCheckpointWireCompatibility:
         current = json.loads(json.dumps(runtime.checkpoint()))
         fixture = json.loads(WIRE_FIXTURE.read_text())
         # "metrics" and "registry" carry wall-clock readings; the rest is state
-        for section in ("version", "queries", "ingest", "emitted_counts", "executors"):
+        for section in ("version", "queries", "ingest", "emitted_counts"):
             assert current[section] == fixture[section], section
+
+        def keyed(executors):
+            """An executor's entries are a set keyed by (window, group):
+            the fixture lists them in the order its writer's index had."""
+            comparable = {}
+            for name, executor in executors.items():
+                entries = executor["aggregators"]
+                by_key = {(window, tuple(key)): state for window, key, state in entries}
+                assert len(by_key) == len(entries), name
+                comparable[name] = dict(executor, aggregators=by_key)
+            return comparable
+
+        assert keyed(current["executors"]) == keyed(fixture["executors"])
+        for executor in current["executors"].values():
+            order = [(window, repr(key)) for window, key, _ in executor["aggregators"]]
+            assert order == sorted(order)
 
 
 if __name__ == "__main__":

@@ -4,12 +4,15 @@ The production fold (:mod:`repro.core.type_grained`) adds an event's
 contribution slot by slot straight into its variable's cell.  The oracle is
 the literal Algorithm 1 recurrence kept in ``tests/helpers.py``; after every
 run both aggregators must serialise to the same checkpoint state -- equal
-trend counts, occurrence counts, float sums bit for bit, and extrema.
+trend counts, occurrence counts, float sums bit for bit, and extrema.  One
+``process_run(run, also)`` call fans a run out to a group's aggregators in
+several windows; it must leave each of them as a call of its own would.
 """
 
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +22,7 @@ from repro.core.type_grained import TypeGrainedAggregator
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.parser import parse_query
-from repro.streaming.checkpoint import snapshot_aggregator, snapshot_executor
+from repro.streaming.checkpoint import snapshot_aggregator
 from repro.streaming.runtime import StreamingRuntime
 
 #: (pattern, RETURN clause, WHERE clause or None); every aggregate function
@@ -139,6 +142,100 @@ class TestFoldMatchesTheLiteralRecurrence:
         assert aggregator.trend_count == 0
 
 
+def cells_of(aggregator):
+    """Every cell's trend count and slots, for ``==`` slot for slot."""
+    return {
+        variable: (aggregator.cell(variable).trend_count, aggregator.cell(variable).slots)
+        for variable in aggregator.plan.automaton.variables
+    }
+
+
+def window_aggregators(plan, history, starts):
+    """Per start offset, three aggregators that saw ``history[start:]``.
+
+    Like one group's aggregators in overlapping windows: same class, each
+    opened at a different point of the stream.  Returns the aggregators to
+    fan a run out to, those to fold it into one by one, and the oracles.
+    """
+    fanned, separate, reference = [], [], []
+    for start in starts:
+        seen = history[start:]
+        for group in (fanned, separate):
+            aggregator = TypeGrainedAggregator(plan)
+            aggregator.process_run(bound(plan, seen))
+            group.append(aggregator)
+        oracle = TypeGrainedAggregator(plan)
+        for event in seen:
+            reference_type_grained_process(oracle, event)
+        reference.append(oracle)
+    return fanned, separate, reference
+
+
+def fold_and_compare(plan, run, fanned, separate, reference):
+    """One fanned call against one call per window and the literal recurrence."""
+    bound_run = bound(plan, run)
+    fanned[0].process_run(bound_run, fanned[1:])
+    for aggregator in separate:
+        aggregator.process_run(bound_run, ())
+    for oracle in reference:
+        for event in run:
+            reference_type_grained_process(oracle, event)
+    for together, alone, oracle in zip(fanned, separate, reference):
+        assert cells_of(together) == cells_of(alone) == cells_of(oracle)
+        assert state_of(together) == state_of(alone) == state_of(oracle)
+        assert together.events_processed == oracle.events_processed
+
+
+class TestFannedRunEqualsOneFoldPerWindow:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        stream=streams(),
+        offsets=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12),
+        history_share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_every_window_ends_where_its_own_fold_would(
+        self, shape, stream, offsets, history_share
+    ):
+        events, cuts = stream
+        plan = plan_of(shape)
+        cut = int(len(events) * history_share)
+        history, rest = events[:cut], events[cut:]
+        starts = [offset % (cut + 1) for offset in offsets]
+        fanned, separate, reference = window_aggregators(plan, history, starts)
+        for run in split(rest, cuts):
+            fold_and_compare(plan, run, fanned, separate, reference)
+        for together, oracle in zip(fanned, reference):
+            assert together.results() == oracle.results()
+
+    def test_sum_saturates_per_window(self):
+        # the window that saw the whole stream outgrows the float range
+        # while the one opened at event 1000 is nowhere near it
+        plan = plan_of(("A+", "COUNT(*), COUNT(A), SUM(A.v), MIN(A.v)", None))
+        rng = random.Random(3)
+        events = [
+            Event("A", float(index), {"v": rng.uniform(0.5, 5.0)}, sequence=index)
+            for index in range(1100)
+        ]
+        history, rest = events[:1000], events[1000:]
+        fanned, separate, reference = window_aggregators(plan, history, [0, 50, 1000])
+        for start in range(0, len(rest), 25):
+            fold_and_compare(plan, rest[start:start + 25], fanned, separate, reference)
+        sums = [aggregator.results()["SUM(A.v)"] for aggregator in fanned]
+        assert sums[0] == sums[1] == float("inf")
+        assert sums[2] < float("inf")
+        assert [a.trend_count for a in fanned] == [
+            2 ** 1100 - 1, 2 ** 1050 - 1, 2 ** 100 - 1
+        ]
+
+    def test_unbound_events_count_in_no_window(self):
+        plan = plan_of(SHAPES[1])
+        aggregators = [TypeGrainedAggregator(plan) for _ in range(3)]
+        aggregators[0].process_run([(Event("Z", 1.0, {"v": 1}), ())], aggregators[1:])
+        assert [a.events_processed for a in aggregators] == [0, 0, 0]
+        assert [a.trend_count for a in aggregators] == [0, 0, 0]
+
+
 QUERY = """
 RETURN g, COUNT(*), SUM(A.v), MAX(A.v)
 PATTERN SEQ(A+, B)
@@ -161,37 +258,58 @@ def make_stream(count=300, seed=29):
 
 
 class TestDispatchAfterMigration:
-    def test_batches_reach_open_windows_of_the_previous_granularity(self):
-        """One executor, two granularities: dispatch is per aggregator."""
+    @pytest.mark.parametrize(
+        "before, after, seed",
+        [
+            # a group's older windows hold the previous class, so one run
+            # meets two classes: type first (its fold reads ``_cells``, which
+            # no other class has), and the other way round
+            ("type", "event", 1),
+            ("type", "event", 2),
+            ("event", "type", 3),
+            ("type", "mixed", 4),
+        ],
+    )
+    def test_slices_reach_open_windows_of_the_previous_granularity(
+        self, before, after, seed
+    ):
+        """One executor, two granularities: one call per stretch of a class."""
         events = make_stream()
         cut = len(events) // 2
         static = StreamingRuntime(lateness=0.0)
-        static.register(QUERY, name="q", granularity="type")
+        static.register(QUERY, name="q", granularity=before)
         expected = []
         for event in events:
-            expected.extend(static.process_ordered([event]))  # the per-event path
+            expected.extend(static.process_ordered([event]))  # the slice-of-one loop
         expected.extend(static.flush())
 
         runtime = StreamingRuntime(lateness=0.0)
-        runtime.register(QUERY, name="q", granularity="type")
+        runtime.register(QUERY, name="q", granularity=before)
         # process_ordered hands the sorted slice to the executors as runs
         records = runtime.process_ordered(events[:cut])
-        assert runtime.migrate_granularity("q", "event")
+        assert runtime.migrate_granularity("q", after)
 
         def open_classes():
             executor = runtime.engine("q").executor
             return {
-                entry[2]["class"]
-                for entry in snapshot_executor(executor)["aggregators"]
+                type(aggregator).__name__
+                for _window, _key, aggregator in executor.open_aggregators()
             }
 
-        assert open_classes() == {"TypeGrainedAggregator"}
+        previous = open_classes()
+        assert len(previous) == 1
         # the very next slices feed executor.process_batch while windows of
         # the old granularity are still open next to freshly opened ones
+        rng = random.Random(seed)
         slices_into_both = 0
-        for start in range(cut, len(events), 24):
-            records.extend(runtime.process_ordered(events[start:start + 24]))
-            if open_classes() == {"TypeGrainedAggregator", "EventGrainedAggregator"}:
+        start = cut
+        while start < len(events):
+            size = rng.randint(1, 30)
+            records.extend(runtime.process_ordered(events[start:start + size]))
+            start += size
+            classes = open_classes()
+            if len(classes) == 2:
+                assert previous < classes
                 slices_into_both += 1
         assert slices_into_both >= 2
         records.extend(runtime.flush())
