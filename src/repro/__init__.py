@@ -86,8 +86,9 @@ from repro.streaming.observability import (
     snapshot_value,
 )
 from repro.streaming.replan import QueryObservation, ReplanPolicy
+from repro.streaming.routing import RebalancePolicy, ShardRouter
 from repro.streaming.runtime import StreamingRuntime, group_results
-from repro.streaming.sharded import RebalancePolicy, ShardedRuntime, ShardRouter
+from repro.streaming.sharded import ShardedRuntime
 from repro.streaming.sources import (
     CallbackSink,
     EventSource,

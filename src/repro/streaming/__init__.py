@@ -14,7 +14,8 @@ stream processor:
   eviction;
 * :mod:`repro.streaming.sharded` -- :class:`ShardedRuntime`, the
   multi-process deployment: one worker process per hash-range of partition
-  keys, fed by a single parent ingestor;
+  keys, fed by a single parent ingestor (:mod:`repro.streaming.routing`
+  holds its slot -> worker map, rebalance policy and per-shard counters);
 * :mod:`repro.streaming.sources` -- the pipeline's two ends: pluggable
   :class:`EventSource` implementations (in-memory, JSONL file, tailed
   file, TCP socket) and :class:`Sink` implementations (callback, JSONL
@@ -108,6 +109,7 @@ from repro.streaming.replan import (
     ReplanPolicy,
     migrate_engine,
 )
+from repro.streaming.routing import RebalancePolicy, ShardRouter, ShardStats
 from repro.streaming.runtime import (
     DriveSession,
     PipelineDriver,
@@ -115,12 +117,7 @@ from repro.streaming.runtime import (
     group_results,
 )
 from repro.streaming.server import JobServer, JobServerClient, TokenBucket
-from repro.streaming.sharded import (
-    RebalancePolicy,
-    ShardedRuntime,
-    ShardRouter,
-    ShardStats,
-)
+from repro.streaming.sharded import ShardedRuntime
 from repro.streaming.sources import (
     CallbackSink,
     EventSource,

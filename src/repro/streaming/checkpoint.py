@@ -33,7 +33,7 @@ import queue as _queue
 import threading
 from pathlib import Path
 from time import perf_counter as _perf_counter
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analyzer.plan import plan_query
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
@@ -346,6 +346,72 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the snapshot header: version and query identity (both runtimes)
+# ---------------------------------------------------------------------------
+
+
+def query_header(queries: Iterable[Tuple[str, object]]) -> List[Dict[str, object]]:
+    """The ``"queries"`` section of a runtime snapshot.
+
+    ``queries`` yields ``(registered name, engine)`` in registration order.
+    The rendered query identifies the definition, so a restore into a
+    same-named but different query fails; ``emit_empty_groups`` changes
+    emission and routing, so it is part of the identity too.
+    """
+    return [
+        {
+            "name": name,
+            "granularity": engine.granularity,
+            "definition": engine.query.describe(),
+            "emit_empty_groups": engine._emit_empty_groups,
+        }
+        for name, engine in queries
+    ]
+
+
+#: what makes a registered query "the same": its name, granularity,
+#: definition and ``emit_empty_groups``
+QueryIdentity = Tuple[str, str, Optional[str], bool]
+
+
+def _query_identities(header) -> List[QueryIdentity]:
+    return [
+        (
+            q["name"],
+            q["granularity"],
+            q.get("definition"),
+            bool(q.get("emit_empty_groups", False)),
+        )
+        for q in header
+    ]
+
+
+def checkpointed_queries(state: Dict[str, object]) -> List[QueryIdentity]:
+    """Check the snapshot version; return the query identities it records."""
+    version = state.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint version {version!r} is not supported "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    try:
+        return _query_identities(state["queries"])
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+
+
+def check_query_identity(recorded: List[QueryIdentity], current: List[Dict]) -> None:
+    """Raise unless the live queries (a :func:`query_header`) are the recorded ones."""
+    if recorded != _query_identities(current):
+        names = [(entry[0], entry[1]) for entry in recorded]
+        raise CheckpointError(
+            f"registered queries do not match the checkpointed queries "
+            f"{names}: names, granularities, definitions and "
+            f"emit_empty_groups must be identical"
+        )
+
+
+# ---------------------------------------------------------------------------
 # topology split/merge (sharded runtimes, recovery, adaptive rebalancing)
 # ---------------------------------------------------------------------------
 
@@ -371,6 +437,32 @@ def merge_executor_snapshots(
     }
 
 
+def rehome_executor_snapshots(
+    per_shard: Dict[int, Dict[str, object]],
+    owner: Callable[[Tuple], int],
+) -> Dict[int, Dict[str, object]]:
+    """Move every aggregator entry to the shard ``owner`` gives its key.
+
+    The one way executor state changes hands between shards (restore into
+    a topology, live rebalancing).  The scalar fields cannot be moved
+    faithfully, so each shard keeps its own ``events_seen`` (a later merge
+    still sums to the stream total) and every shard receives the global
+    ``last_time`` (protecting executor order checks).
+    """
+    times = [s["last_time"] for s in per_shard.values() if s["last_time"] is not None]
+    last_time = max(times) if times else None
+    rehomed: Dict[int, Dict[str, object]] = {
+        shard: {**state, "last_time": last_time, "aggregators": []}
+        for shard, state in per_shard.items()
+    }
+    for state in per_shard.values():
+        for entry in state["aggregators"]:
+            rehomed[owner(tuple(entry[1]))]["aggregators"].append(entry)
+    for state in rehomed.values():
+        state["aggregators"].sort(key=_entry_order)
+    return rehomed
+
+
 def split_executor_snapshot(
     snapshot: Dict[str, object],
     shard_count: int,
@@ -379,31 +471,23 @@ def split_executor_snapshot(
     """Split one executor snapshot into per-shard snapshots by key ownership.
 
     The inverse of :func:`merge_executor_snapshots` under any topology:
-    each aggregator entry goes to ``owner`` of its partition key -- the
-    static :func:`~repro.core.parallel.shard_index` hash by default, or a
-    live router's (possibly rebalanced) range->worker map.  The scalar
-    fields cannot be split faithfully, so every shard receives the global
-    ``last_time`` (protecting executor order checks) and shard 0 carries
-    the full ``events_seen`` (so a later merge sums back to the original).
+    :func:`rehome_executor_snapshots` applied to "shard 0 holds everything"
+    (so shard 0 carries the full ``events_seen`` and a later merge sums
+    back to the original).  ``owner`` is the static
+    :func:`~repro.core.parallel.shard_index` hash by default, or a live
+    router's (possibly rebalanced) range->worker map.
     """
     if owner is None:
 
         def owner(key: Tuple) -> int:
             return shard_index(key, shard_count)
 
-    per_shard: Dict[int, Dict[str, object]] = {}
-    for shard in range(shard_count):
-        per_shard[shard] = {
-            "query": snapshot["query"],
-            "granularity": snapshot["granularity"],
-            "events_seen": int(snapshot["events_seen"]) if shard == 0 else 0,
-            "last_time": snapshot["last_time"],
-            "aggregators": [],
-        }
-    for entry in snapshot["aggregators"]:
-        key = tuple(entry[1])
-        per_shard[owner(key)]["aggregators"].append(entry)
-    return per_shard
+    per_shard = {
+        shard: {**snapshot, "events_seen": 0, "aggregators": []}
+        for shard in range(shard_count)
+    }
+    per_shard[0] = {**snapshot, "events_seen": int(snapshot["events_seen"])}
+    return rehome_executor_snapshots(per_shard, owner)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,9 @@ from repro.query.semantics import Semantics
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
+    check_query_identity,
+    checkpointed_queries,
+    query_header,
     restore_executor,
     snapshot_executor,
 )
@@ -1174,19 +1177,7 @@ class StreamingRuntime(PipelineDriver):
         started = _time.perf_counter()
         state = {
             "version": CHECKPOINT_VERSION,
-            "queries": [
-                {
-                    "name": r.name,
-                    "granularity": r.engine.granularity,
-                    # the rendered query identifies the definition, so a
-                    # restore into a same-named but different query fails;
-                    # emit_empty_groups changes emission and routing, so it
-                    # is part of the identity too
-                    "definition": r.engine.query.describe(),
-                    "emit_empty_groups": r.engine._emit_empty_groups,
-                }
-                for r in self._queries
-            ],
+            "queries": query_header((r.name, r.engine) for r in self._queries),
             "executors": {
                 r.name: snapshot_executor(r.executor) for r in self._queries
             },
@@ -1205,24 +1196,7 @@ class StreamingRuntime(PipelineDriver):
         order, same granularities) as the runtime the snapshot was taken
         from; anything else raises :class:`~repro.errors.CheckpointError`.
         """
-        version = state.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {version!r} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
-        try:
-            recorded = [
-                (
-                    q["name"],
-                    q["granularity"],
-                    q.get("definition"),
-                    bool(q.get("emit_empty_groups", False)),
-                )
-                for q in state["queries"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+        recorded = checkpointed_queries(state)
         if self._replan_policy is not None:
             # with re-planning enabled the checkpointed granularity wins:
             # a recovery resumes the post-migration plan instead of the
@@ -1237,22 +1211,9 @@ class StreamingRuntime(PipelineDriver):
                         # an unplannable recorded granularity falls through
                         # to the identity check below, which names it
                         pass
-        current = [
-            (
-                r.name,
-                r.engine.granularity,
-                r.engine.query.describe(),
-                bool(r.engine._emit_empty_groups),
-            )
-            for r in self._queries
-        ]
-        if recorded != current:
-            names = [(entry[0], entry[1]) for entry in recorded]
-            raise CheckpointError(
-                f"registered queries do not match the checkpointed queries "
-                f"{names}: names, granularities, definitions and "
-                f"emit_empty_groups must be identical"
-            )
+        check_query_identity(
+            recorded, query_header((r.name, r.engine) for r in self._queries)
+        )
         started = _time.perf_counter()
         try:
             for registered in self._queries:

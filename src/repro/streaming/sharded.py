@@ -2,59 +2,63 @@
 
 Equivalence predicates and the GROUP-BY clause partition the stream into
 sub-streams that never interact, so they can be processed on different CPU
-cores.  :class:`ShardedRuntime` exploits that with real processes -- the
-structure :class:`~repro.core.parallel.ParallelExecutor` demonstrates with
-threads, but free of the GIL:
+cores -- and a sub-stream's aggregates can be moved between cores without
+touching any other.  :class:`ShardedRuntime` is built on those two facts:
 
 * the **parent** applies out-of-order ingestion exactly once -- one
   :class:`~repro.streaming.ingest.OutOfOrderIngestor` restores order,
   generates watermarks and handles late events -- and routes every released
-  event to the worker owning its partition key
-  (:func:`~repro.core.parallel.shard_index` over the key computed by
-  ``plan.partition_key``, the same computation
-  :func:`~repro.core.parallel.partition_stream` uses);
+  event to the worker owning its partition key (``plan.partition_key``
+  hashed into the slots of a :class:`~repro.streaming.routing.ShardRouter`,
+  a versioned slot -> worker map);
 * each **worker process** hosts a full
   :class:`~repro.streaming.runtime.StreamingRuntime` for the registered
   queries and consumes already-ordered, watermarked batches through
   :meth:`~repro.streaming.runtime.StreamingRuntime.process_ordered`;
 * emitted windows travel back over a result queue and are **merged in
   watermark order**: batches are numbered (epochs) and an epoch's records
-  are released only once every earlier epoch is complete;
-* :meth:`ShardedRuntime.checkpoint` composes the per-worker snapshots into
-  one runtime-level snapshot in the *same versioned schema*
-  :class:`~repro.streaming.runtime.StreamingRuntime` writes -- a sharded
-  checkpoint restores into a single-process runtime, a single-process
-  checkpoint restores into any worker count, and worker counts can change
-  between checkpoint and restore;
-* a worker that dies (OOM kill, segfault, uncaught error) is detected; with
-  ``max_restarts=0`` the run aborts with a
-  :class:`~repro.errors.WorkerCrashError`, with ``max_restarts > 0`` the
-  parent **recovers** the shard: it respawns the process, restores the
-  shard's slice of the latest checkpoint, and replays the batches shipped
-  since then from a parent-side replay buffer -- results are identical to a
-  run that never crashed (acknowledgements of replayed work are
-  deduplicated against what the dead incarnation already delivered).
+  are released only once every earlier epoch is complete.  An
+  acknowledgement is whatever the operation of its epoch says it is --
+  records for a batch, a payload filed per shard for everything else.
 
-Recovery pairs naturally with the driver loop's periodic checkpointing
-(:meth:`~repro.streaming.runtime.PipelineDriver.run` with a
-:class:`~repro.streaming.checkpoint.CheckpointStore`): every checkpoint
-trims the replay buffers, bounding both recovery time and parent memory.
-Without checkpoints the buffers hold the whole stream since start -- still
-correct, just unbounded.
+**One primitive moves state**: quiesce in-flight work behind the last
+shipped watermark, collect every worker's slice of the state, mutate the
+slices, record them as the *recovery baseline*, restore the affected
+workers onto theirs (``_migrate``).  Its callers differ only in the
+mutation:
 
-Routing is a **versioned range->worker map** (:class:`ShardRouter`): the
-partition-key hash space is cut into slots, each owned by one worker.  With
-adaptive rebalancing enabled (:class:`RebalancePolicy`, the
-``shards.rebalance.*`` fields of :class:`~repro.streaming.config.JobConfig`,
-``cogra stream --rebalance``) the parent watches the per-slot routing load
-and, when one worker's load reaches the skew threshold, **migrates** hot
-slots to underloaded workers: in-flight work is quiesced behind the last
-shipped watermark, the slots' live aggregator state moves through the same
-checkpoint split/merge path recovery uses, the router entry is swapped
-(bumping the map version), and events still buffered in the parent are
-re-routed -- replayed -- under the new map.  The router travels inside every
-checkpoint, so worker recovery and ``--recover`` resume the post-migration
-topology, not the seed one.
+* **rebalancing** (:class:`~repro.streaming.routing.RebalancePolicy`, the
+  ``shards.rebalance.*`` fields of
+  :class:`~repro.streaming.config.JobConfig`, ``cogra stream --rebalance``)
+  swaps router entries when one worker's load reaches the skew threshold
+  and re-homes the aggregator entries under the new map; only the workers
+  that lose or gain a slot are restored, and events still buffered in the
+  parent are re-routed under the new map;
+* **re-planning** (:mod:`repro.streaming.replan`) relabels the migrated
+  queries' granularity and broadcasts the plan swap instead of a restore;
+* :meth:`ShardedRuntime.restore` has nothing to collect: the slices are
+  the given snapshot split under this runtime's topology, every worker is
+  restored;
+* **worker recovery** (``max_restarts > 0``) is the one-shard case: a
+  worker that dies (OOM kill, segfault, uncaught error) is respawned,
+  restored onto its slice of the baseline exactly as recorded, and sent
+  the batches shipped since from a parent-side replay buffer -- results
+  are identical to a run that never crashed (acknowledgements of replayed
+  work are deduplicated against what the dead incarnation already
+  delivered).  With ``max_restarts=0`` the run aborts with a
+  :class:`~repro.errors.WorkerCrashError` instead.
+
+:meth:`ShardedRuntime.checkpoint` is the collection without a mutation: the
+slices become the baseline as collected (trimming the replay buffers, so
+periodic checkpoints -- :meth:`~repro.streaming.runtime.PipelineDriver.run`
+with a :class:`~repro.streaming.checkpoint.CheckpointStore` -- bound both
+recovery time and parent memory) and are composed into one snapshot in the
+*same versioned schema* :class:`~repro.streaming.runtime.StreamingRuntime`
+writes: a sharded checkpoint restores into a single-process runtime, a
+single-process checkpoint restores into any worker count, and worker counts
+can change between checkpoint and restore.  The router travels inside every
+checkpoint, so ``--recover`` resumes the post-migration topology, not the
+seed one.
 
 Queries without partition attributes cannot be sharded (every event maps to
 the same key); the runtime then falls back to a single shard and records the
@@ -96,7 +100,11 @@ from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
+    check_query_identity,
+    checkpointed_queries,
     merge_executor_snapshots,
+    query_header,
+    rehome_executor_snapshots,
     restore_executor,
     snapshot_executor,
     split_executor_snapshot,
@@ -129,6 +137,7 @@ from repro.streaming.replan import (
     observe_instruments,
     resolve_replan_policy,
 )
+from repro.streaming.routing import RebalancePolicy, ShardRouter, ShardStats
 from repro.streaming.runtime import (
     PipelineDriver,
     StreamingRuntime,
@@ -228,294 +237,6 @@ def _pump_acks(source, buffer) -> None:
         if ack == _PUMP_STOP:
             return
         buffer.put(ack)
-
-
-class ShardStats:
-    """Per-worker accounting the parent keeps while routing and merging.
-
-    Lifetime totals accumulate across worker restarts; the
-    ``incarnation_*`` mirrors describe only the *live* process incarnation
-    and are reset by :meth:`begin_incarnation` every time the shard's
-    worker is respawned, so :attr:`incarnation` always equals the shard's
-    restart count and :meth:`__repr__`, :meth:`as_dict` and the recovery
-    counters tell one consistent story.
-    """
-
-    __slots__ = (
-        "events_sent",
-        "batches_sent",
-        "records_merged",
-        "acks_received",
-        "processing_seconds",
-        "incarnation",
-        "incarnation_events_sent",
-        "incarnation_batches_sent",
-        "incarnation_records_merged",
-        "incarnation_acks_received",
-    )
-
-    def __init__(self) -> None:
-        self.events_sent = 0
-        self.batches_sent = 0
-        self.records_merged = 0
-        self.acks_received = 0
-        self.processing_seconds = 0.0
-        self.incarnation = 0
-        self.incarnation_events_sent = 0
-        self.incarnation_batches_sent = 0
-        self.incarnation_records_merged = 0
-        self.incarnation_acks_received = 0
-
-    def record_shipment(self, events: int) -> None:
-        """Account one shipped batch/flush carrying ``events`` events."""
-        self.events_sent += events
-        self.batches_sent += 1
-        self.incarnation_events_sent += events
-        self.incarnation_batches_sent += 1
-
-    def record_ack(self, records: int, seconds: float) -> None:
-        """Account one acknowledgement that merged ``records`` records."""
-        self.acks_received += 1
-        self.records_merged += records
-        self.incarnation_acks_received += 1
-        self.incarnation_records_merged += records
-        self.processing_seconds += seconds
-
-    def begin_incarnation(self) -> None:
-        """Start the counters of a freshly respawned worker process."""
-        self.incarnation += 1
-        self.incarnation_events_sent = 0
-        self.incarnation_batches_sent = 0
-        self.incarnation_records_merged = 0
-        self.incarnation_acks_received = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary view for reports and tests."""
-        return {
-            "events_sent": self.events_sent,
-            "batches_sent": self.batches_sent,
-            "records_merged": self.records_merged,
-            "acks_received": self.acks_received,
-            "processing_seconds": self.processing_seconds,
-            "incarnation": self.incarnation,
-            "incarnation_events_sent": self.incarnation_events_sent,
-            "incarnation_batches_sent": self.incarnation_batches_sent,
-            "incarnation_records_merged": self.incarnation_records_merged,
-            "incarnation_acks_received": self.incarnation_acks_received,
-        }
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardStats(events={self.events_sent}, batches={self.batches_sent}, "
-            f"records={self.records_merged}, acks={self.acks_received}, "
-            f"incarnation={self.incarnation})"
-        )
-
-
-class ShardRouter:
-    """Versioned hash-slot -> worker map behind the parent's event routing.
-
-    The partition-key hash space is cut into :attr:`slots` sub-ranges
-    (:func:`~repro.core.parallel.shard_index` over ``slots``); each slot is
-    owned by exactly one worker.  The seed assignment round-robins slots
-    over workers -- ``slots`` is a multiple of the worker count, so seeding
-    routes exactly like the historical static ``hash % workers`` -- and
-    :meth:`move` reassigns one slot, bumping :attr:`version`.  The map is
-    recorded inside every sharded checkpoint, so worker recovery and
-    ``--recover`` resume the post-migration topology instead of the seed
-    one.
-    """
-
-    __slots__ = ("shard_count", "slots", "assignment", "version")
-
-    def __init__(self, shard_count: int, slots_per_worker: int = 16):
-        if shard_count < 1:
-            raise ValueError(f"shard_count must be at least 1, got {shard_count}")
-        if slots_per_worker < 1:
-            raise ValueError(
-                f"slots_per_worker must be at least 1, got {slots_per_worker}"
-            )
-        self.shard_count = shard_count
-        self.slots = shard_count * slots_per_worker
-        self.assignment: List[int] = [s % shard_count for s in range(self.slots)]
-        self.version = 0
-
-    def slot_of(self, key) -> int:
-        """The hash slot a partition key falls into."""
-        return shard_index(key, self.slots)
-
-    def owner_of_key(self, key) -> int:
-        """The worker owning a partition key under the current map."""
-        return self.assignment[shard_index(key, self.slots)]
-
-    def move(self, slot: int, worker: int) -> None:
-        """Reassign one slot to ``worker`` and bump the map version."""
-        self.assignment[slot] = worker
-        self.version += 1
-
-    def worker_slots(self, worker: int) -> List[int]:
-        """The slots currently owned by ``worker``."""
-        return [s for s, owner in enumerate(self.assignment) if owner == worker]
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-safe form recorded inside sharded checkpoints."""
-        return {
-            "slots": self.slots,
-            "assignment": list(self.assignment),
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object], shard_count: int) -> "ShardRouter":
-        """Rebuild the map written by :meth:`snapshot` for ``shard_count``."""
-        try:
-            assignment = [int(worker) for worker in state["assignment"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed router snapshot: {exc}") from exc
-        if not assignment or any(
-            worker < 0 or worker >= shard_count for worker in assignment
-        ):
-            raise CheckpointError(
-                f"checkpointed router map addresses workers outside "
-                f"0..{shard_count - 1}; was it taken under a different topology?"
-            )
-        router = cls(shard_count, 1)
-        router.slots = len(assignment)
-        router.assignment = assignment
-        router.version = int(state.get("version", 0))
-        return router
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardRouter(v{self.version}, {self.slots} slots over "
-            f"{self.shard_count} workers)"
-        )
-
-
-class RebalancePolicy:
-    """Decides when and which hash slots migrate between workers.
-
-    The parent counts routed events per hash slot; every ``min_interval``
-    ingested events the policy aggregates them into per-worker loads
-    through the live assignment and, when the busiest worker's load is at
-    or above ``skew_threshold`` times the mean (:meth:`skewed` -- the
-    detector fires *exactly* at the threshold), :meth:`plan` picks up to
-    ``max_moves`` hot slots to move from overloaded to underloaded
-    workers.  A slot is only moved when doing so strictly shrinks the gap
-    between its source and target, so planning cannot oscillate.
-    """
-
-    __slots__ = (
-        "enabled",
-        "skew_threshold",
-        "min_interval",
-        "max_moves",
-        "slots_per_worker",
-    )
-
-    def __init__(
-        self,
-        skew_threshold: float = 1.5,
-        min_interval: int = 512,
-        max_moves: int = 4,
-        slots_per_worker: int = 16,
-        enabled: bool = True,
-    ):
-        # the config spec owns validation; constructing it applies the rules
-        config = RebalanceConfig(
-            enabled=enabled,
-            skew_threshold=skew_threshold,
-            min_interval=min_interval,
-            max_moves=max_moves,
-            slots_per_worker=slots_per_worker,
-        )
-        self.enabled = config.enabled
-        self.skew_threshold = float(config.skew_threshold)
-        self.min_interval = config.min_interval
-        self.max_moves = config.max_moves
-        self.slots_per_worker = config.slots_per_worker
-
-    @classmethod
-    def from_config(cls, config: RebalanceConfig) -> "RebalancePolicy":
-        """The policy a :class:`~repro.streaming.config.RebalanceConfig` describes."""
-        return cls(
-            skew_threshold=config.skew_threshold,
-            min_interval=config.min_interval,
-            max_moves=config.max_moves,
-            slots_per_worker=config.slots_per_worker,
-            enabled=config.enabled,
-        )
-
-    def as_config(self) -> RebalanceConfig:
-        """The serializable spec form of this policy."""
-        return RebalanceConfig(
-            enabled=self.enabled,
-            skew_threshold=self.skew_threshold,
-            min_interval=self.min_interval,
-            max_moves=self.max_moves,
-            slots_per_worker=self.slots_per_worker,
-        )
-
-    @staticmethod
-    def worker_loads(
-        slot_loads: List[int], assignment: List[int], shard_count: int
-    ) -> List[int]:
-        """Aggregate per-slot event counts into per-worker loads."""
-        loads = [0] * shard_count
-        for slot, count in enumerate(slot_loads):
-            loads[assignment[slot]] += count
-        return loads
-
-    def skewed(self, loads: List[int]) -> bool:
-        """True when the busiest load is at/over the threshold x mean load."""
-        total = sum(loads)
-        if total <= 0 or len(loads) < 2:
-            return False
-        return max(loads) >= self.skew_threshold * (total / len(loads))
-
-    def plan(
-        self, slot_loads: List[int], assignment: List[int], shard_count: int
-    ) -> List[Tuple[int, int]]:
-        """Up to ``max_moves`` ``(slot, target worker)`` migrations easing skew.
-
-        Greedy: repeatedly take the hottest slot of the most loaded worker
-        that fits in the load gap to the least loaded worker.  Returns
-        ``[]`` when the loads are not skewed or no move can help (e.g. the
-        skew sits in one indivisible hot slot).
-        """
-        assignment = list(assignment)
-        loads = self.worker_loads(slot_loads, assignment, shard_count)
-        moves: List[Tuple[int, int]] = []
-        if shard_count < 2:
-            return moves
-        while len(moves) < self.max_moves and self.skewed(loads):
-            source = max(range(shard_count), key=loads.__getitem__)
-            target = min(range(shard_count), key=loads.__getitem__)
-            gap = loads[source] - loads[target]
-            candidates = sorted(
-                (
-                    slot
-                    for slot in range(len(slot_loads))
-                    if assignment[slot] == source and slot_loads[slot] > 0
-                ),
-                key=slot_loads.__getitem__,
-                reverse=True,
-            )
-            slot = next((s for s in candidates if slot_loads[s] < gap), None)
-            if slot is None:
-                break  # the skew sits in one indivisible hot range
-            moves.append((slot, target))
-            assignment[slot] = target
-            loads[source] -= slot_loads[slot]
-            loads[target] += slot_loads[slot]
-        return moves
-
-    def __repr__(self) -> str:
-        return (
-            f"RebalancePolicy(enabled={self.enabled}, "
-            f"skew_threshold={self.skew_threshold:g}, "
-            f"min_interval={self.min_interval}, max_moves={self.max_moves})"
-        )
 
 
 class _QuerySpec:
@@ -700,11 +421,14 @@ def _worker_loop(
 class _Epoch:
     """One shipped wave of work and the acknowledgements it still awaits."""
 
-    __slots__ = ("pending", "records", "op", "sent_at")
+    __slots__ = ("pending", "records", "payloads", "op", "sent_at")
 
     def __init__(self, pending: set, op: str = "batch") -> None:
         self.pending = pending
+        #: what the shards answered: emission records of a batch/flush,
+        #: the per-shard payload of every other operation
         self.records: List[EmissionRecord] = []
+        self.payloads: Dict[int, object] = {}
         self.op = op
         #: monotonic shipment time, feeding the per-shard ship-latency
         #: histograms when the acknowledgements come back
@@ -892,9 +616,11 @@ class ShardedRuntime(PipelineDriver):
         #: per-shard batch/flush messages shipped since the last checkpoint,
         #: kept for replay after a worker restart (only with max_restarts)
         self._replay: List[List[tuple]] = []
-        #: the last composed checkpoint -- what a restarted worker resumes
-        #: from (None until the first checkpoint() or restore())
-        self._last_checkpoint: Optional[Dict[str, object]] = None
+        #: what a restarted worker resumes from: the slices the live workers
+        #: held at the last consistent cut -- ``{shard: {"executors": ...,
+        #: "registry": snapshot or "reset"}}`` -- and the watermark shipped
+        #: by then (None until the first checkpoint, migration or restore)
+        self._baseline: Optional[Tuple[Dict[int, dict], Optional[float]]] = None
         #: shards currently being recovered; a repeat failure inside its own
         #: recovery is fatal instead of recursing forever
         self._recovering: set = set()
@@ -1008,23 +734,7 @@ class ShardedRuntime(PipelineDriver):
         self._slot_loads = [0] * self._router.slots
         self._events_since_rebalance_check = 0
         self._shipped_watermark = -math.inf
-        self._procs = [
-            self._context.Process(
-                target=_worker_loop,
-                args=(
-                    shard,
-                    self._specs,
-                    self._inboxes[shard],
-                    self._ack_queues[shard],
-                    self.observability.enabled,
-                ),
-                daemon=True,
-                name=f"cogra-shard-{shard}",
-            )
-            for shard in range(self.shard_count)
-        ]
-        for proc in self._procs:
-            proc.start()
+        self._procs = [self._spawn(shard) for shard in range(self.shard_count)]
         self._started = True
         ready = set()
         while len(ready) < self.shard_count:
@@ -1034,6 +744,24 @@ class ShardedRuntime(PipelineDriver):
                     f"unexpected worker handshake {ack[:2]!r}", shard=ack[2]
                 )
             ready.add(ack[2])
+
+    def _spawn(self, shard: int):
+        """Start ``shard``'s worker process on the shard's current queues."""
+        restarts = self.restart_counts[shard]
+        proc = self._context.Process(
+            target=_worker_loop,
+            args=(
+                shard,
+                self._specs,
+                self._inboxes[shard],
+                self._ack_queues[shard],
+                self.observability.enabled,
+            ),
+            daemon=True,
+            name=f"cogra-shard-{shard}" + (f"-r{restarts}" if restarts else ""),
+        )
+        proc.start()
+        return proc
 
     def _start_pump(self, ack_queue) -> threading.Thread:
         """Start the daemon thread moving ``ack_queue`` into the ack buffer."""
@@ -1141,79 +869,99 @@ class ShardedRuntime(PipelineDriver):
             self._fail(message, shard, exitcode=exitcode)
         self._recover(shard, message)
 
-    def _next_ack(self):
+    def _handle_exit(self, shard: int, when: str) -> None:
+        """Route the failure of a worker process found dead."""
+        proc = self._procs[shard]
+        self._handle_failure(
+            f"shard {shard} (pid {proc.pid}) exited with code {proc.exitcode} {when}",
+            shard,
+            exitcode=proc.exitcode,
+        )
+
+    def _poll_ack(self, timeout: float):
+        """One acknowledgement, with a worker's error report routed away.
+
+        Raises :class:`queue.Empty` like :meth:`_read_ack`.  An ``error``
+        acknowledgement goes through :meth:`_handle_failure` -- the shard
+        is recovered in place or the run aborts -- and ``None`` comes back
+        in its stead.
+        """
+        ack = self._read_ack(timeout)
+        if ack[0] == "error":
+            self._handle_failure(
+                f"shard {ack[2]} failed:\n{ack[3]}", ack[2], exitcode=None
+            )
+            return None
+        return ack
+
+    def _next_ack(self, watch: Optional[int] = None, when="while work was in flight"):
         """Blocking read of one acknowledgement, with crash detection.
 
         A dead or failing worker is either recovered in place (respawn +
         restore + replay, see :meth:`_recover`) or, beyond
-        ``max_restarts``, surfaces as :class:`WorkerCrashError`.
+        ``max_restarts``, surfaces as :class:`WorkerCrashError`.  ``watch``
+        narrows the liveness check to one shard (the waits of its own
+        recovery, where its death is fatal).
         """
         deadline = _time.monotonic() + ACK_TIMEOUT_SECONDS
+        watched = range(len(self._procs)) if watch is None else (watch,)
         while True:
             try:
-                ack = self._read_ack(timeout=0.2)
+                ack = self._poll_ack(timeout=0.2)
             except _queue.Empty:
-                recovered = False
-                for shard, proc in enumerate(self._procs):
-                    if not proc.is_alive():
-                        self._handle_failure(
-                            f"shard {shard} (pid {proc.pid}) exited with code "
-                            f"{proc.exitcode} while work was in flight",
-                            shard,
-                            exitcode=proc.exitcode,
+                dead = [s for s in watched if not self._procs[s].is_alive()]
+                if not dead:
+                    if _time.monotonic() > deadline:  # pragma: no cover - hang guard
+                        self._fail(
+                            f"no worker acknowledgement within "
+                            f"{ACK_TIMEOUT_SECONDS:g}s {when}",
+                            watch,
                         )
-                        recovered = True
-                        break
-                if recovered:
-                    deadline = _time.monotonic() + ACK_TIMEOUT_SECONDS
                     continue
-                if _time.monotonic() > deadline:  # pragma: no cover - hang guard
-                    self._fail(
-                        f"no worker acknowledgement within {ACK_TIMEOUT_SECONDS:g}s",
-                        None,
-                    )
-                continue
-            if ack[0] == "error":
-                self._handle_failure(
-                    f"shard {ack[2]} failed:\n{ack[3]}", ack[2], exitcode=None
-                )
+                self._handle_exit(dead[0], when)
+                ack = None
+            if ack is None:  # a shard was recovered: the wait starts over
                 deadline = _time.monotonic() + ACK_TIMEOUT_SECONDS
                 continue
             return ack
 
     def _apply_ack(self, ack) -> None:
-        """Fold one batch/flush/restore acknowledgement into its epoch.
+        """Fold one acknowledgement into the epoch it answers.
 
-        Replayed operations come back with their epoch encoded below
-        ``-_REPLAY_OFFSET``; they count toward the original epoch unless
-        the dead incarnation's own acknowledgement already did.  Stale
-        acknowledgements from a replaced incarnation are dropped.
+        What an acknowledgement *is* follows from the operation of its
+        epoch, never from its payload: a batch/flush carries a record blob,
+        every other operation's payload (a checkpoint slice, a registry, an
+        observation, ``None``) is filed under its shard for whoever shipped
+        the epoch.  Replayed operations come back with their epoch encoded
+        below ``-_REPLAY_OFFSET``; they count toward the original epoch
+        unless the dead incarnation's own acknowledgement already did.
+        Stale acknowledgements from a replaced incarnation are dropped.
         """
         _, epoch, shard, payload, seconds = ack
-        # only a non-empty batch/flush acknowledgement carries a record
-        # blob; checkpoint/metrics payloads and stray ready handshakes carry
-        # no emission records, but their epochs still resolve below
-        records = _decode_record_blob(payload) if isinstance(payload, bytes) else ()
         if epoch <= -_REPLAY_OFFSET:
             epoch = -epoch - _REPLAY_OFFSET
-            entry = self._inflight.get(epoch)
-            if entry is None or shard not in entry.pending:
-                return  # the pre-crash incarnation's ack already counted
         entry = self._inflight.get(epoch)
         if entry is None or shard not in entry.pending:
             if self.restart_counts and self.restart_counts[shard]:
-                return  # stale ack from an incarnation that was replaced
+                # a replay the pre-crash incarnation already answered, or a
+                # stale ack (stray ready handshake included) from an
+                # incarnation that was replaced
+                return
             raise WorkerCrashError(  # pragma: no cover - protocol guard
                 f"shard {shard} acknowledged unknown epoch {epoch}", shard=shard
             )
         entry.pending.discard(shard)
+        self.metrics.record_processing_seconds(seconds)
+        if entry.op not in ("batch", "flush"):
+            entry.payloads[shard] = payload
+            return
+        # an empty batch/flush acknowledgement travels as the empty list
+        records = _decode_record_blob(payload) if payload else ()
         entry.records.extend(records)
         self.shard_stats[shard].record_ack(len(records), seconds)
-        self.metrics.record_processing_seconds(seconds)
-        if entry.op in ("batch", "flush") and self._shard_instruments:
-            instruments = self._shard_instruments[shard]
-            if instruments is not None:
-                instruments.ship_latency.observe(_time.perf_counter() - entry.sent_at)
+        instruments = self._shard_instruments[shard]
+        if instruments is not None:
+            instruments.ship_latency.observe(_time.perf_counter() - entry.sent_at)
 
     # -- worker recovery ---------------------------------------------------------
 
@@ -1223,13 +971,15 @@ class ShardedRuntime(PipelineDriver):
         1. reap the dead process and abandon its inbox (unconsumed messages
            are covered by the replay buffer);
         2. spawn a replacement and wait for its ready handshake;
-        3. restore the shard's slice of the last checkpoint (fresh state
-           when no checkpoint was taken yet);
-        4. replay every batch/flush shipped since that checkpoint, with
-           epochs moved into the replay range so acknowledgements merge
-           into the original epochs -- or are dropped when the dead
-           incarnation already delivered them;
-        5. re-issue checkpoint requests the dead worker still owed.
+        3. restore the shard's slice of the baseline -- the degenerate
+           one-shard case of the migration primitive, nothing to collect
+           (fresh state when no baseline was cut yet);
+        4. replay every batch/flush shipped since that cut, with epochs
+           moved into the replay range so acknowledgements merge into the
+           original epochs -- or are dropped when the dead incarnation
+           already delivered them;
+        5. re-issue the collection requests (checkpoint, metrics, observe)
+           the dead worker still owed.
 
         Failures of *other* shards while waiting recover recursively; a
         second failure of this same shard (or exhausted ``max_restarts``)
@@ -1263,19 +1013,7 @@ class ShardedRuntime(PipelineDriver):
             self._inboxes[shard] = self._context.Queue()
             self._ack_queues[shard] = self._context.Queue()
             self._pumps[shard] = self._start_pump(self._ack_queues[shard])
-            self._procs[shard] = self._context.Process(
-                target=_worker_loop,
-                args=(
-                    shard,
-                    self._specs,
-                    self._inboxes[shard],
-                    self._ack_queues[shard],
-                    self.observability.enabled,
-                ),
-                daemon=True,
-                name=f"cogra-shard-{shard}-r{self.restart_counts[shard]}",
-            )
-            self._procs[shard].start()
+            self._procs[shard] = self._spawn(shard)
             self._await_worker_ack(
                 shard, -1, f"ready handshake of restarted shard {shard}"
             )
@@ -1285,41 +1023,17 @@ class ShardedRuntime(PipelineDriver):
             # that was already read.  Outside startup the stray ready is
             # dropped harmlessly by _apply_ack (the shard has restarts).
             self._held_acks.append(("ok", -1, shard, "ready", 0.0))
-            if self._last_checkpoint is not None:
-                # the slice is cut by the CURRENT router map: migrations
-                # refresh the recovery baseline, so the checkpointed state
-                # and the live assignment always describe the same topology
-                executors = {
-                    name: split_executor_snapshot(
-                        state, self.shard_count, owner=self._router.owner_of_key
-                    )[shard]
-                    for name, state in self._last_checkpoint["executors"].items()
-                }
-                sharded_info = self._last_checkpoint.get("sharded")
-                sharded_info = sharded_info if isinstance(sharded_info, dict) else {}
-                watermark = sharded_info.get(
-                    "watermark", self._last_checkpoint["metrics"].get("watermark")
+            if self._baseline is not None:
+                # the baseline holds exactly what this shard's worker held at
+                # the last consistent cut (migrations re-cut it), so it ships
+                # as is; its registry brings the worker's counters back to
+                # that cut, and the replay re-applies the deltas since
+                slices, watermark = self._baseline
+                piece = slices[shard]
+                message = self._restore_message(
+                    _RECOVERY_RESTORE_EPOCH, piece, watermark, piece["registry"]
                 )
-                # bring the worker registry back to its checkpointed view so
-                # the replay re-applies exactly the post-checkpoint deltas;
-                # with no per-worker registry recorded (old checkpoint, or a
-                # full restore() baseline -- whose base snapshot already
-                # holds every worker's share) reset instead
-                worker_registries = sharded_info.get("worker_registries")
-                registry_action: object = "reset"
-                if isinstance(worker_registries, dict):
-                    recorded = worker_registries.get(str(shard))
-                    if isinstance(recorded, dict):
-                        registry_action = recorded
-                self._inboxes[shard].put(
-                    (
-                        "restore",
-                        _RECOVERY_RESTORE_EPOCH,
-                        executors,
-                        watermark,
-                        registry_action,
-                    )
-                )
+                self._inboxes[shard].put(message)
                 self._await_worker_ack(
                     shard,
                     _RECOVERY_RESTORE_EPOCH,
@@ -1332,21 +1046,13 @@ class ShardedRuntime(PipelineDriver):
                 entry = self._inflight[epoch]
                 if shard not in entry.pending:
                     continue
-                if entry.op == "checkpoint":
-                    self._inboxes[shard].put(("checkpoint", epoch))
-                elif entry.op == "metrics":
-                    self._inboxes[shard].put(("metrics", epoch))
-                elif entry.op == "observe":
-                    self._inboxes[shard].put(("observe", epoch))
-                elif entry.op == "restore":
-                    # the out-of-band restore above already applied the same
-                    # state (restore() records it before shipping)
+                if entry.op in ("restore", "replan"):
+                    # the baseline is set before either ships: the restore
+                    # above already applied the same state, and the respawned
+                    # worker was built from the post-migration specs
                     entry.pending.discard(shard)
-                elif entry.op == "replan":
-                    # a migration's recovery baseline is recorded before the
-                    # replan ships, and the respawned worker was built from
-                    # the post-migration specs: it already runs the new plan
-                    entry.pending.discard(shard)
+                elif entry.op not in ("batch", "flush"):  # those were replayed
+                    self._inboxes[shard].put((entry.op, epoch))
             self.recovery_log.append(
                 f"shard {shard} restarted "
                 f"({self.restart_counts[shard]}/{self.max_restarts}): {reason}"
@@ -1359,54 +1065,21 @@ class ShardedRuntime(PipelineDriver):
     def _await_worker_ack(self, shard: int, sentinel: int, what: str) -> None:
         """Wait for one special acknowledgement from ``shard``.
 
-        Normal data acknowledgements arriving meanwhile are applied; other
-        shards' specials -- and salvaged checkpoint payloads, which belong
-        to the checkpoint collection loop -- are held back for their own
-        consumers; failures are routed through :meth:`_handle_failure`
-        (fatal for ``shard`` itself -- it is already mid-recovery).
+        Everything else arriving meanwhile is applied to its epoch, except
+        other shards' specials, which are held back for their own wait
+        loops; failures are routed through :meth:`_handle_failure` (fatal
+        for ``shard`` itself -- it is already mid-recovery).
         """
-        deadline = _time.monotonic() + ACK_TIMEOUT_SECONDS
         stashed: List[tuple] = []
         try:
             while True:
-                try:
-                    ack = self._read_ack(timeout=0.2)
-                except _queue.Empty:
-                    proc = self._procs[shard]
-                    if not proc.is_alive():
-                        self._handle_failure(
-                            f"shard {shard} (pid {proc.pid}) exited with code "
-                            f"{proc.exitcode} during recovery ({what})",
-                            shard,
-                            exitcode=proc.exitcode,
-                        )
-                    if _time.monotonic() > deadline:  # pragma: no cover - hang
-                        self._fail(
-                            f"no acknowledgement within "
-                            f"{ACK_TIMEOUT_SECONDS:g}s waiting for {what}",
-                            shard,
-                        )
-                    continue
-                if ack[0] == "error":
-                    self._handle_failure(
-                        f"shard {ack[2]} failed:\n{ack[3]}", ack[2], exitcode=None
-                    )
-                    continue
-                epoch = ack[1]
-                if epoch in (-1, _RECOVERY_RESTORE_EPOCH):
-                    if ack[2] == shard and epoch == sentinel:
-                        return
-                    # another recovery's special: hold it back for that loop
+                ack = self._next_ack(shard, f"during recovery ({what})")
+                if ack[1] not in (-1, _RECOVERY_RESTORE_EPOCH):
+                    self._apply_ack(ack)
+                elif ack[1] == sentinel and ack[2] == shard:
+                    return
+                else:  # another recovery's special
                     stashed.append(ack)
-                    continue
-                if isinstance(ack[3], dict) and (
-                    "executors" in ack[3] or "registry" in ack[3]
-                ):
-                    # a checkpoint or metrics payload: its collection loop
-                    # consumes it
-                    stashed.append(ack)
-                    continue
-                self._apply_ack(ack)
         finally:
             self._held_acks.extend(stashed)
 
@@ -1455,15 +1128,11 @@ class ShardedRuntime(PipelineDriver):
                 self._apply_ack(self._next_ack())
             else:
                 try:
-                    ack = self._read_ack(timeout=0.0)
+                    ack = self._poll_ack(timeout=0.0)
                 except _queue.Empty:
                     break
-                if ack[0] == "error":
-                    self._handle_failure(
-                        f"shard {ack[2]} failed:\n{ack[3]}", ack[2], exitcode=None
-                    )
-                    continue
-                self._apply_ack(ack)
+                if ack is not None:
+                    self._apply_ack(ack)
         self._release_ready_epochs()
 
     def _ship(self, op: str, shards: Iterable[int], payloads=None) -> int:
@@ -1474,13 +1143,7 @@ class ShardedRuntime(PipelineDriver):
         self._inflight[epoch] = _Epoch(set(shards), op)
         for shard in shards:
             if not self._procs[shard].is_alive():
-                proc = self._procs[shard]
-                self._handle_failure(
-                    f"shard {shard} (pid {proc.pid}) exited with code "
-                    f"{proc.exitcode} before epoch {epoch} could be sent",
-                    shard,
-                    exitcode=proc.exitcode,
-                )
+                self._handle_exit(shard, f"before epoch {epoch} could be sent")
             message = payloads[shard] if payloads is not None else (op, epoch)
             self._inboxes[shard].put(message)
             # recovery replays everything shipped since the last checkpoint;
@@ -1540,6 +1203,81 @@ class ShardedRuntime(PipelineDriver):
             slot_loads[slot] += 1
             outboxes[assignment[slot]].append(event)
 
+    # -- quiesce -> snapshot -> restore -------------------------------------------
+
+    def _collect(self, op: str) -> Dict[int, object]:
+        """Quiesce, ask every worker for ``op``; return ``{shard: payload}``.
+
+        The one collection loop (``checkpoint`` slices, ``metrics``
+        registries, ``observe`` statistics).  A worker that dies meanwhile
+        is recovered inside :meth:`_next_ack`, which re-issues the request
+        to the replacement -- the loop only watches the epoch's pending set.
+        """
+        self._drain_acks(block=True)
+        entry = self._inflight[self._ship(op, range(self.shard_count))]
+        while entry.pending:
+            self._apply_ack(self._next_ack())
+        self._release_ready_epochs()
+        return entry.payloads
+
+    def _worker_watermark(self) -> Optional[float]:
+        """The watermark the workers' state stands at (None before the first)."""
+        shipped = self._shipped_watermark
+        return None if shipped == -math.inf else shipped
+
+    def _set_baseline(self, slices: Dict[int, dict], watermark) -> None:
+        """Record what the live workers hold as the state recovery resumes from.
+
+        Everything shipped before this consistent cut is part of
+        ``slices``, so the replay buffers restart empty.
+        """
+        if self.max_restarts:
+            self._baseline = (slices, watermark)
+            self._replay = [[] for _ in range(self.shard_count)]
+
+    @staticmethod
+    def _restore_message(epoch: int, piece: dict, watermark, registry_action) -> tuple:
+        """The ``restore`` operation putting one worker onto ``piece``.
+
+        ``registry_action`` steers the worker's registry: ``None`` keeps it
+        (live migrations -- its counts are cumulative per worker),
+        ``"reset"`` zeroes it, a snapshot restores it (recovery).
+        """
+        return ("restore", epoch, piece["executors"], watermark, registry_action)
+
+    def _install(self, slices: Dict[int, dict], shards, registry_action) -> None:
+        """Make ``slices`` the baseline, then restore ``shards`` onto theirs.
+
+        The baseline is recorded before the ship: a worker that dies
+        mid-way is recovered straight into the state being installed.
+        """
+        watermark = self._worker_watermark()
+        self._set_baseline(slices, watermark)
+        if shards:
+            payloads = {
+                shard: self._restore_message(
+                    self._epoch, slices[shard], watermark, registry_action
+                )
+                for shard in shards
+            }
+            self._ship("restore", shards, payloads)
+        self._drain_acks(block=True)
+
+    def _migrate(self, mutate) -> Dict[int, dict]:
+        """Move state between live workers: the one migration primitive.
+
+        quiesce -> collect every worker's slice -> ``mutate(slices)`` ->
+        the mutated slices become the recovery baseline -> the shards
+        ``mutate`` returned are restored onto theirs -> await.  ``mutate``
+        edits the slices in place (they are fresh copies) and is all a
+        caller supplies; because sub-streams never interact, re-homing
+        entries, relabelling a plan or handing a partition off are the same
+        operation.  Returns the slices as installed.
+        """
+        slices = self._collect("checkpoint")
+        self._install(slices, mutate(slices), None)
+        return slices
+
     # -- adaptive rebalancing --------------------------------------------------
 
     @property
@@ -1552,15 +1290,8 @@ class ShardedRuntime(PipelineDriver):
         if not self._policy.enabled or self.shard_count < 2:
             return
         self._events_since_rebalance_check += 1
-        if self._events_since_rebalance_check < self._policy.min_interval:
-            return
-        self._events_since_rebalance_check = 0
-        moves = self._policy.plan(
-            self._slot_loads, self._router.assignment, self.shard_count
-        )
-        self._slot_loads = [0] * self._router.slots
-        if moves:
-            self._apply_moves(moves)
+        if self._events_since_rebalance_check >= self._policy.min_interval:
+            self.rebalance()
 
     def rebalance(
         self, moves: Optional[List[Tuple[int, int]]] = None
@@ -1611,83 +1342,44 @@ class ShardedRuntime(PipelineDriver):
     def _apply_moves(self, moves: List[Tuple[int, int]]) -> None:
         """Migrate the state of ``moves``' hash slots between live workers.
 
-        The migration runs behind the last shipped watermark -- a quiesce:
-
-        1. events still buffered in parent outboxes are **held back** (they
-           must be processed by the new owners of their slots, after those
-           own the migrated state) and every in-flight batch is
-           acknowledged;
-        2. each worker's executor state is snapshotted through the
-           checkpoint path;
-        3. the router entries are swapped (bumping the map version) and the
-           affected workers are restored from the snapshots re-split under
-           the new map -- each keeps its own ``events_seen``, so composed
-           checkpoints stay exact;
-        4. with recovery enabled, the composed snapshot (which records the
-           new map) becomes the recovery baseline: a worker crash mid- or
-           post-migration restores the post-migration topology;
-        5. the held events are **replayed**: re-routed through the updated
-           map, to be shipped with the next wave.
+        A :meth:`_migrate` whose mutation swaps the router entries (bumping
+        the map version) and re-homes every aggregator entry under the new
+        map; only the workers that lose or gain a slot are restored.  Events
+        still buffered in parent outboxes are **held back** around it -- they
+        must be processed by the new owners of their slots, after those own
+        the migrated state -- and then re-routed through the updated map, to
+        be shipped with the next wave.
         """
         started = _time.perf_counter()
         router = self._router
         old_owner = {slot: router.assignment[slot] for slot, _ in moves}
+        affected = sorted(set(old_owner.values()) | {w for _, w in moves})
         held = [event for outbox in self._outboxes for event in outbox]
         self._outboxes = [[] for _ in range(self.shard_count)]
-        shard_payloads = self._collect_shard_snapshots()
-        for slot, worker in moves:
-            router.move(slot, worker)
-        affected = sorted(set(old_owner.values()) | {w for _, w in moves})
         moved_keys = set()
-        splits: Dict[int, Dict[str, object]] = {shard: {} for shard in affected}
-        for spec in self._specs:
-            states = {
-                shard: payload["executors"][spec.name]
-                for shard, payload in shard_payloads.items()
-            }
-            last_times = [
-                state["last_time"]
-                for state in states.values()
-                if state["last_time"] is not None
-            ]
-            # like split_executor_snapshot, every restored shard gets the
-            # global last_time so executor order checks stay protected
-            global_last = max(last_times) if last_times else None
-            entries: Dict[int, List] = {shard: [] for shard in affected}
-            for shard, state in states.items():
-                for entry in state["aggregators"]:
-                    key = tuple(entry[1])
-                    owner = router.owner_of_key(key)
-                    if owner != shard:
-                        moved_keys.add(key)
-                    if owner in entries:
-                        entries[owner].append(entry)
-            for shard in affected:
-                shard_entries = entries[shard]
-                shard_entries.sort(key=lambda entry: (entry[0], repr(entry[1])))
-                own = states[shard]
-                splits[shard][spec.name] = {
-                    "query": own["query"],
-                    "granularity": own["granularity"],
-                    "events_seen": own["events_seen"],
-                    "last_time": global_last,
-                    "aggregators": shard_entries,
+
+        def keys(state: Dict[str, object]) -> set:
+            return {tuple(entry[1]) for entry in state["aggregators"]}
+
+        def swap(slices: Dict[int, dict]) -> List[int]:
+            for slot, worker in moves:
+                router.move(slot, worker)
+            for spec in self._specs:
+                states = {
+                    shard: piece["executors"][spec.name]
+                    for shard, piece in slices.items()
                 }
-        snapshot = self._compose_snapshot(shard_payloads)
-        if self.max_restarts:
-            # recorded before the ship: a worker that dies mid-migration is
-            # recovered straight into the post-migration layout
-            self._last_checkpoint = snapshot
-            self._replay = [[] for _ in range(self.shard_count)]
-        watermark = snapshot["sharded"]["watermark"]
-        payloads = {
-            shard: ("restore", self._epoch, splits[shard], watermark)
-            for shard in affected
-        }
-        self._ship("restore", affected, payloads)
-        self._drain_acks(block=True)
-        # the replay: held events re-routed under the swapped map (their
-        # slot loads were already counted when they were first routed)
+                rehomed = rehome_executor_snapshots(states, router.owner_of_key)
+                for shard in affected:
+                    # an unaffected worker is not restored, so its slice
+                    # (its own last_time included) stays what it holds
+                    moved_keys.update(keys(rehomed[shard]) - keys(states[shard]))
+                    slices[shard]["executors"][spec.name] = rehomed[shard]
+            return affected
+
+        self._migrate(swap)
+        # held events re-routed under the swapped map (their slot loads were
+        # already counted when they were first routed)
         assignment = router.assignment
         slots = router.slots
         plan = self._routing_plan
@@ -1720,49 +1412,21 @@ class ShardedRuntime(PipelineDriver):
         if self._replan_controller.due(1):
             self._replan_now()
 
-    def _collect_worker_observations(self) -> Dict[str, Dict[str, float]]:
-        """Quiesce in-flight work and merge every worker's raw statistics.
-
-        The replan counterpart of :meth:`_collect_worker_registries` for the
-        lightweight ``observe`` operation: the per-shard, per-query raw
-        statistics come back and are summed into one stream-wide view per
-        query (:func:`~repro.streaming.replan.merge_raw_observations`).
-        """
-        self._drain_acks(block=True)
-        self._ship("observe", range(self.shard_count))
-        payloads: Dict[int, dict] = {}
-        collected = 0
-        while collected < self.shard_count:
-            ack = self._next_ack()
-            if ack[0] == "ok" and isinstance(ack[3], dict) and "observe" in ack[3]:
-                if ack[2] not in payloads:
-                    collected += 1
-                payloads[ack[2]] = ack[3]["observe"]
-                entry = self._inflight.get(ack[1])
-                if entry is not None:
-                    entry.pending.discard(ack[2])
-                    if not entry.pending:
-                        self._inflight.pop(ack[1], None)
-            else:  # a straggling batch ack ahead of the observe ack
-                self._apply_ack(ack)
-        self._release_ready_epochs()
-        return {
-            spec.name: merge_raw_observations(
-                [payloads[shard][spec.name] for shard in sorted(payloads)]
-            )
-            for spec in self._specs
-        }
-
     def _replan_now(self) -> None:
         """One check of the control loop: observe workers, decide, migrate."""
         controller = self._replan_controller
         controller.begin_check()
         started = _time.perf_counter()
-        merged = self._collect_worker_observations()
+        # per-shard, per-query raw statistics, summed into one stream-wide
+        # view per query; the decision is central, workers never re-plan
+        observed = self._collect("observe")
         migrations: List[Tuple[str, "Granularity"]] = []
         for spec in self._specs:
             engine = self._engines[spec.name]
-            target = controller.decide(spec.name, engine, merged[spec.name])
+            merged = merge_raw_observations(
+                [observed[shard]["observe"][spec.name] for shard in sorted(observed)]
+            )
+            target = controller.decide(spec.name, engine, merged)
             if (
                 target is not engine.plan.granularity
                 and len(migrations) < controller.policy.max_migrations
@@ -1777,46 +1441,36 @@ class ShardedRuntime(PipelineDriver):
     def _apply_replan(self, migrations: List[Tuple[str, "Granularity"]]) -> None:
         """Broadcast granularity migrations to the workers, quiesced.
 
-        The act step, between shipped waves (routing is granularity-blind,
-        so -- unlike :meth:`_apply_moves` -- no events change owner):
-
-        1. in-flight work is acknowledged and every worker's executor state
-           is snapshotted through the checkpoint path;
-        2. the parent engines re-plan (validating the target granularity)
-           and the registration specs are updated, so recovered workers and
-           composed checkpoints describe the post-migration plan;
-        3. with recovery enabled, the composed snapshot -- its migrated
-           executor states relabelled with the new granularity (their open
-           aggregators keep the recorded per-class layout) -- becomes the
-           recovery baseline: a worker crash mid-migration restores the
-           post-migration plan version;
-        4. the ``replan`` operation is broadcast and acknowledged by every
-           worker before any further events ship.
+        A :meth:`_migrate` whose mutation re-plans the parent engines
+        (validating the target granularity), updates the registration specs
+        -- so recovered workers and composed checkpoints describe the
+        post-migration plan -- and relabels the migrated queries' slices
+        with the new granularity (the worker snapshots were taken
+        pre-migration; open aggregators carry their own recorded classes
+        and rebuild unchanged).  Routing is granularity-blind, so no state
+        changes owner and nothing is restored: the ``replan`` operation is
+        broadcast instead, and acknowledged by every worker before any
+        further events ship.
         """
         controller = self._ensure_replan_controller()
-        shard_payloads = self._collect_shard_snapshots()
         performed: List[Tuple[str, "Granularity", "Granularity"]] = []
-        for name, target in migrations:
-            engine = self._engines[name]
-            previous = engine.plan.granularity
-            if not migrate_engine(engine, target):
-                continue
-            for spec in self._specs:
-                if spec.name == name:
-                    spec.granularity = engine.plan.granularity.value
-            performed.append((name, previous, engine.plan.granularity))
-        if not performed:
-            return
-        snapshot = self._compose_snapshot(shard_payloads)
-        for name, _, new in performed:
-            # the worker snapshots were taken pre-migration: relabel the
-            # merged executor state so a recovery restores into the
-            # post-migration executor (open aggregators carry their own
-            # recorded classes and rebuild unchanged)
-            snapshot["executors"][name]["granularity"] = new.value
-        if self.max_restarts:
-            self._last_checkpoint = snapshot
-            self._replay = [[] for _ in range(self.shard_count)]
+
+        def relabel(slices: Dict[int, dict]) -> List[int]:
+            for name, target in migrations:
+                engine = self._engines[name]
+                previous = engine.plan.granularity
+                if not migrate_engine(engine, target):
+                    continue
+                new = engine.plan.granularity
+                for spec in self._specs:
+                    if spec.name == name:
+                        spec.granularity = new.value
+                for piece in slices.values():
+                    piece["executors"][name]["granularity"] = new.value
+                performed.append((name, previous, new))
+            return []
+
+        slices = self._migrate(relabel)
         for name, previous, new in performed:
             payloads = {
                 shard: ("replan", self._epoch, name, new.value)
@@ -1827,7 +1481,7 @@ class ShardedRuntime(PipelineDriver):
                 name,
                 previous,
                 new,
-                int(snapshot["executors"][name].get("events_seen", 0)),
+                sum(int(p["executors"][name]["events_seen"]) for p in slices.values()),
             )
         self._drain_acks(block=True)
 
@@ -1878,12 +1532,15 @@ class ShardedRuntime(PipelineDriver):
 
     # -- streaming -------------------------------------------------------------
 
-    def _check_usable(self) -> None:
+    def _check_not_poisoned(self) -> None:
         if self._poisoned:
             raise RuntimeError(
                 "this sharded runtime was closed after a failure; create a "
                 "new runtime (and restore the last checkpoint if desired)"
             )
+
+    def _check_usable(self) -> None:
+        self._check_not_poisoned()
         if self._flushed:
             raise RuntimeError(
                 "this runtime was flushed and its workers stopped; create a "
@@ -2031,11 +1688,7 @@ class ShardedRuntime(PipelineDriver):
         runtime hosting the same queries (they are few -- no sharding
         needed) and come back flagged ``is_correction=True``.
         """
-        if self._poisoned:
-            raise RuntimeError(
-                "this sharded runtime was closed after a failure; create a "
-                "new runtime (and restore the last checkpoint if desired)"
-            )
+        self._check_not_poisoned()
         late = self._ingestor.take_side_channel()
         if not late:
             return []
@@ -2100,75 +1753,16 @@ class ShardedRuntime(PipelineDriver):
         # events sitting in parent outboxes must be part of the workers'
         # state, not lost between router and snapshot
         self._ship_outboxes(self._pending_watermark)
-        shard_payloads = self._collect_shard_snapshots()
-        snapshot = self._compose_snapshot(shard_payloads)
-        if self.max_restarts:
-            # everything before this consistent cut is durable; the replay
-            # buffers only need to cover what ships from here on
-            self._last_checkpoint = snapshot
-            self._replay = [[] for _ in range(self.shard_count)]
+        slices = self._collect("checkpoint")
+        self._set_baseline(slices, self._worker_watermark())
+        snapshot = self._compose_snapshot(slices)
         self._observe_lifecycle("checkpoint", _time.perf_counter() - started)
         return snapshot
 
-    def _collect_shard_snapshots(self) -> Dict[int, Dict]:
-        """Quiesce in-flight work and collect every worker's snapshot payload."""
-        self._drain_acks(block=True)
-        self._ship("checkpoint", range(self.shard_count))
-        shard_payloads: Dict[int, Dict] = {}
-        collected = 0
-        while collected < self.shard_count:
-            ack = self._next_ack()
-            if ack[0] == "ok" and isinstance(ack[3], dict) and "executors" in ack[3]:
-                if ack[2] not in shard_payloads:
-                    # a shard can legitimately answer twice: its payload was
-                    # delivered, the worker died, and the re-issued request
-                    # produced an equivalent one -- count each shard once
-                    collected += 1
-                shard_payloads[ack[2]] = ack[3]
-                # keep the epoch's pending set accurate shard by shard: a
-                # recovery mid-collection re-requests exactly the payloads
-                # still owed (see _recover)
-                entry = self._inflight.get(ack[1])
-                if entry is not None:
-                    entry.pending.discard(ack[2])
-                    if not entry.pending:
-                        self._inflight.pop(ack[1], None)
-            else:  # a straggling batch ack ahead of the checkpoint ack
-                self._apply_ack(ack)
-        self._release_ready_epochs()
-        return shard_payloads
-
     def _collect_worker_registries(self) -> List[dict]:
-        """Quiesce in-flight work and pull every worker's registry snapshot.
-
-        The metrics counterpart of :meth:`_collect_shard_snapshots` (same
-        quiesce, same recovery-aware collection loop) for the lightweight
-        ``metrics`` operation, which carries no executor state.
-        """
-        self._drain_acks(block=True)
-        self._ship("metrics", range(self.shard_count))
-        registries: Dict[int, dict] = {}
-        collected = 0
-        while collected < self.shard_count:
-            ack = self._next_ack()
-            if (
-                ack[0] == "ok"
-                and isinstance(ack[3], dict)
-                and "registry" in ack[3]
-                and "executors" not in ack[3]
-            ):
-                if ack[2] not in registries:
-                    collected += 1
-                registries[ack[2]] = ack[3]["registry"]
-                entry = self._inflight.get(ack[1])
-                if entry is not None:
-                    entry.pending.discard(ack[2])
-                    if not entry.pending:
-                        self._inflight.pop(ack[1], None)
-            else:  # a straggling batch ack ahead of the metrics ack
-                self._apply_ack(ack)
-        self._release_ready_epochs()
-        return [registries[shard] for shard in sorted(registries)]
+        """Quiesce in-flight work and pull every worker's registry snapshot."""
+        payloads = self._collect("metrics")
+        return [payloads[shard]["registry"] for shard in sorted(payloads)]
 
     def _compose_snapshot(self, shard_payloads: Dict[int, Dict]) -> Dict[str, object]:
         """Merge per-worker payloads into the single-process snapshot schema."""
@@ -2195,15 +1789,7 @@ class ShardedRuntime(PipelineDriver):
         )
         return {
             "version": CHECKPOINT_VERSION,
-            "queries": [
-                {
-                    "name": spec.name,
-                    "granularity": self._engines[spec.name].granularity,
-                    "definition": self._engines[spec.name].query.describe(),
-                    "emit_empty_groups": spec.emit_empty_groups,
-                }
-                for spec in self._specs
-            ],
+            "queries": query_header(self._engines.items()),
             "executors": executors,
             "ingest": self._ingestor.snapshot(),
             "metrics": self.metrics.snapshot(),
@@ -2217,11 +1803,7 @@ class ShardedRuntime(PipelineDriver):
                 # recovery restore must resume emission from (equals the
                 # metrics watermark for checkpoint(), which ships pending
                 # watermarks first, but lags it during a migration quiesce)
-                "watermark": (
-                    None
-                    if self._shipped_watermark == -math.inf
-                    else self._shipped_watermark
-                ),
+                "watermark": self._worker_watermark(),
             },
         }
 
@@ -2237,27 +1819,10 @@ class ShardedRuntime(PipelineDriver):
         post-migration assignment instead of the seed one.  Pending records
         of this runtime's own timeline are discarded.
         """
-        version = state.get("version")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint version {version!r} is not supported "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
+        recorded = checkpointed_queries(state)
         self._check_usable()
         if not self._started:
             self._start()
-        try:
-            recorded = [
-                (
-                    q["name"],
-                    q["granularity"],
-                    q.get("definition"),
-                    bool(q.get("emit_empty_groups", False)),
-                )
-                for q in state["queries"]
-            ]
-        except (KeyError, TypeError) as exc:
-            raise CheckpointError(f"malformed checkpoint: {exc}") from exc
         if self._replan_policy is not None:
             # with re-planning enabled the checkpointed granularity wins: a
             # snapshot taken after a migration restores into a runtime whose
@@ -2269,26 +1834,12 @@ class ShardedRuntime(PipelineDriver):
                 if entry is None or entry[1] == self._engines[spec.name].granularity:
                     continue
                 try:
-                    self._drain_acks(block=True)
                     self._apply_replan([(spec.name, entry[1])])
+                except WorkerCrashError:
+                    raise  # _fail already poisoned the runtime
                 except Exception:
                     pass  # the identity check below reports the mismatch
-        current = [
-            (
-                spec.name,
-                self._engines[spec.name].granularity,
-                self._engines[spec.name].query.describe(),
-                bool(spec.emit_empty_groups),
-            )
-            for spec in self._specs
-        ]
-        if recorded != current:
-            names = [(entry[0], entry[1]) for entry in recorded]
-            raise CheckpointError(
-                f"registered queries do not match the checkpointed queries "
-                f"{names}: names, granularities, definitions and "
-                f"emit_empty_groups must be identical"
-            )
+        check_query_identity(recorded, query_header(self._engines.items()))
         # quiesce: outstanding epochs and unshipped events belong to the
         # abandoned timeline
         self._drain_acks(block=True)
@@ -2297,23 +1848,6 @@ class ShardedRuntime(PipelineDriver):
         self._pushes_since_ship = 0
         self._pending_watermark = None
         restore_started = _time.perf_counter()
-        if self.max_restarts:
-            # recorded before the ship: a worker that dies mid-restore is
-            # recovered straight into this state (with nothing to replay).
-            # The recovery baseline must NOT carry per-worker registries:
-            # below, every worker resets its registry (the parent's restored
-            # base snapshot already contains the workers' shares), so a
-            # later recovery must reset the replacement the same way or the
-            # share would be counted twice.
-            if isinstance(state.get("sharded"), dict):
-                sharded_section = dict(state["sharded"])
-                sharded_section.pop("worker_registries", None)
-                baseline = dict(state)
-                baseline["sharded"] = sharded_section
-            else:
-                baseline = state
-            self._last_checkpoint = baseline
-            self._replay = [[] for _ in range(self.shard_count)]
         try:
             # adopt the checkpointed router map when the topology matches;
             # rebuild the seed map otherwise (aggregators are re-split by
@@ -2333,8 +1867,14 @@ class ShardedRuntime(PipelineDriver):
             self._slot_loads = [0] * self._router.slots
             self._events_since_rebalance_check = 0
             self._shipped_watermark = -math.inf
-            splits = {
-                shard: {"executors": {}} for shard in range(self.shard_count)
+            # every worker resets its registry: the merged registry becomes
+            # the parent's base, so base + fresh worker deltas stays the
+            # cumulative view (old checkpoints carry no registry and simply
+            # reset everything).  The baseline says "reset" too -- a later
+            # recovery must not count a worker's share twice.
+            slices = {
+                shard: {"executors": {}, "registry": "reset"}
+                for shard in range(self.shard_count)
             }
             for spec in self._specs:
                 per_shard = split_executor_snapshot(
@@ -2343,30 +1883,15 @@ class ShardedRuntime(PipelineDriver):
                     owner=self._router.owner_of_key,
                 )
                 for shard, snapshot in per_shard.items():
-                    splits[shard]["executors"][spec.name] = snapshot
+                    slices[shard]["executors"][spec.name] = snapshot
             self._ingestor.restore(state["ingest"])
             self.metrics.restore(state["metrics"])
-            # the merged registry becomes the parent's base; the workers
-            # reset theirs (fifth payload element) so base + fresh worker
-            # deltas stays the cumulative view -- old checkpoints carry no
-            # registry and simply reset everything
             self.observability.registry.restore(state.get("registry"))
             self._final_worker_registries = None
             self._emitted_counts = {
                 name: int(count) for name, count in state["emitted_counts"].items()
             }
-            payloads = {
-                shard: (
-                    "restore",
-                    self._epoch,
-                    splits[shard]["executors"],
-                    None,
-                    "reset",
-                )
-                for shard in range(self.shard_count)
-            }
-            self._ship("restore", range(self.shard_count), payloads)
-            self._drain_acks(block=True)
+            self._install(slices, range(self.shard_count), "reset")
         except WorkerCrashError:
             raise  # _fail already poisoned the runtime and stopped the workers
         except Exception as exc:

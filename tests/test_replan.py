@@ -29,7 +29,7 @@ from repro.analyzer.cost import (
 )
 from repro.analyzer.granularity import Granularity, allowed_granularities
 from repro.analyzer.plan import CograPlan, plan_query
-from repro.errors import CheckpointError, ConfigError, PlanningError
+from repro.errors import CheckpointError, ConfigError, PlanningError, WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.parser import parse_query
@@ -714,6 +714,25 @@ class TestReplanCheckpointing:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
         assert canonical(records) == canonical(single_process_records(events))
+
+    def test_sharded_restore_reports_a_crashed_worker_as_such(self):
+        # adopting the checkpointed granularity quiesces the workers; one
+        # that died surfaces as the crash it is (the runtime is poisoned),
+        # not as a "queries do not match" checkpoint error
+        events = make_stream(count=100)
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(QUERY, name="q", granularity="event")
+        runtime.process_batch(events[:50])
+        snapshot = runtime.checkpoint()
+
+        resumed = ShardedRuntime(workers=2, lateness=0.0, replan=DRIFT_REPLAN)
+        resumed.register(QUERY, name="q", granularity="type")
+        resumed.process_batch(events[:10])  # starts the workers
+        kill_worker(resumed, 0)
+        with pytest.raises(WorkerCrashError):
+            resumed.restore(snapshot)
+        with pytest.raises(RuntimeError, match="closed after a failure"):
+            resumed.process(events[10])
 
     def test_sharded_snapshot_restores_into_a_single_process_runtime(self):
         # checkpoints are topology-independent: a migration performed by

@@ -8,6 +8,7 @@ to an uninterrupted single-process run.
 """
 
 import os
+import queue
 import random
 import signal
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from repro.errors import WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
+from repro.streaming import sharded
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.sharded import ShardedRuntime
@@ -230,3 +232,126 @@ class TestRecoveryProperty:
         )
         assert runtime.restart_counts[shard] == 1
         assert canonical(records) == canonical(expected)
+
+
+class TestRecoveredStateIsExact:
+    """A recovered worker holds exactly what it would hold uncrashed.
+
+    The recovery baseline is the per-shard slices the live workers held at
+    the last consistent cut, so a respawned worker resumes *its own*
+    ``events_seen`` -- not a share re-split from a composed snapshot --
+    whatever cut the baseline last: a checkpoint, a rebalance, a
+    granularity migration or a ``restore()``.
+    """
+
+    @staticmethod
+    def executors_after_250(scenario, kill):
+        """Run the stream's first 250 events; return the checkpoint taken then.
+
+        The baseline is cut at event 100 (a checkpoint, or a ``restore()``
+        of a 2-worker checkpoint into 3 workers) and -- for ``rebalance``
+        and ``replan`` -- re-cut at event 150; shard ``kill`` dies at 200.
+        """
+        events = make_stream()
+        runtime = ShardedRuntime(
+            workers=3 if scenario == "restore" else 2,
+            lateness=0.0,
+            ship_interval=8,
+            max_restarts=1,
+        )
+        runtime.register(QUERY, name="q")
+        with runtime:
+            if scenario == "restore":
+                with ShardedRuntime(workers=2, lateness=0.0, ship_interval=8) as seed:
+                    seed.register(QUERY, name="q")
+                    seed.process_batch(events[:100])
+                    runtime.restore(seed.checkpoint())
+            else:
+                runtime.process_batch(events[:100])
+                first = runtime.checkpoint()
+            runtime.process_batch(events[100:150])
+            if scenario == "rebalance":
+                # move a slot that holds state, so entries change owner
+                key = tuple(first["executors"]["q"]["aggregators"][0][1])
+                slot = runtime._router.slot_of(key)
+                moves = [(slot, 1 - runtime._router.assignment[slot])]
+                assert runtime.rebalance(moves) == moves
+            elif scenario == "replan":
+                assert runtime.migrate_granularity("q", "event")
+            runtime.process_batch(events[150:200])
+            if kill is not None:
+                kill_worker(runtime, kill)
+            runtime.process_batch(events[200:250])
+            executors = runtime.checkpoint()["executors"]
+            assert sum(runtime.restart_counts) == (0 if kill is None else 1)
+            return executors
+
+    @pytest.mark.parametrize(
+        "scenario, kill",
+        [
+            ("checkpoint", 0),
+            ("checkpoint", 1),
+            ("rebalance", 0),
+            ("replan", 0),
+            ("restore", 0),
+        ],
+    )
+    def test_checkpoint_after_recovery_equals_the_uncrashed_one(self, scenario, kill):
+        recovered = self.executors_after_250(scenario, kill)
+        uncrashed = self.executors_after_250(scenario, None)
+        assert recovered["q"]["events_seen"] == uncrashed["q"]["events_seen"]
+        # entry for entry, scalar for scalar (last_time, granularity, ...)
+        assert recovered == uncrashed
+
+
+class TestObserveDuringRecovery:
+    def test_observe_ack_delivered_during_another_shards_recovery_is_kept(
+        self, monkeypatch
+    ):
+        """Shard 1 dies during an ``observe`` collection over 3 workers and
+        shard 2's answer is delivered while shard 1's ready handshake is
+        awaited: the answer belongs to the observe epoch whoever reads it,
+        so the merged observation still covers all three shards (it used to
+        be swallowed, and the collection waited out the ack timeout)."""
+        # a lost answer fails in seconds, not in two minutes
+        monkeypatch.setattr(sharded, "ACK_TIMEOUT_SECONDS", 5.0)
+        events = make_stream(count=120)
+        runtime = ShardedRuntime(
+            workers=3,
+            lateness=0.0,
+            ship_interval=4,
+            max_restarts=1,
+            replan={"enabled": True, "check_interval_events": 10**6},
+        )
+        runtime.register(QUERY, name="q")
+        with runtime:
+            runtime.process_batch(events)
+            runtime.checkpoint()  # quiesces: nothing is in flight from here
+            observe_epoch = runtime._epoch
+            read_ack = runtime._read_ack
+            answers = {}
+            calls = []
+
+            def scripted(timeout):
+                calls.append(timeout)
+                if len(calls) == 1:
+                    # all three workers answer; shard 1's answer is lost
+                    # with its pipe, shard 0's is delivered first
+                    while len(answers) < 3:
+                        ack = read_ack(1.0)
+                        assert ack[:2] == ("ok", observe_epoch)
+                        answers[ack[2]] = ack
+                    return answers[0]
+                if len(calls) == 2:
+                    kill_worker(runtime, 1)
+                    raise queue.Empty  # the liveness check finds shard 1 dead
+                if len(calls) == 3:
+                    # read by the wait for shard 1's ready handshake
+                    return answers[2]
+                return read_ack(timeout)
+
+            monkeypatch.setattr(runtime, "_read_ack", scripted)
+            runtime._replan_now()
+            assert runtime.restart_counts == [0, 1, 0]
+            shipped = sum(stats.events_sent for stats in runtime.shard_stats)
+            assert runtime.query_observations()["q"].events_total == shipped > 0
