@@ -20,7 +20,7 @@ exposes
 
 from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, JobStartError
 from repro.core.parallel import ParallelExecutor
 from repro.core.results import GroupResult
 from repro.events.event import Event, EventSchema
@@ -124,6 +124,7 @@ __all__ = [
     "IterableSource",
     "Job",
     "JobConfig",
+    "JobStartError",
     "JsonlFileSink",
     "JsonlFileSource",
     "JsonlFileTailSource",

@@ -48,6 +48,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -85,6 +86,7 @@ from repro.errors import (
     CheckpointError,
     ConfigError,
     InvalidEventError,
+    JobStartError,
     LateEventError,
     SourceError,
     WorkerCrashError,
@@ -92,15 +94,13 @@ from repro.errors import (
 from repro.query.parser import parse_query
 from repro.streaming.config import (
     JobConfig,
+    job,
     merge_config_layers,
     read_config_file,
-    resume_job,
 )
 from repro.streaming.ingest import LatePolicy
-from repro.streaming.jsonl import record_to_json_line, write_jsonl_events
-from repro.streaming.observability import PrometheusTextServer
+from repro.streaming.jsonl import record_to_json_line
 from repro.streaming.sharded import ShardedRuntime
-from repro.streaming.sources import CallbackSink
 
 #: dataset name -> (config class, generator)
 DATASETS = {
@@ -518,14 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _close_store_quietly(store) -> None:
-    """Stop a checkpoint store on an error path (its writer thread included)."""
-    try:
-        store.close()
-    except CheckpointError:
-        pass  # the path is already reporting a more primary error
-
-
 def _load_query_text(argument: str) -> str:
     try:
         with open(argument, "r", encoding="utf-8") as handle:
@@ -641,207 +633,109 @@ def _command_experiments(args) -> int:
 _STREAM_CLI_DEFAULTS = {"late": {"policy": LatePolicy.DROP.value}}
 
 
+#: ``cogra stream`` flag (its argparse dest) -> the config path it sets: the
+#: one table behind both directions.  A given flag overrides its path
+#: (:func:`_stream_flag_overrides`; where two flags set one path the later
+#: wins, ``--source`` over ``--input``), and an error naming a path is
+#: reported as the flag (:func:`_in_flag_words`).  What a value may be is
+#: not repeated here -- the config dataclass field declares it.
+_STREAM_FLAGS = {
+    "input": "source.spec",
+    "source": "source.spec",
+    "sink": "sink.spec",
+    "exactly_once": "sink.exactly_once",
+    "max_inflight": "backpressure.max_inflight",
+    "checkpoint_dir": "checkpoint.dir",
+    "checkpoint_interval": "checkpoint.interval",
+    "recover": "checkpoint.recover",
+    "lateness": "watermark.lateness",
+    "late_policy": "late.policy",
+    "punctuation_type": "watermark.punctuation_type",
+    "late_output": "late.side_channel_path",
+    "emit_empty_groups": "emit_empty_groups",
+    "workers": "shards.workers",
+    "ship_interval": "shards.ship_interval",
+    "decode_batch_size": "batch.decode_batch_size",
+    "rebalance": "shards.rebalance.enabled",
+    "replan": "replan.enabled",
+    "metrics_export": "observability.metrics_export_path",
+    "metrics_interval": "observability.metrics_interval_seconds",
+    "trace": "observability.trace_path",
+    "trace_sample_rate": "observability.trace_sample_rate",
+    "prometheus_port": "observability.prometheus_port",
+}
+
+
+def _flag_given(args, dest: str) -> bool:
+    """Value flags default to ``None`` and switches to ``False``: "not given"."""
+    value = getattr(args, dest)
+    return value is not None and value is not False  # 0 is a given value
+
+
 def _stream_flag_overrides(args) -> dict:
     """The raw-config layer contributed by explicitly given flags."""
     overrides: dict = {}
 
-    def put(section: str, key: str, value) -> None:
-        overrides.setdefault(section, {})[key] = value
+    def put(path: str, value) -> None:
+        # nested layers: deep-merging preserves the sibling keys (say,
+        # shards.rebalance.* tuning) a --config file provides
+        *sections, key = path.split(".")
+        layer = overrides
+        for section in sections:
+            layer = layer.setdefault(section, {})
+        layer[key] = value
 
+    for dest, path in _STREAM_FLAGS.items():
+        if _flag_given(args, dest):
+            put(path, getattr(args, dest))
     if args.queries:
         overrides["queries"] = [
             {"text": _load_query_text(text)} for text in args.queries
         ]
-    if args.source is not None:
-        put("source", "spec", args.source)
-    elif args.input is not None:
-        put("source", "spec", args.input)
-    if args.lateness is not None:
-        put("watermark", "lateness", args.lateness)
     if args.punctuation_type is not None:
-        put("watermark", "kind", "punctuation")
-        put("watermark", "punctuation_type", args.punctuation_type)
+        put("watermark.kind", "punctuation")
         if args.lateness is None:
             # switching the watermark kind moots a config file's lateness;
             # only an explicitly passed --lateness should still conflict
-            put("watermark", "lateness", 0.0)
-    if args.late_policy is not None:
-        put("late", "policy", args.late_policy)
-    if args.sink is not None:
-        put("sink", "spec", args.sink)
-    if args.exactly_once:
-        put("sink", "exactly_once", True)
-    if args.max_inflight is not None:
-        put("backpressure", "max_inflight", args.max_inflight)
-    if args.late_output is not None:
-        put("late", "side_channel_path", args.late_output)
-    if args.emit_empty_groups:
-        overrides["emit_empty_groups"] = True
-    if args.workers is not None:
-        put("shards", "workers", args.workers)
-    if args.ship_interval is not None:
-        put("shards", "ship_interval", args.ship_interval)
-    if args.decode_batch_size is not None:
-        put("batch", "decode_batch_size", args.decode_batch_size)
-    if args.rebalance:
-        # a nested layer: deep-merging preserves any shards.rebalance.*
-        # tuning keys a --config file provides alongside the flag
-        put("shards", "rebalance", {"enabled": True})
-    if args.replan:
-        # same deep-merge story for a config file's replan.* tuning keys
-        put("replan", "enabled", True)
-    if args.checkpoint_dir is not None:
-        put("checkpoint", "dir", args.checkpoint_dir)
-    if args.checkpoint_interval is not None:
-        put("checkpoint", "interval", args.checkpoint_interval)
-    if args.recover:
-        put("checkpoint", "recover", True)
-    if args.metrics_export is not None:
-        put("observability", "metrics_export_path", args.metrics_export)
-    if args.metrics_interval is not None:
-        put("observability", "metrics_interval_seconds", args.metrics_interval)
-    if args.trace is not None:
-        put("observability", "trace_path", args.trace)
-    if args.trace_sample_rate is not None:
-        put("observability", "trace_sample_rate", args.trace_sample_rate)
-    if args.prometheus_port is not None:
-        put("observability", "prometheus_port", args.prometheus_port)
+            put("watermark.lateness", 0.0)
     return overrides
 
 
-def _dig(data: dict, path: str, default=None):
-    """Read a dotted path out of a raw (possibly partial) config dict."""
-    for key in path.split("."):
-        if not isinstance(data, dict) or key not in data:
-            return default
-        data = data[key]
-    return data
+def _in_flag_words(message: str, args) -> str:
+    """Rewrite the config paths an error names into the flags that set them.
 
-
-def _check_stream_flags(merged: dict) -> Optional[str]:
-    """The flag-phrased cross-field checks, on the merged effective values.
-
-    These mirror :meth:`JobConfig.validate` (which remains authoritative
-    for library users) but speak in ``--flag`` terms, because that is what
-    the operator typed.  Returns the error message, or ``None``.
+    The library speaks in config paths (``checkpoint.dir``); the operator
+    typed ``--checkpoint-dir``.  Where two flags set one path the one
+    actually given is named.
     """
-    if not merged.get("queries"):
-        return (
-            "at least one query is required (positional QUERY arguments, "
-            "or queries in --config)"
-        )
-    late_policy = _dig(merged, "late.policy")
-    late_output = _dig(merged, "late.side_channel_path")
-    reprocess = _dig(merged, "late.reprocess", False)
-    side_channel = late_policy == LatePolicy.SIDE_CHANNEL.value
-    if late_output and not side_channel:
-        return (
-            "--late-output requires --late-policy side-channel "
-            f"(got {late_policy!r})"
-        )
-    if side_channel and not late_output and not reprocess:
-        # without a sink the side channel would grow without bound and be
-        # discarded at exit, which is just --late-policy drop in disguise
-        return (
-            "--late-policy side-channel requires --late-output FILE "
-            "(where the late events are persisted for reprocessing)"
-        )
-    lateness = _dig(merged, "watermark.lateness", 0.0)
-    if _dig(merged, "watermark.kind") == "punctuation" and lateness:
-        return (
-            "--lateness has no effect with --punctuation-type (the watermark "
-            "is carried by punctuation events); pass one or the other"
-        )
-    if isinstance(lateness, (int, float)) and lateness < 0:
-        return f"--lateness must be non-negative, got {lateness:g}"
-    decode_batch_size = _dig(merged, "batch.decode_batch_size")
-    if decode_batch_size is not None and (
-        not isinstance(decode_batch_size, int)
-        or isinstance(decode_batch_size, bool)
-        or decode_batch_size < 1
-    ):
-        return (
-            f"--decode-batch-size must be a positive integer, "
-            f"got {decode_batch_size!r}"
-        )
-    exactly_once = _dig(merged, "sink.exactly_once", False)
-    sink_spec = _dig(merged, "sink.spec")
-    if exactly_once and (sink_spec is None or sink_spec in ("-", "stdout")):
-        return (
-            "--exactly-once requires --sink FILE (the committed byte offset "
-            "of a file is what makes delivery transactional; stdout cannot "
-            "be rolled back)"
-        )
-    max_inflight = _dig(merged, "backpressure.max_inflight", 64)
-    if isinstance(max_inflight, int) and max_inflight < 1:
-        return f"--max-inflight must be at least 1, got {max_inflight}"
-    workers = _dig(merged, "shards.workers", 1)
-    if isinstance(workers, int) and workers < 1:
-        return f"--workers must be at least 1, got {workers}"
-    ship_interval = _dig(merged, "shards.ship_interval", 64)
-    if isinstance(ship_interval, int) and ship_interval < 1:
-        return f"--ship-interval must be at least 1, got {ship_interval}"
-    interval = _dig(merged, "checkpoint.interval")
-    directory = _dig(merged, "checkpoint.dir")
-    recover = _dig(merged, "checkpoint.recover", False)
-    if isinstance(interval, int) and interval < 1:
-        return f"--checkpoint-interval must be at least 1, got {interval}"
-    if interval is not None and not directory:
-        return (
-            "--checkpoint-interval requires --checkpoint-dir DIR "
-            "(where the incremental checkpoints are stored)"
-        )
-    if recover and not directory:
-        return "--recover requires --checkpoint-dir DIR (the store to resume from)"
-    if directory and interval is None and not recover:
-        return (
-            "--checkpoint-dir does nothing by itself; add --checkpoint-interval N "
-            "to write periodic checkpoints and/or --recover to resume from the "
-            "store"
-        )
-    metrics_interval = _dig(merged, "observability.metrics_interval_seconds")
-    if (
-        isinstance(metrics_interval, (int, float))
-        and not isinstance(metrics_interval, bool)
-        and metrics_interval <= 0
-    ):
-        return f"--metrics-interval must be positive, got {metrics_interval:g}"
-    trace_path = _dig(merged, "observability.trace_path")
-    trace_rate = _dig(merged, "observability.trace_sample_rate", 0.0)
-    if (
-        isinstance(trace_rate, (int, float))
-        and not isinstance(trace_rate, bool)
-        and not 0.0 <= trace_rate <= 1.0
-    ):
-        return f"--trace-sample-rate must be between 0 and 1, got {trace_rate:g}"
-    if trace_path and not trace_rate:
-        return (
-            "--trace requires --trace-sample-rate RATE > 0 "
-            "(no span is ever sampled at rate 0)"
-        )
-    if trace_rate and not trace_path:
-        return (
-            "--trace-sample-rate requires --trace FILE "
-            "(where the sampled spans are written)"
-        )
-    return None
+    flags: dict = {}
+    for given_only in (False, True):  # a given flag beats one that merely exists
+        for dest, path in _STREAM_FLAGS.items():
+            # a dotless path (emit_empty_groups) is also a key of other
+            # sections, where it is not this flag: leave the bare word alone
+            if "." in path and (not given_only or _flag_given(args, dest)):
+                flags[path] = "--" + dest.replace("_", "-")
+    paths = "|".join(re.escape(path) for path in sorted(flags, key=len, reverse=True))
+    # whole paths only: checkpoint.dir, but not checkpoint.directory
+    return re.sub(
+        rf"(?<![\w.])({paths})(?!\w|\.\w)",
+        lambda match: flags[match.group(1)],
+        message,
+    )
 
 
 def _resolve_stream_config(args) -> JobConfig:
-    """Layer defaults < ``--config`` file < flags into one validated spec.
+    """Layer defaults < ``--config`` file < flags into one spec.
 
-    Raises :class:`~repro.errors.ConfigError` (flag-phrased where a flag
-    owns the concept) for anything invalid.
+    Raises :class:`~repro.errors.ConfigError` (in config-path words; see
+    :func:`_in_flag_words`) for anything invalid.
     """
     file_layer = read_config_file(args.config) if args.config else {}
-    merged = merge_config_layers(
-        _STREAM_CLI_DEFAULTS, file_layer, _stream_flag_overrides(args)
+    config = JobConfig.from_dict(
+        merge_config_layers(
+            _STREAM_CLI_DEFAULTS, file_layer, _stream_flag_overrides(args)
+        )
     )
-    message = _check_stream_flags(merged)
-    if message is not None:
-        raise ConfigError(message)
-    config = JobConfig.from_dict(merged)
-    config.validate()
     if (
         config.checkpoint.recover
         and config.checkpoint.interval
@@ -861,10 +755,11 @@ def _resolve_stream_config(args) -> JobConfig:
 
 def _command_stream(args) -> int:
     try:
-        config = _resolve_stream_config(args)
+        running = job(_resolve_stream_config(args))  # validates, opens nothing
     except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
+        print(_in_flag_words(str(exc), args), file=sys.stderr)
         return 2
+    config = running.config
 
     if args.dry_run:
         # stdout gets the resolved spec as valid JSON -- reusable verbatim
@@ -874,169 +769,49 @@ def _command_stream(args) -> int:
             print(f"# {name}: granularity={granularity}", file=sys.stderr)
         return 0
 
-    runtime = config.build_runtime()
-
-    if args.source:
-        spec_flag = "--source"
-    elif args.input:
-        spec_flag = "--input"
-    else:
-        spec_flag = "--config source"  # the spec came from the config file
+    drive = running.records()  # lazy: nothing runs until it is iterated
     try:
-        source = config.source.build()
-    except SourceError as exc:
-        runtime.close()
-        print(f"error: cannot open {spec_flag}: {exc}", file=sys.stderr)
-        return 1
-
-    # a sink spec in the config routes records there instead of stdout; it
-    # is built BEFORE recovery so resume_job can roll an exactly-once sink
-    # back to the checkpoint's committed offset (recover=True preserves the
-    # existing file until restore decides how much of it is committed)
-    try:
-        config_sink = config.sink.build(recover=config.checkpoint.recover)
-    except (SourceError, CheckpointError) as exc:
-        source.close()
-        runtime.close()
-        print(f"error: cannot open sink: {exc}", file=sys.stderr)
-        return 1
-
-    store = None
-    if config.checkpoint.dir:
-        try:
-            store = config.checkpoint.build_store(
-                registry=runtime.observability.registry
+        running.start()
+        for note in running.resume_notes:
+            print(f"# {note}", file=sys.stderr)
+        if running.prometheus_address is not None:
+            host, port = running.prometheus_address
+            print(
+                f"# serving Prometheus metrics on http://{host}:{port}/",
+                file=sys.stderr,
             )
-            if config.checkpoint.recover:
-                # restore the newest checkpoint; a replayable source then
-                # skips the already-ingested prefix, and a restorable sink
-                # rolls back to its committed offset (resume_job decides)
-                info = resume_job(runtime, store, source, sink=config_sink)
-                source = info.source
-                for note in info.notes:
-                    print(f"# {note}", file=sys.stderr)
-        except (CheckpointError, WorkerCrashError) as exc:
-            source.close()
-            runtime.close()
-            if config_sink is not None:
-                config_sink.close()
-            if store is not None:
-                _close_store_quietly(store)
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    late_sink = None
-    if config.late.side_channel_path:
-        try:
-            # truncate: the file holds THIS run's late events -- appending
-            # across runs would silently replay stale events on reprocessing
-            late_sink = open(config.late.side_channel_path, "w", encoding="utf-8")
-        except OSError as exc:
-            source.close()
-            runtime.close()
-            if config_sink is not None:
-                config_sink.close()
-            if store is not None:
-                _close_store_quietly(store)
-            print(f"error: cannot open --late-output: {exc}", file=sys.stderr)
-            return 1
-
-    def persist_late_events(late_events) -> None:
-        """Persist side-channelled late events so they never pile up."""
-        write_jsonl_events(late_events, late_sink)
-        late_sink.flush()
-
-    def emit(record) -> None:
-        # flush per line: incremental emission must reach a piped consumer
-        # immediately, not sit in the block buffer until end of stream
-        print(record_to_json_line(record), flush=True)
-
-    sink = config_sink if config_sink is not None else CallbackSink(emit)
-
-    exporter = config.observability.build_exporter()
-    prometheus = None
-    if config.observability.prometheus_port is not None:
-        try:
-            prometheus = PrometheusTextServer(
-                lambda: exporter.latest,
-                port=config.observability.prometheus_port,
-            ).start()
-        except OSError as exc:
-            source.close()
-            runtime.close()
-            if late_sink is not None:
-                late_sink.close()
-            if config_sink is not None:
-                config_sink.close()
-            if store is not None:
-                _close_store_quietly(store)
-            exporter.close()
-            print(f"error: cannot bind --prometheus-port: {exc}", file=sys.stderr)
-            return 1
-        host, port = prometheus.address
-        print(f"# serving Prometheus metrics on http://{host}:{port}/", file=sys.stderr)
-
-    store_failed = False
-    try:
-        runtime.run(
-            source,
-            sink,
-            checkpoint_store=store if config.checkpoint.interval else None,
-            checkpoint_interval=config.checkpoint.interval,
-            on_late=persist_late_events if late_sink is not None else None,
-            metrics_exporter=exporter,
-            backpressure=config.backpressure,
-            decode_batch_size=config.batch.decode_batch_size,
-        )
-        if config.late.reprocess:
-            # replay the side channel into is_correction=True records
-            for record in runtime.reprocess_late():
-                sink.emit(record)
+        to_stdout = config.sink.spec is None  # no sink configured: stdout is it
+        for record in drive:
+            if to_stdout:
+                # flush per line: incremental emission must reach a piped
+                # consumer immediately, not sit in the block buffer
+                print(record_to_json_line(record), flush=True)
     except BrokenPipeError:
         # the consumer (e.g. ``| head``) went away: stop emitting to stdout
-        # but still persist pending late events and fall through to the
-        # stderr reporting below (stderr is still open)
+        # but still end the job cleanly (which persists pending late
+        # events) and fall through to the stderr reporting below
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        if late_sink is not None and runtime.late_events:
-            persist_late_events(runtime.take_late_events())
     except (
+        JobStartError,
         InvalidEventError,
         LateEventError,
         WorkerCrashError,
         SourceError,
         CheckpointError,
     ) as exc:
-        # the subcommand's documented failure modes (malformed wire input,
-        # --late-policy raise, a crashed shard worker, a dropped source
-        # connection, an unusable checkpoint store) get a one-line message,
-        # not a traceback
-        print(f"error: {exc}", file=sys.stderr)
+        # the subcommand's documented failure modes (an endpoint that
+        # cannot be opened, malformed wire input, --late-policy raise, a
+        # crashed shard worker, a dropped source connection, a checkpoint
+        # store that is unusable or could not make its writes durable) get
+        # a one-line message, not a traceback
+        print(f"error: {_in_flag_words(str(exc), args)}", file=sys.stderr)
         return 1
     finally:
-        if prometheus is not None:
-            prometheus.close()  # stop serving before the registry goes away
-        runtime.close()  # stops sharded workers; no-op for the single runtime
-        if exporter is not None:
-            exporter.close()
-        if late_sink is not None:
-            late_sink.close()
-        if config_sink is not None:
-            config_sink.close()
-        if store is not None:
-            try:
-                store.close()  # waits for queued background writes
-            except CheckpointError as exc:
-                # the run's results are already out, but its checkpoints are
-                # not durable -- that must fail the command (see below; a
-                # return here would be swallowed by the finally block)
-                print(f"error: {exc}", file=sys.stderr)
-                store_failed = True
-    if store_failed:
-        return 1
+        drive.close()  # stops the job if the loop was left early
 
-    metrics = runtime.metrics
+    metrics = running.metrics
     if metrics.late_events:
         note = f"# {metrics.late_events} late events (policy: {config.late.policy})"
         if config.late.side_channel_path:
@@ -1044,8 +819,8 @@ def _command_stream(args) -> int:
         print(note, file=sys.stderr)
     if args.metrics:
         print(metrics.describe(), file=sys.stderr)
-        if isinstance(runtime, ShardedRuntime):
-            print(runtime.shard_report(), file=sys.stderr)
+        if isinstance(running.runtime, ShardedRuntime):
+            print(running.runtime.shard_report(), file=sys.stderr)
     return 0
 
 

@@ -75,6 +75,20 @@ class ConfigError(CograError, ValueError):
     """
 
 
+class JobStartError(CograError):
+    """Raised by ``Job.start()`` when a configured endpoint cannot be opened.
+
+    ``path`` is the dotted config path of the setting that failed
+    (``source.spec``, ``sink.spec``, ``checkpoint.dir``,
+    ``late.side_channel_path``, ``observability.prometheus_port``, ...);
+    the original error is the ``__cause__``.
+    """
+
+    def __init__(self, path: str, cause: BaseException):
+        super().__init__(f"cannot open {path}: {cause}")
+        self.path = path
+
+
 class SourceError(CograError):
     """Raised when an event source cannot be opened or fails mid-stream.
 

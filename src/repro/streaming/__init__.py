@@ -48,7 +48,6 @@ from repro.streaming.checkpoint import (
 )
 from repro.streaming.config import (
     BackpressureConfig,
-    BuiltJob,
     CheckpointConfig,
     Job,
     JobConfig,
@@ -140,7 +139,6 @@ from repro.streaming.sources import (
 __all__ = [
     "BackpressureConfig",
     "BoundedDelayWatermark",
-    "BuiltJob",
     "CHECKPOINT_VERSION",
     "CallbackSink",
     "CheckpointConfig",

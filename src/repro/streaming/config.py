@@ -16,14 +16,15 @@ pipeline options) from the runtime that executes it:
   messages), round-trips through :meth:`JobConfig.to_dict` /
   :meth:`JobConfig.from_dict`, and loads from JSON or TOML files
   (:meth:`JobConfig.load`);
-* :meth:`JobConfig.build` resolves the spec into a ready-to-run
-  :class:`~repro.streaming.runtime.StreamingRuntime` or
-  :class:`~repro.streaming.sharded.ShardedRuntime` plus opened source,
-  sink and checkpoint store;
-* the :class:`Job` facade (:func:`job`) runs the built pipeline with the
-  full lifecycle -- checkpoint recovery, late-event persistence or
-  reprocessing, teardown -- behind ``start()`` / ``results()`` /
-  ``metrics`` / ``checkpoint()`` / ``stop()``.
+* every setting is declared once, on its dataclass field: the annotation
+  and ``field(metadata=...)`` are all the one validator
+  (:class:`_Section`) and :meth:`JobConfig.from_dict` read, and errors
+  name the setting by its dotted path, which the CLI maps to its flag;
+* the :class:`Job` facade (:func:`job`) is the only place a spec becomes
+  a running pipeline -- runtime, source, sink, checkpoint store and
+  recovery, late-event persistence or reprocessing, exporters, teardown
+  -- behind ``start()`` / ``records()`` / ``results()`` / ``metrics`` /
+  ``checkpoint()`` / ``stop()``; ``cogra stream`` runs through it.
 
 Every entry point builds on this spec: ``CograEngine.stream(**kwargs)``
 and the runtime constructors assemble the component configs internally
@@ -51,14 +52,28 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import json
+import math
 import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CograError, JobStartError
 from repro.events.event import Event
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.emission import EmissionRecord
@@ -104,46 +119,176 @@ def _query_plan_info(
     return engine.plan.partition_attributes, engine.granularity, count_windowed
 
 
-def _check_unknown_keys(cls, data: Dict[str, object], context: str) -> None:
-    """Reject keys that are not fields of ``cls``, suggesting the typo fix."""
-    valid = [f.name for f in dataclasses.fields(cls)]
-    unknown = [key for key in data if key not in valid]
-    if not unknown:
-        return
-    parts = []
-    for key in unknown:
-        close = difflib.get_close_matches(str(key), valid, n=1)
-        hint = f" (did you mean {close[0]!r}?)" if close else ""
-        parts.append(f"{key!r}{hint}")
-    raise ConfigError(
-        f"unknown key{'s' if len(parts) > 1 else ''} {', '.join(parts)} in "
-        f"{context}; valid keys: {', '.join(valid)}"
-    )
+def _did_you_mean(word: object, valid: Iterable[str]) -> str:
+    """The ``(did you mean 'x'?)`` suffix for a near-miss of a valid word."""
+    close = difflib.get_close_matches(str(word), list(valid), n=1)
+    return f" (did you mean {close[0]!r}?)" if close else ""
 
 
-def _require_mapping(data: object, context: str) -> Dict[str, object]:
-    """Config sections must be objects/tables, not scalars or arrays."""
-    if not isinstance(data, dict):
+class _Field(NamedTuple):
+    """One declared setting: what its annotation and ``metadata`` say it holds."""
+
+    name: str
+    #: ``bool`` / ``int`` / ``float`` / ``str``, or the nested section's class
+    base: type
+    optional: bool  # ``Optional[base]``: ``None`` is a valid value
+    many: bool  # ``Tuple[base, ...]`` of nested sections
+    #: ``min`` / ``max`` (inclusive), ``above`` (exclusive), ``choices``
+    meta: Mapping[str, object]
+
+
+@lru_cache(maxsize=None)
+def _schema(cls) -> Tuple[_Field, ...]:
+    """The field table of a config class, resolved from its annotations once."""
+    hints = get_type_hints(cls)
+    table = []
+    for spec in dataclasses.fields(cls):
+        hint = hints[spec.name]
+        args = get_args(hint)
+        optional = type(None) in args
+        many = get_origin(hint) is tuple
+        base = args[0] if optional or many else hint
+        table.append(_Field(spec.name, base, optional, many, spec.metadata))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _prefixes() -> Dict[type, str]:
+    """Dotted path prefix of every section class, walked from the two roots."""
+    prefixes = {JobConfig: "", ServerConfig: ""}
+    pending = [JobConfig, ServerConfig]
+    while pending:
+        cls = pending.pop()
+        for spec in _schema(cls):
+            if dataclasses.is_dataclass(spec.base):
+                suffix = "[]." if spec.many else "."
+                prefixes[spec.base] = prefixes[cls] + spec.name + suffix
+                pending.append(spec.base)
+    return prefixes
+
+
+def _expected(spec: _Field) -> str:
+    """What a valid value of the field is, in the words of the error message."""
+    meta = spec.meta
+    if "choices" in meta:
+        text = "one of " + ", ".join(meta["choices"])
+    elif spec.base is bool:
+        text = "true or false"
+    elif spec.base is str:
+        text = "a non-empty string"
+    else:
+        text = "an integer" if spec.base is int else "a finite number"
+        words = (("above", "greater than"), ("min", "at least"), ("max", "at most"))
+        bounds = [f"{word} {meta[key]:g}" for key, word in words if key in meta]
+        if bounds:
+            text += ", " + " and ".join(bounds)
+    return "null or " + text if spec.optional else text
+
+
+def _conforms(value: object, spec: _Field) -> bool:
+    """Whether a scalar ``value`` has the field's declared type and range."""
+    base, meta = spec.base, spec.meta
+    if base is bool:
+        # real booleans only -- the string 'false' is truthy
+        return isinstance(value, bool)
+    if base is str:
+        ok = isinstance(value, str) and bool(value.strip())
+        return ok and value in meta.get("choices", (value,))
+    # bool is an int subclass, but True is not a count; NaN and the
+    # infinities (which json.loads accepts) are not measurements
+    numeric = (int, float) if base is float else int
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
+        return False
+    if "above" in meta and not value > meta["above"]:
+        return False
+    return meta.get("min", value) <= value <= meta.get("max", value)
+
+
+def _coerce(cls, value: object, path: str):
+    """An instance of section ``cls`` from a mapping of its settings.
+
+    Instances pass through; a mapping must carry known keys only (a typo
+    fails loudly, with the closest valid key) and every required one.
+    """
+    if isinstance(value, cls):
+        return value
+    where = path or "the config"
+    if not isinstance(value, dict):
         raise ConfigError(
-            f"{context} must be an object of settings, got {type(data).__name__}"
+            f"{where} must be an object of settings, got {type(value).__name__}"
         )
-    return data
+    valid = [spec.name for spec in dataclasses.fields(cls)]
+    prefix = path + "." if path else ""
+    unknown = [
+        f"'{prefix}{key}'{_did_you_mean(key, valid)}"
+        for key in value
+        if key not in valid
+    ]
+    if unknown:
+        raise ConfigError(
+            f"unknown key{'s' if len(unknown) > 1 else ''} {', '.join(unknown)}; "
+            f"valid keys of {where}: {', '.join(valid)}"
+        )
+    for spec in dataclasses.fields(cls):
+        required = spec.default is spec.default_factory is dataclasses.MISSING
+        if required and spec.name not in value:
+            raise ConfigError(f"{prefix}{spec.name} is required")
+    return cls(**value)
 
 
-def _require_bool(value: object, name: str) -> None:
-    """Booleans must be real booleans -- the string 'false' is truthy."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
+class _Section:
+    """Base of the config dataclasses: one validator, run from ``__post_init__``.
 
+    A setting is declared once, on its dataclass field: the annotation
+    gives the type (real ``bool``, ``int``, finite ``float``, non-empty
+    ``str``, ``Optional[...]`` of those, a nested section or a tuple of
+    them) and ``field(metadata=...)`` the range or choices.  Subclasses
+    extend ``__post_init__`` with their cross-field rules only.  Every
+    :class:`~repro.errors.ConfigError` names the setting by its dotted
+    config path (``shards.workers``), which is what lets the CLI rewrite
+    it into the flag the operator typed.
+    """
 
-def _require_optional_string(value: object, name: str) -> None:
-    """Optional strings must be null or a non-empty string."""
-    if value is not None and (not isinstance(value, str) or not value):
-        raise ConfigError(f"{name} must be null or a non-empty string, got {value!r}")
+    def __post_init__(self) -> None:
+        for spec in _schema(type(self)):
+            value = getattr(self, spec.name)
+            if value is None and spec.optional:
+                continue
+            if not dataclasses.is_dataclass(spec.base):
+                if not _conforms(value, spec):
+                    hint = _did_you_mean(value, spec.meta.get("choices", ()))
+                    raise ConfigError(
+                        f"{self._path(spec.name)} must be {_expected(spec)}, "
+                        f"got {value!r}{hint}"
+                    )
+                continue
+            # nested sections arrive as raw mappings from from_dict (and
+            # kwargs users); coerce so equality and hashing keep working
+            path = self._path(spec.name)
+            if not spec.many:
+                value = _coerce(spec.base, value, path)
+            elif isinstance(value, (list, tuple)):
+                value = tuple(
+                    _coerce(spec.base, entry, f"{path}[{index}]")
+                    for index, entry in enumerate(value)
+                )
+            else:
+                raise ConfigError(
+                    f"{path} must be a list of objects of settings, "
+                    f"got {type(value).__name__}"
+                )
+            object.__setattr__(self, spec.name, value)
+
+    @classmethod
+    def _path(cls, name: str) -> str:
+        """The dotted config path of this section's setting ``name``."""
+        return _prefixes()[cls] + name
 
 
 @dataclass(frozen=True)
-class WatermarkConfig:
+class WatermarkConfig(_Section):
     """How the job derives watermarks from the arrival stream.
 
     ``kind="bounded-delay"`` trusts the source to stay within ``lateness``
@@ -154,46 +299,31 @@ class WatermarkConfig:
     ``--punctuation-type`` conflict.
     """
 
-    kind: str = "bounded-delay"
-    lateness: float = 0.0
-    punctuation_type: Optional[str] = None
-
     KINDS = ("bounded-delay", "punctuation")
 
+    kind: str = field(default="bounded-delay", metadata={"choices": KINDS})
+    lateness: float = field(default=0.0, metadata={"min": 0})
+    punctuation_type: Optional[str] = None
+
     def __post_init__(self) -> None:
-        if self.kind not in self.KINDS:
-            raise ConfigError(
-                f"unknown watermark kind {self.kind!r}; valid kinds: "
-                f"{', '.join(self.KINDS)}"
-            )
-        if not isinstance(self.lateness, (int, float)) or isinstance(
-            self.lateness, bool
-        ):
-            raise ConfigError(
-                f"watermark lateness must be a number of seconds, "
-                f"got {self.lateness!r}"
-            )
-        if self.lateness < 0:
-            raise ConfigError(
-                f"watermark lateness must be non-negative, got {self.lateness:g}"
-            )
-        _require_optional_string(self.punctuation_type, "punctuation_type")
+        super().__post_init__()
         if self.kind == "punctuation":
             if not self.punctuation_type:
                 raise ConfigError(
-                    "watermark kind 'punctuation' requires punctuation_type "
-                    "(the event type carrying the watermark)"
+                    "watermark.kind 'punctuation' requires "
+                    "watermark.punctuation_type (the event type carrying the "
+                    "watermark)"
                 )
             if self.lateness:
                 raise ConfigError(
-                    "lateness has no effect with punctuation watermarks (the "
-                    "watermark is carried by punctuation events); set one or "
-                    "the other"
+                    "watermark.lateness has no effect with "
+                    "watermark.punctuation_type (the watermark is carried by "
+                    "punctuation events); set one or the other"
                 )
         elif self.punctuation_type is not None:
             raise ConfigError(
-                "punctuation_type requires watermark kind 'punctuation' "
-                f"(got kind {self.kind!r})"
+                "watermark.punctuation_type requires watermark.kind "
+                f"'punctuation' (got kind {self.kind!r})"
             )
 
     def build(self) -> WatermarkStrategy:
@@ -204,7 +334,7 @@ class WatermarkConfig:
 
 
 @dataclass(frozen=True)
-class LatenessConfig:
+class LatenessConfig(_Section):
     """What happens to events that arrive behind the watermark.
 
     This is the single home of the late-event policy: the runtimes and
@@ -217,37 +347,31 @@ class LatenessConfig:
     ``is_correction=True`` records when ``reprocess`` is set.
     """
 
-    policy: str = "raise"
+    policy: str = field(
+        default="raise",
+        metadata={"choices": tuple(policy.value for policy in LatePolicy)},
+    )
     side_channel_path: Optional[str] = None
     reprocess: bool = False
 
     def __post_init__(self) -> None:
-        _require_optional_string(self.side_channel_path, "side_channel_path")
-        _require_bool(self.reprocess, "reprocess")
-        valid = [policy.value for policy in LatePolicy]
-        if self.policy not in valid:
-            close = difflib.get_close_matches(str(self.policy), valid, n=1)
-            hint = f" (did you mean {close[0]!r}?)" if close else ""
-            raise ConfigError(
-                f"unknown late-event policy {self.policy!r}{hint}; valid "
-                f"policies: {', '.join(valid)}"
-            )
+        super().__post_init__()
         side_channel = self.policy == LatePolicy.SIDE_CHANNEL.value
         if self.side_channel_path and not side_channel:
             raise ConfigError(
-                "side_channel_path requires the 'side-channel' policy "
+                "late.side_channel_path requires late.policy 'side-channel' "
                 f"(got {self.policy!r})"
             )
         if self.reprocess and not side_channel:
             raise ConfigError(
-                "reprocess requires the 'side-channel' policy (late events "
+                "late.reprocess requires late.policy 'side-channel' (late events "
                 f"must be collected to be replayed; got {self.policy!r})"
             )
         if self.side_channel_path and self.reprocess:
             raise ConfigError(
-                "side_channel_path and reprocess are mutually exclusive: "
-                "persist late events for out-of-band handling, or replay "
-                "them in-band at end of job -- not both"
+                "late.side_channel_path and late.reprocess are mutually "
+                "exclusive: persist late events for out-of-band handling, or "
+                "replay them in-band at end of job -- not both"
             )
 
     @classmethod
@@ -270,7 +394,7 @@ class LatenessConfig:
 
 
 @dataclass(frozen=True)
-class RebalanceConfig:
+class RebalanceConfig(_Section):
     """Adaptive shard rebalancing: when the router migrates hash sub-ranges.
 
     With ``enabled`` the sharded runtime watches the routing load per hash
@@ -287,33 +411,14 @@ class RebalanceConfig:
     """
 
     enabled: bool = False
-    skew_threshold: float = 1.5
-    min_interval: int = 512
-    max_moves: int = 4
-    slots_per_worker: int = 16
-
-    def __post_init__(self) -> None:
-        _require_bool(self.enabled, "rebalance enabled")
-        if (
-            not isinstance(self.skew_threshold, (int, float))
-            or isinstance(self.skew_threshold, bool)
-            or not self.skew_threshold > 1.0
-        ):
-            raise ConfigError(
-                f"rebalance skew_threshold must be a number greater than 1 "
-                f"(the busiest worker's load as a multiple of the mean load), "
-                f"got {self.skew_threshold!r}"
-            )
-        for name in ("min_interval", "max_moves", "slots_per_worker"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(
-                    f"rebalance {name} must be a positive integer, got {value!r}"
-                )
+    skew_threshold: float = field(default=1.5, metadata={"above": 1})
+    min_interval: int = field(default=512, metadata={"min": 1})
+    max_moves: int = field(default=4, metadata={"min": 1})
+    slots_per_worker: int = field(default=16, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
-class ReplanConfig:
+class ReplanConfig(_Section):
     """Adaptive granularity re-planning: the online cost-model control loop.
 
     With ``enabled`` the runtime periodically re-evaluates the cost model
@@ -330,42 +435,14 @@ class ReplanConfig:
     """
 
     enabled: bool = False
-    check_interval_events: int = 2048
-    hysteresis: float = 0.25
-    max_migrations: int = 4
-    ewma_alpha: float = 0.5
-
-    def __post_init__(self) -> None:
-        _require_bool(self.enabled, "replan enabled")
-        if (
-            not isinstance(self.hysteresis, (int, float))
-            or isinstance(self.hysteresis, bool)
-            or not self.hysteresis >= 0.0
-        ):
-            raise ConfigError(
-                f"replan hysteresis must be a non-negative number (the "
-                f"fractional cost margin before a migration), got "
-                f"{self.hysteresis!r}"
-            )
-        for name in ("check_interval_events", "max_migrations"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(
-                    f"replan {name} must be a positive integer, got {value!r}"
-                )
-        if (
-            not isinstance(self.ewma_alpha, (int, float))
-            or isinstance(self.ewma_alpha, bool)
-            or not 0.0 < self.ewma_alpha <= 1.0
-        ):
-            raise ConfigError(
-                f"replan ewma_alpha must be a number in (0, 1], got "
-                f"{self.ewma_alpha!r}"
-            )
+    check_interval_events: int = field(default=2048, metadata={"min": 1})
+    hysteresis: float = field(default=0.25, metadata={"min": 0})
+    max_migrations: int = field(default=4, metadata={"min": 1})
+    ewma_alpha: float = field(default=0.5, metadata={"above": 0, "max": 1})
 
 
 @dataclass(frozen=True)
-class ShardConfig:
+class ShardConfig(_Section):
     """The process topology: worker count and batching/recovery knobs.
 
     ``workers=1`` runs the whole job in-process on a
@@ -377,47 +454,16 @@ class ShardConfig:
     (:class:`RebalanceConfig`).
     """
 
-    workers: int = 1
-    ship_interval: int = 64
-    max_batch: int = 512
-    max_restarts: int = 0
+    workers: int = field(default=1, metadata={"min": 1})
+    ship_interval: int = field(default=64, metadata={"min": 1})
+    max_batch: int = field(default=512, metadata={"min": 1})
+    max_restarts: int = field(default=0, metadata={"min": 0})
     start_method: Optional[str] = None
     rebalance: RebalanceConfig = field(default_factory=RebalanceConfig)
 
-    def __post_init__(self) -> None:
-        for name in ("workers", "ship_interval", "max_batch", "max_restarts"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.workers < 1:
-            raise ConfigError(f"worker count must be at least 1, got {self.workers}")
-        if self.ship_interval < 1:
-            raise ConfigError(
-                f"ship_interval must be at least 1, got {self.ship_interval}"
-            )
-        if self.max_batch < 1:
-            raise ConfigError(f"max_batch must be at least 1, got {self.max_batch}")
-        if self.max_restarts < 0:
-            raise ConfigError(
-                f"max_restarts must be non-negative, got {self.max_restarts}"
-            )
-        _require_optional_string(self.start_method, "start_method")
-        if isinstance(self.rebalance, dict):
-            # from_dict (and kwargs users) hand the nested section as a raw
-            # mapping; validate and coerce so equality/hashing keep working
-            context = "the 'shards.rebalance' section"
-            section = _require_mapping(self.rebalance, context)
-            _check_unknown_keys(RebalanceConfig, section, context)
-            object.__setattr__(self, "rebalance", RebalanceConfig(**section))
-        elif not isinstance(self.rebalance, RebalanceConfig):
-            raise ConfigError(
-                f"shards.rebalance must be a RebalanceConfig or an object of "
-                f"settings (e.g. {{'enabled': true}}), got {self.rebalance!r}"
-            )
-
 
 @dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(_Section):
     """Hot-path batching: the decode granularity.
 
     ``decode_batch_size`` is how many events the driver pulls from the
@@ -427,18 +473,11 @@ class BatchConfig:
     clamped so no slice straddles a checkpoint boundary.
     """
 
-    decode_batch_size: int = 256
-
-    def __post_init__(self) -> None:
-        value = self.decode_batch_size
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(
-                f"decode_batch_size must be a positive integer, got {value!r}"
-            )
+    decode_batch_size: int = field(default=256, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
-class CheckpointConfig:
+class CheckpointConfig(_Section):
     """Periodic checkpointing and recovery of the job.
 
     ``dir`` names the on-disk :class:`~repro.streaming.checkpoint.
@@ -451,42 +490,27 @@ class CheckpointConfig:
     """
 
     dir: Optional[str] = None
-    interval: Optional[int] = None
+    interval: Optional[int] = field(default=None, metadata={"min": 1})
     background: bool = True
-    compact_every: int = 8
+    compact_every: int = field(default=8, metadata={"min": 1})
     recover: bool = False
 
     def __post_init__(self) -> None:
-        _require_optional_string(self.dir, "checkpoint dir")
-        _require_bool(self.background, "checkpoint background")
-        _require_bool(self.recover, "checkpoint recover")
-        if self.interval is not None:
-            if not isinstance(self.interval, int) or isinstance(self.interval, bool):
-                raise ConfigError(
-                    f"checkpoint interval must be an integer, got {self.interval!r}"
-                )
-            if self.interval < 1:
-                raise ConfigError(
-                    f"checkpoint interval must be at least 1, got {self.interval}"
-                )
-        if not isinstance(self.compact_every, int) or self.compact_every < 1:
-            raise ConfigError(
-                f"compact_every must be a positive integer, got {self.compact_every!r}"
-            )
+        super().__post_init__()
         if self.interval is not None and not self.dir:
             raise ConfigError(
-                "a checkpoint interval requires a checkpoint dir "
+                "checkpoint.interval requires checkpoint.dir "
                 "(where the incremental checkpoints are stored)"
             )
         if self.recover and not self.dir:
             raise ConfigError(
-                "recover requires a checkpoint dir (the store to resume from)"
+                "checkpoint.recover requires checkpoint.dir (the store to resume from)"
             )
         if self.dir and self.interval is None and not self.recover:
             raise ConfigError(
-                "a checkpoint dir does nothing by itself; add an interval to "
-                "write periodic checkpoints and/or recover to resume from "
-                "the store"
+                "checkpoint.dir does nothing by itself; add checkpoint.interval "
+                "to write periodic checkpoints and/or checkpoint.recover to "
+                "resume from the store"
             )
 
     def build_store(self, registry=None) -> Optional[CheckpointStore]:
@@ -509,7 +533,7 @@ class CheckpointConfig:
 
 
 @dataclass(frozen=True)
-class BackpressureConfig:
+class BackpressureConfig(_Section):
     """Bounded decoupling between ingestion and the slower pipeline ends.
 
     ``max_inflight`` bounds the worker inboxes of a sharded topology: at
@@ -524,43 +548,13 @@ class BackpressureConfig:
     registry.
     """
 
-    max_inflight: int = 64
-    poll_interval_seconds: float = 0.01
-    max_wait_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if (
-            not isinstance(self.max_inflight, int)
-            or isinstance(self.max_inflight, bool)
-            or self.max_inflight < 1
-        ):
-            raise ConfigError(
-                f"backpressure max_inflight must be a positive integer "
-                f"(epochs in flight before ingestion blocks), "
-                f"got {self.max_inflight!r}"
-            )
-        if (
-            not isinstance(self.poll_interval_seconds, (int, float))
-            or isinstance(self.poll_interval_seconds, bool)
-            or not self.poll_interval_seconds > 0
-        ):
-            raise ConfigError(
-                f"backpressure poll_interval_seconds must be a positive "
-                f"number, got {self.poll_interval_seconds!r}"
-            )
-        if self.max_wait_seconds is not None and (
-            not isinstance(self.max_wait_seconds, (int, float))
-            or isinstance(self.max_wait_seconds, bool)
-            or not self.max_wait_seconds > 0
-        ):
-            raise ConfigError(
-                f"backpressure max_wait_seconds must be null or a positive "
-                f"number, got {self.max_wait_seconds!r}"
-            )
+    max_inflight: int = field(default=64, metadata={"min": 1})
+    poll_interval_seconds: float = field(default=0.01, metadata={"above": 0})
+    max_wait_seconds: Optional[float] = field(default=None, metadata={"above": 0})
 
 
 @dataclass(frozen=True)
-class ObsConfig:
+class ObsConfig(_Section):
     """Observability: metrics export, lifecycle tracing, Prometheus endpoint.
 
     ``metrics_export_path`` appends periodic registry snapshots (every
@@ -574,52 +568,26 @@ class ObsConfig:
     """
 
     metrics_export_path: Optional[str] = None
-    metrics_interval_seconds: float = 10.0
+    metrics_interval_seconds: float = field(default=10.0, metadata={"above": 0})
     trace_path: Optional[str] = None
-    trace_sample_rate: float = 0.0
-    prometheus_port: Optional[int] = None
+    trace_sample_rate: float = field(default=0.0, metadata={"min": 0, "max": 1})
+    prometheus_port: Optional[int] = field(
+        default=None, metadata={"min": 0, "max": 65535}
+    )
 
     def __post_init__(self) -> None:
-        _require_optional_string(self.metrics_export_path, "metrics_export_path")
-        _require_optional_string(self.trace_path, "trace_path")
-        if (
-            not isinstance(self.metrics_interval_seconds, (int, float))
-            or isinstance(self.metrics_interval_seconds, bool)
-            or not self.metrics_interval_seconds > 0
-        ):
-            raise ConfigError(
-                f"metrics_interval_seconds must be a positive number, "
-                f"got {self.metrics_interval_seconds!r}"
-            )
-        if (
-            not isinstance(self.trace_sample_rate, (int, float))
-            or isinstance(self.trace_sample_rate, bool)
-            or not 0.0 <= self.trace_sample_rate <= 1.0
-        ):
-            raise ConfigError(
-                f"trace_sample_rate must be a number between 0 and 1, "
-                f"got {self.trace_sample_rate!r}"
-            )
+        super().__post_init__()
         if self.trace_path and not self.trace_sample_rate:
             raise ConfigError(
-                "trace_path requires a positive trace_sample_rate "
-                "(no span is ever sampled at rate 0)"
+                "observability.trace_path requires a positive "
+                "observability.trace_sample_rate (no span is ever sampled at "
+                "rate 0)"
             )
         if self.trace_sample_rate and not self.trace_path:
             raise ConfigError(
-                "trace_sample_rate requires trace_path "
-                "(where the sampled spans are written)"
+                "observability.trace_sample_rate requires "
+                "observability.trace_path (where the sampled spans are written)"
             )
-        if self.prometheus_port is not None:
-            if (
-                not isinstance(self.prometheus_port, int)
-                or isinstance(self.prometheus_port, bool)
-                or not 0 <= self.prometheus_port <= 65535
-            ):
-                raise ConfigError(
-                    f"prometheus_port must be a port number (0 binds an "
-                    f"ephemeral one), got {self.prometheus_port!r}"
-                )
 
     @property
     def exports_anything(self) -> bool:
@@ -668,7 +636,7 @@ class ObsConfig:
 
 
 @dataclass(frozen=True)
-class LogSourceConfig:
+class LogSourceConfig(_Section):
     """A Kafka-style partitioned log as the job's source.
 
     ``dir`` names the log directory (see
@@ -682,21 +650,12 @@ class LogSourceConfig:
     """
 
     dir: Optional[str] = None
-    partitions: int = 1
-    segment_records: int = 1024
-
-    def __post_init__(self) -> None:
-        _require_optional_string(self.dir, "source log dir")
-        for name in ("partitions", "segment_records"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(
-                    f"source log {name} must be a positive integer, got {value!r}"
-                )
+    partitions: int = field(default=1, metadata={"min": 1})
+    segment_records: int = field(default=1024, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(_Section):
     """Where the job's events come from, as a ``--source``-style spec.
 
     ``"-"`` reads JSONL from stdin, ``tail:PATH`` follows a growing JSONL
@@ -711,23 +670,7 @@ class SourceConfig:
     log: LogSourceConfig = field(default_factory=LogSourceConfig)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.spec, str) or not self.spec:
-            raise ConfigError(
-                f"source spec must be a non-empty string ('-', PATH, "
-                f"'tail:PATH', 'tcp://HOST:PORT' or 'log:DIR'), got {self.spec!r}"
-            )
-        if isinstance(self.log, dict):
-            # from_dict (and kwargs users) hand the nested section as a raw
-            # mapping; validate and coerce so equality/hashing keep working
-            context = "the 'source.log' section"
-            section = _require_mapping(self.log, context)
-            _check_unknown_keys(LogSourceConfig, section, context)
-            object.__setattr__(self, "log", LogSourceConfig(**section))
-        elif not isinstance(self.log, LogSourceConfig):
-            raise ConfigError(
-                f"source.log must be a LogSourceConfig or an object of "
-                f"settings (e.g. {{'dir': 'events-log'}}), got {self.log!r}"
-            )
+        super().__post_init__()
         if self.log.dir is not None and self.spec != "-":
             raise ConfigError(
                 f"source.log.dir and source.spec {self.spec!r} are both set; "
@@ -742,7 +685,7 @@ class SourceConfig:
 
 
 @dataclass(frozen=True)
-class SinkConfig:
+class SinkConfig(_Section):
     """Where the job's emitted records go.
 
     ``None`` collects them in memory (returned by :meth:`Job.results`),
@@ -762,17 +705,12 @@ class SinkConfig:
     exactly_once: bool = False
 
     def __post_init__(self) -> None:
-        if self.spec is not None and (not isinstance(self.spec, str) or not self.spec):
-            raise ConfigError(
-                f"sink spec must be null, '-', 'stdout' or a file path, "
-                f"got {self.spec!r}"
-            )
-        _require_bool(self.exactly_once, "sink exactly_once")
+        super().__post_init__()
         if self.exactly_once and self.spec in (None, "-", "stdout"):
             raise ConfigError(
-                "sink.exactly_once requires a file sink spec (the delivered "
-                "prefix must be truncatable on recovery; stdout and in-memory "
-                "collection are not)"
+                "sink.exactly_once requires sink.spec to name a file (the "
+                "delivered prefix must be truncatable on recovery; stdout and "
+                "in-memory collection are not)"
             )
 
     def build(self, recover: bool = False) -> Optional[Sink]:
@@ -788,33 +726,19 @@ class SinkConfig:
 
 
 @dataclass(frozen=True)
-class QueryConfig:
+class QueryConfig(_Section):
     """One query of the job: text plus its per-query execution settings."""
 
     text: str
     name: Optional[str] = None
-    granularity: Optional[str] = None
+    granularity: Optional[str] = field(
+        default=None, metadata={"choices": GRANULARITIES}
+    )
     emit_empty_groups: Optional[bool] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.text, str) or not self.text.strip():
-            raise ConfigError(
-                "a query needs non-empty text (the textual query language)"
-            )
-        _require_optional_string(self.name, "a query's name")
-        if self.emit_empty_groups is not None:
-            _require_bool(self.emit_empty_groups, "a query's emit_empty_groups")
-        if self.granularity is not None and self.granularity not in GRANULARITIES:
-            close = difflib.get_close_matches(str(self.granularity), GRANULARITIES, n=1)
-            hint = f" (did you mean {close[0]!r}?)" if close else ""
-            raise ConfigError(
-                f"unknown granularity {self.granularity!r}{hint}; valid "
-                f"granularities: {', '.join(GRANULARITIES)}"
-            )
 
 
 @dataclass(frozen=True)
-class JobConfig:
+class JobConfig(_Section):
     """The complete declarative description of one streaming job.
 
     Composes the component specs above; an instance is immutable,
@@ -837,25 +761,6 @@ class JobConfig:
     replan: ReplanConfig = field(default_factory=ReplanConfig)
     emit_empty_groups: bool = False
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.queries, tuple):
-            # allow lists at construction; normalise for hashability/equality
-            object.__setattr__(self, "queries", tuple(self.queries))
-        for query in self.queries:
-            if not isinstance(query, QueryConfig):
-                raise ConfigError(f"queries must be QueryConfig entries, got {query!r}")
-        _require_bool(self.emit_empty_groups, "emit_empty_groups")
-        if isinstance(self.replan, dict):
-            context = "the 'replan' section"
-            section = _require_mapping(self.replan, context)
-            _check_unknown_keys(ReplanConfig, section, context)
-            object.__setattr__(self, "replan", ReplanConfig(**section))
-        elif not isinstance(self.replan, ReplanConfig):
-            raise ConfigError(
-                f"replan must be a ReplanConfig or an object of settings "
-                f"(e.g. {{'enabled': true}}), got {self.replan!r}"
-            )
-
     # -- serialization ---------------------------------------------------------
 
     @classmethod
@@ -866,41 +771,7 @@ class JobConfig:
         :class:`~repro.errors.ConfigError` naming the closest valid key,
         so a typo'd setting fails loudly instead of being ignored.
         """
-        data = _require_mapping(data, "the job config")
-        _check_unknown_keys(cls, data, "the job config")
-        kwargs: Dict[str, object] = {}
-        sections = {
-            "watermark": WatermarkConfig,
-            "late": LatenessConfig,
-            "shards": ShardConfig,
-            "batch": BatchConfig,
-            "checkpoint": CheckpointConfig,
-            "source": SourceConfig,
-            "sink": SinkConfig,
-            "backpressure": BackpressureConfig,
-            "observability": ObsConfig,
-            "replan": ReplanConfig,
-        }
-        for key, value in data.items():
-            if key == "queries":
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(
-                        f"queries must be a list of query objects, got {value!r}"
-                    )
-                queries = []
-                for index, entry in enumerate(value):
-                    entry = _require_mapping(entry, f"queries[{index}]")
-                    _check_unknown_keys(QueryConfig, entry, f"queries[{index}]")
-                    queries.append(QueryConfig(**entry))
-                kwargs[key] = tuple(queries)
-            elif key in sections:
-                section_cls = sections[key]
-                section = _require_mapping(value, f"the {key!r} section")
-                _check_unknown_keys(section_cls, section, f"the {key!r} section")
-                kwargs[key] = section_cls(**section)
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+        return _coerce(cls, data, "")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe dictionary form; the inverse of :meth:`from_dict`."""
@@ -928,9 +799,7 @@ class JobConfig:
         shard the registered queries.  Returns ``self`` for chaining.
         """
         if not self.queries:
-            raise ConfigError(
-                "a job needs at least one query (the queries list is empty)"
-            )
+            raise ConfigError("a job needs at least one query (queries is empty)")
         names = self.resolved_names()
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
@@ -941,9 +810,9 @@ class JobConfig:
         side_channel = self.late.policy == LatePolicy.SIDE_CHANNEL.value
         if side_channel and not (self.late.side_channel_path or self.late.reprocess):
             raise ConfigError(
-                "the 'side-channel' policy requires side_channel_path (where "
-                "the late events are persisted) or reprocess=true (replay "
-                "them at end of job); otherwise late events pile up "
+                "late.policy 'side-channel' requires late.side_channel_path "
+                "(where the late events are persisted) or late.reprocess=true "
+                "(replay them at end of job); otherwise late events pile up "
                 "unobserved -- use the 'drop' policy instead"
             )
         if self.shards.workers > 1:
@@ -1051,28 +920,9 @@ class JobConfig:
                 )
         return runtime
 
-    def build(self) -> "BuiltJob":
-        """Resolve the whole spec: runtime + opened source, sink and store.
-
-        The caller owns the returned resources (the :class:`Job` facade
-        wraps them with the full lifecycle, including recovery and
-        teardown; use it unless you are driving the loop by hand).
-        """
-        self.validate()
-        runtime = self.build_runtime()
-        source = self.source.build()
-        try:
-            sink = self.sink.build(recover=self.checkpoint.recover)
-            store = self.checkpoint.build_store()
-        except Exception:
-            source.close()
-            runtime.close()
-            raise
-        return BuiltJob(runtime=runtime, source=source, sink=sink, store=store)
-
 
 @dataclass(frozen=True)
-class TenantConfig:
+class TenantConfig(_Section):
     """Admission-control quotas for one tenant of the job server.
 
     Every limit is optional (``None`` means unlimited):
@@ -1093,44 +943,23 @@ class TenantConfig:
     """
 
     name: str
-    max_events_per_second: Optional[float] = None
-    burst: Optional[float] = None
-    max_state_bytes: Optional[int] = None
-    max_concurrent_jobs: Optional[int] = None
+    max_events_per_second: Optional[float] = field(default=None, metadata={"above": 0})
+    burst: Optional[float] = field(default=None, metadata={"above": 0})
+    max_state_bytes: Optional[int] = field(default=None, metadata={"min": 1})
+    max_concurrent_jobs: Optional[int] = field(default=None, metadata={"min": 1})
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ConfigError("a tenant needs a non-empty name")
-        for attribute in ("max_events_per_second", "burst"):
-            value = getattr(self, attribute)
-            if value is not None and (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not value > 0
-            ):
-                raise ConfigError(
-                    f"tenant {self.name!r} {attribute} must be null or a "
-                    f"positive number, got {value!r}"
-                )
-        for attribute in ("max_state_bytes", "max_concurrent_jobs"):
-            value = getattr(self, attribute)
-            if value is not None and (
-                not isinstance(value, int) or isinstance(value, bool) or value < 1
-            ):
-                raise ConfigError(
-                    f"tenant {self.name!r} {attribute} must be null or a "
-                    f"positive integer, got {value!r}"
-                )
+        super().__post_init__()
         if self.burst is not None and self.max_events_per_second is None:
             raise ConfigError(
-                f"tenant {self.name!r} sets burst without "
-                f"max_events_per_second; burst is the rate limiter's bucket "
-                f"capacity"
+                f"tenant {self.name!r} sets tenants[].burst without "
+                f"tenants[].max_events_per_second; burst is the rate limiter's "
+                f"bucket capacity"
             )
 
 
 @dataclass(frozen=True)
-class ServerConfig:
+class ServerConfig(_Section):
     """The multi-tenant job server: endpoint, working directory, tenants.
 
     ``host``/``port`` are the local socket the newline-delimited JSON
@@ -1146,69 +975,23 @@ class ServerConfig:
     """
 
     host: str = "127.0.0.1"
-    port: int = 0
+    port: int = field(default=0, metadata={"min": 0, "max": 65535})
     dir: Optional[str] = None
     tenants: Tuple[TenantConfig, ...] = ()
-    queue_slices: int = 4
-    poll_interval_seconds: float = 0.005
+    queue_slices: int = field(default=4, metadata={"min": 1})
+    poll_interval_seconds: float = field(default=0.005, metadata={"above": 0})
 
     def __post_init__(self) -> None:
-        if not isinstance(self.host, str) or not self.host:
-            raise ConfigError(f"server host must be a non-empty string, got {self.host!r}")
-        if (
-            not isinstance(self.port, int)
-            or isinstance(self.port, bool)
-            or not 0 <= self.port <= 65535
-        ):
-            raise ConfigError(
-                f"server port must be a port number (0 binds an ephemeral "
-                f"one), got {self.port!r}"
-            )
-        _require_optional_string(self.dir, "server dir")
-        if not isinstance(self.tenants, tuple):
-            object.__setattr__(self, "tenants", tuple(self.tenants))
-        coerced = []
-        for entry in self.tenants:
-            if isinstance(entry, dict):
-                context = "a 'tenants' entry"
-                section = _require_mapping(entry, context)
-                _check_unknown_keys(TenantConfig, section, context)
-                entry = TenantConfig(**section)
-            elif not isinstance(entry, TenantConfig):
-                raise ConfigError(
-                    f"tenants must be TenantConfig entries or objects of "
-                    f"settings, got {entry!r}"
-                )
-            coerced.append(entry)
-        object.__setattr__(self, "tenants", tuple(coerced))
+        super().__post_init__()
         names = [tenant.name for tenant in self.tenants]
         duplicates = sorted({name for name in names if names.count(name) > 1})
         if duplicates:
-            raise ConfigError(f"duplicate tenant names {duplicates}")
-        if (
-            not isinstance(self.queue_slices, int)
-            or isinstance(self.queue_slices, bool)
-            or self.queue_slices < 1
-        ):
-            raise ConfigError(
-                f"queue_slices must be a positive integer, got {self.queue_slices!r}"
-            )
-        if (
-            not isinstance(self.poll_interval_seconds, (int, float))
-            or isinstance(self.poll_interval_seconds, bool)
-            or not self.poll_interval_seconds > 0
-        ):
-            raise ConfigError(
-                f"poll_interval_seconds must be a positive number, "
-                f"got {self.poll_interval_seconds!r}"
-            )
+            raise ConfigError(f"duplicate tenant names {duplicates} in tenants")
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ServerConfig":
         """Build a server config from its dictionary form (JSON/TOML)."""
-        data = _require_mapping(data, "the server config")
-        _check_unknown_keys(cls, data, "the server config")
-        return cls(**data)
+        return _coerce(cls, data, "")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe dictionary form; the inverse of :meth:`from_dict`."""
@@ -1268,7 +1051,12 @@ def read_config_file(path: Union[str, Path]) -> Dict[str, object]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return _require_mapping(data, f"the job config in {path}")
+    if not isinstance(data, dict):
+        raise ConfigError(
+            f"the config in {path} must be an object of settings, "
+            f"got {type(data).__name__}"
+        )
+    return data
 
 
 def merge_config_layers(*layers: Dict[str, object]) -> Dict[str, object]:
@@ -1287,16 +1075,6 @@ def merge_config_layers(*layers: Dict[str, object]) -> Dict[str, object]:
             else:
                 merged[key] = value
     return merged
-
-
-@dataclass
-class BuiltJob:
-    """What :meth:`JobConfig.build` resolves: the runtime and its endpoints."""
-
-    runtime: object
-    source: EventSource
-    sink: Optional[Sink]
-    store: Optional[CheckpointStore]
 
 
 # ---------------------------------------------------------------------------
@@ -1417,19 +1195,21 @@ class Job:
     """Lifecycle facade over one :class:`JobConfig`: the public job API.
 
     ``start()`` builds the runtime, opens source/sink/store and performs
-    checkpoint recovery; ``results()`` drives the pipeline to completion
-    and returns the emitted records (also pushed into the configured
-    sink); ``metrics`` exposes the runtime's counters; ``checkpoint()``
-    snapshots mid-stream state (persisted when a store is configured);
-    ``stop()`` tears everything down (idempotent, also called
-    automatically when ``results()`` completes).
+    checkpoint recovery (a failure is a
+    :class:`~repro.errors.JobStartError` naming the setting);
+    ``records()`` drives the pipeline lazily, pushing each emitted record
+    into the configured sink and yielding it, and ``results()`` is the
+    cached list of that; ``metrics`` exposes the runtime's counters;
+    ``checkpoint()`` snapshots mid-stream state (persisted when a store
+    is configured); ``stop()`` tears everything down (idempotent, also
+    called automatically when the drive ends).
 
     ``stop()`` and ``results()`` are safe to call from a second thread:
-    ``stop()`` during a live ``results()`` run cancels it -- the source
-    is closed to unblock the driving thread, which performs the actual
-    teardown and returns the records emitted so far (the job server's
-    ``cancel`` rides on this) -- and concurrent ``results()`` calls
-    serialize, the late ones returning the first one's collected list.
+    ``stop()`` during a live drive cancels it -- the source is closed to
+    unblock the driving thread, which performs the actual teardown and
+    returns the records emitted so far (the job server's ``cancel`` rides
+    on this) -- and concurrent ``results()`` calls serialize, the late
+    ones returning the first one's collected list.
 
     ``events`` overrides the configured source with an in-memory iterable
     or :class:`EventSource` (tests, embedded use); ``sink`` overrides the
@@ -1463,10 +1243,11 @@ class Job:
         config.validate()
         self.config = config
         self._events = events
-        self._sink_override = sink
+        #: a sink passed in from outside outlives the job; a built one doesn't
+        self._owns_sink = sink is None
         self._runtime = None
         self._source: Optional[EventSource] = None
-        self._sink: Optional[Sink] = None
+        self._sink = sink
         self._store: Optional[CheckpointStore] = None
         self._late_sink = None
         self._exporter = None
@@ -1480,7 +1261,7 @@ class Job:
         #: serializes concurrent results() callers (the drive runs once)
         self._results_lock = threading.Lock()
         self._stop_requested = threading.Event()
-        #: True while a results() drive is live; a concurrent stop() then
+        #: True while a records() drive is live; a concurrent stop() then
         #: only cancels (closes the source) and leaves the teardown to
         #: the driving thread
         self._driving = False
@@ -1497,139 +1278,165 @@ class Job:
             if self._stopped:
                 raise RuntimeError("this job was stopped; build a new one")
             self._started = True
+            config = self.config
             try:
-                self._runtime = self.config.build_runtime()
+                self._runtime = config.build_runtime()
                 if self._events is not None:
                     self._source = as_source(self._events)
                 else:
-                    self._source = self.config.source.build()
-                if self._sink_override is not None:
-                    self._sink = self._sink_override
-                else:
-                    self._sink = self.config.sink.build(
-                        recover=self.config.checkpoint.recover
+                    log_dir = config.source.log.dir is not None
+                    self._source = self._open(
+                        "source.log.dir" if log_dir else "source.spec",
+                        config.source.build,
                     )
-                self._store = self.config.checkpoint.build_store(
-                    registry=self._runtime.observability.registry
+                if self._owns_sink:
+                    self._sink = self._open(
+                        "sink.spec",
+                        lambda: config.sink.build(recover=config.checkpoint.recover),
+                    )
+                self._open("checkpoint.dir", self._open_store)
+                self._exporter = self._open(
+                    "observability.metrics_export_path",
+                    config.observability.build_exporter,
                 )
-                if self._store is not None and self.config.checkpoint.recover:
-                    info = resume_job(
-                        self._runtime, self._store, self._source, sink=self._sink
-                    )
-                    self._source = info.source
-                    self.resume_notes = info.notes
-                self._exporter = self.config.observability.build_exporter()
-                if self.config.observability.prometheus_port is not None:
+                if config.observability.prometheus_port is not None:
                     from repro.streaming.observability import PrometheusTextServer
 
-                    self._prometheus = PrometheusTextServer(
-                        lambda: self._exporter.latest,
-                        port=self.config.observability.prometheus_port,
-                    ).start()
-                if self.config.late.side_channel_path:
-                    # truncate: the file holds THIS run's late events
-                    self._late_sink = open(
-                        self.config.late.side_channel_path, "w", encoding="utf-8"
+                    self._prometheus = self._open(
+                        "observability.prometheus_port",
+                        PrometheusTextServer(
+                            lambda: self._exporter.latest,
+                            port=config.observability.prometheus_port,
+                        ).start,
+                    )
+                if config.late.side_channel_path:
+                    # truncate: the file holds THIS run's late events --
+                    # appending across runs would replay stale ones
+                    self._late_sink = self._open(
+                        "late.side_channel_path",
+                        lambda: open(
+                            config.late.side_channel_path, "w", encoding="utf-8"
+                        ),
                     )
             except Exception:
                 self.stop()
                 raise
         return self
 
+    @staticmethod
+    def _open(path: str, opener):
+        """Run one start-up step; its failure names the setting at ``path``."""
+        try:
+            return opener()
+        except (CograError, OSError) as exc:
+            raise JobStartError(path, exc) from exc
+
+    def _open_store(self) -> None:
+        """Open the checkpoint store and, with ``recover``, resume from it."""
+        self._store = self.config.checkpoint.build_store(
+            registry=self._runtime.observability.registry
+        )
+        if self._store is not None and self.config.checkpoint.recover:
+            # the sink is open already, so an exactly-once sink is rolled
+            # back to the offset committed inside the restored checkpoint
+            info = resume_job(self._runtime, self._store, self._source, self._sink)
+            self._source = info.source
+            self.resume_notes = info.notes
+
+    def records(self) -> Iterator[EmissionRecord]:
+        """Run the job lazily: emit each record into the sink, then yield it.
+
+        Starts the job if :meth:`start` was not called yet.  With
+        ``late.reprocess`` the side-channelled late events are replayed at
+        the end into ``is_correction=True`` records.  Nothing is retained,
+        so an unbounded stream runs in bounded memory; the job is stopped
+        when the generator ends -- exhausted, closed or failed -- and
+        cannot be driven again.
+
+        A concurrent :meth:`stop` cancels the run between source slices:
+        the generator just ends early.
+        """
+        with self._lock:
+            if not self._started:
+                self.start()
+            if self._stopped:
+                raise RuntimeError(
+                    "this job already ran, was stopped or failed; build a new one"
+                )
+            self._driving = True
+        try:
+            yield from self._drive()
+        finally:
+            with self._lock:
+                self._driving = False
+            self.stop()
+
     def results(self) -> List[EmissionRecord]:
         """Run the job to completion; return every emitted record.
 
-        Starts the job if :meth:`start` was not called yet.  Records are
-        also pushed into the configured sink as they are produced, and --
-        with ``late.reprocess`` -- the side-channelled late events are
-        replayed at the end into ``is_correction=True`` records.  The job
-        is stopped when the stream completes; the collected records stay
-        available from repeated calls.
-
-        A concurrent :meth:`stop` cancels the run between source slices:
-        the records emitted so far are returned (and cached, so later
-        calls see the same partial list).  Concurrent ``results()``
-        callers serialize; only one drives the pipeline.
+        The cached ``list`` of :meth:`records`: the collected records stay
+        available from repeated calls, and concurrent callers serialize
+        (only one drives the pipeline).  A cancelled run caches the
+        records emitted so far; a failed run caches nothing and keeps
+        raising, never serving a partial list as if the job had completed.
         """
         with self._results_lock:
-            if self._records is not None:
-                return self._records
-            with self._lock:
-                if not self._started:
-                    self.start()
-                if self._stopped:
-                    raise RuntimeError(
-                        "this job was stopped (or failed) before completing; "
-                        "build a new one"
-                    )
-                self._driving = True
-            try:
-                records = self._drive_records()
-            finally:
-                # cache only on success or cancellation: a failed run must
-                # keep raising (the stopped-job guard above), never serve
-                # the partial list as if the job had completed
-                with self._lock:
-                    self._driving = False
-                self.stop()
-            self._records = records
-            return records
+            if self._records is None:
+                self._records = list(self.records())
+            return self._records
 
-    def _drive_records(self) -> List[EmissionRecord]:
+    def _drive(self) -> Iterator[EmissionRecord]:
         """Drive the pipeline slice by slice, honouring a concurrent stop."""
         from repro.streaming.runtime import DriveSession
 
-        on_late = self._persist_late if self._late_sink is not None else None
         interval = self.config.checkpoint.interval
-        records: List[EmissionRecord] = []
         sink = self._sink
         session = DriveSession(
             self._runtime,
             self._source,
             checkpoint_store=self._store if interval else None,
             checkpoint_interval=interval,
-            on_late=on_late,
+            on_late=self._persist_late if self._late_sink is not None else None,
             metrics_exporter=self._exporter,
             sink=sink,
             backpressure=self.config.backpressure,
             decode_batch_size=self.config.batch.decode_batch_size,
         )
-        cancelled = False
+
+        def emitted(records: Iterable[EmissionRecord]) -> Iterator[EmissionRecord]:
+            for record in records:
+                if sink is not None:
+                    sink.emit(record)
+                yield record
+
         try:
             try:
                 for batch in session.batches():
                     if self._stop_requested.is_set():
-                        cancelled = True
-                        break
-                    for record in session.step(batch):
-                        records.append(record)
-                        if sink is not None:
-                            sink.emit(record)
+                        return
+                    yield from emitted(session.step(batch))
             except Exception:
                 if not self._stop_requested.is_set():
                     raise
                 # a concurrent stop() closed the source under the reading
                 # thread; whatever the read raised is the cancellation
-                cancelled = True
-            if cancelled or self._stop_requested.is_set():
-                return records
-            for record in session.finish():
-                records.append(record)
-                if sink is not None:
-                    sink.emit(record)
+                return
+            if self._stop_requested.is_set():
+                return
+            yield from emitted(session.finish())
             if self.config.late.reprocess:
-                for record in self._runtime.reprocess_late():
-                    records.append(record)
-                    if sink is not None:
-                        sink.emit(record)
+                yield from emitted(self._runtime.reprocess_late())
         finally:
             session.close()
-        return records
+            if self._late_sink is not None:
+                # an abandoned drive (consumer gone, failed slice) must not
+                # lose the late events its last slice side-channelled
+                self._persist_late(self._runtime.take_late_events())
 
     def stop(self) -> None:
         """Release every resource the job holds (idempotent, thread-safe).
 
-        Called while another thread is inside :meth:`results`, it cancels
+        Called while another thread is driving :meth:`records`, it cancels
         the run instead: the source is closed (unblocking a live read)
         and the driving thread -- which notices between slices -- does
         the actual teardown and returns the records emitted so far.
@@ -1653,9 +1460,7 @@ class Job:
                 self._runtime.close()
             if self._exporter is not None:
                 self._exporter.close()
-            if self._sink is not None and self._sink_override is None:
-                # sinks passed in from outside outlive the job; owned ones
-                # don't
+            if self._sink is not None and self._owns_sink:
                 self._sink.close()
             if self._store is not None:
                 self._store.close()

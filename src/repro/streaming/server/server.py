@@ -86,6 +86,17 @@ _ERROR_KINDS = (
     (CograError, "job"),
 )
 
+#: job settings the server cannot honour -- its scheduler drains no late-
+#: event side channel, and it owns each job's checkpoint directory and the
+#: metrics endpoint -- so a config setting one is rejected, not ignored
+UNSUPPORTED_SETTINGS = (
+    "late.side_channel_path",
+    "late.reprocess",
+    "checkpoint.recover",
+    "observability.metrics_export_path",
+    "observability.prometheus_port",
+)
+
 #: events between forced quota checkpoints when a tenant caps state
 #: bytes but the job config itself does not checkpoint
 STATE_CHECK_INTERVAL = 256
@@ -306,8 +317,9 @@ class JobServer:
 
         Raises :class:`~repro.errors.ConcurrencyQuotaError` when the
         tenant is at its concurrent-jobs bound,
-        :class:`~repro.errors.ConfigError` for unknown tenants or invalid
-        job configs.
+        :class:`~repro.errors.ConfigError` for unknown tenants, invalid
+        job configs and configs that set one of the
+        :data:`UNSUPPORTED_SETTINGS`.
         """
         if isinstance(config, dict):
             config = JobConfig.from_dict(config)
@@ -317,6 +329,15 @@ class JobServer:
                 f"got {type(config).__name__}"
             )
         config.validate()
+        for path in UNSUPPORTED_SETTINGS:
+            section, name = path.split(".")
+            value = getattr(getattr(config, section), name)
+            if value is not None and value is not False:  # port 0 is a setting
+                raise ConfigError(
+                    f"{path} is not supported by the job server (it keeps each "
+                    f"job's checkpoints and metrics itself and has no late-event "
+                    f"side channel); run the job with `cogra stream` instead"
+                )
         quotas = self.config.tenant(tenant)
         with self._lock:
             if quotas.max_concurrent_jobs is not None:

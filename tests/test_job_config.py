@@ -18,6 +18,7 @@ import json
 import random
 import sys
 import threading
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,11 +36,15 @@ from repro.streaming.config import (
     JobConfig,
     LatenessConfig,
     LogSourceConfig,
+    ObsConfig,
     QueryConfig,
     RebalanceConfig,
+    ReplanConfig,
+    ServerConfig,
     ShardConfig,
     SinkConfig,
     SourceConfig,
+    TenantConfig,
     WatermarkConfig,
 )
 from repro.streaming.ingest import LatePolicy
@@ -100,19 +105,152 @@ def record_signature(records):
 # ---------------------------------------------------------------------------
 
 
+#: every config class and the dotted path its settings live under -- the
+#: test's own copy of the layout, so the derived paths have an oracle
+SECTIONS = {
+    JobConfig: "",
+    QueryConfig: "queries[].",
+    WatermarkConfig: "watermark.",
+    LatenessConfig: "late.",
+    ShardConfig: "shards.",
+    RebalanceConfig: "shards.rebalance.",
+    BatchConfig: "batch.",
+    CheckpointConfig: "checkpoint.",
+    SourceConfig: "source.",
+    LogSourceConfig: "source.log.",
+    SinkConfig: "sink.",
+    BackpressureConfig: "backpressure.",
+    ObsConfig: "observability.",
+    ReplanConfig: "replan.",
+    ServerConfig: "",
+    TenantConfig: "tenants[].",
+}
+
+#: the settings without a default
+REQUIRED = {QueryConfig: {"text": TYPE_QUERY}, TenantConfig: {"name": "team"}}
+
+#: a second valid context (next to the defaults) for the classes with
+#: cross-field rules: between the two, every value a field accepts on its
+#: own can be constructed (``reprocess=True`` needs the side-channel policy)
+WITNESS = {
+    WatermarkConfig: {"kind": "punctuation", "punctuation_type": "Tick"},
+    LatenessConfig: {"policy": "side-channel"},
+    CheckpointConfig: {"dir": "ckpt", "interval": 4, "recover": True},
+    ObsConfig: {"trace_path": "spans.jsonl", "trace_sample_rate": 0.5},
+    SinkConfig: {"spec": "out.jsonl", "exactly_once": True},
+    TenantConfig: {"max_events_per_second": 5.0, "burst": 5.0},
+}
+
+
+def field_examples():
+    """Valid and invalid values of every field, generated from its declaration.
+
+    The annotation gives the kind, ``field(metadata=...)`` the range or
+    choices; each kind has its boundary values (valid) and its wrong
+    shapes (invalid): wrong type, a bool for a number, NaN and the
+    infinities, one step outside each bound, empty strings, unknown
+    nested keys.  Yields ``pytest.param(cls, name, value, valid)``.
+    """
+    for cls in SECTIONS:
+        hints = typing.get_type_hints(cls)
+        for spec in dataclasses.fields(cls):
+            hint, meta = hints[spec.name], spec.metadata
+            args = typing.get_args(hint)
+            optional = type(None) in args
+            many = typing.get_origin(hint) is tuple
+            base = args[0] if optional or many else hint
+            valid, invalid = [], {"null": None}
+            if optional:
+                valid.append(invalid.pop("null"))
+            if dataclasses.is_dataclass(base):
+                entry = dict(REQUIRED.get(base, {}))
+                typo = dict(entry, no_such_key=1)
+                if many:
+                    valid += [(), [entry], (base(**entry),)]
+                    invalid.update(scalar="text", entry_scalar=[7], entry_typo=[typo])
+                else:
+                    valid += [entry, base(**entry)]
+                    invalid.update(scalar="text", typo=typo)
+            elif base is bool:
+                valid += [True, False]
+                invalid.update(string="false", integer=1)
+            elif base is str:
+                valid += meta.get("choices", ["x"])
+                invalid.update(empty="", blank="  ", number=7)
+                if "choices" in meta:
+                    invalid["not_a_choice"] = "zzz"
+            else:
+                assert base in (int, float) and meta, (cls, spec.name)
+                step = 1 if base is int else 0.5
+                invalid.update(string="1", boolean=True)
+                if base is int:
+                    invalid["fraction"] = 1.5
+                else:
+                    invalid.update(
+                        nan=float("nan"), inf=float("inf"), minus_inf=-float("inf")
+                    )
+                if "min" in meta:
+                    valid.append(meta["min"])
+                    invalid["below_min"] = meta["min"] - step
+                if "above" in meta:
+                    valid += [meta["above"] + step, meta["above"] + 1]
+                    invalid.update(at_bound=meta["above"], below=meta["above"] - 1)
+                if "max" in meta:
+                    valid.append(meta["max"])
+                    invalid["above_max"] = meta["max"] + step
+            path = SECTIONS[cls] + spec.name
+            for value in valid:
+                yield pytest.param(cls, spec.name, value, True, id=f"{path}={value!r}")
+            for shape, value in invalid.items():
+                yield pytest.param(cls, spec.name, value, False, id=f"{path}-{shape}")
+
+
+class TestDeclaredFields:
+    """One declaration per setting: the dataclass field is all there is."""
+
+    def test_the_config_surface_is_16_classes_and_70_fields(self):
+        assert len(SECTIONS) == 16
+        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 70
+
+    @pytest.mark.parametrize("cls, name, value, valid", field_examples())
+    def test_field_accepts_and_rejects_by_its_declaration(
+        self, cls, name, value, valid
+    ):
+        path = SECTIONS[cls] + name
+        base = REQUIRED.get(cls, {})
+        errors = []
+        for context in (base, {**base, **WITNESS.get(cls, {})}):
+            try:
+                cls(**{**context, name: value})
+            except ConfigError as exc:
+                errors.append(str(exc))
+        if valid:
+            # accepted wherever the cross-field rules allow it
+            assert len(errors) < 2, errors
+        else:
+            assert len(errors) == 2 and all(path in error for error in errors), errors
+
+    def test_drifted_checks_are_gone(self, tmp_path):
+        # each constructed before the checks were derived, while sibling
+        # fields rejected the very same values
+        with pytest.raises(ConfigError, match="checkpoint.compact_every"):
+            CheckpointConfig(dir="x", interval=4, compact_every=True)
+        with pytest.raises(ConfigError, match="watermark.lateness"):
+            WatermarkConfig(lateness=float("nan"))
+        with pytest.raises(ConfigError, match="backpressure.poll_interval_seconds"):
+            BackpressureConfig(poll_interval_seconds=float("inf"))
+        # json.loads accepts NaN/Infinity, so a config file can carry them
+        path = tmp_path / "job.json"
+        path.write_text('{"replan": {"hysteresis": NaN, "ewma_alpha": Infinity}}')
+        with pytest.raises(ConfigError, match="replan.hysteresis"):
+            JobConfig.load(path)
+
+    def test_missing_required_setting_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"queries\[0\].text is required"):
+            JobConfig.from_dict({"queries": [{"name": "nameless"}]})
+
+
 class TestComponentValidation:
-    def test_unknown_watermark_kind(self):
-        with pytest.raises(ConfigError, match="bounded-delay"):
-            WatermarkConfig(kind="bounded")
-
-    def test_negative_lateness(self):
-        with pytest.raises(ConfigError, match="non-negative"):
-            WatermarkConfig(lateness=-1.0)
-
-    def test_non_numeric_lateness(self):
-        with pytest.raises(ConfigError, match="number of seconds"):
-            WatermarkConfig(lateness="5")
-
     def test_punctuation_requires_type(self):
         with pytest.raises(ConfigError, match="punctuation_type"):
             WatermarkConfig(kind="punctuation")
@@ -132,9 +270,11 @@ class TestComponentValidation:
         for policy in LatePolicy:
             assert policy.value in message
 
-    def test_policy_typo_gets_a_suggestion(self):
+    def test_choice_typos_get_a_suggestion(self):
         with pytest.raises(ConfigError, match="did you mean 'drop'"):
             LatenessConfig(policy="drp")
+        with pytest.raises(ConfigError, match="did you mean 'mixed'"):
+            QueryConfig(text=TYPE_QUERY, granularity="mxed")
 
     def test_side_channel_path_requires_side_channel_policy(self):
         with pytest.raises(ConfigError, match="side_channel_path"):
@@ -150,78 +290,19 @@ class TestComponentValidation:
                 policy="side-channel", side_channel_path="l.jsonl", reprocess=True
             )
 
-    def test_shard_ranges(self):
-        with pytest.raises(ConfigError, match="worker count"):
-            ShardConfig(workers=0)
-        with pytest.raises(ConfigError, match="ship_interval"):
-            ShardConfig(ship_interval=0)
-        with pytest.raises(ConfigError, match="max_batch"):
-            ShardConfig(max_batch=-1)
-        with pytest.raises(ConfigError, match="max_restarts"):
-            ShardConfig(max_restarts=-1)
-        with pytest.raises(ConfigError, match="integer"):
-            ShardConfig(workers="two")
-
-    def test_rebalance_bounds(self):
-        with pytest.raises(ConfigError, match="skew_threshold"):
-            RebalanceConfig(skew_threshold=1.0)
-        with pytest.raises(ConfigError, match="skew_threshold"):
-            RebalanceConfig(skew_threshold="2")
-        with pytest.raises(ConfigError, match="min_interval"):
-            RebalanceConfig(min_interval=0)
-        with pytest.raises(ConfigError, match="max_moves"):
-            RebalanceConfig(max_moves=-1)
-        with pytest.raises(ConfigError, match="slots_per_worker"):
-            RebalanceConfig(slots_per_worker=0)
-        with pytest.raises(ConfigError, match="true or false"):
-            RebalanceConfig(enabled="yes")
-
     def test_shards_rebalance_section_is_coerced_and_validated(self):
         shards = ShardConfig(rebalance={"enabled": True, "min_interval": 64})
         assert shards.rebalance == RebalanceConfig(enabled=True, min_interval=64)
         with pytest.raises(ConfigError, match="did you mean 'max_moves'"):
             ShardConfig(rebalance={"max_movs": 2})
-        with pytest.raises(ConfigError, match="shards.rebalance"):
-            ShardConfig(rebalance=True)
 
     def test_checkpoint_cross_field_rules(self):
-        with pytest.raises(ConfigError, match="interval requires a checkpoint dir"):
+        with pytest.raises(ConfigError, match="interval requires checkpoint.dir"):
             CheckpointConfig(interval=10)
-        with pytest.raises(ConfigError, match="recover requires a checkpoint dir"):
+        with pytest.raises(ConfigError, match="recover requires checkpoint.dir"):
             CheckpointConfig(recover=True)
         with pytest.raises(ConfigError, match="does nothing by itself"):
             CheckpointConfig(dir="ckpt")
-        with pytest.raises(ConfigError, match="at least 1"):
-            CheckpointConfig(dir="ckpt", interval=0)
-
-    def test_query_requires_text_and_known_granularity(self):
-        with pytest.raises(ConfigError, match="non-empty text"):
-            QueryConfig(text="   ")
-        with pytest.raises(ConfigError, match="did you mean 'mixed'"):
-            QueryConfig(text=TYPE_QUERY, granularity="mxed")
-
-    def test_source_and_sink_specs(self):
-        with pytest.raises(ConfigError, match="source spec"):
-            SourceConfig(spec="")
-        with pytest.raises(ConfigError, match="sink spec"):
-            SinkConfig(spec="")
-
-    def test_booleans_must_be_real_booleans(self):
-        # "false" is truthy: accepting it would silently invert the setting
-        with pytest.raises(ConfigError, match="true or false"):
-            JobConfig.from_dict({"emit_empty_groups": "false"})
-        with pytest.raises(ConfigError, match="true or false"):
-            LatenessConfig(policy="side-channel", reprocess="yes")
-        with pytest.raises(ConfigError, match="true or false"):
-            QueryConfig(text=TYPE_QUERY, emit_empty_groups="false")
-        with pytest.raises(ConfigError, match="true or false"):
-            CheckpointConfig(dir="ckpt", recover="true")
-
-    def test_optional_strings_must_be_null_or_non_empty(self):
-        with pytest.raises(ConfigError, match="side_channel_path"):
-            LatenessConfig(policy="side-channel", side_channel_path=7)
-        with pytest.raises(ConfigError, match="name"):
-            QueryConfig(text=TYPE_QUERY, name="")
 
     def test_config_error_is_a_value_error(self):
         # runtime constructors historically raised ValueError; callers
@@ -257,7 +338,7 @@ class TestUnknownKeys:
     def test_non_mapping_sections_are_rejected(self):
         with pytest.raises(ConfigError, match="must be an object"):
             JobConfig.from_dict({"late": "drop"})
-        with pytest.raises(ConfigError, match="list of query objects"):
+        with pytest.raises(ConfigError, match="queries must be a list"):
             JobConfig.from_dict({"queries": TYPE_QUERY})
 
 
@@ -269,26 +350,6 @@ class TestUnknownKeys:
 class TestDeliveryConfig:
     """The PR-7 surface: source.log.*, sink.exactly_once, backpressure.*."""
 
-    def test_backpressure_validation(self):
-        for bad in (0, -1, True, "many"):
-            with pytest.raises(ConfigError, match="max_inflight"):
-                BackpressureConfig(max_inflight=bad)
-        for bad in (0, -0.5, "fast", True):
-            with pytest.raises(ConfigError, match="poll_interval_seconds"):
-                BackpressureConfig(poll_interval_seconds=bad)
-        for bad in (0, -2.0, "soon", True):
-            with pytest.raises(ConfigError, match="max_wait_seconds"):
-                BackpressureConfig(max_wait_seconds=bad)
-        assert BackpressureConfig().max_inflight == 64
-        assert BackpressureConfig().max_wait_seconds is None
-
-    def test_log_source_validation(self):
-        with pytest.raises(ConfigError, match="source log dir"):
-            LogSourceConfig(dir=7)
-        for field in ("partitions", "segment_records"):
-            with pytest.raises(ConfigError, match=field):
-                LogSourceConfig(**{field: 0})
-
     def test_log_dir_conflicts_with_an_explicit_spec(self):
         with pytest.raises(ConfigError, match="drop one of them"):
             SourceConfig(spec="events.jsonl", log={"dir": "events-log"})
@@ -296,8 +357,6 @@ class TestDeliveryConfig:
     def test_log_section_coerces_from_a_mapping(self):
         config = SourceConfig(log={"dir": "events-log", "partitions": 4})
         assert config.log == LogSourceConfig(dir="events-log", partitions=4)
-        with pytest.raises(ConfigError, match="source.log"):
-            SourceConfig(log="events-log")
 
     def test_log_section_typo_is_suggested(self):
         with pytest.raises(ConfigError, match="did you mean 'partitions'"):
@@ -311,8 +370,6 @@ class TestDeliveryConfig:
         for spec in (None, "-", "stdout"):
             with pytest.raises(ConfigError, match="exactly_once requires"):
                 SinkConfig(spec=spec, exactly_once=True)
-        with pytest.raises(ConfigError, match="exactly_once"):
-            SinkConfig(spec="out.jsonl", exactly_once="yes")
         SinkConfig(spec="out.jsonl", exactly_once=True)  # valid
 
     def test_exactly_once_build_is_transactional(self, tmp_path):
@@ -666,9 +723,9 @@ class TestBuildRuntime:
             runtime.process(late[1])
 
     def test_runtime_constructor_validates_policy_eagerly(self):
-        with pytest.raises(ConfigError, match="valid policies"):
+        with pytest.raises(ConfigError, match="late.policy must be one of"):
             StreamingRuntime(late_policy="bogus")
-        with pytest.raises(ConfigError, match="valid policies"):
+        with pytest.raises(ConfigError, match="late.policy must be one of"):
             ShardedRuntime(late_policy="bogus")
 
 
@@ -859,6 +916,70 @@ class TestJobFacade:
         with pytest.raises(RuntimeError, match="failed"):
             failed.results()
 
+    def test_start_failures_name_the_setting_that_failed(self, tmp_path):
+        import socket
+
+        from repro.errors import JobStartError
+
+        events = tmp_path / "events.jsonl"
+        events.write_text("")
+        corrupt = tmp_path / "ckpt"
+        corrupt.mkdir()
+        (corrupt / "MANIFEST.json").write_text("{ not json")
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            cases = {
+                "source.spec": {"source": SourceConfig(spec=str(tmp_path / "nope"))},
+                "source.log.dir": {
+                    "source": SourceConfig(log={"dir": str(tmp_path / "nope")})
+                },
+                "sink.spec": {"sink": SinkConfig(spec=str(tmp_path))},
+                "checkpoint.dir": {
+                    "checkpoint": CheckpointConfig(dir=str(corrupt), recover=True)
+                },
+                "observability.metrics_export_path": {
+                    "observability": ObsConfig(metrics_export_path=str(tmp_path))
+                },
+                "observability.prometheus_port": {
+                    "observability": ObsConfig(prometheus_port=taken.getsockname()[1])
+                },
+                "late.side_channel_path": {
+                    "late": LatenessConfig(
+                        policy="side-channel", side_channel_path=str(tmp_path)
+                    )
+                },
+            }
+            for path, overrides in cases.items():
+                overrides.setdefault("source", SourceConfig(spec=str(events)))
+                failing = job(self._config(**overrides))
+                with pytest.raises(JobStartError, match=path) as excinfo:
+                    failing.start()
+                assert excinfo.value.path == path
+                assert excinfo.value.__cause__ is not None
+                # start() released whatever it had opened before failing
+                with pytest.raises(RuntimeError, match="stopped"):
+                    failing.results()
+
+    def test_records_drives_lazily_and_retains_nothing(self, tmp_path):
+        out = tmp_path / "out.jsonl"
+        config = self._config(
+            sink=SinkConfig(spec=str(out)), batch=BatchConfig(decode_batch_size=8)
+        )
+        running = job(config, events=make_stream())
+        drive = running.records()
+        first = next(drive)
+        # the drive is suspended mid-stream: only some slices were pulled
+        assert 0 < running.metrics.events_ingested < 60
+        rest = list(drive)
+        assert running.metrics.events_ingested == 60
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + len(rest)
+        assert json.loads(lines[0])["window_id"] == first.result.window_id
+        assert running._records is None  # nothing was collected
+        with pytest.raises(RuntimeError, match="already ran"):
+            running.results()
+
     def test_start_twice_rejected(self):
         running = job(self._config(), events=make_stream()).start()
         with pytest.raises(RuntimeError, match="already started"):
@@ -874,19 +995,6 @@ class TestJobFacade:
             assert running.runtime is not None
         with pytest.raises(RuntimeError, match="stopped"):
             running.results()
-
-    def test_build_returns_runtime_and_endpoints(self, tmp_path):
-        out = tmp_path / "out.jsonl"
-        config = self._config(sink=SinkConfig(spec=str(out)))
-        built = config.build()
-        try:
-            assert isinstance(built.runtime, StreamingRuntime)
-            assert built.store is None
-            assert built.sink is not None
-        finally:
-            built.source.close()
-            built.sink.close()
-            built.runtime.close()
 
 
 class TestJobThreadSafety:

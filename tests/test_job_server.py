@@ -557,6 +557,40 @@ class TestQuotas:
             with pytest.raises(ConfigError, match="unknown tenant"):
                 server.submit(job_dict(events), tenant="beta")
 
+    @pytest.mark.parametrize(
+        "path, overrides",
+        [
+            (
+                "late.side_channel_path",
+                {"late": {"policy": "side-channel", "side_channel_path": "l.jsonl"}},
+            ),
+            ("late.reprocess", {"late": {"policy": "side-channel", "reprocess": True}}),
+            ("checkpoint.recover", {"checkpoint": {"dir": "ckpt", "recover": True}}),
+            (
+                "observability.metrics_export_path",
+                {"observability": {"metrics_export_path": "m.jsonl"}},
+            ),
+            (
+                "observability.prometheus_port",
+                {"observability": {"prometheus_port": 0}},
+            ),
+        ],
+    )
+    def test_settings_the_server_would_ignore_are_rejected(
+        self, tmp_path, path, overrides
+    ):
+        """In process and over the wire (kind ``config``), naming the path."""
+        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        config = job_dict(events, **overrides)
+        with JobServer() as server:
+            with pytest.raises(ConfigError, match=path):
+                server.submit(config)
+            with JobServerClient(*server.address) as client:
+                # the client raises ConfigError for wire kind "config" only
+                with pytest.raises(ConfigError, match=path):
+                    client.submit(config)
+            assert server.list_jobs() == []
+
     def test_error_kinds_map_the_quota_hierarchy(self):
         assert error_kind(RateQuotaError("r")) == "rate-quota"
         assert error_kind(StateQuotaError("s")) == "state-quota"

@@ -263,7 +263,7 @@ class TestSingleShardFallback:
 
 class TestValidation:
     def test_rejects_invalid_configuration(self):
-        with pytest.raises(ValueError, match="worker count"):
+        with pytest.raises(ValueError, match="shards.workers"):
             ShardedRuntime(workers=0)
         with pytest.raises(ValueError, match="ship_interval"):
             ShardedRuntime(ship_interval=0)

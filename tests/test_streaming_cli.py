@@ -1,6 +1,7 @@
 """Tests for the ``cogra stream`` CLI subcommand and the JSONL wire format."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -226,7 +227,8 @@ class TestStreamCommand:
             ["stream", QUERY, "--input", str(path), "--max-inflight", "0"]
         )
         assert code == 2
-        assert "--max-inflight must be at least 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--max-inflight" in err and "at least 1" in err
 
     def test_sink_flag_routes_records_to_a_file(self, tmp_path, capsys):
         path = write_events(tmp_path / "events.jsonl", event_rows())
@@ -274,7 +276,8 @@ class TestStreamCommand:
         path = write_events(tmp_path / "events.jsonl", event_rows())
         code = main(["stream", QUERY, "--input", str(path), "--lateness", "-5"])
         assert code == 2
-        assert "non-negative" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--lateness" in err and "at least 0" in err
 
     def test_malformed_event_gets_one_line_error(self, tmp_path, capsys):
         path = write_events(tmp_path / "bad.jsonl", [{"type": "A"}])  # no time
@@ -845,4 +848,213 @@ class TestConfigFlag:
             tmp_path, events, sink={"spec": str(tmp_path)}  # a directory
         )
         assert main(["stream", "--config", str(config)]) == 1
-        assert "cannot open sink" in capsys.readouterr().err
+        assert "cannot open --sink" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one job lifecycle: `cogra stream` is the Job facade plus reporting
+# ---------------------------------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def example_config():
+    """examples/job_example.json, its relative source path made absolute."""
+    config = json.loads((REPO / "examples" / "job_example.json").read_text())
+    config["source"]["spec"] = str(REPO / "examples" / "job_events.jsonl")
+    del config["sink"]
+    return config
+
+
+def sharded_checkpointing_config(tmp_path):
+    # four groups, so both workers own live sub-streams
+    rows = [dict(row, g="wxyz"[i % 4]) for i, row in enumerate(event_rows() * 4)]
+    for i, row in enumerate(rows):
+        row["time"] = float(i)
+    events = write_events(tmp_path / "events.jsonl", rows)
+    return {
+        "queries": [{"text": QUERY, "name": "pairs"}],
+        "watermark": {"lateness": 2.0},
+        "late": {"policy": "drop"},
+        "source": {"spec": str(events)},
+        "shards": {"workers": 2},
+        "checkpoint": {"dir": "ckpt", "interval": 10},
+    }
+
+
+class TestCliRunsThroughJob:
+    """``cogra stream --config X --sink A`` ≡ ``repro.job(X with sink B)``."""
+
+    def run_both(self, tmp_path, monkeypatch, config):
+        """One run per route; same sink bytes, same metric counters."""
+        import repro
+        from repro import cli
+
+        def routed(route):
+            # each route gets its own sink file and checkpoint store
+            copy = json.loads(json.dumps(config))
+            if "checkpoint" in copy:
+                copy["checkpoint"]["dir"] = str(tmp_path / f"{route}-ckpt")
+            return copy, tmp_path / f"{route}.jsonl"
+
+        started = []
+        real_job = cli.job
+        monkeypatch.setattr(
+            cli, "job", lambda spec: started.append(real_job(spec)) or started[-1]
+        )
+        cli_config, cli_sink = routed("cli")
+        path = tmp_path / "cli-job.json"
+        path.write_text(json.dumps(cli_config))
+        assert main(["stream", "--config", str(path), "--sink", str(cli_sink)]) == 0
+
+        job_config, job_sink = routed("job")
+        job_config["sink"] = {"spec": str(job_sink)}
+        via_job = repro.job(job_config)
+        records = via_job.results()
+
+        assert cli_sink.read_bytes() == job_sink.read_bytes()
+        assert len(job_sink.read_text().splitlines()) == len(records)
+        assert started[-1].metrics.snapshot() == via_job.metrics.snapshot()
+        return records
+
+    def test_the_example_job(self, tmp_path, monkeypatch):
+        assert self.run_both(tmp_path, monkeypatch, example_config())
+
+    def test_two_workers_with_periodic_checkpoints(self, tmp_path, monkeypatch):
+        config = sharded_checkpointing_config(tmp_path)
+        assert self.run_both(tmp_path, monkeypatch, config)
+        for route in ("cli", "job"):
+            assert (tmp_path / f"{route}-ckpt" / "MANIFEST.json").exists()
+
+    def test_checkpointed_prefix_then_recover_on_the_full_input(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        rows = event_rows()
+        events = tmp_path / "events.jsonl"
+        config = {
+            "queries": [{"text": QUERY}],
+            "late": {"policy": "drop"},
+            "source": {"spec": str(events)},
+            "checkpoint": {"dir": "ckpt", "interval": 10, "recover": True},
+        }
+        write_events(events, rows[:20])
+        self.run_both(tmp_path, monkeypatch, config)
+        assert "starting fresh" in capsys.readouterr().err
+        write_events(events, rows)
+        resumed = self.run_both(tmp_path, monkeypatch, config)
+        assert resumed and "resumed from checkpoint" in capsys.readouterr().err
+
+
+#: per flag: argv that sets it validly (with what its cross-field rules
+#: need), the value it must land as, and argv that must be refused (None
+#: where a switch or argparse's own choices leave nothing to refuse)
+FLAG_CASES = {
+    "input": (["--input", "in.jsonl"], "in.jsonl", ["--input", ""]),
+    "source": (["--source", "tail:in.jsonl"], "tail:in.jsonl", ["--source", ""]),
+    "sink": (["--sink", "out.jsonl"], "out.jsonl", ["--sink", ""]),
+    "exactly_once": (
+        ["--exactly-once", "--sink", "out.jsonl"],
+        True,
+        ["--exactly-once"],
+    ),
+    "max_inflight": (["--max-inflight", "8"], 8, ["--max-inflight", "0"]),
+    "checkpoint_dir": (
+        ["--checkpoint-dir", "ckpt", "--recover"],
+        "ckpt",
+        ["--checkpoint-dir", "ckpt"],
+    ),
+    "checkpoint_interval": (
+        ["--checkpoint-dir", "ckpt", "--checkpoint-interval", "5"],
+        5,
+        ["--checkpoint-dir", "ckpt", "--checkpoint-interval", "0"],
+    ),
+    "recover": (["--checkpoint-dir", "ckpt", "--recover"], True, ["--recover"]),
+    "lateness": (["--lateness", "2.5"], 2.5, ["--lateness", "nan"]),
+    "late_policy": (["--late-policy", "raise"], "raise", None),
+    "punctuation_type": (
+        ["--punctuation-type", "Tick"],
+        "Tick",
+        ["--punctuation-type", ""],
+    ),
+    "late_output": (
+        ["--late-policy", "side-channel", "--late-output", "late.jsonl"],
+        "late.jsonl",
+        ["--late-output", "late.jsonl"],
+    ),
+    "emit_empty_groups": (["--emit-empty-groups"], True, None),
+    "workers": (["--workers", "2"], 2, ["--workers", "0"]),
+    "ship_interval": (["--ship-interval", "1"], 1, ["--ship-interval", "0"]),
+    "decode_batch_size": (
+        ["--decode-batch-size", "16"],
+        16,
+        ["--decode-batch-size", "0"],
+    ),
+    "rebalance": (["--rebalance"], True, None),
+    "replan": (["--replan"], True, None),
+    "metrics_export": (
+        ["--metrics-export", "m.jsonl"],
+        "m.jsonl",
+        ["--metrics-export", ""],
+    ),
+    "metrics_interval": (
+        ["--metrics-interval", "0.5"],
+        0.5,
+        ["--metrics-interval", "inf"],
+    ),
+    "trace": (
+        ["--trace", "t.jsonl", "--trace-sample-rate", "0.5"],
+        "t.jsonl",
+        ["--trace", "t.jsonl"],
+    ),
+    "trace_sample_rate": (
+        ["--trace", "t.jsonl", "--trace-sample-rate", "0.5"],
+        0.5,
+        ["--trace", "t.jsonl", "--trace-sample-rate", "1.5"],
+    ),
+    "prometheus_port": (
+        ["--prometheus-port", "0"],
+        0,
+        ["--prometheus-port", "70000"],
+    ),
+}
+
+
+class TestFlagTable:
+    """The one flag <-> config path table, walked in both directions."""
+
+    def test_stream_keeps_its_27_arguments_and_every_flag_has_a_case(self):
+        from repro.cli import _STREAM_FLAGS, build_parser
+
+        commands = build_parser()._subparsers._group_actions[0]
+        dests = {
+            action.dest
+            for action in commands.choices["stream"]._actions
+            if action.dest != "help"
+        }
+        assert len(dests) == 27
+        assert set(_STREAM_FLAGS) == dests - {"queries", "config", "dry_run", "metrics"}
+        assert set(FLAG_CASES) == set(_STREAM_FLAGS)
+
+    @pytest.mark.parametrize("dest", sorted(FLAG_CASES))
+    def test_flag_lands_at_its_config_path(self, dest, capsys):
+        from repro.cli import _STREAM_FLAGS
+
+        argv, expected, _ = FLAG_CASES[dest]
+        assert main(["stream", QUERY, "--dry-run", *argv]) == 0
+        value = json.loads(capsys.readouterr().out)
+        for key in _STREAM_FLAGS[dest].split("."):
+            value = value[key]
+        assert value == expected and type(value) is type(expected)
+
+    @pytest.mark.parametrize(
+        "dest", sorted(dest for dest, case in FLAG_CASES.items() if case[2])
+    )
+    def test_invalid_value_exits_2_naming_the_flag(self, dest, capsys):
+        from repro.cli import _STREAM_FLAGS
+
+        assert main(["stream", QUERY, "--dry-run", *FLAG_CASES[dest][2]]) == 2
+        captured = capsys.readouterr()
+        assert "--" + dest.replace("_", "-") in captured.err
+        # the operator typed flags: no config path leaks into the message
+        assert _STREAM_FLAGS[dest] not in captured.err
+        assert captured.out == ""
