@@ -26,6 +26,7 @@ from repro.analyzer.granularity import (
 from repro.errors import PlanningError
 from repro.events.event import Event
 from repro.query.aggregates import AggregateSpec
+from repro.query.predicates import AdjacentPredicate
 from repro.query.query import Query
 from repro.query.semantics import Semantics
 
@@ -108,6 +109,16 @@ class CograPlan:
             (pred, succ): tuple(self.classification.adjacent_between(pred, succ))
             for succ in self.automaton.variables
             for pred in self.automaton.pred_types(succ)
+        }
+        #: ``(predecessor variable, successor variable)`` -> the bare
+        #: ``(predecessor event, successor event)`` callables of the pair's
+        #: adjacent predicates, for every edge of the automaton (``()`` for an
+        #: unconstrained one).  The aggregators' scans over stored events read
+        #: this instead of :meth:`adjacency_satisfied`: a missing key is "not a
+        #: predecessor type", and the order check is theirs to inline.
+        self.adjacent_conditions: Dict[Tuple[str, str], Tuple] = {
+            pair: tuple(_condition_of(predicate) for predicate in predicates)
+            for pair, predicates in self._adjacent_by_pair.items()
         }
         # event types whose candidate variables are event-independent (no
         # local predicate on any variable of the type): the by far most
@@ -290,6 +301,18 @@ class CograPlan:
             f"CograPlan({self.query.name!r}, granularity={self.granularity.value}, "
             f"Tt={sorted(self.type_grained)}, Te={sorted(self.event_grained)})"
         )
+
+
+def _condition_of(predicate):
+    """The ``(predecessor, successor)`` callable that decides ``predicate``.
+
+    :meth:`AdjacentPredicate.evaluate` is ``bool(condition(...))``; a caller
+    that only tests truth can call the condition itself.  A subclass with an
+    ``evaluate`` of its own keeps it.
+    """
+    if type(predicate).evaluate is AdjacentPredicate.evaluate:
+        return predicate.condition
+    return predicate.evaluate
 
 
 def _aggregation_targets(

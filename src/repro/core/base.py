@@ -4,6 +4,11 @@ The runtime executor (Section 7) partitions the input stream by window and
 group; each resulting *sub-stream* is processed by one aggregator instance
 whose concrete class depends on the granularity chosen by the static
 analyzer (Table 4).
+
+Every class has one hot path, :meth:`SubstreamAggregator.process_run`, which
+consumes events the executor already resolved against the plan
+(:meth:`CograPlan.bind`); :meth:`SubstreamAggregator.process` is derived
+from it here and overridden nowhere.
 """
 
 from __future__ import annotations
@@ -20,38 +25,43 @@ from repro.events.event import Event
 class SubstreamAggregator:
     """Base class of the per-(window, group) aggregators."""
 
-    # an executor holds one aggregator per open (window, group); subclasses
-    # that declare their own __slots__ stay free of a per-instance __dict__
+    # an executor holds one aggregator per open (window, group); every
+    # subclass declares its own __slots__, so none has a per-instance __dict__
     __slots__ = ("plan", "events_processed")
 
     def __init__(self, plan: CograPlan):
         self.plan = plan
         self.events_processed = 0
 
-    # -- the per-event hot path -------------------------------------------------
+    # -- the hot path ---------------------------------------------------------------
 
     def process(self, event: Event) -> None:
-        """Update the maintained aggregates with ``event``."""
-        raise NotImplementedError
+        """Update the maintained aggregates with ``event``: a run of one.
+
+        An event the plan's local predicates reject (:meth:`CograPlan.bind`
+        returns ``None``) is dropped, as the executor drops it before any
+        aggregator sees it (Section 7: such events are filtered out of the
+        sub-stream, so under the contiguous semantics they break nothing).
+        An event of a type the pattern does not mention binds to nothing
+        and is handed on: it still breaks contiguity.
+        """
+        binding = self.plan.bind(event)
+        if binding is not None:
+            self.process_run(((event, binding),))
 
     def process_run(self, run, also=()) -> None:
         """Update the aggregates with an ordered run of bound events.
 
         ``run`` is a sized sequence of ``(event, binding)`` pairs, the
-        binding being what :meth:`CograPlan.bind` resolved for the event.
-        ``also`` holds aggregators of the same class -- the same group in
-        the other windows the run falls into -- that receive the same run:
-        the executor binds an event once and dispatches once per (group,
-        run), and an aggregator that can share per-event work across
-        windows does.  Equivalent to calling :meth:`process` on each event
-        in order, on ``self`` and on each of ``also``, which is what
-        aggregators that have no use for either do.
+        binding being what :meth:`CograPlan.bind` resolved for the event
+        (never ``None``).  ``also`` holds aggregators of the same class --
+        the same group in the other windows the run falls into -- that
+        receive the same run: the executor binds an event once and
+        dispatches once per (group, run), and the class unpacks each binding
+        once for all of them.  Equivalent to calling :meth:`process` on each
+        event in order, on ``self`` and on each of ``also``.
         """
-        process = self.process
-        for event, _binding in run:
-            process(event)
-        for other in also:
-            other.process_run(run)
+        raise NotImplementedError
 
     # -- results ------------------------------------------------------------------
 

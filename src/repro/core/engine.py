@@ -67,9 +67,10 @@ class CograEngine:
             self.plan, self.negation_analysis = plan_negated_query(
                 query, forced_granularity=granularity
             )
-            components = self.negation_analysis.components
+            # compiled once per query, not per (window, group) aggregator
+            tables = self.negation_analysis.tables
             self._aggregator_factory = (
-                lambda plan: create_negation_aggregator(plan, components)
+                lambda plan: create_negation_aggregator(plan, tables)
             )
         else:
             self.plan: CograPlan = plan_query(query, forced_granularity=granularity)

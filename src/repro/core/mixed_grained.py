@@ -16,6 +16,11 @@ reports as :class:`~repro.analyzer.granularity.Granularity.EVENT`.
 Time complexity is ``O(n * (t + n_e))`` and space ``Θ(t + n_e)`` where ``t``
 is the number of type-grained variables and ``n_e`` the number of stored
 events (Theorems 5.2 and 5.3).
+
+The hot path is the type-grained fold for an event of a ``Tt`` variable (its
+cell is added to in place, nothing is built) and the event-grained one for
+an event of a ``Te`` variable (one cell, for the node that is stored); both
+collect their predecessor cells through the event-grained module's scan.
 """
 
 from __future__ import annotations
@@ -23,70 +28,103 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.analyzer.plan import CograPlan
-from repro.core.aggregate_state import TrendAccumulator
+from repro.core.aggregate_state import TrendAccumulator, fold_into
 from repro.core.base import SubstreamAggregator
+from repro.core.event_grained import adjacent_cells
 from repro.events.event import Event
 
 
 class MixedGrainedAggregator(SubstreamAggregator):
     """Maintains type-grained cells for ``Tt`` and per-event cells for ``Te``."""
 
+    __slots__ = ("_type_cells", "_event_cells", "_final")
+
     def __init__(self, plan: CograPlan):
         super().__init__(plan)
         targets = plan.targets
-        self._type_grained = plan.type_grained
-        self._event_grained = plan.event_grained
         #: Tt variable -> accumulator of all (partial) trends ending at it
         self._type_cells: Dict[str, TrendAccumulator] = {
             variable: TrendAccumulator.zero(targets)
             for variable in plan.automaton.variables
-            if variable in self._type_grained
+            if variable in plan.type_grained
         }
         #: Te variable -> list of (event, accumulator of trends ending at event)
         self._event_cells: Dict[str, List[Tuple[Event, TrendAccumulator]]] = {
             variable: []
             for variable in plan.automaton.variables
-            if variable in self._event_grained
+            if variable in plan.event_grained
         }
         #: accumulator of finished trends that end at an event of a Te variable
         self._final = TrendAccumulator.zero(targets)
 
     # -- hot path -----------------------------------------------------------------
 
-    def process(self, event: Event) -> None:
-        """Algorithm 2, lines 5-14 (generalised to all Table 8 aggregates)."""
+    def process_run(self, run, also=()) -> None:
+        """Algorithm 2, lines 5-14 (generalised to all Table 8 aggregates).
+
+        Events outer, the aggregators of ``self`` and ``also`` inner.  A
+        binding collects, in the order of the variable's predecessor types,
+        the cells of its ``Tt`` predecessors and of the adjacent stored
+        events of its ``Te`` predecessors, and folds them into the cell it
+        ends in.
+        """
         plan = self.plan
-        variables = plan.candidate_variables(event)
-        if not variables:
-            return  # irrelevant events are skipped under skip-till-any-match
-        self.events_processed += 1
-
-        staged: List[Tuple[str, TrendAccumulator]] = []
-        for variable in variables:
-            predecessor = TrendAccumulator.zero(plan.targets)
-            for predecessor_variable in plan.automaton.pred_types(variable):
-                if predecessor_variable in self._type_grained:
-                    predecessor.merge(self._type_cells[predecessor_variable])
-                else:
-                    for stored_event, stored_cell in self._event_cells[predecessor_variable]:
-                        if plan.adjacency_satisfied(
-                            stored_event, predecessor_variable, event, variable
-                        ):
-                            predecessor.merge(stored_cell)
-            cell = predecessor.extended(event, variable)
-            if plan.is_start(variable):
-                cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))
-            staged.append((variable, cell))
-
-        # Apply the staged updates only after every binding has been computed
-        # against the pre-event state (an event is never its own predecessor).
-        for variable, cell in staged:
-            if variable in self._type_grained:
-                self._type_cells[variable].merge(cell)
-            else:
-                self._event_cells[variable].append((event, cell))
-                if plan.is_end(variable):
-                    self._final.merge(cell)
+        targets = plan.targets
+        conditions = plan.adjacent_conditions
+        ends = plan.automaton.end_variables
+        windows = (self, *also)
+        processed = 0
+        for event, binding in run:
+            if not binding:
+                continue  # irrelevant events are skipped under skip-till-any-match
+            processed += 1
+            time = event.time
+            sequence = event.sequence
+            before = None
+            if len(binding) > 1:
+                # an event bound to several variables (repeated types,
+                # Section 8) is never its own predecessor: every binding
+                # reads the Tt cells as they were before the event (a stored
+                # node it just appended fails the scan's order check)
+                before = {}
+                for aggregator in windows:
+                    cells = aggregator._type_cells
+                    source = dict(cells)
+                    for step, _values in binding:
+                        if step.variable in cells:
+                            source[step.variable] = cells[step.variable].copy()
+                    before[aggregator] = source
+            for (variable, predecessors, starts, own, _attributes), values in binding:
+                is_end = variable in ends
+                for aggregator in windows:
+                    type_cells = aggregator._type_cells
+                    readable = type_cells if before is None else before[aggregator]
+                    event_cells = aggregator._event_cells
+                    sources = []
+                    for name in predecessors:
+                        cell = readable.get(name)
+                        if cell is not None:
+                            sources.append(cell)
+                        else:
+                            adjacent_cells(
+                                event_cells[name],
+                                conditions[(name, variable)],
+                                event,
+                                time,
+                                sequence,
+                                sources,
+                            )
+                    cell = type_cells.get(variable)
+                    stored = cell is None
+                    if stored:
+                        cell = TrendAccumulator(targets)
+                    fold_into((cell,), sources, starts, own, values)
+                    if stored:
+                        event_cells[variable].append((event, cell))
+                        if is_end:
+                            aggregator._final.merge(cell)
+        for aggregator in windows:
+            aggregator.events_processed += processed
 
     # -- results -------------------------------------------------------------------
 
@@ -94,7 +132,7 @@ class MixedGrainedAggregator(SubstreamAggregator):
         """Finished-trend summary: Te end events plus Tt end variables."""
         final = self._final.copy()
         for variable in self.plan.automaton.end_variables:
-            if variable in self._type_grained:
+            if variable in self._type_cells:
                 final.merge(self._type_cells[variable])
         return final
 

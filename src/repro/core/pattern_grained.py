@@ -19,6 +19,13 @@ Behavioural notes (faithful to Algorithm 3):
   ending at the last matched event: the last event is reset to ``null``.
 * An event bound to a start type always begins a new trend; it also becomes
   the new last matched event.
+
+The last cell is the only summary of the running trends and nothing else
+refers to it, so an adjacent event extends it in place: the hot path builds
+no accumulator (a trend that starts afresh, or a reset, replaces the cell).
+The negation-aware subclass (:mod:`repro.extensions.negation`) hooks into
+:meth:`PatternGrainedAggregator._unbound`, the one place an event that binds
+to nothing is looked at.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analyzer.plan import CograPlan
-from repro.core.aggregate_state import TrendAccumulator
+from repro.core.aggregate_state import TrendAccumulator, extend_in_place
 from repro.core.base import SubstreamAggregator
 from repro.events.event import Event
 from repro.query.semantics import Semantics
@@ -34,6 +41,8 @@ from repro.query.semantics import Semantics
 
 class PatternGrainedAggregator(SubstreamAggregator):
     """Keeps only the last matched event and the final accumulator."""
+
+    __slots__ = ("_last_event", "_last_variable", "_last_cell", "_final")
 
     def __init__(self, plan: CograPlan):
         super().__init__(plan)
@@ -45,113 +54,70 @@ class PatternGrainedAggregator(SubstreamAggregator):
 
     # -- hot path -----------------------------------------------------------------
 
-    def process(self, event: Event) -> None:
-        """Algorithm 3, lines 2-9 (generalised to all Table 8 aggregates)."""
-        plan = self.plan
-        variables = plan.candidate_variables(event)
-        if not variables:
-            # The event cannot be matched at all.  Under the contiguous
-            # semantics it still invalidates the running partial trends.
-            if plan.semantics is Semantics.CONTIGUOUS:
-                self._reset_last()
-            return
-
-        variable = variables[0]
-        self.events_processed += 1
-
-        adjacent = (
-            self._last_event is not None
-            and self._last_variable is not None
-            and plan.adjacency_satisfied(
-                self._last_event, self._last_variable, event, variable
-            )
-        )
-        matched = adjacent or plan.is_start(variable)
-
-        if not matched:
-            if plan.semantics is Semantics.CONTIGUOUS:
-                self._reset_last()
-            return
-
-        if adjacent:
-            cell = self._last_cell.extended(event, variable)
-        else:
-            cell = TrendAccumulator.zero(plan.targets)
-        if plan.is_start(variable):
-            cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))
-        if plan.is_end(variable):
-            self._final.merge(cell)
-
-        self._last_event = event
-        self._last_variable = variable
-        self._last_cell = cell
-
     def process_run(self, run, also=()) -> None:
-        """Process an ordered run of bound events; ≡ sequential :meth:`process` calls.
+        """Algorithm 3, lines 2-9 (generalised to all Table 8 aggregates).
 
-        Maximal sub-runs of adjacent middle-of-pattern events (same
-        variable, neither start nor end) are folded through
-        :meth:`TrendAccumulator.extend_batch`: one accumulator copy per
-        sub-run instead of one per event.  Every other event -- start/end
-        bindings, unmatched events, contiguity breakers -- takes the
-        per-event path, so the resulting state is identical.  The state
-        is one last event per window, so nothing is shared across windows:
-        the aggregators of ``also`` fold the run themselves.
+        Events outer, the aggregators of ``self`` and ``also`` inner: the
+        state is one last event per window, so the windows share the
+        unpacked binding and nothing else.
         """
         plan = self.plan
-        adjacency_satisfied = plan.adjacency_satisfied
-        index = 0
-        count = len(run)
-        while index < count:
-            event, binding = run[index]
+        conditions = plan.adjacent_conditions
+        ends = plan.automaton.end_variables
+        contiguous = plan.semantics is Semantics.CONTIGUOUS
+        windows = (self, *also)
+        for event, binding in run:
             if not binding:
-                self.process(event)
-                index += 1
+                for aggregator in windows:
+                    aggregator._unbound(event)
                 continue
-            step = binding[0][0]
-            variable = step.variable
-            if step.starts or plan.is_end(variable):
-                self.process(event)
-                index += 1
-                continue
-            last_event = self._last_event
-            last_variable = self._last_variable
-            if (
-                last_event is None
-                or last_variable is None
-                or not adjacency_satisfied(last_event, last_variable, event, variable)
-            ):
-                self.process(event)
-                index += 1
-                continue
-            # collect the maximal adjacent run of the same (middle) variable
-            middle = [event]
-            last_event = event
-            stop = index + 1
-            while stop < count:
-                candidate, next_binding = run[stop]
-                if (
-                    not next_binding
-                    or next_binding[0][0] is not step
-                    or not adjacency_satisfied(last_event, variable, candidate, variable)
-                ):
-                    break
-                middle.append(candidate)
-                last_event = candidate
-                stop += 1
-            self.events_processed += len(middle)
-            self._last_cell = self._last_cell.extend_batch(middle, variable)
-            self._last_event = last_event
-            self._last_variable = variable
-            index = stop
-        for other in also:
-            other.process_run(run)
+            (variable, _predecessors, starts, own, _attributes), values = binding[0]
+            time = event.time
+            sequence = event.sequence
+            for aggregator in windows:
+                aggregator.events_processed += 1
+                last = aggregator._last_event
+                adjacent = False
+                if last is not None:
+                    # Definition 7, conditions 1-3; no entry: not a predecessor type
+                    pair = conditions.get((aggregator._last_variable, variable))
+                    last_time = last.time
+                    if pair is not None and (
+                        last_time < time or (last_time == time and last.sequence < sequence)
+                    ):
+                        for condition in pair:
+                            if not condition(last, event):
+                                break
+                        else:
+                            adjacent = True
+                if not adjacent:
+                    if not starts:
+                        if contiguous:
+                            aggregator._reset_last()
+                        continue
+                    aggregator._reset_last()  # the event starts afresh
+                cell = aggregator._last_cell
+                extend_in_place(cell, starts, own, values)
+                if variable in ends:
+                    aggregator._final.merge(cell)
+                aggregator._last_event = event
+                aggregator._last_variable = variable
+
+    def _unbound(self, event: Event) -> None:
+        """An event that binds to no variable arrived.
+
+        It cannot be matched at all.  Under the contiguous semantics it
+        still invalidates the running partial trends.
+        """
+        if self.plan.semantics is Semantics.CONTIGUOUS:
+            self._reset_last()
 
     def _reset_last(self) -> None:
         """Invalidate the partial trends ending at the last matched event."""
-        self._last_event = None
-        self._last_variable = None
-        self._last_cell = TrendAccumulator.zero(self.plan.targets)
+        if self._last_event is not None:  # else the last cell is empty already
+            self._last_event = None
+            self._last_variable = None
+            self._last_cell = TrendAccumulator.zero(self.plan.targets)
 
     # -- results -------------------------------------------------------------------
 

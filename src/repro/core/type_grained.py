@@ -19,7 +19,6 @@ from typing import Dict
 from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
 from repro.core.base import SubstreamAggregator
-from repro.events.event import Event
 
 
 class TypeGrainedAggregator(SubstreamAggregator):
@@ -37,12 +36,6 @@ class TypeGrainedAggregator(SubstreamAggregator):
         }
 
     # -- hot path -----------------------------------------------------------------
-
-    def process(self, event: Event) -> None:
-        """Algorithm 1, lines 3-8: a run of one event."""
-        binding = self.plan.bind(event)
-        if binding:
-            self.process_run(((event, binding),))
 
     def process_run(self, run, also=()) -> None:
         """Algorithm 1, lines 3-8, over an ordered run of bound events.

@@ -39,27 +39,29 @@ Scope and simplifications (documented in DESIGN.md):
   direct element of a sequence with at least one positive part before and
   after it.
 * The negated event type must not also occur positively in the pattern.
+* Under skip-till-any-match an adjacency edge may cross one negation
+  boundary only (``SEQ(A, NOT C, NOT D, B)`` is rejected when it is planned,
+  before any event); the per-pattern rule resets on either type.
 * Queries with predicates on adjacent events are evaluated at event
   granularity (the mixed-grained dual bookkeeping is not implemented).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence as Seq, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import CograPlan, plan_query
-from repro.core.aggregate_state import TrendAccumulator
+from repro.core.aggregate_state import TrendAccumulator, fold_into
 from repro.core.base import SubstreamAggregator, create_aggregator
-from repro.core.event_grained import EventGrainedAggregator
+from repro.core.event_grained import EventGrainedAggregator, fold_stored_events
 from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.errors import InvalidPatternError, PlanningError
 from repro.events.event import Event
 from repro.query.ast import EventTypePattern, Negation, Pattern, Sequence
 from repro.query.query import Query
-from repro.query.semantics import Semantics
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,8 @@ class NegationAnalysis:
 
     positive_pattern: Pattern
     components: Tuple[NegatedComponent, ...]
+    #: the components compiled for the aggregators' hot paths
+    tables: "NegationTables" = field(compare=False, repr=False)
 
     @property
     def has_negations(self) -> bool:
@@ -170,7 +174,11 @@ def analyze_negations(pattern: Pattern) -> NegationAnalysis:
                 f"event type {component.event_type!r} occurs both positively and "
                 "under a negation, which the negation extension does not support"
             )
-    return NegationAnalysis(positive_pattern=positive, components=tuple(components))
+    return NegationAnalysis(
+        positive_pattern=positive,
+        components=tuple(components),
+        tables=NegationTables(components),
+    )
 
 
 def _collect_components(pattern: Pattern, components: List[NegatedComponent]) -> None:
@@ -261,6 +269,8 @@ def plan_negated_query(
         plan = plan_query(
             positive_query(query, analysis), forced_granularity=Granularity.EVENT
         )
+    if plan.granularity is not Granularity.PATTERN:
+        analysis.tables.with_crossings()  # rejects what the plan's rule cannot enforce
     return plan, analysis
 
 
@@ -271,29 +281,93 @@ def plan_negated_query(
 
 def _crossing_edges(
     components: Seq[NegatedComponent],
-) -> Dict[Tuple[str, str], List[NegatedComponent]]:
-    """Map adjacency edges ``(Tp variable, Tf variable)`` to the boundaries they cross."""
-    crossing: Dict[Tuple[str, str], List[NegatedComponent]] = {}
+) -> Dict[Tuple[str, str], NegatedComponent]:
+    """Map adjacency edges ``(Tp variable, Tf variable)`` to the boundary they cross.
+
+    The per-type and per-event rules (and the reference relation below) keep
+    one state per edge, so an edge may cross one boundary only.
+    """
+    crossing: Dict[Tuple[str, str], NegatedComponent] = {}
     for component in components:
         for predecessor in component.predecessor_variables:
             for follower in component.follower_variables:
-                crossing.setdefault((predecessor, follower), []).append(component)
-    for edge, crossed in crossing.items():
-        if len(crossed) > 1:
-            raise InvalidPatternError(
-                f"the adjacency edge {edge} crosses {len(crossed)} negation boundaries; "
-                "at most one negated type may separate two positive parts"
-            )
+                if (predecessor, follower) in crossing:
+                    raise InvalidPatternError(
+                        f"the adjacency edge {(predecessor, follower)} crosses more "
+                        "than one negation boundary; at most one negated type may "
+                        "separate two positive parts"
+                    )
+                crossing[(predecessor, follower)] = component
     return crossing
 
 
-def _components_by_type(
-    components: Seq[NegatedComponent],
-) -> Dict[str, List[NegatedComponent]]:
-    by_type: Dict[str, List[NegatedComponent]] = {}
-    for component in components:
-        by_type.setdefault(component.event_type, []).append(component)
-    return by_type
+class NegationTables:
+    """What the negation-aware aggregators look up per event, compiled once.
+
+    One instance serves every aggregator of a query (:attr:`NegationAnalysis.
+    tables`): the tables are keyed by variable names and derive from the
+    negated components alone.
+    """
+
+    __slots__ = ("components", "by_type", "feeds", "cell_keys", "crossed")
+
+    def __init__(self, components: Seq[NegatedComponent]):
+        self.components = tuple(components)
+        #: negated event type -> the components it invalidates
+        self.by_type: Dict[str, Tuple[NegatedComponent, ...]] = {}
+        #: ``Tp`` variable -> keys of the compatible cells its events also end in
+        self.feeds: Dict[str, Tuple[Tuple[int, str], ...]] = {}
+        for component in self.components:
+            self.by_type[component.event_type] = (
+                *self.by_type.get(component.event_type, ()),
+                component,
+            )
+            for variable in component.predecessor_variables:
+                self.feeds[variable] = (
+                    *self.feeds.get(variable, ()),
+                    (component.index, variable),
+                )
+        #: edge crossing a negation boundary -> key of the ``Tp`` variable's
+        #: per-component state (compatible cell, cut-off index)
+        self.cell_keys: Optional[Dict[Tuple[str, str], Tuple[int, str]]] = None
+        #: ``Tf`` variable -> {``Tp`` predecessor: key of its compatible cell}
+        self.crossed: Optional[Dict[str, Dict[str, Tuple[int, str]]]] = None
+
+    def with_crossings(self) -> "NegationTables":
+        """These tables with :attr:`cell_keys` and :attr:`crossed` compiled.
+
+        Only the per-type and per-event rules need them -- the per-pattern
+        rule resets on any negated type -- so a pattern they cannot enforce
+        (:class:`InvalidPatternError`) is rejected where one of them is
+        planned: :func:`plan_negated_query`, before any event.
+        """
+        if self.cell_keys is None:
+            cell_keys = {
+                (predecessor, follower): (component.index, predecessor)
+                for (predecessor, follower), component in _crossing_edges(
+                    self.components
+                ).items()
+            }
+            self.crossed = {}
+            for (predecessor, follower), key in cell_keys.items():
+                self.crossed.setdefault(follower, {})[predecessor] = key
+            self.cell_keys = cell_keys
+        return self
+
+    def state_keys(self) -> List[Tuple[int, str]]:
+        """Keys of the per-(component, ``Tp`` variable) state, in document order."""
+        return [
+            (component.index, variable)
+            for component in self.components
+            for variable in component.predecessor_variables
+        ]
+
+
+def _tables_of(components) -> NegationTables:
+    """``components`` as compiled tables (which they may be already)."""
+    if isinstance(components, NegationTables):
+        return components
+    return NegationTables(components)
 
 
 class NegationPatternGrainedAggregator(PatternGrainedAggregator):
@@ -304,24 +378,18 @@ class NegationPatternGrainedAggregator(PatternGrainedAggregator):
     ending at the last matched event are invalidated (Section 8).
     """
 
-    def __init__(self, plan: CograPlan, components: Seq[NegatedComponent]):
-        super().__init__(plan)
-        self._components = tuple(components)
-        self._negated_by_type = _components_by_type(self._components)
+    __slots__ = ("_tables",)
 
-    def process(self, event: Event) -> None:
-        components = self._negated_by_type.get(event.event_type)
-        if components:
-            for component in components:
-                if self._last_variable is not None and (
-                    self._last_variable in component.prefix_variables
-                ):
-                    self._reset_last()
-            if self.plan.semantics is Semantics.CONTIGUOUS:
-                # a negated event also breaks contiguity like any other event
+    def __init__(self, plan: CograPlan, components):
+        super().__init__(plan)
+        self._tables = _tables_of(components)
+
+    def _unbound(self, event: Event) -> None:
+        for component in self._tables.by_type.get(event.event_type, ()):
+            if self._last_variable in component.prefix_variables:
                 self._reset_last()
-            return
-        super().process(event)
+        # a negated event also breaks contiguity like any other event
+        super()._unbound(event)
 
 
 class NegationTypeGrainedAggregator(SubstreamAggregator):
@@ -335,61 +403,76 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
     Section 8.
     """
 
-    def __init__(self, plan: CograPlan, components: Seq[NegatedComponent]):
+    __slots__ = ("_tables", "_full", "_compatible")
+
+    def __init__(self, plan: CograPlan, components):
         super().__init__(plan)
-        self._components = tuple(components)
-        self._negated_by_type = _components_by_type(self._components)
-        self._crossing = _crossing_edges(self._components)
+        self._tables = tables = _tables_of(components).with_crossings()
         targets = plan.targets
         self._full: Dict[str, TrendAccumulator] = {
             variable: TrendAccumulator.zero(targets)
             for variable in plan.automaton.variables
         }
         self._compatible: Dict[Tuple[int, str], TrendAccumulator] = {
-            (component.index, variable): TrendAccumulator.zero(targets)
-            for component in self._components
-            for variable in component.predecessor_variables
+            key: TrendAccumulator.zero(targets) for key in tables.state_keys()
         }
 
     # -- hot path -----------------------------------------------------------------
 
-    def process(self, event: Event) -> None:
-        plan = self.plan
-        components = self._negated_by_type.get(event.event_type)
-        if components:
-            for component in components:
-                for variable in component.predecessor_variables:
-                    self._compatible[(component.index, variable)] = TrendAccumulator.zero(
-                        plan.targets
-                    )
-            return
+    def process_run(self, run, also=()) -> None:
+        """The type-grained fold with two cells to read from and to write to.
 
-        variables = plan.candidate_variables(event)
-        if not variables:
-            return
-        self.events_processed += 1
-
-        staged: List[Tuple[str, TrendAccumulator]] = []
-        for variable in variables:
-            predecessor = TrendAccumulator.zero(plan.targets)
-            for predecessor_variable in plan.automaton.pred_types(variable):
-                crossed = self._crossing.get((predecessor_variable, variable))
-                if crossed:
-                    predecessor.merge(
-                        self._compatible[(crossed[0].index, predecessor_variable)]
-                    )
-                else:
-                    predecessor.merge(self._full[predecessor_variable])
-            cell = predecessor.extended(event, variable)
-            if plan.is_start(variable):
-                cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))
-            staged.append((variable, cell))
-
-        for variable, cell in staged:
-            self._full[variable].merge(cell)
-            for component in self._components:
-                if variable in component.predecessor_variables:
-                    self._compatible[(component.index, variable)].merge(cell)
+        An event's trends are added in place to its variable's full cell and
+        to the compatible cells the variable feeds, all at once
+        (:func:`fold_into`): they may be among the cells the event reads.
+        """
+        tables = self._tables
+        negated = tables.by_type
+        windows = (self, *also)
+        targets = self.plan.targets
+        processed = 0
+        for event, binding in run:
+            if not binding:
+                for component in negated.get(event.event_type, ()):
+                    for variable in component.predecessor_variables:
+                        key = (component.index, variable)
+                        for aggregator in windows:
+                            if aggregator._compatible[key].trend_count:
+                                aggregator._compatible[key] = TrendAccumulator(targets)
+                continue
+            processed += 1
+            before = None
+            if len(binding) > 1:
+                # an event bound to several variables (repeated types,
+                # Section 8) is never its own predecessor: every binding
+                # reads the cells as they were before the event
+                before = {}
+                for aggregator in windows:
+                    full = dict(aggregator._full)
+                    compatible = dict(aggregator._compatible)
+                    for step, _values in binding:
+                        full[step.variable] = full[step.variable].copy()
+                        for key in tables.feeds.get(step.variable, ()):
+                            compatible[key] = compatible[key].copy()
+                    before[aggregator] = (full, compatible)
+            for (variable, predecessors, starts, own, _attributes), values in binding:
+                crossed = tables.crossed.get(variable, ())
+                feeds = tables.feeds.get(variable, ())
+                for aggregator in windows:
+                    full = aggregator._full
+                    compatible = aggregator._compatible
+                    cells = [full[variable]]
+                    for key in feeds:
+                        cells.append(compatible[key])
+                    if before is not None:
+                        full, compatible = before[aggregator]
+                    sources = [
+                        compatible[crossed[name]] if name in crossed else full[name]
+                        for name in predecessors
+                    ]
+                    fold_into(cells, sources, starts, own, values)
+        for aggregator in windows:
+            aggregator.events_processed += processed
 
     # -- results -------------------------------------------------------------------
 
@@ -425,71 +508,49 @@ class NegationEventGrainedAggregator(EventGrainedAggregator):
     variable) encodes the blocked set.
     """
 
-    def __init__(self, plan: CograPlan, components: Seq[NegatedComponent]):
+    __slots__ = ("_tables", "_cutoffs")
+
+    def __init__(self, plan: CograPlan, components):
         super().__init__(plan)
-        self._components = tuple(components)
-        self._negated_by_type = _components_by_type(self._components)
-        self._crossing = _crossing_edges(self._components)
-        self._cutoffs: Dict[Tuple[int, str], int] = {
-            (component.index, variable): 0
-            for component in self._components
-            for variable in component.predecessor_variables
-        }
+        self._tables = tables = _tables_of(components).with_crossings()
+        self._cutoffs: Dict[Tuple[int, str], int] = dict.fromkeys(tables.state_keys(), 0)
 
-    def process(self, event: Event) -> None:
-        plan = self.plan
-        components = self._negated_by_type.get(event.event_type)
-        if components:
-            for component in components:
+    def process_run(self, run, also=()) -> None:
+        """The event-grained fold, the cut-offs moved where a negated event falls."""
+        tables = self._tables
+        negated = tables.by_type
+        windows = (self, *also)
+        start = 0
+        for position, (event, binding) in enumerate(run):
+            if binding or event.event_type not in negated:
+                continue
+            fold_stored_events(windows, run[start:position], tables.cell_keys)
+            start = position + 1
+            for component in negated[event.event_type]:
                 for variable in component.predecessor_variables:
-                    self._cutoffs[(component.index, variable)] = len(self._nodes[variable])
-            return
-
-        variables = plan.candidate_variables(event)
-        if not variables:
-            return
-        self.events_processed += 1
-
-        staged: List[Tuple[str, TrendAccumulator]] = []
-        for variable in variables:
-            predecessor = TrendAccumulator.zero(plan.targets)
-            for predecessor_variable in plan.automaton.pred_types(variable):
-                crossed = self._crossing.get((predecessor_variable, variable))
-                blocked_below = (
-                    self._cutoffs[(crossed[0].index, predecessor_variable)] if crossed else 0
-                )
-                nodes = self._nodes[predecessor_variable]
-                for position, (stored_event, stored_cell) in enumerate(nodes):
-                    if position < blocked_below:
-                        continue
-                    if plan.adjacency_satisfied(
-                        stored_event, predecessor_variable, event, variable
-                    ):
-                        predecessor.merge(stored_cell)
-            cell = predecessor.extended(event, variable)
-            if plan.is_start(variable):
-                cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))
-            staged.append((variable, cell))
-
-        for variable, cell in staged:
-            self._nodes[variable].append((event, cell))
-            if plan.is_end(variable):
-                self._final.merge(cell)
+                    for aggregator in windows:
+                        aggregator._cutoffs[(component.index, variable)] = len(
+                            aggregator._nodes[variable]
+                        )
+        fold_stored_events(windows, run[start:] if start else run, tables.cell_keys)
 
 
-def create_negation_aggregator(
-    plan: CograPlan, components: Seq[NegatedComponent]
-) -> SubstreamAggregator:
-    """Build the negation-aware aggregator for the plan's granularity."""
-    if not components:
+def create_negation_aggregator(plan: CograPlan, components) -> SubstreamAggregator:
+    """Build the negation-aware aggregator for the plan's granularity.
+
+    ``components`` are the query's negated components or, where aggregators
+    are built per (window, group), their :class:`NegationTables`.
+    """
+    tables = _tables_of(components)
+    if not tables.components:
         return create_aggregator(plan)
     granularity = plan.granularity
     if granularity is Granularity.PATTERN:
-        return NegationPatternGrainedAggregator(plan, components)
+        return NegationPatternGrainedAggregator(plan, tables)
     if granularity is Granularity.TYPE:
-        return NegationTypeGrainedAggregator(plan, components)
+        return NegationTypeGrainedAggregator(plan, tables)
     if granularity is Granularity.EVENT:
-        return NegationEventGrainedAggregator(plan, components)
+        return NegationEventGrainedAggregator(plan, tables)
     raise InvalidPatternError(
         f"negated patterns are not supported at {granularity.value} granularity; "
         "plan them with plan_negated_query()"
@@ -517,10 +578,9 @@ def trend_respects_negations(
         return True
     crossing = _crossing_edges(components)
     for (left_index, left_variable), (right_index, right_variable) in zip(trend, trend[1:]):
-        crossed = crossing.get((left_variable, right_variable))
-        if not crossed:
+        component = crossing.get((left_variable, right_variable))
+        if component is None:
             continue
-        component = crossed[0]
         left_key = events[left_index].order_key
         right_key = events[right_index].order_key
         for event in events:

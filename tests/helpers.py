@@ -9,6 +9,7 @@ from repro.core.aggregate_state import TrendAccumulator
 from repro.core.results import GroupResult
 from repro.core.type_grained import TypeGrainedAggregator
 from repro.events.event import Event
+from repro.query.semantics import Semantics
 
 
 def results_by_key(results: Iterable[GroupResult]) -> Dict[Tuple, Dict[str, object]]:
@@ -77,3 +78,197 @@ def reference_type_grained_process(aggregator: TypeGrainedAggregator, event: Eve
         new_cells.append((variable, cell))
     for variable, cell in new_cells:
         aggregator.cell(variable).merge(cell)
+
+
+# ---------------------------------------------------------------------------
+# the literal recurrences of the event-storing aggregators
+#
+# What ``process(event)`` was in each class before the in-place
+# ``process_run`` kernels: ``zero`` -> ``merge`` every predecessor cell ->
+# ``extended`` by the event -> ``merge(singleton)`` for a start type, every
+# binding computed against the state before the event and applied
+# afterwards.  The production kernels build at most one accumulator per
+# stored event and must leave the aggregator in exactly the state these do.
+# ---------------------------------------------------------------------------
+
+
+def _literal_cell(plan, event, variable, predecessor: TrendAccumulator) -> TrendAccumulator:
+    cell = predecessor.extended(event, variable)
+    if plan.is_start(variable):
+        cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))
+    return cell
+
+
+def reference_event_grained_process(aggregator, event: Event, blocked_below=None) -> None:
+    """GRETA's graph insertion, literally; also the negation-event recurrence.
+
+    ``blocked_below(predecessor_variable, variable)``, when given, is the
+    number of leading stored nodes of the predecessor variable that may not
+    precede an event of ``variable`` (the negation cut-off).
+    """
+    plan = aggregator.plan
+    variables = plan.candidate_variables(event)
+    if not variables:
+        return
+    aggregator.events_processed += 1
+    staged = []
+    for variable in variables:
+        predecessor = TrendAccumulator.zero(plan.targets)
+        for predecessor_variable in plan.automaton.pred_types(variable):
+            skip = blocked_below(predecessor_variable, variable) if blocked_below else 0
+            nodes = aggregator._nodes[predecessor_variable]
+            for position, (stored_event, stored_cell) in enumerate(nodes):
+                if position < skip:
+                    continue
+                if plan.adjacency_satisfied(
+                    stored_event, predecessor_variable, event, variable
+                ):
+                    predecessor.merge(stored_cell)
+        staged.append((variable, _literal_cell(plan, event, variable, predecessor)))
+    for variable, cell in staged:
+        aggregator._nodes[variable].append((event, cell))
+        if plan.is_end(variable):
+            aggregator._final.merge(cell)
+
+
+def reference_mixed_grained_process(aggregator, event: Event) -> None:
+    """Algorithm 2, lines 5-14, literally."""
+    plan = aggregator.plan
+    variables = plan.candidate_variables(event)
+    if not variables:
+        return
+    aggregator.events_processed += 1
+    staged = []
+    for variable in variables:
+        predecessor = TrendAccumulator.zero(plan.targets)
+        for predecessor_variable in plan.automaton.pred_types(variable):
+            if predecessor_variable in plan.type_grained:
+                predecessor.merge(aggregator._type_cells[predecessor_variable])
+            else:
+                for stored_event, stored_cell in aggregator._event_cells[predecessor_variable]:
+                    if plan.adjacency_satisfied(
+                        stored_event, predecessor_variable, event, variable
+                    ):
+                        predecessor.merge(stored_cell)
+        staged.append((variable, _literal_cell(plan, event, variable, predecessor)))
+    for variable, cell in staged:
+        if variable in plan.type_grained:
+            aggregator._type_cells[variable].merge(cell)
+        else:
+            aggregator._event_cells[variable].append((event, cell))
+            if plan.is_end(variable):
+                aggregator._final.merge(cell)
+
+
+def reference_pattern_grained_process(aggregator, event: Event, components=()) -> None:
+    """Algorithm 3, lines 2-9, literally; with ``components``, Section 8's
+    "the last matched event of the sub-pattern preceding N is set to null"."""
+    plan = aggregator.plan
+    contiguous = plan.semantics is Semantics.CONTIGUOUS
+
+    def reset_last():
+        aggregator._last_event = None
+        aggregator._last_variable = None
+        aggregator._last_cell = TrendAccumulator.zero(plan.targets)
+
+    negated = [c for c in components if c.event_type == event.event_type]
+    if negated:
+        for component in negated:
+            if aggregator._last_variable is not None and (
+                aggregator._last_variable in component.prefix_variables
+            ):
+                reset_last()
+        if contiguous:
+            reset_last()  # a negated event breaks contiguity like any other
+        return
+    variables = plan.candidate_variables(event)
+    if not variables:
+        if contiguous:
+            reset_last()
+        return
+    variable = variables[0]
+    aggregator.events_processed += 1
+    adjacent = (
+        aggregator._last_event is not None
+        and aggregator._last_variable is not None
+        and plan.adjacency_satisfied(
+            aggregator._last_event, aggregator._last_variable, event, variable
+        )
+    )
+    if not (adjacent or plan.is_start(variable)):
+        if contiguous:
+            reset_last()
+        return
+    if adjacent:
+        cell = aggregator._last_cell.extended(event, variable)
+    else:
+        cell = TrendAccumulator.zero(plan.targets)
+    if plan.is_start(variable):
+        cell.merge(TrendAccumulator.singleton(event, variable, plan.targets))
+    if plan.is_end(variable):
+        aggregator._final.merge(cell)
+    aggregator._last_event = event
+    aggregator._last_variable = variable
+    aggregator._last_cell = cell
+
+
+def reference_negation_type_grained_process(aggregator, event: Event, components) -> None:
+    """Algorithm 1 with Section 8's "mark ``Tp`` invalid for ``Tf``", literally."""
+    plan = aggregator.plan
+    negated = [c for c in components if c.event_type == event.event_type]
+    if negated:
+        for component in negated:
+            for variable in component.predecessor_variables:
+                aggregator._compatible[(component.index, variable)] = TrendAccumulator.zero(
+                    plan.targets
+                )
+        return
+    variables = plan.candidate_variables(event)
+    if not variables:
+        return
+    aggregator.events_processed += 1
+    staged = []
+    for variable in variables:
+        predecessor = TrendAccumulator.zero(plan.targets)
+        for predecessor_variable in plan.automaton.pred_types(variable):
+            crossed = [
+                c
+                for c in components
+                if predecessor_variable in c.predecessor_variables
+                and variable in c.follower_variables
+            ]
+            if crossed:
+                predecessor.merge(
+                    aggregator._compatible[(crossed[0].index, predecessor_variable)]
+                )
+            else:
+                predecessor.merge(aggregator._full[predecessor_variable])
+        staged.append((variable, _literal_cell(plan, event, variable, predecessor)))
+    for variable, cell in staged:
+        aggregator._full[variable].merge(cell)
+        for component in components:
+            if variable in component.predecessor_variables:
+                aggregator._compatible[(component.index, variable)].merge(cell)
+
+
+def reference_negation_event_grained_process(aggregator, event: Event, components) -> None:
+    """The graph insertion with Section 8's per-event incompatibility, literally."""
+    negated = [c for c in components if c.event_type == event.event_type]
+    if negated:
+        for component in negated:
+            for variable in component.predecessor_variables:
+                aggregator._cutoffs[(component.index, variable)] = len(
+                    aggregator._nodes[variable]
+                )
+        return
+
+    def blocked_below(predecessor_variable, variable):
+        for component in components:
+            if (
+                predecessor_variable in component.predecessor_variables
+                and variable in component.follower_variables
+            ):
+                return aggregator._cutoffs[(component.index, predecessor_variable)]
+        return 0
+
+    reference_event_grained_process(aggregator, event, blocked_below)

@@ -1,13 +1,12 @@
 """Parity properties for the batched hot path.
 
 The batched pipeline -- sliced JSONL decode, :meth:`StreamingRuntime.
-process_batch`, the executor's key-grouped quiet-run batching, the
-accumulators' one-frame folds, and the sharded runtime's pre-pickled blob
-shipping -- is a pure performance layout.  Every test here pins the same
-contract: for any stream and any slicing, down to slices of one, the
-records (and the counter totals) are byte-identical -- with tracing on or
-off, when a raising late policy aborts a slice, under worker SIGKILL
-recovery and under mid-stream rebalancing.
+process_batch`, the executor's key-grouped quiet-run batching and the
+sharded runtime's pre-pickled blob shipping -- is a pure performance
+layout.  Every test here pins the same contract: for any stream and any
+slicing, down to slices of one, the records (and the counter totals) are
+byte-identical -- with tracing on or off, when a raising late policy aborts
+a slice, under worker SIGKILL recovery and under mid-stream rebalancing.
 """
 
 import os
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregate_state import TrendAccumulator
 from repro.core.executor import QueryExecutor
 from repro.errors import LateEventError
 from repro.events.event import Event
@@ -109,38 +107,6 @@ def kill_worker(runtime, shard):
     victim = runtime._procs[shard]
     os.kill(victim.pid, signal.SIGKILL)
     victim.join(timeout=10)
-
-
-# ---------------------------------------------------------------------------
-# the accumulator fold
-# ---------------------------------------------------------------------------
-
-
-class TestAccumulatorBatchOps:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        values=st.lists(
-            st.integers(min_value=-9, max_value=9) | st.floats(-5.0, 5.0),
-            min_size=1,
-            max_size=20,
-        ),
-        trends=st.integers(min_value=1, max_value=5),
-    )
-    def test_extend_batch_equals_folded_extended(self, values, trends):
-        targets = (("A", None), ("A", "v"))
-        events = [
-            Event("A", float(index), {"v": value})
-            for index, value in enumerate(values)
-        ]
-        seeded = TrendAccumulator.singleton(events[0], "A", targets)
-        seeded.trend_count = trends
-
-        folded = seeded
-        for event in events:
-            folded = folded.extended(event, "A")
-        batched = seeded.extend_batch(events, "A")
-
-        assert repr(batched) == repr(folded)
 
 
 # ---------------------------------------------------------------------------

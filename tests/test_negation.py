@@ -1,9 +1,12 @@
 """Tests for the negation extension (Section 8 of the paper)."""
 
+import random
+
 import pytest
 
 from repro.analyzer.granularity import Granularity
-from repro.baselines.trend_enumeration import enumerate_trends
+from repro.analyzer.plan import plan_query
+from repro.baselines.trend_enumeration import aggregate_trends, enumerate_trends
 from repro.core.engine import CograEngine
 from repro.errors import InvalidPatternError
 from repro.events.event import Event
@@ -28,7 +31,9 @@ from repro.query.ast import (
     sequence,
 )
 from repro.query.builder import QueryBuilder
+from repro.query.parser import parse_query
 from repro.query.predicates import comparison
+from repro.streaming.runtime import StreamingRuntime
 
 NEGATED_SEQ = sequence(kleene_plus("A"), Negation(atom("C")), atom("B"))
 NEGATED_KLEENE = KleenePlus(sequence(kleene_plus("A"), Negation(atom("C")), atom("B")))
@@ -324,3 +329,135 @@ class TestOracleHelpers:
     def test_empty_component_list_accepts_everything(self, event_spec):
         stream = event_spec("a1 b2")
         assert trend_respects_negations((), stream, ((0, "A"), (1, "B")))
+
+
+# ---------------------------------------------------------------------------
+# every negation-aware class through the engine and the streaming runtime
+# ---------------------------------------------------------------------------
+
+#: (expected aggregator class, semantics, WHERE clause or None)
+END_TO_END = [
+    (NegationPatternGrainedAggregator, "skip-till-next-match", None),
+    (NegationPatternGrainedAggregator, "contiguous", None),
+    (NegationTypeGrainedAggregator, "skip-till-any-match", None),
+    (NegationEventGrainedAggregator, "skip-till-any-match", "A.v < NEXT(A).v"),
+]
+
+
+def end_to_end_text(semantics, where):
+    text = f"RETURN g, COUNT(*), SUM(A.v), MAX(B.v) PATTERN SEQ(A+, NOT C, B) SEMANTICS {semantics}"
+    if where:
+        text += f" WHERE {where}"
+    return text + " GROUP-BY g"
+
+
+def end_to_end_stream(seed, semantics, count=26):
+    """Two interleaved groups; D is a type the pattern does not mention.
+
+    Under skip-till-next-match no group's ``A+`` spans a C (``a1 c2 a3``
+    becomes ``a1 c2 b3``): Section 8's per-pattern rule -- "the last matched
+    event of the sub-pattern preceding N is set to null" -- drops the trends
+    through ``a1`` there, while the enumerate-then-filter relation keeps
+    ``(a1, a3, b4)``, which has no C between its last A and its B.
+    """
+    rng = random.Random(seed)
+    events = []
+    spanning = {"x": False, "y": False}  # is the group's last A behind a C?
+    last = {"x": None, "y": None}
+    for index in range(count):
+        event_type, group = rng.choice("AAABBCD"), rng.choice("xy")
+        if event_type == "A" and spanning[group] and semantics == "skip-till-next-match":
+            event_type = "B"
+        if event_type != "D":
+            spanning[group] = event_type == "C" and (last[group] == "A" or spanning[group])
+            last[group] = event_type
+        events.append(
+            Event(event_type, float(index), {"g": group, "v": rng.randint(1, 9)}, sequence=index)
+        )
+    return events
+
+
+def enumerated(query, events):
+    """Per group: enumerate the positive trends, drop those a negation forbids."""
+    analysis = analyze_negations(query.pattern)
+    positive = positive_query(query, analysis)
+    plan = plan_query(positive)
+    expected = {}
+    for group in sorted({event.get("g") for event in events}):
+        substream = [event for event in events if event.get("g") == group]
+        kept = filter_trends_with_negations(
+            analysis.components, substream, enumerate_trends(positive, substream)
+        )
+        if kept:
+            accumulator = aggregate_trends(plan, substream, kept)
+            expected[group] = accumulator.results(query.aggregates)
+    return expected
+
+
+class TestNegationEndToEnd:
+    @pytest.mark.parametrize("expected_class, semantics, where", END_TO_END)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_engine_and_runtime_match_the_filtered_enumeration(
+        self, expected_class, semantics, where, seed
+    ):
+        text = end_to_end_text(semantics, where)
+        events = end_to_end_stream(seed, semantics)
+        expected = enumerated(parse_query(text), events)
+
+        engine = CograEngine(text)
+        results = engine.run(events)
+        assert {r.group["g"]: r.values for r in results} == expected
+        # run() leaves nothing open to inspect; feed a copy of the stream
+        probe = CograEngine(text)
+        for event in events:
+            probe.process(event)
+        assert {
+            type(aggregator) for _w, _k, aggregator in probe.executor.open_aggregators()
+        } == {expected_class}
+
+        for size in (1, 7, len(events)):
+            runtime = StreamingRuntime(lateness=0.0)
+            runtime.register(text, name="q")
+            records = []
+            for start in range(0, len(events), size):
+                records.extend(runtime.process_ordered(events[start:start + size]))
+            records.extend(runtime.flush())
+            assert {r.result.group["g"]: r.result.values for r in records} == expected, size
+
+    @pytest.mark.parametrize("semantics, count", [
+        ("skip-till-next-match", 2), ("contiguous", 2), ("skip-till-any-match", 12),
+    ])
+    def test_a_negated_event_inside_a_run_is_not_skipped(self, event_spec, semantics, count):
+        """``a1 a2 c3 b4 a5 a6 b7``: no trend crosses c3 into b4."""
+        text = f"RETURN COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS {semantics}"
+        stream = event_spec("a1 a2 c3 b4 a5 a6 b7")
+        assert oracle_count(parse_query(text), stream) == count
+        assert sum(r.trend_count for r in CograEngine(text).run(stream)) == count
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(text, name="q")
+        records = runtime.process_ordered(stream) + runtime.flush()
+        assert sum(r.result.trend_count for r in records) == count
+
+
+class TestInvalidNegationIsRejectedBeforeAnyEvent:
+    TEXT = "RETURN COUNT(*) PATTERN SEQ(A, NOT C, NOT D, B) SEMANTICS {} WITHIN 10 seconds"
+
+    def test_an_edge_crossing_two_negations_under_any_match(self):
+        """The per-type and per-event rules keep one state per edge."""
+        text = self.TEXT.format("skip-till-any-match")
+        message = "crosses more than one negation boundary"
+        for granularity in (None, "event"):
+            with pytest.raises(InvalidPatternError, match=message):
+                CograEngine(text, granularity=granularity)
+            with pytest.raises(InvalidPatternError, match=message):
+                plan_negated_query(parse_query(text), forced_granularity=granularity)
+        runtime = StreamingRuntime()
+        with pytest.raises(InvalidPatternError, match=message):
+            runtime.register(text, name="q")
+        assert runtime.query_names == []
+
+    @pytest.mark.parametrize("semantics", ["skip-till-next-match", "contiguous"])
+    def test_the_per_pattern_rule_resets_on_either_type(self, event_spec, semantics):
+        engine = CograEngine(self.TEXT.format(semantics))
+        for stream, count in [("a1 b2", 1), ("a1 c2 b3", 0), ("a1 d2 b3", 0), ("a1 d2 a3 b4", 1)]:
+            assert sum(r.trend_count for r in engine.run(event_spec(stream))) == count

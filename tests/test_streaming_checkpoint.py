@@ -315,82 +315,149 @@ class TestPrimitiveSnapshots:
 
 
 # ---------------------------------------------------------------------------
-# wire compatibility with checkpoints written before the flat accumulator layout
+# wire compatibility with checkpoints written by earlier aggregator code
 # ---------------------------------------------------------------------------
 
-WIRE_FIXTURE = Path(__file__).parent / "data" / "checkpoint_v1_type_grained.json"
+DATA = Path(__file__).parent / "data"
 WIRE_CUT = 150
-WIRE_QUERIES = {
-    "pairs": """
-        RETURN g, COUNT(*), MAX(A.v)
-        PATTERN SEQ(A+, B)
-        SEMANTICS skip-till-any-match
-        GROUP-BY g
-        WITHIN 20 seconds SLIDE 5 seconds
-    """,
-    "kleene": """
-        RETURN g, COUNT(*), COUNT(A), SUM(A.v), AVG(A.v), MIN(A.v), MAX(A.v)
-        PATTERN A+
-        SEMANTICS skip-till-any-match
-        GROUP-BY g
-        WITHIN 20 seconds SLIDE 5 seconds
-    """,
-}
 
 
-def wire_stream():
-    """The arrival-ordered stream the committed fixture was cut from."""
-    rng = random.Random(41)
-    events = [
-        Event(
-            rng.choice("AAB"),
-            round(index * 0.2 + rng.uniform(0.0, 2.0), 3),
-            {"g": rng.choice("xyz"), "v": round(rng.uniform(1.0, 90.0), 2)},
-            sequence=index,
+class WireFixture:
+    """A committed checkpoint cut mid-window and the job that wrote it."""
+
+    def __init__(self, file_name, written_at, types, queries, classes):
+        self.path = DATA / file_name
+        #: the commit whose ``src/`` wrote the committed file
+        self.written_at = written_at
+        self.types = types
+        self.queries = queries
+        #: aggregator classes the file must hold (what makes it worth keeping)
+        self.classes = classes
+
+    def __repr__(self):
+        return self.path.stem
+
+    def stream(self):
+        """The arrival-ordered stream the committed file was cut from."""
+        rng = random.Random(41)
+        return [
+            Event(
+                rng.choice(self.types),
+                round(index * 0.2 + rng.uniform(0.0, 2.0), 3),
+                {"g": rng.choice("xyz"), "v": round(rng.uniform(1.0, 90.0), 2)},
+                sequence=index,
+            )
+            for index in range(300)
+        ]
+
+    def runtime(self):
+        runtime = StreamingRuntime(lateness=3.0)
+        for name, text in self.queries.items():
+            runtime.register(text, name=name)
+        return runtime
+
+    def write(self):
+        """Regenerate the file: ``python tests/test_streaming_checkpoint.py NAME``.
+
+        Regenerating it with code later than ``written_at`` would only prove
+        that the code can read what it writes itself.
+        """
+        runtime = self.runtime()
+        runtime.process_batch(self.stream()[:WIRE_CUT])
+        self.path.parent.mkdir(exist_ok=True)
+        self.path.write_text(
+            json.dumps(runtime.checkpoint(), indent=1, sort_keys=True) + "\n"
         )
-        for index in range(300)
-    ]
-    return events
 
 
-def wire_runtime():
-    runtime = StreamingRuntime(lateness=3.0)
-    for name, text in WIRE_QUERIES.items():
-        runtime.register(text, name=name)
-    return runtime
+def _wire_query(returns, pattern, semantics, where=None, slide=5):
+    text = f"RETURN g, {returns} PATTERN {pattern} SEMANTICS {semantics} "
+    if where:
+        text += f"WHERE {where} "
+    return text + f"GROUP-BY g WITHIN 20 seconds SLIDE {slide} seconds"
 
 
-def write_wire_fixture(path=WIRE_FIXTURE):
-    """Regenerate the fixture: ``python tests/test_streaming_checkpoint.py``.
+WIRE_FIXTURES = [
+    # written by the dict-of-lists accumulators
+    WireFixture(
+        "checkpoint_v1_type_grained.json",
+        "d941543",
+        "AAB",
+        {
+            "pairs": _wire_query("COUNT(*), MAX(A.v)", "SEQ(A+, B)", "skip-till-any-match"),
+            "kleene": _wire_query(
+                "COUNT(*), COUNT(A), SUM(A.v), AVG(A.v), MIN(A.v), MAX(A.v)",
+                "A+",
+                "skip-till-any-match",
+            ),
+        },
+        {"TypeGrainedAggregator"},
+    ),
+    # written by the literal zero/merge/extended/singleton recurrences of the
+    # event-storing aggregators, before their in-place kernels
+    WireFixture(
+        "checkpoint_v1_event_storing.json",
+        "fcd6c0f",
+        "AAAABBC",
+        {
+            "mixed": _wire_query(
+                "COUNT(*), SUM(A.v), MAX(B.v)",
+                "SEQ(A+, B)",
+                "skip-till-any-match",
+                "A.v < NEXT(A).v",
+                slide=10,
+            ),
+            "event": _wire_query(
+                "COUNT(*), COUNT(A), AVG(A.v), MIN(A.v)",
+                "A+",
+                "skip-till-any-match",
+                "A.v < NEXT(A).v",
+                slide=10,
+            ),
+            "pattern": _wire_query(
+                "COUNT(*), SUM(A.v), MIN(B.v)", "SEQ(A+, B)", "skip-till-next-match"
+            ),
+            "negation_type": _wire_query(
+                "COUNT(*), SUM(A.v), MAX(A.v)", "SEQ(A+, NOT C, B)", "skip-till-any-match"
+            ),
+            "negation_event": _wire_query(
+                "COUNT(*), AVG(A.v)",
+                "SEQ(A+, NOT C, B)",
+                "skip-till-any-match",
+                "A.v < NEXT(A).v",
+                slide=10,
+            ),
+        },
+        {
+            "MixedGrainedAggregator",
+            "EventGrainedAggregator",
+            "PatternGrainedAggregator",
+            "NegationTypeGrainedAggregator",
+            "NegationEventGrainedAggregator",
+        },
+    ),
+]
 
-    The committed file was written by this function at commit ``d941543``
-    (dict-of-lists accumulators); regenerating it with later code would
-    only prove that the code can read what it writes itself.
-    """
-    runtime = wire_runtime()
-    runtime.process_batch(wire_stream()[:WIRE_CUT])
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(runtime.checkpoint(), indent=1, sort_keys=True) + "\n")
 
-
+@pytest.mark.parametrize("fixture", WIRE_FIXTURES, ids=repr)
 class TestCheckpointWireCompatibility:
-    def test_checkpoint_written_by_the_dict_layout_restores_byte_identically(self):
-        events = wire_stream()
-        state = json.loads(WIRE_FIXTURE.read_text())
+    def test_checkpoint_written_by_earlier_code_restores_byte_identically(self, fixture):
+        events = fixture.stream()
+        state = json.loads(fixture.path.read_text())
         assert state["version"] == 1
         classes = {
             aggregator["class"]
             for executor in state["executors"].values()
             for _window, _key, aggregator in executor["aggregators"]
         }
-        assert classes == {"TypeGrainedAggregator"}
+        assert classes == fixture.classes
 
-        resumed = wire_runtime()
+        resumed = fixture.runtime()
         resumed.restore(state)
         records = resumed.process_batch(events[WIRE_CUT:])
         records.extend(resumed.flush())
 
-        uninterrupted = wire_runtime()
+        uninterrupted = fixture.runtime()
         expected = uninterrupted.process_batch(events[:WIRE_CUT])
         # the fixture's cut is mid-window: everything before it is still open
         expected.extend(uninterrupted.process_batch(events[WIRE_CUT:]))
@@ -402,14 +469,14 @@ class TestCheckpointWireCompatibility:
         ]
         assert len(records) > 20
 
-    def test_current_code_writes_what_the_fixture_holds(self):
-        runtime = wire_runtime()
-        runtime.process_batch(wire_stream()[:WIRE_CUT])
+    def test_current_code_writes_what_the_fixture_holds(self, fixture):
+        runtime = fixture.runtime()
+        runtime.process_batch(fixture.stream()[:WIRE_CUT])
         current = json.loads(json.dumps(runtime.checkpoint()))
-        fixture = json.loads(WIRE_FIXTURE.read_text())
+        committed = json.loads(fixture.path.read_text())
         # "metrics" and "registry" carry wall-clock readings; the rest is state
         for section in ("version", "queries", "ingest", "emitted_counts"):
-            assert current[section] == fixture[section], section
+            assert current[section] == committed[section], section
 
         def keyed(executors):
             """An executor's entries are a set keyed by (window, group):
@@ -422,11 +489,13 @@ class TestCheckpointWireCompatibility:
                 comparable[name] = dict(executor, aggregators=by_key)
             return comparable
 
-        assert keyed(current["executors"]) == keyed(fixture["executors"])
+        assert keyed(current["executors"]) == keyed(committed["executors"])
         for executor in current["executors"].values():
             order = [(window, repr(key)) for window, key, _ in executor["aggregators"]]
             assert order == sorted(order)
 
 
 if __name__ == "__main__":
-    write_wire_fixture()
+    import sys
+
+    {repr(fixture): fixture for fixture in WIRE_FIXTURES}[sys.argv[1]].write()
