@@ -28,6 +28,17 @@ from repro.events.event import Event
 from repro.query.query import Query
 
 
+def _first_at_or_after(events: List[Event], bound: float, lo: int, hi: int) -> int:
+    """Index of the first of the time-ordered ``events[lo:hi]`` at or after ``bound``."""
+    while lo < hi:
+        middle = (lo + hi) // 2
+        if events[middle].time < bound:
+            lo = middle + 1
+        else:
+            hi = middle
+    return lo
+
+
 class QueryExecutor:
     """Evaluates one event trend aggregation query over a stream.
 
@@ -92,70 +103,82 @@ class QueryExecutor:
 
     def process(self, event: Event) -> List[GroupResult]:
         """Feed one event; return the results of windows that just closed."""
-        return self._fold((event,), None)
+        return self._fold((event,))
 
-    def quiet_windows(self, start_time: float, end_time: float) -> Optional[List[int]]:
-        """Window ids of a quiet run over ``[start_time, end_time]``, else ``None``.
+    def quiet_run(self, events: List[Event], start: int = 0) -> int:
+        """End index of the longest run ``events[start:stop]`` that folds whole.
 
-        "Quiet" means no open window closes during the run and every event
-        falls into the same window set -- the one returned -- so the run can
-        be folded as a whole: one expiry check, one dispatch per key.
-        ``None`` when the run is not quiet.  Queries without
-        a WITHIN clause never emit mid-stream, so they are always quiet.
+        A run folds whole when only its first event can close a window and
+        every later one falls into the first one's windows: one expiry
+        check, one dispatch per key.  For a time window that is everything
+        before the next window start or end after the first event
+        (:meth:`WindowSpec.next_boundary`); queries without a WITHIN clause
+        never emit mid-stream, so the rest of ``events`` is one run.  Count
+        windows say nothing about timestamps and are fed event by event.
+        ``events`` must be in time order.
         """
+        count = len(events)
         window = self.query.window
-        if window is None:
-            return [0]
+        if window is None or count - start <= 1:
+            return count
         if window.is_count_based:
-            # the run's time span says nothing about ordinal boundaries, so
-            # count windows are fed event by event
-            return None
-        if (
-            self._min_open_window is not None
-            and window.window_end(self._min_open_window) <= end_time
-        ):
-            return None
-        window_ids = window.windows_of(start_time)
-        if end_time != start_time and window.windows_of(end_time) != window_ids:
-            return None
-        return window_ids
+            return start + 1
+        first_time = events[start].time
+        bound = window.next_boundary(first_time)
+        stop = (
+            count
+            if events[-1].time < bound
+            else _first_at_or_after(events, bound, start + 1, count)
+        )
+        # the bound is window_start/window_end arithmetic, placement is
+        # windows_of's; where rounding makes them disagree, fall back to the
+        # run that is always right
+        if stop - start > 1 and window.windows_of(
+            events[stop - 1].time
+        ) != window.windows_of(first_time):
+            return start + 1
+        return stop
 
     def process_batch(
-        self, events: List[Event], window_ids: Optional[List[int]] = None
-    ) -> List[GroupResult]:
-        """Feed an ordered run of events; ≡ :meth:`process` on each in turn.
+        self, events: List[Event]
+    ) -> List[Tuple[int, List[GroupResult]]]:
+        """Feed an ordered span of events; ≡ :meth:`process` on each in turn.
 
-        ``window_ids``, when given, is what :meth:`quiet_windows` just
-        returned for this run (the streaming runtime asks every target
-        executor before feeding any).
+        The span is cut at this query's window boundaries (:meth:`quiet_run`)
+        -- here and nowhere else -- and each run folded whole, so state and
+        output never depend on how the stream was sliced.  Returns
+        ``(start, results)`` for every run that closed windows, in order:
+        ``start`` is the index in ``events`` of the run's first event, the
+        one whose arrival closed them, so a caller feeding several executors
+        the same span can put their results back into arrival order.
         """
-        return self._fold(events, window_ids)
+        closed: List[Tuple[int, List[GroupResult]]] = []
+        count = len(events)
+        start = 0
+        while start < count:
+            stop = self.quiet_run(events, start)
+            results = self._fold(
+                events if stop - start == count else events[start:stop]
+            )
+            if results:
+                closed.append((start, results))
+            start = stop
+        return closed
 
-    def _fold(self, events, window_ids: Optional[List[int]]) -> List[GroupResult]:
-        """Close what the run expires, bind each event once, fold by key.
+    def _fold(self, events) -> List[GroupResult]:
+        """Close what the run's first event expires, bind each event once, fold by key.
 
-        A quiet run (see :meth:`quiet_windows`) is folded whole: every event
-        is bound once (:meth:`CograPlan.bind`), the bound events are grouped
-        by partition key, and each group is handed -- in one call -- to the
-        key's aggregators in all windows of the run.  Grouping non-consecutive
-        same-key events together is safe *because* the run is quiet: no
-        window closes mid-run, each (window, key) aggregator only ever sees
-        its own key's events in their original relative order, and window
-        emission sorts group keys.  Any other run is folded as runs of one,
-        each closing the windows its event expires before it is placed, so
-        state and output never depend on how the stream was sliced.
+        ``events`` is a run as :meth:`quiet_run` cuts it.  Every event is
+        bound once (:meth:`CograPlan.bind`), the bound events are grouped by
+        partition key, and each group is handed -- in one call -- to the
+        key's aggregators in all windows of the run.  Grouping
+        non-consecutive same-key events together is safe *because* nothing
+        closes after the first event: each (window, key) aggregator only ever
+        sees its own key's events in their original relative order, and
+        window emission sorts group keys.
         """
-        if window_ids is None and len(events) > 1:
-            window_ids = self.quiet_windows(events[0].time, events[-1].time)
-            if window_ids is None:
-                return [
-                    result
-                    for event in events
-                    for result in self._fold((event,), None)
-                ]
-        emitted: List[GroupResult] = []
         if not events:
-            return emitted
+            return []
         previous = self._last_time
         for event in events:
             if previous is not None and event.time < previous:
@@ -164,16 +187,15 @@ class QueryExecutor:
                 )
             previous = event.time
         self._last_time = previous
-        if window_ids is None:  # a run of one: close what its event expires
-            count_window = self._count_window
-            if count_window is not None:
-                window_ids = [count_window.window_of_ordinal(self._events_seen)]
-                emitted = self._close_count_windows(window_ids[0])
-            else:
-                time = events[0].time
-                emitted = self._close_expired_windows(time)
-                window = self.query.window
-                window_ids = [0] if window is None else window.windows_of(time)
+        count_window = self._count_window
+        if count_window is not None:
+            window_ids = [count_window.window_of_ordinal(self._events_seen)]
+            emitted = self._close_count_windows(window_ids[0])
+        else:
+            time = events[0].time
+            emitted = self._close_expired_windows(time)
+            window = self.query.window
+            window_ids = [0] if window is None else window.windows_of(time)
         self._events_seen += len(events)
         bind = self.plan.bind
         key_of = self.plan.partition_key

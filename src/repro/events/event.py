@@ -70,10 +70,10 @@ class Event:
         decoder and the sharded blob decoder produce.
         """
         event = object.__new__(cls)
-        object.__setattr__(event, "event_type", event_type)
-        object.__setattr__(event, "time", time)
-        object.__setattr__(event, "attributes", attributes)
-        object.__setattr__(event, "sequence", sequence)
+        _set_event_type(event, event_type)
+        _set_time(event, time)
+        _set_attributes(event, attributes)
+        _set_sequence(event, sequence)
         return event
 
     def __setattr__(self, name: str, value: Any):  # pragma: no cover - guard
@@ -143,6 +143,14 @@ class Event:
             attributes=attributes,
             sequence=changes.pop("sequence", self.sequence),
         )
+
+
+#: the slot setters, which :meth:`Event.from_wire` calls directly: half the
+#: cost of going through ``object.__setattr__`` by name, once per decoded line
+_set_event_type = Event.event_type.__set__
+_set_time = Event.time.__set__
+_set_attributes = Event.attributes.__set__
+_set_sequence = Event.sequence.__set__
 
 
 class EventSchema:

@@ -97,6 +97,40 @@ class WindowSpec:
         first = max(first, 0)
         return [k for k in range(first, last + 1) if relative < k * self.slide + self.size]
 
+    def next_boundary(self, time: float) -> float:
+        """A bound after ``time`` with no window start or end in between.
+
+        Every timestamp in ``[time, bound)`` lies in the windows of ``time``
+        and is past no window end that ``time`` is not past.  The bound is
+        the smallest value :meth:`window_start` / :meth:`window_end` return
+        above ``time``, so comparing against it agrees exactly with comparing
+        against them.  Where floats around ``time`` lie further apart than
+        window edges do (from about 2**53 slides on) it is the next float
+        after ``time`` instead: always right, and what keeps this a constant
+        amount of work for any timestamp an input line can carry.
+        """
+        if time < self.origin:
+            return self.origin
+        if time == math.inf:
+            return math.inf
+        beyond = math.nextafter(time, math.inf)
+        if beyond - time >= self.slide:
+            return beyond
+        relative = time - self.origin
+        bound = math.inf
+        for edge, offset in ((self.window_start, 0.0), (self.window_end, self.size)):
+            k = max(math.floor((relative - offset) / self.slide) + 1, 0)
+            # the estimate can be off by one where the division rounds
+            if edge(k) <= time:
+                k += 1
+            elif k > 0 and edge(k - 1) > time:
+                k -= 1
+            candidate = edge(k)
+            if candidate <= time or (k > 0 and edge(k - 1) > time):
+                return beyond
+            bound = min(bound, candidate)
+        return bound
+
     def iter_windows(self, start_time: float, end_time: float) -> Iterator[int]:
         """All window identifiers whose interval intersects ``[start_time, end_time)``."""
         if end_time <= start_time:

@@ -234,6 +234,9 @@ class OutOfOrderIngestor:
         #: (time, sequence, arrival tie-breaker, event) min-heap
         self._heap: List[Tuple[float, int, int, Event]] = []
         self._arrivals = 0
+        #: the strategy's watermark as of the last push (or restore), so a
+        #: push reads it from the strategy once, after observing the event
+        self._watermark = strategy.watermark()
         self.side_channel: List[Event] = []
         self.dropped = 0
 
@@ -241,33 +244,26 @@ class OutOfOrderIngestor:
 
     def push(self, event: Event) -> IngestBatch:
         """Ingest one event; return what may now flow downstream."""
-        before = self.strategy.watermark()
-        if self.strategy.is_punctuation(event):
-            self.strategy.observe(event)
-            watermark = self.strategy.watermark()
-            return IngestBatch(
-                self._release(watermark),
-                watermark,
-                watermark > before,
-                buffered=len(self._heap),
-                punctuation=True,
-            )
-
-        if event.time < before:
-            self._handle_late(event, before)
-            return IngestBatch(
-                [], before, False, late_event=event, buffered=len(self._heap)
-            )
-
-        self._arrivals += 1
-        heapq.heappush(self._heap, (event.time, event.sequence, self._arrivals, event))
-        self.strategy.observe(event)
-        watermark = self.strategy.watermark()
+        strategy = self.strategy
+        heap = self._heap
+        before = self._watermark
+        punctuation = strategy.is_punctuation(event)
+        if not punctuation:
+            time = event.time
+            if time < before:
+                self._handle_late(event, before)
+                return IngestBatch([], before, False, event, len(heap))
+            self._arrivals = arrivals = self._arrivals + 1
+            heapq.heappush(heap, (time, event.sequence, arrivals, event))
+        strategy.observe(event)
+        watermark = self._watermark = strategy.watermark()
+        # most pushes release nothing: the heap head is checked here, not
+        # behind a call that builds a list to find that out
+        released = (
+            self._release(watermark) if heap and heap[0][0] < watermark else []
+        )
         return IngestBatch(
-            self._release(watermark),
-            watermark,
-            watermark > before,
-            buffered=len(self._heap),
+            released, watermark, watermark > before, None, len(heap), punctuation
         )
 
     def drain(self) -> List[Event]:
@@ -369,6 +365,7 @@ class OutOfOrderIngestor:
                 f"with {self.late_policy.value!r}"
             )
         self.strategy.restore(strategy_state["state"])
+        self._watermark = self.strategy.watermark()
         self._arrivals = int(state["arrivals"])
         self.dropped = int(state["dropped"])
         self.side_channel = [restore_event(item) for item in state["side_channel"]]

@@ -34,6 +34,8 @@ def event_from_json(obj: Dict[str, object], default_sequence: int = 0) -> Event:
     :func:`~repro.events.stream.sort_events` would assign), which the
     executors' adjacency checks rely on.
     """
+    if not isinstance(obj, dict):
+        raise InvalidEventError(f"JSONL event must be a JSON object, got {obj!r}")
     event_type = obj.get("type", obj.get("event_type"))
     if not isinstance(event_type, str):
         raise InvalidEventError(
@@ -61,6 +63,11 @@ def event_from_json(obj: Dict[str, object], default_sequence: int = 0) -> Event:
     except (TypeError, ValueError) as exc:
         raise InvalidEventError(
             f"JSONL event has a non-numeric 'time' or 'sequence': {obj!r}"
+        ) from exc
+    except OverflowError as exc:
+        # an integer too large for a float, an infinite sequence
+        raise InvalidEventError(
+            f"JSONL event 'time' or 'sequence' is out of range: {obj!r}"
         ) from exc
     if not math.isfinite(time) or time < 0:
         # a NaN timestamp would sit at the reorder-buffer heap head and
@@ -126,41 +133,11 @@ def read_jsonl_events(lines: Union[TextIO, Iterable[str]]) -> Iterator[Event]:
         index += 1
 
 
-def _event_from_json_fast(obj: Dict[str, object], default_sequence: int):
-    """Decode the common wire shape without the full validation ladder.
+#: the stdlib scanner ``json.loads`` drives, without the frames around it
+_scan_json = json.JSONDecoder().scan_once
 
-    Handles the overwhelmingly typical line -- string ``"type"``, numeric
-    ``"time"``, flat top-level attributes, integer or absent ``"sequence"``
-    -- through :meth:`Event.from_wire`.  Anything unusual (aliased
-    ``"event_type"``, nested ``"attributes"``, stringly-typed numbers,
-    malformed fields) returns ``None`` so the caller falls back to
-    :func:`event_from_json`, which either accepts it or raises the exact
-    error the per-line path would.
-    """
-    event_type = obj.get("type")
-    if type(event_type) is not str:
-        return None
-    time = obj.get("time")
-    if type(time) is not float:
-        if type(time) is int:
-            time = float(time)
-        else:
-            return None
-    if not (0.0 <= time < math.inf):  # rejects NaN, inf and negatives
-        return None
-    if "attributes" in obj or "event_type" in obj:
-        return None
-    raw_sequence = obj.get("sequence")
-    if raw_sequence is None:
-        sequence = default_sequence
-    elif type(raw_sequence) is int:
-        sequence = raw_sequence
-    else:
-        return None
-    attributes = {
-        key: value for key, value in obj.items() if key not in _RESERVED_KEYS
-    }
-    return Event.from_wire(event_type, time, attributes, sequence)
+#: integer times up to here convert to a float without overflowing
+_LARGEST_INT_TIME = 1 << 1023
 
 
 def read_jsonl_event_batches(
@@ -171,13 +148,19 @@ def read_jsonl_event_batches(
     The stream of events -- order, sequence assignment (only real events
     consume arrival indexes), blank/comment skipping, and error messages --
     is identical to the per-event reader; only the delivery granularity
-    changes.  One ``json.loads`` loop plus the :func:`_event_from_json_fast`
-    constructor path keeps per-line Python overhead to a minimum.
+    changes.  The typical line -- one JSON object with a string ``"type"``,
+    a finite non-negative numeric ``"time"``, flat top-level attributes and
+    an integer or absent ``"sequence"`` -- is scanned once and its freshly
+    parsed dict, minus those three keys, becomes the event's attributes
+    (:meth:`Event.from_wire`).  Any other line is parsed again from scratch
+    by :func:`parse_jsonl_line`, which accepts it or raises exactly what the
+    per-line reader would.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size!r}")
-    loads = json.loads
-    fast = _event_from_json_fast
+    scan = _scan_json
+    from_wire = Event.from_wire
+    infinity = math.inf
     index = 0
     batch: List[Event] = []
     append = batch.append
@@ -185,15 +168,30 @@ def read_jsonl_event_batches(
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        event = None
         try:
-            obj = loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise InvalidEventError(
-                f"line {line_number} is not valid JSON: {exc}"
-            ) from exc
-        event = fast(obj, index) if type(obj) is dict else None
+            obj, end = scan(stripped, 0)
+        except (StopIteration, ValueError):
+            obj = None
+        if type(obj) is dict and end == len(stripped):
+            event_type = obj.pop("type", None)
+            time = obj.pop("time", None)
+            sequence = obj.pop("sequence", None)
+            if type(time) is int and 0 <= time < _LARGEST_INT_TIME:
+                time = float(time)
+            if (
+                type(event_type) is str
+                and type(time) is float
+                and 0.0 <= time < infinity  # rejects NaN too
+                and (sequence is None or type(sequence) is int)
+                and "attributes" not in obj
+                and "event_type" not in obj
+            ):
+                event = from_wire(
+                    event_type, time, obj, index if sequence is None else sequence
+                )
         if event is None:
-            event = event_from_json(obj, default_sequence=index)
+            event = parse_jsonl_line(stripped, index, line_number)
         append(event)
         index += 1
         if len(batch) >= batch_size:

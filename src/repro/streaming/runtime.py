@@ -7,8 +7,9 @@
 * events may arrive out of order within a configurable lateness bound --
   the ingestion layer (:mod:`repro.streaming.ingest`) restores order and
   generates watermarks;
-* every event is routed **once** through a shared type index: queries
-  that cannot be affected by an event's type never see it;
+* released events are applied a *step* at a time -- everything between two
+  window boundaries is one span -- and each query is handed only the
+  events whose types can affect it, in runs cut at its own boundaries;
 * window results are emitted incrementally as the watermark passes each
   window's end (:mod:`repro.streaming.emission`), not at end of stream;
 * the whole runtime state can be checkpointed mid-stream and restored into
@@ -63,6 +64,7 @@ from repro.streaming.checkpoint import (
 from repro.streaming.config import BackpressureConfig, LatenessConfig, WatermarkConfig
 from repro.streaming.emission import EmissionController, EmissionRecord
 from repro.streaming.ingest import (
+    IngestBatch,
     LatePolicy,
     OutOfOrderIngestor,
     WatermarkStrategy,
@@ -212,16 +214,27 @@ class PipelineDriver:
             session.close()
 
     def _ingest(self, events: Iterable[Event], apply) -> None:
-        """Push a slice through the reorder buffer, event by event.
+        """Push a slice through the reorder buffer; apply it step by step.
 
-        ``apply(batch, trace)`` is called for every push that was not late
-        -- late events and their accounting end here.  ``trace`` is the
-        pushed event's sampled root span (its ``ingest`` child already
-        finished) or ``None``; sampling only adds spans, it never changes
-        what ``apply`` is called with.  The ingested / punctuation / late /
-        released tallies reach :attr:`metrics` once per slice, also when a
-        raising late policy aborts it, so the totals never depend on the
-        slicing.
+        Every event is pushed on its own, but pushes are *applied* a step at
+        a time.  A step is everything between two window boundaries: while
+        the watermark stays below :meth:`_step_boundary` -- the next window
+        start or end of any registered query -- what the pushes release
+        accumulates into one span and only the newest watermark is kept.
+        Everything in that span lies below the boundary, so it opens and
+        closes no window and yields no records; it is handed to
+        ``apply(batch, trace)`` as one :class:`IngestBatch` when the step
+        ends.  The push that lifts the watermark to the boundary is applied
+        alone, exactly as pushed, so whatever it emits carries its own
+        watermark.  A sampled event (``trace``, its ``ingest`` child already
+        finished, else ``None``), a raising late event and the end of the
+        slice end the step too, which is why neither sampling nor the
+        slicing can change what is emitted.
+
+        Late events and their accounting end here.  The ingested /
+        punctuation / late / released tallies reach :attr:`metrics` once per
+        slice, also when a raising late policy aborts it, so the totals never
+        depend on the slicing.
         """
         ingestor = self._ingestor
         push = ingestor.push
@@ -229,9 +242,16 @@ class PipelineDriver:
         sample = tracer.start_trace if tracer.enabled else None
         reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
         ingested = punctuations = released = late_dropped = late_rerouted = 0
-        max_time = watermark = -math.inf
+        max_time = -math.inf
         buffered_peak = -1
         trace = span = None
+        #: the watermark after the last push that was not late
+        current = ingestor.watermark
+        boundary = self._step_boundary(current)
+        #: what the open step's pushes released, and whether one of them
+        #: moved the watermark (to ``current``)
+        pending: List[Event] = []
+        advanced = False
         try:
             for event in events:
                 if sample is not None:
@@ -274,11 +294,23 @@ class PipelineDriver:
                         late_rerouted += 1
                     else:
                         late_dropped += 1
-                else:
-                    released += len(batch.released)
+                elif batch.watermark < boundary and trace is None:
+                    if batch.released:
+                        released += len(batch.released)
+                        pending.extend(batch.released)
                     if batch.advanced:
-                        watermark = batch.watermark
+                        advanced = True
+                        current = batch.watermark
+                else:
+                    if pending or advanced:
+                        step = IngestBatch(pending, current, advanced)
+                        pending = []
+                        advanced = False
+                        apply(step, None)
+                    released += len(batch.released)
+                    current = batch.watermark
                     apply(batch, trace)
+                    boundary = self._step_boundary(current)
                 if trace is not None:
                     trace.finish()
         finally:
@@ -289,7 +321,19 @@ class PipelineDriver:
             metrics.record_ingest_batch(ingested, max_time, buffered_peak)
             metrics.record_late_batch(late_dropped, late_rerouted)
             metrics.record_release(released)
-            metrics.record_watermark(watermark)
+            metrics.record_watermark(current)
+            # the slice ends the step, also when a raising late event cut it
+            # short: what the step held was released before that event came
+            if pending or advanced:
+                apply(IngestBatch(pending, current, advanced), None)
+
+    def _step_boundary(self, watermark: float) -> float:
+        """The watermark at which the step open at ``watermark`` must end.
+
+        Pushes that leave the watermark below it are applied together (see
+        :meth:`_ingest`).  ``-inf`` makes every push its own step.
+        """
+        raise NotImplementedError
 
     def _await_sink_ready(
         self, ready: Callable[[], bool], backpressure: BackpressureConfig
@@ -657,15 +701,6 @@ class StreamingRuntime(PipelineDriver):
         self._emit_empty_groups = emit_empty_groups
         self._queries: List[RegisteredQuery] = []
         self._by_name: Dict[str, RegisteredQuery] = {}
-        #: event type -> queries routed by type (broadcast queries excluded)
-        self._routes: Dict[str, List[RegisteredQuery]] = {}
-        self._broadcast: List[RegisteredQuery] = []
-        #: event type -> routed + broadcast queries in registration order,
-        #: as a flat tuple; filled lazily per type on first use
-        #: (registration is frozen by then), including a cached entry for
-        #: types no query routes on -- the hot path never re-checks the
-        #: broadcast fallback
-        self._resolved_routes: Dict[str, Tuple[RegisteredQuery, ...]] = {}
         self._flushed = False
         #: set when a restore failed mid-application; the mixed state must
         #: never process events (see :meth:`restore`)
@@ -731,14 +766,6 @@ class StreamingRuntime(PipelineDriver):
         registered.instruments = self.observability.query_instruments(name)
         self._queries.append(registered)
         self._by_name[name] = registered
-        if registered.broadcast:
-            self._broadcast.append(registered)
-        else:
-            for event_type in registered.relevant_types:
-                self._routes.setdefault(event_type, []).append(registered)
-        # registration is frozen before the first ingested event, but drop
-        # any resolved targets defensively so they can never go stale
-        self._resolved_routes.clear()
         return name
 
     @property
@@ -777,8 +804,11 @@ class StreamingRuntime(PipelineDriver):
         The records, their order, the watermark stamps and the window
         emission timing depend only on the events and their order, never on
         how the stream was cut into slices: every event is pushed through
-        the reorder buffer on its own, and what a push releases is fed to
-        the executors as same-type runs (see :meth:`_route_slice`).  With a
+        the reorder buffer on its own, what the pushes between two window
+        boundaries release is applied as one step (see :meth:`_ingest`; a
+        step emits nothing, and the slice's end merely ends it early), and
+        the push that crosses a boundary is applied alone.  Each step's
+        span reaches the executors through :meth:`_route_slice`.  With a
         raising late policy the records the slice's earlier events emitted
         travel on the :class:`~repro.errors.LateEventError` (``.records``).
         """
@@ -798,7 +828,12 @@ class StreamingRuntime(PipelineDriver):
         return records
 
     def _apply_push(self, records: List[EmissionRecord], batch, trace) -> None:
-        """Route what one push released, then emit what its watermark closes."""
+        """Route what one step released, then emit what its watermark closes.
+
+        ``batch`` is a push as the reorder buffer returned it, or the pushes
+        of a step folded into one (their released events, the newest
+        watermark).
+        """
         emitted_before = len(records)
         released = batch.released
         if released:
@@ -830,6 +865,24 @@ class StreamingRuntime(PipelineDriver):
                     registered.instruments.results.inc(len(emitted))
                 records.extend(emitted)
 
+    def _step_boundary(self, watermark: float) -> float:
+        """The next window start or end of any registered query after ``watermark``.
+
+        Plain window arithmetic (:meth:`WindowSpec.next_boundary`): below it
+        the watermark closes nothing and every released event falls into the
+        windows the step began in.  A count window closes on the arrival of
+        an event, whatever the watermark, so with one registered every push
+        is its own step.
+        """
+        boundary = math.inf
+        for registered in self._queries:
+            window = registered.engine.query.window
+            if window is not None:
+                if window.is_count_based:
+                    return -math.inf
+                boundary = min(boundary, window.next_boundary(watermark))
+        return boundary
+
     def _route_slice(
         self,
         released: List[Event],
@@ -837,89 +890,69 @@ class StreamingRuntime(PipelineDriver):
         records: List[EmissionRecord],
         span=None,
     ) -> None:
-        """Deliver in-order events to the queries their types can affect.
+        """Deliver an in-order span to the queries its events can affect.
 
-        The one router.  ``released`` is cut into consecutive same-type
-        runs; a run during which no target query can emit (see
-        :meth:`QueryExecutor.quiet_windows`) is fed to each target whole,
-        anything else -- a single event, a run that closes a window, a
-        count-windowed query -- event by event to every target in turn, so
-        record content and order are those of the arrival order.  ``span``
-        is a sampled ``route`` span; each run adds an ``execute`` child.
+        The one router, behind the ingest steps, :meth:`process_ordered` and
+        :meth:`flush`.  Each query gets the span filtered to its
+        ``relevant_types`` (all of it for a broadcast query) in one
+        :meth:`QueryExecutor.process_batch` call -- event types may mix, the
+        executor binds each event and groups by partition key, and it alone
+        cuts the span where *that query's* windows start or end: a boundary
+        of one query never fragments the runs of another.  When several
+        queries emit inside one span their records are put back into the
+        order feeding the span event by event would produce (index of the
+        closing event, then registration order).  ``span`` is a sampled
+        ``route`` span; each query fed adds an ``execute`` child.
         """
-        count = len(released)
-        resolved = self._resolved_routes
-        apply_run = self._apply_run
-        index = 0
-        while index < count:
-            first = released[index]
-            event_type = first.event_type
-            stop = index + 1
-            while stop < count and released[stop].event_type == event_type:
-                stop += 1
-            targets = resolved.get(event_type)
-            if targets is None:
-                targets = self._flat_targets(event_type)
-            if not targets:
-                index = stop
+        present = {event.event_type for event in released}
+        #: (span index of the closing event, registration order, records)
+        closed: List[Tuple[int, int, List[EmissionRecord]]] = []
+        for registered in self._queries:
+            types = registered.relevant_types
+            if registered.broadcast or present <= types:
+                events = released
+            elif present.isdisjoint(types):
                 continue
-            run = released[index:stop]
-            index = stop
+            else:
+                events = [event for event in released if event.event_type in types]
             execute = (
                 None
                 if span is None
-                else span.child("execute", event_type=event_type, events=len(run))
+                else span.child("execute", query=registered.name, events=len(events))
             )
-            quiet = None
-            if len(run) > 1:
-                quiet = [
-                    registered.executor.quiet_windows(first.time, run[-1].time)
-                    for registered in targets
-                ]
-                if None in quiet:
-                    quiet = None
-            if quiet is None:
-                for event in run:
-                    one = (event,)
-                    for registered in targets:
-                        apply_run(registered, one, None, watermark, records)
-            else:
-                for registered, window_ids in zip(targets, quiet):
-                    apply_run(registered, run, window_ids, watermark, records)
+            emitting = self._apply_span(registered, events)
+            if emitting:
+                if events is not released:
+                    positions = [
+                        index
+                        for index, event in enumerate(released)
+                        if event.event_type in types
+                    ]
+                    emitting = [
+                        (positions[start], results) for start, results in emitting
+                    ]
+                collect = self._controller.collect
+                for index, results in emitting:
+                    emitted = collect(registered.name, results, watermark)
+                    closed.append((index, registered.order, emitted))
             if execute is not None:
                 execute.finish()
+        closed.sort()  # (index, order) is unique: the records are never compared
+        for _, _, emitted in closed:
+            records.extend(emitted)
 
-    def _apply_run(
-        self,
-        registered: RegisteredQuery,
-        run,
-        window_ids: Optional[List[int]],
-        watermark: float,
-        records: List[EmissionRecord],
-    ) -> None:
-        """Feed one same-type run to one executor; collect what it closes.
-
-        The executor groups the run by partition key internally (see
-        :meth:`QueryExecutor.process_batch`), so interleaved group keys --
-        the common case under GROUP-BY -- do not fragment the run.
-        ``window_ids`` is the executor's ``quiet_windows`` answer for a
-        quiet run, ``None`` for a run of one.
-        """
+    def _apply_span(self, registered: RegisteredQuery, events: List[Event]):
+        """Feed one query its share of a span; return what its executor closed."""
         instruments = registered.instruments
         if instruments is None:
-            results = registered.executor.process_batch(run, window_ids)
-        else:
-            started = _time.perf_counter()
-            results = registered.executor.process_batch(run, window_ids)
-            instruments.observe_execution_batch(
-                len(run), _time.perf_counter() - started, 1 if results else 0
-            )
-        if results:
-            collected = self._controller.collect(registered.name, results, watermark)
-            if collected:
-                if instruments is not None:
-                    instruments.results.inc(len(collected))
-                records.extend(collected)
+            return registered.executor.process_batch(events)
+        started = _time.perf_counter()
+        emitting = registered.executor.process_batch(events)
+        instruments.observe_execution_batch(
+            len(events), _time.perf_counter() - started, len(emitting)
+        )
+        instruments.results.inc(sum(len(results) for _, results in emitting))
+        return emitting
 
     def process_ordered(
         self, events: Iterable[Event], watermark: Optional[float] = None
@@ -994,27 +1027,6 @@ class StreamingRuntime(PipelineDriver):
         uniformly.
         """
         return []
-
-    def _flat_targets(self, event_type: str) -> Tuple[RegisteredQuery, ...]:
-        """Merge type-routed and broadcast queries for one type, once.
-
-        Registration is frozen after the first ingested event, so the
-        per-type target tuples are static; the result is cached (also for
-        types no query routes on, which resolve to the broadcast list) so
-        the hot path is a single dict hit per type.
-        """
-        routed = self._routes.get(event_type)
-        if routed is None:
-            targets: Tuple[RegisteredQuery, ...] = tuple(self._broadcast)
-        else:
-            targets = tuple(
-                sorted(
-                    list(routed) + self._broadcast,
-                    key=lambda registered: registered.order,
-                )
-            )
-        self._resolved_routes[event_type] = targets
-        return targets
 
     # -- introspection ---------------------------------------------------------
 

@@ -1572,6 +1572,11 @@ class ShardedRuntime(PipelineDriver):
         self._drain_acks(block=False)
         return self._take_ready()
 
+    def _step_boundary(self, watermark: float) -> float:
+        """Every push is its own step: shipping, rebalancing and re-planning
+        count pushes, and the window arithmetic happens in the workers."""
+        return -math.inf
+
     def _apply_push(self, batch, trace) -> None:
         """Route what one push released to the outboxes; ship what is due.
 

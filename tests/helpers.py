@@ -272,3 +272,109 @@ def reference_negation_event_grained_process(aggregator, event: Event, component
         return 0
 
     reference_event_grained_process(aggregator, event, blocked_below)
+
+
+# ---------------------------------------------------------------------------
+# the streaming runtime, one release -> route -> emit step per event
+# ---------------------------------------------------------------------------
+
+
+def _reference_route(runtime, event: Event, watermark: float, records: list) -> None:
+    """Feed one in-order event to every query it concerns, in registration order."""
+    for registered in runtime._queries:
+        if not (
+            registered.broadcast or event.event_type in registered.relevant_types
+        ):
+            continue
+        results = registered.executor.process(event)
+        instruments = registered.instruments
+        if instruments is not None:
+            instruments.observe_execution_batch(1, 0.0, 1 if results else 0)
+        if results:
+            emitted = runtime._controller.collect(registered.name, results, watermark)
+            if instruments is not None:
+                instruments.results.inc(len(emitted))
+            records.extend(emitted)
+
+
+def reference_ingest_per_push(runtime, events) -> list:
+    """The literal per-push loop ``StreamingRuntime.process_batch`` stands for.
+
+    Every event is its own step: it is pushed through the reorder buffer,
+    what the push releases is fed event by event to each query in
+    registration order with the push's watermark as the record stamp, and
+    emission then advances to that watermark.  Accounting is per slice, as
+    in the runtime.  Like ``process_batch``, a raising late policy leaves
+    the records emitted so far on the error (``.records``).  No spans are
+    recorded: tracing must never show in records, state or counters.
+    """
+    from repro.errors import LateEventError
+    from repro.streaming.ingest import LatePolicy
+
+    runtime._check_processable()
+    ingestor = runtime._ingestor
+    reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
+    records: list = []
+    ingested = punctuations = released = late_dropped = late_rerouted = 0
+    max_time = watermark = -math.inf
+    buffered_peak = -1
+    try:
+        for event in events:
+            try:
+                batch = ingestor.push(event)
+            except LateEventError as error:
+                ingested += 1
+                late_dropped += 1
+                max_time = max(max_time, event.time)
+                buffered_peak = max(buffered_peak, len(ingestor))
+                error.records = records
+                raise
+            if batch.punctuation:
+                punctuations += 1
+            else:
+                ingested += 1
+                max_time = max(max_time, event.time)
+                buffered_peak = max(buffered_peak, batch.buffered)
+            if batch.late_event is not None:
+                if reroutes:
+                    late_rerouted += 1
+                else:
+                    late_dropped += 1
+                continue
+            released += len(batch.released)
+            for ready in batch.released:
+                _reference_route(runtime, ready, batch.watermark, records)
+            if batch.advanced:
+                watermark = batch.watermark
+                runtime._advance_emission(batch.watermark, records)
+    finally:
+        metrics = runtime.metrics
+        metrics.record_punctuation(punctuations)
+        metrics.record_ingest_batch(ingested, max_time, buffered_peak)
+        metrics.record_late_batch(late_dropped, late_rerouted)
+        metrics.record_release(released)
+        metrics.record_watermark(watermark)
+        metrics.record_emission(len(records))
+    return records
+
+
+def reference_process_ordered(runtime, events, watermark) -> list:
+    """``StreamingRuntime.process_ordered`` with every event fed on its own."""
+    runtime._check_processable()
+    records: list = []
+    context = (
+        runtime._ordered_watermark
+        if watermark is None
+        else max(watermark, runtime._ordered_watermark)
+    )
+    events = list(events)
+    for event in events:
+        _reference_route(runtime, event, context, records)
+    if events:
+        runtime.metrics.record_release(len(events))
+    if watermark is not None and watermark > runtime._ordered_watermark:
+        runtime._ordered_watermark = watermark
+        runtime.metrics.record_watermark(watermark)
+        runtime._advance_emission(watermark, records)
+    runtime.metrics.record_emission(len(records))
+    return records

@@ -9,6 +9,7 @@ byte-identical -- with tracing on or off, when a raising late policy aborts
 a slice, under worker SIGKILL recovery and under mid-stream rebalancing.
 """
 
+import json
 import os
 import random
 import signal
@@ -18,11 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.executor import QueryExecutor
-from repro.errors import LateEventError
+from repro.errors import InvalidEventError, LateEventError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.streaming.checkpoint import CheckpointStore
-from repro.streaming.jsonl import read_jsonl_event_batches, read_jsonl_events
+from repro.streaming.jsonl import (
+    parse_jsonl_line,
+    read_jsonl_event_batches,
+    read_jsonl_events,
+)
 from repro.streaming.observability import Observability, Tracer
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.sharded import ShardedRuntime
@@ -134,7 +139,14 @@ class TestExecutorBatchParity:
         batched = QueryExecutor(parse_query(query))
         got = []
         for group in chunked(events, sizes):
-            got.extend(batched.process_batch(group))
+            for start, results in batched.process_batch(group):
+                # ``start`` is the event whose arrival closed the windows
+                window_end = batched.query.window.window_end
+                assert all(
+                    group[start].time >= window_end(result.window_id)
+                    for result in results
+                )
+                got.extend(results)
         got.extend(batched.flush())
 
         assert [repr(result) for result in got] == [
@@ -285,13 +297,19 @@ class TestRuntimeBatchParity:
 
     @pytest.mark.parametrize("sample_rate", [0.0, 1e-9, 1.0])
     def test_tracing_never_changes_the_executor_calls(self, monkeypatch, sample_rate):
-        """Sampling adds spans; it must not select a different processing path."""
+        """An enabled tracer selects no other processing path.
+
+        A *sampled* event ends the ingest step, so that its spans cover its
+        own push only: it changes how the same events are cut into executor
+        calls, never which events an executor is fed.
+        """
         calls = []
         for name in ("process", "process_batch"):
             original = getattr(QueryExecutor, name)
 
             def recording(executor, fed, *args, _name=name, _call=original, **kwargs):
-                calls.append((_name, len(fed) if _name == "process_batch" else 1))
+                events = list(fed) if _name == "process_batch" else [fed]
+                calls.append((_name, executor.query.semantics, events))
                 return _call(executor, fed, *args, **kwargs)
 
             monkeypatch.setattr(QueryExecutor, name, recording)
@@ -305,12 +323,24 @@ class TestRuntimeBatchParity:
             runtime.run(events, decode_batch_size=32)
             return list(calls)
 
+        def fed_per_query(recorded):
+            fed = {}
+            for _name, query, run in recorded:
+                fed.setdefault(query, []).extend(run)
+            return fed
+
         untraced = entry_calls()
         spans = []
-        assert entry_calls(**traced(sample_rate, spans)) == untraced
-        assert any(length > 1 for _name, length in untraced)
+        sampled = entry_calls(**traced(sample_rate, spans))
+        assert any(len(run) > 1 for _name, _query, run in untraced)
         if sample_rate < 1.0:
+            assert sampled == untraced
             assert spans == []  # 1e-9 is enabled, yet samples nothing here
+        else:
+            assert len(sampled) > len(untraced)
+            # each query is fed the very same events in the very same order
+            assert len(fed_per_query(untraced)) == 2
+            assert fed_per_query(sampled) == fed_per_query(untraced)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -336,6 +366,65 @@ class TestRuntimeBatchParity:
 # ---------------------------------------------------------------------------
 # the JSONL batch decoder
 # ---------------------------------------------------------------------------
+
+
+_TYPES = ['"A"', '"B"', '"A"', '"Trade"', "3", "null", "true", '""']
+_TIMES = ["1", "2.5", "0", "7", "0.25", "-1", "-0.0", "true", '"2.5"', '"x"']
+_TIMES += ["null", "NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "[1]"]
+_SEQUENCES = ["3", "0", "-2", "2.0", "2.5", '"7"', '"x"', "null", "true"]
+_SEQUENCES += ["1" + "0" * 30, "1e400", "NaN", "[]"]
+_NESTED = ['{"v": 1}', "{}", "[]", '"x"', "null", "0", '{"g": "n", "type": "Z"}']
+_VALUES = ['"x"', "1", "null", "[1, 2]", '{"deep": true}', "1.5"]
+#: how the object text sits on its line: bare, padded, after a BOM, with
+#: trailing garbage, twice, inside an array
+_FRAMES = ["%s", "%s", "%s", " %s ", "\t%s\r\n", "%s\n", "\ufeff%s", "%s x", "%s,"]
+_FRAMES += ["%s%s", "[%s]", "%s # no comment"]
+_ODD_LINES = ["", "   ", "\n", "# comment", "  # indented comment", "[1]", "3", '"x"']
+_ODD_LINES += ["null", "{", '{"type": "A", "time": 1', "nope", "{}", "[]"]
+
+
+@st.composite
+def jsonl_lines(draw):
+    """One line of JSONL input, well-formed or not."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(_ODD_LINES))
+    fields = []
+    if draw(st.integers(0, 9)):
+        fields.append(("type", draw(st.sampled_from(_TYPES))))
+    if draw(st.integers(0, 9)):
+        fields.append(("time", draw(st.sampled_from(_TIMES))))
+    extras = st.one_of(
+        st.tuples(st.sampled_from(["g", "v", "venue"]), st.sampled_from(_VALUES)),
+        st.tuples(st.just("sequence"), st.sampled_from(_SEQUENCES)),
+        st.tuples(st.just("attributes"), st.sampled_from(_NESTED)),
+        st.tuples(st.just("event_type"), st.sampled_from(_TYPES)),
+        st.tuples(st.just("time"), st.sampled_from(_TIMES)),  # a duplicate key
+        st.tuples(st.just("type"), st.sampled_from(_TYPES)),
+    )
+    fields += draw(st.lists(extras, max_size=5))
+    fields = draw(st.permutations(fields))
+    text = "{%s}" % ", ".join('"%s": %s' % field for field in fields)
+    frame = draw(st.sampled_from(_FRAMES))
+    return frame.replace("%s", text)
+
+
+def decoded(call):
+    """What a decode produced: the event's every field, or the error raised."""
+    try:
+        events = call()
+    except Exception as error:  # the differential compares whatever is raised
+        return type(error), str(error)
+    return [
+        (
+            event.event_type,
+            event.time,
+            type(event.time),
+            list(event.attributes.items()),  # key order included
+            event.sequence,
+            type(event.sequence),
+        )
+        for event in events
+    ]
 
 
 class TestJsonlBatchDecode:
@@ -381,6 +470,73 @@ class TestJsonlBatchDecode:
             (e.event_type, e.time, e.attributes, e.sequence) for e in flattened
         ] == [(e.event_type, e.time, e.attributes, e.sequence) for e in expected]
         assert all(len(batch) <= batch_size for batch in batches)
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=jsonl_lines(), index=st.integers(min_value=0, max_value=5))
+    def test_every_line_decodes_as_parse_jsonl_line_decodes_it(self, line, index):
+        """Same event -- attribute key order included -- or same error, per line."""
+        padding = ['{"type": "P", "time": 0}'] * index  # moves the arrival index
+
+        def per_line():
+            event = parse_jsonl_line(line, default_sequence=index, line_number=index + 1)
+            return [] if event is None else [event]
+
+        def batched():
+            batches = read_jsonl_event_batches(padding + [line], 64)
+            return [event for batch in batches for event in batch][index:]
+
+        assert decoded(batched) == decoded(per_line)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lines=st.lists(jsonl_lines(), max_size=12),
+        batch_size=st.sampled_from([1, 3, 64]),
+    )
+    def test_a_file_decodes_as_the_per_line_reader_decodes_it(self, lines, batch_size):
+        def batched():
+            batches = read_jsonl_event_batches(lines, batch_size)
+            return [event for batch in batches for event in batch]
+
+        assert decoded(batched) == decoded(lambda: list(read_jsonl_events(lines)))
+
+    def test_a_decoded_event_owns_its_attributes(self):
+        line = '{"type": "A", "time": 1.5, "g": "x", "v": 1}'
+        first, second = (
+            next(read_jsonl_event_batches([line], 1))[0] for _ in range(2)
+        )
+        second.attributes["v"] = 99
+        second.attributes["extra"] = True
+        del second.attributes["g"]
+        assert first.attributes == {"g": "x", "v": 1}
+        assert first.attributes is not second.attributes
+
+    @pytest.mark.parametrize(
+        "line, complaint",
+        [
+            pytest.param(
+                '{"type": "A", "time": 1%s}' % ("0" * 400), "out of range", id="huge-time"
+            ),
+            pytest.param(
+                '{"type": "A", "time": 1, "sequence": 1e999}',
+                "out of range",
+                id="infinite-sequence",
+            ),
+            pytest.param("[1]", "must be a JSON object", id="array"),
+            pytest.param("3", "must be a JSON object", id="number"),
+            pytest.param('"x"', "must be a JSON object", id="string"),
+        ],
+    )
+    def test_malformed_lines_are_invalid_events_on_both_readers(self, line, complaint):
+        """Regression: these left both readers as OverflowError / AttributeError."""
+        for read in (
+            lambda: parse_jsonl_line(line),
+            lambda: list(read_jsonl_events([line])),
+            lambda: list(read_jsonl_event_batches([line], 8)),
+        ):
+            with pytest.raises(InvalidEventError, match=complaint) as caught:
+                read()
+            # like the other malformed-field errors, it shows what was decoded
+            assert repr(json.loads(line))[:40] in str(caught.value)
 
 
 # ---------------------------------------------------------------------------
