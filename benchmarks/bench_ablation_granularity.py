@@ -1,6 +1,6 @@
 """Ablation: the same COGRA executor forced to every correct granularity.
 
-DESIGN.md attributes COGRA's wins over GRETA to one design choice -- the
+The paper attributes COGRA's wins over GRETA to one design choice -- the
 coarsest-correct aggregate granularity.  This benchmark isolates that choice:
 the planner, executor, windows and grouping are identical across arms; only
 the granularity differs.  The expected shape is

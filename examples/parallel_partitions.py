@@ -9,7 +9,7 @@ for scalability.  This example
    checks that the results agree,
 3. reports per-partition load (the skew bounds parallel speed-up), and
 4. forces the same query down to GRETA-style event granularity to show what
-   the coarse type granularity saves (the ablation of DESIGN.md).
+   the coarse type granularity saves (the ablation of ``repro.bench.ablation``).
 
 Run with::
 

@@ -10,8 +10,8 @@ The classifier splits the WHERE clause into
 
 Variable-scoped equivalence predicates ``[A.attr]`` constrain only the
 events bound to ``A``; the classifier rewrites them into adjacency
-constraints between consecutive occurrences of ``A`` (see DESIGN.md for the
-scope of this rewriting).
+constraints between consecutive occurrences of ``A``
+(:func:`_equivalence_as_adjacency`).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Granularity ablation: what do the coarse granularities actually buy?
 
-DESIGN.md calls out one central design choice of the paper: maintaining the
+The paper's central design choice is maintaining the
 trend aggregates at the *coarsest correct* granularity instead of GRETA's
 per-event granularity.  The ablation harness isolates that choice by running
 the **same** COGRA executor on the **same** workload while forcing every

@@ -11,7 +11,7 @@ experiment yields an :class:`ExperimentOutcome` with
 
 :func:`run_experiments` executes any subset and
 :func:`render_experiments_markdown` turns the outcomes into the
-``EXPERIMENTS.md`` document requested by DESIGN.md.  The ``scale`` knob
+``EXPERIMENTS.md`` document.  The ``scale`` knob
 keeps a full run in the minutes range on a laptop (``quick``) or pushes the
 sweeps to the largest sizes that still terminate overnight (``full``).
 """

@@ -17,6 +17,7 @@ how checkpointing and the replan loop read and replace it.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analyzer.plan import CograPlan, plan_query
@@ -123,21 +124,10 @@ class QueryExecutor:
             return count
         if window.is_count_based:
             return start + 1
-        first_time = events[start].time
-        bound = window.next_boundary(first_time)
-        stop = (
-            count
-            if events[-1].time < bound
-            else _first_at_or_after(events, bound, start + 1, count)
-        )
-        # the bound is window_start/window_end arithmetic, placement is
-        # windows_of's; where rounding makes them disagree, fall back to the
-        # run that is always right
-        if stop - start > 1 and window.windows_of(
-            events[stop - 1].time
-        ) != window.windows_of(first_time):
-            return start + 1
-        return stop
+        bound = window.next_boundary(events[start].time)
+        if events[-1].time < bound:
+            return count
+        return _first_at_or_after(events, bound, start + 1, count)
 
     def process_batch(
         self, events: List[Event]
@@ -190,7 +180,7 @@ class QueryExecutor:
         count_window = self._count_window
         if count_window is not None:
             window_ids = [count_window.window_of_ordinal(self._events_seen)]
-            emitted = self._close_count_windows(window_ids[0])
+            emitted = self._close_windows_below(window_ids[0])
         else:
             time = events[0].time
             emitted = self._close_expired_windows(time)
@@ -345,36 +335,24 @@ class QueryExecutor:
 
     # -- internals ---------------------------------------------------------------------
 
-    def _close_count_windows(self, current_window: int) -> List[GroupResult]:
-        """Emit every open count window that precedes ``current_window``."""
-        if self._min_open_window is None or self._min_open_window >= current_window:
-            return []
-        emitted: List[GroupResult] = []
-        expired = [
-            window_id for window_id in self._windows if window_id < current_window
-        ]
-        for window_id in sorted(expired):
-            emitted.extend(self._emit_window(window_id))
-        self._min_open_window = min(self._windows) if self._windows else None
-        return emitted
-
     def _close_expired_windows(self, time: float) -> List[GroupResult]:
+        """Emit every open time window that has ended at ``time``."""
         window = self.query.window
-        if window is None or window.is_count_based:
+        if window is None or window.is_count_based or self._min_open_window is None:
             # count windows close on event arrival, not on watermarks
             return []
-        if (
-            self._min_open_window is None
-            or window.window_end(self._min_open_window) > time
-        ):
+        if window.window_end(self._min_open_window) > time:
             return []  # the earliest open window is still live
+        if time == math.inf:  # the sharded flush: every window has ended
+            return self.flush()
+        return self._close_windows_below(window._first_live(time))
+
+    def _close_windows_below(self, first_live: int) -> List[GroupResult]:
+        """Emit every open window that precedes ``first_live``, in id order."""
+        if self._min_open_window is None or self._min_open_window >= first_live:
+            return []
         emitted: List[GroupResult] = []
-        expired = [
-            window_id
-            for window_id in self._windows
-            if window.window_end(window_id) <= time
-        ]
-        for window_id in sorted(expired):
+        for window_id in sorted(w for w in self._windows if w < first_live):
             emitted.extend(self._emit_window(window_id))
         self._min_open_window = min(self._windows) if self._windows else None
         return emitted

@@ -5,8 +5,8 @@ monitoring and EODData stock transactions) and one synthetic public
 transportation data set.  The real data sets are not redistributable, so
 this package generates synthetic streams with the same schemas and the same
 workload-relevant properties (number of groups, event type mixture,
-attribute monotonicity and selectivity); DESIGN.md documents why these
-substitutions preserve the behaviour the evaluation measures.
+attribute monotonicity and selectivity); each generator's module docstring
+names the properties of the original it keeps.
 """
 
 from repro.datasets.generators import StreamConfig, random_walk, seeded_rng

@@ -83,10 +83,10 @@ def stock_query(
 
     ``PATTERN SEQ(Stock A+, Stock B+)`` under skip-till-any-match with the
     ``A.price > NEXT(A).price`` adjacent predicate.  The paper groups by
-    ``(sector, A.company, B.company)``; as documented in DESIGN.md the
-    reproduction groups by the common ``sector`` attribute (or ``company``
-    when ``group_by_company`` is set, matching the 19 trend groups the paper
-    reports for the stock data set).
+    ``(sector, A.company, B.company)``; the reproduction groups by the
+    common ``sector`` attribute (or ``company`` when ``group_by_company`` is
+    set, matching the 19 trend groups the paper reports for the stock data
+    set).
     """
     builder = (
         QueryBuilder("q3-stock")

@@ -5,8 +5,9 @@ per window, the selectivity of the predicates on adjacent events, and the
 number of trend groups.  This module measures those knobs on an arbitrary
 stream, so the benchmark harness can report what it actually fed to each
 approach and the tests can verify that the synthetic generators deliver the
-properties DESIGN.md claims (e.g. that ``StockConfig.decrease_probability``
-really is the selectivity of ``A.price > NEXT(A).price``).
+properties their docstrings claim (e.g. that
+``StockConfig.decrease_probability`` really is the selectivity of
+``A.price > NEXT(A).price``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 An :class:`Event` is an immutable record carrying
 
-* ``time`` -- an application timestamp (a non-negative number; the paper
+* ``time`` -- an application timestamp (a non-negative finite number; the paper
   models time as a linearly ordered subset of the rationals),
 * ``event_type`` -- the name of the event type the event belongs to,
 * ``attributes`` -- a mapping from attribute names to values, and
@@ -17,6 +17,8 @@ attribute access on the critical path to a single dictionary lookup.
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Optional
+
+_INFINITY = float("inf")
 
 
 class Event:
@@ -46,8 +48,8 @@ class Event:
         attributes: Optional[Mapping[str, Any]] = None,
         sequence: int = 0,
     ):
-        if time < 0:
-            raise ValueError(f"event time must be non-negative, got {time!r}")
+        if not 0 <= time < _INFINITY:  # rejects NaN too
+            raise ValueError(f"event time must be non-negative, finite: {time!r}")
         object.__setattr__(self, "event_type", event_type)
         object.__setattr__(self, "time", float(time))
         object.__setattr__(self, "attributes", dict(attributes or {}))

@@ -33,7 +33,7 @@ bound to a ``Tf`` variable).  This is the relation the incremental
 invalidation rules above maintain; :func:`trend_respects_negations` states
 it explicitly and doubles as the correctness oracle of the test suite.
 
-Scope and simplifications (documented in DESIGN.md):
+Scope and simplifications:
 
 * A negated sub-pattern must be a single event type atom that appears as a
   direct element of a sequence with at least one positive part before and

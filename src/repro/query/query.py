@@ -43,8 +43,8 @@ class Query:
         adjacent predicates).
     group_by:
         GROUP-BY attribute names.  Grouping attributes must be carried by
-        every event that participates in a trend (see DESIGN.md for the
-        treatment of variable-scoped grouping).
+        every event that participates in a trend (the parser reads a
+        variable-scoped ``A.company`` as the plain attribute ``company``).
     window:
         The WITHIN/SLIDE clause.  ``None`` means a single unbounded window
         covering the whole stream, which is convenient for tests and for

@@ -2,15 +2,25 @@
 
 A window of size ``size`` seconds slides every ``slide`` seconds.  Window
 ``k`` (a non-negative integer identifier, the ``wid`` of Section 7) covers
-the half-open time interval ``[k * slide + origin, k * slide + origin + size)``.
-An event whose timestamp falls into several overlapping windows contributes
-to each of them.
+the half-open time interval ``[window_start(k), window_end(k))``; an event
+whose timestamp falls into several overlapping windows contributes to each
+of them.
+
+There is one grid, ``window_start(k) = origin + k * slide``.  A ``size`` of
+a whole number ``m`` of slides ends window ``k`` on it, at
+``window_start(k + m)``, so tumbling windows partition time and reported
+bounds abut; any other ``size`` ends it at ``window_start(k) + size``.
+Placement, the next boundary and expiry all read two indices into that grid
+(:meth:`WindowSpec._last_started`, :meth:`WindowSpec._first_live`), each
+settled against the edge function it indexes, so none of them can disagree
+with ``window_start(k) <= time < window_end(k)``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Tuple
+import sys
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import InvalidQueryError
 
@@ -34,6 +44,13 @@ _UNIT_SECONDS = {
 }
 
 
+def _finite(what: str, value: float) -> float:
+    """``value`` as a float; a bool, a NaN or an infinity is not a number here."""
+    if isinstance(value, bool) or not math.isfinite(value):
+        raise InvalidQueryError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def duration_to_seconds(amount: float, unit: str) -> float:
     """Convert ``amount unit`` (e.g. ``10, "minutes"``) to seconds."""
     try:
@@ -47,7 +64,8 @@ class WindowSpec:
 
     A ``slide`` equal to ``size`` yields tumbling windows.  ``origin`` lets
     callers anchor window boundaries at a specific timestamp (defaults to
-    time zero).
+    time zero).  A ``slide`` above ``size`` leaves gaps between windows;
+    events in the gaps belong to no window and are dropped.
     """
 
     #: time-based windows place events by timestamp; the count-based kind
@@ -56,32 +74,92 @@ class WindowSpec:
     is_count_based = False
 
     def __init__(self, size: float, slide: float = 0.0, origin: float = 0.0):
-        if size <= 0:
+        self.size = _finite("window size", size)
+        self.slide = _finite("window slide", slide) or self.size
+        self.origin = _finite("window origin", origin)
+        if self.size <= 0:
             raise InvalidQueryError(f"window size must be positive, got {size!r}")
-        slide = slide or size
-        if slide <= 0:
+        if self.slide <= 0:
             raise InvalidQueryError(f"window slide must be positive, got {slide!r}")
-        if slide > size:
-            # Windows with gaps are legal but events in the gaps are dropped;
-            # we allow them because some streaming systems do.
-            pass
-        self.size = float(size)
-        self.slide = float(slide)
-        self.origin = float(origin)
+        slides = _finite("window size in slides", self.size / self.slide)
+        whole = round(slides)
+        #: ``size`` in slides where it is a whole number of them -- up to the
+        #: rounding of the two literals, 0.3 / 0.1 is 2.9999999999999996 --
+        #: and 0 where it is not: what puts window ends on the start grid
+        self._slides = (
+            whole if abs(slides - whole) <= 4 * sys.float_info.epsilon * whole else 0
+        )
 
     # -- window arithmetic ---------------------------------------------------
 
     def window_start(self, window_id: int) -> float:
-        """Start time (inclusive) of window ``window_id``."""
-        return self.origin + window_id * self.slide
+        """Start time (inclusive) of window ``window_id``: the grid."""
+        try:
+            return self.origin + window_id * self.slide
+        except OverflowError:  # an id no float holds: past every timestamp
+            return math.inf
 
     def window_end(self, window_id: int) -> float:
         """End time (exclusive) of window ``window_id``."""
+        if self._slides:
+            return self.window_start(window_id + self._slides)
         return self.window_start(window_id) + self.size
 
     def window_interval(self, window_id: int) -> Tuple[float, float]:
         """``(start, end)`` of window ``window_id``."""
         return self.window_start(window_id), self.window_end(window_id)
+
+    def _last_at_or_before(
+        self, edge: Callable[[int], float], time: float, offset: float
+    ) -> int:
+        """Largest id whose ``edge`` is at or before ``time``, negative if none is.
+
+        ``edge`` is :meth:`window_start` or :meth:`window_end` (``offset``
+        past the start); both grow with the id.  One division estimates the
+        id and ``edge`` settles it: two calls, a step more where the division
+        rounded across an edge.  From about 2**53 slides on many ids share
+        an edge and the search doubles its step, which bounds the work by
+        the float exponent range for any finite timestamp.
+        """
+        if time < self.origin:
+            return -1
+        if not time < math.inf:
+            raise ValueError(f"no window index for a non-finite time {time!r}")
+        estimate = (time - self.origin - offset) / self.slide
+        k = math.floor(min(estimate, sys.float_info.max))
+        step = 1
+        while edge(k) > time:
+            k -= step
+            step *= 2
+        step = 1
+        while edge(k + step) <= time:
+            k += step
+            step *= 2
+        # edge(k) <= time < edge(k + step): halve the bracket down to one id
+        while step > 1:
+            step //= 2
+            if edge(k + step) <= time:
+                k += step
+        return k
+
+    def _last_started(self, time: float) -> int:
+        """Largest ``k`` with ``window_start(k) <= time``; -1 before the origin."""
+        return self._last_at_or_before(self.window_start, time, 0.0)
+
+    def _first_live(self, time: float, last_started: Optional[int] = None) -> int:
+        """Smallest ``k >= 0`` with ``window_end(k) > time`` (``time`` finite).
+
+        Every window below it has ended at ``time`` and may be closed.  Ends
+        on the start grid are read off ``_last_started(time)``; a caller
+        that has it passes it on.
+        """
+        if not self._slides:
+            last_ended = self._last_at_or_before(self.window_end, time, self.size)
+        elif last_started is None:
+            last_ended = self._last_started(time) - self._slides
+        else:
+            last_ended = last_started - self._slides
+        return max(last_ended + 1, 0)
 
     def windows_of(self, time: float) -> List[int]:
         """Identifiers of all windows containing timestamp ``time``.
@@ -89,77 +167,38 @@ class WindowSpec:
         The result is the (possibly empty) ascending list of integers ``k``
         with ``window_start(k) <= time < window_end(k)`` and ``k >= 0``.
         """
-        if time < self.origin:
-            return []
-        relative = time - self.origin
-        last = math.floor(relative / self.slide)
-        first = math.floor((relative - self.size) / self.slide) + 1
-        first = max(first, 0)
-        return [k for k in range(first, last + 1) if relative < k * self.slide + self.size]
+        last_started = self._last_started(time)
+        return list(range(self._first_live(time, last_started), last_started + 1))
 
     def next_boundary(self, time: float) -> float:
-        """A bound after ``time`` with no window start or end in between.
+        """The smallest window start or end after ``time``.
 
         Every timestamp in ``[time, bound)`` lies in the windows of ``time``
-        and is past no window end that ``time`` is not past.  The bound is
-        the smallest value :meth:`window_start` / :meth:`window_end` return
-        above ``time``, so comparing against it agrees exactly with comparing
-        against them.  Where floats around ``time`` lie further apart than
-        window edges do (from about 2**53 slides on) it is the next float
-        after ``time`` instead: always right, and what keeps this a constant
-        amount of work for any timestamp an input line can carry.
+        and is past no window end that ``time`` is not past.  Edges are what
+        :meth:`window_start` and :meth:`window_end` return: where floats
+        around ``time`` lie further apart than slides do, the bound is the
+        next float an edge rounds to.
         """
-        if time < self.origin:
-            return self.origin
         if time == math.inf:
             return math.inf
-        beyond = math.nextafter(time, math.inf)
-        if beyond - time >= self.slide:
-            return beyond
-        relative = time - self.origin
-        bound = math.inf
-        for edge, offset in ((self.window_start, 0.0), (self.window_end, self.size)):
-            k = max(math.floor((relative - offset) / self.slide) + 1, 0)
-            # the estimate can be off by one where the division rounds
-            if edge(k) <= time:
-                k += 1
-            elif k > 0 and edge(k - 1) > time:
-                k -= 1
-            candidate = edge(k)
-            if candidate <= time or (k > 0 and edge(k - 1) > time):
-                return beyond
-            bound = min(bound, candidate)
-        return bound
-
-    def iter_windows(self, start_time: float, end_time: float) -> Iterator[int]:
-        """All window identifiers whose interval intersects ``[start_time, end_time)``."""
-        if end_time <= start_time:
-            return
-        first_candidates = self.windows_of(start_time)
-        first = first_candidates[0] if first_candidates else max(
-            0, math.floor((start_time - self.origin) / self.slide)
+        last_started = self._last_started(time)
+        return min(
+            self.window_start(last_started + 1),
+            self.window_end(self._first_live(time, last_started)),
         )
-        k = first
-        while self.window_start(k) < end_time:
-            if self.window_end(k) > start_time:
-                yield k
-            k += 1
 
     @property
     def is_tumbling(self) -> bool:
         """True when consecutive windows do not overlap."""
         return self.slide >= self.size
 
-    @property
-    def windows_per_event(self) -> int:
-        """Maximum number of windows a single event belongs to."""
-        return int(math.ceil(self.size / self.slide))
-
     # -- misc -----------------------------------------------------------------
 
     @classmethod
-    def of(cls, size_amount: float, size_unit: str, slide_amount: float, slide_unit: str) -> "WindowSpec":
-        """Build a window spec from ``WITHIN 10 minutes SLIDE 30 seconds``-style units."""
+    def of(
+        cls, size_amount: float, size_unit: str, slide_amount: float, slide_unit: str
+    ) -> "WindowSpec":
+        """Build a window spec from ``WITHIN 10 minutes SLIDE 30 seconds`` units."""
         return cls(
             duration_to_seconds(size_amount, size_unit),
             duration_to_seconds(slide_amount, slide_unit),
@@ -173,7 +212,8 @@ class WindowSpec:
             return NotImplemented
         if other.is_count_based:
             return False
-        return (self.size, self.slide, self.origin) == (other.size, other.slide, other.origin)
+        spec = (other.size, other.slide, other.origin)
+        return (self.size, self.slide, self.origin) == spec
 
     def __hash__(self) -> int:
         return hash((self.size, self.slide, self.origin))
@@ -198,24 +238,15 @@ class CountWindowSpec(WindowSpec):
     is_count_based = True
 
     def __init__(self, count: int):
-        if count != int(count) or int(count) <= 0:
+        if _finite("count window size", count) != int(count) or count <= 0:
             raise InvalidQueryError(
                 f"count window size must be a positive integer, got {count!r}"
             )
         self.count = int(count)
-        # mirror the time-based attributes in ordinal units so generic code
-        # that only reads size/slide (cost models, repr) keeps working
-        self.size = float(self.count)
-        self.slide = float(self.count)
-        self.origin = 0.0
-
-    def window_start(self, window_id: int) -> float:
-        """First event ordinal (inclusive) of window ``window_id``."""
-        return float(window_id * self.count)
-
-    def window_end(self, window_id: int) -> float:
-        """Past-the-end event ordinal of window ``window_id``."""
-        return float((window_id + 1) * self.count)
+        # the same grid in ordinal units: one slide of ``count`` events per
+        # window, which is also what generic code reading size/slide (cost
+        # models, repr) expects
+        super().__init__(self.count)
 
     def windows_of(self, time: float) -> List[int]:
         """Count windows cannot be located by timestamp."""
@@ -227,20 +258,6 @@ class CountWindowSpec(WindowSpec):
     def window_of_ordinal(self, ordinal: int) -> int:
         """The single window containing the ``ordinal``-th event (0-based)."""
         return ordinal // self.count
-
-    def iter_windows(self, start_time: float, end_time: float) -> Iterator[int]:
-        raise InvalidQueryError(
-            "count-based windows place events by arrival ordinal, not by "
-            "timestamp"
-        )
-
-    @property
-    def is_tumbling(self) -> bool:
-        return True
-
-    @property
-    def windows_per_event(self) -> int:
-        return 1
 
     def __repr__(self) -> str:
         return f"CountWindowSpec(count={self.count})"

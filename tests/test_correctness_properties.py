@@ -10,7 +10,7 @@ same aggregates as the oracle:
   SUM, AVG);
 * skip-till-next-match and contiguous semantics over the single-Kleene and
   (SEQ(A+, B))+ pattern families used throughout the paper (the family for
-  which Algorithm 3's single-predecessor assumption holds, see DESIGN.md);
+  which Algorithm 3's single-predecessor assumption holds);
 * sliding windows and grouping.
 """
 

@@ -37,6 +37,11 @@ class TestEvent:
         with pytest.raises(ValueError):
             Event("Stock", -1.0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        with pytest.raises(ValueError):
+            Event("Stock", time)
+
     def test_pickle_roundtrip_preserves_immutability(self):
         # events travel to sharded-runtime workers over queues; the default
         # slot unpickling would trip the immutability guard

@@ -35,8 +35,9 @@ from repro.streaming.runtime import StreamingRuntime
 
 #: windows that differ, on purpose: a tumbling one, WITHIN not a multiple of
 #: SLIDE (starts and ends fall apart), none at all, a count window, a
-#: broadcast (contiguous) query, a negation, and a query another event type
-#: drives, so that different events close different queries' windows
+#: broadcast (contiguous) query, a negation, a query another event type
+#: drives, so that different events close different queries' windows, and
+#: three whose sizes are decimals, where the window edges are rounded floats
 QUERIES = {
     "tumbling": "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B) "
     "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 4 seconds",
@@ -52,6 +53,15 @@ QUERIES = {
     "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 6 seconds SLIDE 2 seconds",
     "b_only": "RETURN COUNT(*), MAX(B.v) PATTERN B+ "
     "SEMANTICS skip-till-any-match WITHIN 3 seconds",
+    "decimal_aligned": "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B) "
+    "SEMANTICS skip-till-next-match GROUP-BY g "
+    "WITHIN 0.3 seconds SLIDE 0.1 seconds",
+    # a single A per trend: COUNT(*) is the number of A events in the window
+    "decimal_tumbling": "RETURN COUNT(*), MIN(A.t), MAX(A.t) PATTERN A "
+    "SEMANTICS skip-till-any-match WITHIN 0.1 seconds",
+    "decimal_unaligned": "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) "
+    "SEMANTICS skip-till-any-match GROUP-BY g "
+    "WITHIN 0.9 seconds SLIDE 0.7 seconds",
 }
 
 LATENESS = 2.0
@@ -61,22 +71,24 @@ query_sets = st.lists(
 )
 
 
-def arrivals(seed, count=140, late_share=0.04, punctuated=False):
+def arrivals(seed, count=140, late_share=0.04, punctuated=False, names=()):
     """A seeded stream in arrival order: bounded disorder plus a few late events.
 
     Event times are multiples of 0.5 s, so ties and timestamps exactly on a
-    window boundary are common.  With ``punctuated``, ``W`` events carrying
-    the arrival clock minus the disorder bound are woven in.
+    window boundary are common -- multiples of 0.1 s, most of which no float
+    holds exactly, when one of ``names`` is a decimal window.  Every event
+    carries its time as attribute ``t``.  With ``punctuated``, ``W`` events
+    carrying the arrival clock minus the disorder bound are woven in.
     """
     rng = random.Random(seed)
-    events = sort_events(
-        Event(
-            rng.choice("AAABBCD"),
-            rng.randrange(0, 70) / 2.0,
-            {"g": rng.choice("xyz"), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
+    ticks = 10.0 if any(name.startswith("decimal") for name in names) else 2.0
+    events = []
+    for _ in range(count):
+        event_type = rng.choice("AAABBCD")
+        time = rng.randrange(0, int(35 * ticks)) / ticks
+        attributes = {"g": rng.choice("xyz"), "v": rng.randint(1, 9), "t": time}
+        events.append(Event(event_type, time, attributes))
+    events = sort_events(events)
     keyed = []
     for event in events:
         delay = (
@@ -149,7 +161,7 @@ class TestStepsEqualPushes:
     def test_process_batch_is_the_per_push_loop(
         self, seed, names, policy, punctuated, size, sample_rate
     ):
-        stream = arrivals(seed, punctuated=punctuated)
+        stream = arrivals(seed, punctuated=punctuated, names=names)
         reference = build(names, policy, punctuated)
         runtime = build(names, policy, punctuated, sample_rate, seed)
         for index, chunk in enumerate(slices_of(stream, size)):
@@ -179,7 +191,7 @@ class TestStepsEqualPushes:
         self, seed, names, sizes, advance
     ):
         """Shard workers get batches cut by push counts, not by windows."""
-        stream = sort_events(arrivals(seed, late_share=0.0))
+        stream = sort_events(arrivals(seed, late_share=0.0, names=names))
         reference = build(names, "drop")
         runtime = build(names, "drop")
         cursor = index = 0
@@ -195,6 +207,35 @@ class TestStepsEqualPushes:
             ), f"batch {index}"
             assert_same_after(f"batch {index}", reference, runtime)
         assert stamped(runtime.flush()) == stamped(reference.flush())
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        size=st.sampled_from([1, 7, 256, None]),
+    )
+    def test_a_decimal_tumbling_window_counts_every_on_time_event_once(
+        self, seed, size
+    ):
+        """Conservation, with no oracle that shares the window arithmetic.
+
+        Tumbling windows partition time: what the windows counted is what
+        was fed on time, and each window's bounds hold what it counted.
+        """
+        names = ["decimal_tumbling"]
+        stream = arrivals(seed, names=names)
+        runtime = build(names, "side-channel")
+        records = []
+        for chunk in slices_of(stream, size):
+            records += runtime.process_batch(chunk)
+        records += runtime.flush()
+        late = runtime.take_late_events()
+        fed = sum(event.event_type == "A" for event in stream)
+        fed -= sum(event.event_type == "A" for event in late)
+        assert sum(record.result["COUNT(*)"] for record in records) == fed
+        for record in records:
+            result = record.result
+            earliest, latest = result["MIN(A.t)"], result["MAX(A.t)"]
+            assert result.window_start <= earliest <= latest < result.window_end
 
     def test_records_of_one_span_keep_event_then_registration_order(self):
         """Two queries closing on different events of one released span.
@@ -315,24 +356,16 @@ class TestNextBoundary:
 
 
 class TestQuietRun:
-    def test_a_run_never_spans_a_change_of_windows_the_arithmetic_misses(self):
-        """``windows_of`` divides, ``next_boundary`` multiplies: they can disagree.
-
-        With WITHIN 0.9 SLIDE 0.7, just below t = 794.5 an event is already
-        placed in window 1135, whose start the boundary arithmetic puts at
-        794.5.  A run must hold only events ``windows_of`` places alike.
-        """
-        window = WindowSpec(0.9, 0.7)
-        first, last = 793.9999999999999, 794.4999999999999
-        assert window.next_boundary(first) == 794.5 > last
-        assert window.windows_of(first) != window.windows_of(last)
+    def test_a_run_ends_where_the_windows_change_and_nowhere_else(self):
+        """With WITHIN 0.9 SLIDE 0.7 window 1135 starts at 794.5, not a float before."""
         query = (
             "RETURN COUNT(*) PATTERN A+ SEMANTICS skip-till-any-match "
             "WITHIN 0.9 seconds SLIDE 0.7 seconds"
         )
-        events = [Event("A", first, sequence=0), Event("A", last, sequence=1)]
+        times = [793.9999999999999, 794.4999999999999, 794.5]
+        events = [Event("A", time, sequence=index) for index, time in enumerate(times)]
         whole, single = (QueryExecutor(parse_query(query)) for _ in range(2))
-        assert whole.quiet_run(events) == 1
+        assert whole.quiet_run(events) == 2
         got = [r for _, closed in whole.process_batch(events) for r in closed]
         got += whole.flush()
         expected = [r for e in events for r in single.process(e)] + single.flush()

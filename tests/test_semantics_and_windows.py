@@ -1,7 +1,10 @@
 """Unit tests for the semantics enum and the sliding window specification."""
 
+import math
+from decimal import Decimal
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.executor import QueryExecutor
 from repro.errors import InvalidQueryError, QueryParseError
@@ -81,13 +84,19 @@ class TestWindowSpec:
     def test_slide_defaults_to_size(self):
         assert WindowSpec(10.0).slide == 10.0
 
-    def test_windows_per_event(self):
-        assert WindowSpec(600.0, 30.0).windows_per_event == 20
-        assert WindowSpec(10.0, 10.0).windows_per_event == 1
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_specs(self, bad):
+        for arguments in ((bad,), (10.0, bad), (10.0, 5.0, bad)):
+            with pytest.raises(InvalidQueryError):
+                WindowSpec(*arguments)
 
-    def test_iter_windows_covers_interval(self):
-        window = WindowSpec(10.0, 5.0)
-        assert list(window.iter_windows(0.0, 21.0)) == [0, 1, 2, 3, 4]
+    def test_a_size_no_float_holds_is_a_typed_parse_time_error(self):
+        with pytest.raises(InvalidQueryError):
+            parse_query("RETURN COUNT(*) PATTERN A+ WITHIN 1e999 seconds")
+        with pytest.raises(InvalidQueryError):
+            parse_query(
+                "RETURN COUNT(*) PATTERN A+ WITHIN 1e308 seconds SLIDE 1e-308 seconds"
+            )
 
     def test_negative_time_has_no_window(self):
         assert WindowSpec(10.0, 5.0).windows_of(-1.0) == []
@@ -136,24 +145,132 @@ class TestWindowSpec:
         assert WindowSpec(10, 5) != WindowSpec(10, 2)
         assert len({WindowSpec(10, 5), WindowSpec(10, 5)}) == 1
 
-    @given(
-        size=st.integers(min_value=1, max_value=100),
-        slide=st.integers(min_value=1, max_value=100),
-        time=st.floats(min_value=0, max_value=1000, allow_nan=False),
+    @pytest.mark.parametrize(
+        "size,slide,time,expected",
+        [
+            # each was in no window, or in two, before the grid was one
+            (0.1, 0.1, 4.3, [43]),
+            (0.1, 0.1, 1.7, [16]),
+            (0.25, 0.3, 157.14999999999998, [523]),
+            (0.9, 0.7, 793.9999999999999, [1134]),
+            (0.9, 0.7, 794.4999999999999, [1134]),
+        ],
     )
-    def test_windows_of_is_consistent_with_intervals(self, size, slide, time):
-        """Every reported window contains the timestamp, neighbours do not."""
-        window = WindowSpec(float(size), float(slide))
-        windows = window.windows_of(time)
-        for window_id in windows:
+    def test_decimal_edges_that_used_to_be_misplaced(self, size, slide, time, expected):
+        window = WindowSpec(size, slide)
+        assert window.windows_of(time) == expected
+        for window_id in range(expected[0] - 2, expected[-1] + 3):
             start, end = window.window_interval(window_id)
-            assert start <= time < end
-        # windows not reported but adjacent to the reported range must not contain it
+            assert (start <= time < end) == (window_id in expected)
+        assert window.next_boundary(time) > time
+
+    def test_tumbling_decimal_windows_partition_time(self):
+        window = WindowSpec(0.1)
+        assert window.window_interval(17) == (1.7000000000000002, 1.8)
+        assert window.window_end(16) == window.window_start(17)
+        for size, slide, each in ((0.1, 0.1, 1), (0.3, 0.1, 3)):
+            window = WindowSpec(size, slide)
+            assert all(
+                len(window.windows_of(tick / 10)) == each for tick in range(30, 20000)
+            )
+
+
+#: one to three decimal digits, the way WITHIN / SLIDE literals are written
+decimals = st.builds(
+    lambda digits, places: Decimal(digits).scaleb(-places),
+    st.integers(min_value=1, max_value=999),
+    st.integers(min_value=0, max_value=3),
+)
+
+
+@st.composite
+def grids(draw):
+    """``(window, m)``: a decimal spec; ``m`` slides per window if aligned, else 0."""
+    slide = draw(decimals)
+    origin = draw(st.one_of(st.just(Decimal(0)), decimals))
+    slides = draw(st.sampled_from([0, 0, 1, 1, 2, 3, 5, 12]))
+    if slides:
+        size = slide * slides
+    else:
+        size = draw(decimals)  # unaligned, or leaving gaps (slide > size)
+        assume(size / slide <= 40)
+        if size % slide == 0:
+            slides = int(size / slide)
+    return WindowSpec(float(size), float(slide), float(origin)), slides
+
+
+class TestTheGrid:
+    """Placement, step boundary and expiry all read one grid (Definition 6)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        grid=grids(),
+        probe=st.one_of(
+            st.integers(min_value=0, max_value=60),
+            st.integers(min_value=0, max_value=10**9),
+        ),
+        at_end=st.booleans(),
+        nudge=st.sampled_from(["on", "one float below", "one float above", "between"]),
+        fraction=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    )
+    def test_membership_count_and_boundary_agree_with_the_edges(
+        self, grid, probe, at_end, nudge, fraction
+    ):
+        window, slides = grid
+        edge = window.window_end(probe) if at_end else window.window_start(probe)
+        time = {
+            "on": edge,
+            "one float below": math.nextafter(edge, -math.inf),
+            "one float above": math.nextafter(edge, math.inf),
+            "between": edge + fraction * window.slide,
+        }[nudge]
+        assume(time >= 0.0)
+        reach = int(window.size / window.slide) + 3
+        near = range(max(probe - reach, 0), probe + 2 * reach)
+
+        # I1: exactly the windows whose interval holds the time
+        windows = window.windows_of(time)
+        assert windows == [
+            k for k in near if window.window_start(k) <= time < window.window_end(k)
+        ]
+
+        # I2: a WITHIN of m SLIDEs ends on the start grid, m windows per time
+        if slides:
+            assert window.window_end(probe) == window.window_start(probe + slides)
+            if time >= window.window_start(slides):
+                assert len(windows) == slides
+
+        # I3: the next boundary is the smallest edge above, nothing changes before
+        bound = window.next_boundary(time)
+        edges = [window.window_start(k) for k in near]
+        edges += [window.window_end(k) for k in near]
+        assert bound == min(edge for edge in edges if edge > time)
+        for later in (time + (bound - time) / 2, math.nextafter(bound, -math.inf)):
+            if time <= later < bound:
+                assert window.windows_of(later) == windows
+        assert window.windows_of(bound) != windows
+
+    @pytest.mark.parametrize("time", [2.0**53, 1e16, 1e18, 1e22, 1e300, 1.7e308])
+    @pytest.mark.parametrize("size,slide", [(7.0, 0.001), (7.0, 3.0), (0.1, 0.1)])
+    def test_beyond_float_resolution_membership_still_holds(self, time, size, slide):
+        """Where many ids share an edge: I1 and a boundary past the time, no more."""
+        window = WindowSpec(size, slide)
+        windows = window.windows_of(time)
+        assert all(
+            window.window_start(k) <= time < window.window_end(k) for k in windows
+        )
         if windows:
-            for window_id in (windows[0] - 1, windows[-1] + 1):
-                if window_id >= 0:
-                    start, end = window.window_interval(window_id)
-                    assert not (start <= time < end)
+            assert windows == list(range(windows[0], windows[-1] + 1))
+            before, after = windows[0] - 1, windows[-1] + 1
+            assert before < 0 or window.window_end(before) <= time
+            assert window.window_start(after) > time
+        else:
+            guess = int(time / slide)
+            assert not any(
+                window.window_start(k) <= time < window.window_end(k)
+                for k in range(guess - 3, guess + 4)
+            )
+        assert window.next_boundary(time) > time
 
 
 class TestCountWindowSpec:
@@ -161,7 +278,6 @@ class TestCountWindowSpec:
         window = CountWindowSpec(10)
         assert window.is_count_based
         assert window.is_tumbling
-        assert window.windows_per_event == 1
         assert window.window_interval(0) == (0.0, 10.0)
         assert window.window_interval(3) == (30.0, 40.0)
         assert window.window_of_ordinal(0) == 0
@@ -176,12 +292,15 @@ class TestCountWindowSpec:
         with pytest.raises(InvalidQueryError):
             CountWindowSpec(2.5)
 
+    @pytest.mark.parametrize("bad", [True, float("nan"), float("inf")])
+    def test_rejects_bools_and_non_finite_counts(self, bad):
+        with pytest.raises(InvalidQueryError):
+            CountWindowSpec(bad)
+
     def test_timestamp_placement_raises_loudly(self):
         window = CountWindowSpec(5)
         with pytest.raises(InvalidQueryError):
             window.windows_of(12.0)
-        with pytest.raises(InvalidQueryError):
-            list(window.iter_windows(0.0, 10.0))
 
     def test_equality_never_crosses_window_kinds(self):
         assert CountWindowSpec(5) == CountWindowSpec(5)
