@@ -880,19 +880,11 @@ def _command_serve(args) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    import time as _time
-
-    server = JobServer(config).start()
-    host, port = server.address
-    print(f"cogra job server listening on {host}:{port}", file=sys.stderr)
-    print(f"server directory: {server.directory}", file=sys.stderr)
-    try:
-        while not server._stop.is_set():
-            _time.sleep(0.1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
+    with JobServer(config) as server:
+        host, port = server.address
+        print(f"cogra job server listening on {host}:{port}", file=sys.stderr)
+        print(f"server directory: {server.directory}", file=sys.stderr)
+        server.wait_for_shutdown()
     return 0
 
 

@@ -598,11 +598,13 @@ class ObsConfig(_Section):
             or self.prometheus_port is not None
         )
 
-    def build_observability(self):
+    def build_observability(self, namespace: Optional[Dict[str, object]] = None):
         """The :class:`~repro.streaming.observability.Observability` bundle.
 
         Always enabled (metric collection is cheap and the registry feeds
-        checkpoints); tracing is attached only when configured.
+        checkpoints); tracing is attached only when configured, every root
+        span stamped with ``namespace`` (the job server's ``job_id`` and
+        ``tenant``).
         """
         from repro.streaming.observability import (
             JsonlTraceSink,
@@ -615,6 +617,7 @@ class ObsConfig(_Section):
             tracer = Tracer(
                 sample_rate=float(self.trace_sample_rate),
                 sink=JsonlTraceSink(self.trace_path),
+                namespace=namespace,
             )
         return Observability(tracer=tracer)
 
@@ -1194,26 +1197,37 @@ def resume_job(
 class Job:
     """Lifecycle facade over one :class:`JobConfig`: the public job API.
 
-    ``start()`` builds the runtime, opens source/sink/store and performs
-    checkpoint recovery (a failure is a
-    :class:`~repro.errors.JobStartError` naming the setting);
-    ``records()`` drives the pipeline lazily, pushing each emitted record
-    into the configured sink and yielding it, and ``results()`` is the
-    cached list of that; ``metrics`` exposes the runtime's counters;
-    ``checkpoint()`` snapshots mid-stream state (persisted when a store
-    is configured); ``stop()`` tears everything down (idempotent, also
-    called automatically when the drive ends).
+    ``start()`` builds the runtime, opens source/sink/store, performs
+    checkpoint recovery and opens the :attr:`session` the job is driven
+    through (a failure is a :class:`~repro.errors.JobStartError` naming
+    the setting); ``records()`` drives the pipeline lazily -- every record
+    enters the configured sink inside the session, then is yielded -- and
+    ``results()`` is the cached list of that; ``metrics`` exposes the
+    runtime's counters; ``checkpoint()`` snapshots mid-stream state
+    (persisted when a store is open); ``stop()`` is the one teardown
+    (idempotent, also called automatically when the drive ends).
+
+    ``records()`` is a plain loop over the step-wise form, which a host
+    that interleaves many jobs (the job server's scheduler) runs itself:
+    ``session.batches()`` pulls source slices, ``session.step(batch)``
+    runs one, :meth:`finish` flushes after the last, ``stop()`` tears down.
 
     ``stop()`` and ``results()`` are safe to call from a second thread:
     ``stop()`` during a live drive cancels it -- the source is closed to
     unblock the driving thread, which performs the actual teardown and
-    returns the records emitted so far (the job server's ``cancel`` rides
-    on this) -- and concurrent ``results()`` calls serialize, the late
-    ones returning the first one's collected list.
+    returns the records emitted so far -- and concurrent ``results()``
+    calls serialize, the late ones returning the first one's collected
+    list.
 
     ``events`` overrides the configured source with an in-memory iterable
     or :class:`EventSource` (tests, embedded use); ``sink`` overrides the
-    configured sink with a :class:`Sink` instance.
+    configured sink with a :class:`Sink` instance the job does not close.
+    What belongs to a host rather than to the job description is passed
+    the same way: ``observability`` replaces the bundle built from
+    ``config.observability`` (the server namespaces its tracer per job),
+    and ``store`` with ``checkpoint_interval`` replaces the store built
+    from ``config.checkpoint`` (the server keeps each job's under its own
+    directory, capped at the tenant's quota); the job closes that store.
 
     Example
     -------
@@ -1230,6 +1244,10 @@ class Job:
         config: Union[JobConfig, Dict[str, object], str, Path],
         events: Optional[Union[EventSource, Iterable[Event]]] = None,
         sink: Optional[Sink] = None,
+        *,
+        observability=None,
+        store: Optional[CheckpointStore] = None,
+        checkpoint_interval: Optional[int] = None,
     ):
         if isinstance(config, (str, Path)):
             config = JobConfig.load(config)
@@ -1245,13 +1263,20 @@ class Job:
         self._events = events
         #: a sink passed in from outside outlives the job; a built one doesn't
         self._owns_sink = sink is None
+        self._observability = observability
         self._runtime = None
         self._source: Optional[EventSource] = None
         self._sink = sink
-        self._store: Optional[CheckpointStore] = None
+        self._store = store
+        self._checkpoint_interval = (
+            config.checkpoint.interval if store is None else checkpoint_interval
+        )
         self._late_sink = None
         self._exporter = None
         self._prometheus = None
+        #: the :class:`~repro.streaming.runtime.DriveSession` opened by
+        #: :meth:`start`; ``None`` until then
+        self.session = None
         self._records: Optional[List[EmissionRecord]] = None
         self._started = False
         self._stopped = False
@@ -1272,6 +1297,8 @@ class Job:
 
     def start(self) -> "Job":
         """Build the pipeline and perform checkpoint recovery; returns self."""
+        from repro.streaming.runtime import DriveSession
+
         with self._lock:
             if self._started:
                 raise RuntimeError("this job was already started")
@@ -1280,7 +1307,7 @@ class Job:
             self._started = True
             config = self.config
             try:
-                self._runtime = config.build_runtime()
+                self._runtime = config.build_runtime(observability=self._observability)
                 if self._events is not None:
                     self._source = as_source(self._events)
                 else:
@@ -1318,6 +1345,18 @@ class Job:
                             config.late.side_channel_path, "w", encoding="utf-8"
                         ),
                     )
+                interval = self._checkpoint_interval
+                self.session = DriveSession(
+                    self._runtime,
+                    self._source,
+                    checkpoint_store=self._store if interval else None,
+                    checkpoint_interval=interval,
+                    on_late=self._persist_late if self._late_sink is not None else None,
+                    metrics_exporter=self._exporter,
+                    sink=self._sink,
+                    backpressure=config.backpressure,
+                    decode_batch_size=config.batch.decode_batch_size,
+                )
             except Exception:
                 self.stop()
                 raise
@@ -1333,9 +1372,10 @@ class Job:
 
     def _open_store(self) -> None:
         """Open the checkpoint store and, with ``recover``, resume from it."""
-        self._store = self.config.checkpoint.build_store(
-            registry=self._runtime.observability.registry
-        )
+        if self._store is None:
+            self._store = self.config.checkpoint.build_store(
+                registry=self._runtime.observability.registry
+            )
         if self._store is not None and self.config.checkpoint.recover:
             # the sink is open already, so an exactly-once sink is rolled
             # back to the offset committed inside the restored checkpoint
@@ -1343,15 +1383,23 @@ class Job:
             self._source = info.source
             self.resume_notes = info.notes
 
-    def records(self) -> Iterator[EmissionRecord]:
-        """Run the job lazily: emit each record into the sink, then yield it.
+    def finish(self) -> Iterator[EmissionRecord]:
+        """Flush after the last slice; deliver and yield the tail records.
 
-        Starts the job if :meth:`start` was not called yet.  With
-        ``late.reprocess`` the side-channelled late events are replayed at
-        the end into ``is_correction=True`` records.  Nothing is retained,
-        so an unbounded stream runs in bounded memory; the job is stopped
-        when the generator ends -- exhausted, closed or failed -- and
-        cannot be driven again.
+        With ``late.reprocess`` the side-channelled late events are then
+        replayed into ``is_correction=True`` records.
+        """
+        yield from self.session.finish()
+        if self.config.late.reprocess:
+            yield from self.session.deliver(self._runtime.reprocess_late())
+
+    def records(self) -> Iterator[EmissionRecord]:
+        """Run the job lazily: each record is in the sink when it is yielded.
+
+        Starts the job if :meth:`start` was not called yet.  Nothing is
+        retained, so an unbounded stream runs in bounded memory; the job
+        is stopped when the generator ends -- exhausted, closed or failed
+        -- and cannot be driven again.
 
         A concurrent :meth:`stop` cancels the run between source slices:
         the generator just ends early.
@@ -1365,7 +1413,19 @@ class Job:
                 )
             self._driving = True
         try:
-            yield from self._drive()
+            try:
+                for batch in self.session.batches():
+                    if self._stop_requested.is_set():
+                        return
+                    yield from self.session.step(batch)
+            except Exception:
+                if not self._stop_requested.is_set():
+                    raise
+                # a concurrent stop() closed the source under the reading
+                # thread; whatever the read raised is the cancellation
+                return
+            if not self._stop_requested.is_set():
+                yield from self.finish()
         finally:
             with self._lock:
                 self._driving = False
@@ -1385,56 +1445,11 @@ class Job:
                 self._records = list(self.records())
             return self._records
 
-    def _drive(self) -> Iterator[EmissionRecord]:
-        """Drive the pipeline slice by slice, honouring a concurrent stop."""
-        from repro.streaming.runtime import DriveSession
-
-        interval = self.config.checkpoint.interval
-        sink = self._sink
-        session = DriveSession(
-            self._runtime,
-            self._source,
-            checkpoint_store=self._store if interval else None,
-            checkpoint_interval=interval,
-            on_late=self._persist_late if self._late_sink is not None else None,
-            metrics_exporter=self._exporter,
-            sink=sink,
-            backpressure=self.config.backpressure,
-            decode_batch_size=self.config.batch.decode_batch_size,
-        )
-
-        def emitted(records: Iterable[EmissionRecord]) -> Iterator[EmissionRecord]:
-            for record in records:
-                if sink is not None:
-                    sink.emit(record)
-                yield record
-
-        try:
-            try:
-                for batch in session.batches():
-                    if self._stop_requested.is_set():
-                        return
-                    yield from emitted(session.step(batch))
-            except Exception:
-                if not self._stop_requested.is_set():
-                    raise
-                # a concurrent stop() closed the source under the reading
-                # thread; whatever the read raised is the cancellation
-                return
-            if self._stop_requested.is_set():
-                return
-            yield from emitted(session.finish())
-            if self.config.late.reprocess:
-                yield from emitted(self._runtime.reprocess_late())
-        finally:
-            session.close()
-            if self._late_sink is not None:
-                # an abandoned drive (consumer gone, failed slice) must not
-                # lose the late events its last slice side-channelled
-                self._persist_late(self._runtime.take_late_events())
-
     def stop(self) -> None:
         """Release every resource the job holds (idempotent, thread-safe).
+
+        Every resource is closed even when an earlier ``close()`` raises;
+        the first such error is re-raised once all were attempted.
 
         Called while another thread is driving :meth:`records`, it cancels
         the run instead: the source is closed (unblocking a live read)
@@ -1450,20 +1465,35 @@ class Job:
             if self._stopped:
                 return
             self._stopped = True
-            if self._source is not None:
-                self._source.close()
+            steps = []
             if self._late_sink is not None:
-                self._late_sink.close()
-            if self._prometheus is not None:
-                self._prometheus.close()
-            if self._runtime is not None:
-                self._runtime.close()
-            if self._exporter is not None:
-                self._exporter.close()
-            if self._sink is not None and self._owns_sink:
-                self._sink.close()
-            if self._store is not None:
-                self._store.close()
+                # an abandoned drive (consumer gone, failed slice) must not
+                # lose the late events its last slice side-channelled
+                steps.append(
+                    lambda: self._persist_late(self._runtime.take_late_events())
+                )
+            steps += [
+                resource.close
+                for resource in (
+                    self._source,
+                    self._late_sink,
+                    self._prometheus,
+                    self._runtime,
+                    self._exporter,
+                    self._sink if self._owns_sink else None,
+                    self._store,
+                )
+                if resource is not None
+            ]
+            first_error = None
+            for step in steps:
+                try:
+                    step()
+                except Exception as exc:
+                    if first_error is None:
+                        first_error = exc
+            if first_error is not None:
+                raise first_error
 
     def __enter__(self) -> "Job":
         if not self._started:

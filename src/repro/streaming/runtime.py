@@ -182,15 +182,16 @@ class PipelineDriver:
             run.
         sink:
             Optional downstream :class:`~repro.streaming.sources.Sink`.
-            ``drive`` never emits into it (the caller pulling this
-            generator does); it is consulted for two delivery concerns:
-            its :meth:`~repro.streaming.sources.Sink.ready` signal
-            throttles ingestion (backpressure), and -- when it exposes
-            ``state()``, like
+            Every record is emitted into it *before* it is yielded (see
+            :meth:`DriveSession.deliver`; a caller pulling this generator
+            must not emit again).  The sink also serves two delivery
+            concerns: its :meth:`~repro.streaming.sources.Sink.ready`
+            signal throttles ingestion (backpressure), and -- when it
+            exposes ``state()``, like
             :class:`~repro.streaming.sources.TransactionalSink` -- its
             delivered offset is stored inside each checkpoint, atomically
             with executor state, which is what makes recovery
-            exactly-once.
+            exactly-once.  It is not closed.
         backpressure:
             :class:`~repro.streaming.config.BackpressureConfig` tuning the
             ready-poll loop (defaults apply when ``None``).
@@ -396,11 +397,11 @@ class PipelineDriver:
         """Process a stream to completion and flush at the end.
 
         Without a ``sink`` the emitted records are collected and returned
-        (the historical behaviour).  With one, every record goes to
-        ``sink.emit`` as it is produced and the returned list is empty --
+        (the historical behaviour).  With one, :meth:`drive` emits every
+        record into it as it is produced and the returned list is empty --
         the records left the pipeline already; the sink's ``ready`` signal
-        then also throttles ingestion (see :meth:`drive`).  The sink is
-        *not* closed; it may outlive the run.
+        then also throttles ingestion.  The sink is *not* closed; it may
+        outlive the run.
         """
         records = self.drive(
             events,
@@ -414,8 +415,8 @@ class PipelineDriver:
         )
         if sink is None:
             return list(records)
-        for record in records:
-            sink.emit(record)
+        for _ in records:  # delivered already; retain nothing
+            pass
         return []
 
     def _observe_lifecycle(self, op: str, seconds: float) -> None:
@@ -439,24 +440,27 @@ class DriveSession:
     ``drive`` owns its loop: it pulls batches until the source is
     exhausted.  A :class:`DriveSession` externalises that loop so a
     scheduler can interleave *many* pipelines -- feed one batch to job A,
-    one to job B -- without threads hiding inside each pipeline.  The
-    job server's fair scheduler is the motivating caller; ``drive``
-    itself is now a thin generator over one session.
+    one to job B -- without threads hiding inside each pipeline.
+    :class:`~repro.streaming.config.Job` opens one at ``start()`` and both
+    its own ``records()`` loop and the job server's fair scheduler step
+    it; ``drive`` itself is a thin generator over one session.
 
     Usage::
 
-        session = DriveSession(runtime, source, ...)
+        session = DriveSession(runtime, source, sink=sink, ...)
         for batch in session.batches():
             records = session.step(batch)      # may be interleaved
         records = session.finish()             # flush + final export
         session.close()                        # always, in a finally
 
-    ``step`` reproduces the drive loop body exactly: slices are split at
-    checkpoint-interval boundaries, the sink's ``ready`` signal throttles
-    ingestion, late events are drained to ``on_late``, periodic
-    checkpoints save through :meth:`PipelineDriver._delivery_checkpoint`,
-    and the metrics exporter is offered a snapshot -- so a drive rebuilt
-    from ``step``/``finish`` is behaviour-identical to the original loop.
+    The session is the one place a record enters the sink:
+    :meth:`deliver` emits each record and then yields it, and everything
+    ``step`` and ``finish`` yield went through it.  ``step`` splits slices
+    at checkpoint-interval boundaries, lets the sink's ``ready`` signal
+    throttle ingestion, drains late events to ``on_late``, saves periodic
+    checkpoints through :meth:`PipelineDriver._delivery_checkpoint` -- after
+    the chunk's records were delivered, so the sink offset inside the
+    checkpoint covers them -- and offers the metrics exporter a snapshot.
     """
 
     def __init__(
@@ -524,11 +528,21 @@ class DriveSession:
         """
         return self._sink_ready is None or self._sink_ready()
 
-    def step(self, batch: List[Event]) -> Iterator[EmissionRecord]:
-        """Run one pulled slice through the pipeline; yield its records.
+    def deliver(self, records: Iterable[EmissionRecord]) -> Iterator[EmissionRecord]:
+        """Emit each record into the sink (if any), then yield it."""
+        sink = self.sink
+        if sink is None:
+            yield from records
+            return
+        for record in records:
+            sink.emit(record)
+            yield record
 
-        A generator so records reach the consumer *before* the following
-        chunk's checkpoint save -- the delivery order exactly-once
+    def step(self, batch: List[Event]) -> Iterator[EmissionRecord]:
+        """Run one pulled slice through the pipeline; deliver its records.
+
+        A generator so records reach the sink and the consumer *before*
+        the chunk's checkpoint save -- the delivery order exactly-once
         recovery is proven against.  Callers must drain it fully (or use
         ``list(...)``); an abandoned generator leaves the slice half
         ingested.
@@ -551,11 +565,11 @@ class DriveSession:
             self.processed += end - start
             start = end
             try:
-                yield from driver.process_batch(chunk)
+                yield from self.deliver(driver.process_batch(chunk))
             except LateEventError as error:
                 # a raising late policy aborts the slice, not the results
                 # its earlier events already produced
-                yield from error.records
+                yield from self.deliver(error.records)
                 raise
             if self._on_late is not None:
                 late = driver.take_late_events()
@@ -570,14 +584,14 @@ class DriveSession:
                 )
                 # a sharded checkpoint quiesces the workers; records
                 # that became ready during the quiesce surface now
-                yield from driver.drain_pending()
+                yield from self.deliver(driver.drain_pending())
             if self._metrics_exporter is not None:
                 if self._metrics_exporter.maybe_export(driver.registry_snapshot):
                     # a sharded snapshot pull quiesces the workers too
-                    yield from driver.drain_pending()
+                    yield from self.deliver(driver.drain_pending())
 
     def finish(self) -> Iterator[EmissionRecord]:
-        """Flush the pipeline after the last batch; yield the tail records.
+        """Flush the pipeline after the last batch; deliver the tail records.
 
         Idempotent: a second call yields nothing (the runtime refuses a
         second flush, and the session must tolerate a scheduler finishing
@@ -587,7 +601,7 @@ class DriveSession:
             return
         self._finished = True
         driver = self.driver
-        yield from driver.flush()
+        yield from self.deliver(driver.flush())
         if self._on_late is not None:
             late = driver.take_late_events()
             if late:

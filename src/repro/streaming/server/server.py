@@ -23,6 +23,14 @@ quotas (:class:`~repro.streaming.config.TenantConfig`):
   every family with ``job_id`` and ``tenant``, so one tenant's view is a
   :func:`~repro.streaming.observability.filter_snapshot` away.
 
+A hosted job *is* a :class:`~repro.streaming.config.Job`: the server
+builds nothing itself.  It hands ``Job`` what is the host's to decide (the
+namespaced observability bundle, the per-job quota-capped checkpoint
+store), ``start()`` opens the pipeline, the scheduler runs the same
+``session.step`` / ``finish()`` / ``stop()`` that ``Job.records()`` loops
+over, and every other job setting means what it means standalone -- all
+but the two :data:`UNSUPPORTED_SETTINGS`.
+
 The scheduler processes events strictly serially (one slice at a time),
 so two jobs never contend for the GIL mid-aggregation and a well-behaved
 tenant's results are identical to running its job alone.
@@ -39,7 +47,7 @@ import uuid
 from pathlib import Path
 from queue import Empty, Full, Queue
 from tempfile import mkdtemp
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.errors import (
     CograError,
@@ -51,16 +59,9 @@ from repro.errors import (
 )
 from repro.events.event import Event
 from repro.streaming.checkpoint import CheckpointStore
-from repro.streaming.config import JobConfig, ServerConfig, TenantConfig
+from repro.streaming.config import Job, JobConfig, ServerConfig, TenantConfig
 from repro.streaming.emission import EmissionRecord
-from repro.streaming.observability import (
-    JsonlTraceSink,
-    Observability,
-    Tracer,
-    label_snapshot,
-    merge_snapshots,
-)
-from repro.streaming.runtime import DriveSession
+from repro.streaming.observability import label_snapshot, merge_snapshots
 from repro.streaming.server.quotas import TokenBucket
 
 #: job lifecycle states, in the usual order
@@ -86,16 +87,10 @@ _ERROR_KINDS = (
     (CograError, "job"),
 )
 
-#: job settings the server cannot honour -- its scheduler drains no late-
-#: event side channel, and it owns each job's checkpoint directory and the
+#: job settings that are server policy -- it owns each job's checkpoint
+#: directory (a fresh one per job id: nothing to recover from) and the
 #: metrics endpoint -- so a config setting one is rejected, not ignored
-UNSUPPORTED_SETTINGS = (
-    "late.side_channel_path",
-    "late.reprocess",
-    "checkpoint.recover",
-    "observability.metrics_export_path",
-    "observability.prometheus_port",
-)
+UNSUPPORTED_SETTINGS = ("checkpoint.recover", "observability.prometheus_port")
 
 #: events between forced quota checkpoints when a tenant caps state
 #: bytes but the job config itself does not checkpoint
@@ -111,19 +106,20 @@ def error_kind(exc: BaseException) -> str:
 
 
 class ServerJob:
-    """One submitted job: its pipeline, feeder, quota state and records."""
+    """One submitted job: its :class:`Job`, feeder, quota state and records."""
 
     def __init__(
         self,
         job_id: str,
         tenant: TenantConfig,
-        config: JobConfig,
+        pipeline: Job,
         queue_slices: int,
         bucket: Optional[TokenBucket] = None,
     ):
         self.job_id = job_id
         self.tenant = tenant
-        self.config = config
+        #: the one pipeline lifecycle; the scheduler steps its session
+        self.pipeline = pipeline
         self.state = PENDING
         self.error: Optional[str] = None
         self.error_kind: Optional[str] = None
@@ -139,10 +135,6 @@ class ServerJob:
         self.feeder: Optional[threading.Thread] = None
         self.feeder_error: Optional[BaseException] = None
         self.feeder_done = threading.Event()
-        self.session: Optional[DriveSession] = None
-        self.runtime = None
-        self.sink = None
-        self.store: Optional[CheckpointStore] = None
         #: the tenant's rate limiter, shared with every other job of the
         #: same tenant so N concurrent jobs split one quota, not get N
         self.bucket = bucket
@@ -157,7 +149,7 @@ class ServerJob:
 
     def _feed(self) -> None:
         try:
-            for batch in self.session.batches():
+            for batch in self.pipeline.session.batches():
                 # a bounded put that a cancel can always unblock: never
                 # wait on a stalled scheduler with a full queue forever
                 while not self.cancel_requested.is_set():
@@ -207,19 +199,9 @@ class ServerJob:
             if self.error is not None:
                 status["error"] = self.error
                 status["kind"] = self.error_kind
-            if self.runtime is not None:
-                status["events_ingested"] = self.runtime.metrics.events_ingested
+            if self.pipeline.session is not None:  # it did start
+                status["events_ingested"] = self.pipeline.metrics.events_ingested
         return status
-
-    def close_resources(self) -> None:
-        """Release the job's pipeline endpoints (idempotent)."""
-        for resource in (self.session, self.sink, self.runtime, self.store):
-            if resource is None:
-                continue
-            try:
-                resource.close()
-            except Exception:
-                pass
 
 
 class JobServer:
@@ -295,8 +277,18 @@ class JobServer:
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
-            job.cancel_requested.set()
-            job.close_resources()
+            self._finalize(job, CANCELLED)  # a no-op on terminal jobs
+
+    def wait_for_shutdown(self, timeout: Optional[float] = None) -> bool:
+        """Block until the protocol receives ``shutdown``; whether it did.
+
+        ``False`` after ``timeout`` seconds or on Ctrl-C -- the caller
+        closes the server either way (``with JobServer(...) as server``).
+        """
+        try:
+            return self._stop.wait(timeout)
+        except KeyboardInterrupt:
+            return False
 
     def __enter__(self) -> "JobServer":
         if self._scheduler is None:
@@ -319,7 +311,9 @@ class JobServer:
         tenant is at its concurrent-jobs bound,
         :class:`~repro.errors.ConfigError` for unknown tenants, invalid
         job configs and configs that set one of the
-        :data:`UNSUPPORTED_SETTINGS`.
+        :data:`UNSUPPORTED_SETTINGS`, and
+        :class:`~repro.errors.JobStartError` naming the setting whose
+        endpoint could not be opened (the job is then listed ``failed``).
         """
         if isinstance(config, dict):
             config = JobConfig.from_dict(config)
@@ -335,8 +329,8 @@ class JobServer:
             if value is not None and value is not False:  # port 0 is a setting
                 raise ConfigError(
                     f"{path} is not supported by the job server (it keeps each "
-                    f"job's checkpoints and metrics itself and has no late-event "
-                    f"side channel); run the job with `cogra stream` instead"
+                    f"job's checkpoint directory and the metrics endpoint "
+                    f"itself); run the job with `cogra stream` instead"
                 )
         quotas = self.config.tenant(tenant)
         with self._lock:
@@ -358,20 +352,16 @@ class JobServer:
             job = ServerJob(
                 job_id,
                 quotas,
-                config,
+                self._hosted_job(job_id, quotas, config),
                 self.config.queue_slices,
                 bucket=self._tenant_bucket(quotas),
             )
             self._jobs[job_id] = job
             self._order.append(job_id)
         try:
-            self._build_pipeline(job)
+            job.pipeline.start()
         except Exception as exc:
-            with job.lock:
-                job.state = FAILED
-                job.error = str(exc)
-                job.error_kind = error_kind(exc)
-            job.close_resources()
+            self._finalize(job, FAILED, exc)
             raise
         with job.lock:
             job.state = RUNNING
@@ -390,66 +380,39 @@ class JobServer:
             self._buckets[tenant.name] = bucket
         return bucket
 
-    def _build_pipeline(self, job: ServerJob) -> None:
-        """Resolve one job's runtime/source/sink/store, namespaced to it."""
-        config = job.config
-        observability = self._build_observability(job)
-        runtime = config.build_runtime(observability=observability)
-        job.runtime = runtime
-        source = config.source.build()
-        try:
-            job.sink = config.sink.build()
-            job.store = self._build_store(job, runtime)
-        except Exception:
-            source.close()
-            raise
-        interval = config.checkpoint.interval
-        if job.store is not None and interval is None:
-            # the store exists only to enforce the tenant's state quota;
-            # checkpoint often enough that a runaway job is caught early
-            interval = STATE_CHECK_INTERVAL
-        job.session = DriveSession(
-            runtime,
-            source,
-            checkpoint_store=job.store,
-            checkpoint_interval=interval if job.store is not None else None,
-            metrics_exporter=None,
-            sink=job.sink,
-            backpressure=config.backpressure,
-            decode_batch_size=config.batch.decode_batch_size,
-        )
+    def _hosted_job(self, job_id: str, tenant: TenantConfig, config: JobConfig) -> Job:
+        """The unstarted :class:`Job`, given what is the server's to decide.
 
-    def _build_observability(self, job: ServerJob) -> Observability:
-        """An observability bundle whose tracer is namespaced to the job."""
-        obs = job.config.observability
-        tracer = None
-        if obs.trace_path and obs.trace_sample_rate:
-            tracer = Tracer(
-                sample_rate=float(obs.trace_sample_rate),
-                sink=JsonlTraceSink(obs.trace_path),
-                namespace={"job_id": job.job_id, "tenant": job.tenant.name},
-            )
-        return Observability(tracer=tracer)
-
-    def _build_store(self, job: ServerJob, runtime) -> Optional[CheckpointStore]:
-        """The job's checkpoint store, isolated under the server directory.
-
-        Created when the job config checkpoints, or when the tenant caps
-        state bytes (quotas are enforced at checkpoint time, so capping
-        implies checkpointing).
+        Its tracer is namespaced to the job, and its checkpoint store is
+        isolated under the server directory -- created when the job config
+        checkpoints, or when the tenant caps state bytes (quotas are
+        enforced at checkpoint time, so capping implies checkpointing,
+        every :data:`STATE_CHECK_INTERVAL` events unless the job says).
+        The job closes both at ``stop()``.
         """
-        wants_store = bool(job.config.checkpoint.dir)
-        cap = job.tenant.max_state_bytes
-        if not wants_store and cap is None:
-            return None
-        directory = self.directory / "checkpoints" / job.job_id
-        return CheckpointStore(
-            directory,
-            compact_every=job.config.checkpoint.compact_every,
-            background=False,
-            registry=runtime.observability.registry,
-            max_state_bytes=cap,
-            tenant=job.tenant.name,
+        observability = config.observability.build_observability(
+            namespace={"job_id": job_id, "tenant": tenant.name}
+        )
+        store = interval = None
+        if config.checkpoint.dir or tenant.max_state_bytes is not None:
+            try:
+                store = CheckpointStore(
+                    self.directory / "checkpoints" / job_id,
+                    compact_every=config.checkpoint.compact_every,
+                    background=False,
+                    registry=observability.registry,
+                    max_state_bytes=tenant.max_state_bytes,
+                    tenant=tenant.name,
+                )
+            except Exception:
+                observability.tracer.close()
+                raise
+            interval = config.checkpoint.interval or STATE_CHECK_INTERVAL
+        return Job(
+            config,
+            observability=observability,
+            store=store,
+            checkpoint_interval=interval,
         )
 
     def _job(self, job_id: str) -> ServerJob:
@@ -484,9 +447,11 @@ class JobServer:
         job.cancel_requested.set()
         with job.lock:
             already_terminal = job.state in TERMINAL_STATES
-        if not already_terminal and job.session is not None:
-            # unblock a feeder mid-read; the closed source ends its loop
-            job.session.source.close()
+        session = job.pipeline.session
+        if not already_terminal and session is not None:
+            # unblock a feeder mid-read; the closed source ends its loop.
+            # The teardown itself stays on the scheduler thread.
+            session.close()
         return job.snapshot_status()
 
     def wait(self, job_id: str, timeout: float = 30.0) -> Dict[str, object]:
@@ -522,10 +487,10 @@ class JobServer:
             jobs = [job for job in jobs if job.tenant.name == tenant]
         merged: Optional[Dict[str, object]] = None
         for job in jobs:
-            if job.runtime is None:
+            if job.pipeline.session is None:  # never started
                 continue
             labelled = label_snapshot(
-                job.runtime.registry_snapshot(),
+                job.pipeline.runtime.registry_snapshot(),
                 job_id=job.job_id,
                 tenant=job.tenant.name,
             )
@@ -551,7 +516,7 @@ class JobServer:
                     continue
             try:
                 progressed |= self._advance(job)
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:  # the job's failure, not the server's
                 self._finalize(job, FAILED, exc)
                 progressed = True
         return progressed
@@ -566,11 +531,12 @@ class JobServer:
             return True
         batch = job.take_batch()
         if batch is None:
-            if job.exhausted():
-                self._finish(job)
+            if job.exhausted():  # flush the pipeline; the job is done
+                self._retain(job, job.pipeline.finish())
+                self._finalize(job, DONE)
                 return True
             return False
-        if not job.session.sink_ready():
+        if not job.pipeline.session.sink_ready():
             # per-job backpressure: this job waits, the others do not.
             # Checked before the token bucket so a deferred batch neither
             # pays for tokens it cannot use (double-charging on retry)
@@ -585,45 +551,42 @@ class JobServer:
             if allowed < len(batch):
                 job.pending_batch = batch[allowed:]
                 batch = batch[:allowed]
-        try:
-            records = list(job.session.step(batch))
-        except Exception as exc:
-            self._finalize(job, FAILED, exc)
-            return True
-        self._deliver(job, records)
+        self._retain(job, job.pipeline.session.step(batch))
         return True
 
-    def _finish(self, job: ServerJob) -> None:
-        """Source exhausted: flush the pipeline and mark the job done."""
-        try:
-            records = list(job.session.finish())
-        except Exception as exc:
-            self._finalize(job, FAILED, exc)
-            return
-        self._deliver(job, records)
-        self._finalize(job, DONE)
+    def _retain(self, job: ServerJob, records: Iterator[EmissionRecord]) -> None:
+        """Keep what a step delivers for ``results``, record by record.
 
-    def _deliver(self, job: ServerJob, records: List[EmissionRecord]) -> None:
-        if not records:
-            return
-        with job.lock:
-            job.records.extend(records)
-        if job.sink is not None:
-            for record in records:
-                job.sink.emit(record)
+        So what a slice emitted before it raised (a late event under
+        ``late.policy: raise``) is retained like its sink has it; the
+        error itself fails the job in :meth:`_schedule_round`.
+        """
+        for record in records:
+            with job.lock:
+                job.records.append(record)
 
     def _finalize(
         self, job: ServerJob, state: str, error: Optional[BaseException] = None
     ) -> None:
+        """Tear the job down, then publish its terminal state.
+
+        In that order: ``done`` promises a flushed sink and a closed
+        store, so a teardown that raises makes the job ``failed``.
+        """
         with job.lock:
             if job.state in TERMINAL_STATES:
                 return
+        job.cancel_requested.set()
+        try:
+            job.pipeline.stop()
+        except Exception as exc:
+            if error is None:
+                state, error = FAILED, exc
+        with job.lock:
             job.state = state
             if error is not None:
                 job.error = str(error)
                 job.error_kind = error_kind(error)
-        job.cancel_requested.set()
-        job.close_resources()
 
     # -- the socket protocol ---------------------------------------------------
 
@@ -721,18 +684,9 @@ class JobServer:
 
 
 def serve_forever(config: ServerConfig) -> None:
-    """Run a server until its socket protocol receives ``shutdown``.
-
-    The blocking entry point behind ``cogra serve``.
-    """
-    server = JobServer(config).start()
-    try:
-        while not server._stop.is_set():
-            _time.sleep(0.1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
+    """Run a server until its socket protocol receives ``shutdown``."""
+    with JobServer(config) as server:
+        server.wait_for_shutdown()
 
 
 def job_config_replacing_source(

@@ -22,6 +22,8 @@ from repro.errors import (
     CograError,
     ConcurrencyQuotaError,
     ConfigError,
+    JobStartError,
+    LateEventError,
     QuotaError,
     RateQuotaError,
     StateQuotaError,
@@ -35,6 +37,7 @@ from repro.streaming.observability import (
     label_snapshot,
     merge_snapshots,
 )
+from repro.streaming.sources import IterableSource, JsonlFileSink
 from repro.streaming.server import (
     CANCELLED,
     DONE,
@@ -44,7 +47,11 @@ from repro.streaming.server import (
     JobServerClient,
     TokenBucket,
 )
-from repro.streaming.server.server import ServerJob, error_kind
+from repro.streaming.server.server import (
+    UNSUPPORTED_SETTINGS,
+    ServerJob,
+    error_kind,
+)
 
 LATENESS = 5.0
 
@@ -454,14 +461,15 @@ class TestQuotas:
                 self.stepped.extend(batch)
                 return []
 
-            def close(self):
-                pass
+        class StubJob:
+            """What ``_advance`` steps: a Job's session."""
+
+            session = StubSession()
 
         clock = FakeClock()
         bucket = TokenBucket(4.0, capacity=4.0, clock=clock)
         tenant = TenantConfig("slow", max_events_per_second=4.0, burst=4.0)
-        job = ServerJob("job-0001", tenant, None, 4, bucket=bucket)
-        job.session = StubSession()
+        job = ServerJob("job-0001", tenant, StubJob(), 4, bucket=bucket)
         batch = list(range(10))
         job.pending_batch = list(batch)
         server = JobServer(ServerConfig(dir=str(tmp_path)))
@@ -470,9 +478,9 @@ class TestQuotas:
         assert job.pending_batch == batch
         assert bucket.available == pytest.approx(4.0)
         # sink drains: the affordable prefix runs, the suffix stays
-        job.session.ready = True
+        job.pipeline.session.ready = True
         assert server._advance(job) is True
-        assert job.session.stepped == batch[:4]
+        assert job.pipeline.session.stepped == batch[:4]
         assert job.pending_batch == batch[4:]
         assert bucket.available == pytest.approx(0.0)
 
@@ -560,16 +568,7 @@ class TestQuotas:
     @pytest.mark.parametrize(
         "path, overrides",
         [
-            (
-                "late.side_channel_path",
-                {"late": {"policy": "side-channel", "side_channel_path": "l.jsonl"}},
-            ),
-            ("late.reprocess", {"late": {"policy": "side-channel", "reprocess": True}}),
             ("checkpoint.recover", {"checkpoint": {"dir": "ckpt", "recover": True}}),
-            (
-                "observability.metrics_export_path",
-                {"observability": {"metrics_export_path": "m.jsonl"}},
-            ),
             (
                 "observability.prometheus_port",
                 {"observability": {"prometheus_port": 0}},
@@ -579,7 +578,15 @@ class TestQuotas:
     def test_settings_the_server_would_ignore_are_rejected(
         self, tmp_path, path, overrides
     ):
-        """In process and over the wire (kind ``config``), naming the path."""
+        """In process and over the wire (kind ``config``), naming the path.
+
+        The two that are server policy; every other setting is honoured
+        (``TestHostedEqualsStandalone``).
+        """
+        assert UNSUPPORTED_SETTINGS == (
+            "checkpoint.recover",
+            "observability.prometheus_port",
+        )
         events = write_stream(tmp_path / "events.jsonl", make_stream())
         config = job_dict(events, **overrides)
         with JobServer() as server:
@@ -600,6 +607,186 @@ class TestQuotas:
         assert error_kind(KeyError("k")) == "unknown-job"
         assert error_kind(CograError("e")) == "job"
         assert error_kind(RuntimeError("x")) == "internal"
+
+
+# ---------------------------------------------------------------------------
+# one lifecycle: a hosted job is a Job
+# ---------------------------------------------------------------------------
+
+
+def ingested_in_final_sample(path):
+    """``cogra_events_ingested_total`` of the last exported sample."""
+    with open(path, encoding="utf-8") as handle:
+        final = json.loads(handle.readlines()[-1])
+    family = final["metrics"]["families"]["cogra_events_ingested_total"]
+    return sum(child["value"] for child in family["children"])
+
+
+def run_hosted(config):
+    """Submit ``config``, wait for it; its final status and records."""
+    with JobServer() as server:
+        job_id = server.submit(config)
+        return server.wait(job_id), server.results(job_id)
+
+
+class TestHostedEqualsStandalone:
+    """Settings the server's own pipeline builder used to reject.
+
+    ``repro.job(config)`` and ``JobServer.submit(config)`` run the same
+    ``Job``, so records and every file the job writes agree.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "setting", ["side_channel_path", "reprocess", "metrics_export_path"]
+    )
+    def test_files_and_records_agree(self, tmp_path, setting, workers):
+        # disorder of up to 5 s against a lateness of 1: some events are late
+        events = write_stream(tmp_path / "events.jsonl", make_stream(200))
+
+        def config_in(directory):
+            directory.mkdir()
+            late = {"policy": "drop"}
+            observability = {}
+            if setting == "side_channel_path":
+                late = {
+                    "policy": "side-channel",
+                    "side_channel_path": str(directory / "late.jsonl"),
+                }
+            elif setting == "reprocess":
+                late = {"policy": "side-channel", "reprocess": True}
+            else:
+                observability = {
+                    "metrics_export_path": str(directory / "metrics.jsonl")
+                }
+            return job_dict(
+                events,
+                watermark={"lateness": 1.0},
+                late=late,
+                observability=observability,
+                sink={"spec": str(directory / "out.jsonl")},
+                shards={"workers": workers},
+            )
+
+        solo_dir, hosted_dir = tmp_path / "solo", tmp_path / "hosted"
+        solo = job(JobConfig.from_dict(config_in(solo_dir))).results()
+        status, hosted = run_hosted(config_in(hosted_dir))
+        assert status["state"] == DONE
+        assert record_bytes(hosted) == record_bytes(solo)
+        assert solo, "the stream must close windows"
+        for name in ("out.jsonl", "late.jsonl"):
+            assert (solo_dir / name).exists() == (hosted_dir / name).exists()
+            if (solo_dir / name).exists():
+                content = (solo_dir / name).read_bytes()
+                assert content, f"{name} must not be vacuous"
+                assert (hosted_dir / name).read_bytes() == content
+        if setting == "reprocess":
+            assert any(record.is_correction for record in hosted)
+        if setting == "metrics_export_path":
+            assert (
+                ingested_in_final_sample(hosted_dir / "metrics.jsonl")
+                == ingested_in_final_sample(solo_dir / "metrics.jsonl")
+                == status["events_ingested"]
+            )
+
+    def test_a_raising_late_policy_keeps_the_slices_earlier_records(self, tmp_path):
+        # the slice that raises had closed windows before its late event
+        # came: those records are delivered, hosted as standalone
+        stream = [
+            Event("A" if i % 3 else "B", float(i), {"g": "g0", "v": i % 7}, sequence=i)
+            for i in range(200)
+        ]
+        stream.insert(150, Event("A", 1.0, {"g": "g0", "v": 0}, sequence=200))
+        events = write_stream(tmp_path / "events.jsonl", stream)
+
+        def config_to(sink_path):
+            return job_dict(
+                events,
+                queries=[{"text": TYPE_QUERY.replace(
+                    "WITHIN 20 seconds SLIDE 10 seconds", "WITHIN 10 seconds"
+                )}],
+                watermark={"lateness": 2.0},
+                late={"policy": "raise"},
+                sink={"spec": str(sink_path)},
+            )
+
+        with pytest.raises(LateEventError):
+            job(JobConfig.from_dict(config_to(tmp_path / "solo.jsonl"))).results()
+        status, hosted = run_hosted(config_to(tmp_path / "hosted.jsonl"))
+        assert status["state"] == FAILED
+        assert status["kind"] == "job"
+        delivered = (tmp_path / "solo.jsonl").read_bytes()
+        assert delivered
+        assert (tmp_path / "hosted.jsonl").read_bytes() == delivered
+        assert [record.as_dict() for record in hosted] == [
+            json.loads(line) for line in delivered.decode().splitlines()
+        ]
+
+    def test_stop_closes_everything_and_reports_the_first_failure(
+        self, tmp_path, monkeypatch
+    ):
+        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        config = job_dict(
+            events,
+            sink={"spec": str(tmp_path / "out.jsonl")},
+            checkpoint={"dir": str(tmp_path / "ckpt"), "interval": 16},
+        )
+        closed = []
+        close_file, close_store = JsonlFileSink.close, CheckpointStore.close
+
+        def failing_close(sink):
+            close_file(sink)
+            raise OSError("disk full at flush")
+
+        def recorded_close(store):
+            closed.append(store)
+            close_store(store)
+
+        monkeypatch.setattr(JsonlFileSink, "close", failing_close)
+        monkeypatch.setattr(CheckpointStore, "close", recorded_close)
+
+        class ClosableSource(IterableSource):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        # standalone: the failure surfaces, after the store was closed too
+        source = ClosableSource(make_stream())
+        running = job(JobConfig.from_dict(config), events=source)
+        with pytest.raises(OSError, match="disk full"):
+            running.results()
+        assert source.closed
+        assert len(closed) == 1
+
+        # hosted: a job whose sink could not flush is not ``done``
+        status, records = run_hosted(config)
+        assert status["state"] == FAILED
+        assert "disk full" in status["error"]
+        assert records
+        assert len(closed) == 2
+
+    def test_a_start_up_failure_names_its_setting(self, tmp_path):
+        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        config = job_dict(events, sink={"spec": str(tmp_path)})  # a directory
+        with JobServer() as server:
+            with pytest.raises(JobStartError, match="sink.spec") as excinfo:
+                server.submit(config)
+            assert excinfo.value.path == "sink.spec"
+            (row,) = server.list_jobs()
+            assert row["state"] == FAILED
+            assert row["kind"] == "job"
+
+    def test_close_finalises_the_jobs_it_stops(self, tmp_path):
+        events = write_stream(tmp_path / "events.jsonl", make_stream(2000))
+        config = ServerConfig(
+            tenants=(TenantConfig("slow", max_events_per_second=10.0, burst=10.0),)
+        )
+        server = JobServer(config).start()
+        job_id = server.submit(job_dict(events), tenant="slow")
+        assert server.status(job_id)["state"] == RUNNING
+        server.close()
+        assert server.status(job_id)["state"] == CANCELLED
 
 
 # ---------------------------------------------------------------------------
@@ -722,10 +909,7 @@ class TestSocketProtocol:
             host, port = server.address
             with JobServerClient(host, port) as client:
                 client.shutdown()
-            deadline = time.monotonic() + 5.0
-            while not server._stop.is_set():
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
+            assert server.wait_for_shutdown(timeout=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +971,7 @@ class TestChaosIsolation:
             wedged_id = server.submit(job_dict(hot), tenant="wedged")
             # wedge the adversary's sink: it never reports capacity, so
             # the scheduler must skip (not block on) its turns
-            server._jobs[wedged_id].session._sink_ready = lambda: False
+            server._jobs[wedged_id].pipeline.session._sink_ready = lambda: False
             bomb_id = server.submit(
                 job_dict(bomb, checkpoint={"dir": "unused", "interval": 32}),
                 tenant="bomber",
