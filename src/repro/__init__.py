@@ -21,7 +21,6 @@ exposes
 from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
 from repro.errors import ConfigError, JobStartError
-from repro.core.parallel import ParallelExecutor
 from repro.core.results import GroupResult
 from repro.events.event import Event, EventSchema
 from repro.events.stream import EventStream
@@ -139,7 +138,6 @@ __all__ = [
     "ObsConfig",
     "Observability",
     "OptionalPattern",
-    "ParallelExecutor",
     "PunctuationWatermark",
     "Query",
     "QueryBuilder",

@@ -173,9 +173,8 @@ class CograEngine:
 
         ``observability`` accepts an
         :class:`~repro.streaming.observability.Observability` bundle --
-        e.g. one with a sampling tracer attached, or
-        ``Observability.disabled()`` to strip instrumentation; the
-        default collects registry metrics with tracing off.
+        e.g. one with a sampling tracer attached; the default collects
+        registry metrics with tracing off.
 
         Internally the kwargs assemble a
         :class:`~repro.streaming.config.JobConfig` -- the declarative spec

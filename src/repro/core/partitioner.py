@@ -5,10 +5,13 @@ predicates ``[attr]`` split the input stream into independent sub-streams.
 The COGRA executor partitions lazily, event by event; the two-step baselines
 and the correctness oracle partition eagerly with the helpers of this
 module so that every approach agrees on what a sub-stream is.
+:func:`shard_index` maps a partition key to the worker process owning it
+in the sharded streaming runtime.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.events.event import Event
@@ -17,6 +20,41 @@ from repro.query.windows import WindowSpec
 
 #: A sub-stream is identified by its window id and its group key.
 SubstreamKey = Tuple[int, Tuple]
+
+#: key components whose ``repr`` differs from that of an equal ``int``
+_NUMERIC = (bool, float)
+
+
+def _equality_class(value):
+    """``int`` for a bool or an integral float, otherwise ``value`` itself."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    if isinstance(value, bool):
+        return int(value)
+    return value
+
+
+def shard_index(key: Tuple, shard_count: int) -> int:
+    """Deterministic owner shard of a partition key.
+
+    Both the sharded streaming runtime's router and its checkpoint
+    splitter map keys to workers through this function, so a checkpoint
+    taken under one worker count restores correctly under another.  The
+    hash is CRC-32 of the key's ``repr`` rather than the builtin ``hash``:
+    per-process ``PYTHONHASHSEED`` randomisation would make workers and
+    parent disagree about key ownership.  The executor groups keys by
+    ``==``, so ``1``, ``1.0`` and ``True`` are one sub-stream; bool and
+    integral float components are hashed as the equal ``int`` so that they
+    stay on one shard.  Keys of ``str``, ``int`` and ``None`` hash as their
+    plain ``repr``.
+    """
+    if shard_count <= 1:
+        return 0
+    for value in key:
+        if isinstance(value, _NUMERIC):
+            key = tuple(map(_equality_class, key))
+            break
+    return zlib.crc32(repr(key).encode("utf-8")) % shard_count
 
 
 def group_key(event: Event, attributes: Sequence[str]) -> Tuple:

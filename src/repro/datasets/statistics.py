@@ -176,8 +176,8 @@ def events_per_group(
 def load_imbalance(events: Iterable[Event], group_attribute: str) -> float:
     """Ratio of the largest to the average group size (1.0 = perfectly even).
 
-    Used to sanity-check the parallel-execution benchmarks: a heavily skewed
-    stream bounds the speed-up attainable by partition parallelism.
+    A heavily skewed stream bounds the speed-up attainable by partition
+    parallelism.
     """
     counts = events_per_group(events, group_attribute)
     if not counts:

@@ -38,7 +38,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from repro.analyzer.plan import plan_query
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
 from repro.core.executor import QueryExecutor
-from repro.core.parallel import shard_index
+from repro.core.partitioner import shard_index
 from repro.errors import CheckpointError, StateQuotaError
 from repro.events.event import Event
 from repro.streaming.jsonl import event_from_json, event_to_json
@@ -474,7 +474,7 @@ def split_executor_snapshot(
     :func:`rehome_executor_snapshots` applied to "shard 0 holds everything"
     (so shard 0 carries the full ``events_seen`` and a later merge sums
     back to the original).  ``owner`` is the static
-    :func:`~repro.core.parallel.shard_index` hash by default, or a live
+    :func:`~repro.core.partitioner.shard_index` hash by default, or a live
     router's (possibly rebalanced) range->worker map.
     """
     if owner is None:

@@ -10,19 +10,18 @@ It owns
 
 Instrument handles (:class:`QueryInstruments`, :class:`ShardInstruments`)
 are created once at registration time and cached on the hot-path objects, so
-an observation is a couple of attribute increments.  A **disabled**
-observability (``Observability.disabled()``) hands out ``None`` instruments
-and the runtime skips instrumentation entirely -- the cost of observability
-off is one ``is None`` check per event, which is what the
-``bench_streaming_runtime`` overhead gate measures.
+an observation is a couple of attribute increments per span of events.
+Instrumentation is always on; what it costs is measured like every other
+cost, by the benchmark of record (``perfbench/``), which always runs
+instrumented.
 
-Two registries per runtime, by design: :class:`StreamingMetrics` keeps its
-scalar runtime counters in its **own** private registry, while the
-``Observability`` registry holds everything that must *merge across worker
-processes*.  Worker runtimes ship only their observability registries to the
-parent, so runtime-level counters (which the parent already tracks itself)
-are never double counted.  ``StreamingRuntime.registry_snapshot()`` /
-``ShardedRuntime.registry_snapshot()`` merge the two views for export.
+:class:`StreamingMetrics` keeps its scalar runtime counters in a private
+registry of its own, while the ``Observability`` registry holds everything
+that must *merge across worker processes*: workers ship only their
+observability registries to the parent, which tracks the runtime-level
+counters itself, so nothing is counted twice.
+``StreamingRuntime.registry_snapshot()`` /
+``ShardedRuntime.registry_snapshot()`` merge the two for export.
 """
 
 from __future__ import annotations
@@ -139,27 +138,18 @@ class Observability:
     def __init__(
         self,
         *,
-        enabled: bool = True,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
         count_results: bool = True,
     ):
-        self.enabled = enabled
         self.registry = registry if registry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else Tracer()
         self.count_results = count_results
         self._results_children: dict = {}
 
-    @classmethod
-    def disabled(cls) -> "Observability":
-        """An observability that hands out no instruments at all."""
-        return cls(enabled=False)
+    # -- instrument factories ----------------------------------------------
 
-    # -- instrument factories (lazy, so disabled registries stay empty) ----
-
-    def query_instruments(self, query: str) -> Optional[QueryInstruments]:
-        if not self.enabled:
-            return None
+    def query_instruments(self, query: str) -> QueryInstruments:
         registry = self.registry
         events = registry.counter(
             "cogra_query_events_total",
@@ -196,9 +186,7 @@ class Observability:
             self._results_children[query] = child
         return child
 
-    def shard_instruments(self, shard: int) -> Optional[ShardInstruments]:
-        if not self.enabled:
-            return None
+    def shard_instruments(self, shard: int) -> ShardInstruments:
         registry = self.registry
         outbox_depth = registry.gauge(
             "cogra_shard_outbox_depth",
@@ -214,8 +202,6 @@ class Observability:
 
     def operation_timer(self, name: str, help: str, **labels: str):
         """Cached histogram child for a lifecycle operation duration."""
-        if not self.enabled:
-            return None
         family = self.registry.histogram(name, help, tuple(labels))
         return family.labels(*labels.values()) if labels else family.labels()
 

@@ -70,10 +70,10 @@ class QueryObservation:
     #: EWMA of the mean events processed per open sub-stream
     events_per_substream: float
     #: EWMA of the fraction of routed events that produced match output
-    #: (1.0 when the observability registry is disabled)
+    #: (1.0 until a plan that stores events has been observed)
     match_rate: float
     #: EWMA of the executor processing latency per event, in seconds
-    #: (0.0 when the observability registry is disabled)
+    #: (0.0 until a check has seen events)
     latency_seconds: float
 
     def statistics(self) -> ObservedStatistics:
@@ -210,9 +210,8 @@ def observe_executor(executor) -> Dict[str, float]:
 
 def observe_instruments(raw: Dict[str, float], instruments) -> Dict[str, float]:
     """Fold a query's observability counters into its raw statistics."""
-    if instruments is not None:
-        raw["latency_sum"] = float(instruments.latency.sum)
-        raw["latency_count"] = float(instruments.latency.count)
+    raw["latency_sum"] = float(instruments.latency.sum)
+    raw["latency_count"] = float(instruments.latency.count)
     return raw
 
 

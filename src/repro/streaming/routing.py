@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.parallel import shard_index
+from repro.core.partitioner import shard_index
 from repro.errors import CheckpointError
 from repro.streaming.config import RebalanceConfig
 
@@ -107,7 +107,7 @@ class ShardRouter:
     """Versioned hash-slot -> worker map behind the parent's event routing.
 
     The partition-key hash space is cut into :attr:`slots` sub-ranges
-    (:func:`~repro.core.parallel.shard_index` over ``slots``); each slot is
+    (:func:`~repro.core.partitioner.shard_index` over ``slots``); each slot is
     owned by exactly one worker.  The seed assignment round-robins slots
     over workers -- ``slots`` is a multiple of the worker count, so seeding
     routes exactly like the historical static ``hash % workers`` -- and

@@ -82,6 +82,7 @@ from repro.streaming.replan import (
 from repro.streaming.observability import (
     JsonlMetricsExporter,
     Observability,
+    QueryInstruments,
     finalize_snapshot,
     merge_snapshots,
 )
@@ -421,13 +422,11 @@ class PipelineDriver:
 
     def _observe_lifecycle(self, op: str, seconds: float) -> None:
         """Record one lifecycle operation's duration (and a sampled span)."""
-        timer = self.observability.operation_timer(
+        self.observability.operation_timer(
             "cogra_lifecycle_seconds",
             "durations of checkpoint/restore/recovery/rebalance operations",
             op=op,
-        )
-        if timer is not None:
-            timer.observe(seconds)
+        ).observe(seconds)
         span = self.observability.start_trace(op)
         if span is not None:
             span.annotate(seconds=seconds)
@@ -626,14 +625,18 @@ class RegisteredQuery:
         "instruments",
     )
 
-    def __init__(self, name: str, engine: CograEngine, order: int = 0):
+    def __init__(
+        self,
+        name: str,
+        engine: CograEngine,
+        instruments: QueryInstruments,
+        order: int = 0,
+    ):
         self.name = name
         self.engine = engine
         self.order = order
-        #: cached per-query metric children, or ``None`` when the owning
-        #: runtime's observability is disabled (the hot path then skips
-        #: instrumentation on a single ``is None`` check)
-        self.instruments = None
+        #: cached per-query metric children of the owning runtime
+        self.instruments = instruments
         types = set(engine.executor._relevant_types)
         if engine.negation_analysis is not None:
             # negated event types never match the positive pattern but still
@@ -681,9 +684,8 @@ class StreamingRuntime(PipelineDriver):
         Default for queries registered without an explicit setting.
     observability:
         Optional :class:`~repro.streaming.observability.Observability`
-        bundle (metrics registry + tracer).  By default a fresh enabled
-        bundle is created; pass ``Observability.disabled()`` to strip the
-        per-query instrumentation down to one ``is None`` check per event.
+        bundle (metrics registry + tracer).  By default a fresh bundle is
+        created, with tracing off.
     replan:
         Optional adaptive granularity re-planning: a
         :class:`~repro.streaming.replan.ReplanPolicy`, a
@@ -776,8 +778,12 @@ class StreamingRuntime(PipelineDriver):
         name = name or engine.query.name
         if name in self._by_name:
             raise ValueError(f"a query named {name!r} is already registered")
-        registered = RegisteredQuery(name, engine, order=len(self._queries))
-        registered.instruments = self.observability.query_instruments(name)
+        registered = RegisteredQuery(
+            name,
+            engine,
+            self.observability.query_instruments(name),
+            order=len(self._queries),
+        )
         self._queries.append(registered)
         self._by_name[name] = registered
         return name
@@ -875,8 +881,7 @@ class StreamingRuntime(PipelineDriver):
         for registered in self._queries:
             emitted = advance(registered.name, registered.executor, watermark)
             if emitted:
-                if registered.instruments is not None:
-                    registered.instruments.results.inc(len(emitted))
+                registered.instruments.results.inc(len(emitted))
                 records.extend(emitted)
 
     def _step_boundary(self, watermark: float) -> float:
@@ -958,8 +963,6 @@ class StreamingRuntime(PipelineDriver):
     def _apply_span(self, registered: RegisteredQuery, events: List[Event]):
         """Feed one query its share of a span; return what its executor closed."""
         instruments = registered.instruments
-        if instruments is None:
-            return registered.executor.process_batch(events)
         started = _time.perf_counter()
         emitting = registered.executor.process_batch(events)
         instruments.observe_execution_batch(
@@ -1026,8 +1029,7 @@ class StreamingRuntime(PipelineDriver):
         for registered in self._queries:
             closed = self._controller.close(registered.name, registered.executor)
             if closed:
-                if registered.instruments is not None:
-                    registered.instruments.results.inc(len(closed))
+                registered.instruments.results.inc(len(closed))
                 records.extend(closed)
         self.metrics.record_emission(len(records))
         self._flushed = True

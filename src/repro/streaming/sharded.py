@@ -91,7 +91,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
-from repro.core.parallel import shard_index
+from repro.core.partitioner import shard_index
 from repro.core.results import GroupResult
 from repro.errors import CheckpointError, WorkerCrashError
 from repro.events.event import Event
@@ -125,6 +125,7 @@ from repro.streaming.ingest import (
 from repro.streaming.metrics import StreamingMetrics
 from repro.streaming.observability import (
     Observability,
+    ShardInstruments,
     finalize_snapshot,
     merge_snapshots,
 )
@@ -282,7 +283,6 @@ def _worker_loop(
     specs: List[_QuerySpec],
     inbox,
     outbox,
-    obs_enabled: bool = True,
 ) -> None:
     """Body of one worker process.
 
@@ -305,12 +305,7 @@ def _worker_loop(
     metric view and restore it across recoveries.
     """
     try:
-        observability = (
-            Observability(count_results=False)
-            if obs_enabled
-            else Observability.disabled()
-        )
-        runtime = _build_worker_runtime(specs, observability)
+        runtime = _build_worker_runtime(specs, Observability(count_results=False))
     except Exception:
         outbox.put(("error", -1, shard, traceback.format_exc()))
         return
@@ -530,8 +525,7 @@ class ShardedRuntime(PipelineDriver):
         #: parent-side observability: per-shard shipping instruments,
         #: lifecycle timers/spans, and the results counters (workers count
         #: events/matches/latency; the parent counts results exactly once,
-        #: after replay deduplication).  Pass ``Observability.disabled()``
-        #: to strip the instrumentation.
+        #: after replay deduplication)
         self.observability = observability or Observability()
         self._emit_empty_groups = emit_empty_groups
         self._ship_interval = ship_interval
@@ -602,8 +596,8 @@ class ShardedRuntime(PipelineDriver):
         self._ready_records: List[EmissionRecord] = []
         self._emitted_counts: Dict[str, int] = {}
         self.shard_stats: List[ShardStats] = []
-        #: cached per-shard instrument bundles (None entries when disabled)
-        self._shard_instruments: List = []
+        #: cached per-shard instrument bundles
+        self._shard_instruments: List[ShardInstruments] = []
         #: worker registries pulled during flush(), so registry_snapshot()
         #: keeps the complete merged view after the workers are gone
         self._final_worker_registries: Optional[List[dict]] = None
@@ -755,7 +749,6 @@ class ShardedRuntime(PipelineDriver):
                 self._specs,
                 self._inboxes[shard],
                 self._ack_queues[shard],
-                self.observability.enabled,
             ),
             daemon=True,
             name=f"cogra-shard-{shard}" + (f"-r{restarts}" if restarts else ""),
@@ -959,9 +952,9 @@ class ShardedRuntime(PipelineDriver):
         records = _decode_record_blob(payload) if payload else ()
         entry.records.extend(records)
         self.shard_stats[shard].record_ack(len(records), seconds)
-        instruments = self._shard_instruments[shard]
-        if instruments is not None:
-            instruments.ship_latency.observe(_time.perf_counter() - entry.sent_at)
+        self._shard_instruments[shard].ship_latency.observe(
+            _time.perf_counter() - entry.sent_at
+        )
 
     # -- worker recovery ---------------------------------------------------------
 
@@ -1103,7 +1096,6 @@ class ShardedRuntime(PipelineDriver):
                     record.query,
                 )
             )
-            count_results = self.observability.enabled
             per_query: Dict[str, int] = {}
             for record in entry.records:
                 per_query[record.query] = per_query.get(record.query, 0) + 1
@@ -1111,10 +1103,9 @@ class ShardedRuntime(PipelineDriver):
                 self._emitted_counts[query] = (
                     self._emitted_counts.get(query, 0) + count
                 )
-                if count_results:
-                    # the one place sharded results surface, post-dedup: the
-                    # counter matches the single-process runtime's exactly
-                    self.observability.results_counter(query).inc(count)
+                # the one place sharded results surface, post-dedup: the
+                # counter matches the single-process runtime's exactly
+                self.observability.results_counter(query).inc(count)
             self.metrics.record_emission(len(entry.records))
             self._ready_records.extend(entry.records)
 
@@ -1175,20 +1166,17 @@ class ShardedRuntime(PipelineDriver):
             payload = _encode_event_blob(events) if events else events
             payloads[shard] = ("batch", self._epoch, payload, watermark)
             self.shard_stats[shard].record_shipment(len(events))
-            instruments = self._shard_instruments[shard]
-            if instruments is not None:
-                instruments.outbox_depth.set(len(events))
+            self._shard_instruments[shard].outbox_depth.set(len(events))
             self._outboxes[shard] = []
         self._ship("batch", shards, payloads)
 
     def _route_released(self, events: Iterable[Event]) -> None:
         """Append released events to the outbox of the worker owning their key.
 
-        Uses the identical key computation as
-        :func:`~repro.core.parallel.partition_stream` (``plan.partition_key``)
-        so sharded, thread-parallel and sequential runs agree on partitions;
-        ownership goes through the live :class:`ShardRouter` map, with the
-        per-slot load counted for the rebalance policy.
+        Uses the executor's own key computation (``plan.partition_key``) so
+        sharded and single-process runs agree on partitions; ownership goes
+        through the live :class:`ShardRouter` map, with the per-slot load
+        counted for the rebalance policy.
         """
         plan = self._routing_plan
         if self.shard_count == 1:
@@ -1652,10 +1640,9 @@ class ShardedRuntime(PipelineDriver):
         self._pending_watermark = None
         self._ship("flush", range(self.shard_count), payloads)
         self._drain_acks(block=True)
-        if self.observability.enabled:
-            # last chance to pull the worker registries: after close() the
-            # processes are gone, so registry_snapshot() serves this view
-            self._final_worker_registries = self._collect_worker_registries()
+        # last chance to pull the worker registries: after close() the
+        # processes are gone, so registry_snapshot() serves this view
+        self._final_worker_registries = self._collect_worker_registries()
         self._flushed = True
         self.close()
         return self._take_ready()
@@ -1928,13 +1915,7 @@ class ShardedRuntime(PipelineDriver):
         ]
         if self._final_worker_registries is not None:
             snapshots.extend(self._final_worker_registries)
-        elif (
-            self.observability.enabled
-            and self._started
-            and not self._flushed
-            and not self._poisoned
-            and self._procs
-        ):
+        elif self._started and not self._flushed and not self._poisoned and self._procs:
             snapshots.extend(self._collect_worker_registries())
         return finalize_snapshot(merge_snapshots(*snapshots))
 

@@ -288,12 +288,10 @@ def _reference_route(runtime, event: Event, watermark: float, records: list) -> 
             continue
         results = registered.executor.process(event)
         instruments = registered.instruments
-        if instruments is not None:
-            instruments.observe_execution_batch(1, 0.0, 1 if results else 0)
+        instruments.observe_execution_batch(1, 0.0, 1 if results else 0)
         if results:
             emitted = runtime._controller.collect(registered.name, results, watermark)
-            if instruments is not None:
-                instruments.results.inc(len(emitted))
+            instruments.results.inc(len(emitted))
             records.extend(emitted)
 
 

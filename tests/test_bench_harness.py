@@ -1,6 +1,8 @@
 """Tests for the benchmark harness: metrics, sweeps, workloads and reports."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -144,11 +146,8 @@ class TestReporting:
 
 
 # ---------------------------------------------------------------------------
-# the CI throughput-regression gate (benchmarks/check_regression.py)
+# the pair count behind every performance claim (benchmarks/ab_pairs.py)
 # ---------------------------------------------------------------------------
-
-import importlib.util
-from pathlib import Path
 
 
 def _load_benchmark_script(name):
@@ -158,84 +157,6 @@ def _load_benchmark_script(name):
     spec.loader.exec_module(module)
     return module
 
-
-gate = _load_benchmark_script("check_regression")
-
-
-def record(bench, throughput, **extra):
-    row = {"bench": bench, "throughput_events_per_s": throughput}
-    row.update(extra)
-    return row
-
-
-class TestRegressionGate:
-    def test_parse_records_tolerates_garbage(self):
-        assert gate.parse_records("not json") == []
-        assert gate.parse_records(json.dumps([1, 2])) == []
-        assert gate.parse_records(json.dumps({"records": "x"})) == []
-        assert gate.parse_records(
-            json.dumps({"version": 1, "records": [record("a", 10.0), 7]})
-        ) == [record("a", 10.0)]
-
-    def test_latest_per_bench_keeps_the_newest(self):
-        records = [record("a", 10.0), record("b", 5.0), record("a", 20.0)]
-        latest = gate.latest_per_bench(records)
-        assert latest["a"]["throughput_events_per_s"] == 20.0
-        assert latest["b"]["throughput_events_per_s"] == 5.0
-        # rows without a bench name or throughput are ignored, not fatal
-        assert gate.latest_per_bench([{"bench": "c"}, {"x": 1}]) == {}
-
-    def test_within_threshold_passes(self):
-        failures, lines = gate.find_regressions(
-            [record("a", 100.0)], [record("a", 90.0)], threshold=0.15
-        )
-        assert failures == []
-        assert any("-10.0%" in line and "ok" in line for line in lines)
-
-    def test_drop_beyond_threshold_fails(self):
-        failures, lines = gate.find_regressions(
-            [record("a", 100.0), record("b", 50.0)],
-            [record("a", 80.0), record("b", 49.0)],
-            threshold=0.15,
-        )
-        assert [f["bench"] for f in failures] == ["a"]
-        assert failures[0]["change"] == pytest.approx(-0.2)
-        assert any("REGRESSION" in line for line in lines)
-
-    def test_faster_is_never_a_failure(self):
-        failures, _ = gate.find_regressions(
-            [record("a", 100.0)], [record("a", 500.0)]
-        )
-        assert failures == []
-
-    def test_new_bench_without_baseline_passes_with_a_note(self):
-        failures, lines = gate.find_regressions([], [record("fresh", 42.0)])
-        assert failures == []
-        assert any("no committed baseline" in line for line in lines)
-
-    def test_only_this_runs_suffix_is_compared(self):
-        baseline = [record("a", 100.0), record("b", 50.0)]
-        working = baseline + [record("a", 95.0)]
-        current = gate.this_runs_records(working, baseline)
-        assert current == [record("a", 95.0)]
-        failures, _ = gate.find_regressions(baseline, current)
-        assert failures == []
-
-    def test_truncated_working_file_yields_no_records(self):
-        baseline = [record("a", 100.0), record("b", 50.0)]
-        assert gate.this_runs_records([record("a", 1.0)], baseline) == []
-
-    def test_zero_baseline_is_skipped_not_divided(self):
-        failures, lines = gate.find_regressions(
-            [record("a", 0.0)], [record("a", 10.0)]
-        )
-        assert failures == []
-        assert any("skipped" in line for line in lines)
-
-
-# ---------------------------------------------------------------------------
-# the pair count behind every performance claim (benchmarks/ab_pairs.py)
-# ---------------------------------------------------------------------------
 
 ab_pairs = _load_benchmark_script("ab_pairs")
 

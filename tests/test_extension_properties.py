@@ -6,7 +6,8 @@ baselines against the enumeration oracle) with randomized checks of
 * forced granularities: every correct granularity yields the oracle results,
 * negated sub-patterns: the incremental invalidation rules agree with the
   explicit "enumerate positive trends, then filter" reference semantics,
-* partition-parallel execution: identical to sequential execution,
+* sharded execution: identical to sequential execution, also when group
+  keys mix equal ``int``, ``float`` and ``bool`` forms,
 * CSV round-trips: persisting and re-loading a stream never changes query
   results, and
 * accumulator algebra: merge is commutative/associative with ``zero`` as the
@@ -20,7 +21,6 @@ from repro.analyzer.plan import plan_query
 from repro.baselines.trend_enumeration import TrendOracle, enumerate_trends
 from repro.core.aggregate_state import TrendAccumulator
 from repro.core.engine import CograEngine
-from repro.core.parallel import ParallelExecutor
 from repro.datasets.io import read_stream_csv, write_stream_csv
 from repro.events.event import Event
 from repro.extensions.negation import (
@@ -34,6 +34,8 @@ from repro.query.ast import KleenePlus, Negation, atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import comparison
 from repro.query.windows import WindowSpec
+from repro.streaming.runtime import group_results
+from repro.streaming.sharded import ShardedRuntime
 
 from helpers import assert_results_equal
 
@@ -44,7 +46,7 @@ small_values = st.integers(min_value=0, max_value=5)
 
 
 @st.composite
-def streams(draw, max_events=9, types=event_types):
+def streams(draw, max_events=9, types=event_types, groups=st.integers(0, 1)):
     """A small random stream with integer attribute ``x`` and group ``g``."""
     count = draw(st.integers(min_value=0, max_value=max_events))
     events = []
@@ -53,7 +55,7 @@ def streams(draw, max_events=9, types=event_types):
             Event(
                 draw(types),
                 float(index + 1),
-                {"x": draw(small_values), "g": draw(st.integers(0, 1))},
+                {"x": draw(small_values), "g": draw(groups)},
                 sequence=index,
             )
         )
@@ -150,10 +152,16 @@ class TestNegationProperties:
         assert_results_equal(CograEngine(plain).run(events), CograEngine(negated).run(events))
 
 
-class TestParallelProperties:
+class TestShardedProperties:
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(events=streams(max_events=12), workers=st.integers(min_value=1, max_value=4))
-    def test_parallel_equals_sequential_with_grouping(self, events, workers):
+    @given(
+        events=streams(
+            max_events=12, groups=st.sampled_from([0, 0.0, False, 1, 1.0, True, 2])
+        ),
+        workers=st.integers(min_value=1, max_value=4),
+    )
+    def test_sharded_equals_sequential_with_grouping(self, events, workers):
+        # group keys mix int, float and bool forms the executor groups by ==
         query = build_query(
             FIGURE2,
             aggregates=[count_star(), sum_of("A", "x")],
@@ -161,8 +169,9 @@ class TestParallelProperties:
             window=WindowSpec(6.0, 3.0),
         )
         sequential = CograEngine(query).run(events)
-        parallel = ParallelExecutor(query, workers=workers).run(events)
-        assert_results_equal(sequential, parallel)
+        runtime = ShardedRuntime(workers=workers, lateness=0.0)
+        runtime.register(query, name="q")
+        assert_results_equal(sequential, group_results(runtime.run(events)))
 
 
 class TestCsvRoundtripProperties:

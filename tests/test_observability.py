@@ -447,20 +447,6 @@ class TestRuntimeIntegration:
         assert snapshot_value(snapshot, "cogra_events_ingested_total") == len(events)
         runtime.close()
 
-    def test_disabled_observability_registers_no_query_metrics(self):
-        runtime = StreamingRuntime(
-            lateness=0.0, observability=Observability.disabled()
-        )
-        runtime.register(QUERY, name="q")
-        runtime.run(make_stream(count=50))
-        families = runtime.registry_snapshot()["families"]
-        assert "cogra_query_events_total" not in families
-        # the StreamingMetrics runtime counters are independent of it
-        assert snapshot_value(
-            runtime.registry_snapshot(), "cogra_events_ingested_total"
-        ) == 50
-        runtime.close()
-
     def test_registry_travels_through_checkpoint_restore(self):
         events = make_stream(count=120)
         first = StreamingRuntime(lateness=0.0)

@@ -20,9 +20,8 @@ class TestTopLevelExports:
         major, minor, patch = repro.__version__.split(".")
         assert all(part.isdigit() for part in (major, minor, patch))
 
-    def test_engine_parallel_executor_and_granularity_are_exported(self):
+    def test_engine_and_granularity_are_exported(self):
         assert repro.CograEngine is not None
-        assert repro.ParallelExecutor is not None
         assert repro.Granularity("type").value == "type"
 
     def test_quickstart_snippet_from_readme_works(self):

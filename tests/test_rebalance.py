@@ -111,7 +111,7 @@ class TestShardRouter:
     def test_seed_routing_matches_the_static_hash(self):
         # (hash % slots) % workers == hash % workers when workers | slots,
         # so seeding is behaviour-identical to the historical static router
-        from repro.core.parallel import shard_index
+        from repro.core.partitioner import shard_index
 
         router = ShardRouter(4, slots_per_worker=16)
         for value in range(200):
@@ -369,6 +369,16 @@ class TestPolicyDrivenRebalance:
         assert runtime.metrics.rebalance_keys_moved > 0
         assert runtime.metrics.rebalance_pause_seconds > 0.0
         assert "rebalance" in runtime.shard_report()
+        # the moves evened the routed load: the busiest worker's share of
+        # the stream drops by >= 10 points against the seed map's routing
+        seed = ShardRouter(2)
+        seed_loads = [0, 0]
+        for event in events:
+            seed_loads[seed.owner_of_key((event.get("g"),))] += 1
+        sent = [stats.events_sent for stats in runtime.shard_stats]
+        assert sum(sent) == sum(seed_loads) == len(events)
+        seed_share = max(seed_loads) / len(events)
+        assert max(sent) / len(events) <= seed_share - 0.10, (sent, seed_loads)
 
     def test_balanced_stream_never_triggers(self):
         events = make_stream(count=600)

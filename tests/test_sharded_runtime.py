@@ -17,11 +17,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import CograEngine
+from repro.datasets.physical_activity import (
+    PhysicalActivityConfig,
+    generate_physical_activity_stream,
+)
+from repro.datasets.queries import (
+    healthcare_query,
+    stock_trend_query,
+    transportation_query,
+)
+from repro.datasets.stock import StockConfig, generate_stock_stream
+from repro.datasets.transportation import (
+    TransportationConfig,
+    generate_transportation_stream,
+)
 from repro.errors import CheckpointError, WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.streaming.ingest import PunctuationWatermark
 from repro.streaming.runtime import StreamingRuntime, group_results
+from repro.streaming.sources import JsonlFileSource
 from repro.streaming.sharded import (
     ShardedRuntime,
     _QuerySpec,
@@ -79,6 +94,20 @@ def make_stream(count=220, seed=13, types="ABC", groups="xyzw"):
     )
 
 
+def make_mixed_numeric_stream(count=160, seed=17):
+    """Group keys the executor's ``==`` merges across int, float and bool."""
+    forms = [1, 1.0, True, 0, 0.0, False, 2, 2.0, -5, -5.0, 7, 7.0]
+    rng = random.Random(seed)
+    return sort_events(
+        Event(
+            rng.choice("AB"),
+            rng.uniform(0.0, 60.0),
+            {"g": rng.choice(forms), "v": rng.randint(1, 9)},
+        )
+        for _ in range(count)
+    )
+
+
 def bounded_shuffle(events, disorder, seed=29):
     rng = random.Random(seed)
     return sorted(
@@ -119,6 +148,19 @@ class TestParity:
         records = runtime.run(shuffled)
 
         assert_results_equal(group_results(records), group_results(expected))
+        assert canonical(records) == canonical(expected)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_mixed_numeric_keys_stay_one_group(self, workers):
+        # the executor groups by ==, so 1, 1.0 and True are one sub-stream
+        # in one process; the router must not split them over workers
+        events = make_mixed_numeric_stream()
+        expected = single_process_records(TYPE_QUERY, events)
+
+        runtime = ShardedRuntime(workers=workers, lateness=LATENESS, ship_interval=7)
+        runtime.register(TYPE_QUERY, name="q")
+        records = runtime.run(events)
+
         assert canonical(records) == canonical(expected)
 
     def test_byte_identical_records_at_ship_interval_one(self):
@@ -213,6 +255,202 @@ class TestParity:
         for stats in runtime.shard_stats:
             assert stats.as_dict()["events_sent"] == stats.events_sent
         assert "workers=2" in repr(runtime)
+
+
+def sharded_results(query, events, workers):
+    """Group results of ``query`` over in-order ``events`` on ``workers``."""
+    runtime = ShardedRuntime(workers=workers, lateness=0.0)
+    runtime.register(query, name="q")
+    return group_results(runtime.run(events)), runtime
+
+
+@pytest.fixture(scope="module")
+def stock_stream():
+    return list(generate_stock_stream(StockConfig(event_count=600, seed=41)))
+
+
+@pytest.fixture(scope="module")
+def transportation_stream():
+    return list(
+        generate_transportation_stream(TransportationConfig(event_count=600, seed=42))
+    )
+
+
+class TestDatasetParity:
+    """The paper's partitioned workloads: sharded == sequential batch run."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_stock_query_any_semantics(self, stock_stream, workers):
+        query = stock_trend_query(window=None)
+        sequential = CograEngine(query).run(stock_stream)
+        sharded, _ = sharded_results(query, stock_stream, workers)
+        assert_results_equal(sequential, sharded)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_transportation_query_next_semantics(self, transportation_stream, workers):
+        query = transportation_query(semantics="skip-till-next-match", window=None)
+        sequential = CograEngine(query).run(transportation_stream)
+        sharded, _ = sharded_results(query, transportation_stream, workers)
+        assert_results_equal(sequential, sharded)
+
+    def test_healthcare_query_with_sliding_window(self):
+        stream = list(
+            generate_physical_activity_stream(
+                PhysicalActivityConfig(event_count=400, seed=43)
+            )
+        )
+        query = healthcare_query(semantics="contiguous")
+        sequential = CograEngine(query).run(stream)
+        sharded, _ = sharded_results(query, stream, 4)
+        assert sequential
+        assert_results_equal(sequential, sharded)
+
+    def test_results_are_deterministically_ordered(self, stock_stream):
+        query = stock_trend_query(window=None)
+        first, _ = sharded_results(query, stock_stream, 4)
+        second, _ = sharded_results(query, stock_stream, 2)
+        assert [r.group for r in first] == [r.group for r in second]
+        assert [r.window_id for r in first] == [r.window_id for r in second]
+
+    def test_shard_stats_cover_every_partition(self, stock_stream):
+        query = stock_trend_query(window=None)
+        _, runtime = sharded_results(query, stock_stream, 2)
+        assert runtime.shard_count == 2
+        sent = [stats.events_sent for stats in runtime.shard_stats]
+        assert sum(sent) == len(stock_stream)
+        assert all(count > 0 for count in sent), "19 companies span both workers"
+
+    def test_empty_stream_returns_no_results(self):
+        results, runtime = sharded_results(stock_trend_query(window=None), [], 2)
+        assert results == []
+        assert sum(stats.events_sent for stats in runtime.shard_stats) == 0
+
+    def test_accepts_query_object_and_text_alike(self):
+        from_text, _ = sharded_results(TYPE_QUERY, make_stream(), 2)
+        from_object, _ = sharded_results(parse_query(TYPE_QUERY), make_stream(), 2)
+        assert from_text
+        assert_results_equal(from_text, from_object)
+
+
+class TestMixedNumericKeys:
+    """``1``, ``1.0`` and ``True`` are one group, whatever the topology."""
+
+    def test_alternating_int_and_float_key_is_one_group(self):
+        query = """
+        RETURN g, COUNT(*)
+        PATTERN SEQ(A+, B)
+        SEMANTICS skip-till-any-match
+        GROUP-BY g
+        """
+        events = [
+            Event("AAB"[index % 3], float(index), {"g": 1 if index % 2 else 1.0})
+            for index in range(40)
+        ]
+        batch = CograEngine(query).run(events)
+        assert len(batch) == 1
+        for workers in (2, 3):
+            sharded, runtime = sharded_results(query, events, workers)
+            assert len(sharded) == 1
+            assert sharded[0].trend_count == batch[0].trend_count
+            assert sorted(s.events_sent for s in runtime.shard_stats)[:-1] == [0] * (
+                workers - 1
+            ), "the one group's events must all reach one worker"
+
+    @pytest.mark.parametrize(
+        "query_text", [MIXED_QUERY, CONTIGUOUS_QUERY], ids=["mixed", "contiguous"]
+    )
+    def test_other_granularities_keep_one_owner(self, query_text):
+        events = make_mixed_numeric_stream(seed=23)
+        expected = single_process_records(query_text, events)
+
+        runtime = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=7)
+        runtime.register(query_text, name="q")
+        assert canonical(runtime.run(events)) == canonical(expected)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_multi_attribute_keys(self, workers):
+        query = """
+        RETURN g, h, COUNT(*), SUM(A.v)
+        PATTERN SEQ(A+, B)
+        SEMANTICS skip-till-any-match
+        GROUP-BY g, h
+        WITHIN 20 seconds SLIDE 10 seconds
+        """
+        rng = random.Random(31)
+        events = sort_events(
+            Event(
+                rng.choice("AB"),
+                rng.uniform(0.0, 60.0),
+                {
+                    "g": rng.choice(["x", "y"]),
+                    "h": rng.choice([0, 0.0, False, 1, 1.0, True, 3, 3.0]),
+                    "v": rng.randint(1, 9),
+                },
+            )
+            for _ in range(160)
+        )
+        expected = single_process_records(query, events)
+
+        runtime = ShardedRuntime(workers=workers, lateness=LATENESS)
+        runtime.register(query, name="q")
+        assert canonical(runtime.run(events)) == canonical(expected)
+
+    def test_jsonl_float_key_joins_the_int_group(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        lines = [
+            json.dumps({"type": "AAB"[index % 3], "time": float(index), "g": g, "v": 1})
+            for index, g in enumerate([1, 1.0] * 15)
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        events = list(JsonlFileSource(path))
+        assert {type(event.get("g")) for event in events} == {int, float}
+        expected = single_process_records(TYPE_QUERY, events, lateness=0.0)
+
+        runtime = ShardedRuntime(workers=2, lateness=0.0)
+        runtime.register(TYPE_QUERY, name="q")
+        assert canonical(runtime.run(events)) == canonical(expected)
+
+    def test_sharded_snapshot_restores_into_single_process(self):
+        events = make_mixed_numeric_stream(count=200, seed=9)
+        expected = single_process_records(TYPE_QUERY, events)
+        half = len(events) // 2
+
+        sharded = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)
+        sharded.register(TYPE_QUERY, name="q")
+        records = []
+        for event in events[:half]:
+            records.extend(sharded.process(event))
+        snapshot = json.loads(json.dumps(sharded.checkpoint()))
+        records.extend(sharded.drain_pending())
+        sharded.close()
+
+        single = StreamingRuntime(lateness=LATENESS)
+        single.register(TYPE_QUERY, name="q")
+        single.restore(snapshot)
+        for event in events[half:]:
+            records.extend(single.process(event))
+        records.extend(single.flush())
+        assert canonical(records) == canonical(expected)
+
+    def test_single_process_snapshot_restores_into_sharded(self):
+        events = make_mixed_numeric_stream(count=200, seed=11)
+        expected = single_process_records(TYPE_QUERY, events)
+        half = len(events) // 2
+
+        single = StreamingRuntime(lateness=LATENESS)
+        single.register(TYPE_QUERY, name="q")
+        records = []
+        for event in events[:half]:
+            records.extend(single.process(event))
+        snapshot = json.loads(json.dumps(single.checkpoint()))
+
+        sharded = ShardedRuntime(workers=4, lateness=LATENESS, ship_interval=5)
+        sharded.register(TYPE_QUERY, name="q")
+        sharded.restore(snapshot)
+        for event in events[half:]:
+            records.extend(sharded.process(event))
+        records.extend(sharded.flush())
+        assert canonical(records) == canonical(expected)
 
 
 class TestSingleShardFallback:
@@ -381,6 +619,31 @@ class TestCheckpoint:
             records.extend(sharded.process(event))
         records.extend(sharded.flush())
         assert_results_equal(group_results(records), group_results(expected))
+
+    def test_mixed_numeric_keys_restore_across_worker_counts(self):
+        # (1,), (1.0,) and (True,) are one group: the checkpoint splitter
+        # must re-home its aggregator to the worker the router sends the
+        # group's later events to, whichever form they carry
+        events = make_mixed_numeric_stream(count=200, seed=5)
+        expected = single_process_records(TYPE_QUERY, events)
+        half = len(events) // 2
+
+        first = ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=5)
+        first.register(TYPE_QUERY, name="q")
+        records = []
+        for event in events[:half]:
+            records.extend(first.process(event))
+        snapshot = json.loads(json.dumps(first.checkpoint()))
+        records.extend(first.drain_pending())
+        first.close()
+
+        resumed = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)
+        resumed.register(TYPE_QUERY, name="q")
+        resumed.restore(snapshot)
+        for event in events[half:]:
+            records.extend(resumed.process(event))
+        records.extend(resumed.flush())
+        assert canonical(records) == canonical(expected)
 
     def test_restore_rejects_wrong_version(self):
         runtime = ShardedRuntime(workers=2)
