@@ -15,7 +15,7 @@ Two ways out of the registry:
   machinery): a daemon accept loop answering every request with the
   rendered text.  It deliberately serves the **cached** snapshot rather
   than pulling from the runtime -- a live pull from another thread would
-  race the drive loop (and quiesce worker queues in sharded runs).
+  race the drive loop (and quiesce the workers in sharded runs).
 
 ``render_prometheus`` is a pure function from a registry snapshot to
 exposition text, usable on any snapshot (live, checkpointed, merged).

@@ -20,9 +20,9 @@ observations, same buckets).  Quantiles (p50/p95/p99) are estimated from the
 merged bucket counts by linear interpolation inside the bucket.
 
 Snapshots are JSON-safe dictionaries; they travel inside runtime
-checkpoints, over the worker ack queues, and out through the exporters.
-``restore`` and ``reset`` mutate children **in place** so references cached
-by instrumented code stay live across a checkpoint restore.
+checkpoints, over the worker acknowledgement pipes, and out through the
+exporters.  ``restore`` and ``reset`` mutate children **in place** so
+references cached by instrumented code stay live across a checkpoint restore.
 """
 
 from __future__ import annotations

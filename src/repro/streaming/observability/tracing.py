@@ -13,8 +13,8 @@ by trace id to reconstruct one event's journey through the runtime::
 The clock and the random source are injectable so tests are deterministic.
 Tracing is parent-side only in sharded runs: worker processes execute inside
 the parent's ``route`` span and report per-query latency through the metrics
-registry instead (shipping spans over the ack queues would put serialization
-on the hot path).
+registry instead (shipping spans over the acknowledgement pipes would put
+serialization on the hot path).
 """
 
 from __future__ import annotations

@@ -15,11 +15,22 @@ touching any other.  :class:`ShardedRuntime` is built on those two facts:
   :class:`~repro.streaming.runtime.StreamingRuntime` for the registered
   queries and consumes already-ordered, watermarked batches through
   :meth:`~repro.streaming.runtime.StreamingRuntime.process_ordered`;
-* emitted windows travel back over a result queue and are **merged in
-  watermark order**: batches are numbered (epochs) and an epoch's records
-  are released only once every earlier epoch is complete.  An
-  acknowledgement is whatever the operation of its epoch says it is --
+* emitted windows travel back over the worker's acknowledgement pipe and
+  are **merged in watermark order**: batches are numbered (epochs) and an
+  epoch's records are released only once every earlier epoch is complete.
+  An acknowledgement is whatever the operation of its epoch says it is --
   records for a batch, a payload filed per shard for everything else.
+
+**Transport**: each worker incarnation owns two one-way pipes, an inbox and
+an acknowledgement pipe, and holds the only copy of its ends of both.  The
+parent's main thread does all of its I/O -- no helper threads: it writes
+length-prefixed pickled frames on a non-blocking inbox (what does not fit
+waits in a per-shard backlog) and one ``poll`` loop over acknowledgement
+pipes, backlogged inboxes and process sentinels reads acknowledgements,
+drains backlogs and notices dead workers.  A worker killed mid-write ends
+in an end-of-file on its acknowledgement pipe, never in a read blocked on a
+truncated frame, and a full inbox never blocks the parent while that worker
+waits for its acknowledgements to be read.
 
 **One primitive moves state**: quiesce in-flight work behind the last
 shipped watermark, collect every worker's slice of the state, mutate the
@@ -81,9 +92,10 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import pickle
-import queue as _queue
-import threading
+import select
+import struct
 import time as _time
 import traceback
 import warnings
@@ -157,8 +169,16 @@ ACK_TIMEOUT_SECONDS = 120.0
 _REPLAY_OFFSET = 10
 _RECOVERY_RESTORE_EPOCH = -2
 
-#: sentinel the parent puts on an ack queue to stop its pump thread
-_PUMP_STOP = ("__stop__",)
+#: how long close() lets the workers finish before terminating them
+_STOP_SECONDS = 5.0
+
+
+def _frame(message) -> bytes:
+    """``message`` pickled behind the length header ``Connection.recv_bytes`` reads."""
+    body = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(body) > 0x7FFFFFFF:
+        return struct.pack("!iQ", -1, len(body)) + body
+    return struct.pack("!i", len(body)) + body
 
 
 def _encode_event_blob(events: List[Event]) -> bytes:
@@ -220,26 +240,6 @@ def _decode_record_blob(blob: bytes) -> List[EmissionRecord]:
     ]
 
 
-def _pump_acks(source, buffer) -> None:
-    """Move acknowledgements from one worker's queue into the shared buffer.
-
-    Runs as a parent-side daemon thread, one per worker incarnation.  If the
-    worker is SIGKILLed mid-write the final ``get`` blocks forever on the
-    truncated frame; the thread then simply never delivers again (daemon,
-    reaped at process exit) while everything it already moved stays usable.
-    """
-    while True:
-        try:
-            ack = source.get()
-        except (OSError, EOFError, ValueError, TypeError, AttributeError):
-            # teardown race: close() invalidates the connection (its handle
-            # becomes None) while this thread is blocked mid-read
-            return  # pragma: no cover - timing dependent
-        if ack == _PUMP_STOP:
-            return
-        buffer.put(ack)
-
-
 class _QuerySpec:
     """Everything a worker needs to register one query (picklable)."""
 
@@ -286,11 +286,12 @@ def _worker_loop(
 ) -> None:
     """Body of one worker process.
 
-    Consumes operation tuples from ``inbox`` until the ``None`` sentinel and
-    acknowledges every operation on ``outbox`` as ``("ok", epoch, shard,
+    Consumes pickled operation tuples from ``inbox`` (``recv_bytes``) until
+    the ``None`` sentinel and acknowledges every operation on ``outbox``
+    (``send_bytes``, one pickled tuple each) as ``("ok", epoch, shard,
     payload, processing_seconds)`` or ``("error", epoch, shard, traceback)``.
-    Takes plain queue-like objects so tests can run it synchronously in
-    process with pre-loaded :class:`queue.Queue` instances.
+    Takes the two connection ends as arguments so tests can run it
+    synchronously in process over pre-loaded pipes.
 
     The parent ships each wave's events as one pre-pickled blob
     (:func:`_encode_event_blob`) decoded here once per wave, and this worker
@@ -304,14 +305,21 @@ def _worker_loop(
     payloads carry the worker registry so the parent can merge the sharded
     metric view and restore it across recoveries.
     """
+
+    def reply(ack: tuple) -> None:
+        outbox.send_bytes(pickle.dumps(ack, protocol=pickle.HIGHEST_PROTOCOL))
+
     try:
         runtime = _build_worker_runtime(specs, Observability(count_results=False))
     except Exception:
-        outbox.put(("error", -1, shard, traceback.format_exc()))
+        reply(("error", -1, shard, traceback.format_exc()))
         return
-    outbox.put(("ok", -1, shard, "ready", 0.0))
+    reply(("ok", -1, shard, "ready", 0.0))
     while True:
-        message = inbox.get()
+        try:
+            message = pickle.loads(inbox.recv_bytes())
+        except EOFError:  # the parent is gone
+            break
         if message is None:
             break
         op, epoch = message[0], message[1]
@@ -324,7 +332,7 @@ def _worker_loop(
                 records = runtime.process_ordered(events, watermark)
                 if records:
                     records = _encode_record_blob(records)
-                outbox.put(
+                reply(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
                 )
             elif op == "flush":
@@ -338,7 +346,7 @@ def _worker_loop(
                 records.extend(runtime.flush())
                 if records:
                     records = _encode_record_blob(records)
-                outbox.put(
+                reply(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
                 )
             elif op == "checkpoint":
@@ -349,12 +357,12 @@ def _worker_loop(
                     },
                     "registry": runtime.observability.registry.snapshot(),
                 }
-                outbox.put(("ok", epoch, shard, payload, 0.0))
+                reply(("ok", epoch, shard, payload, 0.0))
             elif op == "metrics":
                 # a pure registry pull (no executor snapshot): the parent's
                 # registry_snapshot() merges these into the live view
                 payload = {"registry": runtime.observability.registry.snapshot()}
-                outbox.put(("ok", epoch, shard, payload, 0.0))
+                reply(("ok", epoch, shard, payload, 0.0))
             elif op == "restore":
                 executors = message[2]
                 for registered in runtime._queries:
@@ -382,7 +390,7 @@ def _worker_loop(
                     runtime.observability.registry.reset()
                 elif isinstance(registry_action, dict):
                     runtime.observability.registry.restore(registry_action)
-                outbox.put(("ok", epoch, shard, None, 0.0))
+                reply(("ok", epoch, shard, None, 0.0))
             elif op == "observe":
                 # raw replan statistics per query; the parent merges the
                 # shard views and decides centrally (repro.streaming.replan)
@@ -395,22 +403,37 @@ def _worker_loop(
                         for registered in runtime._queries
                     }
                 }
-                outbox.put(("ok", epoch, shard, payload, 0.0))
+                reply(("ok", epoch, shard, payload, 0.0))
             elif op == "replan":
                 # live granularity migration, parent-coordinated: arrives
                 # between shipped waves, so the local executor is quiescent
                 name, granularity = message[2], message[3]
                 migrate_engine(runtime._by_name[name].engine, granularity)
-                outbox.put(
+                reply(
                     ("ok", epoch, shard, None, _time.perf_counter() - started)
                 )
             else:
                 raise ValueError(f"unknown worker operation {op!r}")
         except Exception:
-            outbox.put(("error", epoch, shard, traceback.format_exc()))
+            reply(("error", epoch, shard, traceback.format_exc()))
             # the runtime state after a failed operation is unknown; stop
             # consuming so the parent sees the shard as failed, not stuck
             break
+
+
+def _worker_main(
+    shard: int, specs: List[_QuerySpec], inbox, outbox, parent_ends
+) -> None:
+    """Entry point of a worker process: :func:`_worker_loop` on its pipe ends.
+
+    A forked worker also inherits the parent's ends of its two pipes.  It
+    closes them, so the parent is the only writer of its inbox and the only
+    reader of its acknowledgements: a worker whose parent died reads
+    end-of-file and stops instead of waiting on its inbox for good.
+    """
+    for end in parent_ends:
+        end.close()
+    _worker_loop(shard, specs, inbox, outbox)
 
 
 class _Epoch:
@@ -449,8 +472,8 @@ class ShardedRuntime(PipelineDriver):
         single-process run (record *order* within a wave is canonical --
         window, then group, then query -- so multi-query jobs may
         interleave differently), at the price of one IPC round per event;
-        larger values amortise the queue overhead and only delay *when*
-        windows are emitted, never *what* is emitted.
+        larger values amortise the per-wave pipe overhead and only delay
+        *when* windows are emitted, never *what* is emitted.
     max_batch:
         Hard outbox bound: a shard's pending events are shipped once they
         reach this size even when ``ship_interval`` has not elapsed.
@@ -575,18 +598,21 @@ class ShardedRuntime(PipelineDriver):
         )
 
         self._procs: List = []
+        #: per worker incarnation, the parent's ends of its two one-way
+        #: pipes: the inbox writer (non-blocking; frames that do not fit
+        #: wait in the shard's backlog) and the acknowledgement reader.  The
+        #: worker holds the only other ends, so its death -- even mid-write
+        #: -- is an end-of-file here; recovery opens fresh pipes
         self._inboxes: List = []
-        #: one acknowledgement queue PER worker incarnation, each drained by
-        #: a parent-side pump thread into :attr:`_ack_buffer`.  The parent
-        #: never reads a worker pipe directly: a SIGKILL can land mid-write
-        #: and leave a truncated frame that blocks ``recv`` forever -- with
-        #: this layout only the (daemon) pump thread of the dead incarnation
-        #: wedges, every fully-delivered ack is already in the buffer, and
-        #: recovery simply attaches a fresh queue + pump for the replacement
-        self._ack_queues: List = []
-        #: the pump thread of each current ack queue, joined by close()
-        self._pumps: List[threading.Thread] = []
-        self._ack_buffer: "_queue.Queue" = _queue.Queue()
+        self._acks: List = []
+        self._backlogs: List[bytearray] = []
+        #: the one I/O loop's poll set: acknowledgement readers and process
+        #: sentinels always, inbox writers while their backlog is non-empty
+        self._poller = select.poll()
+        #: polled descriptor -> shard, readers (ack pipes, sentinels) and
+        #: inbox writers apart
+        self._reader_fds: Dict[int, int] = {}
+        self._writer_fds: Dict[int, int] = {}
         self._started = False
         self._flushed = False
         self._poisoned = False
@@ -712,10 +738,6 @@ class ShardedRuntime(PipelineDriver):
             raise RuntimeError("no queries are registered with this runtime")
         self.shard_count = self._resolve_shard_count()
         self._routing_plan = self._engines[self._specs[0].name].plan
-        self._ack_buffer = _queue.Queue()
-        self._ack_queues = [self._context.Queue() for _ in range(self.shard_count)]
-        self._pumps = [self._start_pump(queue) for queue in self._ack_queues]
-        self._inboxes = [self._context.Queue() for _ in range(self.shard_count)]
         self._outboxes = [[] for _ in range(self.shard_count)]
         self.shard_stats = [ShardStats() for _ in range(self.shard_count)]
         self._shard_instruments = [
@@ -728,7 +750,12 @@ class ShardedRuntime(PipelineDriver):
         self._slot_loads = [0] * self._router.slots
         self._events_since_rebalance_check = 0
         self._shipped_watermark = -math.inf
-        self._procs = [self._spawn(shard) for shard in range(self.shard_count)]
+        self._procs = [None] * self.shard_count
+        self._inboxes = [None] * self.shard_count
+        self._acks = [None] * self.shard_count
+        self._backlogs = [bytearray() for _ in range(self.shard_count)]
+        for shard in range(self.shard_count):
+            self._spawn(shard)
         self._started = True
         ready = set()
         while len(ready) < self.shard_count:
@@ -739,30 +766,51 @@ class ShardedRuntime(PipelineDriver):
                 )
             ready.add(ack[2])
 
-    def _spawn(self, shard: int):
-        """Start ``shard``'s worker process on the shard's current queues."""
+    def _spawn(self, shard: int) -> None:
+        """Start ``shard``'s worker process on two fresh one-way pipes."""
+        inbox_reader, inbox = self._context.Pipe(duplex=False)
+        acks, ack_writer = self._context.Pipe(duplex=False)
         restarts = self.restart_counts[shard]
         proc = self._context.Process(
-            target=_worker_loop,
-            args=(
-                shard,
-                self._specs,
-                self._inboxes[shard],
-                self._ack_queues[shard],
-            ),
+            target=_worker_main,
+            args=(shard, self._specs, inbox_reader, ack_writer, (inbox, acks)),
             daemon=True,
             name=f"cogra-shard-{shard}" + (f"-r{restarts}" if restarts else ""),
         )
         proc.start()
-        return proc
+        # the worker now holds the only copies of its ends, so its exit --
+        # even halfway through writing a frame -- ends ``acks``
+        inbox_reader.close()
+        ack_writer.close()
+        os.set_blocking(inbox.fileno(), False)
+        self._procs[shard] = proc
+        self._inboxes[shard] = inbox
+        self._acks[shard] = acks
+        self._backlogs[shard] = bytearray()
+        for fd in (acks.fileno(), proc.sentinel):
+            self._reader_fds[fd] = shard
+            self._poller.register(fd, select.POLLIN)
+        self._writer_fds[inbox.fileno()] = shard
 
-    def _start_pump(self, ack_queue) -> threading.Thread:
-        """Start the daemon thread moving ``ack_queue`` into the ack buffer."""
-        pump = threading.Thread(
-            target=_pump_acks, args=(ack_queue, self._ack_buffer), daemon=True
-        )
-        pump.start()
-        return pump
+    def _close_pipes(self, shard: int) -> None:
+        """Stop polling ``shard``'s pipes and close the parent's ends (idempotent).
+
+        Unsent backlog goes with them: a worker is only abandoned when it
+        is dead or stopping.
+        """
+        acks, inbox = self._acks[shard], self._inboxes[shard]
+        if acks is None:
+            return
+        for fd in (acks.fileno(), self._procs[shard].sentinel):
+            del self._reader_fds[fd]
+            self._poller.unregister(fd)
+        if self._backlogs[shard]:
+            self._poller.unregister(inbox.fileno())
+            self._backlogs[shard] = bytearray()
+        del self._writer_fds[inbox.fileno()]
+        acks.close()
+        inbox.close()
+        self._acks[shard] = self._inboxes[shard] = None
 
     def close(self) -> None:
         """Stop the worker processes (idempotent).
@@ -775,42 +823,26 @@ class ShardedRuntime(PipelineDriver):
             self._started = True  # a closed runtime must not restart lazily
             self._poisoned = True
             return
-        for inbox in self._inboxes:
-            try:
-                inbox.put(None)
-            except (OSError, ValueError):  # pragma: no cover - teardown race
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
+        for shard, inbox in enumerate(self._inboxes):
+            if inbox is not None:
+                self._send(shard, None)
+        # deliver the stop sentinels, dropping whatever the workers still
+        # acknowledge, until every acknowledgement pipe has ended
+        deadline = _time.monotonic() + _STOP_SECONDS
+        while self._reader_fds and _time.monotonic() < deadline:
+            ack = self._poll_io(deadline - _time.monotonic())
+            if ack is not None and ack[0] == "exit":
+                self._close_pipes(ack[2])
+        for shard, proc in enumerate(self._procs):
+            proc.join(timeout=max(deadline - _time.monotonic(), 1.0))
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
                 proc.join(timeout=5.0)
-        for ack_queue in self._ack_queues:
-            try:
-                ack_queue.put(_PUMP_STOP)  # releases the pump thread
-            except (OSError, ValueError):  # pragma: no cover - teardown race
-                pass
-        for pump in self._pumps:
-            # a pump still reading when its queue's descriptors are closed
-            # (by the queue's feeder thread, some time after close()) can
-            # read from whatever pipe reuses the number -- the next
-            # runtime's ready handshake, which then never arrives.  A pump
-            # whose worker was killed mid-write never sees the stop
-            # sentinel; it stays blocked on the old pipe and is left behind
-            pump.join(timeout=1.0)
-        for q in self._inboxes + self._ack_queues:
-            try:
-                # never let interpreter exit join these queues' feeder
-                # threads: a consumer that died (crashed worker, wedged
-                # pump) leaves the pipe full and the feeder blocked forever
-                q.cancel_join_thread()
-                q.close()
-            except (OSError, ValueError):  # pragma: no cover - teardown race
-                pass
+            self._close_pipes(shard)
         self._procs = []
         self._inboxes = []
-        self._ack_queues = []
-        self._pumps = []
+        self._acks = []
+        self._backlogs = []
 
     def __enter__(self) -> "ShardedRuntime":
         return self
@@ -820,12 +852,9 @@ class ShardedRuntime(PipelineDriver):
 
     def __del__(self):  # pragma: no cover - GC timing dependent
         try:
-            if self._procs:
-                for proc in self._procs:
-                    if proc.is_alive():
-                        proc.terminate()
-            for q in self._inboxes + self._ack_queues:
-                q.cancel_join_thread()
+            for proc in self._procs:
+                if proc.is_alive():
+                    proc.terminate()
         except Exception:
             pass
 
@@ -837,16 +866,84 @@ class ShardedRuntime(PipelineDriver):
         self.close()
         raise error
 
-    def _read_ack(self, timeout: float):
-        """One raw acknowledgement: held-back specials first, then the buffer.
+    def _send(self, shard: int, message) -> None:
+        """Frame ``message`` onto ``shard``'s inbox without ever blocking.
 
-        Raises :class:`queue.Empty` when nothing arrives within ``timeout``.
+        What the pipe does not take now waits in the shard's backlog, which
+        :meth:`_poll_io` writes out as the worker drains its inbox.
+        """
+        backlog = self._backlogs[shard]
+        if backlog:
+            backlog += _frame(message)
+            return
+        frame = _frame(message)
+        fd = self._inboxes[shard].fileno()
+        try:
+            written = os.write(fd, frame)
+        except BlockingIOError:
+            written = 0
+        except BrokenPipeError:  # the worker is gone; the ack pipe says so
+            return
+        if written < len(frame):
+            backlog += memoryview(frame)[written:]
+            self._poller.register(fd, select.POLLOUT)
+
+    def _flush(self, shard: int) -> None:
+        """Write as much of ``shard``'s backlog as its inbox takes now."""
+        backlog = self._backlogs[shard]
+        fd = self._inboxes[shard].fileno()
+        try:
+            del backlog[: os.write(fd, backlog)]
+        except BlockingIOError:
+            return
+        except BrokenPipeError:  # the worker is gone; the ack pipe says so
+            backlog.clear()
+        if not backlog:
+            self._poller.unregister(fd)
+
+    def _poll_io(self, timeout: float) -> Optional[tuple]:
+        """The parent's one I/O loop, run until an acknowledgement arrives.
+
+        Writes backlogged frames as the workers drain their inboxes and
+        returns the first acknowledgement read -- ``("exit", None, shard)``
+        when a worker's acknowledgement pipe has ended -- or ``None`` once
+        ``timeout`` seconds passed without one.
+        """
+        deadline = _time.monotonic() + timeout
+        while True:
+            wait_ms = max(deadline - _time.monotonic(), 0.0) * 1000.0
+            reader = None
+            for fd, _ in self._poller.poll(wait_ms):
+                if fd in self._writer_fds:
+                    self._flush(self._writer_fds[fd])
+                elif reader is None:
+                    reader = fd
+            if reader is not None:
+                return self._recv_ack(reader)
+            if _time.monotonic() >= deadline:
+                return None
+
+    def _recv_ack(self, fd: int) -> tuple:
+        """One acknowledgement of the shard whose ack pipe or sentinel is ``fd``."""
+        shard = self._reader_fds[fd]
+        acks = self._acks[shard]
+        # a fired sentinel means the worker exited; its pipe may still hold
+        # complete acknowledgements, read before the exit is reported
+        if fd == acks.fileno() or acks.poll():
+            try:
+                return pickle.loads(acks.recv_bytes())
+            except (EOFError, OSError):  # ended, possibly halfway into a frame
+                pass
+        return ("exit", None, shard)
+
+    def _read_ack(self, timeout: float) -> Optional[tuple]:
+        """One raw acknowledgement: held-back specials first, then the pipes.
+
+        ``None`` when nothing arrives within ``timeout`` seconds.
         """
         if self._held_acks:
             return self._held_acks.pop(0)
-        if timeout <= 0.0:
-            return self._ack_buffer.get_nowait()
-        return self._ack_buffer.get(timeout=timeout)
+        return self._poll_io(timeout)
 
     def _handle_failure(
         self, message: str, shard: Optional[int], exitcode=None
@@ -865,58 +962,38 @@ class ShardedRuntime(PipelineDriver):
     def _handle_exit(self, shard: int, when: str) -> None:
         """Route the failure of a worker process found dead."""
         proc = self._procs[shard]
+        proc.join(timeout=1.0)  # its pipe has ended: the exit code is due
         self._handle_failure(
             f"shard {shard} (pid {proc.pid}) exited with code {proc.exitcode} {when}",
             shard,
             exitcode=proc.exitcode,
         )
 
-    def _poll_ack(self, timeout: float):
-        """One acknowledgement, with a worker's error report routed away.
+    def _next_ack(self, when: str = "while work was in flight", block: bool = True):
+        """The next acknowledgement of live work, failures routed away.
 
-        Raises :class:`queue.Empty` like :meth:`_read_ack`.  An ``error``
-        acknowledgement goes through :meth:`_handle_failure` -- the shard
-        is recovered in place or the run aborts -- and ``None`` comes back
-        in its stead.
+        A worker that reports an error or whose pipe ends is recovered in
+        place (respawn + restore + replay, see :meth:`_recover`) and the
+        wait starts over, or -- beyond ``max_restarts`` -- the run aborts
+        with :class:`WorkerCrashError`.  Without ``block``, ``None`` when
+        nothing is ready; a blocking wait fails after
+        ``ACK_TIMEOUT_SECONDS`` without any acknowledgement.
         """
-        ack = self._read_ack(timeout)
-        if ack[0] == "error":
-            self._handle_failure(
-                f"shard {ack[2]} failed:\n{ack[3]}", ack[2], exitcode=None
-            )
-            return None
-        return ack
-
-    def _next_ack(self, watch: Optional[int] = None, when="while work was in flight"):
-        """Blocking read of one acknowledgement, with crash detection.
-
-        A dead or failing worker is either recovered in place (respawn +
-        restore + replay, see :meth:`_recover`) or, beyond
-        ``max_restarts``, surfaces as :class:`WorkerCrashError`.  ``watch``
-        narrows the liveness check to one shard (the waits of its own
-        recovery, where its death is fatal).
-        """
-        deadline = _time.monotonic() + ACK_TIMEOUT_SECONDS
-        watched = range(len(self._procs)) if watch is None else (watch,)
         while True:
-            try:
-                ack = self._poll_ack(timeout=0.2)
-            except _queue.Empty:
-                dead = [s for s in watched if not self._procs[s].is_alive()]
-                if not dead:
-                    if _time.monotonic() > deadline:  # pragma: no cover - hang guard
-                        self._fail(
-                            f"no worker acknowledgement within "
-                            f"{ACK_TIMEOUT_SECONDS:g}s {when}",
-                            watch,
-                        )
-                    continue
-                self._handle_exit(dead[0], when)
-                ack = None
-            if ack is None:  # a shard was recovered: the wait starts over
-                deadline = _time.monotonic() + ACK_TIMEOUT_SECONDS
-                continue
-            return ack
+            ack = self._read_ack(ACK_TIMEOUT_SECONDS if block else 0.0)
+            if ack is None:
+                if not block:
+                    return None
+                self._fail(  # pragma: no cover - hang guard
+                    f"no worker acknowledgement within {ACK_TIMEOUT_SECONDS:g}s {when}",
+                    None,
+                )
+            if ack[0] == "ok":
+                return ack
+            if ack[0] == "error":
+                self._handle_failure(f"shard {ack[2]} failed:\n{ack[3]}", ack[2])
+            else:
+                self._handle_exit(ack[2], when)
 
     def _apply_ack(self, ack) -> None:
         """Fold one acknowledgement into the epoch it answers.
@@ -989,24 +1066,12 @@ class ShardedRuntime(PipelineDriver):
             if old.is_alive():  # reported an error but has not exited yet
                 old.terminate()
             old.join(timeout=5.0)
-            try:
-                # the dead worker will never drain this pipe; without the
-                # cancel, interpreter exit would join the queue's feeder
-                # thread, which can sit blocked on the full pipe forever
-                self._inboxes[shard].cancel_join_thread()
-                self._inboxes[shard].close()
-            except (OSError, ValueError):  # pragma: no cover - teardown race
-                pass
-            # abandon the dead incarnation's ack queue: its pump thread
-            # already moved every fully-delivered ack into the shared
-            # buffer, and a SIGKILL mid-write may have left a truncated
-            # frame that wedges any further read (only the daemon pump
-            # blocks on it).  Anything lost with the pipe is simply
-            # re-acknowledged by the replay and deduplicated.
-            self._inboxes[shard] = self._context.Queue()
-            self._ack_queues[shard] = self._context.Queue()
-            self._pumps[shard] = self._start_pump(self._ack_queues[shard])
-            self._procs[shard] = self._spawn(shard)
+            # abandon the dead incarnation's pipes: its unconsumed inbox is
+            # covered by the replay buffer, and an acknowledgement it left
+            # unread (or half-written) is re-acknowledged by the replay and
+            # deduplicated
+            self._close_pipes(shard)
+            self._spawn(shard)
             self._await_worker_ack(
                 shard, -1, f"ready handshake of restarted shard {shard}"
             )
@@ -1026,7 +1091,7 @@ class ShardedRuntime(PipelineDriver):
                 message = self._restore_message(
                     _RECOVERY_RESTORE_EPOCH, piece, watermark, piece["registry"]
                 )
-                self._inboxes[shard].put(message)
+                self._send(shard, message)
                 self._await_worker_ack(
                     shard,
                     _RECOVERY_RESTORE_EPOCH,
@@ -1034,7 +1099,7 @@ class ShardedRuntime(PipelineDriver):
                 )
             for message in self._replay[shard]:
                 replayed = (message[0], -(message[1] + _REPLAY_OFFSET)) + message[2:]
-                self._inboxes[shard].put(replayed)
+                self._send(shard, replayed)
             for epoch in sorted(self._inflight):
                 entry = self._inflight[epoch]
                 if shard not in entry.pending:
@@ -1045,7 +1110,7 @@ class ShardedRuntime(PipelineDriver):
                     # worker was built from the post-migration specs
                     entry.pending.discard(shard)
                 elif entry.op not in ("batch", "flush"):  # those were replayed
-                    self._inboxes[shard].put((entry.op, epoch))
+                    self._send(shard, (entry.op, epoch))
             self.recovery_log.append(
                 f"shard {shard} restarted "
                 f"({self.restart_counts[shard]}/{self.max_restarts}): {reason}"
@@ -1066,7 +1131,7 @@ class ShardedRuntime(PipelineDriver):
         stashed: List[tuple] = []
         try:
             while True:
-                ack = self._next_ack(shard, f"during recovery ({what})")
+                ack = self._next_ack(f"during recovery ({what})")
                 if ack[1] not in (-1, _RECOVERY_RESTORE_EPOCH):
                     self._apply_ack(ack)
                 elif ack[1] == sentinel and ack[2] == shard:
@@ -1115,15 +1180,10 @@ class ShardedRuntime(PipelineDriver):
             self._release_ready_epochs()
             if not self._inflight:
                 break
-            if block:
-                self._apply_ack(self._next_ack())
-            else:
-                try:
-                    ack = self._poll_ack(timeout=0.0)
-                except _queue.Empty:
-                    break
-                if ack is not None:
-                    self._apply_ack(ack)
+            ack = self._next_ack(block=block)
+            if ack is None:
+                break
+            self._apply_ack(ack)
         self._release_ready_epochs()
 
     def _ship(self, op: str, shards: Iterable[int], payloads=None) -> int:
@@ -1136,9 +1196,9 @@ class ShardedRuntime(PipelineDriver):
             if not self._procs[shard].is_alive():
                 self._handle_exit(shard, f"before epoch {epoch} could be sent")
             message = payloads[shard] if payloads is not None else (op, epoch)
-            self._inboxes[shard].put(message)
+            self._send(shard, message)
             # recovery replays everything shipped since the last checkpoint;
-            # recording after the put keeps "recorded" = "needs replay"
+            # recording after the send keeps "recorded" = "needs replay"
             if self.max_restarts and message[0] in ("batch", "flush"):
                 self._replay[shard].append(message)
         return epoch
@@ -1550,8 +1610,7 @@ class ShardedRuntime(PipelineDriver):
         end of :meth:`flush`.  Shipping decisions (``ship_interval``,
         ``max_batch``, backpressure) happen per push, so wave boundaries and
         watermark stamps never depend on the slicing; acknowledgements are
-        drained once per slice, so the parent does not serialise on the
-        ack-buffer lock between consecutive pushes.
+        drained once per slice, not between consecutive pushes.
         """
         self._check_usable()
         if not self._started:

@@ -43,7 +43,7 @@ class TestEvent:
             Event("Stock", time)
 
     def test_pickle_roundtrip_preserves_immutability(self):
-        # events travel to sharded-runtime workers over queues; the default
+        # events travel to sharded-runtime workers pickled; the default
         # slot unpickling would trip the immutability guard
         import pickle
 

@@ -7,10 +7,20 @@ topology independent (they restore across worker counts and into the
 single-process runtime, and vice versa).
 """
 
+import contextlib
 import json
 import math
-import queue
+import multiprocessing
+import os
+import pickle
 import random
+import signal
+import struct
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +46,7 @@ from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.streaming.ingest import PunctuationWatermark
 from repro.streaming.runtime import StreamingRuntime, group_results
+from repro.streaming import sharded
 from repro.streaming.sources import JsonlFileSource
 from repro.streaming.sharded import (
     ShardedRuntime,
@@ -716,70 +727,276 @@ class TestCrashDetection:
             runtime._drain_acks(block=True)
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang into a test failure after ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _TearingPipes:
+    """A worker's pipe ends; the worker dies halfway into its flush ack frame.
+
+    The parent is then blocked reading that frame: nothing else is left to
+    ship, so only the end of the pipe can tell it the worker is gone.
+    """
+
+    def __init__(self, inbox, outbox):
+        self._inbox = inbox
+        self._outbox = outbox
+        self._op = None
+
+    def recv_bytes(self):
+        body = self._inbox.recv_bytes()
+        message = pickle.loads(body)
+        self._op = message and message[0]
+        return body
+
+    def send_bytes(self, body):
+        if self._op == "flush":
+            frame = struct.pack("!i", len(body)) + body
+            os.write(self._outbox.fileno(), frame[: 4 + len(body) // 2])
+            os._exit(9)
+        self._outbox.send_bytes(body)
+
+
+def _tearing_worker_loop(shard, specs, inbox, outbox):
+    """The worker body, except that shard 1's first incarnation tears a frame."""
+    if multiprocessing.current_process().name == "cogra-shard-1":
+        inbox = outbox = _TearingPipes(inbox, outbox)
+    _worker_loop(shard, specs, inbox, outbox)
+
+
+class TestPipeTransport:
+    """The parent talks to its workers over plain pipes from its own thread."""
+
+    def test_acks_larger_than_a_pipe_buffer_do_not_deadlock(self, monkeypatch):
+        # one tumbling window over 3,000 groups closes at t=11: each worker's
+        # ack of that wave carries ~1,500 records, while up to 64 waves of
+        # one 2 KiB event each wait in its inbox
+        query = """
+        RETURN g, COUNT(*)
+        PATTERN SEQ(A+, B)
+        SEMANTICS skip-till-any-match
+        GROUP-BY g
+        WITHIN 10 seconds SLIDE 10 seconds
+        """
+        pad = "x" * 2048
+        groups = 3000
+        events = sort_events(
+            [Event("A", 1.0 + g * 1e-4, {"g": g, "pad": pad}) for g in range(groups)]
+            + [Event("B", 2.0 + g * 1e-4, {"g": g, "pad": pad}) for g in range(groups)]
+            + [Event("A", 11.0 + i * 0.01, {"g": i, "pad": pad}) for i in range(200)]
+        )
+        expected = single_process_records(query, events, lateness=0.0)
+        blob_sizes = []
+
+        def decode(blob):
+            blob_sizes.append(len(blob))
+            return _decode_record_blob(blob)
+
+        monkeypatch.setattr(sharded, "_decode_record_blob", decode)
+        runtime = ShardedRuntime(
+            workers=2, lateness=0.0, ship_interval=1, max_inflight=64
+        )
+        runtime.register(query, name="q")
+        with deadline(120):
+            records = runtime.run(events)
+        assert max(blob_sizes) > 64 * 1024
+        assert canonical(records) == canonical(expected)
+
+    @pytest.mark.parametrize("max_restarts", [1, 0])
+    def test_worker_dying_halfway_into_an_ack_frame(self, monkeypatch, max_restarts):
+        shuffled = bounded_shuffle(make_stream(), LATENESS)
+
+        def run():
+            runtime = ShardedRuntime(
+                workers=2, lateness=LATENESS, ship_interval=4, max_restarts=max_restarts
+            )
+            runtime.register(TYPE_QUERY, name="q")
+            return runtime, runtime.run(shuffled)
+
+        _, uncrashed = run()
+        monkeypatch.setattr(sharded, "_worker_loop", _tearing_worker_loop)
+        with deadline(60):
+            if max_restarts == 0:
+                with pytest.raises(WorkerCrashError) as excinfo:
+                    run()
+                assert excinfo.value.shard == 1
+                return
+            runtime, records = run()
+        assert runtime.restart_counts == [0, 1]
+        assert [r.as_dict() for r in records] == [r.as_dict() for r in uncrashed]
+
+    def test_no_helper_threads(self):
+        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        before = threading.active_count()
+        runtime = ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=4)
+        runtime.register(TYPE_QUERY, name="q")
+        records = runtime.process_batch(shuffled[:100])
+        assert threading.active_count() == before
+        records += runtime.process_batch(shuffled[100:])
+        records += runtime.flush()
+        runtime.close()
+        assert threading.active_count() == before
+        assert canonical(records) == canonical(
+            single_process_records(TYPE_QUERY, shuffled)
+        )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_fifty_cycles_leave_the_descriptor_count_flat(self):
+        events = make_stream(count=60)
+
+        def cycle():
+            runtime = ShardedRuntime(workers=2, lateness=LATENESS)
+            runtime.register(TYPE_QUERY, name="q")
+            runtime.run(events)
+            runtime.close()
+
+        cycle()
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(50):
+            cycle()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_workers_of_a_killed_parent_exit(self):
+        script = (
+            "import sys, time\n"
+            "from repro.events.event import Event\n"
+            "from repro.streaming.sharded import ShardedRuntime\n"
+            "runtime = ShardedRuntime(workers=2)\n"
+            "runtime.register(sys.argv[1], name='q')\n"
+            "runtime.process(Event('A', 1.0, {'g': 'x', 'v': 1}))\n"
+            "print(*(proc.pid for proc in runtime._procs), flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, TYPE_QUERY],
+            env=env,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        workers = [int(pid) for pid in parent.stdout.readline().split()]
+        parent.stdout.close()
+        parent.kill()
+        parent.wait(timeout=10)
+
+        def running(pid):
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except OSError:
+                return False
+            return state != "Z"
+
+        give_up = time.monotonic() + 10.0
+        while any(map(running, workers)) and time.monotonic() < give_up:
+            time.sleep(0.02)
+        orphans = [pid for pid in workers if running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+        assert len(workers) == 2 and not orphans
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+    )
+    def test_spawn_start_method_matches_fork(self):
+        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        rows = {}
+        for method in ("fork", "spawn"):
+            runtime = ShardedRuntime(
+                workers=2, lateness=LATENESS, ship_interval=7, start_method=method
+            )
+            runtime.register(TYPE_QUERY, name="q")
+            rows[method] = [record.as_dict() for record in runtime.run(shuffled)]
+        assert rows["spawn"] == rows["fork"]
+        assert rows["fork"]
+
+
 class TestWorkerLoopInProcess:
-    """The worker body run synchronously with plain queues."""
+    """The worker body run synchronously over pre-loaded pipes."""
 
     def _specs(self):
         return [_QuerySpec("q", parse_query(TYPE_QUERY, name="q"), None, False)]
 
+    def _run(self, specs, *messages):
+        """Run the worker loop over ``messages``; return its ack pipe's reader."""
+        inbox, inbox_writer = multiprocessing.Pipe(duplex=False)
+        acks, outbox = multiprocessing.Pipe(duplex=False)
+        for message in messages:
+            inbox_writer.send(message)
+        _worker_loop(0, specs, inbox, outbox)
+        return acks
+
     def test_batch_flush_cycle(self):
-        inbox, outbox = queue.Queue(), queue.Queue()
         events = [
             Event("A", 1.0, {"g": "x", "v": 2}),
             Event("B", 2.0, {"g": "x", "v": 1}, sequence=1),
         ]
-        inbox.put(("batch", 0, _encode_event_blob(events), None))
-        inbox.put(("flush", 1, []))
-        inbox.put(None)
-        _worker_loop(0, self._specs(), inbox, outbox)
+        acks = self._run(
+            self._specs(),
+            ("batch", 0, _encode_event_blob(events), None),
+            ("flush", 1, []),
+            None,
+        )
 
-        ready = outbox.get_nowait()
+        ready = acks.recv()
         assert ready == ("ok", -1, 0, "ready", 0.0)
-        ok, epoch, shard, records, _ = outbox.get_nowait()
+        ok, epoch, shard, records, _ = acks.recv()
         assert (ok, epoch, shard, records) == ("ok", 0, 0, [])
-        ok, epoch, shard, records, _ = outbox.get_nowait()
+        ok, epoch, shard, records, _ = acks.recv()
         assert (ok, epoch) == ("ok", 1)
         records = _decode_record_blob(records)
         assert [r.result.trend_count for r in records] == [1]
         assert all(math.isinf(r.watermark) for r in records)
 
     def test_checkpoint_and_restore_ops(self):
-        inbox, outbox = queue.Queue(), queue.Queue()
         wave = _encode_event_blob([Event("A", 1.0, {"g": "x", "v": 2})])
-        inbox.put(("batch", 0, wave, 0.5))
-        inbox.put(("checkpoint", 1))
-        inbox.put(None)
-        _worker_loop(0, self._specs(), inbox, outbox)
-        outbox.get_nowait()  # ready
-        outbox.get_nowait()  # batch ack
-        _, _, _, payload, _ = outbox.get_nowait()
+        acks = self._run(
+            self._specs(), ("batch", 0, wave, 0.5), ("checkpoint", 1), None
+        )
+        acks.recv()  # ready
+        acks.recv()  # batch ack
+        _, _, _, payload, _ = acks.recv()
         assert payload["executors"]["q"]["events_seen"] == 1
 
-        inbox2, outbox2 = queue.Queue(), queue.Queue()
-        inbox2.put(("restore", 0, payload["executors"]))
-        inbox2.put(("flush", 1, []))
-        inbox2.put(None)
-        _worker_loop(0, self._specs(), inbox2, outbox2)
-        outbox2.get_nowait()  # ready
-        assert outbox2.get_nowait()[:4] == ("ok", 0, 0, None)
-        ok, epoch, _, records, _ = outbox2.get_nowait()
+        acks = self._run(
+            self._specs(),
+            ("restore", 0, payload["executors"]),
+            ("flush", 1, []),
+            None,
+        )
+        acks.recv()  # ready
+        assert acks.recv()[:4] == ("ok", 0, 0, None)
+        ok, epoch, _, records, _ = acks.recv()
         assert (ok, epoch) == ("ok", 1)
         # the restored A at t=1 forms one (incomplete) trend: no B yet
         assert records == []
 
     def test_broken_spec_reports_error(self):
-        inbox, outbox = queue.Queue(), queue.Queue()
-        _worker_loop(0, [object()], inbox, outbox)
-        status, epoch, shard, text = outbox.get_nowait()
+        acks = self._run([object()])
+        status, epoch, shard, text = acks.recv()
         assert (status, epoch, shard) == ("error", -1, 0)
         assert "Traceback" in text
 
     def test_unknown_operation_reports_error_and_stops(self):
-        inbox, outbox = queue.Queue(), queue.Queue()
-        inbox.put(("warp", 0))
-        _worker_loop(0, self._specs(), inbox, outbox)
-        outbox.get_nowait()  # ready
-        status, epoch, _, text = outbox.get_nowait()
+        acks = self._run(self._specs(), ("warp", 0))
+        acks.recv()  # ready
+        status, epoch, _, text = acks.recv()
         assert (status, epoch) == ("error", 0)
         assert "unknown worker operation" in text
 

@@ -8,7 +8,6 @@ to an uninterrupted single-process run.
 """
 
 import os
-import queue
 import random
 import signal
 
@@ -344,7 +343,7 @@ class TestObserveDuringRecovery:
                     return answers[0]
                 if len(calls) == 2:
                     kill_worker(runtime, 1)
-                    raise queue.Empty  # the liveness check finds shard 1 dead
+                    return read_ack(timeout)  # shard 1's ended pipe reports it
                 if len(calls) == 3:
                     # read by the wait for shard 1's ready handshake
                     return answers[2]
