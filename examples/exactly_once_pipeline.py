@@ -173,7 +173,7 @@ def main() -> None:
             slow,
             backpressure=BackpressureConfig(poll_interval_seconds=0.0005),
         )
-        snapshot = runtime.metrics.registry.snapshot()
+        snapshot = runtime.registry_snapshot()
         waits = snapshot_value(snapshot, "cogra_backpressure_waits_total")
         fast_rows = expected.decode("utf-8").splitlines()
         assert len(slow.records) == len(fast_rows)

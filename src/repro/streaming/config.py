@@ -645,16 +645,11 @@ class LogSourceConfig(_Section):
     ``dir`` names the log directory (see
     :class:`~repro.streaming.sources.PartitionedLogSource`); consumer
     offsets are checkpointed with the runtime state, so ``--recover``
-    resumes from the committed offset without re-reading the prefix.
-    ``partitions`` and ``segment_records`` describe the layout a
-    :class:`~repro.streaming.sources.PartitionedLogWriter` should use when
-    tooling produces the log from this config; reading infers both from
-    the directory itself.
+    resumes from the committed offset without re-reading the prefix.  The
+    partition count and segment layout are read from the directory.
     """
 
     dir: Optional[str] = None
-    partitions: int = field(default=1, metadata={"min": 1})
-    segment_records: int = field(default=1024, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -665,8 +660,7 @@ class SourceConfig(_Section):
     file, ``tcp://HOST:PORT`` connects to a JSONL socket, ``log:DIR``
     reads a partitioned log directory, and anything else reads a static
     JSONL file (see :func:`~repro.streaming.sources.open_source`).  The
-    ``log`` section is the typed alternative to ``log:DIR`` and adds the
-    writer-side layout knobs.
+    ``log`` section is the typed alternative to ``log:DIR``.
     """
 
     spec: str = "-"

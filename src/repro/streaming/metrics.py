@@ -1,21 +1,26 @@
-"""Operational metrics of the streaming runtime.
+"""Operational metrics of the streaming runtime, as named views of one registry.
 
-:class:`StreamingMetrics` tracks the counters a production deployment would
-export: ingestion and emission throughput, per-event processing latency,
-watermark progress and lag, reorder-buffer occupancy and late-event
-accounting.  The counters live in a private
-:class:`~repro.streaming.observability.registry.MetricsRegistry` (so they
-render through the Prometheus/JSONL exporters like every other metric) but
-remain plain attributes of this class -- the public API and the checkpoint
-schema are unchanged by the registry refactor.  The wall-clock timers are
-intentionally *not* checkpointed (a restored runtime starts fresh
-throughput measurements).
+:class:`StreamingMetrics` is how the runtimes record and callers read a
+runtime's progress: ingestion and emission counts, watermark progress and
+lag, reorder-buffer occupancy, late-event accounting and the rebalance /
+replan / backpressure pauses.  It keeps no store of its own.  Every runtime
+family declared in :data:`RUNTIME_METRICS` lives in the runtime's
+:class:`~repro.streaming.observability.Observability` registry, next to the
+per-query, per-shard and lifecycle instruments, so the exporters, the
+checkpoints and the sharded merge all read one registry.  The pause totals
+are the ``cogra_lifecycle_seconds{op="rebalance"|"replan"}`` sums.
 
-The registry is **private to this instance** on purpose: in a sharded run
-every worker process owns a ``StreamingMetrics`` whose runtime counters
-would double count against the parent's if worker registries merged
-upward.  Only the separate per-query/per-shard observability registry
-merges across processes (see :mod:`repro.streaming.observability`).
+A sharded run counts each runtime family once, in the parent: its workers
+build their runtimes on ``Observability(count_results=False)``, whose
+runtime children are no-ops that read 0, so merging the worker registries
+into the parent's view adds nothing to these families.
+
+One rule covers restores: a registry value is cumulative across a restore,
+the counters, the pause and backpressure totals and the per-query
+instruments alike.  Only the rates (:meth:`~StreamingMetrics.throughput`,
+:meth:`~StreamingMetrics.mean_latency_ms`,
+:meth:`~StreamingMetrics.elapsed_seconds`) restart, because they divide by
+wall-clock time measured in this process.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ import math
 import time as _time
 from typing import Callable, Dict, Optional
 
-from repro.streaming.observability.registry import MetricsRegistry
+from repro.streaming.observability import Observability
 
-#: counter attribute -> (registry kind, metric name, help text)
-_COUNTER_METRICS = {
+#: attribute -> (registry kind, metric name, help text) of every runtime
+#: family, in report order
+RUNTIME_METRICS = {
     "events_ingested": (
         "counter",
         "cogra_events_ingested_total",
@@ -93,11 +99,32 @@ _COUNTER_METRICS = {
         "cogra_replan_migrations_total",
         "live granularity migrations performed by replans",
     ),
+    "backpressure_seconds": (
+        "counter",
+        "cogra_backpressure_seconds_total",
+        "wall-clock seconds ingestion paused on backpressure",
+    ),
+    "watermark": (
+        "gauge",
+        "cogra_watermark",
+        "current watermark (event-time units)",
+    ),
+    "watermark_lag": (
+        "gauge",
+        "cogra_watermark_lag",
+        "newest event time minus watermark (event-time units)",
+    ),
 }
+
+#: gauges created at the first finite watermark, so absent before it
+_WATERMARK_GAUGES = ("watermark", "watermark_lag")
+
+#: what :meth:`StreamingMetrics.snapshot` leaves to the registry
+_UNCHECKPOINTED = ("backpressure_seconds",) + _WATERMARK_GAUGES
 
 
 class StreamingMetrics:
-    """Counters and timers describing one streaming runtime's progress.
+    """Named views of one runtime's families in its observability registry.
 
     Parameters
     ----------
@@ -105,65 +132,32 @@ class StreamingMetrics:
         Monotonic-seconds callable behind :meth:`elapsed_seconds` and
         :meth:`throughput`.  Defaults to :func:`time.perf_counter`; tests
         inject a fake clock so wall-clock-derived metrics are deterministic.
-    registry:
-        Optional :class:`MetricsRegistry` to store the counters in.  By
-        default each instance creates its own (see the module docstring on
-        why the registry is not shared with the observability layer).
+    observability:
+        The :class:`~repro.streaming.observability.Observability` whose
+        registry holds the runtime families; the runtimes pass their own.
+        A fresh one by default.
     """
 
-    #: counter attributes included in snapshots (order is the report order);
-    #: see :attr:`TIMERS` for the wall-clock category that is excluded
-    COUNTERS = (
-        "events_ingested",
-        "events_released",
-        "events_buffered_peak",
-        "punctuations_seen",
-        "late_events_dropped",
-        "late_events_rerouted",
-        "results_emitted",
-        "rebalance_cycles",
-        "rebalance_slots_moved",
-        "rebalance_keys_moved",
-        "backpressure_waits",
-        "replan_cycles",
-        "replan_migrations",
-    )
-
-    #: timer attributes: wall-clock accumulations measured in THIS process.
-    #: Unlike :attr:`COUNTERS` they are deliberately NOT part of
-    #: :meth:`snapshot` -- a checkpoint restored elsewhere cannot continue
-    #: another process's wall-clock -- and :meth:`restore` resets them.
-    TIMERS = (
-        "rebalance_pause_seconds",
-        "replan_pause_seconds",
-        "backpressure_seconds",
+    #: the checkpointed counter attributes (:meth:`snapshot` keys), in
+    #: report order
+    COUNTERS = tuple(
+        attribute for attribute in RUNTIME_METRICS if attribute not in _UNCHECKPOINTED
     )
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
-        registry: Optional[MetricsRegistry] = None,
+        observability: Optional[Observability] = None,
     ) -> None:
         self._clock = _time.perf_counter if clock is None else clock
-        self.registry = MetricsRegistry() if registry is None else registry
-        children = {}
-        for attribute, (kind, name, help_text) in _COUNTER_METRICS.items():
-            family = getattr(self.registry, kind)(name, help_text)
-            children[attribute] = family.labels()
-        self._children = children
-        #: wall-clock seconds ingestion paused for shard migrations; a
-        #: timer (see :attr:`TIMERS`), so not part of checkpoints
-        self.rebalance_pause_seconds = 0.0
-        #: wall-clock seconds ingestion paused for granularity migrations;
-        #: a timer like rebalance_pause_seconds
-        self.replan_pause_seconds = 0.0
-        # backpressure_seconds is a timer like rebalance_pause_seconds but
-        # registry-backed so the exporters surface it next to the waits
-        # counter; the property below keeps plain attribute access working
-        self._backpressure_seconds = self.registry.counter(
-            "cogra_backpressure_seconds_total",
-            "wall-clock seconds ingestion paused on backpressure",
-        ).labels()
+        self._observability = observability or Observability()
+        self._children = {
+            attribute: self._child(attribute)
+            for attribute in RUNTIME_METRICS
+            if attribute not in _WATERMARK_GAUGES
+        }
+        #: (watermark, lag) children once the watermark is finite
+        self._watermark_gauges = None
         self.watermark: float = -math.inf
         self.max_event_time: float = -math.inf
         self._started_at: Optional[float] = None
@@ -173,6 +167,22 @@ class StreamingMetrics:
         # not lifetime totals carried over from the checkpoint
         self._rate_base_ingested = 0
         self._rate_base_released = 0
+
+    def _child(self, attribute: str):
+        kind, name, help_text = RUNTIME_METRICS[attribute]
+        return self._observability.runtime_child(kind, name, help_text)
+
+    def _sync_watermark_gauges(self) -> None:
+        """Mirror the watermark and its lag into the registry, once finite."""
+        if math.isinf(self.watermark):
+            return
+        gauges = self._watermark_gauges
+        if gauges is None:
+            gauges = self._watermark_gauges = tuple(
+                self._child(attribute) for attribute in _WATERMARK_GAUGES
+            )
+        gauges[0].set(self.watermark)
+        gauges[1].set(self.watermark_lag())
 
     # -- recording hooks (called by the runtime) -----------------------------
 
@@ -192,6 +202,7 @@ class StreamingMetrics:
         self._children["events_ingested"].inc(count)
         if max_event_time > self.max_event_time:
             self.max_event_time = max_event_time
+            self._sync_watermark_gauges()
         peak = self._children["events_buffered_peak"]
         if buffered_peak > peak.value:
             peak.set(buffered_peak)
@@ -204,6 +215,7 @@ class StreamingMetrics:
         """Record watermark progress."""
         if watermark > self.watermark:
             self.watermark = watermark
+            self._sync_watermark_gauges()
 
     def record_punctuation(self, count: int = 1) -> None:
         """Account for ``count`` punctuation (watermark-carrying) events."""
@@ -225,37 +237,28 @@ class StreamingMetrics:
         """Add wall-clock time spent inside executor hot paths."""
         self._processing_seconds += seconds
 
-    def record_rebalance(self, slots: int, keys: int, pause_seconds: float) -> None:
-        """Account one shard-rebalance cycle (slots and keys migrated)."""
+    def record_rebalance(self, slots: int, keys: int) -> None:
+        """Account one shard-rebalance cycle (slots and keys migrated).
+
+        Its pause is the runtime's ``rebalance`` lifecycle observation.
+        """
         self._children["rebalance_cycles"].inc()
         self._children["rebalance_slots_moved"].inc(slots)
         self._children["rebalance_keys_moved"].inc(keys)
-        self.rebalance_pause_seconds += pause_seconds
 
-    def record_replan(self, migrations: int, pause_seconds: float) -> None:
-        """Account one granularity replan check (and its migrations)."""
+    def record_replan(self, migrations: int) -> None:
+        """Account one granularity replan check (and its migrations).
+
+        Its pause is the runtime's ``replan`` lifecycle observation.
+        """
         self._children["replan_cycles"].inc()
         if migrations:
             self._children["replan_migrations"].inc(migrations)
-        self.replan_pause_seconds += pause_seconds
 
     def record_backpressure(self, seconds: float) -> None:
         """Account one ingestion pause waiting for downstream capacity."""
         self._children["backpressure_waits"].inc()
-        self._backpressure_seconds.inc(seconds)
-
-    @property
-    def backpressure_seconds(self) -> float:
-        """Wall-clock seconds ingestion spent paused on backpressure.
-
-        A timer (see :attr:`TIMERS`): measured in this process only,
-        excluded from checkpoints, reset by :meth:`restore`.
-        """
-        return float(self._backpressure_seconds.value)
-
-    @backpressure_seconds.setter
-    def backpressure_seconds(self, value: float) -> None:
-        self._backpressure_seconds.set(float(value))
+        self._children["backpressure_seconds"].inc(seconds)
 
     # -- derived metrics ------------------------------------------------------
 
@@ -263,6 +266,21 @@ class StreamingMetrics:
     def late_events(self) -> int:
         """Total late events, independent of the configured policy."""
         return self.late_events_dropped + self.late_events_rerouted
+
+    @property
+    def backpressure_seconds(self) -> float:
+        """Wall-clock seconds ingestion paused on backpressure."""
+        return self._children["backpressure_seconds"].value
+
+    @property
+    def rebalance_pause_seconds(self) -> float:
+        """Wall-clock seconds ingestion paused for shard migrations."""
+        return self._observability.lifecycle_seconds("rebalance")
+
+    @property
+    def replan_pause_seconds(self) -> float:
+        """Wall-clock seconds ingestion paused for granularity replans."""
+        return self._observability.lifecycle_seconds("replan")
 
     def watermark_lag(self) -> float:
         """Distance between the newest event seen and the watermark.
@@ -315,7 +333,7 @@ class StreamingMetrics:
     # -- snapshots -------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """Checkpointable counter state (:attr:`TIMERS` excluded on purpose)."""
+        """The checkpointed counters plus the watermark and newest event time."""
         state: Dict[str, object] = {name: getattr(self, name) for name in self.COUNTERS}
         state["watermark"] = None if math.isinf(self.watermark) else self.watermark
         state["max_event_time"] = (
@@ -324,60 +342,34 @@ class StreamingMetrics:
         return state
 
     def restore(self, state: Dict[str, object]) -> None:
-        """Restore the counters written by :meth:`snapshot`."""
+        """Restore the counters written by :meth:`snapshot`.
+
+        The runtimes call it after restoring the registry, so a checkpoint
+        whose registry lacks the runtime families still restores them.
+        """
         for name in self.COUNTERS:
-            setattr(self, name, int(state.get(name, 0)))
+            self._children[name].set(int(state.get(name, 0)))
         watermark = state.get("watermark")
         self.watermark = -math.inf if watermark is None else float(watermark)
         max_time = state.get("max_event_time")
         self.max_event_time = -math.inf if max_time is None else float(max_time)
-        # rate measurements start fresh: discard any timer state and anchor
-        # throughput/latency deltas at the restored counter values
+        self._sync_watermark_gauges()
+        # rate measurements start fresh: anchor throughput/latency deltas at
+        # the restored counter values
         self._started_at = None
         self._processing_seconds = 0.0
-        for name in self.TIMERS:
-            setattr(self, name, 0.0)
         self._rate_base_ingested = self.events_ingested
         self._rate_base_released = self.events_released
-
-    def registry_snapshot(self) -> dict:
-        """Registry view of the counters plus watermark gauges (if finite).
-
-        Used by the exporters; the watermark/lag gauges are added here at
-        snapshot time because ``-inf`` (their pre-first-event value) is not
-        JSON-representable.
-        """
-        snapshot = self.registry.snapshot()
-        families = snapshot["families"]
-        for name, help_text, value in (
-            ("cogra_watermark", "current watermark (event-time units)", self.watermark),
-            (
-                "cogra_watermark_lag",
-                "newest event time minus watermark (event-time units)",
-                self.watermark_lag(),
-            ),
-        ):
-            if math.isinf(value):
-                continue
-            families[name] = {
-                "kind": "gauge",
-                "help": help_text,
-                "labels": [],
-                "children": [{"labels": [], "value": value}],
-            }
-        return snapshot
 
     # -- reporting -------------------------------------------------------------
 
     def describe(self) -> str:
         """Readable multi-line metrics report (CLI ``--metrics``).
 
-        Counter lines mirror :meth:`snapshot`; the remaining lines are
-        derived from :attr:`TIMERS` and the process-local clock
-        (throughput, latency, rebalance pause) and therefore restart at a
-        checkpoint restore instead of carrying over.  The watermark lag is
-        reported in event-time units (see :meth:`watermark_lag`), not
-        wall-clock seconds.
+        Throughput and latency derive from the process-local clock and
+        restart at a checkpoint restore; every other line is cumulative
+        across it.  The watermark lag is reported in event-time units (see
+        :meth:`watermark_lag`), not wall-clock seconds.
         """
         watermark = "-" if math.isinf(self.watermark) else f"{self.watermark:g}"
         lines = [
@@ -414,12 +406,7 @@ class StreamingMetrics:
 
 
 def _counter_property(attribute: str) -> property:
-    """Expose a registry child as a plain integer attribute.
-
-    Keeps ``metrics.events_ingested`` (and ``+=``/``setattr`` on it, which
-    :meth:`StreamingMetrics.restore` relies on) working exactly as when the
-    counters were instance integers.
-    """
+    """Expose a checkpointed counter's child as a plain integer attribute."""
 
     def _get(self) -> int:
         return int(self._children[attribute].value)
@@ -427,8 +414,8 @@ def _counter_property(attribute: str) -> property:
     def _set(self, value) -> None:
         self._children[attribute].set(value)
 
-    kind, name, _ = _COUNTER_METRICS[attribute]
-    return property(_get, _set, doc=f"{kind} {name} (registry-backed)")
+    kind, name, _ = RUNTIME_METRICS[attribute]
+    return property(_get, _set, doc=f"{kind} {name}")
 
 
 for _attribute in StreamingMetrics.COUNTERS:

@@ -3,8 +3,10 @@
 :class:`Observability` is the per-runtime handle the streaming modules share.
 It owns
 
-* a :class:`~repro.streaming.observability.registry.MetricsRegistry` holding
-  the per-query / per-shard / lifecycle instruments, and
+* a :class:`~repro.streaming.observability.registry.MetricsRegistry`, the
+  runtime's one metrics store: the runtime families that
+  :class:`~repro.streaming.metrics.StreamingMetrics` names, and the
+  per-query / per-shard / lifecycle instruments, and
 * a :class:`~repro.streaming.observability.tracing.Tracer` for sampled
   lifecycle spans.
 
@@ -15,13 +17,11 @@ Instrumentation is always on; what it costs is measured like every other
 cost, by the benchmark of record (``perfbench/``), which always runs
 instrumented.
 
-:class:`StreamingMetrics` keeps its scalar runtime counters in a private
-registry of its own, while the ``Observability`` registry holds everything
-that must *merge across worker processes*: workers ship only their
-observability registries to the parent, which tracks the runtime-level
-counters itself, so nothing is counted twice.
-``StreamingRuntime.registry_snapshot()`` /
-``ShardedRuntime.registry_snapshot()`` merge the two for export.
+``StreamingRuntime.registry_snapshot()`` exports the registry as it is.
+``ShardedRuntime.registry_snapshot()`` merges the worker registries into
+the parent's; a worker counts events, matches and latency, while the
+parent alone counts results and the runtime families (see
+:class:`Observability`'s ``count_results``), so nothing is counted twice.
 """
 
 from __future__ import annotations
@@ -74,9 +74,11 @@ __all__ = [
 
 
 class _NoopChild:
-    """Stands in for a counter child when a series must not be counted."""
+    """Stands in for a counter or gauge child when a series must not be counted."""
 
     __slots__ = ()
+
+    value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         pass
@@ -86,6 +88,8 @@ class _NoopChild:
 
 
 _NOOP_CHILD = _NoopChild()
+
+_LIFECYCLE_SECONDS = "cogra_lifecycle_seconds"
 
 
 class QueryInstruments:
@@ -132,7 +136,8 @@ class Observability:
 
     ``count_results`` exists for worker processes: their emitted records
     ship to the parent (which counts them once, after replay deduplication),
-    so workers record events/matches/latency but not results.
+    and the parent ingests the stream, so workers record events/matches/
+    latency but neither results nor the runtime families (both read 0).
     """
 
     def __init__(
@@ -200,10 +205,35 @@ class Observability:
         ).labels(str(shard))
         return ShardInstruments(outbox_depth, ship_latency)
 
-    def operation_timer(self, name: str, help: str, **labels: str):
-        """Cached histogram child for a lifecycle operation duration."""
-        family = self.registry.histogram(name, help, tuple(labels))
-        return family.labels(*labels.values()) if labels else family.labels()
+    def runtime_child(self, kind: str, name: str, help: str):
+        """The unlabelled child of a runtime family (``counter`` or ``gauge``).
+
+        A no-op reading 0 without ``count_results``: a worker's runtime
+        families would count what its parent already counts.
+        """
+        if not self.count_results:
+            return _NOOP_CHILD
+        return getattr(self.registry, kind)(name, help).labels()
+
+    def lifecycle_timer(self, op: str):
+        """Cached ``cogra_lifecycle_seconds{op}`` child."""
+        return self.registry.histogram(
+            _LIFECYCLE_SECONDS,
+            "durations of checkpoint/restore/recovery/rebalance/replan operations",
+            ("op",),
+        ).labels(op)
+
+    def lifecycle_seconds(self, op: str) -> float:
+        """Total seconds :meth:`lifecycle_timer` recorded for ``op`` (0 if none).
+
+        Reads without creating the series, so asking leaves exports alone.
+        """
+        family = self.registry.get(_LIFECYCLE_SECONDS)
+        if family is not None:
+            for labels, child in family.children():
+                if labels == (op,):
+                    return child.sum
+        return 0.0
 
     # -- tracing shortcuts -------------------------------------------------
 

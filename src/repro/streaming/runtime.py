@@ -84,7 +84,6 @@ from repro.streaming.observability import (
     Observability,
     QueryInstruments,
     finalize_snapshot,
-    merge_snapshots,
 )
 from repro.streaming.sources import EventSource, Sink, as_source
 
@@ -118,12 +117,14 @@ class PipelineDriver:
 
     Subclasses provide the runtime interface the loop is written against:
     ``process_batch(events)`` / ``flush()`` / ``checkpoint()`` /
-    ``take_late_events()`` / ``drain_pending()`` -- both
-    :class:`StreamingRuntime` and
+    ``drain_pending()`` -- both :class:`StreamingRuntime` and
     :class:`~repro.streaming.sharded.ShardedRuntime` do, so the CLI,
     examples, benchmarks and :meth:`CograEngine.stream` stop hand-rolling
-    ingestion loops.  :meth:`drive` is the lazy form (a generator of
-    emission records), :meth:`run` the eager one (collect, or push into a
+    ingestion loops.  Both ingest in this process and hold ``_ingestor``,
+    ``metrics``, ``observability``, ``query_names`` and
+    ``_replan_controller``, which the accessors shared here read.
+    :meth:`drive` is the lazy form (a generator of emission records),
+    :meth:`run` the eager one (collect, or push into a
     :class:`~repro.streaming.sources.Sink`).
 
     Events are pulled from the source in slices of
@@ -422,15 +423,71 @@ class PipelineDriver:
 
     def _observe_lifecycle(self, op: str, seconds: float) -> None:
         """Record one lifecycle operation's duration (and a sampled span)."""
-        self.observability.operation_timer(
-            "cogra_lifecycle_seconds",
-            "durations of checkpoint/restore/recovery/rebalance operations",
-            op=op,
-        ).observe(seconds)
+        self.observability.lifecycle_timer(op).observe(seconds)
         span = self.observability.start_trace(op)
         if span is not None:
             span.annotate(seconds=seconds)
             span.finish()
+
+    # -- introspection ---------------------------------------------------------
+
+    @property
+    def watermark(self) -> float:
+        """Current watermark of the ingestion layer."""
+        return self._ingestor.watermark
+
+    @property
+    def buffered_events(self) -> int:
+        """Events currently held in the reorder buffer."""
+        return len(self._ingestor)
+
+    @property
+    def late_events(self) -> List[Event]:
+        """Side channel of late events (``LatePolicy.SIDE_CHANNEL``)."""
+        return list(self._ingestor.side_channel)
+
+    def take_late_events(self) -> List[Event]:
+        """Drain (return and clear) the late-event side channel.
+
+        Long-running jobs call this periodically to reprocess or persist
+        late events without the side channel growing without bound.
+        """
+        return self._ingestor.take_side_channel()
+
+    # -- adaptive granularity re-planning --------------------------------------
+
+    def _ensure_replan_controller(self) -> ReplanController:
+        """The controller, created on demand for forced migrations.
+
+        A lazily created controller only tracks versions and the log; the
+        check loop stays off unless the runtime was constructed with an
+        enabled ``replan`` policy.
+        """
+        if self._replan_controller is None:
+            self._replan_controller = ReplanController(ReplanPolicy())
+        return self._replan_controller
+
+    @property
+    def replan_log(self) -> List[Dict[str, object]]:
+        """Migration records, oldest first (empty when none happened)."""
+        controller = self._replan_controller
+        return list(controller.log) if controller is not None else []
+
+    @property
+    def plan_versions(self) -> Dict[str, int]:
+        """Per-query plan version: 0 at registration, +1 per migration."""
+        versions = dict.fromkeys(self.query_names, 0)
+        if self._replan_controller is not None:
+            versions.update(self._replan_controller.plan_versions)
+        return versions
+
+    def query_observations(self) -> Dict[str, QueryObservation]:
+        """Last :class:`QueryObservation` per query (empty before a check).
+
+        A sharded runtime's observations merge the shards' statistics.
+        """
+        controller = self._replan_controller
+        return dict(controller.observations) if controller is not None else {}
 
 
 class DriveSession:
@@ -713,7 +770,7 @@ class StreamingRuntime(PipelineDriver):
         self._ingestor = OutOfOrderIngestor(strategy, late.resolved_policy)
         self._controller = EmissionController()
         self.observability = observability or Observability()
-        self.metrics = StreamingMetrics()
+        self.metrics = StreamingMetrics(observability=self.observability)
         self._emit_empty_groups = emit_empty_groups
         self._queries: List[RegisteredQuery] = []
         self._by_name: Dict[str, RegisteredQuery] = {}
@@ -1046,29 +1103,6 @@ class StreamingRuntime(PipelineDriver):
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def watermark(self) -> float:
-        """Current watermark of the ingestion layer."""
-        return self._ingestor.watermark
-
-    @property
-    def buffered_events(self) -> int:
-        """Events currently held in the reorder buffer."""
-        return len(self._ingestor)
-
-    @property
-    def late_events(self) -> List[Event]:
-        """Side channel of late events (``LatePolicy.SIDE_CHANNEL``)."""
-        return list(self._ingestor.side_channel)
-
-    def take_late_events(self) -> List[Event]:
-        """Drain (return and clear) the late-event side channel.
-
-        Long-running jobs call this periodically to reprocess or persist
-        late events without the side channel growing without bound.
-        """
-        return self._ingestor.take_side_channel()
-
     def reprocess_late(self) -> List[EmissionRecord]:
         """Replay the side channel; emit correction records for its windows.
 
@@ -1109,17 +1143,6 @@ class StreamingRuntime(PipelineDriver):
 
     # -- adaptive granularity re-planning --------------------------------------
 
-    def _ensure_replan_controller(self) -> ReplanController:
-        """The controller, created on demand for forced migrations.
-
-        A lazily created controller only tracks versions and the log; the
-        hot-path check loop stays off unless the runtime was constructed
-        with an enabled ``replan`` policy.
-        """
-        if self._replan_controller is None:
-            self._replan_controller = ReplanController(ReplanPolicy())
-        return self._replan_controller
-
     def _replan_now(self) -> None:
         """One check of the control loop: observe, decide, migrate."""
         controller = self._replan_controller
@@ -1138,9 +1161,8 @@ class StreamingRuntime(PipelineDriver):
                 controller.record_migration(
                     registered.name, previous, target, registered.executor.events_seen
                 )
-        pause = _time.perf_counter() - started
-        self.metrics.record_replan(migrations, pause)
-        self._observe_lifecycle("replan", pause)
+        self.metrics.record_replan(migrations)
+        self._observe_lifecycle("replan", _time.perf_counter() - started)
 
     def migrate_granularity(self, name: str, granularity) -> bool:
         """Force a live granularity migration of one registered query.
@@ -1163,28 +1185,9 @@ class StreamingRuntime(PipelineDriver):
                 registered.engine.plan.granularity,
                 registered.executor.events_seen,
             )
-            self.metrics.record_replan(1, pause)
+            self.metrics.record_replan(1)
             self._observe_lifecycle("replan", pause)
         return migrated
-
-    @property
-    def replan_log(self) -> List[Dict[str, object]]:
-        """Migration records, oldest first (empty when none happened)."""
-        controller = self._replan_controller
-        return list(controller.log) if controller is not None else []
-
-    @property
-    def plan_versions(self) -> Dict[str, int]:
-        """Per-query plan version: 0 at registration, +1 per migration."""
-        versions = {registered.name: 0 for registered in self._queries}
-        if self._replan_controller is not None:
-            versions.update(self._replan_controller.plan_versions)
-        return versions
-
-    def query_observations(self) -> Dict[str, QueryObservation]:
-        """Last :class:`QueryObservation` per query (empty before a check)."""
-        controller = self._replan_controller
-        return dict(controller.observations) if controller is not None else {}
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -1250,10 +1253,11 @@ class StreamingRuntime(PipelineDriver):
                     registered.executor, state["executors"][registered.name]
                 )
             self._ingestor.restore(state["ingest"])
-            self.metrics.restore(state["metrics"])
             # old checkpoints carry no registry section; restore(None)
-            # resets the instruments instead of failing
+            # resets the instruments instead of failing.  The metrics
+            # section goes second: older registries lack the runtime families
             self.observability.registry.restore(state.get("registry"))
+            self.metrics.restore(state["metrics"])
             self._controller.emitted_counts = {
                 name: int(count) for name, count in state["emitted_counts"].items()
             }
@@ -1274,19 +1278,13 @@ class StreamingRuntime(PipelineDriver):
         self._observe_lifecycle("restore", _time.perf_counter() - started)
 
     def registry_snapshot(self) -> Dict[str, object]:
-        """Merged registry view of this runtime, for the exporters.
+        """The observability registry, for the exporters.
 
-        Combines the runtime counters (:class:`StreamingMetrics`' private
-        registry, plus finite watermark gauges) with the observability
-        registry's per-query and lifecycle instruments, then derives the
-        per-query selectivity gauges from the merged counters.
+        It holds the runtime families of :attr:`metrics` and the per-query
+        and lifecycle instruments; the per-query selectivity gauges are
+        derived from its counters.
         """
-        return finalize_snapshot(
-            merge_snapshots(
-                self.metrics.registry_snapshot(),
-                self.observability.registry.snapshot(),
-            )
-        )
+        return finalize_snapshot(self.observability.registry.snapshot())
 
     def close(self) -> None:
         """Release resources held by the runtime (the tracer's sink).

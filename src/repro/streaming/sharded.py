@@ -143,7 +143,6 @@ from repro.streaming.observability import (
 )
 from repro.streaming.replan import (
     ReplanController,
-    ReplanPolicy,
     merge_raw_observations,
     migrate_engine,
     observe_executor,
@@ -544,12 +543,12 @@ class ShardedRuntime(PipelineDriver):
         self.workers = shards.workers
         strategy = watermark_strategy or WatermarkConfig(lateness=lateness).build()
         self._ingestor = OutOfOrderIngestor(strategy, late.resolved_policy)
-        self.metrics = StreamingMetrics()
-        #: parent-side observability: per-shard shipping instruments,
-        #: lifecycle timers/spans, and the results counters (workers count
-        #: events/matches/latency; the parent counts results exactly once,
-        #: after replay deduplication)
+        #: parent-side observability: the runtime families of ``metrics``,
+        #: per-shard shipping instruments, lifecycle timers/spans, and the
+        #: results counters (workers count events/matches/latency; the
+        #: parent counts results exactly once, after replay deduplication)
         self.observability = observability or Observability()
+        self.metrics = StreamingMetrics(observability=self.observability)
         self._emit_empty_groups = emit_empty_groups
         self._ship_interval = ship_interval
         self._max_batch = max_batch
@@ -1435,7 +1434,7 @@ class ShardedRuntime(PipelineDriver):
             slot = shard_index(plan.partition_key(event), slots)
             self._outboxes[assignment[slot]].append(event)
         pause = _time.perf_counter() - started
-        self.metrics.record_rebalance(len(moves), len(moved_keys), pause)
+        self.metrics.record_rebalance(len(moves), len(moved_keys))
         self._observe_lifecycle("rebalance", pause)
         moved = ", ".join(
             f"slot {slot}: {old_owner[slot]}->{worker}" for slot, worker in moves
@@ -1446,12 +1445,6 @@ class ShardedRuntime(PipelineDriver):
         )
 
     # -- adaptive granularity re-planning --------------------------------------
-
-    def _ensure_replan_controller(self) -> ReplanController:
-        """The controller, created on demand for forced migrations."""
-        if self._replan_controller is None:
-            self._replan_controller = ReplanController(ReplanPolicy())
-        return self._replan_controller
 
     def _maybe_replan(self) -> None:
         """One policy-driven granularity check, every check-interval events."""
@@ -1482,9 +1475,8 @@ class ShardedRuntime(PipelineDriver):
                 migrations.append((spec.name, target))
         if migrations:
             self._apply_replan(migrations)
-        pause = _time.perf_counter() - started
-        self.metrics.record_replan(len(migrations), pause)
-        self._observe_lifecycle("replan", pause)
+        self.metrics.record_replan(len(migrations))
+        self._observe_lifecycle("replan", _time.perf_counter() - started)
 
     def _apply_replan(self, migrations: List[Tuple[str, "Granularity"]]) -> None:
         """Broadcast granularity migrations to the workers, quiesced.
@@ -1554,29 +1546,9 @@ class ShardedRuntime(PipelineDriver):
             return False
         started = _time.perf_counter()
         self._apply_replan([(name, granularity)])
-        pause = _time.perf_counter() - started
-        self.metrics.record_replan(1, pause)
-        self._observe_lifecycle("replan", pause)
+        self.metrics.record_replan(1)
+        self._observe_lifecycle("replan", _time.perf_counter() - started)
         return True
-
-    @property
-    def replan_log(self) -> List[Dict[str, object]]:
-        """Migration records, oldest first (empty when none happened)."""
-        controller = self._replan_controller
-        return list(controller.log) if controller is not None else []
-
-    @property
-    def plan_versions(self) -> Dict[str, int]:
-        """Per-query plan version: 0 at registration, +1 per migration."""
-        versions = {spec.name: 0 for spec in self._specs}
-        if self._replan_controller is not None:
-            versions.update(self._replan_controller.plan_versions)
-        return versions
-
-    def query_observations(self):
-        """Last merged :class:`~repro.streaming.replan.QueryObservation` per query."""
-        controller = self._replan_controller
-        return dict(controller.observations) if controller is not None else {}
 
     # -- streaming -------------------------------------------------------------
 
@@ -1710,25 +1682,6 @@ class ShardedRuntime(PipelineDriver):
     # emit -> sink loop with periodic checkpointing and late-event draining
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def watermark(self) -> float:
-        """Current watermark of the (parent) ingestion layer."""
-        return self._ingestor.watermark
-
-    @property
-    def buffered_events(self) -> int:
-        """Events currently held in the parent reorder buffer."""
-        return len(self._ingestor)
-
-    @property
-    def late_events(self) -> List[Event]:
-        """Side channel of late events (``LatePolicy.SIDE_CHANNEL``)."""
-        return list(self._ingestor.side_channel)
-
-    def take_late_events(self) -> List[Event]:
-        """Drain (return and clear) the late-event side channel."""
-        return self._ingestor.take_side_channel()
 
     def reprocess_late(self) -> List[EmissionRecord]:
         """Replay the side channel; emit correction records for its windows.
@@ -1936,8 +1889,8 @@ class ShardedRuntime(PipelineDriver):
                 for shard, snapshot in per_shard.items():
                     slices[shard]["executors"][spec.name] = snapshot
             self._ingestor.restore(state["ingest"])
-            self.metrics.restore(state["metrics"])
             self.observability.registry.restore(state.get("registry"))
+            self.metrics.restore(state["metrics"])
             self._final_worker_registries = None
             self._emitted_counts = {
                 name: int(count) for name, count in state["emitted_counts"].items()
@@ -1961,17 +1914,14 @@ class ShardedRuntime(PipelineDriver):
 
         The sharded counterpart of
         :meth:`~repro.streaming.runtime.StreamingRuntime.registry_snapshot`:
-        runtime counters (:class:`StreamingMetrics`), the parent-side
-        observability registry (shipping, lifecycle, results), and -- on a
-        live runtime -- a fresh pull of every worker's registry, which
-        briefly quiesces in-flight work.  After :meth:`flush` the
-        registries collected during the flush serve the final view, so the
-        merged numbers equal a single-process run over the same stream.
+        the parent's registry (the runtime families of :attr:`metrics`,
+        shipping, lifecycle, results) and -- on a live runtime -- a fresh
+        pull of every worker's registry, which briefly quiesces in-flight
+        work.  After :meth:`flush` the registries collected during the
+        flush serve the final view, so the merged numbers equal a
+        single-process run over the same stream.
         """
-        snapshots = [
-            self.metrics.registry_snapshot(),
-            self.observability.registry.snapshot(),
-        ]
+        snapshots = [self.observability.registry.snapshot()]
         if self._final_worker_registries is not None:
             snapshots.extend(self._final_worker_registries)
         elif self._started and not self._flushed and not self._poisoned and self._procs:

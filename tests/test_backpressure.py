@@ -141,7 +141,7 @@ class TestSinkReadySignal:
     def test_backpressure_metrics_appear_in_registry_and_describe(self):
         runtime = new_runtime()
         runtime.run(list(make_stream(count=100)), StallingSink(), backpressure=FAST)
-        snapshot = runtime.metrics.registry.snapshot()
+        snapshot = runtime.registry_snapshot()
         assert snapshot_value(snapshot, "cogra_backpressure_waits_total") > 0
         assert snapshot_value(snapshot, "cogra_backpressure_seconds_total") > 0.0
         assert "backpressure" in runtime.metrics.describe()

@@ -208,9 +208,9 @@ def field_examples():
 class TestDeclaredFields:
     """One declaration per setting: the dataclass field is all there is."""
 
-    def test_the_config_surface_is_16_classes_and_70_fields(self):
+    def test_the_config_surface_is_16_classes_and_68_fields(self):
         assert len(SECTIONS) == 16
-        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 70
+        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 68
 
     @pytest.mark.parametrize("cls, name, value, valid", field_examples())
     def test_field_accepts_and_rejects_by_its_declaration(
@@ -355,12 +355,41 @@ class TestDeliveryConfig:
             SourceConfig(spec="events.jsonl", log={"dir": "events-log"})
 
     def test_log_section_coerces_from_a_mapping(self):
-        config = SourceConfig(log={"dir": "events-log", "partitions": 4})
-        assert config.log == LogSourceConfig(dir="events-log", partitions=4)
+        config = SourceConfig(log={"dir": "events-log"})
+        assert config.log == LogSourceConfig(dir="events-log")
 
     def test_log_section_typo_is_suggested(self):
-        with pytest.raises(ConfigError, match="did you mean 'partitions'"):
-            JobConfig.from_dict({"source": {"log": {"partions": 2}}})
+        with pytest.raises(ConfigError, match="did you mean 'dir'"):
+            JobConfig.from_dict({"source": {"log": {"dirr": "events-log"}}})
+
+    @pytest.mark.parametrize("key", ["partitions", "segment_records"])
+    def test_log_layout_keys_are_unknown(self, key):
+        """The log's layout is not configured: a config that sets it is
+        rejected instead of being silently ignored."""
+        with pytest.raises(ConfigError, match=rf"unknown key 'source\.log\.{key}'"):
+            JobConfig.from_dict({"source": {"log": {"dir": "events-log", key: 2}}})
+
+    @pytest.mark.parametrize("partitions, segment_records", [(1, 1024), (3, 4), (4, 1)])
+    def test_log_source_reads_its_layout_from_the_directory(
+        self, tmp_path, partitions, segment_records
+    ):
+        from repro.streaming.sources import PartitionedLogWriter
+
+        events = [
+            Event("A", float(index), {"g": "xyz"[index % 3]}, sequence=index)
+            for index in range(12)
+        ]
+        with PartitionedLogWriter(
+            tmp_path / "log", partitions=partitions, segment_records=segment_records
+        ) as writer:
+            writer.extend(events, key_by="g")
+        config = JobConfig.from_dict({"source": {"log": {"dir": str(tmp_path / "log")}}})
+        source = config.source.build()
+        try:
+            assert source.partitions == partitions
+            assert list(source.events()) == events
+        finally:
+            source.close()
 
     def test_backpressure_typo_is_suggested(self):
         with pytest.raises(ConfigError, match="did you mean 'max_inflight'"):
@@ -467,12 +496,7 @@ def job_configs():
         st.builds(SourceConfig, spec=st.sampled_from(["-", "x.jsonl"])),
         st.builds(
             SourceConfig,
-            log=st.builds(
-                LogSourceConfig,
-                dir=st.just("events-log"),
-                partitions=st.integers(min_value=1, max_value=8),
-                segment_records=st.integers(min_value=1, max_value=4096),
-            ),
+            log=st.builds(LogSourceConfig, dir=st.just("events-log")),
         ),
     )
     sinks = st.one_of(

@@ -23,6 +23,7 @@ import os
 import random
 import signal
 import socket
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,8 @@ from hypothesis import strategies as st
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.streaming.checkpoint import CheckpointStore
+from repro.streaming.ingest import PunctuationWatermark
+from repro.streaming.metrics import RUNTIME_METRICS
 from repro.streaming.observability import (
     DEFAULT_LATENCY_BUCKETS,
     JsonlMetricsExporter,
@@ -67,6 +70,32 @@ def make_stream(count=400, seed=13, groups="uvwxyz"):
         )
         for _ in range(count)
     )
+
+
+#: runtime families whose totals do not depend on the worker count
+INVARIANT_FAMILIES = (
+    "cogra_events_ingested_total",
+    "cogra_events_released_total",
+    "cogra_results_emitted_total",
+    "cogra_punctuations_total",
+    "cogra_late_events_dropped_total",
+    "cogra_late_events_rerouted_total",
+)
+
+
+def disordered_stream(punctuated):
+    """``make_stream`` with every tenth event arriving eight places late.
+
+    ``punctuated`` adds a ``Tick`` punctuation one second ahead of every
+    fifteenth event, so the events of that second arrive behind it.
+    """
+    events = make_stream(count=300)
+    for index in range(0, len(events) - 8, 10):
+        events.insert(index + 8, events.pop(index))
+    if punctuated:
+        for index in range(len(events) - 15, 0, -15):
+            events.insert(index, Event("Tick", events[index].time + 1.0, {}))
+    return events
 
 
 def kill_worker(runtime, shard):
@@ -556,6 +585,36 @@ class TestShardedParity:
         runtime.close()
         assert totals == single_process_totals(events)
 
+    @pytest.mark.parametrize("punctuated", [False, True], ids=["drop", "side-channel"])
+    def test_runtime_families_match_single_process(self, punctuated):
+        """Only the parent counts the runtime families: a worker that counted
+        its releases or emissions too would push the merged totals past the
+        single-process ones."""
+        events = disordered_stream(punctuated)
+
+        def totals(runtime):
+            runtime.register(QUERY, name="q")
+            runtime.run(events)
+            snapshot = runtime.registry_snapshot()
+            runtime.close()
+            return {name: snapshot_value(snapshot, name) for name in INVARIANT_FAMILIES}
+
+        def config():
+            if punctuated:
+                return {
+                    "watermark_strategy": PunctuationWatermark("Tick"),
+                    "late_policy": "side-channel",
+                }
+            return {"lateness": 0.5, "late_policy": "drop"}
+
+        expected = totals(StreamingRuntime(**config()))
+        late = "rerouted" if punctuated else "dropped"
+        assert expected[f"cogra_late_events_{late}_total"] > 0
+        ticks = sum(event.event_type == "Tick" for event in events)
+        assert expected["cogra_punctuations_total"] == ticks
+        sharded = totals(ShardedRuntime(workers=2, ship_interval=8, **config()))
+        assert sharded == expected
+
     def test_live_snapshot_mid_stream_quiesces_and_counts(self):
         events = make_stream(count=200)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
@@ -670,3 +729,156 @@ class TestShardedParity:
         assert totals["selectivity"] == pytest.approx(
             expected["results"] / expected["events"]
         )
+
+
+# ---------------------------------------------------------------------------
+# one store: the runtime families live in the observability registry
+# ---------------------------------------------------------------------------
+
+
+def legacy_checkpoint(queries):
+    """A checkpoint in the shape written before the runtime families moved
+    into the observability registry: its ``registry`` holds per-query and
+    lifecycle families only, and ``metrics`` carries every runtime counter."""
+    bounds = list(DEFAULT_LATENCY_BUCKETS)
+    counts = [0] * (len(bounds) + 1)
+    counts[bisect_left(bounds, 0.25)] = 1
+    return {
+        "version": 1,
+        "queries": queries,
+        "executors": {
+            "q": {
+                "query": "query",
+                "granularity": "type",
+                "events_seen": 0,
+                "last_time": None,
+                "aggregators": [],
+            }
+        },
+        "ingest": {
+            "strategy": {
+                "class": "BoundedDelayWatermark",
+                "state": {"delay": 0.0, "max_time": 31.452},
+            },
+            "late_policy": "raise",
+            "buffered": [],
+            "arrivals": 150,
+            "dropped": 3,
+            "side_channel": [],
+        },
+        "metrics": {
+            "events_ingested": 150,
+            "events_released": 136,
+            "events_buffered_peak": 19,
+            "punctuations_seen": 0,
+            "late_events_dropped": 3,
+            "late_events_rerouted": 0,
+            "results_emitted": 12,
+            "rebalance_cycles": 1,
+            "rebalance_slots_moved": 2,
+            "rebalance_keys_moved": 5,
+            "backpressure_waits": 4,
+            "replan_cycles": 0,
+            "replan_migrations": 0,
+            "watermark": 31.452,
+            "max_event_time": 31.452,
+        },
+        "emitted_counts": {"q": 12},
+        "registry": {
+            "version": 1,
+            "families": {
+                "cogra_query_results_total": {
+                    "kind": "counter",
+                    "help": "result records emitted to the caller",
+                    "labels": ["query"],
+                    "children": [{"labels": ["q"], "value": 12.0}],
+                },
+                "cogra_lifecycle_seconds": {
+                    "kind": "histogram",
+                    "help": "durations of checkpoint/restore/recovery/rebalance "
+                    "operations",
+                    "labels": ["op"],
+                    "bounds": bounds,
+                    "children": [
+                        {
+                            "labels": ["rebalance"],
+                            "counts": counts,
+                            "sum": 0.25,
+                            "count": 1,
+                        }
+                    ],
+                },
+            },
+        },
+    }
+
+
+class TestRuntimeFamilies:
+    def test_worker_registries_carry_no_runtime_family(self):
+        runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
+        runtime.register(QUERY, name="q")
+        for event in make_stream(count=120):
+            runtime.process(event)
+        pulled = runtime._collect_worker_registries()
+        runtime.close()
+        names = {row[1] for row in RUNTIME_METRICS.values()}
+        assert len(pulled) == 2
+        for registry in pulled:
+            assert "cogra_query_events_total" in registry["families"]
+            assert names.isdisjoint(registry["families"])
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_legacy_checkpoint_restores_the_same_counters(self, sharded):
+        probe = StreamingRuntime(lateness=0.0)
+        probe.register(QUERY, name="q")
+        state = legacy_checkpoint(probe.checkpoint()["queries"])
+        runtime = (
+            ShardedRuntime(workers=2, lateness=0.0) if sharded
+            else StreamingRuntime(lateness=0.0)
+        )
+        runtime.register(QUERY, name="q")
+        runtime.restore(json.loads(json.dumps(state)))
+        try:
+            assert runtime.metrics.snapshot() == state["metrics"]
+            # the pause views read the restored lifecycle sums; the
+            # backpressure seconds were not in the old registry
+            assert runtime.metrics.rebalance_pause_seconds == 0.25
+            assert runtime.metrics.replan_pause_seconds == 0.0
+            assert runtime.metrics.backpressure_seconds == 0.0
+            snapshot = runtime.registry_snapshot()
+            assert snapshot_value(snapshot, "cogra_events_ingested_total") == 150
+            assert snapshot_value(snapshot, "cogra_watermark") == 31.452
+        finally:
+            runtime.close()
+
+    def test_pause_totals_are_cumulative_across_a_restore(self):
+        events = make_stream(count=200)
+        first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
+        first.register(QUERY, name="q")
+        for event in events[:100]:
+            first.process(event)
+        slot = 0
+        first.rebalance([(slot, (first._router.assignment[slot] + 1) % 2)])
+        paused = first.metrics.rebalance_pause_seconds
+        state = first.checkpoint()
+        first.close()
+        assert paused > 0.0
+        restored = next(
+            child["sum"]
+            for child in state["registry"]["families"]["cogra_lifecycle_seconds"][
+                "children"
+            ]
+            if child["labels"] == ["rebalance"]
+        )
+        assert restored == paused
+
+        resumed = StreamingRuntime(lateness=0.0)
+        resumed.register(QUERY, name="q")
+        resumed.restore(state)
+        assert resumed.metrics.rebalance_pause_seconds == paused
+        assert resumed.metrics.rebalance_cycles == 1
+        for event in events[100:]:
+            resumed.process(event)
+        resumed.flush()
+        assert resumed.metrics.rebalance_pause_seconds == paused
+        resumed.close()

@@ -561,6 +561,81 @@ class TestValidation:
         assert all(not proc.is_alive() for proc in procs)
 
 
+def either_runtime(kind, **options):
+    if kind == "sharded":
+        return ShardedRuntime(workers=2, ship_interval=8, **options)
+    return StreamingRuntime(**options)
+
+
+BOTH_RUNTIMES = pytest.mark.parametrize("kind", ["single", "sharded"])
+
+
+class TestDriverAccessors:
+    """The introspection members both runtimes share answer alike."""
+
+    @BOTH_RUNTIMES
+    def test_plan_versions_list_every_registered_query(self, kind):
+        runtime = either_runtime(kind, lateness=LATENESS)
+        runtime.register(TYPE_QUERY, name="a")
+        runtime.register(MIXED_QUERY, name="b")
+        try:
+            assert runtime.plan_versions == {"a": 0, "b": 0}
+            assert runtime.replan_log == []
+            assert runtime.query_observations() == {}
+        finally:
+            runtime.close()
+
+    @BOTH_RUNTIMES
+    def test_a_migration_versions_only_its_query(self, kind):
+        runtime = either_runtime(kind, lateness=LATENESS)
+        runtime.register(TYPE_QUERY, name="a", granularity="type")
+        runtime.register(MIXED_QUERY, name="b")
+        try:
+            assert runtime.migrate_granularity("a", "event")
+            assert runtime.plan_versions == {"a": 1, "b": 0}
+            assert [
+                (r["query"], r["from"], r["to"], r["version"])
+                for r in runtime.replan_log
+            ] == [("a", "type", "event", 1)]
+        finally:
+            runtime.close()
+
+    @BOTH_RUNTIMES
+    def test_watermark_and_buffered_events_follow_the_reorder_buffer(self, kind):
+        runtime = either_runtime(kind, lateness=LATENESS)
+        runtime.register(TYPE_QUERY, name="q")
+        try:
+            assert runtime.watermark == -math.inf
+            assert runtime.buffered_events == 0
+            for time_ in (10.0, 12.0, 13.0, 20.0):
+                runtime.process(Event("A", time_, {"g": "x", "v": 1}))
+            # the watermark trails the latest time by the lateness bound;
+            # only the event at 20 is not yet below it
+            assert runtime.watermark == 15.0
+            assert runtime.buffered_events == 1
+            runtime.flush()
+            assert runtime.buffered_events == 0
+        finally:
+            runtime.close()
+
+    @BOTH_RUNTIMES
+    def test_take_late_events_drains_the_side_channel(self, kind):
+        runtime = either_runtime(kind, lateness=0.0, late_policy="side-channel")
+        runtime.register(TYPE_QUERY, name="q")
+        try:
+            runtime.process(Event("A", 50.0, {"g": "x", "v": 1}))
+            runtime.process(Event("B", 1.0, {"g": "x", "v": 2}))
+            runtime.process(Event("A", 2.0, {"g": "y", "v": 3}))
+            # reading the side channel leaves it in place; taking drains it
+            assert [e.time for e in runtime.late_events] == [1.0, 2.0]
+            assert [e.time for e in runtime.take_late_events()] == [1.0, 2.0]
+            assert runtime.late_events == []
+            assert runtime.take_late_events() == []
+            assert runtime.metrics.late_events_rerouted == 2
+        finally:
+            runtime.close()
+
+
 class TestCheckpoint:
     def test_roundtrip_across_worker_counts(self):
         shuffled = bounded_shuffle(make_stream(count=260), LATENESS)
