@@ -9,9 +9,11 @@ possible, with no concern for efficiency:
   the constructed trend (Definition 7, condition 3),
 * skip-till-next-match keeps the trends whose consecutive pairs are
   NEXT-adjacent: no earlier event could have extended the predecessor
-  (Definition 7), and
+  (Definition 7),
 * the contiguous semantics keeps the trends whose consecutive events are
-  consecutive in the sub-stream (Definition 7).
+  consecutive in the sub-stream (Definition 7), and
+* negated sub-patterns (Section 8) filter the trends of the positive query
+  (:func:`~repro.extensions.negation.trend_respects_negations`).
 
 The enumeration is exponential in the number of events and is only meant
 for small streams; the property-based tests compare every COGRA aggregator
@@ -29,6 +31,11 @@ from repro.core.partitioner import filter_local_predicates, substreams, window_b
 from repro.core.results import GroupResult
 from repro.errors import UnsupportedQueryError
 from repro.events.event import Event
+from repro.extensions.negation import (
+    analyze_negations,
+    filter_trends_with_negations,
+    positive_query,
+)
 from repro.query.ast import (
     Disjunction,
     EventTypePattern,
@@ -198,24 +205,41 @@ class TrendOracle:
 
     The oracle mirrors the COGRA executor's treatment of windows, grouping
     and local predicates, but computes every aggregate from explicitly
-    constructed trends.  It is deliberately slow and is used only by the
-    tests and by the smallest benchmark configurations.
+    constructed trends.  A query with negated sub-patterns is evaluated as
+    its positive query, whose enumerated trends are then filtered by the
+    negation relation of the query's semantics
+    (:func:`~repro.extensions.negation.filter_trends_with_negations`).  It
+    is deliberately slow and is used only by the tests, the end-to-end
+    oracle's cross-check and the smallest benchmark configurations.
     """
 
     def __init__(self, query: Query):
         self.query = query
-        self.plan = plan_query(query)
+        analysis = analyze_negations(query.pattern)
+        self._components = analysis.components
+        self._positive = positive_query(query, analysis)
+        self.plan = plan_query(self._positive)
+
+    def _trends(self, substream: List[Event]) -> List[Trend]:
+        trends = enumerate_trends(self._positive, substream, plan=self.plan)
+        if not self._components:
+            return trends
+        return filter_trends_with_negations(
+            self._components, substream, trends, self.query.semantics
+        )
+
+    def _substreams(self, events: Iterable[Event]):
+        filtered = filter_local_predicates(self._positive, events)
+        return substreams(self._positive, filtered)
 
     def trends_per_substream(
         self, events: Iterable[Event]
     ) -> Dict[Tuple[int, Tuple], List[Trend]]:
         """Mapping from (window id, group key) to the trends of that sub-stream."""
-        filtered = filter_local_predicates(self.query, events)
-        result: Dict[Tuple[int, Tuple], List[Trend]] = {}
-        for key, substream in substreams(self.query, filtered):
-            trends = enumerate_trends(self.query, substream, plan=self.plan)
-            result[key] = trends
-        return result
+        return {
+            key: self._trends(substream)
+            for key, substream in self._substreams(events)
+        }
 
     def total_trend_count(self, events: Iterable[Event]) -> int:
         """Total number of trends over all windows and groups."""
@@ -223,11 +247,9 @@ class TrendOracle:
 
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
         """Evaluate the query and return results comparable to the executor's."""
-        filtered = filter_local_predicates(self.query, events)
         results: List[GroupResult] = []
-        for (window_id, key), substream in substreams(self.query, filtered):
-            trends = enumerate_trends(self.query, substream, plan=self.plan)
-            accumulator = aggregate_trends(self.plan, substream, trends)
+        for (window_id, key), substream in self._substreams(events):
+            accumulator = aggregate_trends(self.plan, substream, self._trends(substream))
             if accumulator.trend_count == 0:
                 continue
             start, end = window_bounds(self.query.window, window_id)

@@ -12,7 +12,16 @@ in the sharded streaming runtime.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.events.event import Event
 from repro.query.query import Query
@@ -55,6 +64,42 @@ def shard_index(key: Tuple, shard_count: int) -> int:
             key = tuple(map(_equality_class, key))
             break
     return zlib.crc32(repr(key).encode("utf-8")) % shard_count
+
+
+def single_shard_reason(
+    queries: Mapping[str, Tuple[Tuple[str, ...], bool]],
+) -> Optional[str]:
+    """Why these queries cannot split a stream across shards, or ``None``.
+
+    ``queries`` maps each query name to its partition attributes and
+    whether it uses a count-based window.  The sharded runtime falls back
+    to one shard, and a job config warns that it will, for the reason this
+    returns: a count window (its event ordinals are global to the stream),
+    a query without partition attributes, or queries partitioning on
+    different attributes.
+    """
+    count_windowed = sorted(name for name, (_, count) in queries.items() if count)
+    if count_windowed:
+        return (
+            f"queries {count_windowed} use count-based windows, whose event "
+            "ordinals are global to the stream and cannot be split across "
+            "shards; running a single shard"
+        )
+    unpartitioned = sorted(name for name, (keys, _) in queries.items() if not keys)
+    if unpartitioned:
+        return (
+            f"queries {unpartitioned} have no partition attributes (no GROUP-BY "
+            "or equivalence predicate), so the stream cannot be split; running "
+            "a single shard"
+        )
+    signatures = sorted({attributes for attributes, _ in queries.values()})
+    if len(signatures) > 1:
+        return (
+            f"registered queries partition on different attributes {signatures}; "
+            "one event would belong to different shards for different queries; "
+            "running a single shard"
+        )
+    return None
 
 
 def group_key(event: Event, attributes: Sequence[str]) -> Tuple:

@@ -26,12 +26,25 @@ ridesharing pattern ``SEQ(Accept, NOT Cancel, Finish)``:
 
 Enforced semantics
 ------------------
-A trend is counted when, for every negated component, no event of the
-negated type occurs between two *adjacent* trend events that cross the
-negation boundary (an event bound to a ``Tp`` variable followed by an event
-bound to a ``Tf`` variable).  This is the relation the incremental
-invalidation rules above maintain; :func:`trend_respects_negations` states
-it explicitly and doubles as the correctness oracle of the test suite.
+The relation a counted trend satisfies is the one the rule of its matching
+semantics maintains:
+
+* *skip-till-any-match* (per type, per event): a trend is counted when, for
+  every negated component, no event of the negated type occurs between two
+  *adjacent* trend events that cross the negation boundary (an event bound
+  to a ``Tp`` variable followed by an event bound to a ``Tf`` variable);
+* *skip-till-next-match* and *contiguous* (per pattern): a trend is counted
+  when no event of a negated type occurs between two adjacent trend events
+  whose left one is bound to a variable of the positive part preceding that
+  negation -- such an event sets the last matched event to null, so no
+  trend continues from it.  Over ``a1 a2 c3 a4 b5``, ``SEQ(A+, NOT C, B)``
+  keeps ``(a1, a2, a4, b5)`` under skip-till-any-match (``a2 -> a4`` does
+  not cross into ``B``) and drops it under skip-till-next-match (``c3``
+  follows ``a2``, an ``A``).
+
+:func:`trend_respects_negations` states both relations explicitly; the
+enumeration oracle (:class:`~repro.baselines.trend_enumeration.TrendOracle`)
+filters its positive trends with it.
 
 Scope and simplifications:
 
@@ -62,6 +75,7 @@ from repro.errors import InvalidPatternError, PlanningError
 from repro.events.event import Event
 from repro.query.ast import EventTypePattern, Negation, Pattern, Sequence
 from repro.query.query import Query
+from repro.query.semantics import Semantics
 
 
 @dataclass(frozen=True)
@@ -566,27 +580,40 @@ def trend_respects_negations(
     components: Seq[NegatedComponent],
     events: Seq[Event],
     trend: Seq[Tuple[int, str]],
+    semantics: Semantics = Semantics.SKIP_TILL_ANY_MATCH,
 ) -> bool:
     """Check the negation constraint for one explicitly constructed trend.
 
     ``trend`` is a tuple of ``(event index, variable)`` bindings into
     ``events`` (the representation used by the trend enumeration oracle).
-    The constraint holds when no event of a negated type occurs between two
-    adjacent trend events that cross the corresponding negation boundary.
+    Under skip-till-any-match the constraint holds when no event of a
+    negated type occurs between two adjacent trend events that cross the
+    corresponding negation boundary; under skip-till-next-match and
+    contiguous, when no event of a negated type occurs between two adjacent
+    trend events whose left one is bound to one of that negation's
+    ``prefix_variables`` (see "Enforced semantics" above).
     """
     if not components:
         return True
-    crossing = _crossing_edges(components)
+    crossing = None
+    if semantics is Semantics.SKIP_TILL_ANY_MATCH:
+        crossing = _crossing_edges(components)
     for (left_index, left_variable), (right_index, right_variable) in zip(trend, trend[1:]):
-        component = crossing.get((left_variable, right_variable))
-        if component is None:
+        if crossing is not None:
+            component = crossing.get((left_variable, right_variable))
+            blocking = () if component is None else (component.event_type,)
+        else:
+            blocking = [
+                component.event_type
+                for component in components
+                if left_variable in component.prefix_variables
+            ]
+        if not blocking:
             continue
         left_key = events[left_index].order_key
         right_key = events[right_index].order_key
         for event in events:
-            if event.event_type != component.event_type:
-                continue
-            if left_key < event.order_key < right_key:
+            if event.event_type in blocking and left_key < event.order_key < right_key:
                 return False
     return True
 
@@ -595,10 +622,11 @@ def filter_trends_with_negations(
     components: Seq[NegatedComponent],
     events: Seq[Event],
     trends: Seq[Seq[Tuple[int, str]]],
+    semantics: Semantics = Semantics.SKIP_TILL_ANY_MATCH,
 ) -> List[Tuple[Tuple[int, str], ...]]:
     """Drop enumerated trends that violate a negation constraint."""
     return [
         tuple(trend)
         for trend in trends
-        if trend_respects_negations(components, events, trend)
+        if trend_respects_negations(components, events, trend, semantics)
     ]

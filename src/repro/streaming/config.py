@@ -73,6 +73,7 @@ from typing import (
     get_type_hints,
 )
 
+from repro.core.partitioner import single_shard_reason
 from repro.errors import ConfigError, CograError, JobStartError
 from repro.events.event import Event
 from repro.streaming.checkpoint import CheckpointStore
@@ -817,39 +818,20 @@ class JobConfig(_Section):
         return self
 
     def _warn_unshardable(self) -> None:
-        """Warn when workers>1 will fall back to a single shard."""
-        infos = {
+        """Warn when workers>1 will fall back to a single shard.
+
+        The warning is the :attr:`ShardedRuntime.fallback_reason` the
+        runtime reports (:func:`~repro.core.partitioner.single_shard_reason`).
+        """
+        facts = {
             name: _query_plan_info(query.text, query.granularity)
             for name, query in zip(self.resolved_names(), self.queries)
         }
-        signatures = {name: info[0] for name, info in infos.items()}
-        count_windowed = sorted(name for name, info in infos.items() if info[2])
-        if count_windowed:
-            warnings.warn(
-                f"workers={self.shards.workers} but queries {count_windowed} "
-                "use count-based windows, whose event ordinals are global to "
-                "the stream; the job will run a single shard",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-        unpartitioned = sorted(name for name, sig in signatures.items() if not sig)
-        if unpartitioned:
-            warnings.warn(
-                f"workers={self.shards.workers} but queries {unpartitioned} "
-                "have no partition attributes (no GROUP-BY or equivalence "
-                "predicate); the job will run a single shard",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        elif len(set(signatures.values())) > 1:
-            warnings.warn(
-                f"workers={self.shards.workers} but the queries partition on "
-                f"different attributes {sorted(set(signatures.values()))}; "
-                "the job will run a single shard",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+        reason = single_shard_reason(
+            {name: (keys, count) for name, (keys, _, count) in facts.items()}
+        )
+        if reason is not None:
+            warnings.warn(reason, RuntimeWarning, stacklevel=3)
 
     def granularity_plan(self) -> Dict[str, str]:
         """Per-query granularity the static analyzer resolves (dry runs)."""

@@ -232,6 +232,12 @@ class PrometheusTextServer:
     def close(self) -> None:
         if self._socket is not None:
             try:
+                # closing the listener does not wake a thread blocked in
+                # accept(); shutting it down does
+                self._socket.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
                 self._socket.close()
             finally:
                 self._socket = None

@@ -701,11 +701,14 @@ class RegisteredQuery:
             types |= engine.negation_analysis.negated_types()
         self.relevant_types = frozenset(types)
         # contiguous semantics see *every* event (any event breaks
-        # contiguity), and emit_empty_groups makes even unmatched groups
-        # observable, so both disable type-based routing for this query
+        # contiguity), emit_empty_groups makes even unmatched groups
+        # observable, and every event advances a count window's ordinal, so
+        # all three disable type-based routing for this query
+        window = engine.query.window
         self.broadcast = (
             engine.query.semantics is Semantics.CONTIGUOUS
             or engine._emit_empty_groups
+            or (window is not None and window.is_count_based)
         )
 
     @property

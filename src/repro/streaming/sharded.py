@@ -103,7 +103,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
-from repro.core.partitioner import shard_index
+from repro.core.partitioner import shard_index, single_shard_reason
 from repro.core.results import GroupResult
 from repro.errors import CheckpointError, WorkerCrashError
 from repro.events.event import Event
@@ -696,35 +696,12 @@ class ShardedRuntime(PipelineDriver):
 
     def _resolve_shard_count(self) -> int:
         """Workers the stream can actually use, with the fallback diagnostic."""
-        signatures = {
-            name: engine.plan.partition_attributes
-            for name, engine in self._engines.items()
-        }
-        count_windowed = sorted(
-            name
-            for name, engine in self._engines.items()
-            if engine.query.window is not None and engine.query.window.is_count_based
-        )
-        unpartitioned = sorted(name for name, sig in signatures.items() if not sig)
-        if count_windowed:
-            self.fallback_reason = (
-                f"queries {count_windowed} use count-based windows, whose "
-                "event ordinals are global to the stream and cannot be "
-                "split across shards; running a single shard"
-            )
-        elif unpartitioned:
-            self.fallback_reason = (
-                f"queries {unpartitioned} have no partition attributes "
-                "(no GROUP-BY or equivalence predicate), so the stream cannot "
-                "be split; running a single shard"
-            )
-        elif len(set(signatures.values())) > 1:
-            self.fallback_reason = (
-                f"registered queries partition on different attributes "
-                f"{sorted(set(signatures.values()))}; one event would belong "
-                "to different shards for different queries; running a single "
-                "shard"
-            )
+        queries = {}
+        for name, engine in self._engines.items():
+            window = engine.query.window
+            counted = window is not None and window.is_count_based
+            queries[name] = (engine.plan.partition_attributes, counted)
+        self.fallback_reason = single_shard_reason(queries)
         if self.fallback_reason is not None:
             if self.workers > 1:
                 warnings.warn(self.fallback_reason, RuntimeWarning, stacklevel=3)

@@ -6,15 +6,12 @@ records pile up without bound; the pauses are surfaced as
 changes what the pipeline computes -- only when.
 """
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import canonical, stream
 from repro.errors import SourceError
-from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming.config import BackpressureConfig
 from repro.streaming.observability import snapshot_value
 from repro.streaming.runtime import StreamingRuntime
@@ -32,34 +29,10 @@ WITHIN 20 seconds SLIDE 10 seconds
 FAST = BackpressureConfig(poll_interval_seconds=0.0005)
 
 
-def make_stream(count=200, seed=13, groups="uvwxyz"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 90.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
-
-
 def new_runtime():
     runtime = StreamingRuntime(lateness=0.0)
     runtime.register(QUERY, name="q")
     return runtime
-
-
-def canonical(records):
-    return sorted(
-        (
-            record.query,
-            record.result.window_id,
-            tuple(sorted(record.result.group.items())),
-            tuple(sorted(record.result.values.items())),
-        )
-        for record in records
-    )
 
 
 class StallingSink(MemorySink):
@@ -91,7 +64,7 @@ class TestSinkReadySignal:
         assert MemorySink().ready() is True
 
     def test_stalling_sink_pauses_ingestion_and_counts_waits(self):
-        events = make_stream()
+        events = stream(count=200)
         expected = new_runtime().run(list(events))
 
         runtime = new_runtime()
@@ -102,7 +75,7 @@ class TestSinkReadySignal:
         assert canonical(sink.records) == canonical(expected)
 
     def test_throttled_results_are_identical_in_order_too(self):
-        events = make_stream(count=120, seed=7)
+        events = stream(7, 120)
         fast_sink, slow_sink = MemorySink(), StallingSink((False, False, True))
         new_runtime().run(list(events), fast_sink)
         new_runtime().run(list(events), slow_sink, backpressure=FAST)
@@ -115,7 +88,7 @@ class TestSinkReadySignal:
         sink = StallingSink()
         samples = []
         for _ in runtime.drive(  # which emits into the sink itself
-            list(make_stream(count=150)), sink=sink, backpressure=FAST
+            list(stream(count=150)), sink=sink, backpressure=FAST
         ):
             samples.append(runtime.metrics.backpressure_waits)
         assert samples == sorted(samples)
@@ -123,7 +96,7 @@ class TestSinkReadySignal:
 
     def test_always_ready_sink_records_no_waits(self):
         runtime = new_runtime()
-        runtime.run(list(make_stream(count=80)), MemorySink())
+        runtime.run(list(stream(count=80)), MemorySink())
         assert runtime.metrics.backpressure_waits == 0
         assert runtime.metrics.backpressure_seconds == 0.0
 
@@ -134,13 +107,13 @@ class TestSinkReadySignal:
         )
         with pytest.raises(SourceError, match="downstream consumer stuck"):
             runtime.run(
-                list(make_stream(count=40)), NeverReadySink(), backpressure=guarded
+                list(stream(count=40)), NeverReadySink(), backpressure=guarded
             )
         assert runtime.metrics.backpressure_waits > 0
 
     def test_backpressure_metrics_appear_in_registry_and_describe(self):
         runtime = new_runtime()
-        runtime.run(list(make_stream(count=100)), StallingSink(), backpressure=FAST)
+        runtime.run(list(stream(count=100)), StallingSink(), backpressure=FAST)
         snapshot = runtime.registry_snapshot()
         assert snapshot_value(snapshot, "cogra_backpressure_waits_total") > 0
         assert snapshot_value(snapshot, "cogra_backpressure_seconds_total") > 0.0
@@ -152,7 +125,7 @@ class TestSinkReadySignal:
         pattern=st.lists(st.booleans(), min_size=1, max_size=6).filter(any),
     )
     def test_throttling_never_changes_results(self, seed, pattern):
-        events = make_stream(count=100, seed=seed)
+        events = stream(seed, 100)
         expected = new_runtime().run(list(events))
 
         runtime = new_runtime()
@@ -163,7 +136,7 @@ class TestSinkReadySignal:
 
 class TestShardedBoundedInbox:
     def test_tight_inbox_bound_throttles_without_changing_results(self):
-        events = make_stream(count=300)
+        events = stream(count=300)
         expected = new_runtime().run(list(events))
 
         runtime = ShardedRuntime(
@@ -187,7 +160,7 @@ class TestShardedBoundedInbox:
         assert peak_inflight <= 2
 
     def test_default_inbox_is_loose_enough_to_avoid_waits(self):
-        events = make_stream(count=200)
+        events = stream(count=200)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         runtime.run(list(events))

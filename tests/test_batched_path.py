@@ -5,24 +5,23 @@ process_batch`, the executor's key-grouped quiet-run batching and the
 sharded runtime's pre-pickled blob shipping -- is a pure performance
 layout.  Every test here pins the same contract: for any stream and any
 slicing, down to slices of one, the records (and the counter totals) are
-byte-identical -- with tracing on or off, when a raising late policy aborts
-a slice, under worker SIGKILL recovery and under mid-stream rebalancing.
+byte-identical -- with tracing on or off, and when a raising late policy
+aborts a slice.  Sharded slicing under SIGKILL recovery and mid-stream
+rebalancing is sampled by the configuration matrix
+(``test_differential_matrix.py``).
 """
 
 import json
-import os
 import random
-import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import bounded_shuffle, canonical, slices, stream
 from repro.core.executor import QueryExecutor
 from repro.errors import InvalidEventError, LateEventError
 from repro.events.event import Event
-from repro.events.stream import sort_events
-from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.jsonl import (
     parse_jsonl_line,
     read_jsonl_event_batches,
@@ -49,53 +48,8 @@ WITHIN 20 seconds SLIDE 10 seconds
 """
 
 
-def make_stream(count=400, seed=13, groups="uvwxyz"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 90.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
-
-
-def shuffle_within(events, lateness, seed):
-    """Bounded out-of-order arrival: each event slips at most ``lateness``."""
-    rng = random.Random(seed)
-    return sorted(
-        events, key=lambda e: (e.time + rng.uniform(0.0, lateness), e.sequence)
-    )
-
-
-def chunked(events, sizes):
-    """Split ``events`` into slices following the cyclic ``sizes`` pattern."""
-    slices = []
-    index = 0
-    cursor = 0
-    while cursor < len(events):
-        size = sizes[index % len(sizes)]
-        slices.append(events[cursor : cursor + size])
-        cursor += size
-        index += 1
-    return slices
-
-
 def record_dicts(records):
     return [record.as_dict() for record in records]
-
-
-def canonical(records):
-    return sorted(
-        (
-            record.query,
-            record.result.window_id,
-            tuple(sorted(record.result.group.items())),
-            tuple(sorted(record.result.values.items())),
-        )
-        for record in records
-    )
 
 
 def counter_totals(runtime):
@@ -106,12 +60,6 @@ def counter_totals(runtime):
         "late_dropped": metrics.late_events_dropped,
         "results": metrics.results_emitted,
     }
-
-
-def kill_worker(runtime, shard):
-    victim = runtime._procs[shard]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=10)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +77,7 @@ class TestExecutorBatchParity:
     def test_any_slicing_matches_per_event(self, seed, sizes, query):
         from repro.query.parser import parse_query
 
-        events = make_stream(count=200, seed=seed)
+        events = stream(seed, 200, span=90.0)
         reference = QueryExecutor(parse_query(query))
         expected = []
         for event in events:
@@ -138,7 +86,7 @@ class TestExecutorBatchParity:
 
         batched = QueryExecutor(parse_query(query))
         got = []
-        for group in chunked(events, sizes):
+        for group in slices(events, sizes):
             for start, results in batched.process_batch(group):
                 # ``start`` is the event whose arrival closed the windows
                 window_end = batched.query.window.window_end
@@ -200,7 +148,7 @@ class TestRuntimeBatchParity:
         self, seed, lateness, sizes, sample_rate, raising
     ):
         events = with_late_event(
-            shuffle_within(make_stream(count=300, seed=seed), lateness, seed),
+            bounded_shuffle(stream(seed, 300, span=90.0), lateness, seed),
             lateness,
             raising,
         )
@@ -224,7 +172,7 @@ class TestRuntimeBatchParity:
         )
         batched.register(QUERY_ANY, name="any")
         batched.register(QUERY_NEXT, name="next")
-        got, error = feed(batched, chunked(events, sizes))
+        got, error = feed(batched, slices(events, sizes))
 
         assert (error is None) == (expected_error is None) == (not raising)
         if error is not None:
@@ -263,7 +211,7 @@ class TestRuntimeBatchParity:
     def test_sharded_process_batch_matches_process(
         self, seed, sizes, sample_rate, raising
     ):
-        events = with_late_event(make_stream(count=300, seed=seed), 0.0, raising)
+        events = with_late_event(stream(seed, 300, span=90.0), 0.0, raising)
         policy = "raise" if raising else "drop"
 
         def run(slices, **kwargs):
@@ -283,7 +231,7 @@ class TestRuntimeBatchParity:
 
         per_event, expected, expected_error = run([[event] for event in events])
         spans = []
-        batched, got, error = run(chunked(events, sizes), **traced(sample_rate, spans))
+        batched, got, error = run(slices(events, sizes), **traced(sample_rate, spans))
 
         assert (error is None) == (expected_error is None) == (not raising)
         assert canonical(got) == canonical(expected)
@@ -313,7 +261,7 @@ class TestRuntimeBatchParity:
                 return _call(executor, fed, *args, **kwargs)
 
             monkeypatch.setattr(QueryExecutor, name, recording)
-        events = shuffle_within(make_stream(count=300, seed=7), 3.0, 7)
+        events = bounded_shuffle(stream(7, 300, span=90.0), 3.0, 7)
 
         def entry_calls(**kwargs):
             del calls[:]
@@ -350,7 +298,7 @@ class TestRuntimeBatchParity:
     def test_drive_decode_batch_size_never_changes_records(
         self, seed, decode_batch_size
     ):
-        events = shuffle_within(make_stream(count=250, seed=seed), 3.0, seed)
+        events = bounded_shuffle(stream(seed, 250, span=90.0), 3.0, seed)
         reference = StreamingRuntime(lateness=3.0)
         reference.register(QUERY_ANY, name="q")
         expected = record_dicts(reference.run(events, decode_batch_size=1))
@@ -537,86 +485,3 @@ class TestJsonlBatchDecode:
                 read()
             # like the other malformed-field errors, it shows what was decoded
             assert repr(json.loads(line))[:40] in str(caught.value)
-
-
-# ---------------------------------------------------------------------------
-# the sharded runtime: blob shipping
-# ---------------------------------------------------------------------------
-
-
-class TestShardedBlobParity:
-    @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    def test_blob_shipping_matches_plain_and_single_process(self, seed):
-        events = make_stream(count=300, seed=seed)
-        single = StreamingRuntime(lateness=0.0)
-        single.register(QUERY_ANY, name="q")
-        expected = canonical(single.run(events))
-
-        runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
-        runtime.register(QUERY_ANY, name="q")
-        assert canonical(runtime.run(events)) == expected
-
-    @settings(max_examples=3, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        kill_at=st.integers(min_value=80, max_value=200),
-        shard=st.integers(min_value=0, max_value=1),
-    )
-    def test_sigkill_recovery_under_blob_shipping(
-        self, tmp_path_factory, seed, kill_at, shard
-    ):
-        events = make_stream(count=300, seed=seed)
-        single = StreamingRuntime(lateness=0.0)
-        single.register(QUERY_ANY, name="q")
-        expected = canonical(single.run(events))
-
-        directory = tmp_path_factory.mktemp("blob-chaos")
-        store = CheckpointStore(directory, compact_every=3)
-        runtime = ShardedRuntime(
-            workers=2,
-            lateness=0.0,
-            ship_interval=8,
-            max_restarts=2,
-        )
-        runtime.register(QUERY_ANY, name="q")
-
-        def feed():
-            for index, event in enumerate(events):
-                if index == kill_at:
-                    kill_worker(runtime, shard)
-                yield event
-
-        records = runtime.run(
-            feed(), checkpoint_store=store, checkpoint_interval=100
-        )
-        assert runtime.restart_counts[shard] == 1
-        assert canonical(records) == expected
-
-    @settings(max_examples=3, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        move_at=st.integers(min_value=40, max_value=200),
-        slot_seed=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_mid_stream_rebalance_under_blob_shipping(
-        self, seed, move_at, slot_seed
-    ):
-        events = make_stream(count=300, seed=seed)
-        single = StreamingRuntime(lateness=0.0)
-        single.register(QUERY_ANY, name="q")
-        expected = canonical(single.run(events))
-
-        runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
-        runtime.register(QUERY_ANY, name="q")
-        rng = random.Random(slot_seed)
-        records = []
-        for index, event in enumerate(events):
-            records.extend(runtime.process(event))
-            if index == move_at:
-                slots = rng.sample(range(runtime._router.slots), 6)
-                runtime.rebalance(
-                    [(slot, rng.randrange(runtime.shard_count)) for slot in slots]
-                )
-        records.extend(runtime.flush())
-        assert canonical(records) == expected

@@ -9,13 +9,12 @@ store instances (i.e. across process restarts) -- and every failure path
 """
 
 import json
-import random
 
 import pytest
 
+from differential import stream
 from repro.errors import CheckpointError
 from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     STORE_VERSION,
@@ -38,18 +37,6 @@ SEMANTICS skip-till-next-match
 GROUP-BY g
 WITHIN 40 seconds SLIDE 20 seconds
 """
-
-
-def make_stream(count=240, seed=11, groups="abcdefgh"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 120.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
 
 
 def build_runtime(query_text=QUERY):
@@ -80,7 +67,7 @@ def emission_signature(records):
 
 class TestChainRoundTrip:
     def test_latest_checkpoint_reconstructs_exactly(self, tmp_path):
-        events = make_stream()
+        events = stream(count=240, span=120.0)
         runtime = build_runtime()
         store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
         last_direct = None
@@ -93,7 +80,7 @@ class TestChainRoundTrip:
 
     def test_reconstruction_survives_store_restart(self, tmp_path):
         """A fresh store instance (new process) reads the chain from disk."""
-        events = make_stream()
+        events = stream(count=240, span=120.0)
         runtime = build_runtime()
         store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
         cut = 180
@@ -122,7 +109,7 @@ class TestChainRoundTrip:
     def test_base_delta_pattern_and_pruning(self, tmp_path):
         runtime = build_runtime()
         store = CheckpointStore(tmp_path / "ckpt", compact_every=3)
-        events = make_stream(count=140)
+        events = stream(count=140, span=120.0)
         for index, event in enumerate(events):
             runtime.process(event)
             if index % 20 == 19:
@@ -136,7 +123,7 @@ class TestChainRoundTrip:
     def test_compact_every_one_writes_only_bases(self, tmp_path):
         runtime = build_runtime()
         store = CheckpointStore(tmp_path / "ckpt", compact_every=1)
-        for index, event in enumerate(make_stream(count=60)):
+        for index, event in enumerate(stream(count=60, span=120.0)):
             runtime.process(event)
             if index % 20 == 19:
                 store.save(runtime.checkpoint())
@@ -184,7 +171,7 @@ class TestFailurePaths:
     def _store_with_chain(self, tmp_path, checkpoints=3):
         runtime = build_runtime()
         store = CheckpointStore(tmp_path / "ckpt", compact_every=10)
-        for index, event in enumerate(make_stream(count=checkpoints * 20)):
+        for index, event in enumerate(stream(count=checkpoints * 20, span=120.0)):
             runtime.process(event)
             if index % 20 == 19:
                 store.save(runtime.checkpoint())
@@ -272,7 +259,7 @@ class TestBackgroundWrites:
             tmp_path / "ckpt", compact_every=3, background=True
         ) as store:
             last = None
-            for index, event in enumerate(make_stream(count=120)):
+            for index, event in enumerate(stream(count=120, span=120.0)):
                 runtime.process(event)
                 if index % 30 == 29:
                     last = runtime.checkpoint()
@@ -300,7 +287,7 @@ class TestBackgroundWrites:
         """run(source, sink, checkpoint_store=..., checkpoint_interval=...)"""
         runtime = build_runtime()
         store = CheckpointStore(tmp_path / "ckpt", background=True)
-        events = make_stream(count=100)
+        events = stream(count=100, span=120.0)
         runtime.run(events, checkpoint_store=store, checkpoint_interval=25)
         store.close()
         assert store.checkpoint_count == 4

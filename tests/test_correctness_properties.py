@@ -25,12 +25,13 @@ from repro.baselines import (
     TrendOracle,
 )
 from repro.core.engine import CograEngine
-from repro.events.event import Event
 from repro.query.aggregates import avg, count_star, count_type, max_of, min_of, sum_of
 from repro.query.ast import KleenePlus, atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import comparison
 from repro.query.windows import WindowSpec
+
+from differential import build_query, streams
 from helpers import assert_results_equal
 
 MAX_EXAMPLES = 30
@@ -43,40 +44,6 @@ ALL_AGGREGATES = [
     sum_of("A", "x"),
     avg("A", "x"),
 ]
-
-
-def build_query(pattern, semantics, predicates=(), aggregates=None, window=None, group_by=()):
-    builder = QueryBuilder().pattern(pattern).semantics(semantics).window(window)
-    for spec in aggregates or [count_star()]:
-        builder.aggregate(spec)
-    for predicate in predicates:
-        builder.where(predicate)
-    if group_by:
-        builder.group_by(*group_by)
-    return builder.build()
-
-
-# -- stream strategies -------------------------------------------------------------
-
-event_types = st.sampled_from("ABCZ")
-small_values = st.integers(min_value=0, max_value=5)
-
-
-@st.composite
-def streams(draw, max_events=9, types=event_types):
-    """A small random stream with integer attribute ``x`` and group ``g``."""
-    count = draw(st.integers(min_value=0, max_value=max_events))
-    events = []
-    for index in range(count):
-        events.append(
-            Event(
-                draw(types),
-                float(index + 1),
-                {"x": draw(small_values), "g": draw(st.integers(0, 1))},
-                sequence=index,
-            )
-        )
-    return events
 
 
 def assert_matches_oracle(query, events, approaches=(CograApproach,)):
@@ -132,7 +99,7 @@ class TestAnyMatchAgainstOracle:
         assert_matches_oracle(query, events)
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(events=streams(max_events=8, types=st.sampled_from("AB")))
+    @given(events=streams(max_events=8, types="AB"))
     def test_repeated_event_type_with_aliases(self, events):
         query = build_query(
             sequence(kleene_plus("A", "P"), kleene_plus("A", "Q")),
@@ -209,7 +176,7 @@ class TestSinglePredecessorSemanticsAgainstOracle:
         assert_matches_oracle(query, events)
 
     @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(events=streams(max_events=10, types=st.sampled_from("ABZ")))
+    @given(events=streams(max_events=10, types="ABZ"))
     def test_semantics_containment_holds_for_counts(self, events):
         """COUNT under CONT <= NEXT <= ANY for the same pattern and stream."""
         counts = {}

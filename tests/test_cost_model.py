@@ -15,23 +15,11 @@ from repro.baselines.trend_enumeration import TrendOracle
 from repro.core.engine import CograEngine
 from repro.datasets.queries import running_example_query
 from repro.events.event import Event
-from repro.query.aggregates import count_star
 from repro.query.ast import atom, kleene_plus, sequence
-from repro.query.builder import QueryBuilder
 from repro.query.predicates import comparison
 from repro.query.semantics import Semantics
 
-
-def build_query(pattern, semantics="skip-till-any-match", predicates=()):
-    builder = (
-        QueryBuilder("cost-test")
-        .pattern(pattern)
-        .semantics(semantics)
-        .aggregate(count_star())
-    )
-    for predicate in predicates:
-        builder.where(predicate)
-    return builder.build()
+from differential import build_query
 
 
 class TestTable3:

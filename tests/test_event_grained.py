@@ -13,21 +13,12 @@ from repro.core.base import create_aggregator
 from repro.errors import PlanningError
 from repro.query.aggregates import count_star, min_of, sum_of
 from repro.query.ast import KleenePlus, atom, kleene_plus, sequence
-from repro.query.builder import QueryBuilder
 from repro.query.predicates import AdjacentPredicate, comparison
 
+from differential import build_query
 from helpers import assert_results_equal
 
 FIGURE2 = KleenePlus(sequence(kleene_plus("A"), atom("B")))
-
-
-def build_query(predicates=(), aggregates=None, semantics="skip-till-any-match", pattern=FIGURE2):
-    builder = QueryBuilder("event-grained-test").pattern(pattern).semantics(semantics)
-    for spec in aggregates or [count_star()]:
-        builder.aggregate(spec)
-    for predicate in predicates:
-        builder.where(predicate)
-    return builder.build()
 
 
 def feed(aggregator, events):
@@ -38,12 +29,12 @@ def feed(aggregator, events):
 
 class TestEventGrainedCorrectness:
     def test_running_example_count_is_43(self, figure2_stream):
-        plan = plan_query(build_query(), forced_granularity=Granularity.EVENT)
+        plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.EVENT)
         aggregator = feed(EventGrainedAggregator(plan), figure2_stream)
         assert aggregator.final_accumulator().trend_count == 43
 
     def test_agrees_with_type_grained_without_predicates(self, figure2_stream):
-        query = build_query(aggregates=[count_star(), sum_of("A", "value")])
+        query = build_query(FIGURE2, aggregates=[count_star(), sum_of("A", "value")])
         stream = [
             event.replace(attributes={"value": index + 1.0})
             for index, event in enumerate(figure2_stream)
@@ -62,7 +53,7 @@ class TestEventGrainedCorrectness:
         predicate = AdjacentPredicate(
             "B", "A", lambda b, a: not (b.time == 6.0 and a.time == 7.0), "Table 6 restriction"
         )
-        query = build_query(predicates=[predicate])
+        query = build_query(FIGURE2, predicates=[predicate])
         mixed = feed(
             MixedGrainedAggregator(plan_query(query)), figure2_stream
         ).final_accumulator()
@@ -75,6 +66,7 @@ class TestEventGrainedCorrectness:
     def test_agrees_with_oracle_on_value_stream(self, event_spec):
         stream = event_spec("a1=3 a2=5 b3=2 a4=1 b5=4 a6=6 b7=1")
         query = build_query(
+            FIGURE2,
             predicates=[comparison("A", "value", "<", "A")],
             aggregates=[count_star(), min_of("A", "value")],
         )
@@ -84,13 +76,13 @@ class TestEventGrainedCorrectness:
 
     def test_irrelevant_events_are_skipped(self, event_spec):
         stream = event_spec("a1 c2 b3 c4")
-        plan = plan_query(build_query(), forced_granularity=Granularity.EVENT)
+        plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.EVENT)
         aggregator = feed(EventGrainedAggregator(plan), stream)
         assert aggregator.events_processed == 2
         assert aggregator.final_accumulator().trend_count == 1
 
     def test_stored_nodes_grow_with_matched_events(self, figure2_stream):
-        plan = plan_query(build_query(), forced_granularity=Granularity.EVENT)
+        plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.EVENT)
         aggregator = feed(EventGrainedAggregator(plan), figure2_stream)
         # 4 a's and 3 b's are matched; c5 is not stored
         assert aggregator.stored_event_count() == 7
@@ -98,7 +90,7 @@ class TestEventGrainedCorrectness:
         assert len(aggregator.stored_nodes("B")) == 3
 
     def test_empty_stream_yields_zero(self):
-        plan = plan_query(build_query(), forced_granularity=Granularity.EVENT)
+        plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.EVENT)
         aggregator = EventGrainedAggregator(plan)
         assert aggregator.final_accumulator().trend_count == 0
         assert aggregator.stored_event_count() == 0
@@ -106,7 +98,7 @@ class TestEventGrainedCorrectness:
 
 class TestStorageComparison:
     def test_event_granularity_stores_more_than_type(self, figure2_stream):
-        query = build_query()
+        query = build_query(FIGURE2)
         type_aggregator = feed(TypeGrainedAggregator(plan_query(query)), figure2_stream)
         event_aggregator = feed(
             EventGrainedAggregator(plan_query(query, forced_granularity=Granularity.EVENT)),
@@ -119,44 +111,44 @@ class TestStorageComparison:
 
 class TestForcedGranularity:
     def test_selector_choice_is_recorded(self):
-        plan = plan_query(build_query(), forced_granularity=Granularity.EVENT)
+        plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.EVENT)
         assert plan.selected_granularity is Granularity.TYPE
         assert plan.granularity is Granularity.EVENT
         assert plan.type_grained == frozenset()
         assert plan.event_grained == {"A", "B"}
 
     def test_describe_mentions_forced_granularity(self):
-        plan = plan_query(build_query(), forced_granularity=Granularity.EVENT)
+        plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.EVENT)
         assert "forced" in plan.describe()
-        default_plan = plan_query(build_query())
+        default_plan = plan_query(build_query(FIGURE2))
         assert "forced" not in default_plan.describe()
 
     def test_string_granularity_is_accepted(self):
-        plan = plan_query(build_query(), forced_granularity="event")
+        plan = plan_query(build_query(FIGURE2), forced_granularity="event")
         assert plan.granularity is Granularity.EVENT
 
     def test_factory_dispatches_on_forced_granularity(self):
-        plan = plan_query(build_query(), forced_granularity=Granularity.EVENT)
+        plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.EVENT)
         assert isinstance(create_aggregator(plan), EventGrainedAggregator)
-        mixed_plan = plan_query(build_query(), forced_granularity=Granularity.MIXED)
+        mixed_plan = plan_query(build_query(FIGURE2), forced_granularity=Granularity.MIXED)
         assert isinstance(create_aggregator(mixed_plan), MixedGrainedAggregator)
 
     def test_forcing_coarser_than_correct_is_rejected(self):
-        query = build_query(predicates=[comparison("A", "value", "<", "A")])
+        query = build_query(FIGURE2, predicates=[comparison("A", "value", "<", "A")])
         with pytest.raises(PlanningError):
             plan_query(query, forced_granularity=Granularity.TYPE)
 
     def test_forcing_pattern_for_any_semantics_is_rejected(self):
         with pytest.raises(PlanningError):
-            plan_query(build_query(), forced_granularity=Granularity.PATTERN)
+            plan_query(build_query(FIGURE2), forced_granularity=Granularity.PATTERN)
 
     def test_forcing_type_for_contiguous_is_rejected(self):
-        query = build_query(semantics="contiguous")
+        query = build_query(FIGURE2, semantics="contiguous")
         with pytest.raises(PlanningError):
             plan_query(query, forced_granularity=Granularity.TYPE)
 
     def test_pattern_queries_allow_only_pattern(self):
-        query = build_query(semantics="skip-till-next-match")
+        query = build_query(FIGURE2, semantics="skip-till-next-match")
         plan = plan_query(query, forced_granularity=Granularity.PATTERN)
         assert plan.granularity is Granularity.PATTERN
 
@@ -171,7 +163,7 @@ class TestForcedGranularity:
     )
     def test_allowed_granularities_matrix(self, semantics, with_predicate, expected):
         predicates = [comparison("A", "value", "<", "A")] if with_predicate else []
-        plan = plan_query(build_query(predicates=predicates, semantics=semantics))
+        plan = plan_query(build_query(FIGURE2, predicates=predicates, semantics=semantics))
         assert allowed_granularities(plan.query.semantics, plan.classification) == expected
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import slices, streams
 from helpers import (
     reference_event_grained_process,
     reference_mixed_grained_process,
@@ -227,14 +228,13 @@ def events_of(rows):
 TYPES = "AAABBCDZ"
 
 
-@st.composite
-def streams(draw):
-    values = draw(st.sampled_from([INTEGERS, FLOATS]))
-    # some events carry no value at all: they count but do not aggregate
-    value = st.none() | values
-    rows = draw(st.lists(st.tuples(st.sampled_from(TYPES), value, st.booleans()), max_size=40))
-    cuts = draw(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6))
-    return events_of(rows), cuts
+#: a value, or none at all: such an event counts but does not aggregate
+VALUES = st.none() | INTEGERS | FLOATS
+#: the slice sizes a stream is folded in, cyclically
+CUTS = st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6)
+STREAMS = streams(
+    max_events=40, types=TYPES, attribute="v", values=VALUES, groups=(), ties=True
+)
 
 
 def seeded_stream(seed, count=150):
@@ -251,16 +251,6 @@ def seeded_stream(seed, count=150):
     return events_of(rows), [rng.randint(1, 7) for _ in range(5)]
 
 
-def split(events, cuts):
-    runs, cursor, index = [], 0, 0
-    while cursor < len(events):
-        size = cuts[index % len(cuts)]
-        runs.append(events[cursor:cursor + size])
-        cursor += size
-        index += 1
-    return runs
-
-
 def bound(plan, events):
     """What the executor hands an aggregator: events the plan does not filter."""
     run = []
@@ -275,7 +265,7 @@ def check_every_run(shape, events, cuts):
     """``process_run`` by runs and ``process`` by events against the recurrence."""
     plan, make, reference = shape.build()
     folded, one_by_one, oracle = make(), make(), make()
-    for run in split(events, cuts):
+    for run in slices(events, cuts):
         folded.process_run(bound(plan, run))
         for event in run:
             one_by_one.process(event)
@@ -291,9 +281,9 @@ def check_every_run(shape, events, cuts):
 class TestKernelsMatchTheLiteralRecurrences:
     @pytest.mark.parametrize("shape", SHAPES, ids=repr)
     @settings(max_examples=30, deadline=None)
-    @given(stream=streams())
-    def test_state_equal_after_every_run(self, shape, stream):
-        check_every_run(shape, *stream)
+    @given(events=STREAMS, cuts=CUTS)
+    def test_state_equal_after_every_run(self, shape, events, cuts):
+        check_every_run(shape, events, cuts)
 
     @pytest.mark.parametrize("shape", SHAPES, ids=repr)
     def test_state_equal_along_a_long_stream(self, shape):
@@ -375,7 +365,7 @@ def check_fanned(shape, events, cuts, cut, starts):
     plan, make, reference = shape.build()
     history, rest = events[:cut], events[cut:]
     fanned, separate, oracles = window_aggregators(plan, make, reference, history, starts)
-    for run in split(rest, cuts):
+    for run in slices(rest, cuts):
         bound_run = bound(plan, run)
         fanned[0].process_run(bound_run, fanned[1:])
         for aggregator in separate:
@@ -394,14 +384,14 @@ class TestFannedRunEqualsOneFoldPerWindow:
     @pytest.mark.parametrize("shape", SHAPES, ids=repr)
     @settings(max_examples=20, deadline=None)
     @given(
-        stream=streams(),
+        events=STREAMS,
+        cuts=CUTS,
         offsets=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6),
         history_share=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_every_window_ends_where_its_own_fold_would(
-        self, shape, stream, offsets, history_share
+        self, shape, events, cuts, offsets, history_share
     ):
-        events, cuts = stream
         cut = int(len(events) * history_share)
         check_fanned(shape, events, cuts, cut, [offset % (cut + 1) for offset in offsets])
 

@@ -9,7 +9,6 @@ records, no duplicates.
 
 import json
 import os
-import random
 import signal
 import subprocess
 import sys
@@ -20,9 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import canonical, kill_worker, stream
 from repro.errors import CheckpointError, SourceError
-from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.config import resume_job
 from repro.streaming.runtime import StreamingRuntime
@@ -42,18 +40,6 @@ SEMANTICS skip-till-any-match
 GROUP-BY g
 WITHIN 20 seconds SLIDE 10 seconds
 """
-
-
-def make_stream(count=400, seed=13, groups="uvwxyz"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 90.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
 
 
 def write_log(directory, events, partitions=3, segment_records=64):
@@ -84,14 +70,6 @@ def sink_rows(path):
         for line in Path(path).read_text().splitlines()
         if line.strip()
     ]
-
-
-def canonical(rows):
-    """Delivery identity of parsed sink rows: everything but the watermark."""
-    return sorted(
-        tuple(sorted((k, str(v)) for k, v in row.items() if k != "watermark"))
-        for row in rows
-    )
 
 
 class Crash(RuntimeError):
@@ -125,14 +103,14 @@ class CrashingSource(EventSource):
 
 class TestPartitionedLog:
     def test_round_trip_preserves_total_order(self, tmp_path):
-        events = make_stream(count=120)
+        events = stream(count=120)
         write_log(tmp_path / "log", events)
         source = PartitionedLogSource(tmp_path / "log")
         assert list(source.events()) == events
         assert source.partitions == 3
 
     def test_offsets_count_delivered_records(self, tmp_path):
-        events = make_stream(count=90)
+        events = stream(count=90)
         write_log(tmp_path / "log", events)
         source = PartitionedLogSource(tmp_path / "log")
         iterator = source.events()
@@ -143,7 +121,7 @@ class TestPartitionedLog:
         assert set(offsets) == {"0", "1", "2"}  # JSON-keyed for checkpoints
 
     def test_seek_resumes_exactly_after_committed_prefix(self, tmp_path):
-        events = make_stream(count=100)
+        events = stream(count=100)
         write_log(tmp_path / "log", events)
         first = PartitionedLogSource(tmp_path / "log")
         iterator = first.events()
@@ -157,7 +135,7 @@ class TestPartitionedLog:
     def test_seek_never_reads_wholly_committed_segments(self, tmp_path):
         # the proof that segment-granular skipping works: segments entirely
         # before the committed offset can be GONE and the seek still works
-        events = make_stream(count=50)
+        events = stream(count=50)
         write_log(tmp_path / "log", events, partitions=1, segment_records=10)
         source = PartitionedLogSource(tmp_path / "log")
         iterator = source.events()
@@ -173,7 +151,7 @@ class TestPartitionedLog:
         assert list(resumed.events()) == events[30:]
 
     def test_append_after_reopen_continues_offsets(self, tmp_path):
-        first, second = make_stream(count=40), make_stream(count=40, seed=99)
+        first, second = stream(count=40), stream(99, 40)
         write_log(tmp_path / "log", first, partitions=2, segment_records=8)
         with PartitionedLogWriter(tmp_path / "log", partitions=2) as writer:
             positions = [writer.append(event, key=event["g"]) for event in second]
@@ -187,7 +165,7 @@ class TestPartitionedLog:
         assert all(offset >= 0 for _, offset in positions)
 
     def test_open_source_log_spec(self, tmp_path):
-        write_log(tmp_path / "log", make_stream(count=10))
+        write_log(tmp_path / "log", stream(count=10))
         source = open_source(f"log:{tmp_path / 'log'}")
         assert isinstance(source, PartitionedLogSource)
         assert source.replayable
@@ -200,7 +178,7 @@ class TestPartitionedLog:
             PartitionedLogSource(tmp_path / "empty")
 
     def test_seek_validation(self, tmp_path):
-        write_log(tmp_path / "log", make_stream(count=10))
+        write_log(tmp_path / "log", stream(count=10))
         source = PartitionedLogSource(tmp_path / "log")
         with pytest.raises(SourceError, match="must be integers"):
             source.seek({"0": "many"})
@@ -342,13 +320,13 @@ class TestExactlyOncePipeline:
         return out.read_bytes()
 
     def test_recovered_output_is_byte_identical(self, tmp_path):
-        events = make_stream(count=300)
+        events = stream(count=300)
         expected = reference_bytes(events, tmp_path / "ref.jsonl")
         recovered = self.crash_and_recover(tmp_path, events, crash_at=170)
         assert recovered == expected
 
     def test_crash_before_first_checkpoint_replays_everything(self, tmp_path):
-        events = make_stream(count=200)
+        events = stream(count=200)
         expected = reference_bytes(events, tmp_path / "ref.jsonl")
         recovered = self.crash_and_recover(
             tmp_path, events, crash_at=10, interval=50
@@ -356,7 +334,7 @@ class TestExactlyOncePipeline:
         assert recovered == expected
 
     def test_checkpoints_carry_source_offsets_and_sink_state(self, tmp_path):
-        events = make_stream(count=150)
+        events = stream(count=150)
         log_dir = write_log(tmp_path / "log", events)
         store = CheckpointStore(tmp_path / "ckpt", background=False)
         sink = TransactionalSink(tmp_path / "out.jsonl")
@@ -378,7 +356,7 @@ class TestExactlyOncePipeline:
         assert snapshot["sink"]["bytes"] >= 0
 
     def test_no_duplicate_deliveries_after_recovery(self, tmp_path):
-        events = make_stream(count=300, seed=29)
+        events = stream(29, 300)
         recovered = self.crash_and_recover(tmp_path, events, crash_at=200)
         parsed = [json.loads(line) for line in recovered.decode().splitlines()]
         keys = canonical(parsed)
@@ -393,7 +371,7 @@ class TestExactlyOncePipeline:
     def test_any_crash_point_recovers_byte_identical(
         self, tmp_path_factory, seed, crash_at, interval
     ):
-        events = make_stream(count=250, seed=seed)
+        events = stream(seed, 250)
         directory = tmp_path_factory.mktemp("exactly-once-property")
         expected = reference_bytes(events, directory / "ref.jsonl")
         recovered = self.crash_and_recover(
@@ -402,7 +380,7 @@ class TestExactlyOncePipeline:
         assert recovered == expected
 
     def test_sharded_worker_kill_delivers_each_result_once(self, tmp_path):
-        events = make_stream(count=400)
+        events = stream(count=400)
         reference_bytes(events, tmp_path / "ref.jsonl")
         expected = canonical(sink_rows(tmp_path / "ref.jsonl"))
         log_dir = write_log(tmp_path / "log", events)
@@ -416,9 +394,7 @@ class TestExactlyOncePipeline:
         def killing(source):
             for index, event in enumerate(source.events()):
                 if index == 250:
-                    victim = runtime._procs[1]
-                    os.kill(victim.pid, signal.SIGKILL)
-                    victim.join(timeout=10)
+                    kill_worker(runtime, 1)
                 yield event
 
         runtime.run(
@@ -438,7 +414,7 @@ class TestExactlyOncePipeline:
 class TestCliSigkillRecovery:
     def test_sigkill_then_recover_matches_uninterrupted_run(self, tmp_path):
         """The operational drill: ``kill -9`` the CLI, rerun ``--recover``."""
-        events = make_stream(count=6000, seed=5)
+        events = stream(5, 6000)
         log_dir = write_log(tmp_path / "log", events, segment_records=512)
 
         out = tmp_path / "out.jsonl"

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import slices, stream
 from helpers import reference_ingest_per_push, reference_process_ordered
 from repro.core.executor import QueryExecutor
 from repro.errors import LateEventError
@@ -71,39 +72,32 @@ query_sets = st.lists(
 )
 
 
-def arrivals(seed, count=140, late_share=0.04, punctuated=False, names=()):
-    """A seeded stream in arrival order: bounded disorder plus a few late events.
+def arrivals(seed, count=140, late=0.04, punctuated=False, names=()):
+    """A module stream with bounded disorder plus a few late events.
 
     Event times are multiples of 0.5 s, so ties and timestamps exactly on a
     window boundary are common -- multiples of 0.1 s, most of which no float
     holds exactly, when one of ``names`` is a decimal window.  Every event
     carries its time as attribute ``t``.  With ``punctuated``, ``W`` events
-    carrying the arrival clock minus the disorder bound are woven in.
+    trailing the arrival clock by up to the disorder bound are woven in.
     """
-    rng = random.Random(seed)
-    ticks = 10.0 if any(name.startswith("decimal") for name in names) else 2.0
-    events = []
-    for _ in range(count):
-        event_type = rng.choice("AAABBCD")
-        time = rng.randrange(0, int(35 * ticks)) / ticks
-        attributes = {"g": rng.choice("xyz"), "v": rng.randint(1, 9), "t": time}
-        events.append(Event(event_type, time, attributes))
-    events = sort_events(events)
-    keyed = []
-    for event in events:
-        delay = (
-            rng.uniform(LATENESS + 1.0, LATENESS + 8.0)
-            if rng.random() < late_share
-            else rng.uniform(0.0, LATENESS)
+    grid = 10 if any(name.startswith("decimal") for name in names) else 2
+    events = [
+        event.replace(attributes={"t": event.time})
+        for event in stream(
+            seed, count, groups="xyz", span=35.0, grid=grid, disorder=LATENESS, late=late
         )
-        keyed.append((event.time + delay, event.sequence, event))
-    keyed.sort(key=lambda item: item[:2])
-    stream = []
-    for index, (clock, _sequence, event) in enumerate(keyed):
-        stream.append(event)
-        if punctuated and rng.random() < 0.15:
-            stream.append(Event("W", max(0.0, clock - LATENESS), sequence=10_000 + index))
-    return stream
+    ]
+    if not punctuated:
+        return events
+    rng = random.Random(seed)
+    woven = []
+    for index, event in enumerate(events):
+        woven.append(event)
+        if rng.random() < 0.15:
+            clock = max(0.0, event.time - rng.uniform(0.0, LATENESS))
+            woven.append(Event("W", clock, sequence=10_000 + index))
+    return woven
 
 
 def build(names, policy, punctuated=False, sample_rate=None, seed=0):
@@ -121,11 +115,6 @@ def build(names, policy, punctuated=False, sample_rate=None, seed=0):
     for name in names:
         runtime.register(QUERIES[name], name=name)
     return runtime
-
-
-def slices_of(stream, size):
-    size = size or len(stream)
-    return [stream[start : start + size] for start in range(0, len(stream), size)]
 
 
 def stamped(records):
@@ -164,7 +153,7 @@ class TestStepsEqualPushes:
         stream = arrivals(seed, punctuated=punctuated, names=names)
         reference = build(names, policy, punctuated)
         runtime = build(names, policy, punctuated, sample_rate, seed)
-        for index, chunk in enumerate(slices_of(stream, size)):
+        for index, chunk in enumerate(slices(stream, [size or len(stream)])):
             outcomes = []
             for feed in (
                 lambda: reference_ingest_per_push(reference, chunk),
@@ -191,7 +180,7 @@ class TestStepsEqualPushes:
         self, seed, names, sizes, advance
     ):
         """Shard workers get batches cut by push counts, not by windows."""
-        stream = sort_events(arrivals(seed, late_share=0.0, names=names))
+        stream = sort_events(arrivals(seed, late=0.0, names=names))
         reference = build(names, "drop")
         runtime = build(names, "drop")
         cursor = index = 0
@@ -225,7 +214,7 @@ class TestStepsEqualPushes:
         stream = arrivals(seed, names=names)
         runtime = build(names, "side-channel")
         records = []
-        for chunk in slices_of(stream, size):
+        for chunk in slices(stream, [size or len(stream)]):
             records += runtime.process_batch(chunk)
         records += runtime.flush()
         late = runtime.take_late_events()
@@ -268,7 +257,7 @@ class TestStepsEqualPushes:
         so a valid input line: it must cost what any other event costs.
         """
         names = ["sliding", "tumbling", "b_only"]
-        stream = arrivals(3, count=40, late_share=0.0)
+        stream = arrivals(3, count=40, late=0.0)
         stream += [
             Event(event_type, time, {"g": "x", "v": 1}, sequence=1000 + index)
             for index, (event_type, time) in enumerate(

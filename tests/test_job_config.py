@@ -15,7 +15,6 @@ The central guarantees:
 
 import dataclasses
 import json
-import random
 import sys
 import threading
 import typing
@@ -24,10 +23,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import job
+from repro.baselines.oracle import expected_records
 from repro.core.engine import CograEngine
 from repro.errors import ConfigError
 from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.config import (
     BackpressureConfig,
@@ -50,6 +49,7 @@ from repro.streaming.config import (
 from repro.streaming.ingest import LatePolicy
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.sharded import ShardedRuntime
+from differential import canonical, stream
 from helpers import assert_results_equal
 
 LATENESS = 5.0
@@ -68,36 +68,6 @@ PATTERN SEQ(A+, B)
 SEMANTICS skip-till-any-match
 WITHIN 20 seconds SLIDE 10 seconds
 """
-
-
-def make_stream(count=60, seed=11):
-    """A bounded-disorder multi-partition stream of A/B events."""
-    rng = random.Random(seed)
-    ordered = [
-        Event(
-            "A" if i % 3 else "B",
-            float(i),
-            {"g": "x" if i % 2 else "y", "v": i % 7},
-            sequence=i,
-        )
-        for i in range(count)
-    ]
-    return sorted(
-        ordered, key=lambda e: (e.time + rng.uniform(0.0, LATENESS), e.sequence)
-    )
-
-
-def record_signature(records):
-    """Order-independent view of emission records for comparison."""
-    return sorted(
-        (
-            record.query,
-            record.result.window_id,
-            tuple(sorted(record.result.group.items())),
-            tuple(sorted(record.result.values.items())),
-        )
-        for record in records
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +655,31 @@ class TestValidate:
         with pytest.warns(RuntimeWarning, match="different attributes"):
             config.validate()
 
+    @pytest.mark.parametrize(
+        "texts",
+        [
+            [TYPE_QUERY.replace("WITHIN 20 seconds SLIDE 10 seconds", "WITHIN 9 events")],
+            [UNPARTITIONED_QUERY],
+            [TYPE_QUERY, TYPE_QUERY.replace("GROUP-BY g", "GROUP-BY v")],
+        ],
+        ids=["count-window", "unpartitioned", "different-attributes"],
+    )
+    def test_the_config_warns_with_the_runtimes_fallback_reason(self, texts):
+        names = [f"q{index}" for index in range(len(texts))]
+        config = JobConfig(
+            queries=tuple(QueryConfig(text=t, name=n) for t, n in zip(texts, names)),
+            shards=ShardConfig(workers=2),
+        )
+        with pytest.warns(RuntimeWarning) as validated:
+            config.validate()
+        runtime = ShardedRuntime(workers=2)
+        for text, name in zip(texts, names):
+            runtime.register(text, name=name)
+        with pytest.warns(RuntimeWarning) as started:
+            runtime.flush()  # starts the workers, then stops them
+        assert [str(w.message) for w in validated] == [runtime.fallback_reason]
+        assert [str(w.message) for w in started] == [runtime.fallback_reason]
+
     def test_resolved_names_fill_positional_defaults(self):
         config = JobConfig(
             queries=(
@@ -766,7 +761,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kwargs_config_and_reloaded_config_agree(self, workers):
-        feed = make_stream()
+        feed = stream(count=60, disorder=LATENESS)
         config = self._config(workers)
 
         engine = CograEngine.from_text(TYPE_QUERY)
@@ -779,14 +774,14 @@ class TestEquivalence:
         reloaded = JobConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         via_reload = job(reloaded, events=feed).results()
 
-        assert record_signature(via_config) == record_signature(via_reload)
+        assert canonical(via_config) == canonical(via_reload)
         assert_results_equal(via_kwargs, [r.result for r in via_config])
 
     def test_streamed_results_match_batch(self):
-        feed = make_stream()
-        batch = CograEngine.from_text(TYPE_QUERY).run(sort_events(feed))
+        feed = stream(count=60, disorder=LATENESS)
         records = job(self._config(1), events=feed).results()
-        assert_results_equal(batch, [r.result for r in records])
+        expected = expected_records([("q", TYPE_QUERY)], feed, LATENESS)
+        assert canonical(records) == canonical(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +800,7 @@ class TestJobFacade:
         return JobConfig(**base)
 
     def test_results_are_cached_and_job_is_stopped(self):
-        running = job(self._config(), events=make_stream())
+        running = job(self._config(), events=stream(count=60, disorder=LATENESS))
         records = running.results()
         assert records
         assert running.results() is records  # cached, not re-run
@@ -815,9 +810,9 @@ class TestJobFacade:
         config = self._config(source=SourceConfig(spec="unused"))
         path = tmp_path / "job.json"
         path.write_text(json.dumps(config.to_dict()))
-        from_path = job(path, events=make_stream()).results()
-        from_dict = job(config.to_dict(), events=make_stream()).results()
-        assert record_signature(from_path) == record_signature(from_dict)
+        from_path = job(path, events=stream(count=60, disorder=LATENESS)).results()
+        from_dict = job(config.to_dict(), events=stream(count=60, disorder=LATENESS)).results()
+        assert canonical(from_path) == canonical(from_dict)
 
     def test_job_rejects_other_config_types(self):
         with pytest.raises(ConfigError, match="JobConfig"):
@@ -826,7 +821,7 @@ class TestJobFacade:
     def test_sink_spec_writes_jsonl(self, tmp_path):
         out = tmp_path / "out.jsonl"
         config = self._config(sink=SinkConfig(spec=str(out)))
-        records = job(config, events=make_stream()).results()
+        records = job(config, events=stream(count=60, disorder=LATENESS)).results()
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(lines) == len(records)
         assert all(row["query"] == "q" for row in lines)
@@ -837,13 +832,13 @@ class TestJobFacade:
             "".join(
                 json.dumps({"type": e.event_type, "time": e.time, **e.attributes})
                 + "\n"
-                for e in make_stream()
+                for e in stream(count=60, disorder=LATENESS)
             )
         )
         config = self._config(source=SourceConfig(spec=str(path)))
-        in_memory = job(self._config(), events=make_stream()).results()
+        in_memory = job(self._config(), events=stream(count=60, disorder=LATENESS)).results()
         from_file = job(config).results()
-        assert record_signature(from_file) == record_signature(in_memory)
+        assert canonical(from_file) == canonical(in_memory)
 
     def test_side_channel_path_persists_late_events(self, tmp_path):
         late_path = tmp_path / "late.jsonl"
@@ -881,7 +876,7 @@ class TestJobFacade:
         config = self._config(
             checkpoint=CheckpointConfig(dir=str(tmp_path / "ckpt"), recover=True)
         )
-        running = job(config, events=make_stream()).start()
+        running = job(config, events=stream(count=60, disorder=LATENESS)).start()
         assert running.resume_notes and "starting fresh" in running.resume_notes[0]
         snapshot = running.checkpoint()
         assert snapshot["version"]
@@ -890,7 +885,7 @@ class TestJobFacade:
             assert store.load_latest() is not None
 
     def test_recover_resumes_and_skips_replayed_prefix(self, tmp_path):
-        events = make_stream()
+        events = stream(count=60, disorder=LATENESS)
         path = tmp_path / "events.jsonl"
         path.write_text(
             "".join(
@@ -920,7 +915,7 @@ class TestJobFacade:
         # still open at the last checkpoint -- same values, nothing new, and
         # nothing double-counted (the replayed prefix was skipped)
         assert resumed, "windows open at the last checkpoint must re-emit"
-        assert set(record_signature(resumed)) <= set(record_signature(first))
+        assert set(canonical(resumed)) <= set(canonical(first))
 
     def test_failed_run_keeps_raising_instead_of_serving_partial_results(self):
         from repro.errors import LateEventError
@@ -990,7 +985,7 @@ class TestJobFacade:
         config = self._config(
             sink=SinkConfig(spec=str(out)), batch=BatchConfig(decode_batch_size=8)
         )
-        running = job(config, events=make_stream())
+        running = job(config, events=stream(count=60, disorder=LATENESS))
         drive = running.records()
         first = next(drive)
         # the drive is suspended mid-stream: only some slices were pulled
@@ -1005,7 +1000,7 @@ class TestJobFacade:
             running.results()
 
     def test_start_twice_rejected(self):
-        running = job(self._config(), events=make_stream()).start()
+        running = job(self._config(), events=stream(count=60, disorder=LATENESS)).start()
         with pytest.raises(RuntimeError, match="already started"):
             running.start()
         running.stop()
@@ -1015,7 +1010,7 @@ class TestJobFacade:
             job(self._config(), events=[]).metrics
 
     def test_context_manager_starts_and_stops(self):
-        with job(self._config(), events=make_stream()) as running:
+        with job(self._config(), events=stream(count=60, disorder=LATENESS)) as running:
             assert running.runtime is not None
         with pytest.raises(RuntimeError, match="stopped"):
             running.results()
@@ -1038,7 +1033,7 @@ class TestJobThreadSafety:
         release = threading.Event()
 
         def feed():
-            for index, event in enumerate(make_stream(count=200)):
+            for index, event in enumerate(stream(count=200, disorder=LATENESS)):
                 if index == 20:
                     reached.set()
                     release.wait(10.0)
@@ -1064,7 +1059,7 @@ class TestJobThreadSafety:
         running.stop()
 
     def test_concurrent_results_serialize_and_share_the_list(self):
-        running = job(self._config(), events=make_stream())
+        running = job(self._config(), events=stream(count=60, disorder=LATENESS))
         collected = []
         threads = [
             threading.Thread(target=lambda: collected.append(running.results()))
@@ -1079,7 +1074,7 @@ class TestJobThreadSafety:
         assert collected[0]
 
     def test_racing_stops_tear_down_once(self):
-        running = job(self._config(), events=make_stream()).start()
+        running = job(self._config(), events=stream(count=60, disorder=LATENESS)).start()
         threads = [threading.Thread(target=running.stop) for _ in range(8)]
         for thread in threads:
             thread.start()

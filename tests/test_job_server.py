@@ -10,14 +10,13 @@ results (byte-identical to a solo run) or blow up its latency.
 """
 
 import json
-import random
 import socket
 import threading
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from differential import GROUPS, stream
 from repro.errors import (
     CograError,
     ConcurrencyQuotaError,
@@ -64,21 +63,8 @@ WITHIN 20 seconds SLIDE 10 seconds
 """
 
 
-def make_stream(count=60, seed=11, groups=2):
-    """A bounded-disorder multi-partition stream of A/B events."""
-    rng = random.Random(seed)
-    ordered = [
-        Event(
-            "A" if i % 3 else "B",
-            float(i),
-            {"g": f"g{i % groups}", "v": i % 7},
-            sequence=i,
-        )
-        for i in range(count)
-    ]
-    return sorted(
-        ordered, key=lambda e: (e.time + rng.uniform(0.0, LATENESS), e.sequence)
-    )
+#: one group per event of a 400-event stream: a state bomb
+MANY_GROUPS = tuple(f"g{index}" for index in range(400))
 
 
 def write_stream(path, events):
@@ -271,7 +257,7 @@ class TestSnapshotLabelling:
 
 class TestJobServerLifecycle:
     def test_submit_wait_results_match_a_solo_run(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         config = job_dict(events)
         with JobServer() as server:
             job_id = server.submit(config)
@@ -281,7 +267,7 @@ class TestJobServerLifecycle:
             assert record_bytes(server.results(job_id)) == solo_record_bytes(config)
 
     def test_list_jobs_filters_by_tenant(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         with JobServer() as server:
             first = server.submit(job_dict(events), tenant="alpha")
             second = server.submit(job_dict(events), tenant="beta")
@@ -305,7 +291,7 @@ class TestJobServerLifecycle:
                 server.submit(42)
 
     def test_cancel_stops_a_running_job(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream(2000))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=2000, disorder=LATENESS))
         config = ServerConfig(
             tenants=(
                 TenantConfig("slow", max_events_per_second=10.0, burst=10.0),
@@ -321,7 +307,7 @@ class TestJobServerLifecycle:
             assert server.cancel(job_id)["state"] == CANCELLED
 
     def test_a_broken_source_fails_the_job_not_the_server(self, tmp_path):
-        good = write_stream(tmp_path / "events.jsonl", make_stream())
+        good = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         bad = tmp_path / "missing.jsonl"
         with JobServer() as server:
             try:
@@ -333,7 +319,7 @@ class TestJobServerLifecycle:
             assert server.wait(healthy)["state"] == DONE
 
     def test_checkpoints_are_isolated_per_job(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         config = ServerConfig(dir=str(tmp_path / "server"))
         checkpointed = job_dict(
             events, checkpoint={"dir": "unused", "interval": 16}
@@ -349,7 +335,7 @@ class TestJobServerLifecycle:
             assert any((root / first).iterdir())
 
     def test_metrics_snapshot_is_labelled_and_filterable(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         with JobServer() as server:
             first = server.submit(job_dict(events), tenant="alpha")
             second = server.submit(job_dict(events), tenant="beta")
@@ -379,7 +365,7 @@ class TestJobServerLifecycle:
 
 class TestQuotas:
     def test_concurrency_quota_rejects_the_one_extra_job(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream(2000))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=2000, disorder=LATENESS))
         config = ServerConfig(
             tenants=(
                 TenantConfig(
@@ -403,7 +389,7 @@ class TestQuotas:
             server.wait(second)
 
     def test_rate_quota_throttles_but_completes(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream(100))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=100, disorder=LATENESS))
         config = ServerConfig(
             tenants=(
                 TenantConfig("slow", max_events_per_second=50.0, burst=50.0),
@@ -424,7 +410,7 @@ class TestQuotas:
     ):
         # the quota is a tenant-level bound: two concurrent jobs split one
         # token bucket rather than each getting the full configured rate
-        events = write_stream(tmp_path / "events.jsonl", make_stream(100))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=100, disorder=LATENESS))
         config = ServerConfig(
             tenants=(
                 TenantConfig("slow", max_events_per_second=100.0, burst=100.0),
@@ -487,7 +473,7 @@ class TestQuotas:
     def test_state_quota_fails_the_job_mid_checkpoint(self, tmp_path):
         # every event its own group: aggregator state grows monotonically
         events = write_stream(
-            tmp_path / "events.jsonl", make_stream(400, groups=400)
+            tmp_path / "events.jsonl", stream(count=400, groups=MANY_GROUPS, disorder=LATENESS)
         )
         config = ServerConfig(
             tenants=(TenantConfig("capped", max_state_bytes=256),)
@@ -507,7 +493,7 @@ class TestQuotas:
         # the job config never checkpoints; the server forces periodic
         # quota checkpoints (STATE_CHECK_INTERVAL) for capped tenants
         events = write_stream(
-            tmp_path / "events.jsonl", make_stream(600, groups=600)
+            tmp_path / "events.jsonl", stream(count=600, groups=MANY_GROUPS, disorder=LATENESS)
         )
         config = ServerConfig(
             tenants=(TenantConfig("capped", max_state_bytes=256),)
@@ -559,7 +545,7 @@ class TestQuotas:
         tight.close()
 
     def test_unknown_tenant_is_rejected_when_tenants_are_declared(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         config = ServerConfig(tenants=(TenantConfig("alpha"),))
         with JobServer(config) as server:
             with pytest.raises(ConfigError, match="unknown tenant"):
@@ -587,7 +573,7 @@ class TestQuotas:
             "checkpoint.recover",
             "observability.prometheus_port",
         )
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         config = job_dict(events, **overrides)
         with JobServer() as server:
             with pytest.raises(ConfigError, match=path):
@@ -642,7 +628,7 @@ class TestHostedEqualsStandalone:
     )
     def test_files_and_records_agree(self, tmp_path, setting, workers):
         # disorder of up to 5 s against a lateness of 1: some events are late
-        events = write_stream(tmp_path / "events.jsonl", make_stream(200))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=200, disorder=LATENESS))
 
         def config_in(directory):
             directory.mkdir()
@@ -692,12 +678,12 @@ class TestHostedEqualsStandalone:
     def test_a_raising_late_policy_keeps_the_slices_earlier_records(self, tmp_path):
         # the slice that raises had closed windows before its late event
         # came: those records are delivered, hosted as standalone
-        stream = [
+        ordered = [
             Event("A" if i % 3 else "B", float(i), {"g": "g0", "v": i % 7}, sequence=i)
             for i in range(200)
         ]
-        stream.insert(150, Event("A", 1.0, {"g": "g0", "v": 0}, sequence=200))
-        events = write_stream(tmp_path / "events.jsonl", stream)
+        ordered.insert(150, Event("A", 1.0, {"g": "g0", "v": 0}, sequence=200))
+        events = write_stream(tmp_path / "events.jsonl", ordered)
 
         def config_to(sink_path):
             return job_dict(
@@ -725,7 +711,7 @@ class TestHostedEqualsStandalone:
     def test_stop_closes_everything_and_reports_the_first_failure(
         self, tmp_path, monkeypatch
     ):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         config = job_dict(
             events,
             sink={"spec": str(tmp_path / "out.jsonl")},
@@ -752,7 +738,7 @@ class TestHostedEqualsStandalone:
                 self.closed = True
 
         # standalone: the failure surfaces, after the store was closed too
-        source = ClosableSource(make_stream())
+        source = ClosableSource(stream(count=60, disorder=LATENESS))
         running = job(JobConfig.from_dict(config), events=source)
         with pytest.raises(OSError, match="disk full"):
             running.results()
@@ -767,7 +753,7 @@ class TestHostedEqualsStandalone:
         assert len(closed) == 2
 
     def test_a_start_up_failure_names_its_setting(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         config = job_dict(events, sink={"spec": str(tmp_path)})  # a directory
         with JobServer() as server:
             with pytest.raises(JobStartError, match="sink.spec") as excinfo:
@@ -778,7 +764,7 @@ class TestHostedEqualsStandalone:
             assert row["kind"] == "job"
 
     def test_close_finalises_the_jobs_it_stops(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream(2000))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=2000, disorder=LATENESS))
         config = ServerConfig(
             tenants=(TenantConfig("slow", max_events_per_second=10.0, burst=10.0),)
         )
@@ -796,7 +782,7 @@ class TestHostedEqualsStandalone:
 
 class TestSocketProtocol:
     def test_full_client_session(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream())
+        events = write_stream(tmp_path / "events.jsonl", stream(count=60, disorder=LATENESS))
         config = job_dict(events)
         with JobServer() as server:
             host, port = server.address
@@ -815,7 +801,7 @@ class TestSocketProtocol:
                 assert family["children"][0]["labels"][:2] == [job_id, "alpha"]
 
     def test_cancel_over_the_wire(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream(2000))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=2000, disorder=LATENESS))
         config = ServerConfig(
             tenants=(
                 TenantConfig("slow", max_events_per_second=10.0, burst=10.0),
@@ -829,7 +815,7 @@ class TestSocketProtocol:
                 assert client.wait(job_id)["state"] == CANCELLED
 
     def test_typed_errors_cross_the_wire(self, tmp_path):
-        events = write_stream(tmp_path / "events.jsonl", make_stream(2000))
+        events = write_stream(tmp_path / "events.jsonl", stream(count=2000, disorder=LATENESS))
         config = ServerConfig(
             tenants=(
                 TenantConfig(
@@ -936,14 +922,14 @@ class TestChaosIsolation:
         for index in range(3):
             events = write_stream(
                 tmp_path / f"good-{index}.jsonl",
-                make_stream(600, seed=100 + index, groups=2 + index),
+                stream(100 + index, 600, groups=GROUPS[: 2 + index], disorder=LATENESS),
             )
             configs.append(job_dict(events))
         hot = write_stream(
-            tmp_path / "hot.jsonl", make_stream(5000, seed=7, groups=1)
+            tmp_path / "hot.jsonl", stream(7, 5000, groups=("hot",), disorder=LATENESS)
         )
         bomb = write_stream(
-            tmp_path / "bomb.jsonl", make_stream(400, seed=8, groups=400)
+            tmp_path / "bomb.jsonl", stream(8, 400, groups=MANY_GROUPS, disorder=LATENESS)
         )
 
         # -- solo baselines ------------------------------------------------
@@ -1007,26 +993,3 @@ class TestChaosIsolation:
         assert contested_p95 <= max(2.0 * solo_p95, solo_p95 + 0.5), (
             f"p95 latency degraded from {solo_p95:.3f}s to {contested_p95:.3f}s"
         )
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        count=st.integers(min_value=1, max_value=120),
-        seed=st.integers(min_value=0, max_value=2**16),
-        decode=st.integers(min_value=1, max_value=64),
-        groups=st.integers(min_value=1, max_value=5),
-    )
-    def test_server_results_always_match_a_solo_run(
-        self, tmp_path_factory, count, seed, decode, groups
-    ):
-        """Property: scheduling through the server never changes results."""
-        directory = tmp_path_factory.mktemp("chaos")
-        events = write_stream(
-            directory / "events.jsonl", make_stream(count, seed=seed, groups=groups)
-        )
-        config = job_dict(events, batch={"decode_batch_size": decode})
-        with JobServer() as server:
-            job_id = server.submit(config)
-            assert server.wait(job_id)["state"] == DONE
-            assert record_bytes(server.results(job_id)) == solo_record_bytes(
-                config
-            )

@@ -1,12 +1,10 @@
 """Tests for the negation extension (Section 8 of the paper)."""
 
-import random
-
 import pytest
 
+from differential import build_query, stream
 from repro.analyzer.granularity import Granularity
-from repro.analyzer.plan import plan_query
-from repro.baselines.trend_enumeration import aggregate_trends, enumerate_trends
+from repro.baselines.trend_enumeration import TrendOracle
 from repro.core.engine import CograEngine
 from repro.errors import InvalidPatternError
 from repro.events.event import Event
@@ -16,7 +14,6 @@ from repro.extensions.negation import (
     NegationTypeGrainedAggregator,
     analyze_negations,
     create_negation_aggregator,
-    filter_trends_with_negations,
     plan_negated_query,
     positive_query,
     strip_negations,
@@ -33,19 +30,11 @@ from repro.query.ast import (
 from repro.query.builder import QueryBuilder
 from repro.query.parser import parse_query
 from repro.query.predicates import comparison
+from repro.query.semantics import Semantics
 from repro.streaming.runtime import StreamingRuntime
 
 NEGATED_SEQ = sequence(kleene_plus("A"), Negation(atom("C")), atom("B"))
 NEGATED_KLEENE = KleenePlus(sequence(kleene_plus("A"), Negation(atom("C")), atom("B")))
-
-
-def build_query(pattern, semantics="skip-till-any-match", predicates=(), aggregates=None):
-    builder = QueryBuilder("negation-test").pattern(pattern).semantics(semantics)
-    for spec in aggregates or [count_star()]:
-        builder.aggregate(spec)
-    for predicate in predicates:
-        builder.where(predicate)
-    return builder.build()
 
 
 def feed(aggregator, events):
@@ -55,12 +44,8 @@ def feed(aggregator, events):
 
 
 def oracle_count(query, events):
-    """Reference trend count: enumerate positive trends, filter by negation."""
-    analysis = analyze_negations(query.pattern)
-    positive = positive_query(query, analysis)
-    trends = enumerate_trends(positive, list(events))
-    kept = filter_trends_with_negations(analysis.components, list(events), trends)
-    return len(kept)
+    """Trends the enumeration counts: positive trends, then the negation filter."""
+    return TrendOracle(query).total_trend_count(events)
 
 
 class TestAnalysis:
@@ -220,10 +205,7 @@ class TestEventGrainedNegation:
         plan, analysis = plan_negated_query(query)
         aggregator = feed(NegationEventGrainedAggregator(plan, analysis.components), stream)
 
-        positive = positive_query(query, analysis)
-        trends = enumerate_trends(positive, stream)
-        kept = filter_trends_with_negations(analysis.components, stream, trends)
-        assert aggregator.final_accumulator().trend_count == len(kept)
+        assert aggregator.final_accumulator().trend_count == oracle_count(query, stream)
 
     def test_negated_events_are_not_stored(self, event_spec):
         stream = event_spec("a1 c2 a3 b4 c5")
@@ -330,6 +312,29 @@ class TestOracleHelpers:
         stream = event_spec("a1 b2")
         assert trend_respects_negations((), stream, ((0, "A"), (1, "B")))
 
+    def test_next_match_drops_a_trend_continued_past_a_negated_event(self, event_spec):
+        """``SEQ(A+, NOT C, B)`` over ``a1 a2 c3 a4 b5`` (README "Negation").
+
+        Under skip-till-any-match only an ``A -> B`` edge crosses the
+        negation, and ``a4 -> b5`` has no C between them.  Under
+        skip-till-next-match Section 8's per-pattern rule applies: c3 sets
+        the last matched event of ``A+`` -- a2 -- to null, so no trend
+        continues from it.
+        """
+        stream = event_spec("a1 a2 c3 a4 b5")
+        components = analyze_negations(NEGATED_SEQ).components
+        spanning = ((0, "A"), (1, "A"), (3, "A"), (4, "B"))
+        assert trend_respects_negations(components, stream, spanning)
+        assert not trend_respects_negations(
+            components, stream, spanning, Semantics.SKIP_TILL_NEXT_MATCH
+        )
+        for semantics, count in [("skip-till-any-match", 4), ("skip-till-next-match", 1)]:
+            text = f"RETURN COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS {semantics}"
+            (trends,) = TrendOracle(parse_query(text)).trends_per_substream(stream).values()
+            assert (spanning in trends) == (semantics == "skip-till-any-match")
+            assert len(trends) == count
+            assert sum(r.trend_count for r in CograEngine(text).run(stream)) == count
+
 
 # ---------------------------------------------------------------------------
 # every negation-aware class through the engine and the streaming runtime
@@ -351,49 +356,6 @@ def end_to_end_text(semantics, where):
     return text + " GROUP-BY g"
 
 
-def end_to_end_stream(seed, semantics, count=26):
-    """Two interleaved groups; D is a type the pattern does not mention.
-
-    Under skip-till-next-match no group's ``A+`` spans a C (``a1 c2 a3``
-    becomes ``a1 c2 b3``): Section 8's per-pattern rule -- "the last matched
-    event of the sub-pattern preceding N is set to null" -- drops the trends
-    through ``a1`` there, while the enumerate-then-filter relation keeps
-    ``(a1, a3, b4)``, which has no C between its last A and its B.
-    """
-    rng = random.Random(seed)
-    events = []
-    spanning = {"x": False, "y": False}  # is the group's last A behind a C?
-    last = {"x": None, "y": None}
-    for index in range(count):
-        event_type, group = rng.choice("AAABBCD"), rng.choice("xy")
-        if event_type == "A" and spanning[group] and semantics == "skip-till-next-match":
-            event_type = "B"
-        if event_type != "D":
-            spanning[group] = event_type == "C" and (last[group] == "A" or spanning[group])
-            last[group] = event_type
-        events.append(
-            Event(event_type, float(index), {"g": group, "v": rng.randint(1, 9)}, sequence=index)
-        )
-    return events
-
-
-def enumerated(query, events):
-    """Per group: enumerate the positive trends, drop those a negation forbids."""
-    analysis = analyze_negations(query.pattern)
-    positive = positive_query(query, analysis)
-    plan = plan_query(positive)
-    expected = {}
-    for group in sorted({event.get("g") for event in events}):
-        substream = [event for event in events if event.get("g") == group]
-        kept = filter_trends_with_negations(
-            analysis.components, substream, enumerate_trends(positive, substream)
-        )
-        if kept:
-            accumulator = aggregate_trends(plan, substream, kept)
-            expected[group] = accumulator.results(query.aggregates)
-    return expected
-
-
 class TestNegationEndToEnd:
     @pytest.mark.parametrize("expected_class, semantics, where", END_TO_END)
     @pytest.mark.parametrize("seed", range(6))
@@ -401,8 +363,10 @@ class TestNegationEndToEnd:
         self, expected_class, semantics, where, seed
     ):
         text = end_to_end_text(semantics, where)
-        events = end_to_end_stream(seed, semantics)
-        expected = enumerated(parse_query(text), events)
+        events = stream(seed, 26, groups="xy")
+        expected = {
+            r.group["g"]: r.values for r in TrendOracle(parse_query(text)).run(events)
+        }
 
         engine = CograEngine(text)
         results = engine.run(events)

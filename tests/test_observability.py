@@ -19,18 +19,17 @@ Three layers, mirroring the package:
 """
 
 import json
-import os
 import random
-import signal
 import socket
+import time
 from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import kill_worker, stream
 from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.ingest import PunctuationWatermark
 from repro.streaming.metrics import RUNTIME_METRICS
@@ -60,18 +59,6 @@ WITHIN 20 seconds SLIDE 10 seconds
 """
 
 
-def make_stream(count=400, seed=13, groups="uvwxyz"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 90.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
-
-
 #: runtime families whose totals do not depend on the worker count
 INVARIANT_FAMILIES = (
     "cogra_events_ingested_total",
@@ -84,24 +71,18 @@ INVARIANT_FAMILIES = (
 
 
 def disordered_stream(punctuated):
-    """``make_stream`` with every tenth event arriving eight places late.
+    """A stream with every tenth event arriving eight places late.
 
     ``punctuated`` adds a ``Tick`` punctuation one second ahead of every
     fifteenth event, so the events of that second arrive behind it.
     """
-    events = make_stream(count=300)
+    events = stream(count=300, types="AB")
     for index in range(0, len(events) - 8, 10):
         events.insert(index + 8, events.pop(index))
     if punctuated:
         for index in range(len(events) - 15, 0, -15):
             events.insert(index, Event("Tick", events[index].time + 1.0, {}))
     return events
-
-
-def kill_worker(runtime, shard):
-    victim = runtime._procs[shard]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=10)
 
 
 def query_totals(snapshot, query="q"):
@@ -454,6 +435,15 @@ class TestPrometheusTextServer:
             server.close()
         assert response.endswith("\r\n\r\n")
 
+    def test_close_after_a_scrape_returns_promptly_and_stops_the_thread(self):
+        server = PrometheusTextServer(small_snapshot).start()
+        thread = server._thread
+        self.scrape(server.address)  # the thread is back in accept() after it
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 1.0
+        assert not thread.is_alive()
+
 
 # ---------------------------------------------------------------------------
 # runtime integration
@@ -462,7 +452,7 @@ class TestPrometheusTextServer:
 
 class TestRuntimeIntegration:
     def test_single_process_registry_reflects_the_run(self):
-        events = make_stream(count=200)
+        events = stream(count=200, types="AB")
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(QUERY, name="q")
         records = runtime.run(events)
@@ -477,7 +467,7 @@ class TestRuntimeIntegration:
         runtime.close()
 
     def test_registry_travels_through_checkpoint_restore(self):
-        events = make_stream(count=120)
+        events = stream(count=120, types="AB")
         first = StreamingRuntime(lateness=0.0)
         first.register(QUERY, name="q")
         for event in events[:60]:
@@ -511,7 +501,7 @@ class TestRuntimeIntegration:
         store = CheckpointStore(
             tmp_path / "ckpt", registry=runtime.observability.registry
         )
-        runtime.run(make_stream(count=150), checkpoint_store=store, checkpoint_interval=50)
+        runtime.run(stream(count=150, types="AB"), checkpoint_store=store, checkpoint_interval=50)
         store.close()
         snapshot = runtime.registry_snapshot()
         families = snapshot["families"]
@@ -536,7 +526,7 @@ class TestRuntimeIntegration:
             ),
         )
         runtime.register(QUERY, name="q")
-        runtime.run(make_stream(count=40))
+        runtime.run(stream(count=40, types="AB"))
         names = {span["name"] for span in spans}
         assert {"event", "ingest", "route"} <= names
         roots = [span for span in spans if span["parent"] is None]
@@ -552,7 +542,7 @@ class TestRuntimeIntegration:
         exporter = JsonlMetricsExporter(str(path), interval=1e-9)
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(QUERY, name="q")
-        runtime.run(make_stream(count=30), metrics_exporter=exporter)
+        runtime.run(stream(count=30, types="AB"), metrics_exporter=exporter)
         exporter.close()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(lines) >= 2  # per-event samples plus the final flush
@@ -577,7 +567,7 @@ def single_process_totals(events):
 
 class TestShardedParity:
     def test_plain_sharded_run_matches_single_process(self):
-        events = make_stream(count=300)
+        events = stream(count=300, types="AB")
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         runtime.run(events)
@@ -616,7 +606,7 @@ class TestShardedParity:
         assert sharded == expected
 
     def test_live_snapshot_mid_stream_quiesces_and_counts(self):
-        events = make_stream(count=200)
+        events = stream(count=200, types="AB")
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         records = []
@@ -647,7 +637,7 @@ class TestShardedParity:
         parent registry equals the single-process one even when a worker is
         SIGKILL'd (and recovered from checkpoints) and hash slots are
         forcibly migrated mid-stream."""
-        events = make_stream(count=300, seed=seed)
+        events = stream(seed, 300, types="AB")
         expected = single_process_totals(events)
         store = CheckpointStore(
             tmp_path_factory.mktemp("obs-parity") / "ckpt", compact_every=3
@@ -704,7 +694,7 @@ class TestShardedParity:
         """The ``--recover`` path: a fresh parent restoring from the store
         adopts the checkpointed counts and continues without double counting
         the workers' shares."""
-        events = make_stream(count=300)
+        events = stream(count=300, types="AB")
         expected = single_process_totals(events)
         store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
         first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
@@ -817,7 +807,7 @@ class TestRuntimeFamilies:
     def test_worker_registries_carry_no_runtime_family(self):
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
-        for event in make_stream(count=120):
+        for event in stream(count=120, types="AB"):
             runtime.process(event)
         pulled = runtime._collect_worker_registries()
         runtime.close()
@@ -852,7 +842,7 @@ class TestRuntimeFamilies:
             runtime.close()
 
     def test_pause_totals_are_cumulative_across_a_restore(self):
-        events = make_stream(count=200)
+        events = stream(count=200, types="AB")
         first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         first.register(QUERY, name="q")
         for event in events[:100]:

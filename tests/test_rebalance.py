@@ -1,27 +1,22 @@
 """Tests for adaptive shard rebalancing (router, policy, live migration).
 
-The central property (this PR's acceptance criterion): a
-:class:`ShardedRuntime` whose hash slots are migrated between live workers
-mid-stream -- by the policy or by force, with or without a worker crash in
-flight -- emits exactly the windows of an uninterrupted single-process run.
-On top of that the suite pins down the pieces individually: the versioned
+A :class:`ShardedRuntime` whose hash slots are migrated between live
+workers mid-stream -- by the policy or by force, with or without a worker
+crash in flight -- emits exactly the end-to-end oracle's windows; the
+configuration matrix (``test_differential_matrix.py``) samples forced moves
+against kills and restores.  This file pins down the pieces: the versioned
 :class:`ShardRouter` map (checkpointed and restored, never reset to the
 seed topology), the :class:`RebalancePolicy` skew detector (fires exactly
 at the configured threshold) and planner, and the per-incarnation
 :class:`ShardStats` accounting.
 """
 
-import os
-import random
-import signal
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from differential import canonical, kill_worker, stream
+from repro.baselines.oracle import expected_records
 from repro.errors import CheckpointError, ConfigError
 from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.sharded import (
@@ -37,63 +32,16 @@ SEMANTICS skip-till-any-match
 GROUP-BY g
 WITHIN 20 seconds SLIDE 10 seconds
 """
+JOB = [("q", QUERY)]
 
 
-def make_stream(count=400, seed=13, groups="uvwxyz"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 90.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
-
-
-def make_skewed_stream(count=1200, seed=7, workers=2, hot_share=0.9):
-    """A stream whose hot groups all hash to worker 0 of the seed map."""
-    probe = ShardRouter(workers, 16)
+def skewed_stream(count=1200, seed=7):
+    """A stream whose hot groups (90 % of it) hash to worker 0 of the seed map."""
+    probe = ShardRouter(2, 16)
     groups = [f"g{i:02d}" for i in range(48)]
     hot = [g for g in groups if probe.owner_of_key((g,)) == 0][:8]
     cold = [g for g in groups if probe.owner_of_key((g,)) != 0][:8]
-    assert hot and cold
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 120.0),
-            {
-                "g": rng.choice(hot) if rng.random() < hot_share else rng.choice(cold),
-                "v": rng.randint(1, 9),
-            },
-        )
-        for _ in range(count)
-    )
-
-
-def single_process_records(events):
-    runtime = StreamingRuntime(lateness=0.0)
-    runtime.register(QUERY, name="q")
-    return runtime.run(events)
-
-
-def canonical(records):
-    return sorted(
-        (
-            record.query,
-            record.result.window_id,
-            tuple(sorted(record.result.group.items())),
-            tuple(sorted(record.result.values.items())),
-        )
-        for record in records
-    )
-
-
-def kill_worker(runtime, shard):
-    victim = runtime._procs[shard]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=10)
+    return stream(seed, count, types="AB", groups=hot * 9 + cold, span=120.0)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +185,7 @@ class TestRebalancePolicy:
 
 class TestShardStatsAccounting:
     def test_events_batches_and_acks_add_up(self):
-        events = make_stream(count=200)
+        events = stream(count=200)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         records = runtime.run(events)
@@ -256,7 +204,7 @@ class TestShardStatsAccounting:
             assert f"acks={stats.acks_received}" in repr(stats)
 
     def test_restart_resets_the_incarnation_counters_not_the_totals(self):
-        events = make_stream(count=300)
+        events = stream(count=300)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=4, max_restarts=1
         )
@@ -292,8 +240,8 @@ class TestShardStatsAccounting:
 
 class TestForcedRebalance:
     def test_forced_moves_keep_single_process_parity(self):
-        events = make_stream()
-        expected = single_process_records(events)
+        events = stream(count=400)
+        expected = expected_records(JOB, events, 0.0)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         records = []
@@ -332,7 +280,7 @@ class TestForcedRebalance:
         runtime.flush()
 
     def test_policy_planned_rebalance_call(self):
-        events = make_skewed_stream(count=400)
+        events = skewed_stream(count=400)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         records = []
@@ -343,13 +291,13 @@ class TestForcedRebalance:
         for event in events[300:]:
             records.extend(runtime.process(event))
         records.extend(runtime.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
 
 
 class TestPolicyDrivenRebalance:
     def test_skewed_stream_triggers_moves_and_keeps_parity(self):
-        events = make_skewed_stream()
-        expected = single_process_records(events)
+        events = skewed_stream()
+        expected = expected_records(JOB, events, 0.0)
         runtime = ShardedRuntime(
             workers=2,
             lateness=0.0,
@@ -381,7 +329,7 @@ class TestPolicyDrivenRebalance:
         assert max(sent) / len(events) <= seed_share - 0.10, (sent, seed_loads)
 
     def test_balanced_stream_never_triggers(self):
-        events = make_stream(count=600)
+        events = stream(count=600)
         runtime = ShardedRuntime(
             workers=2,
             lateness=0.0,
@@ -390,7 +338,7 @@ class TestPolicyDrivenRebalance:
         )
         runtime.register(QUERY, name="q")
         records = runtime.run(events)
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
         assert runtime.router_version == 0
         assert runtime.metrics.rebalance_cycles == 0
 
@@ -402,7 +350,7 @@ class TestPolicyDrivenRebalance:
 
 class TestRouterCheckpointing:
     def test_restore_adopts_the_post_migration_map(self):
-        events = make_stream(count=300)
+        events = stream(count=300)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         records = []
@@ -424,10 +372,10 @@ class TestRouterCheckpointing:
         for event in events[150:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
 
     def test_restore_under_a_different_worker_count_reseeds(self):
-        events = make_stream(count=200)
+        events = stream(count=200)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         records = []
@@ -445,10 +393,10 @@ class TestRouterCheckpointing:
         for event in events[100:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
 
     def test_single_process_runtime_ignores_the_router_record(self):
-        events = make_stream(count=200)
+        events = stream(count=200)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q")
         records = []
@@ -465,7 +413,7 @@ class TestRouterCheckpointing:
         for event in events[100:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
 
 
 class TestChaos:
@@ -473,8 +421,8 @@ class TestChaos:
         """A SIGKILL'd worker plus a live migration: recovery must rebuild
         the dead shard from the post-migration router map, not the seed
         topology -- the moved slots' state now lives on the other worker."""
-        events = make_stream()
-        expected = single_process_records(events)
+        events = stream(count=400)
+        expected = expected_records(JOB, events, 0.0)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, max_restarts=2
         )
@@ -499,8 +447,8 @@ class TestChaos:
         assert runtime.router_version == version > 0
 
     def test_kill_during_policy_run_with_checkpoint_store(self, tmp_path):
-        events = make_skewed_stream(count=900)
-        expected = single_process_records(events)
+        events = skewed_stream(count=900)
+        expected = expected_records(JOB, events, 0.0)
         store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
         runtime = ShardedRuntime(
             workers=2,
@@ -536,7 +484,7 @@ class TestChaos:
     def test_store_recovery_resumes_the_migrated_topology(self, tmp_path):
         """The CLI ``--recover`` path: parent dies post-migration, a fresh
         runtime restores from the store and adopts the migrated map."""
-        events = make_stream(count=300)
+        events = stream(count=300)
         store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
         first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         first.register(QUERY, name="q")
@@ -556,73 +504,4 @@ class TestChaos:
         for event in events[150:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-        assert canonical(records) == canonical(single_process_records(events))
-
-
-# ---------------------------------------------------------------------------
-# the property: any rebalance schedule preserves single-process results
-# ---------------------------------------------------------------------------
-
-
-class TestRebalanceProperty:
-    @settings(max_examples=5, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        workers=st.integers(min_value=2, max_value=3),
-        first_at=st.integers(min_value=20, max_value=150),
-        second_at=st.integers(min_value=160, max_value=280),
-        slot_seed=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_forced_mid_stream_rebalances_match_single_process(
-        self, seed, workers, first_at, second_at, slot_seed
-    ):
-        events = make_stream(count=300, seed=seed)
-        expected = single_process_records(events)
-        runtime = ShardedRuntime(workers=workers, lateness=0.0, ship_interval=8)
-        runtime.register(QUERY, name="q")
-        rng = random.Random(slot_seed)
-        records = []
-        for index, event in enumerate(events):
-            records.extend(runtime.process(event))
-            if index in (first_at, second_at):
-                slots = rng.sample(range(runtime._router.slots), 6)
-                moves = [
-                    (slot, rng.randrange(runtime.shard_count)) for slot in slots
-                ]
-                runtime.rebalance(moves)
-        records.extend(runtime.flush())
-        assert canonical(records) == canonical(expected)
-
-    @settings(max_examples=3, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        kill_at=st.integers(min_value=120, max_value=260),
-        shard=st.integers(min_value=0, max_value=1),
-    )
-    def test_policy_rebalance_with_kill_matches_single_process(
-        self, tmp_path_factory, seed, kill_at, shard
-    ):
-        events = make_skewed_stream(count=700, seed=seed)
-        expected = single_process_records(events)
-        directory = tmp_path_factory.mktemp("rebalance-chaos")
-        store = CheckpointStore(directory, compact_every=3)
-        runtime = ShardedRuntime(
-            workers=2,
-            lateness=0.0,
-            ship_interval=8,
-            max_restarts=2,
-            rebalance={"enabled": True, "min_interval": 80, "skew_threshold": 1.3},
-        )
-        runtime.register(QUERY, name="q")
-
-        def feed():
-            for index, event in enumerate(events):
-                if index == kill_at:
-                    kill_worker(runtime, shard)
-                yield event
-
-        records = runtime.run(
-            feed(), checkpoint_store=store, checkpoint_interval=100
-        )
-        assert runtime.restart_counts[shard] == 1
-        assert canonical(records) == canonical(expected)
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))

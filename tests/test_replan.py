@@ -1,26 +1,23 @@
 """Tests for online adaptive granularity re-planning (observe/decide/act).
 
-The central property (this PR's acceptance criterion): a runtime whose
-queries are live-migrated between aggregation granularities mid-stream --
-by the policy on a drifting stream or by force at arbitrary event indices,
+A runtime whose queries are live-migrated between aggregation
+granularities mid-stream -- by the policy on a drifting stream or by force,
 single-process or sharded, with or without a worker SIGKILL in flight --
-emits exactly the records of a static-plan run.  Migration changes cost,
-never answers.  On top of that the suite pins down the pieces
-individually: the :class:`ReplanPolicy` spec and its config round-trip,
+emits exactly the end-to-end oracle's records: migration changes cost,
+never answers.  The configuration matrix (``test_differential_matrix.py``)
+samples forced replans against the other axes; this file pins down the
+pieces: the :class:`ReplanPolicy` spec and its config round-trip,
 the :class:`ReplanController` EWMAs and plan-version accounting, the cost
 model's observed-statistics mode (table-driven, including the exact
 hysteresis boundary), the eager ``forced_granularity`` validation, and
 checkpoint/restore of a migrated plan.
 """
 
-import os
 import random
-import signal
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from differential import canonical, kill_worker, stream
 from repro.analyzer.cost import (
     ObservedStatistics,
     compare_observed_costs,
@@ -29,6 +26,7 @@ from repro.analyzer.cost import (
 )
 from repro.analyzer.granularity import Granularity, allowed_granularities
 from repro.analyzer.plan import CograPlan, plan_query
+from repro.baselines.oracle import expected_records
 from repro.errors import CheckpointError, ConfigError, PlanningError, WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
@@ -55,6 +53,7 @@ SEMANTICS skip-till-any-match
 GROUP-BY g
 WITHIN 20 seconds SLIDE 10 seconds
 """
+JOB = [("q", QUERY)]
 
 #: skip-till-next: only pattern granularity is correct -- nothing to migrate
 NEXT_QUERY = """
@@ -83,18 +82,8 @@ GROUP-BY g
 WITHIN 20 seconds SLIDE 10 seconds
 """
 
-
-def make_stream(count=400, seed=13, groups=6, span=90.0):
-    """A stable stream: a fixed group population, uniform over ``span``."""
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, span),
-            {"g": f"g{rng.randrange(groups)}", "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
+#: few groups: dense sub-streams, where the static type plan stays best
+DENSE_GROUPS = ("g0", "g1", "g2", "g3")
 
 
 def make_drift_stream(sparse=2400, dense=800, seed=13, sparse_groups=1200):
@@ -123,30 +112,6 @@ def make_drift_stream(sparse=2400, dense=800, seed=13, sparse_groups=1200):
         for i in range(dense)
     )
     return sort_events(events)
-
-
-def single_process_records(events, query=QUERY, granularity=None):
-    runtime = StreamingRuntime(lateness=0.0)
-    runtime.register(query, name="q", granularity=granularity)
-    return runtime.run(events)
-
-
-def canonical(records):
-    return sorted(
-        (
-            record.query,
-            record.result.window_id,
-            tuple(sorted(record.result.group.items())),
-            tuple(sorted(record.result.values.items())),
-        )
-        for record in records
-    )
-
-
-def kill_worker(runtime, shard):
-    victim = runtime._procs[shard]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=10)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +425,7 @@ class TestForcedGranularityValidation:
             runtime.register(NEXT_QUERY, name="q", granularity="event")
 
     def test_migration_to_a_disallowed_granularity_leaves_state_intact(self):
-        events = make_stream(count=120)
+        events = stream(count=120)
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(NEXT_QUERY, name="q")
         records = []
@@ -473,7 +438,7 @@ class TestForcedGranularityValidation:
             records.extend(runtime.process(event))
         records.extend(runtime.flush())
         assert canonical(records) == canonical(
-            single_process_records(events, query=NEXT_QUERY)
+            expected_records([("q", NEXT_QUERY)], events, 0.0)
         )
         assert runtime.plan_versions == {"q": 0}
         assert runtime.replan_log == []
@@ -486,8 +451,8 @@ class TestForcedGranularityValidation:
 
 class TestForcedMigration:
     def test_single_process_migrations_keep_parity(self):
-        events = make_stream()
-        expected = single_process_records(events)
+        events = stream(count=400)
+        expected = expected_records(JOB, events, 0.0)
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(QUERY, name="q", granularity="type")
         records = []
@@ -523,8 +488,8 @@ class TestForcedMigration:
         assert engine.plan.granularity is Granularity.TYPE
 
     def test_sharded_migrations_keep_parity(self):
-        events = make_stream()
-        expected = single_process_records(events)
+        events = stream(count=400)
+        expected = expected_records(JOB, events, 0.0)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         runtime.register(QUERY, name="q", granularity="type")
         records = []
@@ -552,16 +517,8 @@ class TestForcedMigration:
             runtime.close()
 
     def test_negated_query_migrates_through_the_negation_planner(self):
-        events = make_stream(count=250, seed=5, groups=4)
-        # give C events a presence so negation actually filters trends
-        events = sort_events(
-            list(events)
-            + [
-                Event("C", 10.0 + 7.0 * i, {"g": f"g{i % 4}", "v": 1})
-                for i in range(10)
-            ]
-        )
-        expected = single_process_records(events, query=NEGATED_QUERY)
+        events = stream(5, 250)
+        expected = expected_records([("q", NEGATED_QUERY)], events, 0.0)
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(NEGATED_QUERY, name="q")
         records = []
@@ -589,7 +546,7 @@ AGGRESSIVE_REPLAN = {"enabled": True, "check_interval_events": 50, "hysteresis":
 class TestPolicyDrivenReplan:
     def test_drifting_stream_migrates_and_keeps_parity(self):
         events = make_drift_stream()
-        expected = single_process_records(events, granularity="type")
+        expected = expected_records(JOB, events, 0.0)
         runtime = StreamingRuntime(lateness=0.0, replan=DRIFT_REPLAN)
         runtime.register(QUERY, name="q", granularity="type")
         records = runtime.run(events)
@@ -610,11 +567,11 @@ class TestPolicyDrivenReplan:
         # dense sub-streams from the first event to the last: the observed
         # statistics always favor the static type plan, so even a zero-
         # hysteresis policy checking every 50 events must not flap
-        events = make_stream(count=800, groups=4)
+        events = stream(count=800, types="AB", groups=DENSE_GROUPS, span=90.0)
         runtime = StreamingRuntime(lateness=0.0, replan=AGGRESSIVE_REPLAN)
         runtime.register(QUERY, name="q", granularity="type")
         records = runtime.run(events)
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
         assert runtime.metrics.replan_cycles > 0
         assert runtime.metrics.replan_migrations == 0
         assert runtime.replan_log == []
@@ -622,7 +579,7 @@ class TestPolicyDrivenReplan:
 
     def test_sharded_drifting_stream_migrates_and_keeps_parity(self):
         events = make_drift_stream()
-        expected = single_process_records(events, granularity="type")
+        expected = expected_records(JOB, events, 0.0)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, replan=DRIFT_REPLAN
         )
@@ -637,13 +594,13 @@ class TestPolicyDrivenReplan:
         assert observation.events_total > 0
 
     def test_sharded_stable_stream_never_migrates(self):
-        events = make_stream(count=800, groups=4)
+        events = stream(count=800, types="AB", groups=DENSE_GROUPS, span=90.0)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, replan=AGGRESSIVE_REPLAN
         )
         runtime.register(QUERY, name="q", granularity="type")
         records = runtime.run(events)
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
         assert runtime.metrics.replan_cycles > 0
         assert runtime.metrics.replan_migrations == 0
         assert runtime.plan_versions == {"q": 0}
@@ -656,7 +613,7 @@ class TestPolicyDrivenReplan:
 
 class TestReplanCheckpointing:
     def test_checkpoint_records_the_post_migration_granularity(self):
-        events = make_stream(count=300)
+        events = stream(count=300)
         runtime = StreamingRuntime(lateness=0.0, replan=DRIFT_REPLAN)
         runtime.register(QUERY, name="q", granularity="type")
         records = []
@@ -677,7 +634,7 @@ class TestReplanCheckpointing:
         for event in events[150:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
 
     def test_restore_without_replan_stays_strict(self):
         runtime = StreamingRuntime(lateness=0.0)
@@ -690,7 +647,7 @@ class TestReplanCheckpointing:
             strict.restore(snapshot)
 
     def test_sharded_restore_adopts_the_migrated_plan(self):
-        events = make_stream(count=300)
+        events = stream(count=300)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, replan=DRIFT_REPLAN
         )
@@ -713,13 +670,13 @@ class TestReplanCheckpointing:
         for event in events[150:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
 
     def test_sharded_restore_reports_a_crashed_worker_as_such(self):
         # adopting the checkpointed granularity quiesces the workers; one
         # that died surfaces as the crash it is (the runtime is poisoned),
         # not as a "queries do not match" checkpoint error
-        events = make_stream(count=100)
+        events = stream(count=100)
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(QUERY, name="q", granularity="event")
         runtime.process_batch(events[:50])
@@ -737,7 +694,7 @@ class TestReplanCheckpointing:
     def test_sharded_snapshot_restores_into_a_single_process_runtime(self):
         # checkpoints are topology-independent: a migration performed by
         # the sharded runtime resumes on one process (and vice versa)
-        events = make_stream(count=300)
+        events = stream(count=300)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, replan=DRIFT_REPLAN
         )
@@ -757,7 +714,7 @@ class TestReplanCheckpointing:
         for event in events[150:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +727,8 @@ class TestChaos:
         """SIGKILL a worker immediately after the plan swap: recovery must
         rebuild the dead shard under the post-migration plan (the recovery
         baseline is re-cut during the migration), with exact totals."""
-        events = make_stream()
-        expected = single_process_records(events)
+        events = stream(count=400)
+        expected = expected_records(JOB, events, 0.0)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, max_restarts=2
         )
@@ -796,7 +753,7 @@ class TestChaos:
 
     def test_kill_during_policy_run_with_checkpoint_store(self, tmp_path):
         events = make_drift_stream()
-        expected = single_process_records(events, granularity="type")
+        expected = expected_records(JOB, events, 0.0)
         store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
         runtime = ShardedRuntime(
             workers=2,
@@ -828,109 +785,3 @@ class TestChaos:
             latest["executors"]["q"]["granularity"]
             == runtime._engines["q"].plan.granularity.value
         )
-
-
-# ---------------------------------------------------------------------------
-# the property: migration never changes answers, only cost
-# ---------------------------------------------------------------------------
-
-GRANULARITIES = ["type", "mixed", "event"]
-
-
-class TestReplanProperty:
-    @settings(max_examples=5, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        first_at=st.integers(min_value=10, max_value=150),
-        second_at=st.integers(min_value=160, max_value=290),
-        choice_seed=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_forced_migrations_match_the_static_run(
-        self, seed, first_at, second_at, choice_seed
-    ):
-        events = make_stream(count=300, seed=seed)
-        expected = single_process_records(events)
-        runtime = StreamingRuntime(lateness=0.0)
-        runtime.register(QUERY, name="q")
-        rng = random.Random(choice_seed)
-        records = []
-        for index, event in enumerate(events):
-            records.extend(runtime.process(event))
-            if index in (first_at, second_at):
-                runtime.migrate_granularity("q", rng.choice(GRANULARITIES))
-        records.extend(runtime.flush())
-        assert canonical(records) == canonical(expected)
-
-    @settings(max_examples=4, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        workers=st.integers(min_value=2, max_value=3),
-        migrate_at=st.integers(min_value=10, max_value=280),
-        choice_seed=st.integers(min_value=0, max_value=10_000),
-    )
-    def test_sharded_forced_migrations_match_the_static_run(
-        self, seed, workers, migrate_at, choice_seed
-    ):
-        events = make_stream(count=300, seed=seed)
-        expected = single_process_records(events)
-        runtime = ShardedRuntime(workers=workers, lateness=0.0, ship_interval=8)
-        runtime.register(QUERY, name="q")
-        rng = random.Random(choice_seed)
-        records = []
-        for index, event in enumerate(events):
-            records.extend(runtime.process(event))
-            if index == migrate_at:
-                runtime.migrate_granularity("q", rng.choice(GRANULARITIES))
-        records.extend(runtime.flush())
-        assert canonical(records) == canonical(expected)
-
-    @settings(max_examples=3, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        drift_at=st.integers(min_value=800, max_value=2000),
-        replan_enabled=st.booleans(),
-    )
-    def test_replanned_drift_run_matches_the_static_run(
-        self, seed, drift_at, replan_enabled
-    ):
-        # a random drift point, with and without the control loop: the
-        # emitted records must be byte-identical either way
-        events = make_drift_stream(sparse=drift_at, dense=500, seed=seed)
-        expected = single_process_records(events, granularity="type")
-        runtime = StreamingRuntime(
-            lateness=0.0, replan=DRIFT_REPLAN if replan_enabled else None
-        )
-        runtime.register(QUERY, name="q", granularity="type")
-        assert canonical(runtime.run(events)) == canonical(expected)
-
-    @settings(max_examples=3, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        kill_at=st.integers(min_value=600, max_value=1800),
-        shard=st.integers(min_value=0, max_value=1),
-    )
-    def test_sharded_replan_with_kill_matches_the_static_run(
-        self, tmp_path_factory, seed, kill_at, shard
-    ):
-        events = make_drift_stream(sparse=2000, dense=600, seed=seed)
-        expected = single_process_records(events, granularity="type")
-        directory = tmp_path_factory.mktemp("replan-chaos")
-        store = CheckpointStore(directory, compact_every=3)
-        runtime = ShardedRuntime(
-            workers=2,
-            lateness=0.0,
-            ship_interval=8,
-            max_restarts=2,
-            replan=DRIFT_REPLAN,
-        )
-        runtime.register(QUERY, name="q", granularity="type")
-
-        def feed():
-            for index, event in enumerate(events):
-                if index == kill_at:
-                    kill_worker(runtime, shard)
-                yield event
-
-        records = runtime.run(feed(), checkpoint_store=store, checkpoint_interval=250)
-        assert runtime.restart_counts[shard] == 1
-        assert canonical(records) == canonical(expected)

@@ -1,10 +1,13 @@
 """Tests for the multi-process sharded streaming runtime.
 
-The central property: a :class:`ShardedRuntime` with any worker count fed a
-shuffled bounded-disorder stream emits exactly the results of the
-single-process :class:`StreamingRuntime` -- and its checkpoints are
-topology independent (they restore across worker counts and into the
-single-process runtime, and vice versa).
+A :class:`ShardedRuntime` with any worker count fed a shuffled
+bounded-disorder stream emits exactly the end-to-end oracle's results, and
+its checkpoints are topology independent (they restore across worker
+counts and into the single-process runtime, and vice versa); the
+configuration matrix (``test_differential_matrix.py``) samples those
+combinations.  This file pins down the runtime's own pieces: the fallback,
+validation, the driver accessors, checkpoint records, crash detection and
+the pipe transport.
 """
 
 import contextlib
@@ -23,9 +26,9 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from differential import bounded_shuffle, canonical, stream
+from repro.baselines.oracle import expected_records
 from repro.core.engine import CograEngine
 from repro.datasets.physical_activity import (
     PhysicalActivityConfig,
@@ -93,56 +96,33 @@ WITHIN 20 seconds SLIDE 10 seconds
 """
 
 
-def make_stream(count=220, seed=13, types="ABC", groups="xyzw"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice(types),
-            rng.uniform(0.0, 100.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
+#: equality classes the executor's ``==`` merges across int, float and bool
+MIXED_KEYS = (1, 1.0, True, 0, 0.0, False, 2, 2.0, -5, -5.0, 7, 7.0)
 
 
-def make_mixed_numeric_stream(count=160, seed=17):
-    """Group keys the executor's ``==`` merges across int, float and bool."""
-    forms = [1, 1.0, True, 0, 0.0, False, 2, 2.0, -5, -5.0, 7, 7.0]
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 60.0),
-            {"g": rng.choice(forms), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
+def resumed_halfway(events, first, second):
+    """Run ``first`` on half of ``events``, then ``second`` from its checkpoint.
+
+    The checkpoint goes through JSON, as it does on disk; ``first`` is
+    closed once its pending records are drained.
+    """
+    half = len(events) // 2
+    records = []
+    for event in events[:half]:
+        records.extend(first.process(event))
+    snapshot = json.loads(json.dumps(first.checkpoint()))
+    records.extend(first.drain_pending())
+    first.close()
+    second.restore(snapshot)
+    for event in events[half:]:
+        records.extend(second.process(event))
+    records.extend(second.flush())
+    return records
 
 
-def bounded_shuffle(events, disorder, seed=29):
-    rng = random.Random(seed)
-    return sorted(
-        events, key=lambda e: (e.time + rng.uniform(0.0, disorder), e.sequence)
-    )
-
-
-def single_process_records(query_text, events, lateness=LATENESS):
-    runtime = StreamingRuntime(lateness=lateness)
+def registered(runtime, query_text=TYPE_QUERY):
     runtime.register(query_text, name="q")
-    return runtime.run(events)
-
-
-def canonical(records):
-    """Canonical byte form of emitted results (order independent)."""
-    rows = sorted(
-        json.dumps(
-            {"query": r.query, "result": r.result.as_dict(), "trends": r.result.trend_count},
-            sort_keys=True,
-            default=str,
-        )
-        for r in records
-    )
-    return "\n".join(rows).encode("utf-8")
+    return runtime
 
 
 class TestParity:
@@ -150,34 +130,29 @@ class TestParity:
     @pytest.mark.parametrize(
         "query_text", [TYPE_QUERY, MIXED_QUERY, CONTIGUOUS_QUERY]
     )
-    def test_matches_single_process(self, query_text, workers):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
-        expected = single_process_records(query_text, shuffled)
-
+    def test_matches_the_oracle(self, query_text, workers):
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
         runtime = ShardedRuntime(workers=workers, lateness=LATENESS, ship_interval=7)
         runtime.register(query_text, name="q")
-        records = runtime.run(shuffled)
-
-        assert_results_equal(group_results(records), group_results(expected))
-        assert canonical(records) == canonical(expected)
+        expected = expected_records([("q", query_text)], shuffled, LATENESS)
+        assert canonical(runtime.run(shuffled)) == canonical(expected)
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_mixed_numeric_keys_stay_one_group(self, workers):
         # the executor groups by ==, so 1, 1.0 and True are one sub-stream
         # in one process; the router must not split them over workers
-        events = make_mixed_numeric_stream()
-        expected = single_process_records(TYPE_QUERY, events)
-
+        events = stream(17, 160, types="AB", groups=MIXED_KEYS)
         runtime = ShardedRuntime(workers=workers, lateness=LATENESS, ship_interval=7)
         runtime.register(TYPE_QUERY, name="q")
-        records = runtime.run(events)
-
-        assert canonical(records) == canonical(expected)
+        expected = expected_records([("q", TYPE_QUERY)], events, LATENESS)
+        assert canonical(runtime.run(events)) == canonical(expected)
 
     def test_byte_identical_records_at_ship_interval_one(self):
         """With per-push shipping even the watermark stamps match."""
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
-        expected = single_process_records(TYPE_QUERY, shuffled)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
+        single = StreamingRuntime(lateness=LATENESS)
+        single.register(TYPE_QUERY, name="q")
+        expected = single.run(shuffled)
 
         runtime = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=1)
         runtime.register(TYPE_QUERY, name="q")
@@ -196,7 +171,7 @@ class TestParity:
         assert full(records) == full(expected)
 
     def test_multi_query_shared_signature(self):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
         single = StreamingRuntime(lateness=LATENESS)
         single.register(TYPE_QUERY, name="a")
         single.register(MIXED_QUERY, name="b")
@@ -214,7 +189,7 @@ class TestParity:
             )
 
     def test_punctuation_watermarks(self):
-        events = make_stream(count=120)
+        events = stream(count=120)
         with_punctuation = []
         for index, event in enumerate(events):
             with_punctuation.append(event)
@@ -235,7 +210,7 @@ class TestParity:
         assert runtime.metrics.punctuations_seen == 12
 
     def test_emit_empty_groups(self):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
         single = StreamingRuntime(lateness=LATENESS, emit_empty_groups=True)
         single.register(TYPE_QUERY, name="q")
         expected = single.run(shuffled)
@@ -248,7 +223,7 @@ class TestParity:
         assert_results_equal(group_results(records), group_results(expected))
 
     def test_metrics_aggregation(self):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
         runtime = ShardedRuntime(workers=2, lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="q")
         records = runtime.run(shuffled)
@@ -337,8 +312,8 @@ class TestDatasetParity:
         assert sum(stats.events_sent for stats in runtime.shard_stats) == 0
 
     def test_accepts_query_object_and_text_alike(self):
-        from_text, _ = sharded_results(TYPE_QUERY, make_stream(), 2)
-        from_object, _ = sharded_results(parse_query(TYPE_QUERY), make_stream(), 2)
+        from_text, _ = sharded_results(TYPE_QUERY, stream(count=220), 2)
+        from_object, _ = sharded_results(parse_query(TYPE_QUERY), stream(count=220), 2)
         assert from_text
         assert_results_equal(from_text, from_object)
 
@@ -371,8 +346,8 @@ class TestMixedNumericKeys:
         "query_text", [MIXED_QUERY, CONTIGUOUS_QUERY], ids=["mixed", "contiguous"]
     )
     def test_other_granularities_keep_one_owner(self, query_text):
-        events = make_mixed_numeric_stream(seed=23)
-        expected = single_process_records(query_text, events)
+        events = stream(23, 160, types="AB", groups=MIXED_KEYS)
+        expected = expected_records([("q", query_text)], events, LATENESS)
 
         runtime = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=7)
         runtime.register(query_text, name="q")
@@ -400,7 +375,7 @@ class TestMixedNumericKeys:
             )
             for _ in range(160)
         )
-        expected = single_process_records(query, events)
+        expected = expected_records([("q", query)], events, LATENESS)
 
         runtime = ShardedRuntime(workers=workers, lateness=LATENESS)
         runtime.register(query, name="q")
@@ -415,59 +390,37 @@ class TestMixedNumericKeys:
         path.write_text("\n".join(lines) + "\n")
         events = list(JsonlFileSource(path))
         assert {type(event.get("g")) for event in events} == {int, float}
-        expected = single_process_records(TYPE_QUERY, events, lateness=0.0)
+        expected = expected_records([("q", TYPE_QUERY)], events, 0.0)
 
         runtime = ShardedRuntime(workers=2, lateness=0.0)
         runtime.register(TYPE_QUERY, name="q")
         assert canonical(runtime.run(events)) == canonical(expected)
 
     def test_sharded_snapshot_restores_into_single_process(self):
-        events = make_mixed_numeric_stream(count=200, seed=9)
-        expected = single_process_records(TYPE_QUERY, events)
-        half = len(events) // 2
-
-        sharded = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)
-        sharded.register(TYPE_QUERY, name="q")
-        records = []
-        for event in events[:half]:
-            records.extend(sharded.process(event))
-        snapshot = json.loads(json.dumps(sharded.checkpoint()))
-        records.extend(sharded.drain_pending())
-        sharded.close()
-
-        single = StreamingRuntime(lateness=LATENESS)
-        single.register(TYPE_QUERY, name="q")
-        single.restore(snapshot)
-        for event in events[half:]:
-            records.extend(single.process(event))
-        records.extend(single.flush())
+        events = stream(9, 200, types="AB", groups=MIXED_KEYS)
+        records = resumed_halfway(
+            events,
+            registered(ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)),
+            registered(StreamingRuntime(lateness=LATENESS)),
+        )
+        expected = expected_records([("q", TYPE_QUERY)], events, LATENESS)
         assert canonical(records) == canonical(expected)
 
     def test_single_process_snapshot_restores_into_sharded(self):
-        events = make_mixed_numeric_stream(count=200, seed=11)
-        expected = single_process_records(TYPE_QUERY, events)
-        half = len(events) // 2
-
-        single = StreamingRuntime(lateness=LATENESS)
-        single.register(TYPE_QUERY, name="q")
-        records = []
-        for event in events[:half]:
-            records.extend(single.process(event))
-        snapshot = json.loads(json.dumps(single.checkpoint()))
-
-        sharded = ShardedRuntime(workers=4, lateness=LATENESS, ship_interval=5)
-        sharded.register(TYPE_QUERY, name="q")
-        sharded.restore(snapshot)
-        for event in events[half:]:
-            records.extend(sharded.process(event))
-        records.extend(sharded.flush())
+        events = stream(11, 200, types="AB", groups=MIXED_KEYS)
+        records = resumed_halfway(
+            events,
+            registered(StreamingRuntime(lateness=LATENESS)),
+            registered(ShardedRuntime(workers=4, lateness=LATENESS, ship_interval=5)),
+        )
+        expected = expected_records([("q", TYPE_QUERY)], events, LATENESS)
         assert canonical(records) == canonical(expected)
 
 
 class TestSingleShardFallback:
     def test_unpartitioned_query_falls_back(self):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
-        expected = single_process_records(UNPARTITIONED_QUERY, shuffled)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
+        expected = expected_records([("q", UNPARTITIONED_QUERY)], shuffled, LATENESS)
 
         runtime = ShardedRuntime(workers=4, lateness=LATENESS)
         runtime.register(UNPARTITIONED_QUERY, name="q")
@@ -506,7 +459,7 @@ class TestSingleShardFallback:
         runtime.register(UNPARTITIONED_QUERY, name="q")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            runtime.run(make_stream(count=40))
+            runtime.run(stream(count=40))
         assert runtime.shard_count == 1
 
 
@@ -546,7 +499,7 @@ class TestValidation:
     def test_rejects_processing_after_flush(self):
         runtime = ShardedRuntime(workers=2, lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="q")
-        runtime.run(make_stream(count=30))
+        runtime.run(stream(count=30))
         with pytest.raises(RuntimeError, match="flushed"):
             runtime.process(Event("A", 200.0, {"g": "x", "v": 1}))
         with pytest.raises(RuntimeError, match="flushed"):
@@ -638,8 +591,8 @@ class TestDriverAccessors:
 
 class TestCheckpoint:
     def test_roundtrip_across_worker_counts(self):
-        shuffled = bounded_shuffle(make_stream(count=260), LATENESS)
-        expected = single_process_records(TYPE_QUERY, shuffled)
+        shuffled = bounded_shuffle(stream(count=260), LATENESS)
+        expected = expected_records([("q", TYPE_QUERY)], shuffled, LATENESS)
         half = len(shuffled) // 2
 
         first = ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=5)
@@ -661,74 +614,39 @@ class TestCheckpoint:
         for event in shuffled[half:]:
             records.extend(resumed.process(event))
         records.extend(resumed.flush())
-
-        assert_results_equal(group_results(records), group_results(expected))
+        assert canonical(records) == canonical(expected)
 
     def test_sharded_snapshot_restores_into_single_process(self):
-        shuffled = bounded_shuffle(make_stream(count=260), LATENESS)
-        expected = single_process_records(TYPE_QUERY, shuffled)
-        half = len(shuffled) // 2
-
-        sharded = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)
-        sharded.register(TYPE_QUERY, name="q")
-        records = []
-        for event in shuffled[:half]:
-            records.extend(sharded.process(event))
-        snapshot = sharded.checkpoint()
-        records.extend(sharded.drain_pending())
-        sharded.close()
-
-        single = StreamingRuntime(lateness=LATENESS)
-        single.register(TYPE_QUERY, name="q")
-        single.restore(snapshot)
-        for event in shuffled[half:]:
-            records.extend(single.process(event))
-        records.extend(single.flush())
-        assert_results_equal(group_results(records), group_results(expected))
+        shuffled = bounded_shuffle(stream(count=260), LATENESS)
+        records = resumed_halfway(
+            shuffled,
+            registered(ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)),
+            registered(StreamingRuntime(lateness=LATENESS)),
+        )
+        expected = expected_records([("q", TYPE_QUERY)], shuffled, LATENESS)
+        assert canonical(records) == canonical(expected)
 
     def test_single_process_snapshot_restores_into_sharded(self):
-        shuffled = bounded_shuffle(make_stream(count=260), LATENESS)
-        expected = single_process_records(TYPE_QUERY, shuffled)
-        half = len(shuffled) // 2
-
-        single = StreamingRuntime(lateness=LATENESS)
-        single.register(TYPE_QUERY, name="q")
-        records = []
-        for event in shuffled[:half]:
-            records.extend(single.process(event))
-        snapshot = single.checkpoint()
-
-        sharded = ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=5)
-        sharded.register(TYPE_QUERY, name="q")
-        sharded.restore(snapshot)
-        for event in shuffled[half:]:
-            records.extend(sharded.process(event))
-        records.extend(sharded.flush())
-        assert_results_equal(group_results(records), group_results(expected))
+        shuffled = bounded_shuffle(stream(count=260), LATENESS)
+        records = resumed_halfway(
+            shuffled,
+            registered(StreamingRuntime(lateness=LATENESS)),
+            registered(ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=5)),
+        )
+        expected = expected_records([("q", TYPE_QUERY)], shuffled, LATENESS)
+        assert canonical(records) == canonical(expected)
 
     def test_mixed_numeric_keys_restore_across_worker_counts(self):
         # (1,), (1.0,) and (True,) are one group: the checkpoint splitter
         # must re-home its aggregator to the worker the router sends the
         # group's later events to, whichever form they carry
-        events = make_mixed_numeric_stream(count=200, seed=5)
-        expected = single_process_records(TYPE_QUERY, events)
-        half = len(events) // 2
-
-        first = ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=5)
-        first.register(TYPE_QUERY, name="q")
-        records = []
-        for event in events[:half]:
-            records.extend(first.process(event))
-        snapshot = json.loads(json.dumps(first.checkpoint()))
-        records.extend(first.drain_pending())
-        first.close()
-
-        resumed = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)
-        resumed.register(TYPE_QUERY, name="q")
-        resumed.restore(snapshot)
-        for event in events[half:]:
-            records.extend(resumed.process(event))
-        records.extend(resumed.flush())
+        events = stream(5, 200, types="AB", groups=MIXED_KEYS)
+        records = resumed_halfway(
+            events,
+            registered(ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=5)),
+            registered(ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=5)),
+        )
+        expected = expected_records([("q", TYPE_QUERY)], events, LATENESS)
         assert canonical(records) == canonical(expected)
 
     def test_restore_rejects_wrong_version(self):
@@ -872,7 +790,7 @@ class TestPipeTransport:
             + [Event("B", 2.0 + g * 1e-4, {"g": g, "pad": pad}) for g in range(groups)]
             + [Event("A", 11.0 + i * 0.01, {"g": i, "pad": pad}) for i in range(200)]
         )
-        expected = single_process_records(query, events, lateness=0.0)
+        expected = expected_records([("q", query)], events, 0.0)
         blob_sizes = []
 
         def decode(blob):
@@ -891,7 +809,7 @@ class TestPipeTransport:
 
     @pytest.mark.parametrize("max_restarts", [1, 0])
     def test_worker_dying_halfway_into_an_ack_frame(self, monkeypatch, max_restarts):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
 
         def run():
             runtime = ShardedRuntime(
@@ -913,7 +831,7 @@ class TestPipeTransport:
         assert [r.as_dict() for r in records] == [r.as_dict() for r in uncrashed]
 
     def test_no_helper_threads(self):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
         before = threading.active_count()
         runtime = ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=4)
         runtime.register(TYPE_QUERY, name="q")
@@ -924,14 +842,14 @@ class TestPipeTransport:
         runtime.close()
         assert threading.active_count() == before
         assert canonical(records) == canonical(
-            single_process_records(TYPE_QUERY, shuffled)
+            expected_records([("q", TYPE_QUERY)], shuffled, LATENESS)
         )
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
     )
     def test_fifty_cycles_leave_the_descriptor_count_flat(self):
-        events = make_stream(count=60)
+        events = stream(count=60)
 
         def cycle():
             runtime = ShardedRuntime(workers=2, lateness=LATENESS)
@@ -990,7 +908,7 @@ class TestPipeTransport:
         "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
     )
     def test_spawn_start_method_matches_fork(self):
-        shuffled = bounded_shuffle(make_stream(), LATENESS)
+        shuffled = bounded_shuffle(stream(count=220), LATENESS)
         rows = {}
         for method in ("fork", "spawn"):
             runtime = ShardedRuntime(
@@ -1076,9 +994,9 @@ class TestWorkerLoopInProcess:
         assert "unknown worker operation" in text
 
 
-class TestEngineAndProperty:
+class TestEngineStream:
     def test_engine_stream_workers_matches_run(self):
-        events = make_stream(count=150)
+        events = stream(count=150)
         engine = CograEngine(TYPE_QUERY)
         batch = engine.run(events)
 
@@ -1088,62 +1006,8 @@ class TestEngineAndProperty:
         assert engine.run(events) == batch
 
     def test_engine_stream_workers_early_close_releases(self):
-        events = make_stream(count=80)
+        events = stream(count=80)
         engine = CograEngine(TYPE_QUERY)
         run = engine.stream(events, lateness=LATENESS, workers=2)
         run.close()
         assert engine.run(events)  # engine usable again
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        disorder=st.floats(min_value=0.0, max_value=LATENESS),
-        count=st.integers(min_value=20, max_value=120),
-    )
-    def test_property_any_worker_count_matches_single_process(
-        self, seed, disorder, count
-    ):
-        ordered = make_stream(count=count, seed=seed)
-        shuffled = bounded_shuffle(ordered, disorder, seed=seed + 1)
-        expected = single_process_records(TYPE_QUERY, shuffled)
-        for workers in (1, 2, 4):
-            runtime = ShardedRuntime(
-                workers=workers, lateness=LATENESS, ship_interval=9
-            )
-            runtime.register(TYPE_QUERY, name="q")
-            records = runtime.run(shuffled)
-            assert canonical(records) == canonical(expected)
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        source_workers=st.sampled_from([1, 2, 4]),
-        target_workers=st.sampled_from([1, 2, 3]),
-    )
-    def test_property_checkpoint_across_worker_counts(
-        self, seed, source_workers, target_workers
-    ):
-        shuffled = bounded_shuffle(make_stream(count=120, seed=seed), LATENESS)
-        expected = single_process_records(TYPE_QUERY, shuffled)
-        half = len(shuffled) // 2
-
-        first = ShardedRuntime(
-            workers=source_workers, lateness=LATENESS, ship_interval=9
-        )
-        first.register(TYPE_QUERY, name="q")
-        records = []
-        for event in shuffled[:half]:
-            records.extend(first.process(event))
-        snapshot = first.checkpoint()
-        records.extend(first.drain_pending())
-        first.close()
-
-        resumed = ShardedRuntime(
-            workers=target_workers, lateness=LATENESS, ship_interval=9
-        )
-        resumed.register(TYPE_QUERY, name="q")
-        resumed.restore(snapshot)
-        for event in shuffled[half:]:
-            records.extend(resumed.process(event))
-        records.extend(resumed.flush())
-        assert canonical(records) == canonical(expected)

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from differential import bounded_shuffle, stream
 from repro.core.aggregate_state import TrendAccumulator
 from repro.errors import CheckpointError
 from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.query.parser import parse_query
 from repro.streaming.checkpoint import (
     load_checkpoint,
@@ -62,18 +62,6 @@ QUERIES = {
 }
 
 
-def make_stream(count=200, seed=17):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("ABC"),
-            rng.uniform(0.0, 80.0),
-            {"g": rng.choice("xy"), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
-
-
 def emission_signature(records):
     """Comparable rendering of an emission sequence (order matters)."""
     return [
@@ -113,7 +101,7 @@ def run_with_interruption(query_text, events, cut, granularity=None):
 class TestRuntimeCheckpoint:
     @pytest.mark.parametrize("granularity_name", sorted(QUERIES))
     def test_mid_stream_restore_matches_uninterrupted_run(self, granularity_name):
-        events = make_stream()
+        events = stream(count=200, span=80.0)
         query_text = QUERIES[granularity_name]
         uninterrupted = build_runtime(query_text).run(events)
         # cut mid-stream, well inside an open window
@@ -121,7 +109,7 @@ class TestRuntimeCheckpoint:
         assert emission_signature(interrupted) == emission_signature(uninterrupted)
 
     def test_forced_event_granularity_restore(self):
-        events = make_stream(count=120)
+        events = stream(count=120, span=80.0)
         query_text = QUERIES["type"]
         uninterrupted = build_runtime(query_text, granularity="event").run(events)
         interrupted = run_with_interruption(
@@ -130,17 +118,16 @@ class TestRuntimeCheckpoint:
         assert emission_signature(interrupted) == emission_signature(uninterrupted)
 
     def test_checkpoint_preserves_reorder_buffer(self):
-        events = make_stream()
+        events = stream(count=200, span=80.0)
         query_text = QUERIES["type"]
         uninterrupted = build_runtime(query_text).run(events)
         # shuffle within the lateness bound so the buffer is non-empty at the cut
-        rng = random.Random(5)
-        shuffled = sorted(events, key=lambda e: (e.time + rng.uniform(0, 3.0), e.sequence))
+        shuffled = bounded_shuffle(events, 3.0, seed=5)
         interrupted = run_with_interruption(query_text, shuffled, cut=101)
         assert emission_signature(interrupted) == emission_signature(uninterrupted)
 
     def test_checkpoint_file_round_trip(self, tmp_path):
-        events = make_stream()
+        events = stream(count=200, span=80.0)
         runtime = build_runtime(QUERIES["mixed"])
         for event in events[:80]:
             runtime.process(event)
@@ -273,7 +260,7 @@ class TestCheckpointValidation:
 
     def test_checkpoint_after_flush_rejected(self):
         runtime = build_runtime(QUERIES["type"])
-        runtime.run(make_stream(count=20))
+        runtime.run(stream(count=20, span=80.0))
         with pytest.raises(CheckpointError):
             runtime.checkpoint()
 

@@ -7,16 +7,15 @@ as soon as the watermark passes it, not at end of stream.
 """
 
 import math
-import random
 
 import pytest
 
 from repro.core.engine import CograEngine
 from repro.errors import LateEventError
 from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming.ingest import LatePolicy, PunctuationWatermark
 from repro.streaming.runtime import StreamingRuntime, group_results
+from differential import bounded_shuffle, stream
 from helpers import assert_results_equal
 
 LATENESS = 5.0
@@ -55,26 +54,6 @@ WITHIN 20 seconds SLIDE 10 seconds
 """
 
 
-def make_stream(count=250, seed=13, types="ABC"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice(types),
-            rng.uniform(0.0, 100.0),
-            {"g": rng.choice("xy"), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
-
-
-def bounded_shuffle(events, disorder, seed=29):
-    """Reorder ``events`` so that no event is displaced by more than
-    ``disorder`` seconds of event time (it can never fall behind the
-    bounded-delay watermark with the same bound)."""
-    rng = random.Random(seed)
-    return sorted(events, key=lambda e: (e.time + rng.uniform(0.0, disorder), e.sequence))
-
-
 class TestBatchParity:
     @pytest.mark.parametrize(
         "query_text,granularity",
@@ -86,7 +65,7 @@ class TestBatchParity:
         ],
     )
     def test_shuffled_stream_matches_batch_run(self, query_text, granularity):
-        ordered = make_stream()
+        ordered = stream(count=250)
         batch = CograEngine.from_text(query_text).run(ordered)
 
         runtime = StreamingRuntime(lateness=LATENESS)
@@ -97,7 +76,7 @@ class TestBatchParity:
         assert runtime.metrics.late_events == 0
 
     def test_forced_event_granularity_matches_batch_run(self):
-        ordered = make_stream(count=150)
+        ordered = stream(count=150)
         batch = CograEngine(TYPE_QUERY, granularity="event").run(ordered)
 
         runtime = StreamingRuntime(lateness=LATENESS)
@@ -107,7 +86,7 @@ class TestBatchParity:
         assert_results_equal(group_results(records), batch)
 
     def test_in_order_stream_with_zero_lateness(self):
-        ordered = make_stream()
+        ordered = stream(count=250)
         batch = CograEngine.from_text(TYPE_QUERY).run(ordered)
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(TYPE_QUERY, name="q")
@@ -123,7 +102,7 @@ class TestBatchParity:
             GROUP-BY g
             WITHIN 20 seconds SLIDE 10 seconds
         """
-        ordered = make_stream()
+        ordered = stream(count=250)
         batch = CograEngine.from_text(negation_query).run(ordered)
         runtime = StreamingRuntime(lateness=LATENESS)
         runtime.register(negation_query, name="q")
@@ -133,7 +112,7 @@ class TestBatchParity:
     def test_emit_empty_groups_matches_batch_run(self):
         # emit_empty_groups forces broadcast routing (every event creates
         # its group); guard that against type-routing regressions
-        ordered = make_stream()
+        ordered = stream(count=250)
         batch = CograEngine(TYPE_QUERY, emit_empty_groups=True).run(ordered)
         runtime = StreamingRuntime(lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="q", emit_empty_groups=True)
@@ -145,7 +124,7 @@ class TestIncrementalEmission:
     def test_windows_emitted_before_end_of_stream(self):
         runtime = StreamingRuntime(lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="q")
-        records = runtime.run(make_stream())
+        records = runtime.run(stream(count=250))
         early = [r for r in records if not r.is_final_flush]
         assert early, "no window was emitted before the final flush"
         # an emitted window is evicted: its aggregate state is gone
@@ -154,7 +133,7 @@ class TestIncrementalEmission:
     def test_emission_respects_watermark_and_window_order(self):
         runtime = StreamingRuntime(lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="q")
-        records = runtime.run(make_stream())
+        records = runtime.run(stream(count=250))
         previous_window = -1
         for record in records:
             # a window is only emitted once the watermark passed its end
@@ -177,7 +156,7 @@ class TestIncrementalEmission:
             assert record.watermark >= record.result.window_end
 
     def test_punctuation_watermarks_drive_emission(self):
-        ordered = make_stream(types="AB")
+        ordered = stream(count=250, types="AB")
         batch = CograEngine.from_text(TYPE_QUERY).run(ordered)
         runtime = StreamingRuntime(
             watermark_strategy=PunctuationWatermark("Tick")
@@ -196,7 +175,7 @@ class TestIncrementalEmission:
 
 class TestMultiQuery:
     def test_runtime_matches_independent_engine_runs(self):
-        ordered = make_stream()
+        ordered = stream(count=250)
         queries = {"p": PATTERN_QUERY, "t": TYPE_QUERY, "m": MIXED_QUERY, "c": CONTIGUOUS_QUERY}
         expected = {
             name: CograEngine.from_text(text).run(ordered)
@@ -211,7 +190,7 @@ class TestMultiQuery:
             assert_results_equal(group_results(records, query=name), expected[name])
 
     def test_type_routing_skips_irrelevant_events(self):
-        ordered = make_stream()  # one third of the events are of type C
+        ordered = stream(count=250)  # C and D are no type of TYPE_QUERY's
         runtime = StreamingRuntime(lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="routed")
         runtime.register(CONTIGUOUS_QUERY, name="broadcast")
@@ -398,7 +377,7 @@ class TestReprocessLate:
 
 class TestEngineStream:
     def test_engine_stream_yields_batch_results_incrementally(self):
-        ordered = make_stream()
+        ordered = stream(count=250)
         engine = CograEngine.from_text(TYPE_QUERY)
         batch = engine.run(ordered)
         streamed = list(
@@ -425,7 +404,7 @@ class TestEngineStream:
 
     def test_concurrent_streams_on_one_engine_rejected(self):
         engine = CograEngine.from_text(TYPE_QUERY)
-        ordered = make_stream(types="AB")
+        ordered = stream(count=250, types="AB")
         first = engine.stream(ordered, lateness=LATENESS)
         # the stream claims the engine at the call, before any iteration
         with pytest.raises(RuntimeError):
@@ -456,7 +435,7 @@ class TestMetrics:
     def test_counters_are_consistent_after_a_run(self):
         runtime = StreamingRuntime(lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="q")
-        ordered = make_stream()
+        ordered = stream(count=250)
         records = runtime.run(bounded_shuffle(ordered, LATENESS))
         metrics = runtime.metrics
         assert metrics.events_ingested == len(ordered)

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from differential import slices, stream, streams
 from helpers import reference_type_grained_process
 from repro.analyzer.plan import plan_query
 from repro.core.type_grained import TypeGrainedAggregator
 from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.query.parser import parse_query
 from repro.streaming.checkpoint import snapshot_aggregator
 from repro.streaming.runtime import StreamingRuntime
@@ -68,40 +68,22 @@ def state_of(aggregator):
     return json.dumps(snapshot_aggregator(aggregator))
 
 
-@st.composite
-def streams(draw):
-    values = draw(st.sampled_from([INTEGERS, FLOATS]))
-    # some events carry no value at all: they count but do not aggregate
-    value = st.none() | values
-    rows = draw(st.lists(st.tuples(st.sampled_from("AABC"), value), max_size=40))
-    events = [
-        Event(event_type, float(index), {} if v is None else {"v": v}, sequence=index)
-        for index, (event_type, v) in enumerate(rows)
-    ]
-    cuts = draw(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6))
-    return events, cuts
-
-
-def split(events, cuts):
-    runs, cursor, index = [], 0, 0
-    while cursor < len(events):
-        size = cuts[index % len(cuts)]
-        runs.append(events[cursor:cursor + size])
-        cursor += size
-        index += 1
-    return runs
+#: a value, or none at all: such an event counts but does not aggregate
+VALUES = st.none() | INTEGERS | FLOATS
+#: the slice sizes a stream is folded in, cyclically
+CUTS = st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6)
+STREAMS = streams(max_events=40, types="AABC", attribute="v", values=VALUES, groups=())
 
 
 class TestFoldMatchesTheLiteralRecurrence:
     @settings(max_examples=150, deadline=None)
-    @given(shape=st.sampled_from(SHAPES), stream=streams())
-    def test_state_equal_after_every_run(self, shape, stream):
-        events, cuts = stream
+    @given(shape=st.sampled_from(SHAPES), events=STREAMS, cuts=CUTS)
+    def test_state_equal_after_every_run(self, shape, events, cuts):
         plan = plan_of(shape)
         folded = TypeGrainedAggregator(plan)
         one_by_one = TypeGrainedAggregator(plan)
         reference = TypeGrainedAggregator(plan)
-        for run in split(events, cuts):
+        for run in slices(events, cuts):
             folded.process_run(bound(plan, run))
             for event in run:
                 one_by_one.process(event)
@@ -190,20 +172,20 @@ class TestFannedRunEqualsOneFoldPerWindow:
     @settings(max_examples=150, deadline=None)
     @given(
         shape=st.sampled_from(SHAPES),
-        stream=streams(),
+        events=STREAMS,
+        cuts=CUTS,
         offsets=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12),
         history_share=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_every_window_ends_where_its_own_fold_would(
-        self, shape, stream, offsets, history_share
+        self, shape, events, cuts, offsets, history_share
     ):
-        events, cuts = stream
         plan = plan_of(shape)
         cut = int(len(events) * history_share)
         history, rest = events[:cut], events[cut:]
         starts = [offset % (cut + 1) for offset in offsets]
         fanned, separate, reference = window_aggregators(plan, history, starts)
-        for run in split(rest, cuts):
+        for run in slices(rest, cuts):
             fold_and_compare(plan, run, fanned, separate, reference)
         for together, oracle in zip(fanned, reference):
             assert together.results() == oracle.results()
@@ -245,18 +227,6 @@ WITHIN 20 seconds SLIDE 5 seconds
 """
 
 
-def make_stream(count=300, seed=29):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AAB"),
-            rng.uniform(0.0, 60.0),
-            {"g": rng.choice("xyz"), "v": round(rng.uniform(0.5, 9.5), 2)},
-        )
-        for _ in range(count)
-    )
-
-
 class TestDispatchAfterMigration:
     @pytest.mark.parametrize(
         "before, after, seed",
@@ -274,7 +244,7 @@ class TestDispatchAfterMigration:
         self, before, after, seed
     ):
         """One executor, two granularities: one call per stretch of a class."""
-        events = make_stream()
+        events = stream(29, 300, types="AAB", groups="xyz")
         cut = len(events) // 2
         static = StreamingRuntime(lateness=0.0)
         static.register(QUERY, name="q", granularity=before)

@@ -1,23 +1,17 @@
 """Tests for sharded-runtime worker restart and checkpoint-based recovery.
 
-The central property (the PR's acceptance criterion): a
-:class:`ShardedRuntime` run whose worker is killed mid-stream recovers via
-the checkpoint store -- respawn, restore the shard's slice of the latest
-checkpoint, replay the parent-side buffer -- and produces results identical
-to an uninterrupted single-process run.
+A :class:`ShardedRuntime` run whose worker is killed mid-stream recovers
+via the checkpoint store -- respawn, restore the shard's slice of the
+latest checkpoint, replay the parent-side buffer -- and emits the end-to-end
+oracle's records; the configuration matrix (``test_differential_matrix.py``)
+samples kill points against the other axes.
 """
 
-import os
-import random
-import signal
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from differential import canonical, kill_worker, stream
+from repro.baselines.oracle import expected_records
 from repro.errors import WorkerCrashError
-from repro.events.event import Event
-from repro.events.stream import sort_events
 from repro.streaming import sharded
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.runtime import StreamingRuntime
@@ -30,42 +24,7 @@ SEMANTICS skip-till-any-match
 GROUP-BY g
 WITHIN 20 seconds SLIDE 10 seconds
 """
-
-
-def make_stream(count=400, seed=13, groups="uvwxyz"):
-    rng = random.Random(seed)
-    return sort_events(
-        Event(
-            rng.choice("AB"),
-            rng.uniform(0.0, 90.0),
-            {"g": rng.choice(groups), "v": rng.randint(1, 9)},
-        )
-        for _ in range(count)
-    )
-
-
-def single_process_records(events):
-    runtime = StreamingRuntime(lateness=0.0)
-    runtime.register(QUERY, name="q")
-    return runtime.run(events)
-
-
-def canonical(records):
-    return sorted(
-        (
-            record.query,
-            record.result.window_id,
-            tuple(sorted(record.result.group.items())),
-            tuple(sorted(record.result.values.items())),
-        )
-        for record in records
-    )
-
-
-def kill_worker(runtime, shard):
-    victim = runtime._procs[shard]
-    os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=10)
+JOB = [("q", QUERY)]
 
 
 def killing_feed(runtime, events, kill_at, shard=0):
@@ -78,8 +37,8 @@ def killing_feed(runtime, events, kill_at, shard=0):
 
 class TestRecovery:
     def test_killed_worker_recovers_with_checkpoint_store(self, tmp_path):
-        events = make_stream()
-        expected = single_process_records(events)
+        events = stream(count=400)
+        expected = expected_records(JOB, events, 0.0)
 
         store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
         runtime = ShardedRuntime(
@@ -99,8 +58,8 @@ class TestRecovery:
         assert store.load_latest() is not None
 
     def test_recovery_before_any_checkpoint_replays_from_start(self):
-        events = make_stream(count=200)
-        expected = single_process_records(events)
+        events = stream(count=200)
+        expected = expected_records(JOB, events, 0.0)
 
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=4, max_restarts=1
@@ -111,7 +70,7 @@ class TestRecovery:
         assert canonical(records) == canonical(expected)
 
     def test_kill_during_checkpoint_collection_recovers(self):
-        events = make_stream(count=200)
+        events = stream(count=200)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=4, max_restarts=1
         )
@@ -126,14 +85,14 @@ class TestRecovery:
         for event in events[120:]:
             records.extend(runtime.process(event))
         records.extend(runtime.flush())
-        assert canonical(records) == canonical(single_process_records(events))
+        assert canonical(records) == canonical(expected_records(JOB, events, 0.0))
         # the composed checkpoint is usable despite the crash
         resumed = StreamingRuntime(lateness=0.0)
         resumed.register(QUERY, name="q")
         resumed.restore(snapshot)
 
     def test_repeated_crashes_exhaust_max_restarts(self):
-        events = make_stream(count=300)
+        events = stream(count=300)
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=2, max_restarts=1
         )
@@ -149,7 +108,7 @@ class TestRecovery:
             runtime.process(events[0])
 
     def test_max_restarts_zero_keeps_fail_fast(self):
-        events = make_stream(count=200)
+        events = stream(count=200)
         runtime = ShardedRuntime(workers=2, lateness=0.0, ship_interval=2)
         runtime.register(QUERY, name="q")
         with pytest.raises(WorkerCrashError):
@@ -171,8 +130,8 @@ class TestRecovery:
         included) dies, a fresh process loads the newest checkpoint and
         continues with the remaining events.
         """
-        events = make_stream(count=300)
-        expected = single_process_records(events)
+        events = stream(count=300)
+        expected = expected_records(JOB, events, 0.0)
         store = CheckpointStore(tmp_path / "ckpt", compact_every=3)
 
         first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
@@ -205,34 +164,6 @@ class TestRecovery:
         assert set(canonical(records + replayed)) == set(canonical(expected))
 
 
-class TestRecoveryProperty:
-    @settings(max_examples=5, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        kill_at=st.integers(min_value=10, max_value=280),
-        shard=st.integers(min_value=0, max_value=1),
-        interval=st.sampled_from([60, 110]),
-    )
-    def test_killed_run_matches_uninterrupted_single_process(
-        self, tmp_path_factory, seed, kill_at, shard, interval
-    ):
-        events = make_stream(count=300, seed=seed)
-        expected = single_process_records(events)
-        directory = tmp_path_factory.mktemp("recovery-property")
-        store = CheckpointStore(directory, compact_every=3)
-        runtime = ShardedRuntime(
-            workers=2, lateness=0.0, ship_interval=8, max_restarts=2
-        )
-        runtime.register(QUERY, name="q")
-        records = runtime.run(
-            killing_feed(runtime, events, kill_at=kill_at, shard=shard),
-            checkpoint_store=store,
-            checkpoint_interval=interval,
-        )
-        assert runtime.restart_counts[shard] == 1
-        assert canonical(records) == canonical(expected)
-
-
 class TestRecoveredStateIsExact:
     """A recovered worker holds exactly what it would hold uncrashed.
 
@@ -251,7 +182,7 @@ class TestRecoveredStateIsExact:
         of a 2-worker checkpoint into 3 workers) and -- for ``rebalance``
         and ``replan`` -- re-cut at event 150; shard ``kill`` dies at 200.
         """
-        events = make_stream()
+        events = stream(count=400)
         runtime = ShardedRuntime(
             workers=3 if scenario == "restore" else 2,
             lateness=0.0,
@@ -314,7 +245,7 @@ class TestObserveDuringRecovery:
         be swallowed, and the collection waited out the ack timeout)."""
         # a lost answer fails in seconds, not in two minutes
         monkeypatch.setattr(sharded, "ACK_TIMEOUT_SECONDS", 5.0)
-        events = make_stream(count=120)
+        events = stream(count=120, types="AB")  # every event reaches q
         runtime = ShardedRuntime(
             workers=3,
             lateness=0.0,
