@@ -354,10 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ship-interval",
         type=int,
         default=None,
-        help="with --workers >1: ingested events, across all workers, "
-        "between two shipped waves (default 64); 1 matches single-process "
-        "emission timing and watermark stamps (line order may still "
-        "differ), larger values trade emission latency for throughput",
+        help="with --workers >1: released events, across all workers, "
+        "between two shipped waves, checked at ingest-step ends (default "
+        "64); a window edge ships at once whatever the value",
     )
     stream.add_argument(
         "--decode-batch-size",

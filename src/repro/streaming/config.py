@@ -404,9 +404,9 @@ class RebalanceConfig(_Section):
     ``skew_threshold`` fires a cycle when the busiest worker's load reaches
     that multiple of the mean load (note the busiest of N workers can reach
     at most N times the mean, so keep the threshold below the worker
-    count); ``min_interval`` is the number of ingested events between skew
-    checks (each cycle briefly quiesces the workers, so this bounds the
-    migration overhead); ``max_moves`` caps the slots migrated per cycle;
+    count); ``min_interval`` is the number of released events between skew
+    checks, checked at the end of each ingest step (each cycle briefly
+    quiesces the workers, so this bounds the migration overhead); ``max_moves`` caps the slots migrated per cycle;
     ``slots_per_worker`` sets the router granularity (hash slots =
     ``slots_per_worker`` x workers).
     """
@@ -450,8 +450,13 @@ class ShardConfig(_Section):
     :class:`~repro.streaming.runtime.StreamingRuntime`; more workers shard
     the stream by partition key across processes
     (:class:`~repro.streaming.sharded.ShardedRuntime`).  The remaining
-    fields only apply to the sharded topology; ``rebalance`` configures
-    live migration of hot hash ranges between the workers
+    fields only apply to the sharded topology.  ``ship_interval`` is how
+    many released events the parent gathers before it ships a wave,
+    checked at the end of each ingest step; the push crossing a window
+    edge ships at once whatever it is, so it never moves a watermark
+    stamp.  ``max_batch`` ships a worker's outbox at the end of the step
+    in which it reaches that size.  ``rebalance`` configures live
+    migration of hot hash ranges between the workers
     (:class:`RebalanceConfig`).
     """
 

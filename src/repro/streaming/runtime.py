@@ -52,6 +52,7 @@ from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.query import Query
 from repro.query.semantics import Semantics
+from repro.query.windows import WindowSpec
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     CheckpointStore,
@@ -121,8 +122,9 @@ class PipelineDriver:
     :class:`~repro.streaming.sharded.ShardedRuntime` do, so the CLI,
     examples, benchmarks and :meth:`CograEngine.stream` stop hand-rolling
     ingestion loops.  Both ingest in this process and hold ``_ingestor``,
-    ``metrics``, ``observability``, ``query_names`` and
-    ``_replan_controller``, which the accessors shared here read.
+    ``metrics``, ``observability``, ``query_names``, ``_replan_controller``
+    and ``_windows`` (the registered queries' windows, which define the
+    steps of :meth:`_ingest`), which the members shared here read.
     :meth:`drive` is the lazy form (a generator of emission records),
     :meth:`run` the eager one (collect, or push into a
     :class:`~repro.streaming.sources.Sink`).
@@ -331,12 +333,22 @@ class PipelineDriver:
                 apply(IngestBatch(pending, current, advanced), None)
 
     def _step_boundary(self, watermark: float) -> float:
-        """The watermark at which the step open at ``watermark`` must end.
+        """The next window start or end of any registered query after ``watermark``.
 
         Pushes that leave the watermark below it are applied together (see
-        :meth:`_ingest`).  ``-inf`` makes every push its own step.
+        :meth:`_ingest`).  Plain window arithmetic
+        (:meth:`WindowSpec.next_boundary`): below it the watermark closes
+        nothing and every released event falls into the windows the step
+        began in.  A count window closes on the arrival of an event,
+        whatever the watermark, so with one registered every push is its
+        own step (``-inf``).
         """
-        raise NotImplementedError
+        boundary = math.inf
+        for window in self._windows:
+            if window.is_count_based:
+                return -math.inf
+            boundary = min(boundary, window.next_boundary(watermark))
+        return boundary
 
     def _await_sink_ready(
         self, ready: Callable[[], bool], backpressure: BackpressureConfig
@@ -777,6 +789,7 @@ class StreamingRuntime(PipelineDriver):
         self._emit_empty_groups = emit_empty_groups
         self._queries: List[RegisteredQuery] = []
         self._by_name: Dict[str, RegisteredQuery] = {}
+        self._windows: List[WindowSpec] = []
         self._flushed = False
         #: set when a restore failed mid-application; the mixed state must
         #: never process events (see :meth:`restore`)
@@ -846,6 +859,8 @@ class StreamingRuntime(PipelineDriver):
         )
         self._queries.append(registered)
         self._by_name[name] = registered
+        if engine.query.window is not None:
+            self._windows.append(engine.query.window)
         return name
 
     @property
@@ -943,24 +958,6 @@ class StreamingRuntime(PipelineDriver):
             if emitted:
                 registered.instruments.results.inc(len(emitted))
                 records.extend(emitted)
-
-    def _step_boundary(self, watermark: float) -> float:
-        """The next window start or end of any registered query after ``watermark``.
-
-        Plain window arithmetic (:meth:`WindowSpec.next_boundary`): below it
-        the watermark closes nothing and every released event falls into the
-        windows the step began in.  A count window closes on the arrival of
-        an event, whatever the watermark, so with one registered every push
-        is its own step.
-        """
-        boundary = math.inf
-        for registered in self._queries:
-            window = registered.engine.query.window
-            if window is not None:
-                if window.is_count_based:
-                    return -math.inf
-                boundary = min(boundary, window.next_boundary(watermark))
-        return boundary
 
     def _route_slice(
         self,

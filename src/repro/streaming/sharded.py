@@ -110,6 +110,7 @@ from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.parser import parse_query
 from repro.query.query import Query
+from repro.query.windows import WindowSpec
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     check_query_identity,
@@ -465,17 +466,18 @@ class ShardedRuntime(PipelineDriver):
         As on :class:`~repro.streaming.runtime.StreamingRuntime`; ingestion
         happens once, in the parent.
     ship_interval:
-        How many ingested events to coalesce before shipping a wave (with
-        the newest watermark) to the workers.  ``1`` ships on every push,
-        so every record carries the same watermark stamp as in a
-        single-process run (record *order* within a wave is canonical --
-        window, then group, then query -- so multi-query jobs may
-        interleave differently), at the price of one IPC round per event;
-        larger values amortise the per-wave pipe overhead and only delay
-        *when* windows are emitted, never *what* is emitted.
+        How many released events to coalesce before shipping a wave (with
+        the newest watermark) to the workers, checked at the end of each
+        ingest step.  Whatever it is, the push that lifts the watermark
+        across a window edge ships at once with its own watermark, so every
+        record carries the same watermark stamp as in a single-process run
+        (record *order* within a wave is canonical -- window, then group,
+        then query -- so multi-query jobs may interleave differently).
+        Smaller values only hand events to the workers sooner.
     max_batch:
-        Hard outbox bound: a shard's pending events are shipped once they
-        reach this size even when ``ship_interval`` has not elapsed.
+        Outbox bound: a shard's pending events are shipped at the end of the
+        step in which they reach this size, even when ``ship_interval`` has
+        not elapsed.
     max_restarts:
         How many times each shard's worker may be respawned after a crash
         before the run aborts with
@@ -555,7 +557,8 @@ class ShardedRuntime(PipelineDriver):
         #: epochs allowed in flight before ingestion blocks on worker acks
         #: (validated by the owning BackpressureConfig section)
         self._max_inflight = BackpressureConfig(max_inflight=max_inflight).max_inflight
-        self._pushes_since_ship = 0
+        #: events released into the outboxes since the last wave
+        self._events_since_ship = 0
         #: newest watermark not yet delivered to the workers, if any
         self._pending_watermark: Optional[float] = None
         if start_method is None:
@@ -565,6 +568,7 @@ class ShardedRuntime(PipelineDriver):
 
         self._specs: List[_QuerySpec] = []
         self._engines: Dict[str, CograEngine] = {}
+        self._windows: List[WindowSpec] = []
         #: the plan whose partition_key routes events (set at start)
         self._routing_plan = None
         self.shard_count = 0
@@ -580,8 +584,11 @@ class ShardedRuntime(PipelineDriver):
         self._slot_loads: List[int] = []
         self._events_since_rebalance_check = 0
         #: newest watermark actually delivered to the workers (migrations
-        #: quiesce behind it; ``-inf`` until the first advance ships)
+        #: quiesce behind it; ``-inf`` until the first advance ships), and
+        #: the next window edge after it: a pending watermark reaching that
+        #: edge ships at once
         self._shipped_watermark = -math.inf
+        self._ship_bound = -math.inf
         #: human-readable log of slot migrations, newest last
         self.rebalance_log: List[str] = []
 
@@ -685,6 +692,8 @@ class ShardedRuntime(PipelineDriver):
             raise ValueError(f"a query named {name!r} is already registered")
         self._specs.append(_QuerySpec(name, query, granularity, flag))
         self._engines[name] = engine
+        if engine.query.window is not None:
+            self._windows.append(engine.query.window)
         return name
 
     @property
@@ -725,7 +734,7 @@ class ShardedRuntime(PipelineDriver):
         self._router = ShardRouter(self.shard_count, self._policy.slots_per_worker)
         self._slot_loads = [0] * self._router.slots
         self._events_since_rebalance_check = 0
-        self._shipped_watermark = -math.inf
+        self._set_shipped_watermark(-math.inf)
         self._procs = [None] * self.shard_count
         self._inboxes = [None] * self.shard_count
         self._acks = [None] * self.shard_count
@@ -1186,7 +1195,7 @@ class ShardedRuntime(PipelineDriver):
         of them -- while a plain overflow ship only goes to shards that have
         events.
         """
-        self._pushes_since_ship = 0
+        self._events_since_ship = 0
         self._pending_watermark = None
         if watermark is None:
             shards = [s for s in range(self.shard_count) if self._outboxes[s]]
@@ -1195,7 +1204,7 @@ class ShardedRuntime(PipelineDriver):
         else:
             shards = list(range(self.shard_count))
             if watermark > self._shipped_watermark:
-                self._shipped_watermark = watermark
+                self._set_shipped_watermark(watermark)
         payloads = {}
         for shard in shards:
             events = self._outboxes[shard]
@@ -1205,6 +1214,11 @@ class ShardedRuntime(PipelineDriver):
             self._shard_instruments[shard].outbox_depth.set(len(events))
             self._outboxes[shard] = []
         self._ship("batch", shards, payloads)
+
+    def _set_shipped_watermark(self, watermark: float) -> None:
+        """Record ``watermark`` as delivered and the window edge after it."""
+        self._shipped_watermark = watermark
+        self._ship_bound = self._step_boundary(watermark)
 
     def _route_released(self, events: Iterable[Event]) -> None:
         """Append released events to the outbox of the worker owning their key.
@@ -1309,11 +1323,11 @@ class ShardedRuntime(PipelineDriver):
         """Version of the live range->worker map (0 until the first move)."""
         return 0 if self._router is None else self._router.version
 
-    def _maybe_rebalance(self) -> None:
-        """One policy-driven skew check, every ``min_interval`` ingested events."""
+    def _maybe_rebalance(self, released: int) -> None:
+        """Count a step's ``released`` events; check skew every ``min_interval``."""
         if not self._policy.enabled or self.shard_count < 2:
             return
-        self._events_since_rebalance_check += 1
+        self._events_since_rebalance_check += released
         if self._events_since_rebalance_check >= self._policy.min_interval:
             self.rebalance()
 
@@ -1423,11 +1437,11 @@ class ShardedRuntime(PipelineDriver):
 
     # -- adaptive granularity re-planning --------------------------------------
 
-    def _maybe_replan(self) -> None:
-        """One policy-driven granularity check, every check-interval events."""
+    def _maybe_replan(self, released: int) -> None:
+        """Count a step's ``released`` events; check granularity when due."""
         if self._replan_policy is None or not self._started:
             return
-        if self._replan_controller.due(1):
+        if self._replan_controller.due(released):
             self._replan_now()
 
     def _replan_now(self) -> None:
@@ -1556,10 +1570,13 @@ class ShardedRuntime(PipelineDriver):
         given call may return results triggered by earlier events (also
         after a raising late policy aborted a slice: what was ready then
         is returned by the next call).  All records are delivered by the
-        end of :meth:`flush`.  Shipping decisions (``ship_interval``,
-        ``max_batch``, backpressure) happen per push, so wave boundaries and
-        watermark stamps never depend on the slicing; acknowledgements are
-        drained once per slice, not between consecutive pushes.
+        end of :meth:`flush`.  The slice runs through the same steps as in
+        :class:`~repro.streaming.runtime.StreamingRuntime` (see
+        :meth:`_ingest`): shipping decisions (``ship_interval``,
+        ``max_batch``, backpressure), rebalancing and re-planning happen
+        once per step, and the push crossing a window edge ships alone with
+        its own watermark, so watermark stamps depend on neither the slicing
+        nor ``ship_interval``; acknowledgements are drained once per slice.
         """
         self._check_usable()
         if not self._started:
@@ -1568,36 +1585,39 @@ class ShardedRuntime(PipelineDriver):
         self._drain_acks(block=False)
         return self._take_ready()
 
-    def _step_boundary(self, watermark: float) -> float:
-        """Every push is its own step: shipping, rebalancing and re-planning
-        count pushes, and the window arithmetic happens in the workers."""
-        return -math.inf
-
     def _apply_push(self, batch, trace) -> None:
-        """Route what one push released to the outboxes; ship what is due.
+        """Route what one step released to the outboxes; ship what is due.
+
+        A wave ships once ``ship_interval`` released events have gathered,
+        once an outbox holds ``max_batch`` events, or at once when the
+        pending watermark reaches the next window edge after the shipped
+        one.  Only the push crossing an edge reaches that edge, and it is
+        applied alone, so a wave carrying a watermark that closes windows
+        carries that push's watermark; every other wave closes nothing.
 
         Parent-side spans cover ingest and route/ship; per-event execution
         happens inside the worker processes and shows up in their latency
         histograms instead.
         """
-        if batch.released:
+        released = batch.released
+        if released:
             if trace is None:
-                self._route_released(batch.released)
+                self._route_released(released)
             else:
-                with trace.child("route", events=len(batch.released)):
-                    self._route_released(batch.released)
+                with trace.child("route", events=len(released)):
+                    self._route_released(released)
         if batch.advanced:
             self._pending_watermark = batch.watermark
-        self._maybe_rebalance()
-        self._maybe_replan()
-        self._pushes_since_ship += 1
-        if self._pushes_since_ship >= self._ship_interval or any(
-            len(outbox) >= self._max_batch for outbox in self._outboxes
+        self._maybe_rebalance(len(released))
+        self._maybe_replan(len(released))
+        self._events_since_ship += len(released)
+        pending = self._pending_watermark
+        if (
+            self._events_since_ship >= self._ship_interval
+            or (pending is not None and pending >= self._ship_bound)
+            or any(len(outbox) >= self._max_batch for outbox in self._outboxes)
         ):
-            # carries the newest watermark (coalescing intermediate ones:
-            # emitting windows at a later watermark changes when results
-            # appear, never which results appear)
-            self._ship_outboxes(self._pending_watermark)
+            self._ship_outboxes(pending)
         if len(self._inflight) > self._max_inflight:
             # bounded inboxes: block ingestion until the workers drain below
             # the cap, and account the pause as backpressure
@@ -1644,7 +1664,7 @@ class ShardedRuntime(PipelineDriver):
             payloads[shard] = ("flush", self._epoch, payload)
             self.shard_stats[shard].record_shipment(len(events))
             self._outboxes[shard] = []
-        self._pushes_since_ship = 0
+        self._events_since_ship = 0
         self._pending_watermark = None
         self._ship("flush", range(self.shard_count), payloads)
         self._drain_acks(block=True)
@@ -1826,7 +1846,7 @@ class ShardedRuntime(PipelineDriver):
         self._drain_acks(block=True)
         self._ready_records = []
         self._outboxes = [[] for _ in range(self.shard_count)]
-        self._pushes_since_ship = 0
+        self._events_since_ship = 0
         self._pending_watermark = None
         restore_started = _time.perf_counter()
         try:
@@ -1847,7 +1867,7 @@ class ShardedRuntime(PipelineDriver):
                 )
             self._slot_loads = [0] * self._router.slots
             self._events_since_rebalance_check = 0
-            self._shipped_watermark = -math.inf
+            self._set_shipped_watermark(-math.inf)
             # every worker resets its registry: the merged registry becomes
             # the parent's base, so base + fresh worker deltas stays the
             # cumulative view (old checkpoints carry no registry and simply

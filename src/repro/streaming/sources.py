@@ -1006,9 +1006,12 @@ class TransactionalSink(Sink):
     def _dedup_key(row: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
         """The delivery identity of one emitted row.
 
-        The watermark stamp is excluded: a sharded replay may coalesce
-        emission batches and stamp the same logical result with a later
-        watermark, which must still count as the same delivery.
+        The watermark stamp is excluded: it says when a result was
+        emitted, not which result it is.  A sharded run now stamps every
+        result as the single-process run does, but a sink file written
+        before that -- when a sharded wave coalesced pushes and stamped a
+        result with a later watermark -- must still have its rows count as
+        delivered when a job resumes into it.
         """
         return tuple(
             sorted(

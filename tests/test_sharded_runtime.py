@@ -147,29 +147,6 @@ class TestParity:
         expected = expected_records([("q", TYPE_QUERY)], events, LATENESS)
         assert canonical(runtime.run(events)) == canonical(expected)
 
-    def test_byte_identical_records_at_ship_interval_one(self):
-        """With per-push shipping even the watermark stamps match."""
-        shuffled = bounded_shuffle(stream(count=220), LATENESS)
-        single = StreamingRuntime(lateness=LATENESS)
-        single.register(TYPE_QUERY, name="q")
-        expected = single.run(shuffled)
-
-        runtime = ShardedRuntime(workers=3, lateness=LATENESS, ship_interval=1)
-        runtime.register(TYPE_QUERY, name="q")
-        records = runtime.run(shuffled)
-
-        def full(records):
-            return sorted(
-                json.dumps(
-                    {"watermark": repr(r.watermark), **r.as_dict()},
-                    sort_keys=True,
-                    default=str,
-                ).encode("utf-8")
-                for r in records
-            )
-
-        assert full(records) == full(expected)
-
     def test_multi_query_shared_signature(self):
         shuffled = bounded_shuffle(stream(count=220), LATENESS)
         single = StreamingRuntime(lateness=LATENESS)
@@ -241,6 +218,102 @@ class TestParity:
         for stats in runtime.shard_stats:
             assert stats.as_dict()["events_sent"] == stats.events_sent
         assert "workers=2" in repr(runtime)
+
+
+def stamped(records):
+    """Each record as one JSON line, its watermark stamp included."""
+    return [
+        json.dumps(
+            {"watermark": repr(r.watermark), **r.as_dict()},
+            sort_keys=True,
+            default=str,
+        )
+        for r in records
+    ]
+
+
+#: a second query on another window grid: 7.5 s tumbling windows put edges
+#: between the 10 s edges of TYPE_QUERY
+TUMBLING_QUERY = MIXED_QUERY.replace(
+    "WITHIN 20 seconds SLIDE 10 seconds", "WITHIN 7.5 seconds"
+)
+
+
+class TestSteps:
+    """The sharded parent ingests in the single-process runtime's steps.
+
+    A step ends where a window of any query starts or ends, so the push
+    crossing an edge ships alone with its own watermark: the stamps match
+    the single-process run whatever the ship cadence and the slicing.
+    """
+
+    @staticmethod
+    def _run(runtime, queries, events, slicing):
+        for name, text in queries:
+            runtime.register(text, name=name)
+        return stamped(runtime.run(events, decode_batch_size=slicing or len(events)))
+
+    @pytest.mark.parametrize("slicing", [1, 7, None])
+    @pytest.mark.parametrize("ship_interval", [1, 7, 64, 100_000])
+    def test_stamps_and_order_at_every_cadence(self, ship_interval, slicing):
+        events = stream(count=400, span=120.0, disorder=LATENESS)
+
+        def both(queries):
+            single = StreamingRuntime(lateness=LATENESS)
+            sharded = ShardedRuntime(
+                workers=3, lateness=LATENESS, ship_interval=ship_interval
+            )
+            return (
+                self._run(sharded, queries, events, slicing),
+                self._run(single, queries, events, slicing),
+            )
+
+        records, expected = both([("q", TYPE_QUERY)])
+        assert len(expected) > 40
+        assert records == expected
+        # records of several queries in one emission may interleave
+        # differently, so the two-query run is compared as a set of lines
+        records, expected = both([("a", TYPE_QUERY), ("b", TUMBLING_QUERY)])
+        assert sorted(records) == sorted(expected)
+
+    @pytest.mark.parametrize("slicing", [1, 7, None])
+    def test_one_step_definition(self, monkeypatch, slicing):
+        events = stream(count=300, span=90.0, disorder=LATENESS)
+        steps = {}
+        for kind in (StreamingRuntime, ShardedRuntime):
+            original = kind._apply_push
+
+            def counted(self, *args, _kind=kind, _original=original):
+                steps[_kind] = steps.get(_kind, 0) + 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(kind, "_apply_push", counted)
+        queries = [("a", TYPE_QUERY), ("b", TUMBLING_QUERY)]
+        self._run(StreamingRuntime(lateness=LATENESS), queries, events, slicing)
+        self._run(ShardedRuntime(workers=2, lateness=LATENESS), queries, events, slicing)
+        assert steps[ShardedRuntime] == steps[StreamingRuntime]
+        if slicing != 1:
+            assert steps[ShardedRuntime] < len(events)
+
+    def test_a_slice_crossing_no_window_edge_ships_one_wave(self):
+        def ticks(start, stop):
+            return [
+                Event("AB"[i % 2], start + i * 0.25, {"g": "uvwx"[i % 4], "v": i % 9})
+                for i in range(int((stop - start) / 0.25))
+            ]
+
+        with ShardedRuntime(workers=2, lateness=0.0, ship_interval=1) as runtime:
+            runtime.register(TYPE_QUERY, name="q")
+            runtime.process_batch(ticks(0.0, 10.5))  # crosses the edge at 10
+            shipped = [stats.batches_sent for stats in runtime.shard_stats]
+            sent = sum(stats.events_sent for stats in runtime.shard_stats)
+            runtime.process_batch(ticks(11.0, 19.75))  # stays below 20
+            waves = [
+                stats.batches_sent - before
+                for stats, before in zip(runtime.shard_stats, shipped)
+            ]
+            assert max(waves) == 1
+            assert sum(stats.events_sent for stats in runtime.shard_stats) > sent
 
 
 def sharded_results(query, events, workers):
