@@ -115,15 +115,15 @@ class QueryExecutor:
         before the next window start or end after the first event
         (:meth:`WindowSpec.next_boundary`); queries without a WITHIN clause
         never emit mid-stream, so the rest of ``events`` is one run.  Count
-        windows say nothing about timestamps and are fed event by event.
-        ``events`` must be in time order.
+        windows cut at multiples of ``count`` in ordinals, ``events[start]``
+        being number :attr:`events_seen`.  ``events`` must be in time order.
         """
         count = len(events)
         window = self.query.window
         if window is None or count - start <= 1:
             return count
         if window.is_count_based:
-            return start + 1
+            return min(count, start + window.count - self._events_seen % window.count)
         bound = window.next_boundary(events[start].time)
         if events[-1].time < bound:
             return count

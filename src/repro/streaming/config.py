@@ -120,6 +120,28 @@ def _query_plan_info(
     return engine.plan.partition_attributes, engine.granularity, count_windowed
 
 
+def late_replay_reason(queries: Mapping[str, bool]) -> Optional[str]:
+    """Why late events of these queries cannot be replayed, or ``None``.
+
+    ``queries`` maps each query name to whether it uses a count-based
+    window.  ``late.reprocess`` (``reprocess_late()`` on either runtime)
+    replays late events through a fresh runtime whose event ordinals
+    restart at 0, so a count window's corrections would land in windows the
+    late events never belonged to.  :meth:`JobConfig.validate` and both
+    runtimes' ``reprocess_late`` raise a :class:`ConfigError` with this
+    message.
+    """
+    count_windowed = sorted(name for name, count in queries.items() if count)
+    if not count_windowed:
+        return None
+    return (
+        f"queries {count_windowed} use count-based windows, which "
+        "late.reprocess cannot correct: its replay restarts event ordinals "
+        "at 0, so corrections would land in windows the late events never "
+        "belonged to; persist late events with late.side_channel_path instead"
+    )
+
+
 def _did_you_mean(word: object, valid: Iterable[str]) -> str:
     """The ``(did you mean 'x'?)`` suffix for a near-miss of a valid word."""
     close = difflib.get_close_matches(str(word), list(valid), n=1)
@@ -406,9 +428,10 @@ class RebalanceConfig(_Section):
     at most N times the mean, so keep the threshold below the worker
     count); ``min_interval`` is the number of released events between skew
     checks, checked at the end of each ingest step (each cycle briefly
-    quiesces the workers, so this bounds the migration overhead); ``max_moves`` caps the slots migrated per cycle;
-    ``slots_per_worker`` sets the router granularity (hash slots =
-    ``slots_per_worker`` x workers).
+    quiesces the workers, so this bounds the migration overhead);
+    ``max_moves`` caps the slots migrated per cycle; ``slots_per_worker``
+    sets the router granularity (hash slots = ``slots_per_worker`` x
+    workers).
     """
 
     enabled: bool = False
@@ -452,12 +475,12 @@ class ShardConfig(_Section):
     (:class:`~repro.streaming.sharded.ShardedRuntime`).  The remaining
     fields only apply to the sharded topology.  ``ship_interval`` is how
     many released events the parent gathers before it ships a wave,
-    checked at the end of each ingest step; the push crossing a window
-    edge ships at once whatever it is, so it never moves a watermark
-    stamp.  ``max_batch`` ships a worker's outbox at the end of the step
-    in which it reaches that size.  ``rebalance`` configures live
-    migration of hot hash ranges between the workers
-    (:class:`RebalanceConfig`).
+    checked at the end of each ingest step; the push reaching a window
+    edge -- a time edge, or a count window's next ordinal edge -- ships at
+    once whatever it is, so it never moves a watermark stamp.
+    ``max_batch`` ships a worker's outbox at the end of the step in which
+    it reaches that size.  ``rebalance`` configures live migration of hot
+    hash ranges between the workers (:class:`RebalanceConfig`).
     """
 
     workers: int = field(default=1, metadata={"min": 1})
@@ -818,9 +841,22 @@ class JobConfig(_Section):
                 "(replay them at end of job); otherwise late events pile up "
                 "unobserved -- use the 'drop' policy instead"
             )
+        if self.late.reprocess:
+            reason = late_replay_reason(
+                {name: count for name, (_, _, count) in self._plan_facts().items()}
+            )
+            if reason is not None:
+                raise ConfigError(reason)
         if self.shards.workers > 1:
             self._warn_unshardable()
         return self
+
+    def _plan_facts(self) -> Dict[str, Tuple[Tuple[str, ...], str, bool]]:
+        """Per query name, the static facts of :func:`_query_plan_info`."""
+        return {
+            name: _query_plan_info(query.text, query.granularity)
+            for name, query in zip(self.resolved_names(), self.queries)
+        }
 
     def _warn_unshardable(self) -> None:
         """Warn when workers>1 will fall back to a single shard.
@@ -828,12 +864,11 @@ class JobConfig(_Section):
         The warning is the :attr:`ShardedRuntime.fallback_reason` the
         runtime reports (:func:`~repro.core.partitioner.single_shard_reason`).
         """
-        facts = {
-            name: _query_plan_info(query.text, query.granularity)
-            for name, query in zip(self.resolved_names(), self.queries)
-        }
         reason = single_shard_reason(
-            {name: (keys, count) for name, (keys, _, count) in facts.items()}
+            {
+                name: (keys, count)
+                for name, (keys, _, count) in self._plan_facts().items()
+            }
         )
         if reason is not None:
             warnings.warn(reason, RuntimeWarning, stacklevel=3)

@@ -47,7 +47,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 from repro.core.engine import CograEngine
 from repro.core.executor import QueryExecutor
 from repro.core.results import GroupResult
-from repro.errors import CheckpointError, LateEventError, SourceError
+from repro.errors import CheckpointError, ConfigError, LateEventError, SourceError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.query import Query
@@ -62,7 +62,12 @@ from repro.streaming.checkpoint import (
     restore_executor,
     snapshot_executor,
 )
-from repro.streaming.config import BackpressureConfig, LatenessConfig, WatermarkConfig
+from repro.streaming.config import (
+    BackpressureConfig,
+    LatenessConfig,
+    WatermarkConfig,
+    late_replay_reason,
+)
 from repro.streaming.emission import EmissionController, EmissionRecord
 from repro.streaming.ingest import (
     IngestBatch,
@@ -123,8 +128,9 @@ class PipelineDriver:
     examples, benchmarks and :meth:`CograEngine.stream` stop hand-rolling
     ingestion loops.  Both ingest in this process and hold ``_ingestor``,
     ``metrics``, ``observability``, ``query_names``, ``_replan_controller``
-    and ``_windows`` (the registered queries' windows, which define the
-    steps of :meth:`_ingest`), which the members shared here read.
+    and ``_windows`` (the window of each windowed query, by name, which
+    define the steps of :meth:`_ingest`), which the members shared here
+    read.
     :meth:`drive` is the lazy form (a generator of emission records),
     :meth:`run` the eager one (collect, or push into a
     :class:`~repro.streaming.sources.Sink`).
@@ -222,19 +228,18 @@ class PipelineDriver:
         """Push a slice through the reorder buffer; apply it step by step.
 
         Every event is pushed on its own, but pushes are *applied* a step at
-        a time.  A step is everything between two window boundaries: while
-        the watermark stays below :meth:`_step_boundary` -- the next window
-        start or end of any registered query -- what the pushes release
-        accumulates into one span and only the newest watermark is kept.
-        Everything in that span lies below the boundary, so it opens and
-        closes no window and yields no records; it is handed to
-        ``apply(batch, trace)`` as one :class:`IngestBatch` when the step
-        ends.  The push that lifts the watermark to the boundary is applied
-        alone, exactly as pushed, so whatever it emits carries its own
-        watermark.  A sampled event (``trace``, its ``ingest`` child already
-        finished, else ``None``), a raising late event and the end of the
-        slice end the step too, which is why neither sampling nor the
-        slicing can change what is emitted.
+        a time.  A step is everything between two window edges: while the
+        watermark stays below the next time edge and no push releases the
+        event at the next count edge (:meth:`_step_boundary`), what the
+        pushes release accumulates into one span and only the newest
+        watermark is kept.  That span opens and closes no window and yields
+        no records; it is handed to ``apply(batch, trace, edge)`` as one
+        :class:`IngestBatch` when the step ends.  The push that reaches an
+        edge is applied alone, exactly as pushed and with ``edge`` true, so
+        whatever it emits carries its own watermark.  A sampled event
+        (``trace``, its ``ingest`` child already finished, else ``None``), a
+        raising late event and the end of the slice end the step too, which
+        is why neither sampling nor the slicing can change what is emitted.
 
         Late events and their accounting end here.  The ingested /
         punctuation / late / released tallies reach :attr:`metrics` once per
@@ -246,13 +251,15 @@ class PipelineDriver:
         tracer = self.observability.tracer
         sample = tracer.start_trace if tracer.enabled else None
         reroutes = ingestor.late_policy is LatePolicy.SIDE_CHANNEL
-        ingested = punctuations = released = late_dropped = late_rerouted = 0
+        ingested = punctuations = late_dropped = late_rerouted = 0
         max_time = -math.inf
         buffered_peak = -1
         trace = span = None
         #: the watermark after the last push that was not late
         current = ingestor.watermark
-        boundary = self._step_boundary(current)
+        #: events released so far: the ordinal of the next released event
+        first = ordinal = self.metrics.events_released
+        boundary, count_edge = self._step_boundary(current, ordinal)
         #: what the open step's pushes released, and whether one of them
         #: moved the watermark (to ``current``)
         pending: List[Event] = []
@@ -299,9 +306,13 @@ class PipelineDriver:
                         late_rerouted += 1
                     else:
                         late_dropped += 1
-                elif batch.watermark < boundary and trace is None:
+                elif (
+                    batch.watermark < boundary
+                    and ordinal + len(batch.released) <= count_edge
+                    and trace is None
+                ):
                     if batch.released:
-                        released += len(batch.released)
+                        ordinal += len(batch.released)
                         pending.extend(batch.released)
                     if batch.advanced:
                         advanced = True
@@ -311,11 +322,11 @@ class PipelineDriver:
                         step = IngestBatch(pending, current, advanced)
                         pending = []
                         advanced = False
-                        apply(step, None)
-                    released += len(batch.released)
+                        apply(step, None, False)
+                    ordinal += len(batch.released)
                     current = batch.watermark
-                    apply(batch, trace)
-                    boundary = self._step_boundary(current)
+                    apply(batch, trace, current >= boundary or ordinal > count_edge)
+                    boundary, count_edge = self._step_boundary(current, ordinal)
                 if trace is not None:
                     trace.finish()
         finally:
@@ -325,30 +336,43 @@ class PipelineDriver:
             metrics.record_punctuation(punctuations)
             metrics.record_ingest_batch(ingested, max_time, buffered_peak)
             metrics.record_late_batch(late_dropped, late_rerouted)
-            metrics.record_release(released)
+            metrics.record_release(ordinal - first)
             metrics.record_watermark(current)
             # the slice ends the step, also when a raising late event cut it
             # short: what the step held was released before that event came
             if pending or advanced:
-                apply(IngestBatch(pending, current, advanced), None)
+                apply(IngestBatch(pending, current, advanced), None, False)
 
-    def _step_boundary(self, watermark: float) -> float:
-        """The next window start or end of any registered query after ``watermark``.
+    def _step_boundary(self, watermark: float, ordinal: int) -> Tuple[float, float]:
+        """The next window edge of any registered query, in time and in ordinals.
 
-        Pushes that leave the watermark below it are applied together (see
-        :meth:`_ingest`).  Plain window arithmetic
+        The time edge is the next window start or end after ``watermark``
         (:meth:`WindowSpec.next_boundary`): below it the watermark closes
-        nothing and every released event falls into the windows the step
-        began in.  A count window closes on the arrival of an event,
-        whatever the watermark, so with one registered every push is its
-        own step (``-inf``).
+        nothing and released events fall into the windows the step began in.
+        A count window is the same grid in event ordinals: its edge is the
+        next one after the last released event's (``ordinal - 1``), where
+        the event arriving closes a window.  The ordinal counts every
+        released event, as a count-windowed query's ``events_seen`` does.
         """
-        boundary = math.inf
-        for window in self._windows:
+        boundary = count_edge = math.inf
+        for window in self._windows.values():
             if window.is_count_based:
-                return -math.inf
-            boundary = min(boundary, window.next_boundary(watermark))
-        return boundary
+                count_edge = min(count_edge, window.next_boundary(ordinal - 1))
+            else:
+                boundary = min(boundary, window.next_boundary(watermark))
+        return boundary, count_edge
+
+    def _check_late_replay(self) -> None:
+        """Raise the :func:`late_replay_reason` of the registered windows, if any.
+
+        Both runtimes' ``reprocess_late`` call it before draining the side
+        channel, so refused late events stay there to be persisted instead.
+        """
+        reason = late_replay_reason(
+            {name: window.is_count_based for name, window in self._windows.items()}
+        )
+        if reason is not None:
+            raise ConfigError(reason)
 
     def _await_sink_ready(
         self, ready: Callable[[], bool], backpressure: BackpressureConfig
@@ -789,7 +813,7 @@ class StreamingRuntime(PipelineDriver):
         self._emit_empty_groups = emit_empty_groups
         self._queries: List[RegisteredQuery] = []
         self._by_name: Dict[str, RegisteredQuery] = {}
-        self._windows: List[WindowSpec] = []
+        self._windows: Dict[str, WindowSpec] = {}
         self._flushed = False
         #: set when a restore failed mid-application; the mixed state must
         #: never process events (see :meth:`restore`)
@@ -860,7 +884,7 @@ class StreamingRuntime(PipelineDriver):
         self._queries.append(registered)
         self._by_name[name] = registered
         if engine.query.window is not None:
-            self._windows.append(engine.query.window)
+            self._windows[name] = engine.query.window
         return name
 
     @property
@@ -900,9 +924,9 @@ class StreamingRuntime(PipelineDriver):
         emission timing depend only on the events and their order, never on
         how the stream was cut into slices: every event is pushed through
         the reorder buffer on its own, what the pushes between two window
-        boundaries release is applied as one step (see :meth:`_ingest`; a
-        step emits nothing, and the slice's end merely ends it early), and
-        the push that crosses a boundary is applied alone.  Each step's
+        edges release is applied as one step (see :meth:`_ingest`; a step
+        emits nothing, and the slice's end merely ends it early), and the
+        push that reaches an edge is applied alone.  Each step's
         span reaches the executors through :meth:`_route_slice`.  With a
         raising late policy the records the slice's earlier events emitted
         travel on the :class:`~repro.errors.LateEventError` (``.records``).
@@ -922,12 +946,12 @@ class StreamingRuntime(PipelineDriver):
             self._replan_now()
         return records
 
-    def _apply_push(self, records: List[EmissionRecord], batch, trace) -> None:
+    def _apply_push(self, records: List[EmissionRecord], batch, trace, edge) -> None:
         """Route what one step released, then emit what its watermark closes.
 
         ``batch`` is a push as the reorder buffer returned it, or the pushes
         of a step folded into one (their released events, the newest
-        watermark).
+        watermark).  ``edge`` is unused: the executors find their own edges.
         """
         emitted_before = len(records)
         released = batch.released
@@ -1119,9 +1143,12 @@ class StreamingRuntime(PipelineDriver):
         replace.
 
         Returns ``[]`` when the side channel is empty.  Usable while the
-        stream is live and after :meth:`flush`.
+        stream is live and after :meth:`flush`.  Raises
+        :class:`~repro.errors.ConfigError` for count-windowed queries
+        (:meth:`_check_late_replay`).
         """
         self._check_processable(require_open=False)
+        self._check_late_replay()
         late = self._ingestor.take_side_channel()
         if not late:
             return []

@@ -468,10 +468,10 @@ class ShardedRuntime(PipelineDriver):
     ship_interval:
         How many released events to coalesce before shipping a wave (with
         the newest watermark) to the workers, checked at the end of each
-        ingest step.  Whatever it is, the push that lifts the watermark
-        across a window edge ships at once with its own watermark, so every
-        record carries the same watermark stamp as in a single-process run
-        (record *order* within a wave is canonical -- window, then group,
+        ingest step.  Whatever it is, the push reaching a window edge, in
+        time or in event ordinals, ships at once with its own watermark, so
+        every record carries the same watermark stamp as in a single-process
+        run (record *order* within a wave is canonical -- window, then group,
         then query -- so multi-query jobs may interleave differently).
         Smaller values only hand events to the workers sooner.
     max_batch:
@@ -568,7 +568,7 @@ class ShardedRuntime(PipelineDriver):
 
         self._specs: List[_QuerySpec] = []
         self._engines: Dict[str, CograEngine] = {}
-        self._windows: List[WindowSpec] = []
+        self._windows: Dict[str, WindowSpec] = {}
         #: the plan whose partition_key routes events (set at start)
         self._routing_plan = None
         self.shard_count = 0
@@ -584,11 +584,8 @@ class ShardedRuntime(PipelineDriver):
         self._slot_loads: List[int] = []
         self._events_since_rebalance_check = 0
         #: newest watermark actually delivered to the workers (migrations
-        #: quiesce behind it; ``-inf`` until the first advance ships), and
-        #: the next window edge after it: a pending watermark reaching that
-        #: edge ships at once
+        #: quiesce behind it; ``-inf`` until the first advance ships)
         self._shipped_watermark = -math.inf
-        self._ship_bound = -math.inf
         #: human-readable log of slot migrations, newest last
         self.rebalance_log: List[str] = []
 
@@ -693,7 +690,7 @@ class ShardedRuntime(PipelineDriver):
         self._specs.append(_QuerySpec(name, query, granularity, flag))
         self._engines[name] = engine
         if engine.query.window is not None:
-            self._windows.append(engine.query.window)
+            self._windows[name] = engine.query.window
         return name
 
     @property
@@ -734,7 +731,7 @@ class ShardedRuntime(PipelineDriver):
         self._router = ShardRouter(self.shard_count, self._policy.slots_per_worker)
         self._slot_loads = [0] * self._router.slots
         self._events_since_rebalance_check = 0
-        self._set_shipped_watermark(-math.inf)
+        self._shipped_watermark = -math.inf
         self._procs = [None] * self.shard_count
         self._inboxes = [None] * self.shard_count
         self._acks = [None] * self.shard_count
@@ -1203,8 +1200,7 @@ class ShardedRuntime(PipelineDriver):
                 return
         else:
             shards = list(range(self.shard_count))
-            if watermark > self._shipped_watermark:
-                self._set_shipped_watermark(watermark)
+            self._shipped_watermark = max(self._shipped_watermark, watermark)
         payloads = {}
         for shard in shards:
             events = self._outboxes[shard]
@@ -1214,11 +1210,6 @@ class ShardedRuntime(PipelineDriver):
             self._shard_instruments[shard].outbox_depth.set(len(events))
             self._outboxes[shard] = []
         self._ship("batch", shards, payloads)
-
-    def _set_shipped_watermark(self, watermark: float) -> None:
-        """Record ``watermark`` as delivered and the window edge after it."""
-        self._shipped_watermark = watermark
-        self._ship_bound = self._step_boundary(watermark)
 
     def _route_released(self, events: Iterable[Event]) -> None:
         """Append released events to the outbox of the worker owning their key.
@@ -1574,7 +1565,7 @@ class ShardedRuntime(PipelineDriver):
         :class:`~repro.streaming.runtime.StreamingRuntime` (see
         :meth:`_ingest`): shipping decisions (``ship_interval``,
         ``max_batch``, backpressure), rebalancing and re-planning happen
-        once per step, and the push crossing a window edge ships alone with
+        once per step, and the push reaching a window edge ships alone with
         its own watermark, so watermark stamps depend on neither the slicing
         nor ``ship_interval``; acknowledgements are drained once per slice.
         """
@@ -1585,15 +1576,15 @@ class ShardedRuntime(PipelineDriver):
         self._drain_acks(block=False)
         return self._take_ready()
 
-    def _apply_push(self, batch, trace) -> None:
+    def _apply_push(self, batch, trace, edge: bool) -> None:
         """Route what one step released to the outboxes; ship what is due.
 
         A wave ships once ``ship_interval`` released events have gathered,
-        once an outbox holds ``max_batch`` events, or at once when the
-        pending watermark reaches the next window edge after the shipped
-        one.  Only the push crossing an edge reaches that edge, and it is
-        applied alone, so a wave carrying a watermark that closes windows
-        carries that push's watermark; every other wave closes nothing.
+        once an outbox holds ``max_batch`` events, or at once when ``edge``
+        says the push reached a window edge (decided by :meth:`_ingest`
+        alone, in time or in event ordinals).  That push is applied alone,
+        so a wave that closes windows carries its watermark; every other
+        wave closes nothing.
 
         Parent-side spans cover ingest and route/ship; per-event execution
         happens inside the worker processes and shows up in their latency
@@ -1611,13 +1602,12 @@ class ShardedRuntime(PipelineDriver):
         self._maybe_rebalance(len(released))
         self._maybe_replan(len(released))
         self._events_since_ship += len(released)
-        pending = self._pending_watermark
         if (
-            self._events_since_ship >= self._ship_interval
-            or (pending is not None and pending >= self._ship_bound)
+            edge
+            or self._events_since_ship >= self._ship_interval
             or any(len(outbox) >= self._max_batch for outbox in self._outboxes)
         ):
-            self._ship_outboxes(pending)
+            self._ship_outboxes(self._pending_watermark)
         if len(self._inflight) > self._max_inflight:
             # bounded inboxes: block ingestion until the workers drain below
             # the cap, and account the pause as backpressure
@@ -1687,9 +1677,11 @@ class ShardedRuntime(PipelineDriver):
         :meth:`~repro.streaming.runtime.StreamingRuntime.reprocess_late`:
         the drained late events run through a fresh single-process replay
         runtime hosting the same queries (they are few -- no sharding
-        needed) and come back flagged ``is_correction=True``.
+        needed) and come back flagged ``is_correction=True``.  It refuses
+        count-windowed queries the same way.
         """
         self._check_not_poisoned()
+        self._check_late_replay()
         late = self._ingestor.take_side_channel()
         if not late:
             return []
@@ -1867,7 +1859,7 @@ class ShardedRuntime(PipelineDriver):
                 )
             self._slot_loads = [0] * self._router.slots
             self._events_since_rebalance_check = 0
-            self._set_shipped_watermark(-math.inf)
+            self._shipped_watermark = -math.inf
             # every worker resets its registry: the merged registry becomes
             # the parent's base, so base + fresh worker deltas stays the
             # cumulative view (old checkpoints carry no registry and simply

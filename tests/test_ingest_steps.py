@@ -35,7 +35,8 @@ from repro.streaming.observability import Observability, Tracer
 from repro.streaming.runtime import StreamingRuntime
 
 #: windows that differ, on purpose: a tumbling one, WITHIN not a multiple of
-#: SLIDE (starts and ends fall apart), none at all, a count window, a
+#: SLIDE (starts and ends fall apart), none at all, two count windows (one
+#: of a single event, so one push crosses several count edges), a
 #: broadcast (contiguous) query, a negation, a query another event type
 #: drives, so that different events close different queries' windows, and
 #: three whose sizes are decimals, where the window edges are rounded floats
@@ -48,6 +49,8 @@ QUERIES = {
     "SEMANTICS skip-till-next-match GROUP-BY g",
     "counted": "RETURN g, COUNT(*) PATTERN SEQ(A+, B) "
     "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 6 events",
+    "each_event": "RETURN g, COUNT(*), MAX(A.v) PATTERN A+ "
+    "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 1 events",
     "contiguous": "RETURN g, COUNT(*), MIN(A.v) PATTERN SEQ(A+, B) "
     "SEMANTICS contiguous GROUP-BY g WITHIN 5 seconds",
     "negation": "RETURN g, COUNT(*) PATTERN SEQ(A+, NOT C, B) "
@@ -358,4 +361,38 @@ class TestQuietRun:
         got = [r for _, closed in whole.process_batch(events) for r in closed]
         got += whole.flush()
         expected = [r for e in events for r in single.process(e)] + single.flush()
+        assert [repr(result) for result in got] == [repr(result) for result in expected]
+
+    def test_a_count_window_run_ends_at_the_next_ordinal_edge(self):
+        """``WITHIN 3 events``: a run ends where the ordinal meets a multiple of 3."""
+        query = parse_query(
+            "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B) "
+            "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 3 events"
+        )
+        events = [
+            Event("AB"[i % 3 == 2], float(i), {"g": "xy"[i % 2], "v": i}, sequence=i)
+            for i in range(11)
+        ]
+        whole = QueryExecutor(query)
+        assert whole.quiet_run(events) == 3
+        assert whole.quiet_run(events, 9) == 11
+        got = [r for _, closed in whole.process_batch(events) for r in closed]
+        got += whole.flush()
+        single = QueryExecutor(query)
+        expected = [r for e in events for r in single.process(e)] + single.flush()
+        assert len(expected) > 1
+        assert [repr(result) for result in got] == [repr(result) for result in expected]
+        # handed the state after 4 events (one past an edge), the next run
+        # ends at ordinal 6, two events on, and the rest folds as fed singly
+        fed, single = QueryExecutor(query), QueryExecutor(query)
+        fed.process_batch(events[:4])
+        for event in events[:4]:
+            single.process(event)
+        adopted = QueryExecutor(query)
+        adopted.adopt(fed.events_seen, fed.last_time, list(fed.open_aggregators()))
+        assert adopted.quiet_run(events, 4) == 6
+        assert adopted.quiet_run(events[4:]) == 2
+        got = [r for _, closed in adopted.process_batch(events[4:]) for r in closed]
+        got += adopted.flush()
+        expected = [r for e in events[4:] for r in single.process(e)] + single.flush()
         assert [repr(result) for result in got] == [repr(result) for result in expected]

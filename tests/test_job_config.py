@@ -643,6 +643,25 @@ class TestValidate:
         config = JobConfig(queries=(QueryConfig(text=count_query),))
         assert config.validate() is config
 
+    def test_count_window_rejects_late_reprocess(self):
+        """Its replay restarts event ordinals at 0, so corrections go astray."""
+        count_query = TYPE_QUERY.replace(
+            "WITHIN 20 seconds SLIDE 10 seconds", "WITHIN 50 events"
+        )
+        config = JobConfig(
+            queries=(
+                QueryConfig(text=TYPE_QUERY, name="timed"),
+                QueryConfig(text=count_query, name="counted"),
+            ),
+            late=LatenessConfig(policy="side-channel", reprocess=True),
+        )
+        with pytest.raises(ConfigError, match=r"\['counted'\].*late\.reprocess"):
+            config.validate()
+        config = dataclasses.replace(
+            config, late=LatenessConfig(policy="side-channel", side_channel_path="l")
+        )
+        assert config.validate() is config
+
     def test_mixed_signatures_with_workers_warn(self):
         other = TYPE_QUERY.replace("GROUP-BY g", "GROUP-BY v")
         config = JobConfig(

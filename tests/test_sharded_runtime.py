@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -238,13 +239,18 @@ TUMBLING_QUERY = MIXED_QUERY.replace(
     "WITHIN 20 seconds SLIDE 10 seconds", "WITHIN 7.5 seconds"
 )
 
+COUNT_QUERY = TYPE_QUERY.replace(
+    "WITHIN 20 seconds SLIDE 10 seconds", "WITHIN 25 events"
+)
+
 
 class TestSteps:
     """The sharded parent ingests in the single-process runtime's steps.
 
-    A step ends where a window of any query starts or ends, so the push
-    crossing an edge ships alone with its own watermark: the stamps match
-    the single-process run whatever the ship cadence and the slicing.
+    A step ends where a window of any query starts or ends, in time or in
+    event ordinals, so the push reaching an edge ships alone with its own
+    watermark: the stamps match the single-process run whatever the ship
+    cadence and the slicing.
     """
 
     @staticmethod
@@ -277,7 +283,15 @@ class TestSteps:
         assert sorted(records) == sorted(expected)
 
     @pytest.mark.parametrize("slicing", [1, 7, None])
-    def test_one_step_definition(self, monkeypatch, slicing):
+    @pytest.mark.parametrize(
+        "queries",
+        [
+            [("a", TYPE_QUERY), ("b", TUMBLING_QUERY)],
+            [("a", TYPE_QUERY), ("c", COUNT_QUERY)],
+        ],
+        ids=["time", "time+count"],
+    )
+    def test_one_step_definition(self, monkeypatch, queries, slicing):
         events = stream(count=300, span=90.0, disorder=LATENESS)
         steps = {}
         for kind in (StreamingRuntime, ShardedRuntime):
@@ -288,9 +302,14 @@ class TestSteps:
                 return _original(self, *args)
 
             monkeypatch.setattr(kind, "_apply_push", counted)
-        queries = [("a", TYPE_QUERY), ("b", TUMBLING_QUERY)]
-        self._run(StreamingRuntime(lateness=LATENESS), queries, events, slicing)
-        self._run(ShardedRuntime(workers=2, lateness=LATENESS), queries, events, slicing)
+        single = StreamingRuntime(lateness=LATENESS)
+        sharded = ShardedRuntime(workers=2, lateness=LATENESS)
+        expected = self._run(single, queries, events, slicing)
+        with warnings.catch_warnings():
+            # a count window keeps the sharded run on one shard
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = self._run(sharded, queries, events, slicing)
+        assert sorted(records) == sorted(expected)
         assert steps[ShardedRuntime] == steps[StreamingRuntime]
         if slicing != 1:
             assert steps[ShardedRuntime] < len(events)
@@ -526,8 +545,6 @@ class TestSingleShardFallback:
         assert "different attributes" in runtime.fallback_reason
 
     def test_single_worker_fallback_does_not_warn(self):
-        import warnings
-
         runtime = ShardedRuntime(workers=1, lateness=LATENESS)
         runtime.register(UNPARTITIONED_QUERY, name="q")
         with warnings.catch_warnings():

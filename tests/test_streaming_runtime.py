@@ -11,8 +11,9 @@ import math
 import pytest
 
 from repro.core.engine import CograEngine
-from repro.errors import LateEventError
+from repro.errors import ConfigError, LateEventError
 from repro.events.event import Event
+from repro.streaming.config import late_replay_reason
 from repro.streaming.ingest import LatePolicy, PunctuationWatermark
 from repro.streaming.runtime import StreamingRuntime, group_results
 from differential import bounded_shuffle, stream
@@ -373,6 +374,34 @@ class TestReprocessLate:
         runtime.flush()
         assert [record.result.window_id for record in corrections] == [0]
         assert all(record.is_correction for record in corrections)
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_count_windows_are_not_corrected(self, sharded):
+        """A replay restarts event ordinals at 0.
+
+        Corrected, the late A@2.2 and B@2.5 below would patch window 0
+        (ordinals 0-3) with ``COUNT(*) = 1``, a window they never belonged to.
+        """
+        from repro.streaming.sharded import ShardedRuntime
+
+        kind = ShardedRuntime if sharded else StreamingRuntime
+        # one worker: a count window would fall back to one shard anyway
+        extra = {"workers": 1} if sharded else {}
+        runtime = kind(lateness=0.0, late_policy="side-channel", **extra)
+        runtime.register(
+            "RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS skip-till-any-match "
+            "WITHIN 4 events",
+            name="q",
+        )
+        events = [Event("A", float(time)) for time in range(1, 11)]
+        runtime.process_batch(events + [Event("A", 2.2), Event("B", 2.5)])
+        late = runtime.late_events
+        assert len(late) == 2
+        with pytest.raises(ConfigError) as error:
+            runtime.reprocess_late()
+        assert str(error.value) == late_replay_reason({"q": True})
+        assert runtime.late_events == late  # nothing was drained
+        runtime.flush()
 
 
 class TestEngineStream:
