@@ -13,7 +13,7 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.classifier import PredicateClassification, classify_predicates
@@ -37,7 +37,8 @@ class FoldStep(NamedTuple):
     Compiled once per plan (Algorithm 1 reads nothing else about the
     pattern): the cells to collect predecessor trends from, whether the
     event also starts a trend of its own, and which of the plan's targets
-    the event itself occurs in.
+    the event itself occurs in -- and all of that once more as the
+    type-grained kernel generated from it.
     """
 
     variable: str
@@ -49,6 +50,9 @@ class FoldStep(NamedTuple):
     own: Tuple[bool, ...]
     #: per plan target: the attribute to read off the event, else ``None``
     attributes: Tuple[Optional[str], ...]
+    #: ``kernel(windows, values, before)``: the step applied to the cells
+    #: of type-grained aggregators (:func:`repro.core.type_grained.fold_kernel`)
+    kernel: Callable
 
 
 #: One event resolved against a plan: a ``(step, values)`` pair per variable
@@ -129,19 +133,31 @@ class CograPlan:
             if not any(self._local_by_variable.get(v) for v in variables):
                 self._unconditional_by_type[event_type] = variables
 
-        self._fold_steps: Dict[str, FoldStep] = {
-            variable: FoldStep(
+        # imported here, not at the top: repro.core imports this module
+        from repro.core.type_grained import fold_kernel
+
+        self._fold_steps: Dict[str, FoldStep] = {}
+        for variable in self.automaton.variables:
+            predecessors = tuple(self.automaton.pred_types(variable))
+            starts = 1 if self.automaton.is_start(variable) else 0
+            own = tuple(target == variable for target, _ in self.targets)
+            self._fold_steps[variable] = FoldStep(
                 variable=variable,
-                predecessors=tuple(self.automaton.pred_types(variable)),
-                starts=1 if self.automaton.is_start(variable) else 0,
-                own=tuple(target == variable for target, _ in self.targets),
+                predecessors=predecessors,
+                starts=starts,
+                own=own,
                 attributes=tuple(
                     attribute if target == variable else None
                     for target, attribute in self.targets
                 ),
+                kernel=fold_kernel(
+                    f"<fold {query.name}:{variable}>",
+                    variable,
+                    predecessors,
+                    starts,
+                    own,
+                ),
             )
-            for variable in self.automaton.variables
-        }
         # bindings that do not depend on the event at all: no local predicate
         # decides the variables and no target reads an attribute
         no_values = (None,) * len(self.targets)
@@ -291,10 +307,35 @@ class CograPlan:
             f"Te (event)  : {sorted(self.event_grained)}",
             f"targets     : {[f'{v}.{a}' if a else v for v, a in self.targets] or ['COUNT(*) only']}",
             f"partitions  : {list(self.partition_attributes) or 'none'}",
+            *self._describe_fold_steps(),
             self.automaton.describe(),
             self.classification.describe(),
         ]
         return "\n".join(lines)
+
+    def _describe_fold_steps(self) -> List[str]:
+        """The FoldStep table: per variable, what binding an event to it does."""
+        rows = [("variable", "predecessors", "starts", "own targets")]
+        for step in self._fold_steps.values():
+            own = [
+                f"{variable}.{attribute}" if attribute else variable
+                for (variable, attribute), is_own in zip(self.targets, step.own)
+                if is_own
+            ]
+            rows.append(
+                (
+                    step.variable,
+                    ", ".join(step.predecessors) or "-",
+                    "yes" if step.starts else "no",
+                    ", ".join(own) or "-",
+                )
+            )
+        widths = [max(len(row[column]) for row in rows) for column in range(4)]
+        return [
+            ("fold steps  : " if number == 0 else " " * 14)
+            + "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+            for number, row in enumerate(rows)
+        ]
 
     def __repr__(self) -> str:
         return (

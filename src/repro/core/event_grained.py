@@ -79,7 +79,8 @@ def fold_stored_events(windows, run, cutoff_keys) -> None:
         processed += 1
         time = event.time
         sequence = event.sequence
-        for (variable, predecessors, starts, own, _attributes), values in binding:
+        for step, values in binding:
+            variable, predecessors, starts, own, _attributes, _kernel = step
             is_end = variable in ends
             for aggregator in windows:
                 nodes = aggregator._nodes

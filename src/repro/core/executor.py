@@ -18,13 +18,14 @@ how checkpointing and the replan loop read and replace it.
 from __future__ import annotations
 
 import math
+from numbers import Number
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.core.base import SubstreamAggregator, aggregator_class, create_aggregator
 from repro.core.partitioner import window_bounds
 from repro.core.results import GroupResult
-from repro.errors import StreamOrderError
+from repro.errors import InvalidEventError, StreamOrderError
 from repro.events.event import Event
 from repro.query.query import Query
 
@@ -165,7 +166,8 @@ class QueryExecutor:
         non-consecutive same-key events together is safe *because* nothing
         closes after the first event: each (window, key) aggregator only ever
         sees its own key's events in their original relative order, and
-        window emission sorts group keys.
+        window emission sorts group keys.  A target value that is not a
+        number raises :class:`InvalidEventError` naming it.
         """
         if not events:
             return []
@@ -218,20 +220,30 @@ class QueryExecutor:
         one_class = window_ids[0] > self._adopted_until
         new_aggregator = self._new_aggregator
         plan = self.plan
-        for key, run in grouped.items():
-            head = first.get(key)
-            if head is None:
-                head = first[key] = new_aggregator(plan)
-            also = []
-            for table in rest:
-                aggregator = table.get(key)
-                if aggregator is None:
-                    aggregator = table[key] = new_aggregator(plan)
-                also.append(aggregator)
-            if one_class:
-                head.process_run(run, also)
-            else:
-                _process_run_by_class(head, also, run)
+        try:
+            for key, run in grouped.items():
+                head = first.get(key)
+                if head is None:
+                    head = first[key] = new_aggregator(plan)
+                also = []
+                for table in rest:
+                    aggregator = table.get(key)
+                    if aggregator is None:
+                        aggregator = table[key] = new_aggregator(plan)
+                    also.append(aggregator)
+                if one_class:
+                    head.process_run(run, also)
+                else:
+                    _process_run_by_class(head, also, run)
+        except TypeError as error:
+            # every target keeps a sum: a value that is not a number fails
+            # the fold whatever the aggregate function
+            culprit = _non_numeric_value(run)
+            if culprit is None:
+                raise
+            raise InvalidEventError(
+                f"query {self.query.name!r}: {culprit}, not a number"
+            ) from error
         return emitted
 
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
@@ -377,6 +389,19 @@ class QueryExecutor:
                 )
             )
         return emitted
+
+
+def _non_numeric_value(run) -> Optional[str]:
+    """``"A.v of the event at time t is 'x'"`` for the first such value of ``run``."""
+    for event, binding in run:
+        for step, values in binding:
+            for attribute, value in zip(step.attributes, values):
+                if value is not None and not isinstance(value, Number):
+                    return (
+                        f"{step.variable}.{attribute} of the event at time "
+                        f"{event.time} is {value!r}"
+                    )
+    return None
 
 
 def _process_run_by_class(head, also, run) -> None:

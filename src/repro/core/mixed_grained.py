@@ -94,7 +94,8 @@ class MixedGrainedAggregator(SubstreamAggregator):
                         if step.variable in cells:
                             source[step.variable] = cells[step.variable].copy()
                     before[aggregator] = source
-            for (variable, predecessors, starts, own, _attributes), values in binding:
+            for step, values in binding:
+                variable, predecessors, starts, own, _attributes, _kernel = step
                 is_end = variable in ends
                 for aggregator in windows:
                     type_cells = aggregator._type_cells

@@ -71,7 +71,8 @@ class PatternGrainedAggregator(SubstreamAggregator):
                 for aggregator in windows:
                     aggregator._unbound(event)
                 continue
-            (variable, _predecessors, starts, own, _attributes), values = binding[0]
+            step, values = binding[0]
+            variable, _predecessors, starts, own, _attributes, _kernel = step
             time = event.time
             sequence = event.sequence
             for aggregator in windows:

@@ -10,11 +10,18 @@ and 4.3).
 For the running example ``(SEQ(A+, B))+`` over the stream
 ``a1 b2 a3 a4 c5 b6 a7 b8`` the maintained counts evolve exactly as in
 Table 5 of the paper and the final count is 43.
+
+What binding an event to a variable does to the cells depends on nothing
+but the variable's :class:`~repro.analyzer.plan.FoldStep`, which never
+changes after planning.  So the plan compiles each step into a straight-line
+kernel (:func:`fold_kernel`): predecessors unrolled, slot offsets integer
+constants, the Kleene self-loop read from the cell being written.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+import linecache
+from typing import Callable, Dict, List, Tuple
 
 from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
@@ -42,99 +49,33 @@ class TypeGrainedAggregator(SubstreamAggregator):
 
         The run is folded into ``self`` and into each aggregator of
         ``also`` (the same group in the run's other windows) in one pass,
-        events outer and windows inner: what an event does to a window's
-        cells depends on the window only through the cells it reads, so
-        the event's binding is unpacked once and applied window by window.
-
-        Binding an event to ``variable`` adds to that variable's cell the
-        trends of every predecessor cell, each extended by the event, plus
-        the one-event trend if ``variable`` is a start type.  The literal
-        recurrence builds that summary in three fresh accumulators and then
-        merges it; here it is added slot by slot straight into the cell, in
-        the literal recurrence's order of additions (float sums depend on
-        it), so no accumulator is built per event.  A Kleene self-loop reads
-        its own cell as a predecessor, which works because every slot is
-        read before it is written.
+        events outer and windows inner: each ``(step, values)`` of an
+        event's binding is one call of the step's compiled kernel, which
+        applies it window by window (:func:`fold_kernel`).
         """
-        targets = (self, *also) if also else (self,)
+        windows = (self, *also) if also else (self,)
         processed = 0
         for _event, binding in run:
-            if not binding:
-                continue
-            processed += 1
-            before = None
-            if len(binding) > 1:
+            if len(binding) == 1:
+                step, values = binding[0]
+                step.kernel(windows, values, None)
+            elif binding:
                 # an event bound to several variables (repeated types,
                 # Section 8) is never its own predecessor: every binding
                 # reads the window's cells as they were before the event
                 before = {}
-                for aggregator in targets:
+                for aggregator in windows:
                     cells = aggregator._cells
                     source = dict(cells)
                     for step, _values in binding:
                         source[step.variable] = cells[step.variable].copy()
                     before[aggregator] = source
-            for (variable, predecessors, starts, own, _attributes), values in binding:
-                for aggregator in targets:
-                    source = cells = aggregator._cells
-                    if before is not None:
-                        source = before[aggregator]
-                    extended = 0
-                    for name in predecessors:
-                        extended += source[name].trend_count
-                    multiplicity = extended + starts
-                    if not multiplicity:
-                        continue  # nothing to extend and no trend to start
-                    cell = cells[variable]
-                    cell.trend_count += multiplicity
-                    slots = cell.slots
-                    # target ``index`` lives at ``slots[base:base + WIDTH]``
-                    index = -1
-                    base = -WIDTH
-                    for is_own in own:
-                        index += 1
-                        base += WIDTH
-                        count = total = 0
-                        low = high = None
-                        for name in predecessors:
-                            theirs = source[name].slots
-                            count += theirs[base]
-                            total += theirs[base + 1]
-                            other = theirs[base + 2]
-                            if other is not None:
-                                if low is None or not low <= other:
-                                    low = other
-                                other = theirs[base + 3]
-                                if high is None or not high >= other:
-                                    high = other
-                        if is_own:
-                            count += multiplicity
-                            value = values[index]
-                            if value is not None:
-                                if extended:
-                                    try:
-                                        total += value * extended
-                                    except OverflowError:
-                                        # the trend count is exponential in
-                                        # the number of events; saturate
-                                        # SUM/AVG
-                                        total = float("inf") if value >= 0 else float("-inf")
-                                if starts:
-                                    total += value
-                                if low is None or not low <= value:
-                                    low = value
-                                if high is None or not high >= value:
-                                    high = value
-                        slots[base] += count
-                        slots[base + 1] += total
-                        if low is not None:
-                            current = slots[base + 2]
-                            if current is None or not current <= low:
-                                slots[base + 2] = low
-                            current = slots[base + 3]
-                            if current is None or not current >= high:
-                                slots[base + 3] = high
-        for aggregator in targets:
+                for step, values in binding:
+                    step.kernel(windows, values, before)
+            else:
+                continue
+            processed += 1
+        for aggregator in windows:
             aggregator.events_processed += processed
 
     # -- results -------------------------------------------------------------------
@@ -155,3 +96,169 @@ class TypeGrainedAggregator(SubstreamAggregator):
     def storage_units(self) -> int:
         return sum(cell.storage_units for cell in self._cells.values())
 
+
+# -- the compiled fold --------------------------------------------------------------
+
+
+def fold_kernel(
+    label: str,
+    variable: str,
+    predecessors: Tuple[str, ...],
+    starts: int,
+    own: Tuple[bool, ...],
+) -> Callable:
+    """Compile what binding an event to ``variable`` does to the cells.
+
+    Returns ``kernel(windows, values, before)``: for each type-grained
+    aggregator of ``windows``, add to the cell of ``variable`` the trends of
+    every predecessor cell, each extended by the event, plus the one-event
+    trend if ``starts``.  ``values`` holds what the event's targets read
+    off it, aligned with the plan's targets; ``before`` is ``None``, or per
+    aggregator the cells as they were before an event bound to several
+    variables, to read the other predecessors from.
+
+    The literal recurrence builds that summary in three fresh accumulators
+    and then merges it; the kernel adds it slot by slot straight into the
+    cell, in the literal recurrence's order and form of additions and
+    comparisons (float sums, ``-0.0`` and the saturation of SUM/AVG depend
+    on them), which ``tests/test_type_grained_fold.py`` checks against the
+    recurrence kept in ``tests/helpers.py``.  A Kleene self-loop reads its
+    predecessor from the cell being written: each slot is read before it is
+    written, and no other binding of the event writes that cell.
+
+    The source holds only integers and names made here; variable names are
+    bound constants.  It is registered with :mod:`linecache` under
+    ``label`` (numbered on a clash), so tracebacks and profiles show it.
+    """
+    # constant ``name_k`` is the variable of cell ``k``; cell 0 is written
+    names: List[str] = [variable]
+    for name in predecessors:
+        if name not in names:
+            names.append(name)
+    body: List[str] = []
+    for index, is_own in enumerate(own):
+        if is_own:
+            body.append(f"value_{index} = values[{index}]")
+    if predecessors or starts:
+        body.append("for window in windows:")
+        numbers = [names.index(name) for name in predecessors]
+        body.extend(f"    {line}" for line in _window_body(numbers, starts, own))
+    else:
+        body.append("pass")  # nothing to extend and no trend to start
+    parameters = ", ".join(f"name_{number}" for number in range(len(names)))
+    source = "\n".join(
+        [
+            f"def build({parameters}, inf):",
+            "    def kernel(windows, values, before):",
+            *(f"        {line}" for line in body),
+            "    return kernel",
+            "",
+        ]
+    )
+    filename = _register_source(label, source)
+    namespace: Dict[str, object] = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["build"](*names, float("inf"))
+
+
+def _window_body(predecessors: List[int], starts: int, own) -> List[str]:
+    """What :func:`fold_kernel` does to one window, predecessors by cell number."""
+    lines: List[str] = []
+
+    def emit(line: str, depth: int = 0) -> None:
+        lines.append("    " * depth + line)
+
+    def cell(number: int) -> str:
+        return "cell" if number == 0 else f"cell_{number}"
+
+    def slots(number: int) -> str:
+        return "slots" if number == 0 else f"slots_{number}"
+
+    others = [number for number in predecessors if number]
+    emit("cells = window._cells")
+    if others:
+        emit("source = cells if before is None else before[window]")
+    emit("cell = cells[name_0]")
+    for number in others:
+        emit(f"cell_{number} = source[name_{number}]")
+    if predecessors:
+        counts = " + ".join(f"{cell(number)}.trend_count" for number in predecessors)
+        emit(f"extended = {counts}")
+        if starts:
+            emit("multiplicity = extended + 1")
+        else:
+            emit("multiplicity = extended")
+            emit("if not multiplicity:")
+            emit("continue", 1)
+    else:
+        emit("multiplicity = 1")
+    emit("cell.trend_count += multiplicity")
+    emit("slots = cell.slots")
+    for number in others:
+        emit(f"slots_{number} = cell_{number}.slots")
+    for index, is_own in enumerate(own):
+        base = index * WIDTH
+        emit("count = total = 0")
+        if not predecessors:
+            emit("low = high = None")
+        for position, number in enumerate(predecessors):
+            theirs = slots(number)
+            emit(f"count += {theirs}[{base}]")
+            emit(f"total += {theirs}[{base + 1}]")
+            if position == 0:
+                # low and high are still None: the first extrema are taken
+                emit(f"low = {theirs}[{base + 2}]")
+                emit(f"high = None if low is None else {theirs}[{base + 3}]")
+                continue
+            emit(f"other = {theirs}[{base + 2}]")
+            emit("if other is not None:")
+            emit("if low is None or not low <= other:", 1)
+            emit("low = other", 2)
+            emit(f"other = {theirs}[{base + 3}]", 1)
+            emit("if high is None or not high >= other:", 1)
+            emit("high = other", 2)
+        if is_own:
+            value = f"value_{index}"
+            emit("count += multiplicity")
+            emit(f"if {value} is not None:")
+            if predecessors:
+                emit("if extended:", 1)
+                emit("try:", 2)
+                emit(f"total += {value} * extended", 3)
+                emit("except OverflowError:", 2)
+                emit(f"total = inf if {value} >= 0 else -inf", 3)
+            if starts:
+                emit(f"total += {value}", 1)
+            emit(f"if low is None or not low <= {value}:", 1)
+            emit(f"low = {value}", 2)
+            emit(f"if high is None or not high >= {value}:", 1)
+            emit(f"high = {value}", 2)
+        emit(f"slots[{base}] += count")
+        emit(f"slots[{base + 1}] += total")
+        emit("if low is not None:")
+        emit(f"current = slots[{base + 2}]", 1)
+        emit("if current is None or not current <= low:", 1)
+        emit(f"slots[{base + 2}] = low", 2)
+        emit(f"current = slots[{base + 3}]", 1)
+        emit("if current is None or not current >= high:", 1)
+        emit(f"slots[{base + 3}] = high", 2)
+    return lines
+
+
+def _register_source(label: str, source: str) -> str:
+    """Register ``source`` with :mod:`linecache`; returns the filename used.
+
+    ``label`` is ``<...>``-shaped.  Plans of different queries may share a
+    label; a different source gets the label numbered, ``<... #2>``.
+    """
+    lines = source.splitlines(True)
+    filename = label
+    number = 1
+    while True:
+        entry = linecache.cache.get(filename)
+        if entry is None or (len(entry) == 4 and entry[2] == lines):
+            break
+        number += 1
+        filename = f"{label[:-1]} #{number}>"
+    linecache.cache[filename] = (len(source), None, lines, filename)
+    return filename

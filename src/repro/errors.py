@@ -57,10 +57,11 @@ class StreamOrderError(CograError):
 
 
 class InvalidEventError(CograError):
-    """Raised when serialized event data (JSONL, checkpoints) is malformed.
+    """Raised when event data is malformed.
 
     Examples: a JSONL line without a ``type``/``time`` field, a non-numeric
-    timestamp, or an ``attributes`` value that is not an object.
+    timestamp, an ``attributes`` value that is not an object, or an
+    aggregated attribute whose value is not a number.
     """
 
 

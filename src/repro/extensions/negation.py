@@ -469,7 +469,8 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
                         for key in tables.feeds.get(step.variable, ()):
                             compatible[key] = compatible[key].copy()
                     before[aggregator] = (full, compatible)
-            for (variable, predecessors, starts, own, _attributes), values in binding:
+            for step, values in binding:
+                variable, predecessors, starts, own, _attributes, _kernel = step
                 crossed = tables.crossed.get(variable, ())
                 feeds = tables.feeds.get(variable, ())
                 for aggregator in windows:

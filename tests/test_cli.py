@@ -20,6 +20,20 @@ class TestCli:
         assert "granularity : type" in output
         assert "PATTERN" in output
 
+    def test_explain_prints_the_fold_step_table(self, capsys):
+        text = "RETURN COUNT(*), SUM(A.v), COUNT(C) PATTERN SEQ(A, B, C+) SEMANTICS any"
+        assert main(["explain", text]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("fold steps  : variable  predecessors  starts  own targets")
+        assert lines[start + 1:start + 3] == [
+            "              A         -             yes     A.v",
+            "              B         A             no      -",
+        ]
+        # C's two predecessors, in the order its fold adds them up
+        cells = lines[start + 3].split()
+        assert cells[0] == "C" and cells[-2:] == ["no", "C"]
+        assert sorted(cell.rstrip(",") for cell in cells[1:-2]) == ["B", "C"]
+
     def test_explain_reads_query_from_file(self, tmp_path, capsys):
         path = tmp_path / "query.cep"
         path.write_text(Q_TEXT)

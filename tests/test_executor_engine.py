@@ -4,12 +4,14 @@ import pytest
 
 from repro.core.engine import CograEngine
 from repro.core.executor import QueryExecutor
-from repro.errors import StreamOrderError
+from repro.errors import InvalidEventError, StreamOrderError
 from repro.events.event import Event
 from repro.query.aggregates import count_star
 from repro.query.ast import atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
+from repro.query.parser import parse_query
 from repro.query.windows import WindowSpec
+from repro.streaming.runtime import StreamingRuntime
 from helpers import assert_results_equal, total_trend_count
 
 
@@ -263,3 +265,55 @@ class TestEngineFacade:
         engine = CograEngine("RETURN COUNT(*) PATTERN A+")
         results = engine.run([Event("A", 1), Event("A", 2)])
         assert total_trend_count(results) == 3
+
+
+class TestNonNumericValues:
+    """Every target keeps a sum, so a value that is not a number fails the fold."""
+
+    TEXT = (
+        "RETURN g, COUNT(*), {aggregate} PATTERN SEQ(A+, B) SEMANTICS {semantics} "
+        "GROUP-BY g WITHIN 10 seconds"
+    )
+    EVENTS = [
+        Event("A", 1.0, {"g": "x", "v": 2}),
+        Event("A", 2.0, {"g": "x", "v": "3"}),
+        Event("B", 3.0, {"g": "x"}),
+    ]
+    MESSAGE = r"query 'sums': A\.v of the event at time 2\.0 is '3', not a number"
+
+    def query(self, aggregate, semantics="skip-till-any-match"):
+        text = self.TEXT.format(aggregate=aggregate, semantics=semantics)
+        return parse_query(text, name="sums")
+
+    @pytest.mark.parametrize("aggregate", ["SUM(A.v)", "MAX(A.v)"])
+    @pytest.mark.parametrize(
+        "granularity, semantics",
+        [
+            ("type", "skip-till-any-match"),
+            ("mixed", "skip-till-any-match"),
+            ("event", "skip-till-any-match"),
+            ("pattern", "contiguous"),
+        ],
+    )
+    def test_engine_run_raises_a_typed_error(self, aggregate, granularity, semantics):
+        engine = CograEngine(self.query(aggregate, semantics), granularity=granularity)
+        assert engine.plan.granularity.value == granularity
+        with pytest.raises(InvalidEventError, match=self.MESSAGE) as raised:
+            engine.run(self.EVENTS)
+        assert isinstance(raised.value.__cause__, TypeError)
+
+    def test_runtime_process_batch_raises_a_typed_error(self):
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(self.query("MAX(A.v)"), name="sums")
+        with pytest.raises(InvalidEventError, match=self.MESSAGE):
+            runtime.process_batch(self.EVENTS)
+
+    def test_a_type_error_among_numbers_is_re_raised(self):
+        # complex numbers add up but do not compare: MAX fails on the second
+        events = [
+            Event("A", 1.0, {"g": "x", "v": 1j}),
+            Event("A", 2.0, {"g": "x", "v": 2j}),
+        ]
+        engine = CograEngine(self.query("MAX(A.v)"))
+        with pytest.raises(TypeError, match="not supported between"):
+            engine.run(events)

@@ -11,6 +11,7 @@ several windows; it must leave each of them as a call of its own would.
 
 import json
 import random
+import traceback
 
 import pytest
 from hypothesis import given, settings
@@ -21,12 +22,20 @@ from helpers import reference_type_grained_process
 from repro.analyzer.plan import plan_query
 from repro.core.type_grained import TypeGrainedAggregator
 from repro.events.event import Event
+from repro.query.aggregates import avg, count_star, count_type, max_of, min_of, sum_of
+from repro.query.ast import atom, kleene_plus, sequence
+from repro.query.builder import QueryBuilder
 from repro.query.parser import parse_query
+from repro.query.query import Query
 from repro.streaming.checkpoint import snapshot_aggregator
 from repro.streaming.runtime import StreamingRuntime
 
-#: (pattern, RETURN clause, WHERE clause or None); every aggregate function
-#: appears, on one variable and spread over two
+#: a variable name that is no identifier, closes a string and a call, and
+#: opens a comment: it reaches the generated kernel as a bound constant
+HOSTILE = "x'\"\n)#"
+
+#: (pattern, RETURN clause, WHERE clause or None), or a built query; every
+#: aggregate function appears, on one variable and spread over two
 SHAPES = [
     ("A+", "COUNT(*), COUNT(A), SUM(A.v), AVG(A.v), MIN(A.v), MAX(A.v)", None),
     ("SEQ(A+, B)", "COUNT(*), COUNT(B), SUM(A.v), MIN(B.v), MAX(A.v)", None),
@@ -38,6 +47,21 @@ SHAPES = [
     # local predicates decide the candidate variables per event
     ("SEQ(A+, B)", "COUNT(*), SUM(A.v), MIN(A.v)", "A.v > 0"),
     ("SEQ(A X+, A Y+)", "COUNT(*), SUM(X.v), MAX(Y.v)", "X.v > 0 AND Y.v < 3"),
+    # a start step that reads no predecessor cell
+    ("SEQ(A, B+)", "COUNT(*), COUNT(A), SUM(A.v), AVG(B.v), MAX(B.v)", None),
+    # D reads three predecessor cells: A, B and C
+    ("SEQ(A+, B*, C*, D)", "COUNT(*), SUM(D.v), MIN(C.v), AVG(B.v), MAX(A.v)", None),
+    QueryBuilder(HOSTILE)
+    .pattern(sequence(kleene_plus("A", HOSTILE), atom("B")))
+    .aggregate(
+        count_star(),
+        count_type(HOSTILE),
+        sum_of(HOSTILE, "v"),
+        avg(HOSTILE, "v"),
+        min_of("B", "v"),
+        max_of(HOSTILE, "v"),
+    )
+    .build(),
 ]
 
 INTEGERS = st.integers(min_value=-50, max_value=50)
@@ -47,6 +71,8 @@ FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False) | st.sampled_
 
 
 def plan_of(shape):
+    if isinstance(shape, Query):
+        return plan_query(shape)
     pattern, returns, where = shape
     text = f"RETURN {returns} PATTERN {pattern} SEMANTICS skip-till-any-match"
     if where:
@@ -72,7 +98,7 @@ def state_of(aggregator):
 VALUES = st.none() | INTEGERS | FLOATS
 #: the slice sizes a stream is folded in, cyclically
 CUTS = st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6)
-STREAMS = streams(max_events=40, types="AABC", attribute="v", values=VALUES, groups=())
+STREAMS = streams(max_events=40, types="AABCD", attribute="v", values=VALUES, groups=())
 
 
 class TestFoldMatchesTheLiteralRecurrence:
@@ -112,6 +138,21 @@ class TestFoldMatchesTheLiteralRecurrence:
             assert state_of(folded) == state_of(reference)
         assert folded.results()["SUM(A.v)"] == float("inf")
         assert folded.trend_count == 2 ** 1100 - 1
+
+    def test_a_kernel_names_its_query_and_variable_in_a_traceback(self):
+        plan = plan_query(
+            parse_query(
+                "RETURN COUNT(*), SUM(S.v) PATTERN S+ SEMANTICS skip-till-any-match",
+                name="trends",
+            )
+        )
+        aggregator = TypeGrainedAggregator(plan)
+        aggregator.process(Event("S", 1.0, {"v": 2.0}))
+        with pytest.raises(TypeError) as raised:
+            aggregator.process(Event("S", 2.0, {"v": "x"}))
+        frame = traceback.extract_tb(raised.value.__traceback__)[-1]
+        assert frame.filename == "<fold trends:S>"
+        assert frame.line == "total += value_0 * extended"
 
     def test_events_of_other_types_pass_through_unbound(self):
         plan = plan_of(SHAPES[1])
