@@ -8,14 +8,17 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 * the aggregation targets derived from the RETURN clause, and
 * fast helpers used on the per-event hot path (variable binding, local
   predicate filtering, adjacency checks), compiled once per plan so that no
-  aggregator carries a copy.
+  aggregator carries a copy -- the grouper, the predecessor scans and the
+  type-grained kernels as generated code (:mod:`repro.analyzer.codegen`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from numbers import Number
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
+from repro.analyzer.codegen import Constants, compile_generated
 from repro.analyzer.classifier import PredicateClassification, classify_predicates
 from repro.analyzer.granularity import (
     Granularity,
@@ -23,7 +26,7 @@ from repro.analyzer.granularity import (
     select_granularity,
     split_variables,
 )
-from repro.errors import PlanningError
+from repro.errors import InvalidEventError, PlanningError
 from repro.events.event import Event
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicates import AdjacentPredicate
@@ -117,18 +120,19 @@ class CograPlan:
         #: ``(predecessor variable, successor variable)`` -> the bare
         #: ``(predecessor event, successor event)`` callables of the pair's
         #: adjacent predicates, for every edge of the automaton (``()`` for an
-        #: unconstrained one).  The aggregators' scans over stored events read
-        #: this instead of :meth:`adjacency_satisfied`: a missing key is "not a
-        #: predecessor type", and the order check is theirs to inline.
+        #: unconstrained one).  The pattern-grained fold checks its one last
+        #: event against this instead of :meth:`adjacency_satisfied`: a
+        #: missing key is "not a predecessor type", and the order check is
+        #: its to inline.
         self.adjacent_conditions: Dict[Tuple[str, str], Tuple] = {
             pair: tuple(_condition_of(predicate) for predicate in predicates)
             for pair, predicates in self._adjacent_by_pair.items()
         }
         # event types whose candidate variables are event-independent (no
         # local predicate on any variable of the type): the by far most
-        # common case, answered with one dict lookup on the hot path
+        # common case, bound without asking a predicate
         self._unconditional_by_type = {}
-        for event_type in set(self.automaton.variable_types.values()):
+        for event_type in dict.fromkeys(self.automaton.variable_types.values()):
             variables = tuple(self.automaton.variables_for_type(event_type))
             if not any(self._local_by_variable.get(v) for v in variables):
                 self._unconditional_by_type[event_type] = variables
@@ -137,8 +141,18 @@ class CograPlan:
         from repro.core.type_grained import fold_kernel
 
         self._fold_steps: Dict[str, FoldStep] = {}
+        #: variable -> ``(predecessor, scan)`` per predecessor, in the order of
+        #: its :class:`FoldStep`: the edge's generated predecessor scan
+        #: (:func:`edge_scan`) when the predecessor stores its events, else
+        #: ``None`` (its one cell is read instead)
+        self.scans: Dict[str, Tuple[Tuple[str, Optional[Callable]], ...]] = {}
         for variable in self.automaton.variables:
-            predecessors = tuple(self.automaton.pred_types(variable))
+            # pattern order: the order the folds add predecessor sums in,
+            # the same in every process whatever its hash seed
+            predecessor_set = self.automaton.pred_types(variable)
+            predecessors = tuple(
+                name for name in self.automaton.variables if name in predecessor_set
+            )
             starts = 1 if self.automaton.is_start(variable) else 0
             own = tuple(target == variable for target, _ in self.targets)
             self._fold_steps[variable] = FoldStep(
@@ -158,6 +172,18 @@ class CograPlan:
                     own,
                 ),
             )
+            self.scans[variable] = tuple(
+                (
+                    name,
+                    edge_scan(
+                        f"<scan {query.name}:{name}->{variable}>",
+                        self._adjacent_by_pair[(name, variable)],
+                    )
+                    if name in self.event_grained
+                    else None,
+                )
+                for name in predecessors
+            )
         # bindings that do not depend on the event at all: no local predicate
         # decides the variables and no target reads an attribute
         no_values = (None,) * len(self.targets)
@@ -166,6 +192,15 @@ class CograPlan:
             for event_type, variables in self._unconditional_by_type.items()
             if not any(any(self._fold_steps[v].attributes) for v in variables)
         }
+        group, partition_key = _group_functions(self)
+        #: ``group(events) -> {key: [(event, binding), ...]}``: the events
+        #: :meth:`bind` does not reject, each with its binding, by partition
+        #: key and in order -- :meth:`bind` and :attr:`partition_key` per
+        #: event, generated once per plan (:func:`_group_functions`)
+        self.group: Callable[[Iterable[Event]], Dict[Tuple, list]] = group
+        #: ``partition_key(event)``: the grouping key of ``event`` (GROUP-BY
+        #: plus ``[attr]`` predicates), the expression :attr:`group` keys by
+        self.partition_key: Callable[[Event], Tuple] = partition_key
 
     def _resolve_granularity(self, forced: Optional[Granularity]) -> Granularity:
         """Apply a forced granularity after checking it preserves correctness."""
@@ -215,7 +250,12 @@ class CograPlan:
         for an event whose type the pattern does not mention (it binds to
         nothing but may still break contiguity), and ``None`` for an event
         of a pattern type that every local predicate rejects (Section 7:
-        such events are filtered before they reach an aggregator).
+        such events are filtered before they reach an aggregator).  A
+        target value that is not a number raises
+        :class:`~repro.errors.InvalidEventError` naming it.
+
+        The general path and the reference of :attr:`group`, which binds
+        most event types inline.
         """
         binding = self._constant_bindings.get(event.event_type)
         if binding is not None:
@@ -230,8 +270,22 @@ class CograPlan:
         for variable in variables:
             step = self._fold_steps[variable]
             values = tuple([a if a is None else get(a) for a in step.attributes])
+            for attribute, value in zip(step.attributes, values):
+                if value.__class__ not in _PLAIN_NUMBERS and not isinstance(value, Number):
+                    raise self._not_a_number(event, variable, attribute, value)
             binding.append((step, values))
         return tuple(binding)
+
+    def _not_a_number(self, event: Event, variable: str, attribute: str, value) -> Exception:
+        """The error for a target value that is not a number.
+
+        Every target keeps a sum, so whatever the aggregate function such a
+        value could only fail the fold; it is rejected where it is read.
+        """
+        return InvalidEventError(
+            f"query {self.query.name!r}: {variable}.{attribute} of the event at "
+            f"time {event.time} is {value!r}, not a number"
+        )
 
     def passes_local(self, event: Event, variable: str) -> bool:
         """True when ``event`` satisfies every local predicate of ``variable``."""
@@ -289,11 +343,6 @@ class CograPlan:
         """True when ``variable`` is an end type of the pattern."""
         return self.automaton.is_end(variable)
 
-    def partition_key(self, event: Event) -> Tuple:
-        """Grouping key of ``event`` (GROUP-BY plus ``[attr]`` predicates)."""
-        get = event.attributes.get
-        return tuple([get(attribute) for attribute in self.partition_attributes])
-
     def describe(self) -> str:
         """Readable multi-line explanation of the plan (like EXPLAIN)."""
         granularity_note = self.granularity.value
@@ -308,6 +357,7 @@ class CograPlan:
             f"targets     : {[f'{v}.{a}' if a else v for v, a in self.targets] or ['COUNT(*) only']}",
             f"partitions  : {list(self.partition_attributes) or 'none'}",
             *self._describe_fold_steps(),
+            *self._describe_edges(),
             self.automaton.describe(),
             self.classification.describe(),
         ]
@@ -330,18 +380,43 @@ class CograPlan:
                     ", ".join(own) or "-",
                 )
             )
-        widths = [max(len(row[column]) for row in rows) for column in range(4)]
-        return [
-            ("fold steps  : " if number == 0 else " " * 14)
-            + "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-            for number, row in enumerate(rows)
-        ]
+        return _table("fold steps  : ", rows)
+
+    def _describe_edges(self) -> List[str]:
+        """The edge table: per automaton edge, its adjacent predicates, each
+        compared ``inline`` by the edge's generated scan or ``called``."""
+        rows = [("edge", "predicates")]
+        for variable, step in self._fold_steps.items():
+            for name in step.predecessors:
+                predicates = self._adjacent_by_pair[(name, variable)]
+                rows.append(
+                    (
+                        f"{name} -> {variable}",
+                        "; ".join(
+                            f"{predicate.describe()} "
+                            f"({'inline' if _inline(predicate) else 'called'})"
+                            for predicate in predicates
+                        )
+                        or "-",
+                    )
+                )
+        return _table("edges       : ", rows)
 
     def __repr__(self) -> str:
         return (
             f"CograPlan({self.query.name!r}, granularity={self.granularity.value}, "
             f"Tt={sorted(self.type_grained)}, Te={sorted(self.event_grained)})"
         )
+
+
+def _table(title: str, rows: List[Tuple[str, ...]]) -> List[str]:
+    """``rows`` as aligned columns, the first line headed by ``title``."""
+    widths = [max(len(row[column]) for row in rows) for column in range(len(rows[0]))]
+    return [
+        (title if number == 0 else " " * len(title))
+        + "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for number, row in enumerate(rows)
+    ]
 
 
 def _condition_of(predicate):
@@ -354,6 +429,185 @@ def _condition_of(predicate):
     if type(predicate).evaluate is AdjacentPredicate.evaluate:
         return predicate.condition
     return predicate.evaluate
+
+
+#: what an edge scan writes for each of :data:`~repro.query.predicates.OPERATORS`
+_OPERATORS = {
+    "<": "<",
+    "<=": "<=",
+    ">": ">",
+    ">=": ">=",
+    "=": "==",
+    "==": "==",
+    "!=": "!=",
+    "<>": "!=",
+}
+
+#: the classes of target values that need no ``isinstance(value, Number)``
+_PLAIN_NUMBERS = frozenset((int, float, type(None)))
+
+
+def _inline(predicate) -> Optional[Tuple[str, str, str]]:
+    """``predicate.compares`` when an edge scan may compare it inline.
+
+    That is a :func:`~repro.query.predicates.comparison` whose class does
+    not decide it some other way; ``None`` for anything else.
+    """
+    if type(predicate).evaluate is not AdjacentPredicate.evaluate:
+        return None
+    return predicate.compares
+
+
+def edge_scan(label: str, predicates) -> Callable:
+    """Compile the predecessor scan of one automaton edge.
+
+    Returns ``scan(nodes, event, time, sequence, sources)``: append to
+    ``sources`` the cell of every stored ``(event, cell)`` pair of
+    ``nodes`` adjacent to ``event`` along the edge, ``(time, sequence)``
+    being the order key of ``event``.  Definition 7, conditions 2-3: the
+    stored event strictly precedes ``event`` -- which also keeps an event
+    from preceding itself when it binds to several variables (Section 8)
+    -- and the pair satisfies every one of ``predicates``, the edge's
+    adjacent predicates.
+
+    Each ``X.a op NEXT(Y).b`` (:func:`_inline`) is compared inline under
+    :func:`~repro.query.predicates.comparison`'s rule (a missing side is
+    false); any other predicate is called.  What the scan reads off
+    ``event`` is read once, before the loop; every decision is made per
+    stored event, predicate by predicate in ``predicates`` order, as
+    calling them would.
+    """
+    constants = Constants()
+    hoisted: List[str] = []
+    checks: List[str] = []
+    for number, predicate in enumerate(predicates):
+        compares = _inline(predicate)
+        if compares is None:
+            condition = constants("predicate", _condition_of(predicate))
+            checks.append(f"if not {condition}(stored, event):")
+            checks.append("    continue")
+            continue
+        left_attribute, op, right_attribute = compares
+        left, right = f"left_{number}", f"right_{number}"
+        hoisted.append(f"{right} = attributes.get({constants('attribute', right_attribute)})")
+        checks.append(f"{left} = stored.attributes.get({constants('attribute', left_attribute)})")
+        checks.append(
+            f"if {left} is None or {right} is None or not {left} {_OPERATORS[op]} {right}:"
+        )
+        checks.append("    continue")
+    body = ["attributes = event.attributes"] if hoisted else []
+    body += hoisted
+    body += [
+        "for stored, cell in nodes:",
+        "    stored_time = stored.time",
+        "    if stored_time < time or (stored_time == time and stored.sequence < sequence):",
+        *(f"        {line}" for line in checks),
+        "        sources.append(cell)",
+    ]
+    source = "\n".join(
+        [
+            f"def build({', '.join(constants.names)}):",
+            "    def scan(nodes, event, time, sequence, sources):",
+            *(f"        {line}" for line in body),
+            "    return scan",
+            "",
+        ]
+    )
+    return compile_generated(label, source, *constants.values)
+
+
+def _group_functions(plan: "CograPlan") -> Tuple[Callable, Callable]:
+    """Compile ``plan``'s grouper and partition key: ``(group, partition_key)``.
+
+    ``group(events)`` is :meth:`CograPlan.bind` and ``partition_key`` per
+    event, the bound events collected by key in order.  An event type bound
+    to one variable by no local predicate gets a branch of its own, which
+    reads the target values off the event inline and checks them as
+    :meth:`CograPlan.bind` does; an event type whose binding reads no value
+    is a dict lookup; every other event -- local predicates, a type bound
+    to several variables (Section 8), a type the pattern does not mention
+    -- is bound by :meth:`CograPlan.bind` itself.
+    """
+    constants = Constants(
+        bind=plan.bind,
+        constant_bindings=plan._constant_bindings,
+        plain=_PLAIN_NUMBERS,
+        Number=Number,
+        not_a_number=plan._not_a_number,
+    )
+    branches: List[str] = []
+    for event_type, variables in plan._unconditional_by_type.items():
+        if event_type in plan._constant_bindings or len(variables) != 1:
+            continue
+        step = plan._fold_steps[variables[0]]
+        keyword = "elif" if branches else "if"
+        branches.append(f"{keyword} event_type == {constants('type', event_type)}:")
+        variable = constants("variable", step.variable)
+        values = []
+        for index, attribute in enumerate(step.attributes):
+            if attribute is None:
+                values.append("None")
+                continue
+            value = f"value_{index}"
+            values.append(value)
+            name = constants("attribute", attribute)
+            branches += [
+                f"    {value} = attributes.get({name})",
+                f"    if {value}.__class__ not in plain and not isinstance({value}, Number):",
+                f"        raise not_a_number(event, {variable}, {name}, {value})",
+            ]
+        branches.append(f"    binding = (({constants('step', step)}, {_tuple(values)}),)")
+    fallback = [
+        "binding = constant_bindings.get(event_type)",
+        "if binding is None:",
+        "    binding = bind(event)",
+        "    if binding is None:",
+        "        continue  # rejected by the local predicates (Section 7)",
+    ]
+    if branches:
+        branches.append("else:")
+        branches += [f"    {line}" for line in fallback]
+    else:
+        branches = fallback
+    key = _tuple(
+        [
+            f"attributes.get({constants('group', attribute)})"
+            for attribute in plan.partition_attributes
+        ]
+    )
+    source = "\n".join(
+        [
+            f"def build({', '.join(constants.names)}):",
+            "    def group(events):",
+            "        grouped = {}",
+            "        for event in events:",
+            "            event_type = event.event_type",
+            "            attributes = event.attributes",
+            *(f"            {line}" for line in branches),
+            f"            key = {key}",
+            "            run = grouped.get(key)",
+            "            if run is None:",
+            "                grouped[key] = [(event, binding)]",
+            "            else:",
+            "                run.append((event, binding))",
+            "        return grouped",
+            "",
+            "    def partition_key(event):",
+            "        attributes = event.attributes",
+            f"        return {key}",
+            "",
+            "    return group, partition_key",
+            "",
+        ]
+    )
+    return compile_generated(f"<group {plan.query.name}>", source, *constants.values)
+
+
+def _tuple(items: List[str]) -> str:
+    """The source of a tuple display of ``items``."""
+    if len(items) == 1:
+        return f"({items[0]},)"
+    return f"({', '.join(items)})"
 
 
 def _aggregation_targets(

@@ -18,8 +18,9 @@ sub-stream, which is exactly the complexity the paper attributes to GRETA
 and improves upon with the type/mixed/pattern granularities.
 
 The scan over the stored nodes is inherent; what it costs per node is not.
-:func:`adjacent_cells` (shared with the mixed-grained aggregator) checks a
-stored event against the pair's conditions as the plan compiled them, and
+The plan generates one scan per automaton edge, shared with the
+mixed-grained aggregator (:func:`~repro.analyzer.plan.edge_scan`: the
+edge's comparisons inline, each stored event one loop iteration), and
 :func:`fold_stored_events` (shared with the negation-aware subclass) builds
 the one cell a stored event needs straight from the cells the scan found.
 """
@@ -38,26 +39,6 @@ from repro.events.event import Event
 _NO_CUTOFFS: Dict[Tuple[str, str], Tuple] = {}
 
 
-def adjacent_cells(nodes, conditions, event, time, sequence, sources) -> None:
-    """Append to ``sources`` the cells of the ``nodes`` adjacent to ``event``.
-
-    ``nodes`` are stored ``(event, cell)`` pairs of one predecessor variable
-    and ``conditions`` the pair's :attr:`CograPlan.adjacent_conditions`
-    entry; ``(time, sequence)`` is the order key of ``event``.  Definition 7,
-    conditions 2-3: the stored event strictly precedes ``event`` -- which also
-    keeps an event from preceding itself when it binds to several variables
-    (Section 8) -- and the pair satisfies every adjacent predicate.
-    """
-    for stored, cell in nodes:
-        stored_time = stored.time
-        if stored_time < time or (stored_time == time and stored.sequence < sequence):
-            for condition in conditions:
-                if not condition(stored, event):
-                    break
-            else:
-                sources.append(cell)
-
-
 def fold_stored_events(windows, run, cutoff_keys) -> None:
     """Store each bound event of ``run`` in every aggregator of ``windows``.
 
@@ -70,7 +51,7 @@ def fold_stored_events(windows, run, cutoff_keys) -> None:
     """
     plan = windows[0].plan
     targets = plan.targets
-    conditions = plan.adjacent_conditions
+    scans = plan.scans
     ends = plan.automaton.end_variables
     processed = 0
     for event, binding in run:
@@ -80,18 +61,20 @@ def fold_stored_events(windows, run, cutoff_keys) -> None:
         time = event.time
         sequence = event.sequence
         for step, values in binding:
-            variable, predecessors, starts, own, _attributes, _kernel = step
+            variable, _predecessors, starts, own, _attributes, _kernel = step
+            edges = scans[variable]
             is_end = variable in ends
             for aggregator in windows:
                 nodes = aggregator._nodes
                 sources = []
-                for name in predecessors:
-                    edge = (name, variable)
+                for name, scan in edges:
                     stored = nodes[name]
-                    if edge in cutoff_keys:
-                        # nodes are appended in arrival order
-                        stored = stored[aggregator._cutoffs[cutoff_keys[edge]]:]
-                    adjacent_cells(stored, conditions[edge], event, time, sequence, sources)
+                    if cutoff_keys:
+                        key = cutoff_keys.get((name, variable))
+                        if key is not None:
+                            # nodes are appended in arrival order
+                            stored = stored[aggregator._cutoffs[key]:]
+                    scan(stored, event, time, sequence, sources)
                 cell = TrendAccumulator(targets)
                 fold_into((cell,), sources, starts, own, values)
                 nodes[variable].append((event, cell))

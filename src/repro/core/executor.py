@@ -18,14 +18,13 @@ how checkpointing and the replan loop read and replace it.
 from __future__ import annotations
 
 import math
-from numbers import Number
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.core.base import SubstreamAggregator, aggregator_class, create_aggregator
 from repro.core.partitioner import window_bounds
 from repro.core.results import GroupResult
-from repro.errors import InvalidEventError, StreamOrderError
+from repro.errors import StreamOrderError
 from repro.events.event import Event
 from repro.query.query import Query
 
@@ -159,15 +158,16 @@ class QueryExecutor:
     def _fold(self, events) -> List[GroupResult]:
         """Close what the run's first event expires, bind each event once, fold by key.
 
-        ``events`` is a run as :meth:`quiet_run` cuts it.  Every event is
-        bound once (:meth:`CograPlan.bind`), the bound events are grouped by
-        partition key, and each group is handed -- in one call -- to the
-        key's aggregators in all windows of the run.  Grouping
+        ``events`` is a run as :meth:`quiet_run` cuts it.  One call of the
+        plan's generated grouper (:attr:`CograPlan.group`) binds every event
+        once and groups the bound events by partition key -- a target value
+        that is not a number raises :class:`~repro.errors.InvalidEventError`
+        there, before any fold -- and each group is handed, in one call, to
+        the key's aggregators in all windows of the run.  Grouping
         non-consecutive same-key events together is safe *because* nothing
         closes after the first event: each (window, key) aggregator only ever
         sees its own key's events in their original relative order, and
-        window emission sorts group keys.  A target value that is not a
-        number raises :class:`InvalidEventError` naming it.
+        window emission sorts group keys.
         """
         if not events:
             return []
@@ -189,19 +189,7 @@ class QueryExecutor:
             window = self.query.window
             window_ids = [0] if window is None else window.windows_of(time)
         self._events_seen += len(events)
-        bind = self.plan.bind
-        key_of = self.plan.partition_key
-        grouped: Dict[Tuple, list] = {}
-        for event in events:
-            binding = bind(event)
-            if binding is None:
-                continue  # rejected by the local predicates (Section 7)
-            key = key_of(event)
-            run = grouped.get(key)
-            if run is None:
-                grouped[key] = [(event, binding)]
-            else:
-                run.append((event, binding))
+        grouped = self.plan.group(events)
         if not grouped or not window_ids:
             return emitted
         # every key of the run gets an aggregator in every window of the run,
@@ -220,30 +208,20 @@ class QueryExecutor:
         one_class = window_ids[0] > self._adopted_until
         new_aggregator = self._new_aggregator
         plan = self.plan
-        try:
-            for key, run in grouped.items():
-                head = first.get(key)
-                if head is None:
-                    head = first[key] = new_aggregator(plan)
-                also = []
-                for table in rest:
-                    aggregator = table.get(key)
-                    if aggregator is None:
-                        aggregator = table[key] = new_aggregator(plan)
-                    also.append(aggregator)
-                if one_class:
-                    head.process_run(run, also)
-                else:
-                    _process_run_by_class(head, also, run)
-        except TypeError as error:
-            # every target keeps a sum: a value that is not a number fails
-            # the fold whatever the aggregate function
-            culprit = _non_numeric_value(run)
-            if culprit is None:
-                raise
-            raise InvalidEventError(
-                f"query {self.query.name!r}: {culprit}, not a number"
-            ) from error
+        for key, run in grouped.items():
+            head = first.get(key)
+            if head is None:
+                head = first[key] = new_aggregator(plan)
+            also = []
+            for table in rest:
+                aggregator = table.get(key)
+                if aggregator is None:
+                    aggregator = table[key] = new_aggregator(plan)
+                also.append(aggregator)
+            if one_class:
+                head.process_run(run, also)
+            else:
+                _process_run_by_class(head, also, run)
         return emitted
 
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
@@ -389,19 +367,6 @@ class QueryExecutor:
                 )
             )
         return emitted
-
-
-def _non_numeric_value(run) -> Optional[str]:
-    """``"A.v of the event at time t is 'x'"`` for the first such value of ``run``."""
-    for event, binding in run:
-        for step, values in binding:
-            for attribute, value in zip(step.attributes, values):
-                if value is not None and not isinstance(value, Number):
-                    return (
-                        f"{step.variable}.{attribute} of the event at time "
-                        f"{event.time} is {value!r}"
-                    )
-    return None
 
 
 def _process_run_by_class(head, also, run) -> None:

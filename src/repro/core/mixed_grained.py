@@ -20,7 +20,8 @@ events (Theorems 5.2 and 5.3).
 The hot path is the type-grained fold for an event of a ``Tt`` variable (its
 cell is added to in place, nothing is built) and the event-grained one for
 an event of a ``Te`` variable (one cell, for the node that is stored); both
-collect their predecessor cells through the event-grained module's scan.
+collect the cells of their ``Te`` predecessors through the plan's generated
+scan of the edge (:func:`~repro.analyzer.plan.edge_scan`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Dict, List, Tuple
 from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import TrendAccumulator, fold_into
 from repro.core.base import SubstreamAggregator
-from repro.core.event_grained import adjacent_cells
 from repro.events.event import Event
 
 
@@ -70,7 +70,7 @@ class MixedGrainedAggregator(SubstreamAggregator):
         """
         plan = self.plan
         targets = plan.targets
-        conditions = plan.adjacent_conditions
+        scans = plan.scans
         ends = plan.automaton.end_variables
         windows = (self, *also)
         processed = 0
@@ -95,26 +95,19 @@ class MixedGrainedAggregator(SubstreamAggregator):
                             source[step.variable] = cells[step.variable].copy()
                     before[aggregator] = source
             for step, values in binding:
-                variable, predecessors, starts, own, _attributes, _kernel = step
+                variable, _predecessors, starts, own, _attributes, _kernel = step
+                edges = scans[variable]
                 is_end = variable in ends
                 for aggregator in windows:
                     type_cells = aggregator._type_cells
                     readable = type_cells if before is None else before[aggregator]
                     event_cells = aggregator._event_cells
                     sources = []
-                    for name in predecessors:
-                        cell = readable.get(name)
-                        if cell is not None:
-                            sources.append(cell)
+                    for name, scan in edges:
+                        if scan is None:
+                            sources.append(readable[name])
                         else:
-                            adjacent_cells(
-                                event_cells[name],
-                                conditions[(name, variable)],
-                                event,
-                                time,
-                                sequence,
-                                sources,
-                            )
+                            scan(event_cells[name], event, time, sequence, sources)
                     cell = type_cells.get(variable)
                     stored = cell is None
                     if stored:

@@ -20,9 +20,9 @@ constants, the Kleene self-loop read from the cell being written.
 
 from __future__ import annotations
 
-import linecache
 from typing import Callable, Dict, List, Tuple
 
+from repro.analyzer.codegen import compile_generated
 from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
 from repro.core.base import SubstreamAggregator
@@ -127,8 +127,8 @@ def fold_kernel(
     written, and no other binding of the event writes that cell.
 
     The source holds only integers and names made here; variable names are
-    bound constants.  It is registered with :mod:`linecache` under
-    ``label`` (numbered on a clash), so tracebacks and profiles show it.
+    bound constants.  It is compiled and registered under ``label`` by
+    :func:`~repro.analyzer.codegen.compile_generated`.
     """
     # constant ``name_k`` is the variable of cell ``k``; cell 0 is written
     names: List[str] = [variable]
@@ -155,10 +155,7 @@ def fold_kernel(
             "",
         ]
     )
-    filename = _register_source(label, source)
-    namespace: Dict[str, object] = {}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["build"](*names, float("inf"))
+    return compile_generated(label, source, *names, float("inf"))
 
 
 def _window_body(predecessors: List[int], starts: int, own) -> List[str]:
@@ -243,22 +240,3 @@ def _window_body(predecessors: List[int], starts: int, own) -> List[str]:
         emit("if current is None or not current >= high:", 1)
         emit(f"slots[{base + 3}] = high", 2)
     return lines
-
-
-def _register_source(label: str, source: str) -> str:
-    """Register ``source`` with :mod:`linecache`; returns the filename used.
-
-    ``label`` is ``<...>``-shaped.  Plans of different queries may share a
-    label; a different source gets the label numbered, ``<... #2>``.
-    """
-    lines = source.splitlines(True)
-    filename = label
-    number = 1
-    while True:
-        entry = linecache.cache.get(filename)
-        if entry is None or (len(entry) == 4 and entry[2] == lines):
-            break
-        number += 1
-        filename = f"{label[:-1]} #{number}>"
-    linecache.cache[filename] = (len(source), None, lines, filename)
-    return filename

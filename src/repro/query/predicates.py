@@ -17,7 +17,7 @@ determine the granularity at which COGRA maintains aggregates:
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Tuple
 
 from repro.events.event import Event
 
@@ -147,6 +147,11 @@ class AdjacentPredicate(Predicate):
         Human readable text for plans and error messages.
     """
 
+    #: ``(predecessor attribute, operator, successor attribute)`` when the
+    #: condition is :func:`comparison`'s, else ``None``: a plan's generated
+    #: predecessor scans compare such a pair inline instead of calling it
+    compares: Optional[Tuple[str, str, str]] = None
+
     def __init__(
         self,
         predecessor_variable: str,
@@ -203,6 +208,8 @@ def comparison(
         f"{predecessor_variable}.{predecessor_attribute} {op} "
         f"NEXT({successor_variable}).{successor_attribute}"
     )
-    return AdjacentPredicate(
+    predicate = AdjacentPredicate(
         predecessor_variable, successor_variable, condition, description
     )
+    predicate.compares = (predecessor_attribute, op, successor_attribute)
+    return predicate

@@ -12,7 +12,10 @@ This module is where the suite gets what it checks that with:
 * :func:`canonical` -- the one record comparer: order independent, the
   watermark stamp left out;
 * :func:`bounded_shuffle`, :func:`slices`, :func:`build_query` and
-  :func:`kill_worker`.
+  :func:`kill_worker`;
+* :data:`HOSTILE` -- a name for whatever a query may spell (variable,
+  attribute, event type, GROUP-BY attribute) that the plan's generated
+  code must take as a bound constant.
 
 The generators draw *witnesses* on purpose rather than uniform noise
 (Proper, "Generating significant examples for conceptual schema
@@ -47,6 +50,10 @@ from repro.query.builder import QueryBuilder
 
 #: group keys: three strings, and one group in three types (1 == 1.0 == True)
 GROUPS = ("u", "v", "w", 1, 1.0, True)
+
+#: a name that is no identifier, closes a string and a call, and opens a
+#: comment: generated code that splices it into its source breaks
+HOSTILE = "x'\"\n)#"
 
 #: event types by frequency; ``C`` is negated in some queries, ``D`` in none
 TYPES = "AAABBCD"

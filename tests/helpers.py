@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.aggregate_state import TrendAccumulator
 from repro.core.results import GroupResult
@@ -53,6 +53,13 @@ def total_trend_count(results: Iterable[GroupResult]) -> int:
     return sum(result.trend_count for result in results)
 
 
+def predecessors_of(plan, variable: str) -> List[str]:
+    """``P.predTypes(variable)`` in pattern order: the order the recurrences
+    merge predecessor cells in, so float sums do not follow the hash seed."""
+    predecessors = plan.automaton.pred_types(variable)
+    return [name for name in plan.automaton.variables if name in predecessors]
+
+
 def reference_type_grained_process(aggregator: TypeGrainedAggregator, event: Event) -> None:
     """Algorithm 1, lines 3-8, literally: the oracle of the in-place fold.
 
@@ -70,7 +77,7 @@ def reference_type_grained_process(aggregator: TypeGrainedAggregator, event: Eve
     new_cells = []
     for variable in variables:
         predecessor = TrendAccumulator.zero(plan.targets)
-        for predecessor_variable in plan.automaton.pred_types(variable):
+        for predecessor_variable in predecessors_of(plan, variable):
             predecessor.merge(aggregator.cell(predecessor_variable))
         cell = predecessor.extended(event, variable)
         if plan.is_start(variable):
@@ -114,7 +121,7 @@ def reference_event_grained_process(aggregator, event: Event, blocked_below=None
     staged = []
     for variable in variables:
         predecessor = TrendAccumulator.zero(plan.targets)
-        for predecessor_variable in plan.automaton.pred_types(variable):
+        for predecessor_variable in predecessors_of(plan, variable):
             skip = blocked_below(predecessor_variable, variable) if blocked_below else 0
             nodes = aggregator._nodes[predecessor_variable]
             for position, (stored_event, stored_cell) in enumerate(nodes):
@@ -141,7 +148,7 @@ def reference_mixed_grained_process(aggregator, event: Event) -> None:
     staged = []
     for variable in variables:
         predecessor = TrendAccumulator.zero(plan.targets)
-        for predecessor_variable in plan.automaton.pred_types(variable):
+        for predecessor_variable in predecessors_of(plan, variable):
             if predecessor_variable in plan.type_grained:
                 predecessor.merge(aggregator._type_cells[predecessor_variable])
             else:
@@ -230,7 +237,7 @@ def reference_negation_type_grained_process(aggregator, event: Event, components
     staged = []
     for variable in variables:
         predecessor = TrendAccumulator.zero(plan.targets)
-        for predecessor_variable in plan.automaton.pred_types(variable):
+        for predecessor_variable in predecessors_of(plan, variable):
             crossed = [
                 c
                 for c in components

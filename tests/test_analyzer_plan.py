@@ -1,16 +1,21 @@
 """Tests for the predicate classifier, granularity selector and query plan."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from differential import HOSTILE, streams
 from repro.analyzer.classifier import classify_predicates
 from repro.analyzer.granularity import Granularity, granularity_table, split_variables
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.plan import plan_query
+from repro.errors import InvalidEventError
 from repro.events.event import Event
 from repro.query.aggregates import avg, count_star, min_of, sum_of
 from repro.query.ast import KleenePlus, atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
 from repro.query.parser import parse_query
-from repro.query.predicates import comparison
+from repro.query.predicates import AdjacentPredicate, comparison
 from repro.query.semantics import Semantics
 
 FIGURE2 = KleenePlus(sequence(kleene_plus("A"), atom("B")))
@@ -207,3 +212,96 @@ class TestCograPlan:
     def test_sum_target(self):
         plan = plan_query(build(aggregates=[sum_of("A", "x")]))
         assert ("A", "x") in plan.targets
+
+
+#: queries whose events the grouper binds every way it can: inline, by a
+#: constant binding or through ``bind`` (local predicates, repeated types)
+GROUPED = [
+    "RETURN g, COUNT(*), SUM(A.x), MAX(B.x), AVG(A.x) PATTERN SEQ(A+, B) "
+    "SEMANTICS skip-till-any-match GROUP-BY g",
+    "RETURN COUNT(*), COUNT(A) PATTERN SEQ(A+, B) SEMANTICS contiguous",
+    "RETURN g, COUNT(*), MIN(B.x) PATTERN SEQ(A+, B) SEMANTICS skip-till-next-match "
+    "WHERE A.x > 1 AND [g] GROUP-BY g",
+    "RETURN COUNT(*), SUM(X.x), MIN(Y.x) PATTERN SEQ(A X+, B, A Y) "
+    "SEMANTICS skip-till-any-match",
+    "RETURN g, COUNT(*) PATTERN SEQ(A X+, A Y) SEMANTICS skip-till-any-match "
+    "WHERE Y.x < 4 GROUP-BY g",
+    QueryBuilder(HOSTILE)
+    .pattern(sequence(kleene_plus(HOSTILE, HOSTILE), atom("B")))
+    .aggregate(count_star(), sum_of(HOSTILE, HOSTILE), min_of("B", HOSTILE))
+    .group_by(HOSTILE)
+    .build(),
+]
+
+
+def bound_by_key(plan, events):
+    """``plan.group(events)`` spelled out: :meth:`bind` and the key per event."""
+    grouped = {}
+    for event in events:
+        binding = plan.bind(event)
+        if binding is not None:
+            key = tuple(event.get(attribute) for attribute in plan.partition_attributes)
+            grouped.setdefault(key, []).append((event, binding))
+    return grouped
+
+
+class TestGeneratedGrouper:
+    @pytest.mark.parametrize("query", GROUPED, ids=repr)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_group_equals_bind_and_key_per_event(self, query, data):
+        hostile = not isinstance(query, str)
+        plan = plan_query(query if hostile else parse_query(query))
+        attribute = HOSTILE if hostile else "x"
+        # Z is a type the pattern does not mention; a None draw leaves the
+        # attribute out
+        events = data.draw(
+            streams(
+                max_events=30,
+                types=("A", "A", "B", "Z", HOSTILE),
+                attribute=attribute,
+                values=st.none() | st.integers(min_value=0, max_value=5),
+            )
+        )
+        expected = bound_by_key(plan, events)
+        grouped = plan.group(events)
+        assert grouped == expected
+        assert list(grouped) == list(expected)
+        for event in events:
+            key = tuple(event.get(name) for name in plan.partition_attributes)
+            assert plan.partition_key(event) == key
+
+    @pytest.mark.parametrize(
+        "query, event_type, variable",
+        [
+            (GROUPED[0], "A", "A"),  # bound inline
+            (GROUPED[0], "B", "B"),
+            (GROUPED[3], "A", "X"),  # bound to X and Y by ``bind``
+        ],
+    )
+    def test_group_and_bind_reject_a_value_that_is_no_number_alike(
+        self, query, event_type, variable
+    ):
+        plan = plan_query(parse_query(query, name="q"))
+        event = Event(event_type, 1.0, {"g": 0, "x": "3"})
+        message = rf"query 'q': {variable}\.x of the event at time 1\.0 is '3', not a number"
+        with pytest.raises(InvalidEventError, match=message):
+            plan.bind(event)
+        with pytest.raises(InvalidEventError, match=message):
+            plan.group([Event("A", 0.5, {"g": 0, "x": 1}), event])
+
+    def test_describe_marks_each_edge_predicate_inline_or_called(self):
+        query = (
+            QueryBuilder("edges")
+            .pattern(sequence(kleene_plus("A"), atom("B")))
+            .aggregate(count_star())
+            .where_adjacent(comparison("A", "x", "<", "A"))
+            .where_adjacent(AdjacentPredicate("A", "A", lambda p, s: True, "opaque"))
+            .build()
+        )
+        table = plan_query(query).describe().splitlines()
+        start = table.index("edges       : edge    predicates")
+        assert table[start + 1 : start + 3] == [
+            " " * 14 + "A -> A  A.x < NEXT(A).x (inline); opaque (called)",
+            " " * 14 + "A -> B  -",
+        ]

@@ -152,6 +152,15 @@ SHAPES = [
     # local predicates decide the candidate variables per event
     Shape(EventGrainedAggregator, "SEQ(A+, B)", "COUNT(*), SUM(A.v)", where="A.v > 0",
           forced="event"),
+    # operators no other shape uses (the scans compare them inline)
+    Shape(EventGrainedAggregator, "(SEQ(A+, B))+", "COUNT(*), SUM(B.v), MAX(A.v)",
+          where="A.v <> NEXT(B).v AND B.v == NEXT(A).v AND A.v > NEXT(A).v"),
+    # no event carries w: a comparison with the predecessor's side missing
+    # is false, even != (the B -> A edge admits no pair)
+    Shape(EventGrainedAggregator, "(SEQ(A+, B))+", "COUNT(*), SUM(A.v), MAX(B.v)",
+          where="A.v < NEXT(A).v AND B.w != NEXT(A).v"),
+    # a parsed comparison and a builder callable on one edge, in that order
+    Shape(EventGrainedAggregator, "A+", ALL, where=INCREASING, extra=[opaque("A", "A")]),
     # -- mixed-grained: Te variables store events, Tt variables fold in place
     Shape(MixedGrainedAggregator, "SEQ(A+, B)", "COUNT(*), SUM(A.v), MAX(B.v)", where=INCREASING),
     Shape(MixedGrainedAggregator, "SEQ(A+, B)", "COUNT(*)", where=INCREASING),
@@ -161,6 +170,12 @@ SHAPES = [
           where="B.v < NEXT(A).v AND A.v > 0"),
     Shape(MixedGrainedAggregator, "SEQ(A+, B+, C)", "COUNT(*), SUM(B.v), MIN(A.v), AVG(C.v)",
           extra=[opaque("A", "B")]),
+    # the two operators left
+    Shape(MixedGrainedAggregator, "SEQ(A+, B)", "COUNT(*), SUM(A.v), MIN(B.v)",
+          where="A.v >= NEXT(A).v AND A.v = NEXT(B).v"),
+    # the same with the successor's side missing (B -> B admits no pair)
+    Shape(MixedGrainedAggregator, "SEQ(A+, B+, C)", "COUNT(*), SUM(B.v), MIN(C.v)",
+          where="B.v != NEXT(B).w"),
     # one event ends in a Tt cell and in a stored node, either way round
     Shape(MixedGrainedAggregator, "SEQ(A X+, A Y+)", "COUNT(*), SUM(X.v), AVG(Y.v), MIN(X.v)",
           where="Y.v < NEXT(Y).v"),

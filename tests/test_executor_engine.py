@@ -298,9 +298,39 @@ class TestNonNumericValues:
     def test_engine_run_raises_a_typed_error(self, aggregate, granularity, semantics):
         engine = CograEngine(self.query(aggregate, semantics), granularity=granularity)
         assert engine.plan.granularity.value == granularity
-        with pytest.raises(InvalidEventError, match=self.MESSAGE) as raised:
+        with pytest.raises(InvalidEventError, match=self.MESSAGE):
             engine.run(self.EVENTS)
-        assert isinstance(raised.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize(
+        "pattern, aggregate, events, message",
+        [
+            # the value is rejected where it is read, even on an event that
+            # extends no trend
+            (
+                "SEQ(A+, B)",
+                "SUM(B.v)",
+                [Event("B", 1.0, {"g": "x", "v": "3"})],
+                r"B\.v of the event at time 1\.0 is '3', not a number",
+            ),
+            # 30 events of S+ hold 2**30 - 1 trends: the string is rejected
+            # before it is multiplied by them
+            (
+                "S+",
+                "SUM(S.v)",
+                [Event("S", float(t), {"g": "x", "v": t}) for t in range(30)]
+                + [Event("S", 30.0, {"g": "x", "v": "3"})],
+                r"S\.v of the event at time 30\.0 is '3', not a number",
+            ),
+        ],
+    )
+    def test_a_value_is_rejected_before_any_fold(self, pattern, aggregate, events, message):
+        text = (
+            f"RETURN g, COUNT(*), {aggregate} PATTERN {pattern} "
+            "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 100 seconds"
+        )
+        engine = CograEngine(parse_query(text, name="sums"))
+        with pytest.raises(InvalidEventError, match=message):
+            engine.run(events)
 
     def test_runtime_process_batch_raises_a_typed_error(self):
         runtime = StreamingRuntime(lateness=0.0)

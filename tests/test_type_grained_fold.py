@@ -10,14 +10,19 @@ several windows; it must leave each of them as a call of its own would.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import traceback
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import slices, stream, streams
+from differential import HOSTILE, slices, stream, streams
+import repro
 from helpers import reference_type_grained_process
 from repro.analyzer.plan import plan_query
 from repro.core.type_grained import TypeGrainedAggregator
@@ -29,10 +34,6 @@ from repro.query.parser import parse_query
 from repro.query.query import Query
 from repro.streaming.checkpoint import snapshot_aggregator
 from repro.streaming.runtime import StreamingRuntime
-
-#: a variable name that is no identifier, closes a string and a call, and
-#: opens a comment: it reaches the generated kernel as a bound constant
-HOSTILE = "x'\"\n)#"
 
 #: (pattern, RETURN clause, WHERE clause or None), or a built query; every
 #: aggregate function appears, on one variable and spread over two
@@ -148,11 +149,45 @@ class TestFoldMatchesTheLiteralRecurrence:
         )
         aggregator = TypeGrainedAggregator(plan)
         aggregator.process(Event("S", 1.0, {"v": 2.0}))
+        # both are numbers, so binding passes them; a float and a Decimal
+        # do not add up
         with pytest.raises(TypeError) as raised:
-            aggregator.process(Event("S", 2.0, {"v": "x"}))
+            aggregator.process(Event("S", 2.0, {"v": Decimal(3)}))
         frame = traceback.extract_tb(raised.value.__traceback__)[-1]
         assert frame.filename == "<fold trends:S>"
         assert frame.line == "total += value_0 * extended"
+
+    def test_predecessors_and_float_sums_do_not_follow_the_hash_seed(self):
+        # the frozenset of D's predecessor types iterates in a hash-seed
+        # dependent order; over this stream two orders of adding the A, B
+        # and C sums differ in the last bit
+        script = (
+            "import random\n"
+            "from repro.core.engine import CograEngine\n"
+            "from repro.events.event import Event\n"
+            "rng = random.Random(3)\n"
+            "events = [Event(rng.choice('ABCD'), float(i), {'v': rng.uniform(0.0, 1.0)},"
+            " sequence=i) for i in range(25)]\n"
+            "engine = CograEngine('RETURN COUNT(*), SUM(A.v), SUM(B.v), SUM(C.v) "
+            "PATTERN SEQ(A+, B*, C*, D) SEMANTICS skip-till-any-match')\n"
+            "(result,) = engine.run(events)\n"
+            "print(engine.plan._fold_steps['D'].predecessors)\n"
+            "print([float.hex(v) for k, v in sorted(result.values.items()) if k != 'COUNT(*)'])\n"
+        )
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        path = os.pathsep.join([source, os.environ.get("PYTHONPATH", "")])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in range(4)
+        }
+        assert len(outputs) == 1
+        assert outputs.pop().startswith("('A', 'B', 'C')\n")
 
     def test_events_of_other_types_pass_through_unbound(self):
         plan = plan_of(SHAPES[1])
