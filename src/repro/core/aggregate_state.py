@@ -20,7 +20,9 @@ them manipulate the accumulators through the same three operations:
 
 From a final accumulator (the summary of all finished trends of a group)
 :meth:`TrendAccumulator.result_value` extracts the value of any RETURN
-clause aggregate.
+clause aggregate; :func:`result_columns` resolves where each one lives
+once per query, and :func:`read_columns` reads every closed window's rows
+off that.
 
 The aggregators' hot paths do not chain those operations -- every link is a
 throw-away accumulator -- but apply what the chain computes in place, through
@@ -170,7 +172,7 @@ class TrendAccumulator:
 
     def occurrence_count(self, variable: str, attribute: Optional[str] = None) -> int:
         """Total occurrences of ``variable`` over all summarised trends."""
-        return self.slots[self._base(variable, attribute) + _COUNT]
+        return self.slots[target_base(self.targets, variable, attribute) + _COUNT]
 
     def result_value(self, spec: AggregateSpec):
         """Value of the RETURN-clause aggregate ``spec`` for this accumulator.
@@ -183,8 +185,8 @@ class TrendAccumulator:
         function = spec.function
         slots = self.slots
         if function is AggregateFunction.COUNT:
-            return slots[self._base(spec.variable, None) + _COUNT]
-        base = self._base(spec.variable, spec.attribute)
+            return slots[target_base(self.targets, spec.variable, None) + _COUNT]
+        base = target_base(self.targets, spec.variable, spec.attribute)
         if function is AggregateFunction.SUM:
             return slots[base + _SUM]
         if function is AggregateFunction.MIN:
@@ -200,21 +202,6 @@ class TrendAccumulator:
     def results(self, specs: Iterable[AggregateSpec]) -> Dict[str, object]:
         """Mapping from column name to value for all requested aggregates."""
         return {spec.name: self.result_value(spec) for spec in specs}
-
-    def _base(self, variable: Optional[str], attribute: Optional[str]) -> int:
-        """Offset of the first slot of target ``(variable, attribute)``."""
-        targets = self.targets
-        key = (variable, attribute)
-        if key in targets:
-            return targets.index(key) * WIDTH
-        # COUNT(E) may be requested while only (E, attr) targets are tracked;
-        # occurrence counts agree across attributes of the same variable.
-        for index, (target_variable, _) in enumerate(targets):
-            if target_variable == variable:
-                return index * WIDTH
-        raise InvalidQueryError(
-            f"aggregate over {variable}.{attribute} was not planned for this query"
-        )
 
     # -- memory accounting ---------------------------------------------------------
 
@@ -234,6 +221,82 @@ class TrendAccumulator:
             count, total, low, high = self.slots[index * WIDTH:(index + 1) * WIDTH]
             parts.append(f"{label}: count={count} sum={total} min={low} max={high}")
         return f"TrendAccumulator({', '.join(parts)})"
+
+
+def target_base(
+    targets: Tuple[Target, ...], variable: Optional[str], attribute: Optional[str]
+) -> int:
+    """Offset of the first slot of target ``(variable, attribute)`` in ``targets``."""
+    key = (variable, attribute)
+    if key in targets:
+        return targets.index(key) * WIDTH
+    # COUNT(E) may be requested while only (E, attr) targets are tracked;
+    # occurrence counts agree across attributes of the same variable.
+    for index, (target_variable, _) in enumerate(targets):
+        if target_variable == variable:
+            return index * WIDTH
+    raise InvalidQueryError(
+        f"aggregate over {variable}.{attribute} was not planned for this query"
+    )
+
+
+#: one RETURN column: its name, the slot it reads (``None``: the trend
+#: count) and, for AVG, the slot of the count it divides by
+Column = Tuple[str, Optional[int], Optional[int]]
+
+
+def result_columns(
+    specs: Iterable[AggregateSpec], targets: Tuple[Target, ...]
+) -> Tuple[Column, ...]:
+    """:meth:`TrendAccumulator.result_value` for each of ``specs``, resolved once.
+
+    :func:`read_columns` reads them off a final accumulator.
+    """
+    columns = []
+    for spec in specs:
+        if spec.is_count_star:
+            columns.append((spec.name, None, None))
+            continue
+        function = spec.function
+        if function is AggregateFunction.COUNT:
+            base = target_base(targets, spec.variable, None)
+            columns.append((spec.name, base + _COUNT, None))
+            continue
+        base = target_base(targets, spec.variable, spec.attribute)
+        if function is AggregateFunction.SUM:
+            columns.append((spec.name, base + _SUM, None))
+        elif function is AggregateFunction.MIN:
+            columns.append((spec.name, base + _MIN, None))
+        elif function is AggregateFunction.MAX:
+            columns.append((spec.name, base + _MAX, None))
+        elif function is AggregateFunction.AVG:
+            columns.append((spec.name, base + _SUM, base + _COUNT))
+        else:  # pragma: no cover
+            raise InvalidQueryError(f"unsupported aggregation function {function}")
+    return tuple(columns)
+
+
+def read_columns(
+    columns: Tuple[Column, ...], accumulator: TrendAccumulator
+) -> Dict[str, object]:
+    """``accumulator.results(specs)`` for the ``columns`` resolved from ``specs``.
+
+    Column ``(name, slot, count)`` is the trend count when ``slot`` is
+    ``None``; ``slots[slot]`` when ``count`` is ``None``; otherwise the
+    average ``slots[slot] / slots[count]``, or ``None`` at a zero count.
+    """
+    slots = accumulator.slots
+    values: Dict[str, object] = {}
+    for name, slot, count in columns:
+        if slot is None:
+            values[name] = accumulator.trend_count
+        elif count is None:
+            values[name] = slots[slot]
+        elif slots[count] == 0:
+            values[name] = None
+        else:
+            values[name] = slots[slot] / slots[count]
+    return values
 
 
 # -- in-place kernels of the aggregators' hot paths -------------------------------

@@ -21,6 +21,7 @@ import math
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analyzer.plan import CograPlan, plan_query
+from repro.core.aggregate_state import read_columns, result_columns
 from repro.core.base import SubstreamAggregator, aggregator_class, create_aggregator
 from repro.core.partitioner import window_bounds
 from repro.core.results import GroupResult
@@ -74,6 +75,9 @@ class QueryExecutor:
         self._new_aggregator = aggregator_factory or aggregator_class(
             self.plan.granularity
         )
+        #: the RETURN columns as slots of a final accumulator; every plan
+        #: of the query tracks the same targets, so adopted aggregators too
+        self._columns = result_columns(self.query.aggregates, self.plan.targets)
 
         window = self.query.window
         #: set for count-based tumbling windows, which place events by
@@ -350,22 +354,19 @@ class QueryExecutor:
     def _emit_window(self, window_id: int) -> List[GroupResult]:
         table = self._windows.pop(window_id)
         start, end = window_bounds(self.query.window, window_id)
+        emit_empty = self.emit_empty_groups
+        columns = self._columns
+        attributes = self.plan.partition_attributes
         emitted: List[GroupResult] = []
         for key in sorted(table, key=repr):
             accumulator = table[key].final_accumulator()
-            if accumulator.trend_count == 0 and not self.emit_empty_groups:
+            count = accumulator.trend_count
+            if count == 0 and not emit_empty:
                 continue
-            group = dict(zip(self.plan.partition_attributes, key))
-            emitted.append(
-                GroupResult(
-                    window_id=window_id,
-                    window_start=start,
-                    window_end=end,
-                    group=group,
-                    values=accumulator.results(self.query.aggregates),
-                    trend_count=accumulator.trend_count,
-                )
-            )
+            values = read_columns(columns, accumulator)
+            group = dict(zip(attributes, key))
+            # positional: a keyword call is measurably slower, once per row
+            emitted.append(GroupResult(window_id, start, end, group, values, count))
         return emitted
 
 

@@ -81,9 +81,16 @@ class TypeGrainedAggregator(SubstreamAggregator):
     # -- results -------------------------------------------------------------------
 
     def final_accumulator(self) -> TrendAccumulator:
-        """Merge of the accumulators of all end variables."""
+        """Merge of the accumulators of all end variables, in a fresh one."""
+        ends = self.plan.automaton.end_variables
+        if len(ends) == 1:
+            # zero + merge(cell) is a copy: a cell with no trend holds zero
+            # slots, and adding a slot to the integer 0 keeps its value (a
+            # sum slot starts at 0 and so never holds -0.0)
+            (variable,) = ends
+            return self._cells[variable].copy()
         final = TrendAccumulator.zero(self.plan.targets)
-        for variable in self.plan.automaton.end_variables:
+        for variable in ends:
             final.merge(self._cells[variable])
         return final
 

@@ -68,7 +68,7 @@ class EmissionRecord:
         grouping attribute or RETURN column of the same name cannot clobber
         them (query attribution must survive for downstream consumers).
         """
-        row: Dict[str, object] = dict(self.result.as_dict())
+        row: Dict[str, object] = self.result.as_dict()  # a fresh dict
         row["query"] = self.query
         if not math.isinf(self.watermark):
             row["watermark"] = self.watermark

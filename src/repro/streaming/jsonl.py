@@ -211,6 +211,15 @@ def write_jsonl_events(events: Iterable[Event], handle: TextIO) -> int:
     return written
 
 
+#: ``json.dumps(..., sort_keys=True, default=str)``'s encoder, built once
+#: instead of once per call
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+
+
 def record_to_json_line(record: EmissionRecord) -> str:
-    """One emitted result as a compact JSON line."""
-    return json.dumps(record.as_dict(), sort_keys=True, default=str)
+    """One emitted result as a compact JSON line.
+
+    Byte for byte ``json.dumps(record.as_dict(), sort_keys=True,
+    default=str)``, for anything with an ``as_dict()``.
+    """
+    return _ENCODER.encode(record.as_dict())

@@ -37,7 +37,7 @@ RUNTIME_METRICS = {
     "events_ingested": (
         "counter",
         "cogra_events_ingested_total",
-        "events accepted into the reorder buffer",
+        "non-punctuation events ingested, late ones included",
     ),
     "events_released": (
         "counter",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Dict, Iterable, List, Tuple
 
@@ -10,6 +11,15 @@ from repro.core.results import GroupResult
 from repro.core.type_grained import TypeGrainedAggregator
 from repro.events.event import Event
 from repro.query.semantics import Semantics
+
+
+def reference_record_line(record) -> str:
+    """The JSON line of an emitted record, as the standard library writes it.
+
+    ``repro.streaming.jsonl.record_to_json_line`` must write these bytes
+    for anything with an ``as_dict()``.
+    """
+    return json.dumps(record.as_dict(), sort_keys=True, default=str)
 
 
 def results_by_key(results: Iterable[GroupResult]) -> Dict[Tuple, Dict[str, object]]:

@@ -29,6 +29,7 @@ from repro.streaming.jsonl import (
 )
 from repro.streaming.observability import Observability, Tracer
 from repro.streaming.runtime import StreamingRuntime
+from repro.streaming.sources import JsonlFileSource
 from repro.streaming.sharded import ShardedRuntime
 
 QUERY_ANY = """
@@ -485,3 +486,134 @@ class TestJsonlBatchDecode:
                 read()
             # like the other malformed-field errors, it shows what was decoded
             assert repr(json.loads(line))[:40] in str(caught.value)
+
+
+# flat events, each line ending in "\n" as a file iterator yields it
+_FLAT = [
+    '{"type":"%s","time":%d,"g":"x","v":%d}\n' % ("AB"[i % 2], i, i) for i in range(9)
+]
+
+_TWO_OBJECTS = '{"type":"A","time":1}%s{"type":"A","time":2}'
+
+#: ``name -> lines``: shapes of real files, each decoded by the batched
+#: reader exactly as the per-line reader decodes it
+WIRE_CASES = {
+    "flat": _FLAT,
+    "no-final-newline": _FLAT[:-1] + [_FLAT[-1].rstrip("\n")],
+    "no-newlines": [line.rstrip("\n") for line in _FLAT],
+    # a decoder scanning the lines joined as "[" + ",".join(lines) + "]"
+    # would accept these two lines as two events; line 1 is not JSON
+    "separator-inside-a-line": [
+        '{"type":"A","time":1}\n,{"type":"B","time":2',
+        '"x":1}\n',
+    ],
+    "string-spanning-two-items": _FLAT[:2]
+    + ['{"type":"A","time":3,"s":"x', 'y"}']
+    + _FLAT[2:4],
+    # joined as "[[" + "],[".join(lines) + "]]", the array swallows one
+    # separator and the two-object line adds one back
+    "nested-array-spanning-two-items": _FLAT[:2]
+    + [
+        '{"type":"A","time":3,"v":[[1',
+        '2]]}',
+        '{"type":"B","time":4}],[{"type":"B","time":5}',
+    ]
+    + _FLAT[2:4],
+    "bracket-inside-a-string": _FLAT[:3]
+    + ['{"type":"A","time":3,"s":"[x]"}\n', '{"type":"A","time":4,"s":"],["}\n']
+    + _FLAT[3:],
+    "list-value": _FLAT[:3] + ['{"type":"A","time":3,"tags":[1,"x"]}\n'] + _FLAT[3:],
+    "crlf": [line.replace("\n", "\r\n") for line in _FLAT],
+    "bom": ["\ufeff" + _FLAT[0]] + _FLAT[1:],
+    "bom-mid-chunk": _FLAT[:4] + ["\ufeff" + _FLAT[4]] + _FLAT[5:],
+    "blank-and-comment-lines": _FLAT[:2]
+    + ["\n", "   \n", "# a comment\n", "  # another\n"]
+    + _FLAT[2:5]
+    + ["\r\n"]
+    + _FLAT[5:],
+    "aliases-and-nesting": _FLAT[:3]
+    + [
+        '{"event_type":"A","time":3,"attributes":{"g":"y","v":2}}\n',
+        '{"type":"B","time":4,"sequence":40,"attributes":{"v":3}}\n',
+    ]
+    + _FLAT[3:],
+    "bad-line-mid-chunk": _FLAT[:5] + ['{"type":"A","time":\n'] + _FLAT[5:],
+    "bad-time-mid-chunk": _FLAT[:5] + ['{"type":"A","time":-1}\n'] + _FLAT[5:],
+    "two-objects-on-a-line": _FLAT[:5] + [_TWO_OBJECTS % " "],
+    "two-objects-and-a-comma": _FLAT[:5] + [_TWO_OBJECTS % ","],
+    "trailing-comma": _FLAT[:5] + ['{"type":"A","time":1},\n'] + _FLAT[5:],
+}
+
+
+class TestWireShapes:
+    """The batched reader decodes odd but real files as the per-line reader does."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    @pytest.mark.parametrize("case", sorted(WIRE_CASES))
+    def test_a_slice_decodes_as_the_per_line_reader(self, case, batch_size):
+        lines = WIRE_CASES[case]
+        expected = decoded(lambda: list(read_jsonl_events(lines)))
+
+        def batched():
+            batches = list(read_jsonl_event_batches(lines, batch_size))
+            # every batch but the last is full, as the per-line reader's were
+            assert all(len(batch) == batch_size for batch in batches[:-1])
+            return [event for batch in batches for event in batch]
+
+        assert decoded(batched) == expected
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    @pytest.mark.parametrize("case", sorted(WIRE_CASES))
+    def test_a_file_source_decodes_as_the_per_line_reader(
+        self, tmp_path, case, batch_size
+    ):
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(WIRE_CASES[case]), encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as handle:
+            expected = decoded(lambda: list(read_jsonl_events(handle)))
+
+        def batched():
+            source = JsonlFileSource(path)
+            try:
+                batches = source.batches(batch_size)
+                return [event for batch in batches for event in batch]
+            finally:
+                source.close()
+
+        assert decoded(batched) == expected
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    def test_a_bad_line_mid_chunk_is_named_by_its_number(self, batch_size):
+        lines = _FLAT[:2] + ["# comment\n", "\n"] + _FLAT[2:4] + ["{nope\n"] + _FLAT[4:]
+        with pytest.raises(InvalidEventError, match="^line 7 is not valid JSON"):
+            list(read_jsonl_event_batches(lines, batch_size))
+
+    def test_the_separator_counterexample_is_rejected_at_line_1(self):
+        lines = WIRE_CASES["separator-inside-a-line"]
+        with pytest.raises(InvalidEventError, match="^line 1 is not valid JSON"):
+            list(read_jsonl_event_batches(lines, 64))
+
+    def test_events_after_a_fallback_line_keep_their_arrival_index(self):
+        lines = WIRE_CASES["list-value"] + WIRE_CASES["blank-and-comment-lines"]
+        (batch,) = read_jsonl_event_batches(lines, 64)
+        assert [event.sequence for event in batch] == list(range(len(batch)))
+
+    def test_only_lines_off_the_inline_path_reach_the_per_line_reader(
+        self, monkeypatch
+    ):
+        import repro.streaming.jsonl as jsonl
+
+        parsed = []
+
+        def per_line(line, default_sequence=0, line_number=None):
+            parsed.append(line_number)
+            return parse_jsonl_line(line, default_sequence, line_number)
+
+        monkeypatch.setattr(jsonl, "parse_jsonl_line", per_line)
+        for case in ("flat", "list-value", "bracket-inside-a-string", "crlf"):
+            list(read_jsonl_event_batches(WIRE_CASES[case], 64))
+        list(read_jsonl_event_batches(WIRE_CASES["blank-and-comment-lines"], 64))
+        assert parsed == []
+        # an alias and a nested-attributes line each go alone
+        list(read_jsonl_event_batches(WIRE_CASES["aliases-and-nesting"], 64))
+        assert parsed == [4, 5]
