@@ -29,6 +29,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.analyzer.granularity import Granularity, allowed_granularities
 from repro.analyzer.plan import CograPlan, plan_query
+from repro.errors import PlanningError
 from repro.query.query import Query
 from repro.query.semantics import Semantics
 
@@ -131,6 +132,19 @@ def estimate_two_step_trends(
     return per_type
 
 
+def _engine_plan(query: Query, forced_granularity=None) -> CograPlan:
+    """The plan :class:`~repro.core.engine.CograEngine` runs for ``query``.
+
+    A query with negated sub-patterns is planned for its positive part, and
+    mixed granularity escalates to event granularity (Section 8).
+    """
+    if not query.pattern.has_negation:
+        return plan_query(query, forced_granularity=forced_granularity)
+    from repro.extensions.negation import plan_negated_query  # imports this package
+
+    return plan_negated_query(query, forced_granularity)[0]
+
+
 def estimate_cost(
     query_or_plan,
     events_per_window: int = 10_000,
@@ -149,7 +163,7 @@ def estimate_cost(
         (mixed/event granularity); defaults to ``n`` divided by the pattern
         length.
     """
-    plan = query_or_plan if isinstance(query_or_plan, CograPlan) else plan_query(query_or_plan)
+    plan = query_or_plan if isinstance(query_or_plan, CograPlan) else _engine_plan(query_or_plan)
     length = plan.automaton.length
     target_count = len(plan.targets)
     cell = _cell_units(target_count)
@@ -200,15 +214,19 @@ def estimate_cost(
 def compare_granularities(
     query: Query, events_per_window: int = 10_000
 ) -> Dict[str, CostEstimate]:
-    """Cost estimates of every granularity that is correct for ``query``.
+    """Cost estimates of every granularity the engine accepts for ``query``.
 
     This is the static counterpart of the ablation benchmark: it shows what
-    forcing a finer granularity would cost before running anything.
+    forcing a finer granularity would cost before running anything.  Mixed
+    granularity is left out for a negated query, whose engine rejects it.
     """
-    plan = plan_query(query)
+    plan = _engine_plan(query)
     estimates: Dict[str, CostEstimate] = {}
     for granularity in allowed_granularities(plan.semantics, plan.classification):
-        forced = plan_query(query, forced_granularity=granularity)
+        try:
+            forced = _engine_plan(query, forced_granularity=granularity)
+        except PlanningError:
+            continue
         estimates[granularity.value] = estimate_cost(forced, events_per_window)
     return estimates
 

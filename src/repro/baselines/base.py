@@ -20,7 +20,7 @@ the paper's "does not terminate" data points.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional
 
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.core.aggregate_state import TrendAccumulator
@@ -156,17 +156,6 @@ class BaselineApproach:
         return f"{type(self).__name__}()"
 
 
-def adjacency_allows(
-    plan: CograPlan,
-    predecessor: Event,
-    predecessor_variable: str,
-    event: Event,
-    variable: str,
-) -> bool:
-    """Shared adjacency test used by the baselines (Definition 7, conditions 1-3)."""
-    return plan.adjacency_satisfied(predecessor, predecessor_variable, event, variable)
-
-
 def next_match_adjacent(
     plan: CograPlan,
     events: List[Event],
@@ -210,24 +199,3 @@ def contiguous_adjacent(
         events[predecessor_index], predecessor_variable, events[event_index], variable
     )
 
-
-def trend_accumulator_from_trends(
-    plan: CograPlan, trends: Iterable[Tuple[Tuple[int, str], ...]], events: List[Event]
-) -> TrendAccumulator:
-    """Fold explicitly constructed trends into a single accumulator.
-
-    ``trends`` contains tuples of ``(event index, variable)`` bindings; this
-    is the aggregation step of every two-step approach.
-    """
-    total = TrendAccumulator.zero(plan.targets)
-    for trend in trends:
-        accumulator: Optional[TrendAccumulator] = None
-        for event_index, variable in trend:
-            event = events[event_index]
-            if accumulator is None:
-                accumulator = TrendAccumulator.singleton(event, variable, plan.targets)
-            else:
-                accumulator = accumulator.extended(event, variable)
-        if accumulator is not None:
-            total.merge(accumulator)
-    return total

@@ -54,7 +54,6 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analyzer.cost import compare_granularities, estimate_cost
-from repro.analyzer.plan import plan_query
 from repro.baselines.registry import available_approaches
 from repro.bench.ablation import (
     mixed_vs_event_workload,
@@ -527,10 +526,11 @@ def _load_query_text(argument: str) -> str:
 
 def _command_explain(args) -> int:
     query = parse_query(_load_query_text(args.query))
-    plan = plan_query(query)
     print(query.describe())
     print()
-    print(plan.describe())
+    # the plan the engine runs: a negated query's is planned for its
+    # positive part, and mixed escalates to event
+    print(CograEngine(query).explain())
     return 0
 
 

@@ -11,7 +11,10 @@ adjacent events.  The pattern variables are split into
 
 In the extreme case ``Tt = ∅`` the aggregator degenerates to event-grained
 (GRETA-like) aggregation, which is exactly what the granularity selector
-reports as :class:`~repro.analyzer.granularity.Granularity.EVENT`.
+reports as :class:`~repro.analyzer.granularity.Granularity.EVENT`:
+:class:`~repro.core.event_grained.EventGrainedAggregator` is this class
+under another name, and the negation-aware event-grained aggregator
+(Section 8) folds through :func:`fold_mixed` too, with its cut-offs.
 
 Time complexity is ``O(n * (t + n_e))`` and space ``Θ(t + n_e)`` where ``t``
 is the number of type-grained variables and ``n_e`` the number of stored
@@ -32,6 +35,91 @@ from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import TrendAccumulator, fold_into
 from repro.core.base import SubstreamAggregator
 from repro.events.event import Event
+
+
+def fold_mixed(windows, run, negations=None) -> None:
+    """Algorithm 2, lines 5-14 (generalised to all Table 8 aggregates).
+
+    Events outer, the aggregators of ``windows`` -- one class, one plan --
+    inner.  A binding collects, in the order of the variable's predecessor
+    types, the cells of its ``Tt`` predecessors and of the adjacent stored
+    events of its ``Te`` predecessors, and folds them into the cell it ends
+    in.  With ``negations`` (the :class:`~repro.extensions.negation.
+    NegationTables` of aggregators that keep ``_cutoffs``) an unbound event
+    of a negated type blocks the ``Tp`` events stored so far from the
+    ``Tf`` variables (Section 8); stored events are appended in arrival
+    order, so one cut-off index per (component, ``Tp`` variable) says which.
+    """
+    plan = windows[0].plan
+    targets = plan.targets
+    scans = plan.scans
+    ends = plan.automaton.end_variables
+    type_grained = plan.type_grained
+    negated = cutoff_keys = None
+    if negations is not None:
+        negated, cutoff_keys = negations.by_type, negations.cell_keys
+    processed = 0
+    for event, binding in run:
+        if not binding:
+            # irrelevant events are skipped under skip-till-any-match
+            if negated and event.event_type in negated:
+                for component in negated[event.event_type]:
+                    for variable in component.predecessor_variables:
+                        key = (component.index, variable)
+                        for aggregator in windows:
+                            aggregator._cutoffs[key] = len(
+                                aggregator._event_cells[variable]
+                            )
+            continue
+        processed += 1
+        time = event.time
+        sequence = event.sequence
+        before = None
+        if len(binding) > 1 and type_grained:
+            # an event bound to several variables (repeated types,
+            # Section 8) is never its own predecessor: every binding
+            # reads the Tt cells as they were before the event (a stored
+            # node it just appended fails the scan's order check)
+            before = {}
+            for aggregator in windows:
+                cells = aggregator._type_cells
+                source = dict(cells)
+                for step, _values in binding:
+                    if step.variable in cells:
+                        source[step.variable] = cells[step.variable].copy()
+                before[aggregator] = source
+        for step, values in binding:
+            variable, _predecessors, starts, own, _attributes, _kernel = step
+            edges = scans[variable]
+            stores = variable not in type_grained
+            is_end = variable in ends
+            for aggregator in windows:
+                readable = (
+                    aggregator._type_cells if before is None else before[aggregator]
+                )
+                event_cells = aggregator._event_cells
+                sources = []
+                for name, scan in edges:
+                    if scan is None:
+                        sources.append(readable[name])
+                        continue
+                    nodes = event_cells[name]
+                    if cutoff_keys:
+                        key = cutoff_keys.get((name, variable))
+                        if key is not None:
+                            nodes = nodes[aggregator._cutoffs[key]:]
+                    scan(nodes, event, time, sequence, sources)
+                if stores:
+                    cell = TrendAccumulator(targets)
+                    fold_into((cell,), sources, starts, own, values)
+                    event_cells[variable].append((event, cell))
+                    if is_end:
+                        aggregator._final.merge(cell)
+                else:
+                    cell = aggregator._type_cells[variable]
+                    fold_into((cell,), sources, starts, own, values)
+    for aggregator in windows:
+        aggregator.events_processed += processed
 
 
 class MixedGrainedAggregator(SubstreamAggregator):
@@ -60,65 +148,8 @@ class MixedGrainedAggregator(SubstreamAggregator):
     # -- hot path -----------------------------------------------------------------
 
     def process_run(self, run, also=()) -> None:
-        """Algorithm 2, lines 5-14 (generalised to all Table 8 aggregates).
-
-        Events outer, the aggregators of ``self`` and ``also`` inner.  A
-        binding collects, in the order of the variable's predecessor types,
-        the cells of its ``Tt`` predecessors and of the adjacent stored
-        events of its ``Te`` predecessors, and folds them into the cell it
-        ends in.
-        """
-        plan = self.plan
-        targets = plan.targets
-        scans = plan.scans
-        ends = plan.automaton.end_variables
-        windows = (self, *also)
-        processed = 0
-        for event, binding in run:
-            if not binding:
-                continue  # irrelevant events are skipped under skip-till-any-match
-            processed += 1
-            time = event.time
-            sequence = event.sequence
-            before = None
-            if len(binding) > 1:
-                # an event bound to several variables (repeated types,
-                # Section 8) is never its own predecessor: every binding
-                # reads the Tt cells as they were before the event (a stored
-                # node it just appended fails the scan's order check)
-                before = {}
-                for aggregator in windows:
-                    cells = aggregator._type_cells
-                    source = dict(cells)
-                    for step, _values in binding:
-                        if step.variable in cells:
-                            source[step.variable] = cells[step.variable].copy()
-                    before[aggregator] = source
-            for step, values in binding:
-                variable, _predecessors, starts, own, _attributes, _kernel = step
-                edges = scans[variable]
-                is_end = variable in ends
-                for aggregator in windows:
-                    type_cells = aggregator._type_cells
-                    readable = type_cells if before is None else before[aggregator]
-                    event_cells = aggregator._event_cells
-                    sources = []
-                    for name, scan in edges:
-                        if scan is None:
-                            sources.append(readable[name])
-                        else:
-                            scan(event_cells[name], event, time, sequence, sources)
-                    cell = type_cells.get(variable)
-                    stored = cell is None
-                    if stored:
-                        cell = TrendAccumulator(targets)
-                    fold_into((cell,), sources, starts, own, values)
-                    if stored:
-                        event_cells[variable].append((event, cell))
-                        if is_end:
-                            aggregator._final.merge(cell)
-        for aggregator in windows:
-            aggregator.events_processed += processed
+        """Fold the run into ``self`` and ``also`` (:func:`fold_mixed`)."""
+        fold_mixed((self, *also), run)
 
     # -- results -------------------------------------------------------------------
 
@@ -137,6 +168,9 @@ class MixedGrainedAggregator(SubstreamAggregator):
     def stored_events(self, variable: str) -> List[Tuple[Event, TrendAccumulator]]:
         """Stored (event, accumulator) pairs of a ``Te`` variable."""
         return list(self._event_cells[variable])
+
+    #: GRETA's name for the stored events: the nodes of its graph
+    stored_nodes = stored_events
 
     # -- memory accounting -------------------------------------------------------------
 

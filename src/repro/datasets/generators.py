@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 
 def seeded_rng(seed: Optional[int]) -> random.Random:
@@ -74,7 +74,3 @@ def spread_timestamps(config: StreamConfig) -> Iterator[float]:
         yield round(time, 6)
         time += step
 
-
-def round_robin(items: Sequence, index: int):
-    """Cycle deterministically through ``items``."""
-    return items[index % len(items)]

@@ -69,7 +69,8 @@ from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.core.aggregate_state import TrendAccumulator, fold_into
 from repro.core.base import SubstreamAggregator, create_aggregator
-from repro.core.event_grained import EventGrainedAggregator, fold_stored_events
+from repro.core.event_grained import EventGrainedAggregator
+from repro.core.mixed_grained import fold_mixed
 from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.errors import InvalidPatternError, PlanningError
 from repro.events.event import Event
@@ -518,9 +519,11 @@ class NegationEventGrainedAggregator(EventGrainedAggregator):
 
     Every stored event of a ``Tp`` variable that arrived before the most
     recent match of the negated type is blocked from contributing to events
-    of the corresponding ``Tf`` variables.  Because stored nodes are
+    of the corresponding ``Tf`` variables.  Because stored events are
     appended in arrival order a single cut-off index per (component, ``Tp``
-    variable) encodes the blocked set.
+    variable) encodes the blocked set.  The fold is Algorithm 2's
+    (:func:`~repro.core.mixed_grained.fold_mixed`), which moves the cut-offs
+    where a negated event falls and reads past them.
     """
 
     __slots__ = ("_tables", "_cutoffs")
@@ -531,23 +534,7 @@ class NegationEventGrainedAggregator(EventGrainedAggregator):
         self._cutoffs: Dict[Tuple[int, str], int] = dict.fromkeys(tables.state_keys(), 0)
 
     def process_run(self, run, also=()) -> None:
-        """The event-grained fold, the cut-offs moved where a negated event falls."""
-        tables = self._tables
-        negated = tables.by_type
-        windows = (self, *also)
-        start = 0
-        for position, (event, binding) in enumerate(run):
-            if binding or event.event_type not in negated:
-                continue
-            fold_stored_events(windows, run[start:position], tables.cell_keys)
-            start = position + 1
-            for component in negated[event.event_type]:
-                for variable in component.predecessor_variables:
-                    for aggregator in windows:
-                        aggregator._cutoffs[(component.index, variable)] = len(
-                            aggregator._nodes[variable]
-                        )
-        fold_stored_events(windows, run[start:] if start else run, tables.cell_keys)
+        fold_mixed((self, *also), run, self._tables)
 
 
 def create_negation_aggregator(plan: CograPlan, components) -> SubstreamAggregator:

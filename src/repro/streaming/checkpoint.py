@@ -169,14 +169,16 @@ def _apply_mixed(aggregator, state) -> None:
 
 
 def _extract_event(aggregator) -> Dict[str, object]:
+    # an event-grained aggregator is a mixed-grained one with no Tt cells;
+    # its stored events keep their name of the GRETA graph's nodes
     return {
-        "nodes": _snapshot_node_lists(aggregator._nodes),
+        "nodes": _snapshot_node_lists(aggregator._event_cells),
         "final": snapshot_accumulator(aggregator._final),
     }
 
 
 def _apply_event(aggregator, state) -> None:
-    aggregator._nodes = _restore_node_lists(state["nodes"])
+    aggregator._event_cells = _restore_node_lists(state["nodes"])
     aggregator._final = restore_accumulator(state["final"])
 
 

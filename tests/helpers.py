@@ -133,7 +133,7 @@ def reference_event_grained_process(aggregator, event: Event, blocked_below=None
         predecessor = TrendAccumulator.zero(plan.targets)
         for predecessor_variable in predecessors_of(plan, variable):
             skip = blocked_below(predecessor_variable, variable) if blocked_below else 0
-            nodes = aggregator._nodes[predecessor_variable]
+            nodes = aggregator._event_cells[predecessor_variable]
             for position, (stored_event, stored_cell) in enumerate(nodes):
                 if position < skip:
                     continue
@@ -143,7 +143,7 @@ def reference_event_grained_process(aggregator, event: Event, blocked_below=None
                     predecessor.merge(stored_cell)
         staged.append((variable, _literal_cell(plan, event, variable, predecessor)))
     for variable, cell in staged:
-        aggregator._nodes[variable].append((event, cell))
+        aggregator._event_cells[variable].append((event, cell))
         if plan.is_end(variable):
             aggregator._final.merge(cell)
 
@@ -275,7 +275,7 @@ def reference_negation_event_grained_process(aggregator, event: Event, component
         for component in negated:
             for variable in component.predecessor_variables:
                 aggregator._cutoffs[(component.index, variable)] = len(
-                    aggregator._nodes[variable]
+                    aggregator._event_cells[variable]
                 )
         return
 

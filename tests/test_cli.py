@@ -34,6 +34,19 @@ class TestCli:
         assert cells[0] == "C" and cells[-2:] == ["no", "C"]
         assert sorted(cell.rstrip(",") for cell in cells[1:-2]) == ["B", "C"]
 
+    def test_explain_prints_the_plan_the_engine_runs_for_a_negated_query(self, capsys):
+        """A negated query's mixed plan is escalated to event granularity."""
+        text = (
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS any "
+            "WHERE [g] AND A.v < NEXT(A).v"
+        )
+        assert main(["explain", text]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "granularity : event (forced; selector would pick mixed)" in lines
+        assert "Tt (type)   : []" in lines
+        assert "Te (event)  : ['A', 'B']" in lines
+        assert "negations   : NOT C between ['A'] and ['B']" in lines
+
     def test_explain_reads_query_from_file(self, tmp_path, capsys):
         path = tmp_path / "query.cep"
         path.write_text(Q_TEXT)

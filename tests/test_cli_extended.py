@@ -25,6 +25,19 @@ class TestCostCommand:
         assert "forced granularity: type" in output
         assert "forced granularity: event" in output
 
+    def test_cost_estimates_the_plan_the_engine_runs_for_a_negated_query(self, capsys):
+        """The engine runs a negated mixed-eligible query at event
+        granularity and rejects a forced mixed one: neither is estimated."""
+        text = (
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS any "
+            "WHERE [g] AND A.v < NEXT(A).v"
+        )
+        assert main(["cost", text, "--compare"]) == 0
+        output = capsys.readouterr().out
+        assert output.splitlines()[0].split() == ["granularity", ":", "event"]
+        assert "forced granularity: event" in output
+        assert "mixed" not in output
+
 
 class TestGenerateAndStats:
     def test_generate_writes_csv(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from repro.core.engine import CograEngine
 from repro.datasets.queries import running_example_query
 from repro.events.event import Event
 from repro.query.ast import atom, kleene_plus, sequence
+from repro.query.parser import parse_query
 from repro.query.predicates import comparison
 from repro.query.semantics import Semantics
 
@@ -152,3 +153,13 @@ class TestCompareGranularities:
         query = build_query(kleene_plus("A"), semantics="contiguous")
         estimates = compare_granularities(query)
         assert set(estimates) == {"pattern"}
+
+    def test_negated_queries_are_estimated_as_the_engine_plans_them(self):
+        """The engine escalates a negated query's mixed plan to event
+        granularity and rejects a forced mixed one."""
+        query = parse_query(
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS any "
+            "WHERE [g] AND A.v < NEXT(A).v"
+        )
+        assert estimate_cost(query).granularity is Granularity.EVENT
+        assert set(compare_granularities(query)) == {"event"}

@@ -214,6 +214,34 @@ SHAPES = [
           "COUNT(*), SUM(X.v), AVG(Y.v)", where="X.v < NEXT(X).v"),
 ]
 
+
+class AsMixed(Shape):
+    """An EVENT-planned shape folded by :class:`MixedGrainedAggregator` itself.
+
+    Event granularity is Algorithm 2 with ``Tt = ∅``: on the same plan the
+    mixed-grained class must match the same literal recurrence and leave the
+    checkpoint :func:`create_aggregator`'s class leaves (:func:`check_every_run`).
+    """
+
+    def __init__(self, shape):
+        vars(self).update(vars(shape))
+
+    def __repr__(self):
+        return f"MixedGrainedAggregator on an event plan: {self.text}"
+
+    def build(self):
+        plan, _make, reference = super().build()
+
+        def make():
+            return MixedGrainedAggregator(plan)
+
+        return plan, make, reference
+
+
+SHAPES += [
+    AsMixed(shape) for shape in SHAPES if shape.expected is EventGrainedAggregator
+]
+
 INTEGERS = st.integers(min_value=-50, max_value=50)
 FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False) | st.sampled_from(
     [0.1, 0.2, 0.3, -0.0, 1e-9, 1e15 + 0.5]
@@ -222,6 +250,17 @@ FLOATS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False) | st.sampled_
 
 def state_of(aggregator):
     return json.dumps(snapshot_aggregator(aggregator))
+
+
+def in_event_layout(aggregator):
+    """A mixed-grained checkpoint with no ``Tt`` cells, laid out as the
+    event-grained class writes it: the stored events under ``"nodes"``."""
+    snapshot = snapshot_aggregator(aggregator)
+    state = snapshot["state"]
+    assert state["type_cells"] == {}
+    snapshot["class"] = EventGrainedAggregator.__name__
+    snapshot["state"] = {"nodes": state["event_cells"], "final": state["final"]}
+    return json.dumps(snapshot)
 
 
 def events_of(rows):
@@ -280,8 +319,12 @@ def check_every_run(shape, events, cuts):
     """``process_run`` by runs and ``process`` by events against the recurrence."""
     plan, make, reference = shape.build()
     folded, one_by_one, oracle = make(), make(), make()
+    twin = create_aggregator(plan) if isinstance(shape, AsMixed) else None
     for run in slices(events, cuts):
         folded.process_run(bound(plan, run))
+        if twin is not None:
+            twin.process_run(bound(plan, run))
+            assert in_event_layout(folded) == state_of(twin)
         for event in run:
             one_by_one.process(event)
             reference(oracle, event)
@@ -448,6 +491,16 @@ class TestWhatAnAggregatorIsHandedAndHolds:
                 direct.process(event)
             assert direct.trend_count == count
             assert sum(r.trend_count for r in CograEngine(text).run(events)) == count
+
+    def test_event_granularity_is_the_mixed_class_with_no_type_cells(self):
+        """Algorithm 2 with ``Tt = ∅``: a class of its own only for its name."""
+        event_class = aggregator_class(Granularity.EVENT)
+        assert issubclass(event_class, MixedGrainedAggregator)
+        own = vars(event_class)
+        for name in ("__init__", "process_run", "final_accumulator", "storage_units",
+                     "stored_event_count"):
+            assert name not in own, name
+        assert own["__slots__"] == ()
 
     def test_no_aggregator_has_a_dict(self):
         plain = plan_query(parse_query("RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS contiguous"))
