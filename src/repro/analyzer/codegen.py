@@ -1,8 +1,15 @@
 """Compiling the per-plan functions a :class:`~repro.analyzer.plan.CograPlan` generates.
 
 A plan generates its hot-path functions at build time: the grouper
-(:meth:`CograPlan.group`), one predecessor scan per automaton edge and one
-type-grained kernel per variable.  Every generator follows the same rules:
+(:meth:`CograPlan.group`) and, per pattern variable, the folds its
+aggregators can run -- Algorithm 1's type-grained kernel when a plan of the
+query may be type-grained, Algorithm 2's step (each automaton edge whose
+predecessor stores events scanned inside it) at MIXED and EVENT
+granularity, Algorithm 3's at PATTERN -- and the negation planner the
+negation type-grained fold, once per query.  Every fold is emitted from
+one template of the recurrence's per-target arithmetic
+(:class:`repro.core.type_grained.Recurrence`).  Every generator follows
+the same rules:
 
 * the source holds only integers, operators from a fixed table and names
   the generator made -- event types, attribute and variable names and

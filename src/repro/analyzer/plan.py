@@ -8,8 +8,8 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 * the aggregation targets derived from the RETURN clause, and
 * fast helpers used on the per-event hot path (variable binding, local
   predicate filtering, adjacency checks), compiled once per plan so that no
-  aggregator carries a copy -- the grouper, the predecessor scans and the
-  type-grained kernels as generated code (:mod:`repro.analyzer.codegen`).
+  aggregator carries a copy -- the grouper and the folds as generated code
+  (:mod:`repro.analyzer.codegen`).
 """
 
 from __future__ import annotations
@@ -35,13 +35,16 @@ from repro.query.semantics import Semantics
 
 
 class FoldStep(NamedTuple):
-    """What binding an event to one variable does to the type-grained cells.
+    """What binding an event to one variable does to the cells.
 
     Compiled once per plan (Algorithm 1 reads nothing else about the
     pattern): the cells to collect predecessor trends from, whether the
     event also starts a trend of its own, and which of the plan's targets
     the event itself occurs in -- and all of that once more as the
-    type-grained kernel generated from it.
+    type-grained kernel generated from it.  The kernel reads nothing a
+    plan of another granularity would change, so after a live migration
+    a binding of the new plan still folds into the old plan's
+    type-grained aggregators.
     """
 
     variable: str
@@ -54,8 +57,9 @@ class FoldStep(NamedTuple):
     #: per plan target: the attribute to read off the event, else ``None``
     attributes: Tuple[Optional[str], ...]
     #: ``kernel(windows, values, before)``: the step applied to the cells
-    #: of type-grained aggregators (:func:`repro.core.type_grained.fold_kernel`)
-    kernel: Callable
+    #: of type-grained aggregators (:func:`repro.core.type_grained.fold_kernel`);
+    #: ``None`` when no plan of the query is type-grained
+    kernel: Optional[Callable]
 
 
 #: One event resolved against a plan: a ``(step, values)`` pair per variable
@@ -117,17 +121,6 @@ class CograPlan:
             for succ in self.automaton.variables
             for pred in self.automaton.pred_types(succ)
         }
-        #: ``(predecessor variable, successor variable)`` -> the bare
-        #: ``(predecessor event, successor event)`` callables of the pair's
-        #: adjacent predicates, for every edge of the automaton (``()`` for an
-        #: unconstrained one).  The pattern-grained fold checks its one last
-        #: event against this instead of :meth:`adjacency_satisfied`: a
-        #: missing key is "not a predecessor type", and the order check is
-        #: its to inline.
-        self.adjacent_conditions: Dict[Tuple[str, str], Tuple] = {
-            pair: tuple(_condition_of(predicate) for predicate in predicates)
-            for pair, predicates in self._adjacent_by_pair.items()
-        }
         # event types whose candidate variables are event-independent (no
         # local predicate on any variable of the type): the by far most
         # common case, bound without asking a predicate
@@ -138,14 +131,17 @@ class CograPlan:
                 self._unconditional_by_type[event_type] = variables
 
         # imported here, not at the top: repro.core imports this module
+        from repro.core.mixed_grained import mixed_step
+        from repro.core.pattern_grained import pattern_step
         from repro.core.type_grained import fold_kernel
 
+        # every plan of the query compiles the type kernels when one of them
+        # may be type-grained: a live migration feeds the bindings of the
+        # new plan to the old plan's aggregators
+        kernels = Granularity.TYPE in allowed_granularities(
+            query.semantics, self.classification
+        )
         self._fold_steps: Dict[str, FoldStep] = {}
-        #: variable -> ``(predecessor, scan)`` per predecessor, in the order of
-        #: its :class:`FoldStep`: the edge's generated predecessor scan
-        #: (:func:`edge_scan`) when the predecessor stores its events, else
-        #: ``None`` (its one cell is read instead)
-        self.scans: Dict[str, Tuple[Tuple[str, Optional[Callable]], ...]] = {}
         for variable in self.automaton.variables:
             # pattern order: the order the folds add predecessor sums in,
             # the same in every process whatever its hash seed
@@ -170,20 +166,29 @@ class CograPlan:
                     predecessors,
                     starts,
                     own,
-                ),
-            )
-            self.scans[variable] = tuple(
-                (
-                    name,
-                    edge_scan(
-                        f"<scan {query.name}:{name}->{variable}>",
-                        self._adjacent_by_pair[(name, variable)],
-                    )
-                    if name in self.event_grained
-                    else None,
                 )
-                for name in predecessors
+                if kernels
+                else None,
             )
+        #: variable -> the fold of an event bound to it at this plan's own
+        #: granularity, where that is not the type kernel: Algorithm 2's step
+        #: at MIXED and EVENT granularity (``step(windows, event, values,
+        #: before, cut)``, :func:`~repro.core.mixed_grained.mixed_step`),
+        #: Algorithm 3's at PATTERN (``step(windows, event, values)``,
+        #: :func:`~repro.core.pattern_grained.pattern_step`).  They depend on
+        #: the plan's ``Tt`` / ``Te`` split, so an aggregator takes them from
+        #: its own plan, never from a binding's step.
+        self.folds: Dict[str, Callable] = {}
+        if self.granularity.keeps_events:
+            for variable, step in self._fold_steps.items():
+                self.folds[variable] = mixed_step(
+                    f"<mixed fold {query.name}:{variable}>", step, self
+                )
+        elif self.granularity is Granularity.PATTERN:
+            for variable, step in self._fold_steps.items():
+                self.folds[variable] = pattern_step(
+                    f"<pattern fold {query.name}:{variable}>", step, self
+                )
         # bindings that do not depend on the event at all: no local predicate
         # decides the variables and no target reads an attribute
         no_values = (None,) * len(self.targets)
@@ -365,7 +370,7 @@ class CograPlan:
 
     def _describe_fold_steps(self) -> List[str]:
         """The FoldStep table: per variable, what binding an event to it does."""
-        rows = [("variable", "predecessors", "starts", "own targets")]
+        rows = [("variable", "predecessors", "starts", "own targets", "kernel")]
         for step in self._fold_steps.values():
             own = [
                 f"{variable}.{attribute}" if attribute else variable
@@ -378,13 +383,35 @@ class CograPlan:
                     ", ".join(step.predecessors) or "-",
                     "yes" if step.starts else "no",
                     ", ".join(own) or "-",
+                    self.kernel_shape(step.variable),
                 )
             )
         return _table("fold steps  : ", rows)
 
+    def kernel_shape(self, variable: str) -> str:
+        """The shape of the fold this plan's own aggregators run for ``variable``.
+
+        ``pattern`` at PATTERN granularity; ``scanned`` when a predecessor
+        stores its events; ``self-loop`` when the only cell the step
+        extends is its own; ``fixed predecessors`` otherwise.
+        """
+        if self.granularity is Granularity.PATTERN:
+            return "pattern"
+        step = self._fold_steps[variable]
+        if any(name in self.event_grained for name in step.predecessors):
+            return "scanned"
+        if step.predecessors == (variable,):
+            return "self-loop"
+        return "fixed predecessors"
+
+    @property
+    def fold_steps(self) -> Dict[str, FoldStep]:
+        """Variable -> its :class:`FoldStep`, in pattern order."""
+        return self._fold_steps
+
     def _describe_edges(self) -> List[str]:
         """The edge table: per automaton edge, its adjacent predicates, each
-        compared ``inline`` by the edge's generated scan or ``called``."""
+        compared ``inline`` by the generated folds or ``called``."""
         rows = [("edge", "predicates")]
         for variable, step in self._fold_steps.items():
             for name in step.predecessors:
@@ -458,62 +485,71 @@ def _inline(predicate) -> Optional[Tuple[str, str, str]]:
     return predicate.compares
 
 
-def edge_scan(label: str, predicates) -> Callable:
-    """Compile the predecessor scan of one automaton edge.
+def adjacency_checks(
+    predicates, constants: Constants, edge: int, stored: str
+) -> Tuple[List[str], List[str], int]:
+    """The source that decides an edge's adjacent ``predicates`` for one pair.
 
-    Returns ``scan(nodes, event, time, sequence, sources)``: append to
-    ``sources`` the cell of every stored ``(event, cell)`` pair of
-    ``nodes`` adjacent to ``event`` along the edge, ``(time, sequence)``
-    being the order key of ``event``.  Definition 7, conditions 2-3: the
-    stored event strictly precedes ``event`` -- which also keeps an event
-    from preceding itself when it binds to several variables (Section 8)
-    -- and the pair satisfies every one of ``predicates``, the edge's
-    adjacent predicates.
-
-    Each ``X.a op NEXT(Y).b`` (:func:`_inline`) is compared inline under
+    Returns ``(hoisted, checks, depth)``.  ``checks`` are nested ``if``
+    lines, one level per predicate in ``predicates`` order: a fold that
+    appends its body ``depth`` levels deeper runs it when the stored event
+    named ``stored`` and the bound ``event`` satisfy them all.  Each
+    ``X.a op NEXT(Y).b`` (:func:`_inline`) is compared inline under
     :func:`~repro.query.predicates.comparison`'s rule (a missing side is
-    false); any other predicate is called.  What the scan reads off
-    ``event`` is read once, before the loop; every decision is made per
-    stored event, predicate by predicate in ``predicates`` order, as
-    calling them would.
+    false); any other predicate is called.  ``hoisted`` reads what the
+    checks need off ``event`` into ``right_EDGE_N`` names, after
+    ``attributes = event.attributes``, once per call of the fold.
     """
-    constants = Constants()
     hoisted: List[str] = []
     checks: List[str] = []
     for number, predicate in enumerate(predicates):
+        pad = "    " * number
         compares = _inline(predicate)
         if compares is None:
             condition = constants("predicate", _condition_of(predicate))
-            checks.append(f"if not {condition}(stored, event):")
-            checks.append("    continue")
+            checks.append(f"{pad}if {condition}({stored}, event):")
             continue
         left_attribute, op, right_attribute = compares
-        left, right = f"left_{number}", f"right_{number}"
+        right = f"right_{edge}_{number}"
         hoisted.append(f"{right} = attributes.get({constants('attribute', right_attribute)})")
-        checks.append(f"{left} = stored.attributes.get({constants('attribute', left_attribute)})")
         checks.append(
-            f"if {left} is None or {right} is None or not {left} {_OPERATORS[op]} {right}:"
+            f"{pad}left = {stored}.attributes.get({constants('attribute', left_attribute)})"
         )
-        checks.append("    continue")
-    body = ["attributes = event.attributes"] if hoisted else []
-    body += hoisted
-    body += [
-        "for stored, cell in nodes:",
+        checks.append(
+            f"{pad}if left is not None and {right} is not None "
+            f"and left {_OPERATORS[op]} {right}:"
+        )
+    return hoisted, checks, len(predicates)
+
+
+def edge_scan(
+    predicates, constants: Constants, edge: int
+) -> Tuple[List[str], List[str], int]:
+    """The predecessor scan of one automaton edge, for a fold to fuse.
+
+    Returns ``(hoisted, loop, depth)``: ``loop`` runs over the stored
+    ``(stored, node)`` pairs the fold binds to ``nodes`` and reaches ``depth`` levels of
+    indentation for every one adjacent to ``event`` along the edge, where
+    the fold adds ``node`` to its sums; ``hoisted`` is what
+    :func:`adjacency_checks` reads off ``event``, once per call.  The fold
+    binds ``time`` and ``sequence`` to the order key of ``event``.
+    Definition 7, conditions 2-3: the stored event strictly precedes
+    ``event`` -- which also keeps an event from preceding itself when it
+    binds to several variables (Section 8) -- and the pair satisfies every
+    one of ``predicates``, the edge's adjacent predicates, decided per
+    stored event, predicate by predicate.
+
+    An edge shape of its own (an index over the stored events, say) is one
+    more emitter with this signature.
+    """
+    hoisted, checks, depth = adjacency_checks(predicates, constants, edge, "stored")
+    loop = [
+        "for stored, node in nodes:",
         "    stored_time = stored.time",
         "    if stored_time < time or (stored_time == time and stored.sequence < sequence):",
         *(f"        {line}" for line in checks),
-        "        sources.append(cell)",
     ]
-    source = "\n".join(
-        [
-            f"def build({', '.join(constants.names)}):",
-            "    def scan(nodes, event, time, sequence, sources):",
-            *(f"        {line}" for line in body),
-            "    return scan",
-            "",
-        ]
-    )
-    return compile_generated(label, source, *constants.values)
+    return hoisted, loop, depth + 2
 
 
 def _group_functions(plan: "CograPlan") -> Tuple[Callable, Callable]:

@@ -25,14 +25,16 @@ once per query, and :func:`read_columns` reads every closed window's rows
 off that.
 
 The aggregators' hot paths do not chain those operations -- every link is a
-throw-away accumulator -- but apply what the chain computes in place, through
-the two module-level kernels :func:`fold_into` and :func:`extend_in_place`,
-to an event already resolved by :meth:`repro.analyzer.plan.CograPlan.bind`.
+throw-away accumulator -- but apply what the chain computes in place, slot
+by slot, in folds each plan generates per pattern variable from one template
+(:class:`repro.core.type_grained.Recurrence`), to an event already resolved
+by :meth:`repro.analyzer.plan.CograPlan.bind`.  :meth:`TrendAccumulator.merge`
+stays for closing windows and the baselines.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.errors import InvalidQueryError
 from repro.events.event import Event
@@ -297,124 +299,3 @@ def read_columns(
         else:
             values[name] = slots[slot] / slots[count]
     return values
-
-
-# -- in-place kernels of the aggregators' hot paths -------------------------------
-
-
-def fold_into(
-    cells: Sequence[TrendAccumulator],
-    sources: Sequence[TrendAccumulator],
-    starts: int,
-    own: Tuple[bool, ...],
-    values: Tuple,
-) -> None:
-    """Add to each of ``cells`` the trends of ``sources`` extended by one event.
-
-    The event is given as :meth:`~repro.analyzer.plan.CograPlan.bind`
-    resolved it: ``starts`` is 1 when it also begins a trend of its own,
-    ``own`` marks the targets on its variable and ``values`` holds what they
-    read off it.  What ``zero`` -> ``merge(source)``... -> ``extended`` ->
-    ``merge(singleton)`` would build in three accumulators is summed per
-    target in the same order of additions (float sums depend on it) and
-    added to ``cells`` -- a fresh cell for an event that is stored, the
-    cell of the event's variable where it is not.  A cell may be among its
-    own ``sources`` (a Kleene self-loop): every slot, and every source's
-    trend count, is read before any cell is written.
-    """
-    extended = 0
-    for source in sources:
-        extended += source.trend_count
-    multiplicity = extended + starts
-    if not multiplicity:
-        return  # nothing to extend and no trend to start
-    for cell in cells:
-        cell.trend_count += multiplicity
-    # target ``index`` lives at ``slots[base:base + WIDTH]``
-    index = -1
-    base = -WIDTH
-    for is_own in own:
-        index += 1
-        base += WIDTH
-        count = total = 0
-        low = high = None
-        for source in sources:
-            theirs = source.slots
-            count += theirs[base]
-            total += theirs[base + 1]
-            other = theirs[base + 2]
-            if other is not None:
-                if low is None or not low <= other:
-                    low = other
-                other = theirs[base + 3]
-                if high is None or not high >= other:
-                    high = other
-        if is_own:
-            count += multiplicity
-            value = values[index]
-            if value is not None:
-                if extended:
-                    try:
-                        total += value * extended
-                    except OverflowError:
-                        # the trend count is exponential in the number of
-                        # events; saturate SUM/AVG
-                        total = float("inf") if value >= 0 else float("-inf")
-                if starts:
-                    total += value
-                if low is None or not low <= value:
-                    low = value
-                if high is None or not high >= value:
-                    high = value
-        for cell in cells:
-            slots = cell.slots
-            slots[base] += count
-            slots[base + 1] += total
-            if low is not None:
-                current = slots[base + 2]
-                if current is None or not current <= low:
-                    slots[base + 2] = low
-                current = slots[base + 3]
-                if current is None or not current >= high:
-                    slots[base + 3] = high
-
-
-def extend_in_place(
-    cell: TrendAccumulator, starts: int, own: Tuple[bool, ...], values: Tuple
-) -> None:
-    """Turn ``cell`` into ``cell.extended(event)``, plus the event's own trend.
-
-    :func:`fold_into` for the one case where the source is the cell written
-    and is not kept (the pattern-grained last cell): the trends of ``cell``
-    each gain the event, and ``starts`` one-event trends join them.
-    """
-    extended = cell.trend_count
-    multiplicity = extended + starts
-    if not multiplicity:
-        return
-    cell.trend_count = multiplicity
-    slots = cell.slots
-    index = -1
-    base = -WIDTH
-    for is_own in own:
-        index += 1
-        base += WIDTH
-        if not is_own:
-            continue
-        slots[base] += multiplicity
-        value = values[index]
-        if value is None:
-            continue
-        if extended:
-            try:
-                slots[base + 1] += value * extended
-            except OverflowError:
-                slots[base + 1] = float("inf") if value >= 0 else float("-inf")
-        if starts:
-            slots[base + 1] += value
-        current = slots[base + 2]
-        if current is None or not current <= value:
-            slots[base + 2] = value
-        current = slots[base + 3]
-        if current is None or not current >= value:
-            slots[base + 3] = value

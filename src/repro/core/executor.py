@@ -25,7 +25,7 @@ from repro.core.aggregate_state import read_columns, result_columns
 from repro.core.base import SubstreamAggregator, aggregator_class, create_aggregator
 from repro.core.partitioner import window_bounds
 from repro.core.results import GroupResult
-from repro.errors import StreamOrderError
+from repro.errors import StreamOrderError, UnsupportedQueryError
 from repro.events.event import Event
 from repro.query.query import Query
 
@@ -66,6 +66,17 @@ class QueryExecutor:
         else:
             raise TypeError(f"expected a Query or CograPlan, got {type(query).__name__}")
         self.query = self.plan.query
+        if self.query.min_trend_length > 1:
+            # the folds count every trend; until Section 8's unrolling of a
+            # minimal trend length is applied, such a query is refused here
+            # rather than answered as if the field were 1 (the enumeration
+            # oracle, which plans with CograPlan too, does apply it)
+            raise UnsupportedQueryError(
+                f"query {self.query.name!r}: min_trend_length="
+                f"{self.query.min_trend_length} is not supported by the engine; "
+                "rewrite the pattern with "
+                "repro.extensions.rewrites.expand_min_trend_length instead"
+            )
         self.emit_empty_groups = emit_empty_groups
         #: plan -> aggregator for any plan of this query (a restore after a
         #: live migration rebuilds aggregators of the previous granularity)

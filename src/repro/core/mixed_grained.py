@@ -20,20 +20,29 @@ Time complexity is ``O(n * (t + n_e))`` and space ``Θ(t + n_e)`` where ``t``
 is the number of type-grained variables and ``n_e`` the number of stored
 events (Theorems 5.2 and 5.3).
 
-The hot path is the type-grained fold for an event of a ``Tt`` variable (its
-cell is added to in place, nothing is built) and the event-grained one for
-an event of a ``Te`` variable (one cell, for the node that is stored); both
-collect the cells of their ``Te`` predecessors through the plan's generated
-scan of the edge (:func:`~repro.analyzer.plan.edge_scan`).
+The plan compiles one step per variable (:func:`mixed_step`, emitted from
+the template of :mod:`repro.core.type_grained`): the cells of its ``Tt``
+predecessors unrolled, and the scan of each ``Te`` edge fused into the fold
+(:func:`~repro.analyzer.plan.edge_scan`), so a stored cell that qualifies
+is added to the sums where the scan finds it.  A binding of a ``Tt``
+variable adds them to its cell in place; a binding of a ``Te`` variable
+builds one cell, for the node that is stored.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from repro.analyzer.plan import CograPlan
-from repro.core.aggregate_state import TrendAccumulator, fold_into
+from repro.analyzer.codegen import Constants
+from repro.analyzer.plan import CograPlan, FoldStep, edge_scan
+from repro.core.aggregate_state import TrendAccumulator
 from repro.core.base import SubstreamAggregator
+from repro.core.type_grained import (
+    Recurrence,
+    cell_names,
+    compile_fold,
+    fixed_predecessors,
+)
 from repro.events.event import Event
 
 
@@ -41,23 +50,21 @@ def fold_mixed(windows, run, negations=None) -> None:
     """Algorithm 2, lines 5-14 (generalised to all Table 8 aggregates).
 
     Events outer, the aggregators of ``windows`` -- one class, one plan --
-    inner.  A binding collects, in the order of the variable's predecessor
-    types, the cells of its ``Tt`` predecessors and of the adjacent stored
-    events of its ``Te`` predecessors, and folds them into the cell it ends
-    in.  With ``negations`` (the :class:`~repro.extensions.negation.
-    NegationTables` of aggregators that keep ``_cutoffs``) an unbound event
-    of a negated type blocks the ``Tp`` events stored so far from the
-    ``Tf`` variables (Section 8); stored events are appended in arrival
-    order, so one cut-off index per (component, ``Tp`` variable) says which.
+    inner: each binding is one call of the step the aggregators' own plan
+    compiled for its variable (:func:`mixed_step`).  With ``negations``
+    (the :class:`~repro.extensions.negation.NegationTables` of aggregators
+    that keep ``_cutoffs``) an unbound event of a negated type blocks the
+    ``Tp`` events stored so far from the ``Tf`` variables (Section 8);
+    stored events are appended in arrival order, so one cut-off index per
+    (component, ``Tp`` variable) says which, and each step reads past the
+    cut-offs of its edges (``cut``).
     """
     plan = windows[0].plan
-    targets = plan.targets
-    scans = plan.scans
-    ends = plan.automaton.end_variables
+    folds = plan.folds
     type_grained = plan.type_grained
-    negated = cutoff_keys = None
+    negated = crossed = None
     if negations is not None:
-        negated, cutoff_keys = negations.by_type, negations.cell_keys
+        negated, crossed = negations.by_type, negations.crossed
     processed = 0
     for event, binding in run:
         if not binding:
@@ -72,8 +79,6 @@ def fold_mixed(windows, run, negations=None) -> None:
                             )
             continue
         processed += 1
-        time = event.time
-        sequence = event.sequence
         before = None
         if len(binding) > 1 and type_grained:
             # an event bound to several variables (repeated types,
@@ -89,37 +94,125 @@ def fold_mixed(windows, run, negations=None) -> None:
                         source[step.variable] = cells[step.variable].copy()
                 before[aggregator] = source
         for step, values in binding:
-            variable, _predecessors, starts, own, _attributes, _kernel = step
-            edges = scans[variable]
-            stores = variable not in type_grained
-            is_end = variable in ends
-            for aggregator in windows:
-                readable = (
-                    aggregator._type_cells if before is None else before[aggregator]
-                )
-                event_cells = aggregator._event_cells
-                sources = []
-                for name, scan in edges:
-                    if scan is None:
-                        sources.append(readable[name])
-                        continue
-                    nodes = event_cells[name]
-                    if cutoff_keys:
-                        key = cutoff_keys.get((name, variable))
-                        if key is not None:
-                            nodes = nodes[aggregator._cutoffs[key]:]
-                    scan(nodes, event, time, sequence, sources)
-                if stores:
-                    cell = TrendAccumulator(targets)
-                    fold_into((cell,), sources, starts, own, values)
-                    event_cells[variable].append((event, cell))
-                    if is_end:
-                        aggregator._final.merge(cell)
-                else:
-                    cell = aggregator._type_cells[variable]
-                    fold_into((cell,), sources, starts, own, values)
+            variable = step.variable
+            folds[variable](
+                windows,
+                event,
+                values,
+                before,
+                None if crossed is None else crossed.get(variable),
+            )
     for aggregator in windows:
         aggregator.events_processed += processed
+
+
+def mixed_step(label: str, step: FoldStep, plan: CograPlan) -> Callable:
+    """Compile Algorithm 2's step for an event bound to ``step.variable``.
+
+    Returns ``step(windows, event, values, before, cut)``: for each mixed-
+    or event-grained aggregator of ``windows``, sum the trends of the
+    variable's predecessors in pattern order -- a ``Tt`` predecessor's cell
+    (read from ``before`` when it is given, as the type kernel does), every
+    stored node of a ``Te`` predecessor adjacent to ``event`` -- extend them
+    by the event and add them to the variable's ``Tt`` cell, or store them
+    in a fresh cell with the event and, for an end variable, merge that
+    cell into ``_final``.  ``cut`` is ``None``, or the cut-off keys of the
+    negation boundaries the variable's edges cross (Section 8): a ``Te``
+    predecessor's scan then starts at the aggregator's cut-off.
+
+    A ``Tt`` variable without ``Te`` predecessors folds exactly as
+    Algorithm 1's kernel (:func:`~repro.core.type_grained.fold_kernel`).
+    """
+    variable, predecessors, starts, own = step[:4]
+    type_grained = plan.type_grained
+    stores = variable not in type_grained
+    scanned = [name for name in predecessors if name not in type_grained]
+    names = cell_names(variable, predecessors)
+    constants = Constants(
+        **{f"name_{number}": name for number, name in enumerate(names)},
+        targets=plan.targets,
+        TrendAccumulator=TrendAccumulator,
+    )
+    header = "step(windows, event, values, before, cut)"
+    template = Recurrence(own, starts)
+    emit = template.emit
+    template.values(0)
+    if not stores and not scanned:
+        if predecessors == (variable,):
+            emit("for window in windows:", 0)
+            emit("cell = window._type_cells[name_0]", 1)
+            template.self_loop("cell", 1)
+        elif predecessors or starts:
+            emit("for window in windows:", 0)
+            fixed_predecessors(template, names, predecessors, "window._type_cells", 1)
+        return compile_fold(label, constants, header, template.lines)
+    scans = {}
+    if scanned:
+        emit("time = event.time", 0)
+        emit("sequence = event.sequence", 0)
+        hoisted: List[str] = []
+        for name in scanned:
+            number = names.index(name)
+            reads, loop, depth = edge_scan(
+                plan.adjacent_predicates_between(name, variable), constants, number
+            )
+            hoisted += reads
+            scans[name] = (number, loop, depth)
+        if hoisted:
+            emit("attributes = event.attributes", 0)
+            for line in hoisted:
+                emit(line, 0)
+        for number, _loop, _depth in scans.values():
+            emit(f"key_{number} = None if cut is None else cut.get(name_{number})", 0)
+    emit("for window in windows:", 0)
+    if any(name in type_grained and name != variable for name in predecessors):
+        emit("source = window._type_cells if before is None else before[window]", 1)
+    if not stores:
+        emit("cell = window._type_cells[name_0]", 1)
+    emit("event_cells = window._event_cells", 1)
+    if not predecessors:
+        template.extend_cells([], 1)
+    else:
+        if predecessors[0] in scans:
+            template.empty(1)
+        for position, name in enumerate(predecessors):
+            if name in scans:
+                number, loop, depth = scans[name]
+                emit(f"nodes = event_cells[name_{number}]", 1)
+                emit(f"if key_{number} is not None:", 1)
+                emit(f"nodes = nodes[window._cutoffs[key_{number}]:]", 2)
+                for line in loop:
+                    emit(line, 1)
+                template.add("node", 1 + depth)
+                continue
+            reader = "cell"
+            if name != variable:
+                reader = f"cell_{names.index(name)}"
+                emit(f"{reader} = source[name_{names.index(name)}]", 1)
+            if position == 0:
+                template.first(reader, 1)
+            else:
+                template.add(reader, 1)
+        template.multiplicity(1)
+        if not stores and not starts:
+            emit("if not multiplicity:", 1)
+            emit("continue", 2)
+        template.event(1)
+    if not stores:
+        template.write("cell", 1)
+        return compile_fold(label, constants, header, template.lines)
+    emit("cell = TrendAccumulator(targets)", 1)
+    emit("event_cells[name_0].append((event, cell))", 1)
+    depth = 1
+    if not starts:
+        # the event is stored even when it extends no trend
+        emit("if multiplicity:", 1)
+        depth = 2
+    template.fill("cell", depth)
+    if variable in plan.automaton.end_variables:
+        emit("final = window._final", depth)
+        template.write("final", depth)
+    return compile_fold(label, constants, header, template.lines)
 
 
 class MixedGrainedAggregator(SubstreamAggregator):

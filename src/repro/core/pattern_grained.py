@@ -23,18 +23,23 @@ Behavioural notes (faithful to Algorithm 3):
 The last cell is the only summary of the running trends and nothing else
 refers to it, so an adjacent event extends it in place: the hot path builds
 no accumulator (a trend that starts afresh, or a reset, replaces the cell).
-The negation-aware subclass (:mod:`repro.extensions.negation`) hooks into
+The plan compiles what binding an event to a variable does into one step
+(:func:`pattern_step`, emitted from the template of
+:mod:`repro.core.type_grained`).  The negation-aware subclass
+(:mod:`repro.extensions.negation`) hooks into
 :meth:`PatternGrainedAggregator._unbound`, the one place an event that binds
 to nothing is looked at.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, List, Optional
 
-from repro.analyzer.plan import CograPlan
-from repro.core.aggregate_state import TrendAccumulator, extend_in_place
+from repro.analyzer.codegen import Constants
+from repro.analyzer.plan import CograPlan, FoldStep, adjacency_checks
+from repro.core.aggregate_state import TrendAccumulator
 from repro.core.base import SubstreamAggregator
+from repro.core.type_grained import Recurrence, compile_fold
 from repro.events.event import Event
 from repro.query.semantics import Semantics
 
@@ -59,50 +64,22 @@ class PatternGrainedAggregator(SubstreamAggregator):
 
         Events outer, the aggregators of ``self`` and ``also`` inner: the
         state is one last event per window, so the windows share the
-        unpacked binding and nothing else.
+        unpacked binding, and each bound event is one call of the step the
+        plan compiled for its variable (:func:`pattern_step`).
         """
-        plan = self.plan
-        conditions = plan.adjacent_conditions
-        ends = plan.automaton.end_variables
-        contiguous = plan.semantics is Semantics.CONTIGUOUS
+        folds = self.plan.folds
         windows = (self, *also)
+        processed = 0
         for event, binding in run:
             if not binding:
                 for aggregator in windows:
                     aggregator._unbound(event)
                 continue
             step, values = binding[0]
-            variable, _predecessors, starts, own, _attributes, _kernel = step
-            time = event.time
-            sequence = event.sequence
-            for aggregator in windows:
-                aggregator.events_processed += 1
-                last = aggregator._last_event
-                adjacent = False
-                if last is not None:
-                    # Definition 7, conditions 1-3; no entry: not a predecessor type
-                    pair = conditions.get((aggregator._last_variable, variable))
-                    last_time = last.time
-                    if pair is not None and (
-                        last_time < time or (last_time == time and last.sequence < sequence)
-                    ):
-                        for condition in pair:
-                            if not condition(last, event):
-                                break
-                        else:
-                            adjacent = True
-                if not adjacent:
-                    if not starts:
-                        if contiguous:
-                            aggregator._reset_last()
-                        continue
-                    aggregator._reset_last()  # the event starts afresh
-                cell = aggregator._last_cell
-                extend_in_place(cell, starts, own, values)
-                if variable in ends:
-                    aggregator._final.merge(cell)
-                aggregator._last_event = event
-                aggregator._last_variable = variable
+            folds[step.variable](windows, event, values)
+            processed += 1
+        for aggregator in windows:
+            aggregator.events_processed += processed
 
     def _unbound(self, event: Event) -> None:
         """An event that binds to no variable arrived.
@@ -145,3 +122,89 @@ class PatternGrainedAggregator(SubstreamAggregator):
 
     def stored_event_count(self) -> int:
         return 1 if self._last_event is not None else 0
+
+
+def pattern_step(label: str, step: FoldStep, plan: CograPlan) -> Callable:
+    """Compile Algorithm 3's step for an event bound to ``step.variable``.
+
+    Returns ``step(windows, event, values)``: for each pattern-grained
+    aggregator of ``windows``, extend the last cell in place when the last
+    matched event is adjacent to ``event`` (Definition 7, conditions 1-3:
+    a predecessor variable of the step, strictly earlier, every adjacent
+    predicate of the edge satisfied -- compared as the event-grained scans
+    compare them, :func:`~repro.analyzer.plan.adjacency_checks`).  Else the
+    event starts afresh on an empty cell if its variable is a start type,
+    and is skipped otherwise -- under the contiguous semantics after the
+    running trends are invalidated.  An extended cell of an end variable
+    is merged into ``_final``, and ``event`` becomes the last event.
+
+    The caller counts the event as processed.  A cell that an adjacent
+    event extends has trends: the last event is set only with a cell that
+    has, and cleared with the cell.
+    """
+    variable, predecessors, starts, own = step[:4]
+    constants = Constants(
+        name_0=variable, targets=plan.targets, TrendAccumulator=TrendAccumulator
+    )
+    template = Recurrence(own, starts)
+    emit = template.emit
+    template.values(0)
+    reset: List[str] = [
+        "window._last_event = None",
+        "window._last_variable = None",
+        "window._last_cell = TrendAccumulator(targets)",
+    ]
+    depth = 1
+    if predecessors:
+        edges = []
+        hoisted: List[str] = []
+        for number, name in enumerate(predecessors, 1):
+            reads, checks, nesting = adjacency_checks(
+                plan.adjacent_predicates_between(name, variable), constants, number, "last"
+            )
+            hoisted += reads
+            edges.append(
+                ("name_0" if name == variable else constants("name", name), checks, nesting)
+            )
+        emit("time = event.time", 0)
+        emit("sequence = event.sequence", 0)
+        if hoisted:
+            emit("attributes = event.attributes", 0)
+            for line in hoisted:
+                emit(line, 0)
+    emit("for window in windows:", 0)
+    emit("last = window._last_event", 1)
+    if predecessors:
+        emit("adjacent = False", 1)
+        emit("if last is not None:", 1)
+        emit("last_time = last.time", 2)
+        emit(
+            "if last_time < time or (last_time == time and last.sequence < sequence):", 2
+        )
+        emit("previous = window._last_variable", 3)
+        for position, (name, checks, nesting) in enumerate(edges):
+            emit(f"{'elif' if position else 'if'} previous == {name}:", 3)
+            for line in checks:
+                emit(line, 4)
+            emit("adjacent = True", 4 + nesting)
+        emit("if not adjacent:", 1)
+        depth = 2
+    if not starts:
+        if plan.semantics is Semantics.CONTIGUOUS:
+            emit("if last is not None:", depth)
+            for line in reset:
+                emit(line, depth + 1)
+        emit("continue", depth)
+    else:
+        # the event starts afresh
+        emit("if last is not None:", depth)
+        for line in reset:
+            emit(line, depth + 1)
+    emit("cell = window._last_cell", 1)
+    template.extend("cell", 1)
+    if variable in plan.automaton.end_variables:
+        emit("final = window._final", 1)
+        template.merge("final", "cell", "multiplicity", 1)
+    emit("window._last_event = event", 1)
+    emit("window._last_variable = name_0", 1)
+    return compile_fold(label, constants, "step(windows, event, values)", template.lines)

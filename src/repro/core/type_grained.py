@@ -15,14 +15,22 @@ What binding an event to a variable does to the cells depends on nothing
 but the variable's :class:`~repro.analyzer.plan.FoldStep`, which never
 changes after planning.  So the plan compiles each step into a straight-line
 kernel (:func:`fold_kernel`): predecessors unrolled, slot offsets integer
-constants, the Kleene self-loop read from the cell being written.
+constants, and a Kleene self-loop -- a step whose one predecessor is its
+own cell -- reading and writing each slot once.
+
+This module also holds :class:`Recurrence`, the one template of the
+recurrence's per-target arithmetic: Algorithm 1's kernel, Algorithm 2's step
+(:func:`~repro.core.mixed_grained.mixed_step`), Algorithm 3's
+(:func:`~repro.core.pattern_grained.pattern_step`) and the negation
+type-grained cells fold (:mod:`repro.extensions.negation`) are all emitted
+from it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.analyzer.codegen import compile_generated
+from repro.analyzer.codegen import Constants, compile_generated
 from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
 from repro.core.base import SubstreamAggregator
@@ -86,7 +94,7 @@ class TypeGrainedAggregator(SubstreamAggregator):
         if len(ends) == 1:
             # zero + merge(cell) is a copy: a cell with no trend holds zero
             # slots, and adding a slot to the integer 0 keeps its value (a
-            # sum slot starts at 0 and so never holds -0.0)
+            # sum slot never holds -0.0, see :class:`Recurrence`)
             (variable,) = ends
             return self._cells[variable].copy()
         final = TrendAccumulator.zero(self.plan.targets)
@@ -102,6 +110,327 @@ class TypeGrainedAggregator(SubstreamAggregator):
 
     def storage_units(self) -> int:
         return sum(cell.storage_units for cell in self._cells.values())
+
+
+# -- the template of the generated folds ------------------------------------------
+
+
+class Recurrence:
+    """Table 8's per-target arithmetic for one step, emitted as source lines.
+
+    Every generated fold is built from these fragments, each appended to
+    :attr:`lines` at a given indentation ``depth`` (four spaces a level):
+
+    * the *sums* -- per target ``k`` the temporaries ``count_k``,
+      ``total_k``, ``low_k`` and ``high_k``, plus ``extended`` (the trend
+      count) -- start as a first predecessor cell's slots (:meth:`first`)
+      or empty (:meth:`empty`), gain every other predecessor cell
+      (:meth:`add`) and the event (:meth:`event`), and are then added to a
+      cell (:meth:`write`) or become a fresh one (:meth:`fill`);
+    * a Kleene self-loop adds the cell's trends, each extended, to the cell
+      itself (:meth:`self_loop`), and the pattern-grained last cell
+      replaces its trends by their extensions (:meth:`extend`); both read
+      and write each slot once;
+    * :meth:`merge` adds one cell to another, unrolled.
+
+    Every addition and comparison keeps the order and form of the literal
+    recurrence -- ``zero`` -> ``merge`` each predecessor -> ``extended``
+    -> ``merge(singleton)`` -> ``merge`` into the cell -- which
+    ``tests/helpers.py`` keeps as the oracle: float sums, ``-0.0`` and the
+    saturation of SUM/AVG depend on it.  Two steps of that chain are left
+    out because they cannot change a value: adding a slot to the zero
+    accumulator's integer ``0`` (a sum slot never holds ``-0.0``: it
+    starts at the integer ``0``, and a sum is ``-0.0`` only when both of
+    its terms are), and merging a cell's extrema into themselves.
+
+    ``own`` marks the targets on the step's variable, whose values the
+    fold reads as ``value_k``; ``starts`` is 1 when the event begins a
+    trend of its own.
+    """
+
+    def __init__(self, own: Sequence[bool], starts: int):
+        self.own = tuple(own)
+        self.starts = starts
+        #: the emitted source, one line per entry
+        self.lines: List[str] = []
+        #: the targets whose sums the source holds
+        self.summed: Sequence[int] = range(len(self.own))
+
+    def emit(self, line: str, depth: int) -> None:
+        self.lines.append("    " * depth + line)
+
+    def values(self, depth: int) -> None:
+        """Read what the event's targets read off it, once per call."""
+        for index, is_own in enumerate(self.own):
+            if is_own:
+                self.emit(f"value_{index} = values[{index}]", depth)
+
+    # -- the sums --------------------------------------------------------------
+
+    def first(self, cell: str, depth: int, counted: bool = False) -> None:
+        """The sums start as the trends of ``cell``.
+
+        ``counted``: ``extended`` is summed up already.
+        """
+        emit = self.emit
+        if not counted:
+            emit(f"extended = {cell}.trend_count", depth)
+        self.summed = range(len(self.own))
+        if self.own:
+            emit(f"theirs = {cell}.slots", depth)
+        for index in self.summed:
+            base = index * WIDTH
+            emit(f"count_{index} = theirs[{base}]", depth)
+            emit(f"total_{index} = theirs[{base + 1}]", depth)
+            emit(f"low_{index} = theirs[{base + 2}]", depth)
+            emit(
+                f"high_{index} = None if low_{index} is None else theirs[{base + 3}]",
+                depth,
+            )
+
+    def empty(self, depth: int, targets: Sequence[int] = None) -> None:
+        """The sums start empty: all of them and ``extended``, or the sums
+        of ``targets`` only (a step without predecessors)."""
+        emit = self.emit
+        if targets is None:
+            emit("extended = 0", depth)
+            targets = range(len(self.own))
+        self.summed = targets
+        for index in targets:
+            emit(f"count_{index} = total_{index} = 0", depth)
+            emit(f"low_{index} = high_{index} = None", depth)
+
+    def add(self, cell: str, depth: int, counted: bool = False) -> None:
+        """Add the trends of ``cell`` to the sums (``counted``: to all but
+        ``extended``)."""
+        emit = self.emit
+        if not counted:
+            emit(f"extended += {cell}.trend_count", depth)
+        if self.own:
+            emit(f"theirs = {cell}.slots", depth)
+        for index in range(len(self.own)):
+            base = index * WIDTH
+            low, high = f"low_{index}", f"high_{index}"
+            emit(f"count_{index} += theirs[{base}]", depth)
+            emit(f"total_{index} += theirs[{base + 1}]", depth)
+            emit(f"other = theirs[{base + 2}]", depth)
+            emit("if other is not None:", depth)
+            emit(f"if {low} is None or not {low} <= other:", depth + 1)
+            emit(f"{low} = other", depth + 2)
+            emit(f"other = theirs[{base + 3}]", depth + 1)
+            emit(f"if {high} is None or not {high} >= other:", depth + 1)
+            emit(f"{high} = other", depth + 2)
+
+    def extend_cells(self, cells: Sequence[str], depth: int) -> None:
+        """The sums of the trends of ``cells``, each extended by the event,
+        plus the event's own trend when the step starts one.
+
+        ``cells`` are local names, in pattern order.  A step that starts
+        no trend skips a window whose cells hold none (the caller's loop
+        must be a ``for``).
+        """
+        emit = self.emit
+        if not cells:
+            self.empty(depth, [index for index, own in enumerate(self.own) if own])
+            emit("multiplicity = 1", depth)
+            self.event(depth, extends=False)
+            return
+        counts = " + ".join(f"{cell}.trend_count" for cell in cells)
+        emit(f"extended = {counts}", depth)
+        if not self.starts:
+            emit("if not extended:", depth)
+            emit("continue", depth + 1)
+        self.first(cells[0], depth, counted=True)
+        for cell in cells[1:]:
+            self.add(cell, depth, counted=True)
+        self.multiplicity(depth)
+        self.event(depth)
+
+    def multiplicity(self, depth: int) -> None:
+        """``multiplicity``: the extended trends plus the event's own."""
+        if self.starts:
+            self.emit("multiplicity = extended + 1", depth)
+        else:
+            self.emit("multiplicity = extended", depth)
+
+    def event(self, depth: int, extends: bool = True) -> None:
+        """Add the event to the sums: once per trend of ``multiplicity``.
+
+        ``extends`` is false for a step without predecessors, whose only
+        trend is the event's own.
+        """
+        for index, is_own in enumerate(self.own):
+            if is_own:
+                self.emit(f"count_{index} += multiplicity", depth)
+                sums = (f"total_{index}", f"low_{index}", f"high_{index}")
+                self._value(index, sums, depth, extends)
+
+    def _value(self, index, sums, depth, extends=True) -> None:
+        """What the event's value adds to one target's sum and extrema.
+
+        ``sums`` names the target's sum, minimum and maximum: names or
+        slots; a slot is read into ``current`` before it is compared.
+        """
+        emit = self.emit
+        total, low, high = sums
+        value = f"value_{index}"
+        emit(f"if {value} is not None:", depth)
+        if extends:
+            emit("if extended:", depth + 1)
+            emit("try:", depth + 2)
+            emit(f"{total} += {value} * extended", depth + 3)
+            emit("except OverflowError:", depth + 2)
+            # the trend count is exponential in the number of events;
+            # saturate SUM/AVG
+            emit(f"{total} = inf if {value} >= 0 else -inf", depth + 3)
+        if self.starts:
+            emit(f"{total} += {value}", depth + 1)
+        for extremum, op in ((low, "<="), (high, ">=")):
+            current = extremum
+            if extremum.endswith("]"):
+                current = "current"
+                emit(f"current = {extremum}", depth + 1)
+            emit(f"if {current} is None or not {current} {op} {value}:", depth + 1)
+            emit(f"{extremum} = {value}", depth + 2)
+
+    # -- into a cell -------------------------------------------------------------
+
+    def write(self, cell: str, depth: int) -> None:
+        """Add the sums to ``cell``."""
+        self.emit(f"{cell}.trend_count += multiplicity", depth)
+        if self.summed:
+            self.emit(f"slots = {cell}.slots", depth)
+        for index in self.summed:
+            sums = (f"count_{index}", f"total_{index}", f"low_{index}", f"high_{index}")
+            self._add_target("slots", index, sums, depth)
+
+    def fill(self, cell: str, depth: int) -> None:
+        """Make the fresh (zero) ``cell`` hold the sums.
+
+        Adding them to its zero slots would leave each as it is.
+        """
+        self.emit(f"{cell}.trend_count = multiplicity", depth)
+        if not self.own:
+            return
+        slots = ", ".join(
+            f"count_{index}, total_{index}, low_{index}, high_{index}"
+            if index in self.summed
+            else "0, 0, None, None"
+            for index in range(len(self.own))
+        )
+        self.emit(f"{cell}.slots = [{slots}]", depth)
+
+    def merge(self, into: str, cell: str, count: str, depth: int) -> None:
+        """:meth:`TrendAccumulator.merge` of a cell with ``count`` trends
+        (not 0), unrolled; ``into`` and ``cell`` are local names."""
+        self.emit(f"{into}.trend_count += {count}", depth)
+        if self.own:
+            self.emit(f"into = {into}.slots", depth)
+            self.emit(f"theirs = {cell}.slots", depth)
+        for index in range(len(self.own)):
+            base = index * WIDTH
+            sums = tuple(f"theirs[{base + offset}]" for offset in range(WIDTH))
+            self._add_target("into", index, sums, depth)
+
+    def _add_target(self, slots, index, sums, depth) -> None:
+        """Add ``sums`` -- one target's count, sum, minimum and maximum,
+        names or slots -- to target ``index`` of ``slots``.
+
+        A minimum and a maximum are set together, so ``high`` is read only
+        when ``low`` is not ``None``.
+        """
+        emit = self.emit
+        count, total, low, high = sums
+        base = index * WIDTH
+        emit(f"{slots}[{base}] += {count}", depth)
+        emit(f"{slots}[{base + 1}] += {total}", depth)
+        if low.endswith("]"):
+            emit(f"low = {low}", depth)
+            low = "low"
+        emit(f"if {low} is not None:", depth)
+        emit(f"current = {slots}[{base + 2}]", depth + 1)
+        emit(f"if current is None or not current <= {low}:", depth + 1)
+        emit(f"{slots}[{base + 2}] = {low}", depth + 2)
+        if high.endswith("]"):
+            emit(f"high = {high}", depth + 1)
+            high = "high"
+        emit(f"current = {slots}[{base + 3}]", depth + 1)
+        emit(f"if current is None or not current >= {high}:", depth + 1)
+        emit(f"{slots}[{base + 3}] = {high}", depth + 2)
+
+    def self_loop(self, cell: str, depth: int) -> None:
+        """Add the trends of ``cell``, each extended by the event, to ``cell``.
+
+        The literal recurrence merges the cell into a copy of itself:
+        ``count`` becomes ``count + (count + multiplicity)`` on the
+        variable's targets and ``count + count`` on the others, a sum
+        ``sum + (sum + value * extended + value)`` or ``sum + sum``, and an
+        extremum moves to the event's value where the value beats it.  A
+        step that starts no trend skips an empty cell (the caller's loop
+        must be a ``for``).
+        """
+        emit = self.emit
+        emit(f"extended = {cell}.trend_count", depth)
+        if not self.starts:
+            emit("if not extended:", depth)
+            emit("continue", depth + 1)
+        self.multiplicity(depth)
+        emit(f"{cell}.trend_count = extended + multiplicity", depth)
+        if self.own:
+            emit(f"slots = {cell}.slots", depth)
+        for index, is_own in enumerate(self.own):
+            base = index * WIDTH
+            emit(f"count = slots[{base}]", depth)
+            if is_own:
+                emit(f"slots[{base}] = count + (count + multiplicity)", depth)
+                emit(f"stored = total = slots[{base + 1}]", depth)
+                sums = ("total", f"slots[{base + 2}]", f"slots[{base + 3}]")
+                self._value(index, sums, depth)
+                emit(f"slots[{base + 1}] = stored + total", depth)
+            else:
+                emit(f"slots[{base}] = count + count", depth)
+                emit(f"total = slots[{base + 1}]", depth)
+                emit(f"slots[{base + 1}] = total + total", depth)
+
+    def extend(self, cell: str, depth: int) -> None:
+        """Replace the trends of ``cell`` by their extensions, plus the
+        event's own trend when the step starts one.
+
+        ``TrendAccumulator.extended`` on the cell itself, then
+        ``merge(singleton)``.  The cell has trends, or the step starts one.
+        """
+        emit = self.emit
+        emit(f"extended = {cell}.trend_count", depth)
+        self.multiplicity(depth)
+        emit(f"{cell}.trend_count = multiplicity", depth)
+        if any(self.own):
+            emit(f"slots = {cell}.slots", depth)
+        for index, is_own in enumerate(self.own):
+            if is_own:
+                base = index * WIDTH
+                emit(f"slots[{base}] += multiplicity", depth)
+                sums = tuple(f"slots[{base + offset}]" for offset in (1, 2, 3))
+                self._value(index, sums, depth)
+
+
+def compile_fold(label: str, constants: Constants, header: str, body: List[str]):
+    """Compile ``def {header}:`` with ``body`` under ``label``.
+
+    ``constants`` are the names the body refers to besides its parameters
+    and ``inf`` -- variable names and everything else a query may spell --
+    bound by :func:`~repro.analyzer.codegen.compile_generated`.
+    """
+    function = header.split("(", 1)[0]
+    source = "\n".join(
+        [
+            f"def build({', '.join([*constants.names, 'inf'])}):",
+            f"    def {header}:",
+            *(f"        {line}" for line in body or ["pass"]),
+            f"    return {function}",
+            "",
+        ]
+    )
+    return compile_generated(label, source, *constants.values, float("inf"))
 
 
 # -- the compiled fold --------------------------------------------------------------
@@ -126,124 +455,60 @@ def fold_kernel(
 
     The literal recurrence builds that summary in three fresh accumulators
     and then merges it; the kernel adds it slot by slot straight into the
-    cell, in the literal recurrence's order and form of additions and
-    comparisons (float sums, ``-0.0`` and the saturation of SUM/AVG depend
-    on them), which ``tests/test_type_grained_fold.py`` checks against the
-    recurrence kept in ``tests/helpers.py``.  A Kleene self-loop reads its
-    predecessor from the cell being written: each slot is read before it is
-    written, and no other binding of the event writes that cell.
+    cell (:class:`Recurrence`), which ``tests/test_type_grained_fold.py``
+    checks against the recurrence kept in ``tests/helpers.py``.  A Kleene
+    self-loop reads its predecessor from the cell being written: every slot
+    is read before it is written, and no other binding of the event writes
+    that cell.
 
     The source holds only integers and names made here; variable names are
-    bound constants.  It is compiled and registered under ``label`` by
-    :func:`~repro.analyzer.codegen.compile_generated`.
+    bound constants.
     """
-    # constant ``name_k`` is the variable of cell ``k``; cell 0 is written
-    names: List[str] = [variable]
+    names = cell_names(variable, predecessors)
+    template = Recurrence(own, starts)
+    template.values(0)
+    if predecessors == (variable,):
+        template.emit("for window in windows:", 0)
+        template.emit("cell = window._cells[name_0]", 1)
+        template.self_loop("cell", 1)
+    elif predecessors or starts:
+        template.emit("for window in windows:", 0)
+        fixed_predecessors(template, names, predecessors, "window._cells", 1)
+    constants = Constants(
+        **{f"name_{number}": name for number, name in enumerate(names)}
+    )
+    return compile_fold(
+        label, constants, "kernel(windows, values, before)", template.lines
+    )
+
+
+def cell_names(variable: str, predecessors: Tuple[str, ...]) -> List[str]:
+    """The variables a step's source calls ``name_k``: its own is ``name_0``,
+    the written cell, then each other predecessor once."""
+    names = [variable]
     for name in predecessors:
         if name not in names:
             names.append(name)
-    body: List[str] = []
-    for index, is_own in enumerate(own):
-        if is_own:
-            body.append(f"value_{index} = values[{index}]")
-    if predecessors or starts:
-        body.append("for window in windows:")
-        numbers = [names.index(name) for name in predecessors]
-        body.extend(f"    {line}" for line in _window_body(numbers, starts, own))
-    else:
-        body.append("pass")  # nothing to extend and no trend to start
-    parameters = ", ".join(f"name_{number}" for number in range(len(names)))
-    source = "\n".join(
-        [
-            f"def build({parameters}, inf):",
-            "    def kernel(windows, values, before):",
-            *(f"        {line}" for line in body),
-            "    return kernel",
-            "",
-        ]
+    return names
+
+
+def fixed_predecessors(template, names, predecessors, cells, depth) -> None:
+    """One window of a step whose predecessor cells are known at plan build.
+
+    ``cells`` is the expression of the window's cells by variable, from
+    which ``name_0``'s is written and the others are read (from ``before``
+    when it is given).
+    """
+    emit = template.emit
+    numbers = [names.index(name) for name in predecessors]
+    emit(f"cells = {cells}", depth)
+    if any(numbers):
+        emit("source = cells if before is None else before[window]", depth)
+    emit("cell = cells[name_0]", depth)
+    for number in numbers:
+        if number:
+            emit(f"cell_{number} = source[name_{number}]", depth)
+    template.extend_cells(
+        ["cell" if number == 0 else f"cell_{number}" for number in numbers], depth
     )
-    return compile_generated(label, source, *names, float("inf"))
-
-
-def _window_body(predecessors: List[int], starts: int, own) -> List[str]:
-    """What :func:`fold_kernel` does to one window, predecessors by cell number."""
-    lines: List[str] = []
-
-    def emit(line: str, depth: int = 0) -> None:
-        lines.append("    " * depth + line)
-
-    def cell(number: int) -> str:
-        return "cell" if number == 0 else f"cell_{number}"
-
-    def slots(number: int) -> str:
-        return "slots" if number == 0 else f"slots_{number}"
-
-    others = [number for number in predecessors if number]
-    emit("cells = window._cells")
-    if others:
-        emit("source = cells if before is None else before[window]")
-    emit("cell = cells[name_0]")
-    for number in others:
-        emit(f"cell_{number} = source[name_{number}]")
-    if predecessors:
-        counts = " + ".join(f"{cell(number)}.trend_count" for number in predecessors)
-        emit(f"extended = {counts}")
-        if starts:
-            emit("multiplicity = extended + 1")
-        else:
-            emit("multiplicity = extended")
-            emit("if not multiplicity:")
-            emit("continue", 1)
-    else:
-        emit("multiplicity = 1")
-    emit("cell.trend_count += multiplicity")
-    emit("slots = cell.slots")
-    for number in others:
-        emit(f"slots_{number} = cell_{number}.slots")
-    for index, is_own in enumerate(own):
-        base = index * WIDTH
-        emit("count = total = 0")
-        if not predecessors:
-            emit("low = high = None")
-        for position, number in enumerate(predecessors):
-            theirs = slots(number)
-            emit(f"count += {theirs}[{base}]")
-            emit(f"total += {theirs}[{base + 1}]")
-            if position == 0:
-                # low and high are still None: the first extrema are taken
-                emit(f"low = {theirs}[{base + 2}]")
-                emit(f"high = None if low is None else {theirs}[{base + 3}]")
-                continue
-            emit(f"other = {theirs}[{base + 2}]")
-            emit("if other is not None:")
-            emit("if low is None or not low <= other:", 1)
-            emit("low = other", 2)
-            emit(f"other = {theirs}[{base + 3}]", 1)
-            emit("if high is None or not high >= other:", 1)
-            emit("high = other", 2)
-        if is_own:
-            value = f"value_{index}"
-            emit("count += multiplicity")
-            emit(f"if {value} is not None:")
-            if predecessors:
-                emit("if extended:", 1)
-                emit("try:", 2)
-                emit(f"total += {value} * extended", 3)
-                emit("except OverflowError:", 2)
-                emit(f"total = inf if {value} >= 0 else -inf", 3)
-            if starts:
-                emit(f"total += {value}", 1)
-            emit(f"if low is None or not low <= {value}:", 1)
-            emit(f"low = {value}", 2)
-            emit(f"if high is None or not high >= {value}:", 1)
-            emit(f"high = {value}", 2)
-        emit(f"slots[{base}] += count")
-        emit(f"slots[{base + 1}] += total")
-        emit("if low is not None:")
-        emit(f"current = slots[{base + 2}]", 1)
-        emit("if current is None or not current <= low:", 1)
-        emit(f"slots[{base + 2}] = low", 2)
-        emit(f"current = slots[{base + 3}]", 1)
-        emit("if current is None or not current >= high:", 1)
-        emit(f"slots[{base + 3}] = high", 2)
-    return lines
+    template.write("cell", depth)

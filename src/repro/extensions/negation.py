@@ -65,13 +65,15 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence as Seq, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
-from repro.analyzer.granularity import Granularity
-from repro.analyzer.plan import CograPlan, plan_query
-from repro.core.aggregate_state import TrendAccumulator, fold_into
+from repro.analyzer.codegen import Constants
+from repro.analyzer.granularity import Granularity, allowed_granularities
+from repro.analyzer.plan import CograPlan, FoldStep, plan_query
+from repro.core.aggregate_state import TrendAccumulator
 from repro.core.base import SubstreamAggregator, create_aggregator
 from repro.core.event_grained import EventGrainedAggregator
 from repro.core.mixed_grained import fold_mixed
 from repro.core.pattern_grained import PatternGrainedAggregator
+from repro.core.type_grained import Recurrence, compile_fold
 from repro.errors import InvalidPatternError, PlanningError
 from repro.events.event import Event
 from repro.query.ast import EventTypePattern, Negation, Pattern, Sequence
@@ -285,7 +287,10 @@ def plan_negated_query(
             positive_query(query, analysis), forced_granularity=Granularity.EVENT
         )
     if plan.granularity is not Granularity.PATTERN:
-        analysis.tables.with_crossings()  # rejects what the plan's rule cannot enforce
+        tables = analysis.tables.with_crossings()  # rejects what the rule cannot enforce
+        if Granularity.TYPE in allowed_granularities(plan.semantics, plan.classification):
+            # every plan of the query may be type-grained after a migration
+            tables.with_folds(plan)
     return plan, analysis
 
 
@@ -324,7 +329,7 @@ class NegationTables:
     negated components alone.
     """
 
-    __slots__ = ("components", "by_type", "feeds", "cell_keys", "crossed")
+    __slots__ = ("components", "by_type", "feeds", "cell_keys", "crossed", "folds")
 
     def __init__(self, components: Seq[NegatedComponent]):
         self.components = tuple(components)
@@ -347,6 +352,9 @@ class NegationTables:
         self.cell_keys: Optional[Dict[Tuple[str, str], Tuple[int, str]]] = None
         #: ``Tf`` variable -> {``Tp`` predecessor: key of its compatible cell}
         self.crossed: Optional[Dict[str, Dict[str, Tuple[int, str]]]] = None
+        #: variable -> the type-grained cells fold of an event bound to it
+        #: (:func:`cells_fold`)
+        self.folds: Optional[Dict[str, object]] = None
 
     def with_crossings(self) -> "NegationTables":
         """These tables with :attr:`cell_keys` and :attr:`crossed` compiled.
@@ -367,6 +375,27 @@ class NegationTables:
             for (predecessor, follower), key in cell_keys.items():
                 self.crossed.setdefault(follower, {})[predecessor] = key
             self.cell_keys = cell_keys
+        return self
+
+    def with_folds(self, plan: CograPlan) -> "NegationTables":
+        """These tables with :attr:`folds` compiled from ``plan``'s fold steps.
+
+        What a step does to the full and compatible cells depends on the
+        query alone, so the folds of one plan serve the aggregators of
+        every plan of the query; :func:`plan_negated_query` compiles them
+        once per query.
+        """
+        if self.folds is None:
+            crossed = self.with_crossings().crossed
+            self.folds = {
+                variable: cells_fold(
+                    f"<negation fold {plan.query.name}:{variable}>",
+                    step,
+                    crossed.get(variable, {}),
+                    self.feeds.get(variable, ()),
+                )
+                for variable, step in plan.fold_steps.items()
+            }
         return self
 
     def state_keys(self) -> List[Tuple[int, str]]:
@@ -422,7 +451,7 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
 
     def __init__(self, plan: CograPlan, components):
         super().__init__(plan)
-        self._tables = tables = _tables_of(components).with_crossings()
+        self._tables = tables = _tables_of(components).with_folds(plan)
         targets = plan.targets
         self._full: Dict[str, TrendAccumulator] = {
             variable: TrendAccumulator.zero(targets)
@@ -438,11 +467,13 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
         """The type-grained fold with two cells to read from and to write to.
 
         An event's trends are added in place to its variable's full cell and
-        to the compatible cells the variable feeds, all at once
-        (:func:`fold_into`): they may be among the cells the event reads.
+        to the compatible cells the variable feeds, all at once, by the
+        variable's compiled fold (:func:`cells_fold`): they may be among the
+        cells the event reads.
         """
         tables = self._tables
         negated = tables.by_type
+        folds = tables.folds
         windows = (self, *also)
         targets = self.plan.targets
         processed = 0
@@ -471,22 +502,7 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
                             compatible[key] = compatible[key].copy()
                     before[aggregator] = (full, compatible)
             for step, values in binding:
-                variable, predecessors, starts, own, _attributes, _kernel = step
-                crossed = tables.crossed.get(variable, ())
-                feeds = tables.feeds.get(variable, ())
-                for aggregator in windows:
-                    full = aggregator._full
-                    compatible = aggregator._compatible
-                    cells = [full[variable]]
-                    for key in feeds:
-                        cells.append(compatible[key])
-                    if before is not None:
-                        full, compatible = before[aggregator]
-                    sources = [
-                        compatible[crossed[name]] if name in crossed else full[name]
-                        for name in predecessors
-                    ]
-                    fold_into(cells, sources, starts, own, values)
+                folds[step.variable](windows, values, before)
         for aggregator in windows:
             aggregator.events_processed += processed
 
@@ -512,6 +528,68 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
         units = sum(cell.storage_units for cell in self._full.values())
         units += sum(cell.storage_units for cell in self._compatible.values())
         return units
+
+
+def cells_fold(
+    label: str,
+    step: FoldStep,
+    crossed: Dict[str, Tuple[int, str]],
+    feeds: Tuple[Tuple[int, str], ...],
+):
+    """Compile the negation type-grained fold of an event bound to ``step.variable``.
+
+    Returns ``fold(windows, values, before)``: for each
+    :class:`NegationTypeGrainedAggregator` of ``windows``, sum the trends
+    of the variable's predecessors in pattern order -- a predecessor whose
+    edge crosses a negation boundary from its compatible cell (``crossed``:
+    predecessor -> cell key), any other from its full cell -- extend them by
+    the event, and add them to the variable's full cell and to the
+    compatible cells of ``feeds``.  ``before`` is ``None``, or per
+    aggregator the ``(full, compatible)`` cells as they were before an event
+    bound to several variables; the step's own full cell is read where it
+    is written, as Algorithm 1's kernel reads it.
+    """
+    variable, predecessors, starts, own = step[:4]
+    constants = Constants(name_0=variable)
+    template = Recurrence(own, starts)
+    emit = template.emit
+    template.values(0)
+    if not predecessors and not starts:
+        return compile_fold(label, constants, "fold(windows, values, before)", [])
+    readers = []
+    for name in predecessors:
+        if name in crossed:
+            readers.append(f"read_compatible[{constants('key', crossed[name])}]")
+        elif name == variable:
+            readers.append("cell")
+        else:
+            readers.append(f"read_full[{constants('name', name)}]")
+    fed = [constants("key", key) for key in feeds]
+    emit("for window in windows:", 0)
+    emit("full = window._full", 1)
+    if fed or crossed:
+        emit("compatible = window._compatible", 1)
+    if any(reader != "cell" for reader in readers):
+        emit(
+            "read_full, read_compatible = "
+            "(full, compatible) if before is None else before[window]"
+            if crossed
+            else "read_full = full if before is None else before[window][0]",
+            1,
+        )
+    emit("cell = full[name_0]", 1)
+    cells = []
+    for number, reader in enumerate(readers):
+        if reader != "cell":
+            emit(f"cell_{number} = {reader}", 1)
+            reader = f"cell_{number}"
+        cells.append(reader)
+    template.extend_cells(cells, 1)
+    template.write("cell", 1)
+    for key in fed:
+        emit(f"cell = compatible[{key}]", 1)
+        template.write("cell", 1)
+    return compile_fold(label, constants, "fold(windows, values, before)", template.lines)
 
 
 class NegationEventGrainedAggregator(EventGrainedAggregator):

@@ -24,15 +24,40 @@ class TestCli:
         text = "RETURN COUNT(*), SUM(A.v), COUNT(C) PATTERN SEQ(A, B, C+) SEMANTICS any"
         assert main(["explain", text]) == 0
         lines = capsys.readouterr().out.splitlines()
-        start = lines.index("fold steps  : variable  predecessors  starts  own targets")
+        start = lines.index(
+            "fold steps  : variable  predecessors  starts  own targets  kernel"
+        )
         assert lines[start + 1:start + 3] == [
-            "              A         -             yes     A.v",
-            "              B         A             no      -",
+            "              A         -             yes     A.v          fixed predecessors",
+            "              B         A             no      -            fixed predecessors",
         ]
         # C's two predecessors, in the order its fold adds them up
         cells = lines[start + 3].split()
-        assert cells[0] == "C" and cells[-2:] == ["no", "C"]
-        assert sorted(cell.rstrip(",") for cell in cells[1:-2]) == ["B", "C"]
+        assert cells[0] == "C" and cells[-4:] == ["no", "C", "fixed", "predecessors"]
+        assert sorted(cell.rstrip(",") for cell in cells[1:-4]) == ["B", "C"]
+
+    @pytest.mark.parametrize(
+        "pattern, semantics, where, kernels",
+        [
+            ("A+", "any", None, ["self-loop"]),
+            ("SEQ(A+, B)", "any", "A.v < NEXT(A).v", ["scanned", "scanned"]),
+            ("SEQ(A+, B+)", "any", "B.v < NEXT(B).v", ["self-loop", "scanned"]),
+            ("SEQ(A+, B)", "next", None, ["pattern", "pattern"]),
+        ],
+    )
+    def test_explain_names_the_kernel_each_fold_step_compiles_to(
+        self, capsys, pattern, semantics, where, kernels
+    ):
+        text = f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS {semantics}"
+        if where:
+            text += f" WHERE {where}"
+        assert main(["explain", text]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(
+            number for number, line in enumerate(lines) if line.startswith("fold steps")
+        )
+        rows = lines[start + 1:start + 1 + len(kernels)]
+        assert [row.split("  ")[-1].strip() for row in rows] == kernels
 
     def test_explain_prints_the_plan_the_engine_runs_for_a_negated_query(self, capsys):
         """A negated query's mixed plan is escalated to event granularity."""

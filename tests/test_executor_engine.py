@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.baselines.trend_enumeration import TrendOracle
 from repro.core.engine import CograEngine
 from repro.core.executor import QueryExecutor
-from repro.errors import InvalidEventError, StreamOrderError
+from repro.errors import InvalidEventError, StreamOrderError, UnsupportedQueryError
 from repro.events.event import Event
 from repro.query.aggregates import count_star
 from repro.query.ast import atom, kleene_plus, sequence
@@ -347,3 +348,38 @@ class TestNonNumericValues:
         engine = CograEngine(self.query("MAX(A.v)"))
         with pytest.raises(TypeError, match="not supported between"):
             engine.run(events)
+
+
+class TestMinTrendLength:
+    """The folds count every trend, so a minimal trend length is refused."""
+
+    def query(self):
+        return (
+            QueryBuilder("longer")
+            .pattern(kleene_plus("A"))
+            .aggregate(count_star())
+            .min_trend_length(3)
+            .build()
+        )
+
+    def events(self):
+        return [Event("A", float(time), sequence=time) for time in range(4)]
+
+    def test_the_engine_refuses_it_instead_of_counting_every_trend(self):
+        # 15 trends of A+ over four A events; 5 of them have 3 events or more
+        with pytest.raises(UnsupportedQueryError, match="min_trend_length=3"):
+            CograEngine(self.query()).run(self.events())
+
+    def test_a_streaming_runtime_refuses_it_at_registration(self):
+        runtime = StreamingRuntime()
+        with pytest.raises(UnsupportedQueryError, match="min_trend_length"):
+            runtime.register(self.query(), name="longer")
+        assert runtime.query_names == []
+
+    def test_the_oracle_still_applies_it(self):
+        assert TrendOracle(self.query()).total_trend_count(self.events()) == 5
+
+    def test_the_default_length_runs(self):
+        query = simple_query()
+        assert query.min_trend_length == 1
+        assert total_trend_count(CograEngine(query).run(self.events())) == 15

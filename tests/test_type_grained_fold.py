@@ -24,9 +24,21 @@ from hypothesis import strategies as st
 from differential import HOSTILE, slices, stream, streams
 import repro
 from helpers import reference_type_grained_process
+from helpers import (
+    reference_event_grained_process,
+    reference_mixed_grained_process,
+    reference_negation_event_grained_process,
+    reference_negation_type_grained_process,
+)
 from repro.analyzer.plan import plan_query
+from repro.core.event_grained import EventGrainedAggregator
+from repro.core.mixed_grained import MixedGrainedAggregator
 from repro.core.type_grained import TypeGrainedAggregator
 from repro.events.event import Event
+from repro.extensions.negation import (
+    NegationEventGrainedAggregator,
+    NegationTypeGrainedAggregator,
+)
 from repro.query.aggregates import avg, count_star, count_type, max_of, min_of, sum_of
 from repro.query.ast import atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
@@ -303,6 +315,15 @@ WITHIN 20 seconds SLIDE 5 seconds
 """
 
 
+NEGATED = """
+RETURN g, COUNT(*), SUM(A.v), MAX(A.v)
+PATTERN SEQ(A+, NOT C, B)
+SEMANTICS skip-till-any-match
+GROUP-BY g
+WITHIN 20 seconds SLIDE 5 seconds
+"""
+
+
 class TestDispatchAfterMigration:
     @pytest.mark.parametrize(
         "before, after, seed",
@@ -364,3 +385,85 @@ class TestDispatchAfterMigration:
         assert [json.dumps(record.as_dict()) for record in records] == [
             json.dumps(record.as_dict()) for record in expected
         ]
+
+    @pytest.mark.parametrize(
+        "text, granularities",
+        [
+            (QUERY, ("type", "mixed", "event")),
+            # the negation planner admits no mixed granularity
+            (NEGATED, ("type", "event")),
+        ],
+        ids=["plain", "negated"],
+    )
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_live_migrations_through_every_admitted_granularity(
+        self, text, granularities, seed
+    ):
+        """Windows stay open across each switch, and after every slice each
+        open aggregator holds what the literal recurrence of its own class
+        builds from the events of its (window, group)."""
+        events = stream(seed + 40, 300, types="AAABC", groups="xyz")
+        static = StreamingRuntime(lateness=0.0)
+        static.register(text, name="q", granularity=granularities[0])
+        expected = static.process_ordered(events) + static.flush()
+
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(text, name="q", granularity=granularities[0])
+        analysis = runtime.engine("q").negation_analysis
+        components = analysis.components if analysis is not None else ()
+        switches = {
+            len(events) * number // len(granularities): granularity
+            for number, granularity in enumerate(granularities[1:], 1)
+        }
+        rng = random.Random(seed)
+        records = []
+        seen_classes = []
+        start = 0
+        while start < len(events):
+            stop = min(len(events), start + rng.randint(1, 30))
+            stop = min([stop, *(cut for cut in switches if cut > start)])
+            records.extend(runtime.process_ordered(events[start:stop]))
+            start = stop
+            executor = runtime.engine("q").executor
+            assert_every_aggregator_follows_its_recurrence(
+                executor, events[:start], components
+            )
+            seen_classes.append(
+                {type(a).__name__ for _w, _k, a in executor.open_aggregators()}
+            )
+            if start in switches:
+                assert runtime.migrate_granularity("q", switches[start])
+        records.extend(runtime.flush())
+        # every switch left windows of the previous class open next to new ones
+        assert sum(len(classes) >= 2 for classes in seen_classes) >= len(switches)
+        assert [json.dumps(record.as_dict()) for record in records] == [
+            json.dumps(record.as_dict()) for record in expected
+        ]
+
+
+#: each aggregator class -> ``reference(aggregator, event, components)``
+RECURRENCES = {
+    TypeGrainedAggregator: lambda a, e, c: reference_type_grained_process(a, e),
+    MixedGrainedAggregator: lambda a, e, c: reference_mixed_grained_process(a, e),
+    EventGrainedAggregator: lambda a, e, c: reference_event_grained_process(a, e),
+    NegationTypeGrainedAggregator: reference_negation_type_grained_process,
+    NegationEventGrainedAggregator: reference_negation_event_grained_process,
+}
+
+
+def assert_every_aggregator_follows_its_recurrence(executor, events, components):
+    """Each open aggregator against a fresh one of its class and plan fed its
+    (window, group)'s share of ``events`` through the literal recurrence."""
+    window = executor.query.window
+    for window_id, key, aggregator in executor.open_aggregators():
+        cls = type(aggregator)
+        plan = aggregator.plan
+        oracle = cls(plan, components) if components else cls(plan)
+        for event in events:
+            if (
+                window_id in window.windows_of(event.time)
+                and plan.partition_key(event) == key
+                and plan.bind(event) is not None
+            ):
+                RECURRENCES[cls](oracle, event, components)
+        assert state_of(aggregator) == state_of(oracle), (cls.__name__, window_id, key)
