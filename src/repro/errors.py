@@ -105,8 +105,10 @@ class LateEventError(StreamOrderError):
 
     ``records`` holds what the earlier events of the same ``process_batch``
     slice had already emitted (their windows are evicted, so nothing else
-    can produce them again); the driver loop delivers them before the error
-    propagates.
+    can produce them again).  They were handed to that call's ``emit``
+    already, so the driver loop only yields them before the error
+    propagates; a sharded runtime first waits for its workers, so the list
+    is the same as in a single-process run.
     """
 
     def __init__(self, message: str, event=None, watermark: float | None = None):

@@ -122,7 +122,7 @@ class PipelineDriver:
     """The source → process → emit → sink driver loop shared by the runtimes.
 
     Subclasses provide the runtime interface the loop is written against:
-    ``process_batch(events)`` / ``flush()`` / ``checkpoint()`` /
+    ``process_batch(events, emit)`` / ``flush()`` / ``checkpoint()`` /
     ``drain_pending()`` -- both :class:`StreamingRuntime` and
     :class:`~repro.streaming.sharded.ShardedRuntime` do, so the CLI,
     examples, benchmarks and :meth:`CograEngine.stream` stop hand-rolling
@@ -192,9 +192,11 @@ class PipelineDriver:
             run.
         sink:
             Optional downstream :class:`~repro.streaming.sources.Sink`.
-            Every record is emitted into it *before* it is yielded (see
-            :meth:`DriveSession.deliver`; a caller pulling this generator
-            must not emit again).  The sink also serves two delivery
+            Every record is emitted into it *before* it is yielded -- as
+            soon as the ingest step closing its window was applied (see
+            :class:`DriveSession`; a caller pulling this generator must
+            not emit again, and the sink must not call back into the
+            runtime).  The sink also serves two delivery
             concerns: its :meth:`~repro.streaming.sources.Sink.ready`
             signal throttles ingestion (backpressure), and -- when it
             exposes ``state()``, like
@@ -545,14 +547,21 @@ class DriveSession:
         records = session.finish()             # flush + final export
         session.close()                        # always, in a finally
 
-    The session is the one place a record enters the sink:
-    :meth:`deliver` emits each record and then yields it, and everything
-    ``step`` and ``finish`` yield went through it.  ``step`` splits slices
-    at checkpoint-interval boundaries, lets the sink's ``ready`` signal
-    throttle ingestion, drains late events to ``on_late``, saves periodic
-    checkpoints through :meth:`PipelineDriver._delivery_checkpoint` -- after
-    the chunk's records were delivered, so the sink offset inside the
-    checkpoint covers them -- and offers the metrics exporter a snapshot.
+    The session is the one place a record enters the sink, and every
+    record enters it exactly once, before it is yielded.  ``step`` hands
+    the sink's ``emit`` to ``process_batch``, so a record reaches the sink
+    as soon as the ingest step that closes its window was applied, not at
+    the end of the pulled slice; the consumer of ``step`` still receives
+    the slice's records together once ``process_batch`` returns.  Records
+    surfacing outside ``process_batch`` (a sharded quiesce, the final
+    flush) go through :meth:`deliver`, which emits each and then yields
+    it.  ``step`` splits slices at checkpoint-interval boundaries, lets the
+    sink's ``ready`` signal throttle ingestion, drains late events to
+    ``on_late``, saves periodic checkpoints through
+    :meth:`PipelineDriver._delivery_checkpoint` -- after the chunk's
+    records were delivered, so the sink offset inside the checkpoint
+    covers them -- and offers the metrics exporter a snapshot.  The sink
+    must not call back into the runtime while a slice is processed.
     """
 
     def __init__(
@@ -596,6 +605,7 @@ class DriveSession:
         self.driver = driver
         self.source = as_source(events)
         self.sink = sink
+        self._emit = sink.emit if sink is not None else None
         #: resolved pull-slice size (clamped to the checkpoint interval)
         self.decode_batch_size = decode_batch_size
         self._checkpoint_store = checkpoint_store
@@ -633,11 +643,13 @@ class DriveSession:
     def step(self, batch: List[Event]) -> Iterator[EmissionRecord]:
         """Run one pulled slice through the pipeline; deliver its records.
 
-        A generator so records reach the sink and the consumer *before*
-        the chunk's checkpoint save -- the delivery order exactly-once
-        recovery is proven against.  Callers must drain it fully (or use
-        ``list(...)``); an abandoned generator leaves the slice half
-        ingested.
+        Each record enters the sink inside ``process_batch``, as the step
+        closing its window is applied; the chunk's records are then yielded
+        together.  A generator so records reach the sink and the consumer
+        *before* the chunk's checkpoint save -- the delivery order
+        exactly-once recovery is proven against.  Callers must drain it
+        fully (or use ``list(...)``); an abandoned generator leaves the
+        slice half ingested.
         """
         driver = self.driver
         start = 0
@@ -657,12 +669,13 @@ class DriveSession:
             self.processed += end - start
             start = end
             try:
-                yield from self.deliver(driver.process_batch(chunk))
+                records = driver.process_batch(chunk, self._emit)
             except LateEventError as error:
                 # a raising late policy aborts the slice, not the results
-                # its earlier events already produced
-                yield from self.deliver(error.records)
+                # its earlier events already produced (and emitted)
+                yield from error.records
                 raise
+            yield from records
             if self._on_late is not None:
                 late = driver.take_late_events()
                 if late:
@@ -917,7 +930,11 @@ class StreamingRuntime(PipelineDriver):
         """Ingest one (possibly out-of-order) event: a slice of one."""
         return self.process_batch([event])
 
-    def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
+    def process_batch(
+        self,
+        events: List[Event],
+        emit: Optional[Callable[[EmissionRecord], None]] = None,
+    ) -> List[EmissionRecord]:
         """Ingest a slice of (possibly out-of-order) events; return what emits.
 
         The records, their order, the watermark stamps and the window
@@ -930,11 +947,19 @@ class StreamingRuntime(PipelineDriver):
         span reaches the executors through :meth:`_route_slice`.  With a
         raising late policy the records the slice's earlier events emitted
         travel on the :class:`~repro.errors.LateEventError` (``.records``).
+
+        ``emit``, when given, is called on each record as soon as the step
+        that produced it was applied -- so a window closed by the slice's
+        10th event leaves before the rest of the slice is folded -- in
+        exactly the order of the returned list, which ``emit`` does not
+        change.  Records on a :class:`~repro.errors.LateEventError` were
+        emitted already.  ``emit`` must not call back into the runtime:
+        a checkpoint taken mid-slice would not match the source offsets.
         """
         self._check_processable()
         records: List[EmissionRecord] = []
         try:
-            self._ingest(events, partial(self._apply_push, records))
+            self._ingest(events, partial(self._apply_push, records, emit))
         except LateEventError as error:
             error.records = records
             raise
@@ -946,12 +971,16 @@ class StreamingRuntime(PipelineDriver):
             self._replan_now()
         return records
 
-    def _apply_push(self, records: List[EmissionRecord], batch, trace, edge) -> None:
+    def _apply_push(
+        self, records: List[EmissionRecord], emit, batch, trace, edge
+    ) -> None:
         """Route what one step released, then emit what its watermark closes.
 
         ``batch`` is a push as the reorder buffer returned it, or the pushes
         of a step folded into one (their released events, the newest
         watermark).  ``edge`` is unused: the executors find their own edges.
+        What the step appended to ``records`` goes to ``emit`` (if any)
+        before the next step is applied.
         """
         emitted_before = len(records)
         released = batch.released
@@ -971,6 +1000,9 @@ class StreamingRuntime(PipelineDriver):
                     self._advance_emission(batch.watermark, records)
         if trace is not None:
             trace.annotate(records=len(records) - emitted_before)
+        if emit is not None and len(records) > emitted_before:
+            for record in records[emitted_before:]:
+                emit(record)
 
     def _advance_emission(
         self, watermark: float, records: List[EmissionRecord]

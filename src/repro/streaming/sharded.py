@@ -99,13 +99,13 @@ import struct
 import time as _time
 import traceback
 import warnings
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
 from repro.core.partitioner import shard_index, single_shard_reason
 from repro.core.results import GroupResult
-from repro.errors import CheckpointError, WorkerCrashError
+from repro.errors import CheckpointError, LateEventError, WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.parser import parse_query
@@ -1553,28 +1553,47 @@ class ShardedRuntime(PipelineDriver):
         """Ingest one (possibly out-of-order) event: a slice of one."""
         return self.process_batch([event])
 
-    def process_batch(self, events: List[Event]) -> List[EmissionRecord]:
+    def process_batch(
+        self,
+        events: List[Event],
+        emit: Optional[Callable[[EmissionRecord], None]] = None,
+    ) -> List[EmissionRecord]:
         """Ingest an arrival-ordered slice of events; return merged emissions.
 
         Emission is asynchronous: records surface once the owning worker has
         acknowledged the batch and every earlier epoch is complete, so a
-        given call may return results triggered by earlier events (also
-        after a raising late policy aborted a slice: what was ready then
-        is returned by the next call).  All records are delivered by the
-        end of :meth:`flush`.  The slice runs through the same steps as in
+        given call may return results triggered by earlier events.  All
+        records are delivered by the end of :meth:`flush`.  The slice runs
+        through the same steps as in
         :class:`~repro.streaming.runtime.StreamingRuntime` (see
         :meth:`_ingest`): shipping decisions (``ship_interval``,
         ``max_batch``, backpressure), rebalancing and re-planning happen
         once per step, and the push reaching a window edge ships alone with
         its own watermark, so watermark stamps depend on neither the slicing
         nor ``ship_interval``; acknowledgements are drained once per slice.
+
+        ``emit`` has the single-process contract: it is called on each
+        returned record, in order, and must not call back into the runtime.
+        Here that happens when the slice's acknowledgements were drained,
+        the one point sharded records surface.  A raising late policy
+        first waits for every shipped epoch, so the
+        :class:`~repro.errors.LateEventError` carries (``.records``, emitted
+        already) every record the events before the late one produced, as
+        in a single-process run.
         """
         self._check_usable()
         if not self._started:
             self._start()
-        self._ingest(events, self._apply_push)
+        try:
+            self._ingest(events, self._apply_push)
+        except LateEventError as error:
+            # every window edge before the late event shipped alone, so
+            # the shipped epochs hold every record those events produced
+            self._drain_acks(block=True)
+            error.records = self._take_ready(emit)
+            raise
         self._drain_acks(block=False)
-        return self._take_ready()
+        return self._take_ready(emit)
 
     def _apply_push(self, batch, trace, edge: bool) -> None:
         """Route what one step released to the outboxes; ship what is due.
@@ -1617,9 +1636,15 @@ class ShardedRuntime(PipelineDriver):
                 self._release_ready_epochs()
             self.metrics.record_backpressure(_time.perf_counter() - blocked_at)
 
-    def _take_ready(self) -> List[EmissionRecord]:
+    def _take_ready(
+        self, emit: Optional[Callable[[EmissionRecord], None]] = None
+    ) -> List[EmissionRecord]:
+        """Hand over the merged records, each to ``emit`` (if any) first."""
         ready = self._ready_records
         self._ready_records = []
+        if emit is not None:
+            for record in ready:
+                emit(record)
         return ready
 
     def drain_pending(self) -> List[EmissionRecord]:

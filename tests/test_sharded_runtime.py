@@ -11,6 +11,7 @@ the pipe transport.
 """
 
 import contextlib
+import gc
 import json
 import math
 import multiprocessing
@@ -948,9 +949,13 @@ class TestPipeTransport:
             runtime.close()
 
         cycle()
+        # garbage left by earlier tests may hold descriptors: collect it on
+        # both sides, so only what the cycles leave open is counted
+        gc.collect()
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(50):
             cycle()
+        gc.collect()
         assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
