@@ -129,7 +129,7 @@ def main() -> None:
 
         # == crash: SIGKILL-equivalent at event {CRASH_AT} ==
         out = root / "results.jsonl"
-        store = CheckpointStore(root / "ckpt", background=False)
+        store = CheckpointStore(root / "ckpt")
         sink = TransactionalSink(out)
         try:
             new_runtime().run(

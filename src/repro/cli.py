@@ -280,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="bound on records in flight between ingestion and delivery "
-        "(default 64): sharded runs cap unacknowledged worker batches, "
-        "and a sink reporting not-ready pauses ingestion (the waits are "
-        "surfaced as backpressure_waits in --metrics)",
+        help="with --workers >1: shipped epochs that may await worker "
+        "acknowledgement before ingestion blocks (default 64; the waits "
+        "are surfaced as backpressure_waits in --metrics); a single "
+        "process has no epochs, and the pause while a sink reports "
+        "not-ready does not depend on it",
     )
     stream.add_argument(
         "--checkpoint-dir",
@@ -710,8 +711,9 @@ def _in_flag_words(message: str, args) -> str:
     flags: dict = {}
     for given_only in (False, True):  # a given flag beats one that merely exists
         for dest, path in _STREAM_FLAGS.items():
-            # a dotless path (emit_empty_groups) is also a key of other
-            # sections, where it is not this flag: leave the bare word alone
+            # a dotless path (emit_empty_groups) is also a plain word of
+            # other messages (a checkpoint's per-query settings), where it
+            # is not this flag: leave the bare word alone
             if "." in path and (not given_only or _flag_given(args, dest)):
                 flags[path] = "--" + dest.replace("_", "-")
     paths = "|".join(re.escape(path) for path in sorted(flags, key=len, reverse=True))

@@ -22,7 +22,7 @@ stream processor:
   file, in-memory) driven by ``runtime.run(source, sink)``;
 * :mod:`repro.streaming.checkpoint` -- snapshot/restore of the complete
   runtime state, plus :class:`CheckpointStore`: incremental on-disk
-  checkpoints with periodic compaction and optional background writes;
+  checkpoints with periodic compaction;
 * :mod:`repro.streaming.metrics` -- throughput, latency, watermark lag and
   late-event counters;
 * :mod:`repro.streaming.observability` -- the labeled metrics registry
@@ -52,7 +52,6 @@ from repro.streaming.config import (
     Job,
     JobConfig,
     LatenessConfig,
-    LogSourceConfig,
     ObsConfig,
     QueryConfig,
     RebalanceConfig,
@@ -164,7 +163,6 @@ __all__ = [
     "JsonlTraceSink",
     "LatePolicy",
     "LatenessConfig",
-    "LogSourceConfig",
     "MemorySink",
     "MetricsRegistry",
     "ObsConfig",

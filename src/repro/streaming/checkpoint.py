@@ -21,16 +21,14 @@ checkpoint), periodically compacted into a fresh base.  Sustained update
 streams mutate a small working set of open windows per interval, so deltas
 stay small while full snapshots grow with total state -- the same argument
 that makes delta-based incremental view maintenance tractable.  The store
-can write in the caller's thread or on a background writer thread, so the
-driver loop's periodic checkpoints do not stall ingestion on disk I/O.
+writes in the caller's thread: a checkpoint is on disk when :meth:`save`
+returns.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import queue as _queue
-import threading
 from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -574,28 +572,18 @@ class CheckpointStore:
         Chain length at which the next save writes a full base snapshot
         and prunes the previous chain.  ``1`` makes every checkpoint a
         full snapshot (no deltas).
-    background:
-        Write checkpoint files on a dedicated writer thread so the caller
-        (the driver loop) does not block on disk I/O.  :meth:`flush` joins
-        outstanding writes; a failed background write re-raises on the
-        next :meth:`save`, :meth:`flush` or :meth:`close`.
     registry:
         Optional
         :class:`~repro.streaming.observability.MetricsRegistry` recording
         write durations and bytes (labelled by base/delta kind) and
-        :meth:`load_latest` durations.  The metric children are created
-        here, up front: with ``background=True`` the writer thread only
-        ever touches its own pre-built children, never the registry's
-        family dictionaries.
+        :meth:`load_latest` durations.
     max_state_bytes:
         Optional cap on the serialized size of a snapshot's aggregator
         state (the ``executors`` section).  :meth:`save` raises
         :class:`~repro.errors.StateQuotaError` when a snapshot exceeds it
         -- checkpoint time is when a job's state is serialized anyway, so
         it is the natural (and cheap) enforcement point for the job
-        server's per-tenant state quotas.  Enforced in the caller's
-        thread even for background stores, so the violation surfaces as
-        a raise from ``save``, not a deferred writer error.
+        server's per-tenant state quotas.
     tenant:
         Optional tenant name carried into the quota error, for the job
         server's per-tenant accounting.
@@ -605,7 +593,6 @@ class CheckpointStore:
         self,
         directory: Union[str, Path],
         compact_every: int = 8,
-        background: bool = False,
         registry=None,
         max_state_bytes: Optional[int] = None,
         tenant: Optional[str] = None,
@@ -651,19 +638,10 @@ class CheckpointStore:
         self._manifest = self._read_manifest()
         #: per-executor index of the last saved snapshot, for diffing
         self._last_index: Optional[Dict[str, Dict[Tuple, str]]] = None
-        self._queue: Optional[_queue.Queue] = None
-        self._writer: Optional[threading.Thread] = None
-        self._write_error: Optional[BaseException] = None
         self._closed = False
         #: files superseded by the newest base, deleted after the manifest
         #: stopped referencing them
         self._prune: List[Path] = []
-        if background:
-            self._queue = _queue.Queue()
-            self._writer = threading.Thread(
-                target=self._writer_loop, name="cogra-checkpoint-writer", daemon=True
-            )
-            self._writer.start()
 
     # -- manifest --------------------------------------------------------------
 
@@ -696,13 +674,8 @@ class CheckpointStore:
 
     # -- writing ---------------------------------------------------------------
 
-    def save(self, snapshot: Dict[str, object]) -> Optional[CheckpointEntry]:
-        """Persist one runtime snapshot; return what was written.
-
-        Synchronous stores return the :class:`CheckpointEntry` (kind and
-        bytes written); background stores hand the snapshot to the writer
-        thread and return ``None`` (use :meth:`flush` + :attr:`entries`).
-        """
+    def save(self, snapshot: Dict[str, object]) -> CheckpointEntry:
+        """Persist one runtime snapshot; return what was written."""
         self._check_open()
         if snapshot.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -726,10 +699,6 @@ class CheckpointStore:
                     state_bytes=state_bytes,
                     limit_bytes=self.max_state_bytes,
                 )
-        if self._queue is not None:
-            self._raise_pending_write_error()
-            self._queue.put(snapshot)
-            return None
         entry = self._write(snapshot)
         self._apply_prune()
         return entry
@@ -854,8 +823,6 @@ class CheckpointStore:
         Reading works on a closed store too -- closing only stops writes.
         """
         started = _perf_counter()
-        if self._queue is not None and not self._closed:
-            self.flush()
         manifest = self._read_manifest()
         chain: List[Dict[str, object]] = manifest["chain"]
         if not chain:
@@ -951,48 +918,13 @@ class CheckpointStore:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def flush(self) -> None:
-        """Wait until every queued background write reached disk."""
-        self._check_open()
-        if self._queue is not None:
-            self._queue.join()
-        self._raise_pending_write_error()
-
     def close(self) -> None:
-        """Flush outstanding writes and stop the writer thread (idempotent)."""
-        if self._closed:
-            return
-        if self._queue is not None:
-            self._queue.join()
-            self._queue.put(None)
-            self._writer.join()
+        """Stop accepting writes (idempotent); reads keep working."""
         self._closed = True
-        self._raise_pending_write_error()
 
     def _check_open(self) -> None:
         if self._closed:
             raise CheckpointError("this checkpoint store was closed")
-
-    def _raise_pending_write_error(self) -> None:
-        if self._write_error is not None:
-            error, self._write_error = self._write_error, None
-            raise CheckpointError(
-                f"a background checkpoint write failed: {error}"
-            ) from error
-
-    def _writer_loop(self) -> None:
-        while True:
-            snapshot = self._queue.get()
-            if snapshot is None:
-                self._queue.task_done()
-                return
-            try:
-                self._write(snapshot)
-                self._apply_prune()
-            except BaseException as exc:  # surfaced on the caller's thread
-                self._write_error = exc
-            finally:
-                self._queue.task_done()
 
     def __enter__(self) -> "CheckpointStore":
         return self
@@ -1015,6 +947,5 @@ class CheckpointStore:
     def __repr__(self) -> str:
         return (
             f"CheckpointStore({str(self.directory)!r}, "
-            f"compact_every={self.compact_every}, "
-            f"background={self._queue is not None})"
+            f"compact_every={self.compact_every})"
         )

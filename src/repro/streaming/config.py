@@ -87,7 +87,6 @@ from repro.streaming.ingest import (
 from repro.streaming.jsonl import write_jsonl_events
 from repro.streaming.sources import (
     EventSource,
-    PartitionedLogSource,
     Sink,
     SkippingSource,
     TransactionalSink,
@@ -467,7 +466,7 @@ class ReplanConfig(_Section):
 
 @dataclass(frozen=True)
 class ShardConfig(_Section):
-    """The process topology: worker count and batching/recovery knobs.
+    """The process topology: worker count and shipping/recovery knobs.
 
     ``workers=1`` runs the whole job in-process on a
     :class:`~repro.streaming.runtime.StreamingRuntime`; more workers shard
@@ -477,15 +476,13 @@ class ShardConfig(_Section):
     many released events the parent gathers before it ships a wave,
     checked at the end of each ingest step; the push reaching a window
     edge -- a time edge, or a count window's next ordinal edge -- ships at
-    once whatever it is, so it never moves a watermark stamp.
-    ``max_batch`` ships a worker's outbox at the end of the step in which
-    it reaches that size.  ``rebalance`` configures live migration of hot
-    hash ranges between the workers (:class:`RebalanceConfig`).
+    once whatever it is, so it never moves a watermark stamp.  ``rebalance``
+    configures live migration of hot hash ranges between the workers
+    (:class:`RebalanceConfig`).
     """
 
     workers: int = field(default=1, metadata={"min": 1})
     ship_interval: int = field(default=64, metadata={"min": 1})
-    max_batch: int = field(default=512, metadata={"min": 1})
     max_restarts: int = field(default=0, metadata={"min": 0})
     start_method: Optional[str] = None
     rebalance: RebalanceConfig = field(default_factory=RebalanceConfig)
@@ -512,7 +509,7 @@ class CheckpointConfig(_Section):
     ``dir`` names the on-disk :class:`~repro.streaming.checkpoint.
     CheckpointStore`; ``interval`` checkpoints every N ingested events
     (incremental deltas, compacted every ``compact_every`` checkpoints,
-    written on a background thread unless ``background=False``);
+    each on disk before the job ingests on);
     ``recover`` resumes the job from the newest checkpoint in ``dir`` --
     and, combined with ``interval`` on a sharded topology, also restarts
     crashed workers from checkpoints instead of aborting.
@@ -520,7 +517,6 @@ class CheckpointConfig(_Section):
 
     dir: Optional[str] = None
     interval: Optional[int] = field(default=None, metadata={"min": 1})
-    background: bool = True
     compact_every: int = field(default=8, metadata={"min": 1})
     recover: bool = False
 
@@ -556,7 +552,6 @@ class CheckpointConfig(_Section):
         return CheckpointStore(
             self.dir,
             compact_every=self.compact_every,
-            background=self.background,
             registry=registry,
         )
 
@@ -565,14 +560,16 @@ class CheckpointConfig(_Section):
 class BackpressureConfig(_Section):
     """Bounded decoupling between ingestion and the slower pipeline ends.
 
-    ``max_inflight`` bounds the worker inboxes of a sharded topology: at
-    most that many shipped epochs may await worker acknowledgement before
-    ingestion blocks (the bounded-queue half of backpressure).
+    ``max_inflight`` bounds the worker inboxes of a sharded topology
+    (``shards.workers > 1``; a single process ships no epochs): at most
+    that many shipped epochs may await worker acknowledgement before
+    ingestion blocks (the bounded-queue half of backpressure).  The pause
+    while a sink reports no capacity does not depend on it:
     ``poll_interval_seconds`` paces the driver loop's
-    :meth:`~repro.streaming.sources.Sink.ready` polls while a sink reports
-    no capacity; ``max_wait_seconds`` turns a permanently stalled sink
-    into an error instead of an unbounded hang (``null`` waits forever,
-    like a blocking producer).  Both wait kinds are surfaced as
+    :meth:`~repro.streaming.sources.Sink.ready` polls during that pause
+    and ``max_wait_seconds`` turns a permanently stalled sink into an
+    error instead of an unbounded hang (``null`` waits forever, like a
+    blocking producer).  Both wait kinds are surfaced as
     ``backpressure_waits`` / ``backpressure_seconds`` in the metrics
     registry.
     """
@@ -668,45 +665,22 @@ class ObsConfig(_Section):
 
 
 @dataclass(frozen=True)
-class LogSourceConfig(_Section):
-    """A Kafka-style partitioned log as the job's source.
-
-    ``dir`` names the log directory (see
-    :class:`~repro.streaming.sources.PartitionedLogSource`); consumer
-    offsets are checkpointed with the runtime state, so ``--recover``
-    resumes from the committed offset without re-reading the prefix.  The
-    partition count and segment layout are read from the directory.
-    """
-
-    dir: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class SourceConfig(_Section):
     """Where the job's events come from, as a ``--source``-style spec.
 
     ``"-"`` reads JSONL from stdin, ``tail:PATH`` follows a growing JSONL
     file, ``tcp://HOST:PORT`` connects to a JSONL socket, ``log:DIR``
-    reads a partitioned log directory, and anything else reads a static
-    JSONL file (see :func:`~repro.streaming.sources.open_source`).  The
-    ``log`` section is the typed alternative to ``log:DIR``.
+    reads a Kafka-style partitioned log directory (its consumer offsets
+    are checkpointed with the runtime state, so ``checkpoint.recover``
+    seeks to the committed offsets instead of re-reading the prefix), and
+    anything else reads a static JSONL file (see
+    :func:`~repro.streaming.sources.open_source`).
     """
 
     spec: str = "-"
-    log: LogSourceConfig = field(default_factory=LogSourceConfig)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.log.dir is not None and self.spec != "-":
-            raise ConfigError(
-                f"source.log.dir and source.spec {self.spec!r} are both set; "
-                f"a job reads from one place -- drop one of them"
-            )
 
     def build(self) -> EventSource:
         """Open the configured :class:`EventSource`."""
-        if self.log.dir is not None:
-            return PartitionedLogSource(self.log.dir)
         return open_source(self.spec)
 
 
@@ -760,7 +734,6 @@ class QueryConfig(_Section):
     granularity: Optional[str] = field(
         default=None, metadata={"choices": GRANULARITIES}
     )
-    emit_empty_groups: Optional[bool] = None
 
 
 @dataclass(frozen=True)
@@ -911,7 +884,6 @@ class JobConfig(_Section):
                 late_policy=self.late.policy,
                 emit_empty_groups=self.emit_empty_groups,
                 ship_interval=self.shards.ship_interval,
-                max_batch=self.shards.max_batch,
                 max_restarts=self.shards.max_restarts,
                 start_method=self.shards.start_method,
                 rebalance=self.shards.rebalance,
@@ -931,12 +903,7 @@ class JobConfig(_Section):
             )
         if register:
             for name, query in zip(self.resolved_names(), self.queries):
-                runtime.register(
-                    query.text,
-                    name=name,
-                    granularity=query.granularity,
-                    emit_empty_groups=query.emit_empty_groups,
-                )
+                runtime.register(query.text, name=name, granularity=query.granularity)
         return runtime
 
 
@@ -988,17 +955,12 @@ class ServerConfig(_Section):
     directory (``<dir>/checkpoints/<job_id>``; ``None`` uses a fresh
     temporary directory).  ``tenants`` declares the known tenants and
     their quotas -- an empty tuple accepts any tenant name, unlimited.
-    ``queue_slices`` bounds each job's prefetch queue between its source
-    feeder and the scheduler (per-job backpressure);
-    ``poll_interval_seconds`` paces the scheduler when no job has work.
     """
 
     host: str = "127.0.0.1"
     port: int = field(default=0, metadata={"min": 0, "max": 65535})
     dir: Optional[str] = None
     tenants: Tuple[TenantConfig, ...] = ()
-    queue_slices: int = field(default=4, metadata={"min": 1})
-    poll_interval_seconds: float = field(default=0.005, metadata={"above": 0})
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -1327,11 +1289,7 @@ class Job:
                 if self._events is not None:
                     self._source = as_source(self._events)
                 else:
-                    log_dir = config.source.log.dir is not None
-                    self._source = self._open(
-                        "source.log.dir" if log_dir else "source.spec",
-                        config.source.build,
-                    )
+                    self._source = self._open("source.spec", config.source.build)
                 if self._owns_sink:
                     self._sink = self._open(
                         "sink.spec",

@@ -175,8 +175,7 @@ class PipelineDriver:
             Together they enable periodic checkpointing: every
             ``checkpoint_interval`` ingested events the runtime state is
             snapshotted into the store (incremental deltas; see
-            :class:`~repro.streaming.checkpoint.CheckpointStore`, whose
-            ``background=True`` moves the disk write off this loop).
+            :class:`~repro.streaming.checkpoint.CheckpointStore`).
         on_late:
             Called with each batch of drained side-channel late events
             (``LatePolicy.SIDE_CHANNEL``) so they are persisted or

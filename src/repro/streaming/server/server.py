@@ -96,6 +96,12 @@ UNSUPPORTED_SETTINGS = ("checkpoint.recover", "observability.prometheus_port")
 #: bytes but the job config itself does not checkpoint
 STATE_CHECK_INTERVAL = 256
 
+#: source slices a job's feeder may read ahead of the scheduler
+PREFETCH_SLICES = 4
+
+#: the scheduler's sleep when no job had work, and ``wait``'s poll period
+IDLE_SECONDS = 0.005
+
 
 def error_kind(exc: BaseException) -> str:
     """The protocol ``kind`` string for an exception."""
@@ -113,7 +119,6 @@ class ServerJob:
         job_id: str,
         tenant: TenantConfig,
         pipeline: Job,
-        queue_slices: int,
         bucket: Optional[TokenBucket] = None,
     ):
         self.job_id = job_id
@@ -129,7 +134,7 @@ class ServerJob:
         self.cancel_requested = threading.Event()
         #: source slices prefetched by the feeder thread; bounded, so a
         #: throttled or wedged job backpressures its own source only
-        self.queue: Queue = Queue(maxsize=queue_slices)
+        self.queue: Queue = Queue(maxsize=PREFETCH_SLICES)
         #: slice taken from the queue but not yet (fully) affordable
         self.pending_batch: Optional[List[Event]] = None
         self.feeder: Optional[threading.Thread] = None
@@ -215,7 +220,7 @@ class JobServer:
     ----------
     config:
         The :class:`~repro.streaming.config.ServerConfig` -- endpoint,
-        tenants and their quotas, queue depth, scheduler pacing.
+        working directory, tenants and their quotas.
     """
 
     def __init__(self, config: Optional[ServerConfig] = None):
@@ -353,7 +358,6 @@ class JobServer:
                 job_id,
                 quotas,
                 self._hosted_job(job_id, quotas, config),
-                self.config.queue_slices,
                 bucket=self._tenant_bucket(quotas),
             )
             self._jobs[job_id] = job
@@ -399,7 +403,6 @@ class JobServer:
                 store = CheckpointStore(
                     self.directory / "checkpoints" / job_id,
                     compact_every=config.checkpoint.compact_every,
-                    background=False,
                     registry=observability.registry,
                     max_state_bytes=tenant.max_state_bytes,
                     tenant=tenant.name,
@@ -465,7 +468,7 @@ class JobServer:
                 raise TimeoutError(
                     f"job {job_id} still {status['state']} after {timeout:g}s"
                 )
-            _time.sleep(self.config.poll_interval_seconds)
+            _time.sleep(IDLE_SECONDS)
 
     def metrics_snapshot(
         self, job_id: Optional[str] = None, tenant: Optional[str] = None
@@ -503,7 +506,7 @@ class JobServer:
         while not self._stop.is_set():
             progressed = self._schedule_round()
             if not progressed:
-                _time.sleep(self.config.poll_interval_seconds)
+                _time.sleep(IDLE_SECONDS)
 
     def _schedule_round(self) -> bool:
         """One round-robin pass: at most one slice per running job."""

@@ -474,10 +474,6 @@ class ShardedRuntime(PipelineDriver):
         run (record *order* within a wave is canonical -- window, then group,
         then query -- so multi-query jobs may interleave differently).
         Smaller values only hand events to the workers sooner.
-    max_batch:
-        Outbox bound: a shard's pending events are shipped at the end of the
-        step in which they reach this size, even when ``ship_interval`` has
-        not elapsed.
     max_restarts:
         How many times each shard's worker may be respawned after a crash
         before the run aborts with
@@ -520,7 +516,6 @@ class ShardedRuntime(PipelineDriver):
         late_policy: Union[LatePolicy, str, None] = None,
         emit_empty_groups: bool = False,
         ship_interval: int = 64,
-        max_batch: int = 512,
         max_restarts: int = 0,
         start_method: Optional[str] = None,
         rebalance: Union["RebalancePolicy", RebalanceConfig, Dict, None] = None,
@@ -536,7 +531,6 @@ class ShardedRuntime(PipelineDriver):
         shards = ShardConfig(
             workers=workers,
             ship_interval=ship_interval,
-            max_batch=max_batch,
             max_restarts=max_restarts,
             start_method=start_method,
             rebalance=RebalanceConfig() if rebalance is None else rebalance,
@@ -553,7 +547,6 @@ class ShardedRuntime(PipelineDriver):
         self.metrics = StreamingMetrics(observability=self.observability)
         self._emit_empty_groups = emit_empty_groups
         self._ship_interval = ship_interval
-        self._max_batch = max_batch
         #: epochs allowed in flight before ingestion blocks on worker acks
         #: (validated by the owning BackpressureConfig section)
         self._max_inflight = BackpressureConfig(max_inflight=max_inflight).max_inflight
@@ -1567,7 +1560,7 @@ class ShardedRuntime(PipelineDriver):
         through the same steps as in
         :class:`~repro.streaming.runtime.StreamingRuntime` (see
         :meth:`_ingest`): shipping decisions (``ship_interval``,
-        ``max_batch``, backpressure), rebalancing and re-planning happen
+        backpressure), rebalancing and re-planning happen
         once per step, and the push reaching a window edge ships alone with
         its own watermark, so watermark stamps depend on neither the slicing
         nor ``ship_interval``; acknowledgements are drained once per slice.
@@ -1599,11 +1592,10 @@ class ShardedRuntime(PipelineDriver):
         """Route what one step released to the outboxes; ship what is due.
 
         A wave ships once ``ship_interval`` released events have gathered,
-        once an outbox holds ``max_batch`` events, or at once when ``edge``
-        says the push reached a window edge (decided by :meth:`_ingest`
-        alone, in time or in event ordinals).  That push is applied alone,
-        so a wave that closes windows carries its watermark; every other
-        wave closes nothing.
+        or at once when ``edge`` says the push reached a window edge
+        (decided by :meth:`_ingest` alone, in time or in event ordinals).
+        That push is applied alone, so a wave that closes windows carries
+        its watermark; every other wave closes nothing.
 
         Parent-side spans cover ingest and route/ship; per-event execution
         happens inside the worker processes and shows up in their latency
@@ -1621,11 +1613,7 @@ class ShardedRuntime(PipelineDriver):
         self._maybe_rebalance(len(released))
         self._maybe_replan(len(released))
         self._events_since_ship += len(released)
-        if (
-            edge
-            or self._events_since_ship >= self._ship_interval
-            or any(len(outbox) >= self._max_batch for outbox in self._outboxes)
-        ):
+        if edge or self._events_since_ship >= self._ship_interval:
             self._ship_outboxes(self._pending_watermark)
         if len(self._inflight) > self._max_inflight:
             # bounded inboxes: block ingestion until the workers drain below

@@ -252,26 +252,23 @@ class TestFailurePaths:
         assert store.load_latest() is not None  # reads survive close
 
 
-class TestBackgroundWrites:
-    def test_background_store_writes_after_flush(self, tmp_path):
+class TestSynchronousWrites:
+    def test_a_saved_checkpoint_is_on_disk_when_save_returns(self, tmp_path):
         runtime = build_runtime()
-        with CheckpointStore(
-            tmp_path / "ckpt", compact_every=3, background=True
-        ) as store:
-            last = None
+        with CheckpointStore(tmp_path / "ckpt", compact_every=3) as store:
+            kinds = []
             for index, event in enumerate(stream(count=120, span=120.0)):
                 runtime.process(event)
                 if index % 30 == 29:
                     last = runtime.checkpoint()
-                    assert store.save(last) is None  # deferred to the writer
-            store.flush()
-            assert [entry.kind for entry in store.entries] == [
-                "base", "delta", "delta", "base",
-            ]
-            assert normalised(store.load_latest()) == normalised(last)
+                    kinds.append(store.save(last).kind)
+                    # a second reader of the directory sees it at once
+                    reader = CheckpointStore(tmp_path / "ckpt")
+                    assert normalised(reader.load_latest()) == normalised(last)
+            assert kinds == ["base", "delta", "delta", "base"]
 
-    def test_background_write_error_surfaces_on_flush(self, tmp_path, monkeypatch):
-        store = CheckpointStore(tmp_path / "ckpt", background=True)
+    def test_a_failed_write_raises_from_save(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path / "ckpt")
         monkeypatch.setattr(
             store,
             "_write",
@@ -279,14 +276,13 @@ class TestBackgroundWrites:
         )
         runtime = build_runtime()
         runtime.process(Event("A", 1.0, {"g": "a", "v": 1}))
-        store.save(runtime.checkpoint())
-        with pytest.raises(CheckpointError, match="disk full"):
-            store.flush()
+        with pytest.raises(OSError, match="disk full"):
+            store.save(runtime.checkpoint())
 
     def test_driver_loop_checkpoints_periodically(self, tmp_path):
         """run(source, sink, checkpoint_store=..., checkpoint_interval=...)"""
         runtime = build_runtime()
-        store = CheckpointStore(tmp_path / "ckpt", background=True)
+        store = CheckpointStore(tmp_path / "ckpt")
         events = stream(count=100, span=120.0)
         runtime.run(events, checkpoint_store=store, checkpoint_interval=25)
         store.close()

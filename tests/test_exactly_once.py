@@ -292,7 +292,7 @@ class TestExactlyOncePipeline:
         """Crash at ``crash_at``, recover, return the final sink bytes."""
         log_dir = write_log(tmp_path / "log", events)
         out = tmp_path / "out.jsonl"
-        store = CheckpointStore(tmp_path / "ckpt", background=False)
+        store = CheckpointStore(tmp_path / "ckpt")
 
         sink = TransactionalSink(out)
         with pytest.raises(Crash):
@@ -336,7 +336,7 @@ class TestExactlyOncePipeline:
     def test_checkpoints_carry_source_offsets_and_sink_state(self, tmp_path):
         events = stream(count=150)
         log_dir = write_log(tmp_path / "log", events)
-        store = CheckpointStore(tmp_path / "ckpt", background=False)
+        store = CheckpointStore(tmp_path / "ckpt")
         sink = TransactionalSink(tmp_path / "out.jsonl")
         new_runtime().run(
             PartitionedLogSource(log_dir),

@@ -15,9 +15,12 @@ The central guarantees:
 
 import dataclasses
 import json
+import multiprocessing
+import re
 import sys
 import threading
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,7 +37,6 @@ from repro.streaming.config import (
     CheckpointConfig,
     JobConfig,
     LatenessConfig,
-    LogSourceConfig,
     ObsConfig,
     QueryConfig,
     RebalanceConfig,
@@ -87,7 +89,6 @@ SECTIONS = {
     BatchConfig: "batch.",
     CheckpointConfig: "checkpoint.",
     SourceConfig: "source.",
-    LogSourceConfig: "source.log.",
     SinkConfig: "sink.",
     BackpressureConfig: "backpressure.",
     ObsConfig: "observability.",
@@ -178,9 +179,9 @@ def field_examples():
 class TestDeclaredFields:
     """One declaration per setting: the dataclass field is all there is."""
 
-    def test_the_config_surface_is_16_classes_and_68_fields(self):
-        assert len(SECTIONS) == 16
-        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 68
+    def test_the_config_surface_is_15_classes_and_61_fields(self):
+        assert len(SECTIONS) == 15
+        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 61
 
     @pytest.mark.parametrize("cls, name, value, valid", field_examples())
     def test_field_accepts_and_rejects_by_its_declaration(
@@ -281,6 +282,41 @@ class TestComponentValidation:
             ShardConfig(workers=0)
 
 
+class TestDocumentedPaths:
+    """Prose names live settings only: a removed one cannot linger in it."""
+
+    DOCUMENTS = ("README.md", ".claude/skills/verify/SKILL.md")
+
+    @staticmethod
+    def live_paths():
+        live = set()
+        for cls, prefix in SECTIONS.items():
+            if prefix:
+                live.update({prefix[:-1], prefix.removesuffix("[].")})
+            live.update(prefix + spec.name for spec in dataclasses.fields(cls))
+        return live
+
+    @pytest.mark.parametrize("document", DOCUMENTS)
+    def test_backticked_config_paths_are_live(self, document):
+        """A backticked span opening with a dotted path whose first segment
+        is a section (``shards.workers = 4``, ``replan.*``) names a live
+        section or setting; code that shares a section's name is written
+        qualified (``repro.streaming.checkpoint...``, ``Sink.emit``)."""
+        live = self.live_paths()
+        firsts = {prefix.split(".")[0] for prefix in SECTIONS.values() if prefix}
+        sections = "|".join(sorted(first.removesuffix("[]") for first in firsts))
+        opening = re.compile(rf"`((?:{sections})(?:\[\])?(?:\.[\w*]+)+)")
+        text = (Path(__file__).resolve().parent.parent / document).read_text()
+        dead = sorted(
+            {
+                match.group(1)
+                for match in opening.finditer(text)
+                if match.group(1).removesuffix(".*") not in live
+            }
+        )
+        assert dead == []
+
+
 # ---------------------------------------------------------------------------
 # unknown keys / typos
 # ---------------------------------------------------------------------------
@@ -312,32 +348,98 @@ class TestUnknownKeys:
             JobConfig.from_dict({"queries": TYPE_QUERY})
 
 
+#: settings that were removed because nothing depended on them: a file
+#: that still names one fails like any other unknown key, never silently
+#: ignored -- (config class, raw settings, the path the error names)
+REMOVED_SETTINGS = [
+    pytest.param(
+        JobConfig, {"shards": {"max_batch": 512}}, "shards.max_batch",
+        id="shards.max_batch",
+    ),
+    pytest.param(
+        JobConfig, {"source": {"log": {"dir": "events-log"}}}, "source.log",
+        id="source.log.dir",
+    ),
+    pytest.param(
+        JobConfig,
+        {"checkpoint": {"dir": "ckpt", "interval": 8, "background": True}},
+        "checkpoint.background",
+        id="checkpoint.background",
+    ),
+    pytest.param(
+        JobConfig,
+        {"queries": [{"text": TYPE_QUERY, "emit_empty_groups": True}]},
+        "queries[0].emit_empty_groups",
+        id="queries[].emit_empty_groups",
+    ),
+    pytest.param(
+        ServerConfig, {"queue_slices": 4}, "queue_slices", id="queue_slices"
+    ),
+    pytest.param(
+        ServerConfig,
+        {"poll_interval_seconds": 0.005},
+        "poll_interval_seconds",
+        id="poll_interval_seconds",
+    ),
+]
+
+#: the constructor keywords that went with them
+REMOVED_KEYWORDS = [
+    pytest.param(ShardedRuntime, {"max_batch": 512}, id="ShardedRuntime-max_batch"),
+    pytest.param(ShardConfig, {"max_batch": 512}, id="ShardConfig-max_batch"),
+    pytest.param(SourceConfig, {"log": {"dir": "events-log"}}, id="SourceConfig-log"),
+    pytest.param(
+        CheckpointConfig,
+        {"dir": "ckpt", "interval": 8, "background": True},
+        id="CheckpointConfig-background",
+    ),
+    pytest.param(
+        CheckpointStore, {"directory": "ckpt", "background": True},
+        id="CheckpointStore-background",
+    ),
+    pytest.param(
+        QueryConfig,
+        {"text": TYPE_QUERY, "emit_empty_groups": True},
+        id="QueryConfig-emit_empty_groups",
+    ),
+    pytest.param(ServerConfig, {"queue_slices": 4}, id="ServerConfig-queue_slices"),
+    pytest.param(
+        ServerConfig,
+        {"poll_interval_seconds": 0.005},
+        id="ServerConfig-poll_interval_seconds",
+    ),
+]
+
+
+class TestRemovedSettings:
+    @pytest.mark.parametrize("cls, data, path", REMOVED_SETTINGS)
+    def test_a_config_naming_a_removed_setting_is_rejected(self, cls, data, path):
+        with pytest.raises(ConfigError, match=rf"unknown key '{re.escape(path)}'"):
+            cls.from_dict(data)
+
+    @pytest.mark.parametrize("cls, kwargs", REMOVED_KEYWORDS)
+    def test_a_removed_keyword_is_a_type_error(
+        self, cls, kwargs, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # where a CheckpointStore would make "ckpt"
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            cls(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # round-tripping
 # ---------------------------------------------------------------------------
 
 
 class TestDeliveryConfig:
-    """The PR-7 surface: source.log.*, sink.exactly_once, backpressure.*."""
-
-    def test_log_dir_conflicts_with_an_explicit_spec(self):
-        with pytest.raises(ConfigError, match="drop one of them"):
-            SourceConfig(spec="events.jsonl", log={"dir": "events-log"})
-
-    def test_log_section_coerces_from_a_mapping(self):
-        config = SourceConfig(log={"dir": "events-log"})
-        assert config.log == LogSourceConfig(dir="events-log")
-
-    def test_log_section_typo_is_suggested(self):
-        with pytest.raises(ConfigError, match="did you mean 'dir'"):
-            JobConfig.from_dict({"source": {"log": {"dirr": "events-log"}}})
+    """The delivery surface: source.spec log:DIR, sink.exactly_once, backpressure.*."""
 
     @pytest.mark.parametrize("key", ["partitions", "segment_records"])
     def test_log_layout_keys_are_unknown(self, key):
         """The log's layout is not configured: a config that sets it is
         rejected instead of being silently ignored."""
-        with pytest.raises(ConfigError, match=rf"unknown key 'source\.log\.{key}'"):
-            JobConfig.from_dict({"source": {"log": {"dir": "events-log", key: 2}}})
+        with pytest.raises(ConfigError, match=rf"unknown key 'source\.{key}'"):
+            JobConfig.from_dict({"source": {"spec": "log:events-log", key: 2}})
 
     @pytest.mark.parametrize("partitions, segment_records", [(1, 1024), (3, 4), (4, 1)])
     def test_log_source_reads_its_layout_from_the_directory(
@@ -353,7 +455,7 @@ class TestDeliveryConfig:
             tmp_path / "log", partitions=partitions, segment_records=segment_records
         ) as writer:
             writer.extend(events, key_by="g")
-        config = JobConfig.from_dict({"source": {"log": {"dir": str(tmp_path / "log")}}})
+        config = JobConfig.from_dict({"source": {"spec": f"log:{tmp_path / 'log'}"}})
         source = config.source.build()
         try:
             assert source.partitions == partitions
@@ -380,7 +482,7 @@ class TestDeliveryConfig:
 
         with PartitionedLogWriter(tmp_path / "log") as writer:
             writer.append(Event("A", 1.0, {"g": "x"}, sequence=0))
-        source = SourceConfig(log={"dir": str(tmp_path / "log")}).build()
+        source = SourceConfig(spec=f"log:{tmp_path / 'log'}").build()
         assert type(source).__name__ == "PartitionedLogSource"
         source.close()
 
@@ -436,17 +538,17 @@ def job_configs():
         ShardConfig,
         workers=st.integers(min_value=1, max_value=8),
         ship_interval=st.integers(min_value=1, max_value=128),
-        max_batch=st.integers(min_value=1, max_value=1024),
         max_restarts=st.integers(min_value=0, max_value=3),
+        start_method=st.one_of(st.none(), st.sampled_from(["fork", "spawn"])),
         rebalance=rebalances,
     )
+    batches = st.builds(BatchConfig, decode_batch_size=st.integers(1, 4096))
     checkpoints = st.one_of(
         st.builds(CheckpointConfig),
         st.builds(
             CheckpointConfig,
             dir=st.just("ckpt"),
             interval=st.integers(min_value=1, max_value=1000),
-            background=st.booleans(),
             compact_every=st.integers(min_value=1, max_value=16),
             recover=st.booleans(),
         ),
@@ -454,20 +556,15 @@ def job_configs():
     queries = st.lists(
         st.builds(
             QueryConfig,
-            text=st.just(TYPE_QUERY),
+            text=st.sampled_from([TYPE_QUERY, UNPARTITIONED_QUERY]),
             name=st.one_of(st.none(), st.sampled_from(["trends", "pairs"])),
             granularity=st.one_of(st.none(), st.just("event")),
-            emit_empty_groups=st.one_of(st.none(), st.booleans()),
         ),
         min_size=0,
         max_size=2,
     )
-    sources = st.one_of(
-        st.builds(SourceConfig, spec=st.sampled_from(["-", "x.jsonl"])),
-        st.builds(
-            SourceConfig,
-            log=st.builds(LogSourceConfig, dir=st.just("events-log")),
-        ),
+    sources = st.builds(
+        SourceConfig, spec=st.sampled_from(["-", "x.jsonl", "log:events-log"])
     )
     sinks = st.one_of(
         st.builds(SinkConfig, spec=st.one_of(st.none(), st.just("out.jsonl"))),
@@ -488,21 +585,89 @@ def job_configs():
             ),
         ),
     )
+    traces = st.one_of(
+        st.fixed_dictionaries({}),
+        st.fixed_dictionaries(
+            {
+                "trace_path": st.just("spans.jsonl"),
+                "trace_sample_rate": st.floats(min_value=0.01, max_value=1.0),
+            }
+        ),
+    )
+    observabilities = st.builds(
+        lambda traced, **rest: ObsConfig(**traced, **rest),
+        traces,
+        metrics_export_path=st.one_of(st.none(), st.just("metrics.jsonl")),
+        metrics_interval_seconds=st.floats(min_value=0.01, max_value=60.0),
+        prometheus_port=st.one_of(st.none(), st.integers(0, 65535)),
+    )
+    replans = st.builds(
+        ReplanConfig,
+        enabled=st.booleans(),
+        check_interval_events=st.integers(1, 8192),
+        hysteresis=st.floats(min_value=0.0, max_value=2.0),
+        max_migrations=st.integers(1, 8),
+        ewma_alpha=st.floats(min_value=0.01, max_value=1.0),
+    )
     return st.builds(
         JobConfig,
         queries=st.builds(tuple, queries),
         watermark=watermarks,
         late=lates,
         shards=shards,
+        batch=batches,
         checkpoint=checkpoints,
         source=sources,
         sink=sinks,
         backpressure=backpressures,
+        observability=observabilities,
+        replan=replans,
         emit_empty_groups=st.booleans(),
     )
 
 
+def leaf_values(data, prefix=""):
+    """``(dotted path, value)`` of every leaf setting in a ``to_dict()`` form."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from leaf_values(value, f"{prefix}{key}.")
+        elif isinstance(value, (list, tuple)) and all(
+            isinstance(entry, dict) for entry in value
+        ):
+            for entry in value:
+                yield from leaf_values(entry, f"{prefix}{key}[].")
+        else:
+            yield prefix + key, value
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "path, reference",
+        [
+            pytest.param(path, value, id=path)
+            for path, value in leaf_values(
+                JobConfig(queries=(QueryConfig(text=TYPE_QUERY),)).to_dict()
+            )
+        ],
+    )
+    def test_the_strategy_varies_every_leaf(self, path, reference):
+        """The round-trip properties below see every setting change: a
+        leaf the strategy never varies fails the filter's health check."""
+
+        @settings(max_examples=1, database=None, deadline=None)
+        @given(
+            job_configs().filter(
+                lambda config: any(
+                    drawn == path and value != reference
+                    for drawn, value in leaf_values(config.to_dict())
+                )
+            )
+        )
+        def varies(config):
+            pass
+
+        varies()
+
     @settings(max_examples=60, deadline=None)
     @given(config=job_configs())
     def test_from_dict_inverts_to_dict(self, config):
@@ -744,6 +909,71 @@ class TestBuildRuntime:
         finally:
             runtime.close()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("granularity", [None, "event"])
+    def test_a_query_runs_at_its_configured_granularity(self, workers, granularity):
+        config = JobConfig(
+            queries=(QueryConfig(text=TYPE_QUERY, name="q", granularity=granularity),),
+            watermark=WatermarkConfig(lateness=LATENESS),
+            shards=ShardConfig(workers=workers),
+        )
+        with job(config, events=stream(count=40, disorder=LATENESS)).start() as running:
+            planned = running.checkpoint()["executors"]["q"]["granularity"]
+        assert planned == (granularity or "type")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_emit_empty_groups_reports_the_group_without_a_trend(self, workers):
+        feed = [
+            Event("A", 1.0, {"g": "x", "v": 1}, sequence=0),
+            Event("B", 2.0, {"g": "x", "v": 2}, sequence=1),
+            Event("A", 3.0, {"g": "y", "v": 3}, sequence=2),  # no B follows
+        ]
+        groups = {}
+        for empty in (False, True):
+            config = JobConfig(
+                queries=(QueryConfig(text=TYPE_QUERY, name="q"),),
+                shards=ShardConfig(workers=workers),
+                emit_empty_groups=empty,
+            )
+            records = job(config, events=feed).results()
+            groups[empty] = sorted(record.result.group["g"] for record in records)
+        assert groups == {False: ["x"], True: ["x", "y"]}
+
+    def test_ship_interval_sets_how_often_the_parent_ships(self):
+        # 36 events inside one window: no edge ships a wave early
+        feed = [
+            Event("AB"[i % 2], i * 0.25, {"g": "uvwx"[i % 4], "v": i}, sequence=i)
+            for i in range(36)
+        ]
+        waves = {}
+        for interval in (1, 64):
+            config = JobConfig(
+                queries=(QueryConfig(text=TYPE_QUERY, name="q"),),
+                shards=ShardConfig(workers=2, ship_interval=interval),
+                batch=BatchConfig(decode_batch_size=4),
+            )
+            running = job(config, events=feed)
+            running.results()
+            waves[interval] = sum(s.batches_sent for s in running.runtime.shard_stats)
+        # at 1 every four-event slice ships; 36 events never reach 64
+        assert waves[1] > waves[64]
+
+    @pytest.mark.parametrize("method", [None, "fork", "spawn"])
+    def test_start_method_reaches_the_sharded_runtime(self, method):
+        available = multiprocessing.get_all_start_methods()
+        if method is not None and method not in available:
+            pytest.skip(f"no {method} start method here")
+        config = JobConfig(
+            queries=(QueryConfig(text=TYPE_QUERY, name="q"),),
+            shards=ShardConfig(workers=2, start_method=method),
+        )
+        runtime = config.build_runtime()
+        try:
+            default = "fork" if "fork" in available else available[0]
+            assert runtime._context.get_start_method() == (method or default)
+        finally:
+            runtime.close()
+
     def test_default_late_policy_is_raise_everywhere(self):
         # the historical divergence: CograEngine.stream said "raise" while
         # StreamingRuntime said DROP; LatenessConfig is now the single home
@@ -967,28 +1197,39 @@ class TestJobFacade:
         with socket.socket() as taken:
             taken.bind(("127.0.0.1", 0))
             taken.listen()
-            cases = {
-                "source.spec": {"source": SourceConfig(spec=str(tmp_path / "nope"))},
-                "source.log.dir": {
-                    "source": SourceConfig(log={"dir": str(tmp_path / "nope")})
-                },
-                "sink.spec": {"sink": SinkConfig(spec=str(tmp_path))},
-                "checkpoint.dir": {
-                    "checkpoint": CheckpointConfig(dir=str(corrupt), recover=True)
-                },
-                "observability.metrics_export_path": {
-                    "observability": ObsConfig(metrics_export_path=str(tmp_path))
-                },
-                "observability.prometheus_port": {
-                    "observability": ObsConfig(prometheus_port=taken.getsockname()[1])
-                },
-                "late.side_channel_path": {
-                    "late": LatenessConfig(
-                        policy="side-channel", side_channel_path=str(tmp_path)
-                    )
-                },
-            }
-            for path, overrides in cases.items():
+            cases = [
+                ("source.spec", {"source": SourceConfig(spec=str(tmp_path / "nope"))}),
+                (
+                    "source.spec",
+                    {"source": SourceConfig(spec=f"log:{tmp_path / 'nope'}")},
+                ),
+                ("sink.spec", {"sink": SinkConfig(spec=str(tmp_path))}),
+                (
+                    "checkpoint.dir",
+                    {"checkpoint": CheckpointConfig(dir=str(corrupt), recover=True)},
+                ),
+                (
+                    "observability.metrics_export_path",
+                    {"observability": ObsConfig(metrics_export_path=str(tmp_path))},
+                ),
+                (
+                    "observability.prometheus_port",
+                    {
+                        "observability": ObsConfig(
+                            prometheus_port=taken.getsockname()[1]
+                        )
+                    },
+                ),
+                (
+                    "late.side_channel_path",
+                    {
+                        "late": LatenessConfig(
+                            policy="side-channel", side_channel_path=str(tmp_path)
+                        )
+                    },
+                ),
+            ]
+            for path, overrides in cases:
                 overrides.setdefault("source", SourceConfig(spec=str(events)))
                 failing = job(self._config(**overrides))
                 with pytest.raises(JobStartError, match=path) as excinfo:
@@ -998,6 +1239,89 @@ class TestJobFacade:
                 # start() released whatever it had opened before failing
                 with pytest.raises(RuntimeError, match="stopped"):
                     failing.results()
+
+    @pytest.mark.parametrize(
+        "compact_every, chain", [(1, ["base"]), (8, ["base"] + ["delta"] * 5)]
+    )
+    def test_checkpoints_compact_on_the_configured_chain_length(
+        self, tmp_path, compact_every, chain
+    ):
+        # 60 events checkpointed every 10: six checkpoints
+        config = self._config(
+            checkpoint=CheckpointConfig(
+                dir=str(tmp_path), interval=10, compact_every=compact_every
+            )
+        )
+        job(config, events=stream(count=60, disorder=LATENESS)).results()
+        manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
+        kinds = [link["kind"] for link in manifest["chain"]]
+        assert kinds == chain
+
+    def test_max_inflight_bounds_the_shipped_epochs(self):
+        """One slice ships many waves at ship_interval=1; their acks are
+        drained at the slice end, so a cap of 1 must block ingestion."""
+        waits = {}
+        for cap in (1, 10_000):
+            config = self._config(
+                shards=ShardConfig(workers=2, ship_interval=1),
+                backpressure=BackpressureConfig(max_inflight=cap),
+            )
+            running = job(config, events=stream(count=200, disorder=LATENESS))
+            running.results()
+            waits[cap] = running.metrics.backpressure_waits
+        assert waits[1] > 0
+        assert waits[10_000] == 0
+
+    def test_a_stuck_sink_is_polled_and_given_up_on_as_configured(self):
+        from repro.errors import SourceError
+        from repro.streaming.sources import MemorySink
+
+        polls = []
+
+        class StuckSink(MemorySink):
+            def ready(self):
+                # stuck for far longer than max_wait_seconds, but not forever
+                polls.append(True)
+                return len(polls) > 100
+
+        config = self._config(
+            backpressure=BackpressureConfig(
+                poll_interval_seconds=0.05, max_wait_seconds=0.1
+            )
+        )
+        running = job(
+            config, events=stream(count=20, disorder=LATENESS), sink=StuckSink()
+        )
+        with pytest.raises(SourceError, match=r"max_wait_seconds=0\.1\)"):
+            running.results()
+        # a sleep never ends early: the step's check, then at most two polls
+        assert len(polls) <= 3
+
+    def test_every_event_is_traced_at_sample_rate_1(self, tmp_path):
+        path = tmp_path / "spans.jsonl"
+        config = self._config(
+            observability=ObsConfig(trace_path=str(path), trace_sample_rate=1.0)
+        )
+        job(config, events=stream(count=60, disorder=LATENESS)).results()
+        spans = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sum(span["name"] == "event" for span in spans) == 60
+
+    @pytest.mark.parametrize("interval, samples", [(3600.0, 2), (1e-9, 9)])
+    def test_metrics_are_sampled_on_the_configured_interval(
+        self, tmp_path, interval, samples
+    ):
+        """A sample is due on the first slice and then once per interval;
+        the end of the job adds a final one.  60 events pulled 8 at a time
+        are 8 slices."""
+        path = tmp_path / "metrics.jsonl"
+        config = self._config(
+            batch=BatchConfig(decode_batch_size=8),
+            observability=ObsConfig(
+                metrics_export_path=str(path), metrics_interval_seconds=interval
+            ),
+        )
+        job(config, events=stream(count=60, disorder=LATENESS)).results()
+        assert len(path.read_text().splitlines()) == samples
 
     def test_records_drives_lazily_and_retains_nothing(self, tmp_path):
         out = tmp_path / "out.jsonl"

@@ -405,6 +405,27 @@ class TestQuotas:
             # 100 events at 50/s with a 50-token burst needs about a second
             assert elapsed >= 0.8
 
+    def test_burst_lets_an_idle_tenant_run_ahead_of_its_rate(self, tmp_path):
+        events = write_stream(
+            tmp_path / "events.jsonl", stream(count=200, disorder=LATENESS)
+        )
+        config = ServerConfig(
+            tenants=(
+                TenantConfig("bursty", max_events_per_second=20.0, burst=1000.0),
+            )
+        )
+        with JobServer(config) as server:
+            started = time.monotonic()
+            job_id = server.submit(job_dict(events), tenant="bursty")
+            assert server._jobs[job_id].bucket.capacity == 1000.0
+            status = server.wait(job_id, timeout=30.0)
+            elapsed = time.monotonic() - started
+            assert status["state"] == DONE
+            assert status["events_ingested"] == 200
+            # the default burst, one second's worth (20 tokens), would need
+            # 9 s for the other 180 events
+            assert elapsed < 4.0
+
     def test_rate_quota_is_shared_across_a_tenants_concurrent_jobs(
         self, tmp_path
     ):
@@ -455,7 +476,7 @@ class TestQuotas:
         clock = FakeClock()
         bucket = TokenBucket(4.0, capacity=4.0, clock=clock)
         tenant = TenantConfig("slow", max_events_per_second=4.0, burst=4.0)
-        job = ServerJob("job-0001", tenant, StubJob(), 4, bucket=bucket)
+        job = ServerJob("job-0001", tenant, StubJob(), bucket=bucket)
         batch = list(range(10))
         job.pending_batch = list(batch)
         server = JobServer(ServerConfig(dir=str(tmp_path)))

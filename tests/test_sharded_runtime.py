@@ -560,8 +560,6 @@ class TestValidation:
             ShardedRuntime(workers=0)
         with pytest.raises(ValueError, match="ship_interval"):
             ShardedRuntime(ship_interval=0)
-        with pytest.raises(ValueError, match="max_batch"):
-            ShardedRuntime(max_batch=0)
 
     def test_rejects_prepared_engine(self):
         runtime = ShardedRuntime(workers=2)
@@ -1009,6 +1007,7 @@ class TestPipeTransport:
             runtime = ShardedRuntime(
                 workers=2, lateness=LATENESS, ship_interval=7, start_method=method
             )
+            assert runtime._context.get_start_method() == method
             runtime.register(TYPE_QUERY, name="q")
             rows[method] = [record.as_dict() for record in runtime.run(shuffled)]
         assert rows["spawn"] == rows["fork"]
