@@ -65,14 +65,6 @@ class PredicateClassification:
         """Adjacent predicates constraining the given ordered variable pair."""
         return self._adjacent_by_pair.get((predecessor_variable, successor_variable), [])
 
-    def constrained_predecessors(self) -> frozenset:
-        """Variables that appear on the predecessor side of some predicate."""
-        return frozenset(p.predecessor_variable for p in self.adjacent_predicates)
-
-    def constrained_successors(self) -> frozenset:
-        """Variables that appear on the successor side of some predicate."""
-        return frozenset(p.successor_variable for p in self.adjacent_predicates)
-
     def describe(self) -> str:
         """Readable rendering used in plan explanations."""
         lines = []

@@ -27,9 +27,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.analyzer.granularity import Granularity, allowed_granularities
+from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import CograPlan, plan_query
-from repro.errors import PlanningError
 from repro.query.query import Query
 from repro.query.semantics import Semantics
 
@@ -132,19 +131,6 @@ def estimate_two_step_trends(
     return per_type
 
 
-def _engine_plan(query: Query, forced_granularity=None) -> CograPlan:
-    """The plan :class:`~repro.core.engine.CograEngine` runs for ``query``.
-
-    A query with negated sub-patterns is planned for its positive part, and
-    mixed granularity escalates to event granularity (Section 8).
-    """
-    if not query.pattern.has_negation:
-        return plan_query(query, forced_granularity=forced_granularity)
-    from repro.extensions.negation import plan_negated_query  # imports this package
-
-    return plan_negated_query(query, forced_granularity)[0]
-
-
 def estimate_cost(
     query_or_plan,
     events_per_window: int = 10_000,
@@ -163,7 +149,7 @@ def estimate_cost(
         (mixed/event granularity); defaults to ``n`` divided by the pattern
         length.
     """
-    plan = query_or_plan if isinstance(query_or_plan, CograPlan) else _engine_plan(query_or_plan)
+    plan = query_or_plan if isinstance(query_or_plan, CograPlan) else plan_query(query_or_plan)
     length = plan.automaton.length
     target_count = len(plan.targets)
     cell = _cell_units(target_count)
@@ -217,18 +203,14 @@ def compare_granularities(
     """Cost estimates of every granularity the engine accepts for ``query``.
 
     This is the static counterpart of the ablation benchmark: it shows what
-    forcing a finer granularity would cost before running anything.  Mixed
-    granularity is left out for a negated query, whose engine rejects it.
+    forcing a finer granularity would cost before running anything.
     """
-    plan = _engine_plan(query)
-    estimates: Dict[str, CostEstimate] = {}
-    for granularity in allowed_granularities(plan.semantics, plan.classification):
-        try:
-            forced = _engine_plan(query, forced_granularity=granularity)
-        except PlanningError:
-            continue
-        estimates[granularity.value] = estimate_cost(forced, events_per_window)
-    return estimates
+    return {
+        granularity.value: estimate_cost(
+            plan_query(query, forced_granularity=granularity), events_per_window
+        )
+        for granularity in plan_query(query).accepted_granularities
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -289,28 +271,22 @@ def observed_updates_per_event(plan: CograPlan, observed: ObservedStatistics) ->
 
 
 def compare_observed_costs(
-    query_or_plan,
-    observed: ObservedStatistics,
-    allowed: Optional[Tuple[Granularity, ...]] = None,
+    query_or_plan, observed: ObservedStatistics
 ) -> Dict[Granularity, float]:
-    """Observed per-event update cost of every correct granularity.
+    """Observed per-event update cost of every granularity the query accepts.
 
     Keys iterate coarsest-first (the order of
-    :func:`~repro.analyzer.granularity.allowed_granularities`), so a plain
-    ``min`` over the dictionary breaks cost ties toward the coarser plan.
-    ``allowed`` restricts the candidates (the replan loop excludes mixed
-    granularity for negated queries, whose mixed bookkeeping is not
-    implemented).
+    :attr:`~repro.analyzer.plan.CograPlan.accepted_granularities`), so a
+    plain ``min`` over the dictionary breaks cost ties toward the coarser
+    plan.
     """
     plan = (
         query_or_plan
         if isinstance(query_or_plan, CograPlan)
         else plan_query(query_or_plan)
     )
-    if allowed is None:
-        allowed = allowed_granularities(plan.semantics, plan.classification)
     costs: Dict[Granularity, float] = {}
-    for granularity in allowed:
+    for granularity in plan.accepted_granularities:
         forced = (
             plan
             if plan.granularity is granularity
@@ -325,7 +301,6 @@ def recommend_granularity(
     observed: ObservedStatistics,
     current: Optional[Granularity] = None,
     hysteresis: float = 0.0,
-    allowed: Optional[Tuple[Granularity, ...]] = None,
 ) -> Granularity:
     """Granularity the observed statistics recommend, with hysteresis.
 
@@ -336,7 +311,7 @@ def recommend_granularity(
     ``hysteresis`` fraction -- a query sitting exactly on the boundary keeps
     its plan, so borderline queries do not flap.
     """
-    costs = compare_observed_costs(query_or_plan, observed, allowed=allowed)
+    costs = compare_observed_costs(query_or_plan, observed)
     best = min(costs, key=costs.__getitem__)
     if current is None:
         return best

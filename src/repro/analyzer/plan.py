@@ -15,7 +15,7 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 from __future__ import annotations
 
 from numbers import Number
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.codegen import Constants, compile_generated
@@ -58,7 +58,8 @@ class FoldStep(NamedTuple):
     attributes: Tuple[Optional[str], ...]
     #: ``kernel(windows, values, before)``: the step applied to the cells
     #: of type-grained aggregators (:func:`repro.core.type_grained.fold_kernel`);
-    #: ``None`` when no plan of the query is type-grained
+    #: ``None`` when no plan of the query is type-grained, or when the query
+    #: is negated (its type-grained aggregators run the negation cells folds)
     kernel: Optional[Callable]
 
 
@@ -85,16 +86,43 @@ class CograPlan:
     """
 
     def __init__(self, query: Query, forced_granularity: Optional[Granularity] = None):
+        #: the query as written, negated sub-patterns included: re-planning
+        #: it at another granularity keeps them
         self.query = query
+        pattern = query.pattern
+        #: the :class:`~repro.extensions.negation.NegationTables` of a query
+        #: with negated sub-patterns (Section 8), else ``None``: the plan is
+        #: made for the positive part, and its aggregators are the
+        #: negation-aware ones (:func:`~repro.core.base.create_aggregator`)
+        self.negations = None
+        if pattern.has_negation:
+            # imported here, not at the top: the extension imports this module
+            from repro.extensions.negation import analyze_negations
+
+            analysis = analyze_negations(pattern)
+            pattern, self.negations = analysis.positive_pattern, analysis.tables
         try:
-            self.automaton = PatternAutomaton(query.pattern)
+            self.automaton = PatternAutomaton(pattern)
         except Exception as exc:
-            raise PlanningError(f"cannot analyse pattern {query.pattern!r}: {exc}") from exc
+            raise PlanningError(f"cannot analyse pattern {pattern!r}: {exc}") from exc
         self.classification: PredicateClassification = classify_predicates(query)
         self.selected_granularity: Granularity = select_granularity(
             query.semantics, self.automaton, self.classification
         )
+        allowed = allowed_granularities(query.semantics, self.classification)
+        #: the granularities this query may be planned at, coarsest first:
+        #: the correct ones (Table 4), less MIXED for a negated query, whose
+        #: mixed bookkeeping is not implemented
+        self.accepted_granularities: Tuple[Granularity, ...] = (
+            allowed
+            if self.negations is None
+            else tuple(g for g in allowed if g is not Granularity.MIXED)
+        )
         self.granularity = self._resolve_granularity(forced_granularity)
+        if self.negations is not None and self.granularity is not Granularity.PATTERN:
+            # the per-type and per-event rules keep one state per edge; a
+            # pattern they cannot enforce is rejected here, before any event
+            self.negations.with_crossings()
         self.type_grained, self.event_grained = split_variables(
             self.automaton, self.classification
         )
@@ -110,6 +138,12 @@ class CograPlan:
             query.aggregates
         )
         self.partition_attributes: Tuple[str, ...] = self.classification.partition_attributes
+        #: event types the router must deliver: the pattern's, and the
+        #: negated ones, which bind to nothing but invalidate trends
+        relevant_types = frozenset(self.automaton.variable_types.values())
+        if self.negations is not None:
+            relevant_types |= frozenset(self.negations.by_type)
+        self.relevant_types: FrozenSet[str] = relevant_types
 
         # Pre-computed per-variable tables for the hot path.
         self._local_by_variable = {
@@ -137,10 +171,11 @@ class CograPlan:
 
         # every plan of the query compiles the type kernels when one of them
         # may be type-grained: a live migration feeds the bindings of the
-        # new plan to the old plan's aggregators
-        kernels = Granularity.TYPE in allowed_granularities(
-            query.semantics, self.classification
-        )
+        # new plan to the old plan's aggregators.  A negated query's
+        # type-grained aggregators fold through the negation cells folds
+        # instead, compiled below.
+        type_grained = Granularity.TYPE in self.accepted_granularities
+        kernels = type_grained and self.negations is None
         self._fold_steps: Dict[str, FoldStep] = {}
         for variable in self.automaton.variables:
             # pattern order: the order the folds add predecessor sums in,
@@ -189,6 +224,8 @@ class CograPlan:
                 self.folds[variable] = pattern_step(
                     f"<pattern fold {query.name}:{variable}>", step, self
                 )
+        if type_grained and self.negations is not None:
+            self.negations.with_folds(self)
         # bindings that do not depend on the event at all: no local predicate
         # decides the variables and no target reads an attribute
         no_values = (None,) * len(self.targets)
@@ -208,8 +245,14 @@ class CograPlan:
         self.partition_key: Callable[[Event], Tuple] = partition_key
 
     def _resolve_granularity(self, forced: Optional[Granularity]) -> Granularity:
-        """Apply a forced granularity after checking it preserves correctness."""
+        """Apply a forced granularity after checking it preserves correctness.
+
+        A negated query the selector plans at MIXED granularity runs at
+        EVENT granularity, and MIXED cannot be forced on it (Section 8).
+        """
         if forced is None:
+            if self.negations is not None and self.selected_granularity is Granularity.MIXED:
+                return Granularity.EVENT
             return self.selected_granularity
         if isinstance(forced, str):
             try:
@@ -219,7 +262,13 @@ class CograPlan:
                     f"unknown granularity {forced!r}; valid values: "
                     f"{[g.value for g in Granularity]}"
                 ) from None
-        allowed = allowed_granularities(self.query.semantics, self.classification)
+        if forced is Granularity.MIXED and self.negations is not None:
+            raise PlanningError(
+                "granularity 'mixed' cannot be forced on a query with negated "
+                "sub-patterns (the type-grained half of the mixed bookkeeping is "
+                "not implemented); force 'event' instead"
+            )
+        allowed = self.accepted_granularities
         if forced not in allowed:
             raise PlanningError(
                 f"granularity {forced.value!r} is not correct for a "
@@ -299,10 +348,6 @@ class CograPlan:
                 return False
         return True
 
-    def is_relevant_type(self, event: Event) -> bool:
-        """True when the event's type occurs in the pattern at all."""
-        return self.automaton.is_relevant_type(event.event_type)
-
     # -- adjacency ---------------------------------------------------------------
 
     def adjacency_satisfied(
@@ -366,6 +411,11 @@ class CograPlan:
             self.automaton.describe(),
             self.classification.describe(),
         ]
+        if self.negations is not None:
+            lines.append(
+                "negations   : "
+                + "; ".join(component.describe() for component in self.negations.components)
+            )
         return "\n".join(lines)
 
     def _describe_fold_steps(self) -> List[str]:

@@ -73,6 +73,9 @@ class BaselineApproach:
     name: str = "abstract"
     #: Expressive power; concrete classes override this.
     capabilities = ApproachCapabilities(False, frozenset(), False, False)
+    #: Whether the approach evaluates negated sub-patterns (Section 8, not a
+    #: column of Table 9); one that does not refuses them.
+    negation = False
 
     def __init__(self, cost_budget: Optional[int] = None):
         #: Upper bound on constructed trends / stored sequences; ``None`` = unbounded.
@@ -129,6 +132,8 @@ class BaselineApproach:
             raise UnsupportedQueryError(
                 f"{self.name} does not support predicates on adjacent events"
             )
+        if query.pattern.has_negation and not self.negation:
+            raise UnsupportedQueryError(f"{self.name} does not support negated sub-patterns")
 
     # -- extension point ---------------------------------------------------------------
 

@@ -28,6 +28,7 @@ class CograApproach(BaselineApproach):
         adjacent_predicates=True,
         online_trend_aggregation=True,
     )
+    negation = True
 
     def __init__(
         self,

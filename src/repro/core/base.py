@@ -14,7 +14,7 @@ from it here and overridden nowhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Type
+from typing import Dict, Tuple, Type
 
 from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import CograPlan
@@ -94,8 +94,8 @@ class SubstreamAggregator:
 
 
 @lru_cache(maxsize=None)
-def aggregator_class(granularity: Granularity) -> Type[SubstreamAggregator]:
-    """The aggregator class that evaluates plans of ``granularity`` (Table 4).
+def _classes() -> Dict[Tuple[Granularity, bool], Type[SubstreamAggregator]]:
+    """``(granularity, negated)`` -> the aggregator class (Table 4, Section 8).
 
     Resolved on first use, not at import time: the aggregator modules
     import this one.
@@ -104,15 +104,34 @@ def aggregator_class(granularity: Granularity) -> Type[SubstreamAggregator]:
     from repro.core.mixed_grained import MixedGrainedAggregator
     from repro.core.pattern_grained import PatternGrainedAggregator
     from repro.core.type_grained import TypeGrainedAggregator
+    from repro.extensions.negation import (
+        NegationEventGrainedAggregator,
+        NegationPatternGrainedAggregator,
+        NegationTypeGrainedAggregator,
+    )
 
     return {
-        Granularity.PATTERN: PatternGrainedAggregator,
-        Granularity.TYPE: TypeGrainedAggregator,
-        Granularity.MIXED: MixedGrainedAggregator,
-        Granularity.EVENT: EventGrainedAggregator,
-    }[granularity]
+        (Granularity.PATTERN, False): PatternGrainedAggregator,
+        (Granularity.TYPE, False): TypeGrainedAggregator,
+        (Granularity.MIXED, False): MixedGrainedAggregator,
+        (Granularity.EVENT, False): EventGrainedAggregator,
+        # a negated query is never planned at MIXED granularity
+        (Granularity.PATTERN, True): NegationPatternGrainedAggregator,
+        (Granularity.TYPE, True): NegationTypeGrainedAggregator,
+        (Granularity.EVENT, True): NegationEventGrainedAggregator,
+    }
+
+
+def aggregator_class(plan: CograPlan) -> Type[SubstreamAggregator]:
+    """The class of ``plan``'s aggregators, built as ``cls(plan)``.
+
+    The class of the plan's granularity (Table 4) or, for a query with
+    negated sub-patterns (``plan.negations``), its negation-aware
+    counterpart (Section 8).
+    """
+    return _classes()[plan.granularity, plan.negations is not None]
 
 
 def create_aggregator(plan: CograPlan) -> SubstreamAggregator:
-    """Instantiate the aggregator matching the plan's granularity."""
-    return aggregator_class(plan.granularity)(plan)
+    """Instantiate the aggregator that evaluates ``plan`` (:func:`aggregator_class`)."""
+    return aggregator_class(plan)(plan)

@@ -56,26 +56,7 @@ class CograEngine:
         if isinstance(query, str):
             query = parse_query(query)
         self.query: Query = query
-        if query.pattern.has_negation:
-            # Queries with negated sub-patterns are planned for their positive
-            # part and executed with negation-aware aggregators (Section 8).
-            from repro.extensions.negation import (
-                create_negation_aggregator,
-                plan_negated_query,
-            )
-
-            self.plan, self.negation_analysis = plan_negated_query(
-                query, forced_granularity=granularity
-            )
-            # compiled once per query, not per (window, group) aggregator
-            tables = self.negation_analysis.tables
-            self._aggregator_factory = (
-                lambda plan: create_negation_aggregator(plan, tables)
-            )
-        else:
-            self.plan: CograPlan = plan_query(query, forced_granularity=granularity)
-            self.negation_analysis = None
-            self._aggregator_factory = None
+        self.plan: CograPlan = plan_query(query, forced_granularity=granularity)
         self._emit_empty_groups = emit_empty_groups
         self._stream_active = False
         self._executor = self._build_executor()
@@ -228,11 +209,7 @@ class CograEngine:
         self._executor = self._build_executor()
 
     def _build_executor(self) -> QueryExecutor:
-        return QueryExecutor(
-            self.plan,
-            emit_empty_groups=self._emit_empty_groups,
-            aggregator_factory=self._aggregator_factory,
-        )
+        return QueryExecutor(self.plan, emit_empty_groups=self._emit_empty_groups)
 
     # -- introspection ------------------------------------------------------------------
 
@@ -243,13 +220,7 @@ class CograEngine:
 
     def explain(self) -> str:
         """Describe the COGRA configuration chosen by the static analyzer."""
-        text = self.plan.describe()
-        if self.negation_analysis is not None and self.negation_analysis.has_negations:
-            negations = "; ".join(
-                component.describe() for component in self.negation_analysis.components
-            )
-            text += f"\nnegations   : {negations}"
-        return text
+        return self.plan.describe()
 
     @property
     def granularity(self) -> str:

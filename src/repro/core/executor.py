@@ -22,7 +22,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.core.aggregate_state import read_columns, result_columns
-from repro.core.base import SubstreamAggregator, aggregator_class, create_aggregator
+from repro.core.base import SubstreamAggregator, aggregator_class
 from repro.core.partitioner import window_bounds
 from repro.core.results import GroupResult
 from repro.errors import StreamOrderError, UnsupportedQueryError
@@ -52,13 +52,12 @@ class QueryExecutor:
         When True, groups whose final trend count is zero are still emitted
         (with ``COUNT(*) = 0`` and ``None`` extrema).  Defaults to False,
         matching the usual CEP behaviour of reporting only matched groups.
-    aggregator_factory:
-        Callable mapping a plan to a fresh sub-stream aggregator.  Defaults
-        to :func:`~repro.core.base.create_aggregator`; the negation
-        extension substitutes negation-aware aggregators here.
+
+    The plan picks the aggregators (:func:`~repro.core.base.aggregator_class`),
+    negation-aware ones for a query with negated sub-patterns.
     """
 
-    def __init__(self, query, emit_empty_groups: bool = False, aggregator_factory=None):
+    def __init__(self, query, emit_empty_groups: bool = False):
         if isinstance(query, CograPlan):
             self.plan = query
         elif isinstance(query, Query):
@@ -78,14 +77,8 @@ class QueryExecutor:
                 "repro.extensions.rewrites.expand_min_trend_length instead"
             )
         self.emit_empty_groups = emit_empty_groups
-        #: plan -> aggregator for any plan of this query (a restore after a
-        #: live migration rebuilds aggregators of the previous granularity)
-        self._aggregator_factory = aggregator_factory or create_aggregator
-        #: the same for this executor's own plan, resolved once: the class
-        #: itself unless a factory was injected
-        self._new_aggregator = aggregator_factory or aggregator_class(
-            self.plan.granularity
-        )
+        #: the class of this plan's aggregators, resolved once
+        self._new_aggregator = aggregator_class(self.plan)
         #: the RETURN columns as slots of a final accumulator; every plan
         #: of the query tracks the same targets, so adopted aggregators too
         self._columns = result_columns(self.query.aggregates, self.plan.targets)
@@ -109,11 +102,6 @@ class QueryExecutor:
         self._min_open_window: Optional[int] = None
         self._last_time: Optional[float] = None
         self._events_seen = 0
-        #: event types the pattern mentions (read by the runtime's router)
-        self._relevant_types = frozenset(
-            self.plan.automaton.variable_types[variable]
-            for variable in self.plan.automaton.variables
-        )
 
     # -- streaming interface -------------------------------------------------------
 

@@ -18,9 +18,6 @@
 from repro.extensions.negation import (
     NegatedComponent,
     NegationAnalysis,
-    analyze_negations,
-    create_negation_aggregator,
-    plan_negated_query,
     trend_respects_negations,
 )
 from repro.extensions.rewrites import desugar_pattern, expand_min_trend_length
@@ -28,10 +25,7 @@ from repro.extensions.rewrites import desugar_pattern, expand_min_trend_length
 __all__ = [
     "NegatedComponent",
     "NegationAnalysis",
-    "analyze_negations",
-    "create_negation_aggregator",
     "desugar_pattern",
     "expand_min_trend_length",
-    "plan_negated_query",
     "trend_respects_negations",
 ]

@@ -18,11 +18,11 @@ ridesharing pattern ``SEQ(Accept, NOT Cancel, Finish)``:
 
 * :func:`analyze_negations` splits a pattern into its positive part and a
   list of :class:`NegatedComponent` descriptors (``Tp`` / ``Tf`` per
-  negation),
-* :func:`create_negation_aggregator` builds the negation-aware counterpart
-  of the granularity the planner selected for the positive part, and
-* :class:`~repro.core.engine.CograEngine` routes queries with negated
-  patterns through this module automatically.
+  negation), compiled into :class:`NegationTables`;
+* :func:`~repro.analyzer.plan.plan_query` plans every query: a negated one
+  for its positive part, with the tables as ``plan.negations``, and
+* :func:`~repro.core.base.create_aggregator` builds the negation-aware
+  counterpart of the plan's granularity from the plan alone.
 
 Enforced semantics
 ------------------
@@ -66,15 +66,14 @@ from typing import Dict, FrozenSet, List, Optional, Sequence as Seq, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.codegen import Constants
-from repro.analyzer.granularity import Granularity, allowed_granularities
-from repro.analyzer.plan import CograPlan, FoldStep, plan_query
+from repro.analyzer.plan import CograPlan, FoldStep
 from repro.core.aggregate_state import TrendAccumulator
-from repro.core.base import SubstreamAggregator, create_aggregator
+from repro.core.base import SubstreamAggregator
 from repro.core.event_grained import EventGrainedAggregator
 from repro.core.mixed_grained import fold_mixed
 from repro.core.pattern_grained import PatternGrainedAggregator
 from repro.core.type_grained import Recurrence, compile_fold
-from repro.errors import InvalidPatternError, PlanningError
+from repro.errors import InvalidPatternError
 from repro.events.event import Event
 from repro.query.ast import EventTypePattern, Negation, Pattern, Sequence
 from repro.query.query import Query
@@ -129,10 +128,6 @@ class NegationAnalysis:
     def has_negations(self) -> bool:
         """True when the original pattern contained at least one negation."""
         return bool(self.components)
-
-    def negated_types(self) -> FrozenSet[str]:
-        """Event types that occur under a negation."""
-        return frozenset(component.event_type for component in self.components)
 
 
 # ---------------------------------------------------------------------------
@@ -262,38 +257,6 @@ def positive_query(query: Query, analysis: Optional[NegationAnalysis] = None) ->
     )
 
 
-def plan_negated_query(
-    query: Query, forced_granularity: Optional[Granularity] = None
-) -> Tuple[CograPlan, NegationAnalysis]:
-    """Plan a query with negated sub-patterns.
-
-    The plan is computed for the positive part; mixed granularity is
-    escalated to event granularity because the negation bookkeeping for the
-    type-grained half of a mixed plan is not implemented.
-    """
-    analysis = analyze_negations(query.pattern)
-    if (
-        analysis.has_negations
-        and (forced_granularity is Granularity.MIXED or forced_granularity == "mixed")
-    ):
-        raise PlanningError(
-            "granularity 'mixed' cannot be forced on a query with negated "
-            "sub-patterns (the type-grained half of the mixed bookkeeping is "
-            "not implemented); force 'event' instead"
-        )
-    plan = plan_query(positive_query(query, analysis), forced_granularity=forced_granularity)
-    if analysis.has_negations and plan.granularity is Granularity.MIXED:
-        plan = plan_query(
-            positive_query(query, analysis), forced_granularity=Granularity.EVENT
-        )
-    if plan.granularity is not Granularity.PATTERN:
-        tables = analysis.tables.with_crossings()  # rejects what the rule cannot enforce
-        if Granularity.TYPE in allowed_granularities(plan.semantics, plan.classification):
-            # every plan of the query may be type-grained after a migration
-            tables.with_folds(plan)
-    return plan, analysis
-
-
 # ---------------------------------------------------------------------------
 # negation-aware aggregators
 # ---------------------------------------------------------------------------
@@ -324,9 +287,9 @@ def _crossing_edges(
 class NegationTables:
     """What the negation-aware aggregators look up per event, compiled once.
 
-    One instance serves every aggregator of a query (:attr:`NegationAnalysis.
-    tables`): the tables are keyed by variable names and derive from the
-    negated components alone.
+    One instance serves every aggregator of a plan (``plan.negations``,
+    :attr:`NegationAnalysis.tables`): the tables are keyed by variable names
+    and derive from the negated components alone.
     """
 
     __slots__ = ("components", "by_type", "feeds", "cell_keys", "crossed", "folds")
@@ -362,7 +325,7 @@ class NegationTables:
         Only the per-type and per-event rules need them -- the per-pattern
         rule resets on any negated type -- so a pattern they cannot enforce
         (:class:`InvalidPatternError`) is rejected where one of them is
-        planned: :func:`plan_negated_query`, before any event.
+        planned: in :class:`~repro.analyzer.plan.CograPlan`, before any event.
         """
         if self.cell_keys is None:
             cell_keys = {
@@ -381,9 +344,10 @@ class NegationTables:
         """These tables with :attr:`folds` compiled from ``plan``'s fold steps.
 
         What a step does to the full and compatible cells depends on the
-        query alone, so the folds of one plan serve the aggregators of
-        every plan of the query; :func:`plan_negated_query` compiles them
-        once per query.
+        query alone, so the folds of one plan also serve the aggregators a
+        plan of another granularity adopted after a live migration;
+        :class:`~repro.analyzer.plan.CograPlan` compiles them once per plan
+        when the query may be type-grained.
         """
         if self.folds is None:
             crossed = self.with_crossings().crossed
@@ -407,13 +371,6 @@ class NegationTables:
         ]
 
 
-def _tables_of(components) -> NegationTables:
-    """``components`` as compiled tables (which they may be already)."""
-    if isinstance(components, NegationTables):
-        return components
-    return NegationTables(components)
-
-
 class NegationPatternGrainedAggregator(PatternGrainedAggregator):
     """Pattern-grained aggregation with negated sub-patterns (NEXT / CONT).
 
@@ -424,9 +381,9 @@ class NegationPatternGrainedAggregator(PatternGrainedAggregator):
 
     __slots__ = ("_tables",)
 
-    def __init__(self, plan: CograPlan, components):
+    def __init__(self, plan: CograPlan):
         super().__init__(plan)
-        self._tables = _tables_of(components)
+        self._tables = plan.negations
 
     def _unbound(self, event: Event) -> None:
         for component in self._tables.by_type.get(event.event_type, ()):
@@ -449,9 +406,9 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
 
     __slots__ = ("_tables", "_full", "_compatible")
 
-    def __init__(self, plan: CograPlan, components):
+    def __init__(self, plan: CograPlan):
         super().__init__(plan)
-        self._tables = tables = _tables_of(components).with_folds(plan)
+        self._tables = tables = plan.negations
         targets = plan.targets
         self._full: Dict[str, TrendAccumulator] = {
             variable: TrendAccumulator.zero(targets)
@@ -517,10 +474,6 @@ class NegationTypeGrainedAggregator(SubstreamAggregator):
     def cell(self, variable: str) -> TrendAccumulator:
         """Full accumulator of ``variable`` (for inspection)."""
         return self._full[variable]
-
-    def compatible_cell(self, component_index: int, variable: str) -> TrendAccumulator:
-        """Compatible accumulator of a ``Tp`` variable (for inspection)."""
-        return self._compatible[(component_index, variable)]
 
     # -- memory accounting -------------------------------------------------------------
 
@@ -606,35 +559,13 @@ class NegationEventGrainedAggregator(EventGrainedAggregator):
 
     __slots__ = ("_tables", "_cutoffs")
 
-    def __init__(self, plan: CograPlan, components):
+    def __init__(self, plan: CograPlan):
         super().__init__(plan)
-        self._tables = tables = _tables_of(components).with_crossings()
+        self._tables = tables = plan.negations
         self._cutoffs: Dict[Tuple[int, str], int] = dict.fromkeys(tables.state_keys(), 0)
 
     def process_run(self, run, also=()) -> None:
         fold_mixed((self, *also), run, self._tables)
-
-
-def create_negation_aggregator(plan: CograPlan, components) -> SubstreamAggregator:
-    """Build the negation-aware aggregator for the plan's granularity.
-
-    ``components`` are the query's negated components or, where aggregators
-    are built per (window, group), their :class:`NegationTables`.
-    """
-    tables = _tables_of(components)
-    if not tables.components:
-        return create_aggregator(plan)
-    granularity = plan.granularity
-    if granularity is Granularity.PATTERN:
-        return NegationPatternGrainedAggregator(plan, tables)
-    if granularity is Granularity.TYPE:
-        return NegationTypeGrainedAggregator(plan, tables)
-    if granularity is Granularity.EVENT:
-        return NegationEventGrainedAggregator(plan, tables)
-    raise InvalidPatternError(
-        f"negated patterns are not supported at {granularity.value} granularity; "
-        "plan them with plan_negated_query()"
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analyzer.plan import plan_query
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
+from repro.core.base import create_aggregator
 from repro.core.executor import QueryExecutor
 from repro.core.partitioner import shard_index
 from repro.errors import CheckpointError, StateQuotaError
@@ -227,7 +228,7 @@ _HANDLERS: Dict[str, Tuple[Callable, Callable]] = {
     "MixedGrainedAggregator": (_extract_mixed, _apply_mixed),
     "EventGrainedAggregator": (_extract_event, _apply_event),
     # negation-aware variants (repro.extensions.negation); their immutable
-    # configuration (components, crossing edges) is rebuilt by the factory,
+    # configuration (components, crossing edges) is rebuilt by the plan,
     # only the mutable state travels through the checkpoint
     "NegationPatternGrainedAggregator": (_extract_pattern, _apply_pattern),
     "NegationTypeGrainedAggregator": (_extract_negation_type, _apply_negation_type),
@@ -314,8 +315,8 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
     """Restore a snapshot into an executor built from the same plan.
 
     The executor's existing runtime state is discarded; its plan (and hence
-    aggregator factory) must match the checkpointed one, which is validated
-    via the recorded granularity and per-aggregator class names.
+    its aggregator classes) must match the checkpointed one, which is
+    validated via the recorded granularity and per-aggregator class names.
     """
     granularity = executor.plan.granularity.value
     if state["granularity"] != granularity:
@@ -334,7 +335,7 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
         if plan is None:
             plan = plan_query(executor.plan.query, forced_granularity=recorded)
             plans[recorded] = plan
-        aggregator = executor._aggregator_factory(plan)
+        aggregator = create_aggregator(plan)
         restore_aggregator_state(aggregator, aggregator_state)
         restored.append((int(window_id), tuple(key_values), aggregator))
     last_time = state["last_time"]

@@ -615,15 +615,6 @@ class ObsConfig(_Section):
                 "observability.trace_path (where the sampled spans are written)"
             )
 
-    @property
-    def exports_anything(self) -> bool:
-        """Whether any exporter/endpoint is configured."""
-        return bool(
-            self.metrics_export_path
-            or self.trace_path
-            or self.prometheus_port is not None
-        )
-
     def build_observability(self, namespace: Optional[Dict[str, object]] = None):
         """The :class:`~repro.streaming.observability.Observability` bundle.
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analyzer.cost import ObservedStatistics, recommend_granularity
-from repro.analyzer.granularity import Granularity, allowed_granularities
+from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import plan_query
 from repro.streaming.checkpoint import restore_executor, snapshot_executor
 from repro.streaming.config import ReplanConfig
@@ -48,7 +48,6 @@ __all__ = [
     "QueryObservation",
     "ReplanController",
     "ReplanPolicy",
-    "engine_allowed_granularities",
     "merge_raw_observations",
     "migrate_engine",
     "observe_executor",
@@ -229,21 +228,6 @@ def merge_raw_observations(parts: List[Dict[str, float]]) -> Dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def engine_allowed_granularities(engine) -> Tuple[Granularity, ...]:
-    """Granularities the replan loop may propose for ``engine``'s query.
-
-    The statically allowed set, minus mixed granularity for queries with
-    negated sub-patterns (their mixed bookkeeping is not implemented, see
-    :func:`repro.extensions.negation.plan_negated_query`).
-    """
-    plan = engine.plan
-    allowed = allowed_granularities(plan.semantics, plan.classification)
-    analysis = getattr(engine, "negation_analysis", None)
-    if analysis is not None and analysis.has_negations:
-        allowed = tuple(g for g in allowed if g is not Granularity.MIXED)
-    return allowed
-
-
 class ReplanController:
     """Per-runtime state of the control loop: EWMAs, versions, and the log.
 
@@ -337,15 +321,13 @@ class ReplanController:
         current = engine.plan.granularity
         if name not in self._ewma or "density" not in self._ewma[name]:
             return current
-        allowed = engine_allowed_granularities(engine)
-        if len(allowed) < 2:
+        if len(engine.plan.accepted_granularities) < 2:
             return current
         return recommend_granularity(
             engine.plan,
             observation.statistics(),
             current=current,
             hysteresis=self.policy.hysteresis,
-            allowed=allowed,
         )
 
     def record_migration(
@@ -376,10 +358,10 @@ def migrate_engine(engine, granularity) -> bool:
     The quiesce-snapshot-rebuild-restore sequence of the tentpole: the
     caller guarantees quiescence (no event is mid-flight through the
     executor), this function snapshots the executor state, re-plans the
-    query under ``forced_granularity`` (via the negation-aware planner for
-    negated queries), rebuilds the executor and restores the snapshot into
-    it.  Open windows keep their previous-granularity aggregators until the
-    watermark closes them; new sub-streams aggregate under the new plan.
+    query under ``forced_granularity``, rebuilds the executor and restores
+    the snapshot into it.  Open windows keep their previous-granularity
+    aggregators until the watermark closes them; new sub-streams aggregate
+    under the new plan.
     Disallowed granularities raise :class:`~repro.errors.PlanningError`
     before any state is touched.
     """
@@ -387,12 +369,7 @@ def migrate_engine(engine, granularity) -> bool:
         granularity = Granularity(granularity)
     if granularity is engine.plan.granularity:
         return False
-    if engine.negation_analysis is not None and engine.negation_analysis.has_negations:
-        from repro.extensions.negation import plan_negated_query
-
-        plan, _ = plan_negated_query(engine.query, forced_granularity=granularity)
-    else:
-        plan = plan_query(engine.query, forced_granularity=granularity)
+    plan = plan_query(engine.query, forced_granularity=granularity)
     state = snapshot_executor(engine.executor)
     state["granularity"] = plan.granularity.value
     engine.plan = plan

@@ -742,12 +742,7 @@ class RegisteredQuery:
         self.order = order
         #: cached per-query metric children of the owning runtime
         self.instruments = instruments
-        types = set(engine.executor._relevant_types)
-        if engine.negation_analysis is not None:
-            # negated event types never match the positive pattern but still
-            # invalidate trends, so the router must deliver them
-            types |= engine.negation_analysis.negated_types()
-        self.relevant_types = frozenset(types)
+        self.relevant_types = engine.plan.relevant_types
         # contiguous semantics see *every* event (any event breaks
         # contiguity), emit_empty_groups makes even unmatched groups
         # observable, and every event advances a count window's ordinal, so

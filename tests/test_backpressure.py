@@ -53,9 +53,22 @@ class StallingSink(MemorySink):
         return answer
 
 
-class NeverReadySink(MemorySink):
+class StuckSink(MemorySink):
+    """Not ready for ``polls`` polls, then ready for good.
+
+    At the default 2,000 polls of 0.5 ms it is stuck for over a second,
+    a hundred times the 0.01 s wait limit the test sets: the limit fails
+    the drive long before, and a drive that ignored it would finish (and
+    fail the test) instead of hanging.
+    """
+
+    def __init__(self, polls=2000):
+        super().__init__()
+        self._stuck_for = polls
+
     def ready(self):
-        return False
+        self._stuck_for -= 1
+        return self._stuck_for < 0
 
 
 class TestSinkReadySignal:
@@ -107,7 +120,7 @@ class TestSinkReadySignal:
         )
         with pytest.raises(SourceError, match="downstream consumer stuck"):
             runtime.run(
-                list(stream(count=40)), NeverReadySink(), backpressure=guarded
+                list(stream(count=40)), StuckSink(), backpressure=guarded
             )
         assert runtime.metrics.backpressure_waits > 0
 

@@ -56,7 +56,6 @@ from repro.core.engine import CograEngine
 from repro.events.event import Event
 from repro.streaming.config import Job, ServerConfig
 from repro.streaming.jsonl import write_jsonl_events
-from repro.streaming.replan import engine_allowed_granularities
 from repro.streaming.server import DONE, JobServer
 
 
@@ -98,7 +97,7 @@ def cells(draw):
 
 
 def allowed(text):
-    return [g.value for g in engine_allowed_granularities(CograEngine(text))]
+    return [g.value for g in CograEngine(text).plan.accepted_granularities]
 
 
 def job_config(work, cell, forced):

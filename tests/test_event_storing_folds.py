@@ -26,20 +26,18 @@ from helpers import (
     reference_negation_type_grained_process,
     reference_pattern_grained_process,
 )
-from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import plan_query
 from repro.core.base import aggregator_class, create_aggregator
 from repro.core.engine import CograEngine
 from repro.core.event_grained import EventGrainedAggregator
 from repro.core.mixed_grained import MixedGrainedAggregator
 from repro.core.pattern_grained import PatternGrainedAggregator
+from repro.core.type_grained import TypeGrainedAggregator
 from repro.events.event import Event
 from repro.extensions.negation import (
     NegationEventGrainedAggregator,
     NegationPatternGrainedAggregator,
     NegationTypeGrainedAggregator,
-    create_negation_aggregator,
-    plan_negated_query,
 )
 from repro.query.parser import parse_query
 from repro.query.predicates import AdjacentPredicate
@@ -93,13 +91,13 @@ class Shape:
                 aggregates=query.aggregates,
                 predicates=tuple(query.predicates) + self.extra,
             )
-        if query.pattern.has_negation:
-            plan, analysis = plan_negated_query(query, forced_granularity=self.forced)
-            components = analysis.components
+        plan = plan_query(query, forced_granularity=self.forced)
 
-            def make():
-                return create_negation_aggregator(plan, analysis.tables)
+        def make():
+            return create_aggregator(plan)
 
+        if plan.negations is not None:
+            components = plan.negations.components
             literal = {
                 NegationPatternGrainedAggregator: reference_pattern_grained_process,
                 NegationTypeGrainedAggregator: reference_negation_type_grained_process,
@@ -110,11 +108,6 @@ class Shape:
                 literal(aggregator, event, components)
 
         else:
-            plan = plan_query(query, forced_granularity=self.forced)
-
-            def make():
-                return create_aggregator(plan)
-
             reference = {
                 PatternGrainedAggregator: reference_pattern_grained_process,
                 MixedGrainedAggregator: reference_mixed_grained_process,
@@ -494,7 +487,9 @@ class TestWhatAnAggregatorIsHandedAndHolds:
 
     def test_event_granularity_is_the_mixed_class_with_no_type_cells(self):
         """Algorithm 2 with ``Tt = ∅``: a class of its own only for its name."""
-        event_class = aggregator_class(Granularity.EVENT)
+        event_class = aggregator_class(
+            plan_query(parse_query("RETURN COUNT(*) PATTERN A+ SEMANTICS any"), "event")
+        )
         assert issubclass(event_class, MixedGrainedAggregator)
         own = vars(event_class)
         for name in ("__init__", "process_run", "final_accumulator", "storage_units",
@@ -503,21 +498,25 @@ class TestWhatAnAggregatorIsHandedAndHolds:
         assert own["__slots__"] == ()
 
     def test_no_aggregator_has_a_dict(self):
-        plain = plan_query(parse_query("RETURN COUNT(*) PATTERN SEQ(A+, B) SEMANTICS contiguous"))
-        for granularity in Granularity:
-            aggregator = aggregator_class(granularity)(plain)
-            assert not hasattr(aggregator, "__dict__"), type(aggregator).__name__
         built = set()
-        for semantics, forced in [(NEXT, None), (ANY, None), (ANY, "event")]:
-            query = parse_query(
-                f"RETURN COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS {semantics}"
-            )
-            plan, analysis = plan_negated_query(query, forced_granularity=forced)
-            for components in (analysis.components, analysis.tables):
-                aggregator = create_negation_aggregator(plan, components)
-                assert not hasattr(aggregator, "__dict__"), type(aggregator).__name__
-                built.add(type(aggregator))
+        for pattern, semantics, forced in [
+            ("SEQ(A+, B)", NEXT, None),
+            ("SEQ(A+, B)", ANY, None),
+            ("SEQ(A+, B)", ANY, "mixed"),
+            ("SEQ(A+, B)", ANY, "event"),
+            ("SEQ(A+, NOT C, B)", NEXT, None),
+            ("SEQ(A+, NOT C, B)", ANY, None),
+            ("SEQ(A+, NOT C, B)", ANY, "event"),
+        ]:
+            query = parse_query(f"RETURN COUNT(*) PATTERN {pattern} SEMANTICS {semantics}")
+            aggregator = create_aggregator(plan_query(query, forced_granularity=forced))
+            assert not hasattr(aggregator, "__dict__"), type(aggregator).__name__
+            built.add(type(aggregator))
         assert built == {
+            PatternGrainedAggregator,
+            TypeGrainedAggregator,
+            MixedGrainedAggregator,
+            EventGrainedAggregator,
             NegationPatternGrainedAggregator,
             NegationTypeGrainedAggregator,
             NegationEventGrainedAggregator,

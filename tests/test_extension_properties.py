@@ -18,10 +18,10 @@ from repro.analyzer.granularity import allowed_granularities
 from repro.analyzer.plan import plan_query
 from repro.baselines.trend_enumeration import TrendOracle
 from repro.core.aggregate_state import TrendAccumulator
+from repro.core.base import create_aggregator
 from repro.core.engine import CograEngine
 from repro.datasets.io import read_stream_csv, write_stream_csv
 from repro.events.event import Event
-from repro.extensions.negation import create_negation_aggregator, plan_negated_query
 from repro.query.aggregates import avg, count_star, max_of, min_of, sum_of
 from repro.query.ast import KleenePlus, Negation, atom, kleene_plus, sequence
 from repro.query.predicates import comparison
@@ -74,8 +74,7 @@ class TestNegationProperties:
     @given(events=streams(max_events=8))
     def test_type_grained_negation_matches_filtered_enumeration(self, events):
         query = build_query(NEGATED)
-        plan, analysis = plan_negated_query(query)
-        aggregator = create_negation_aggregator(plan, analysis.components)
+        aggregator = create_aggregator(plan_query(query))
         for event in events:
             aggregator.process(event)
         assert aggregator.final_accumulator().trend_count == (
@@ -86,8 +85,7 @@ class TestNegationProperties:
     @given(events=streams(max_events=8))
     def test_event_grained_negation_matches_filtered_enumeration(self, events):
         query = build_query(NEGATED, predicates=[comparison("A", "x", "<=", "A")])
-        plan, analysis = plan_negated_query(query)
-        aggregator = create_negation_aggregator(plan, analysis.components)
+        aggregator = create_aggregator(plan_query(query))
         for event in events:
             aggregator.process(event)
         assert aggregator.final_accumulator().trend_count == (

@@ -31,7 +31,6 @@ from helpers import (
 from repro.analyzer.plan import plan_query
 from repro.core.base import create_aggregator
 from repro.events.event import Event
-from repro.extensions.negation import create_negation_aggregator, plan_negated_query
 from repro.query.parser import parse_query
 from repro.streaming.checkpoint import snapshot_aggregator
 
@@ -60,22 +59,17 @@ class Case:
 
     def build(self):
         """``(plan, make, reference)`` as in ``test_event_storing_folds``."""
-        query = parse_query(self.text)
-        if query.pattern.has_negation:
-            plan, analysis = plan_negated_query(query, forced_granularity=self.forced)
+        plan = plan_query(parse_query(self.text), forced_granularity=self.forced)
 
-            def make():
-                return create_negation_aggregator(plan, analysis.tables)
+        def make():
+            return create_aggregator(plan)
+
+        if plan.negations is not None:
 
             def literal(aggregator, event):
-                self.reference(aggregator, event, analysis.components)
+                self.reference(aggregator, event, plan.negations.components)
 
         else:
-            plan = plan_query(query, forced_granularity=self.forced)
-
-            def make():
-                return create_aggregator(plan)
-
             literal = self.reference
 
         def reference(aggregator, event):

@@ -2,19 +2,22 @@
 
 import pytest
 
-from differential import build_query, stream
+from differential import QUERIES, build_query, stream
+from helpers import assert_results_equal
 from repro.analyzer.granularity import Granularity
+from repro.analyzer.plan import plan_query
+from repro.baselines.registry import available_approaches, get_approach
 from repro.baselines.trend_enumeration import TrendOracle
+from repro.core.base import create_aggregator
 from repro.core.engine import CograEngine
-from repro.errors import InvalidPatternError
+from repro.core.executor import QueryExecutor
+from repro.errors import InvalidPatternError, UnsupportedQueryError
 from repro.events.event import Event
 from repro.extensions.negation import (
     NegationEventGrainedAggregator,
     NegationPatternGrainedAggregator,
     NegationTypeGrainedAggregator,
     analyze_negations,
-    create_negation_aggregator,
-    plan_negated_query,
     positive_query,
     strip_negations,
     trend_respects_negations,
@@ -107,35 +110,45 @@ class TestAnalysis:
 
 class TestPlanning:
     def test_plan_uses_positive_pattern(self):
-        plan, analysis = plan_negated_query(build_query(NEGATED_SEQ))
+        query = build_query(NEGATED_SEQ)
+        plan = plan_query(query)
+        assert plan.query is query
         assert set(plan.automaton.variables) == {"A", "B"}
-        assert analysis.negated_types() == {"C"}
+        assert [c.event_type for c in plan.negations.components] == ["C"]
+        assert plan.relevant_types == {"A", "B", "C"}
+        assert plan.accepted_granularities == (Granularity.TYPE, Granularity.EVENT)
         assert plan.granularity is Granularity.TYPE
 
     def test_mixed_granularity_is_escalated_to_event(self):
         query = build_query(NEGATED_SEQ, predicates=[comparison("A", "value", "<", "A")])
-        plan, _ = plan_negated_query(query)
+        plan = plan_query(query)
+        assert plan.selected_granularity is Granularity.MIXED
         assert plan.granularity is Granularity.EVENT
+        assert plan.accepted_granularities == (Granularity.EVENT,)
 
-    def test_factory_dispatch(self):
-        plan, analysis = plan_negated_query(build_query(NEGATED_SEQ))
-        aggregator = create_negation_aggregator(plan, analysis.components)
-        assert isinstance(aggregator, NegationTypeGrainedAggregator)
+    def test_a_negated_query_compiles_no_positive_type_kernel(self):
+        """Its type-grained aggregators run the negation cells folds."""
+        plan = plan_query(build_query(NEGATED_SEQ), forced_granularity=Granularity.EVENT)
+        assert all(step.kernel is None for step in plan.fold_steps.values())
+        assert set(plan.negations.folds) == {"A", "B"}
+        plain = plan_query(build_query(sequence(kleene_plus("A"), atom("B"))))
+        assert all(step.kernel is not None for step in plain.fold_steps.values())
 
-        plan, analysis = plan_negated_query(build_query(NEGATED_SEQ, semantics="contiguous"))
-        aggregator = create_negation_aggregator(plan, analysis.components)
-        assert isinstance(aggregator, NegationPatternGrainedAggregator)
+    def test_the_plan_picks_the_aggregator(self):
+        plan = plan_query(build_query(NEGATED_SEQ))
+        assert isinstance(create_aggregator(plan), NegationTypeGrainedAggregator)
+
+        plan = plan_query(build_query(NEGATED_SEQ, semantics="contiguous"))
+        assert isinstance(create_aggregator(plan), NegationPatternGrainedAggregator)
 
         query = build_query(NEGATED_SEQ, predicates=[comparison("A", "value", "<", "A")])
-        plan, analysis = plan_negated_query(query)
-        aggregator = create_negation_aggregator(plan, analysis.components)
-        assert isinstance(aggregator, NegationEventGrainedAggregator)
+        assert isinstance(create_aggregator(plan_query(query)), NegationEventGrainedAggregator)
 
-    def test_factory_without_components_falls_back(self):
-        query = build_query(sequence(kleene_plus("A"), atom("B")))
-        plan, analysis = plan_negated_query(query)
-        aggregator = create_negation_aggregator(plan, analysis.components)
-        assert not isinstance(aggregator, NegationTypeGrainedAggregator)
+    def test_a_query_without_negation_gets_the_plain_aggregator(self):
+        plan = plan_query(build_query(sequence(kleene_plus("A"), atom("B"))))
+        assert plan.negations is None
+        assert plan.relevant_types == {"A", "B"}
+        assert not isinstance(create_aggregator(plan), NegationTypeGrainedAggregator)
 
 
 class TestTypeGrainedNegation:
@@ -143,24 +156,24 @@ class TestTypeGrainedNegation:
         # No C event in the stream: the negation never fires.
         stream = event_spec("a1 b2 a3 a4 b6 a7 b8")
         query = build_query(NEGATED_KLEENE)
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationTypeGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationTypeGrainedAggregator(plan), stream)
         assert aggregator.final_accumulator().trend_count == 43
 
     def test_c_event_blocks_earlier_a_to_b_adjacency(self, event_spec):
         # Stream a1 c2 b3: the only candidate trend (a1, b3) crosses the C.
         stream = event_spec("a1 c2 b3")
         query = build_query(NEGATED_SEQ)
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationTypeGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationTypeGrainedAggregator(plan), stream)
         assert aggregator.final_accumulator().trend_count == 0
 
     def test_a_after_c_reopens_the_boundary(self, event_spec):
         # a1 c2 a3 b4: (a3, b4) and (a1, a3, b4) are valid, (a1, b4) is not.
         stream = event_spec("a1 c2 a3 b4")
         query = build_query(NEGATED_SEQ)
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationTypeGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationTypeGrainedAggregator(plan), stream)
         assert aggregator.final_accumulator().trend_count == 2
         assert aggregator.final_accumulator().trend_count == oracle_count(query, stream)
 
@@ -176,14 +189,14 @@ class TestTypeGrainedNegation:
     def test_matches_enumeration_oracle(self, event_spec, spec):
         stream = event_spec(spec)
         query = build_query(NEGATED_KLEENE)
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationTypeGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationTypeGrainedAggregator(plan), stream)
         assert aggregator.final_accumulator().trend_count == oracle_count(query, stream)
 
     def test_storage_counts_compatible_cells(self, event_spec):
         query = build_query(NEGATED_SEQ)
-        plan, analysis = plan_negated_query(query)
-        aggregator = NegationTypeGrainedAggregator(plan, analysis.components)
+        plan = plan_query(query)
+        aggregator = NegationTypeGrainedAggregator(plan)
         # two full cells (A, B) plus one compatible cell for (component 0, A)
         assert aggregator.storage_units() == 3 * aggregator.final_accumulator().storage_units
 
@@ -202,16 +215,16 @@ class TestEventGrainedNegation:
         query = build_query(
             NEGATED_KLEENE, predicates=[comparison("A", "value", "<", "A")]
         )
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationEventGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationEventGrainedAggregator(plan), stream)
 
         assert aggregator.final_accumulator().trend_count == oracle_count(query, stream)
 
     def test_negated_events_are_not_stored(self, event_spec):
         stream = event_spec("a1 c2 a3 b4 c5")
         query = build_query(NEGATED_SEQ, predicates=[comparison("A", "value", "<", "A")])
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationEventGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationEventGrainedAggregator(plan), stream)
         assert aggregator.stored_event_count() == 3  # a1, a3, b4
 
 
@@ -222,8 +235,8 @@ class TestPatternGrainedNegation:
         pattern = sequence(atom("A"), Negation(atom("C")), atom("B"))
         query = build_query(pattern, semantics="skip-till-next-match")
         stream = event_spec("a1 c2 b3 a4 b5")
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationPatternGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationPatternGrainedAggregator(plan), stream)
         assert aggregator.final_accumulator().trend_count == 1
 
     def test_contiguous_semantics_still_breaks_on_unrelated_events(self, event_spec):
@@ -231,16 +244,16 @@ class TestPatternGrainedNegation:
         query = build_query(pattern, semantics="contiguous")
         # d2 breaks contiguity even though it is not the negated type
         stream = event_spec("a1 d2 b3 a4 b5")
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationPatternGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationPatternGrainedAggregator(plan), stream)
         assert aggregator.final_accumulator().trend_count == 1
 
     def test_negated_event_after_finished_trend_is_harmless(self, event_spec):
         pattern = sequence(atom("A"), Negation(atom("C")), atom("B"))
         query = build_query(pattern, semantics="skip-till-next-match")
         stream = event_spec("a1 b2 c3")
-        plan, analysis = plan_negated_query(query)
-        aggregator = feed(NegationPatternGrainedAggregator(plan, analysis.components), stream)
+        plan = plan_query(query)
+        aggregator = feed(NegationPatternGrainedAggregator(plan), stream)
         assert aggregator.final_accumulator().trend_count == 1
 
 
@@ -248,7 +261,7 @@ class TestEngineIntegration:
     def test_engine_routes_negated_queries(self, event_spec):
         query = build_query(NEGATED_SEQ)
         engine = CograEngine(query)
-        assert engine.negation_analysis is not None
+        assert engine.plan.negations is not None
         assert "NOT C" in engine.explain()
         results = engine.run(event_spec("a1 c2 a3 b4"))
         assert sum(result.trend_count for result in results) == 2
@@ -414,7 +427,7 @@ class TestInvalidNegationIsRejectedBeforeAnyEvent:
             with pytest.raises(InvalidPatternError, match=message):
                 CograEngine(text, granularity=granularity)
             with pytest.raises(InvalidPatternError, match=message):
-                plan_negated_query(parse_query(text), forced_granularity=granularity)
+                plan_query(parse_query(text), forced_granularity=granularity)
         runtime = StreamingRuntime()
         with pytest.raises(InvalidPatternError, match=message):
             runtime.register(text, name="q")
@@ -425,3 +438,65 @@ class TestInvalidNegationIsRejectedBeforeAnyEvent:
         engine = CograEngine(self.TEXT.format(semantics))
         for stream, count in [("a1 b2", 1), ("a1 c2 b3", 0), ("a1 d2 b3", 0), ("a1 d2 a3 b4", 1)]:
             assert sum(r.trend_count for r in engine.run(event_spec(stream))) == count
+
+
+# ---------------------------------------------------------------------------
+# every public entry point plans a negated query the same way
+# ---------------------------------------------------------------------------
+
+README_TEXT = "RETURN COUNT(*) PATTERN SEQ(A+, NOT C, B) SEMANTICS {}"
+
+#: (query text, stream): README's "Negation" table under both of its
+#: semantics, and every ``NOT C`` query of the differential catalogue
+ENTRY_POINT_CASES = {
+    "readme-any": (README_TEXT.format("skip-till-any-match"), "a1 a2 c3 a4 b5"),
+    "readme-next": (README_TEXT.format("skip-till-next-match"), "a1 a2 c3 a4 b5"),
+    **{name: (text, None) for name, text in QUERIES.items() if "NOT C" in text},
+}
+
+
+def _runtime_results(text, events):
+    runtime = StreamingRuntime(lateness=0.0)
+    runtime.register(text, name="q")
+    return [record.result for record in runtime.process_ordered(events) + runtime.flush()]
+
+
+#: entry point -> ``run(text, events)``; every registered approach is one too
+ENTRY_POINTS = {
+    "CograEngine": lambda text, events: CograEngine(text).run(events),
+    "StreamingRuntime": _runtime_results,
+    "QueryExecutor(query)": lambda text, events: QueryExecutor(parse_query(text)).run(events),
+    "QueryExecutor(plan_query(query))": (
+        lambda text, events: QueryExecutor(plan_query(parse_query(text))).run(events)
+    ),
+    **{
+        f"approach {name}": (
+            lambda text, events, name=name: get_approach(name).run(parse_query(text), events)
+        )
+        for name in available_approaches()
+    },
+}
+
+
+class TestEveryEntryPoint:
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("case", sorted(ENTRY_POINT_CASES))
+    def test_matches_the_oracle_or_refuses_the_query(self, event_spec, case, entry_point):
+        """``CograEngine`` and ``TrendOracle`` count 4 and 1 on README's
+        example; an entry point that plans only the positive part of the
+        pattern counts 7 and 3.  A baseline that does not implement
+        negation refuses the query instead."""
+        text, spec = ENTRY_POINT_CASES[case]
+        events = event_spec(spec) if spec else stream(11, 26, groups="xy")
+        expected = TrendOracle(parse_query(text)).run(events)
+        if case == "readme-any":
+            assert sum(r.trend_count for r in expected) == 4
+        if case == "readme-next":
+            assert sum(r.trend_count for r in expected) == 1
+        try:
+            results = ENTRY_POINTS[entry_point](text, events)
+        except UnsupportedQueryError:
+            assert entry_point.startswith("approach ") and entry_point != "approach cogra"
+            return
+        assert_results_equal(results, expected)
+        assert sum(r.trend_count for r in results) == sum(r.trend_count for r in expected)

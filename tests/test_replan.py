@@ -36,7 +36,6 @@ from repro.streaming.config import ReplanConfig
 from repro.streaming.replan import (
     ReplanController,
     ReplanPolicy,
-    engine_allowed_granularities,
     merge_raw_observations,
     migrate_engine,
     resolve_replan_policy,
@@ -368,22 +367,15 @@ class TestObservedCostTables:
             is Granularity.EVENT
         )
 
-    def test_allowed_restriction_excludes_candidates(self):
-        query = parse_query(QUERY)
-        costs = compare_observed_costs(
-            query,
-            ObservedStatistics(0.5),
-            allowed=(Granularity.TYPE, Granularity.EVENT),
-        )
-        assert Granularity.MIXED not in costs
-
     def test_negated_queries_never_get_mixed_proposed(self):
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(NEGATED_QUERY, name="q")
         engine = runtime._by_name["q"].engine
-        allowed = engine_allowed_granularities(engine)
+        allowed = engine.plan.accepted_granularities
         assert Granularity.MIXED not in allowed
         assert len(allowed) >= 2  # still enough choice for the loop to act
+        costs = compare_observed_costs(engine.plan, ObservedStatistics(0.5))
+        assert list(costs) == list(allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +402,9 @@ class TestForcedGranularityValidation:
             plan_query(parse_query(ADJACENT_QUERY), forced_granularity="type")
 
     def test_negated_query_rejects_forced_mixed(self):
-        from repro.extensions.negation import plan_negated_query
-
-        with pytest.raises(PlanningError, match="force 'event' instead"):
-            plan_negated_query(
-                parse_query(NEGATED_QUERY), forced_granularity=Granularity.MIXED
-            )
+        for forced in (Granularity.MIXED, "mixed"):
+            with pytest.raises(PlanningError, match="force 'event' instead"):
+                plan_query(parse_query(NEGATED_QUERY), forced_granularity=forced)
 
     def test_register_validates_before_any_event(self):
         runtime = StreamingRuntime(lateness=0.0)

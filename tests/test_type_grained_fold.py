@@ -390,7 +390,7 @@ class TestDispatchAfterMigration:
         "text, granularities",
         [
             (QUERY, ("type", "mixed", "event")),
-            # the negation planner admits no mixed granularity
+            # a negated query admits no mixed granularity
             (NEGATED, ("type", "event")),
         ],
         ids=["plain", "negated"],
@@ -409,8 +409,8 @@ class TestDispatchAfterMigration:
 
         runtime = StreamingRuntime(lateness=0.0)
         runtime.register(text, name="q", granularity=granularities[0])
-        analysis = runtime.engine("q").negation_analysis
-        components = analysis.components if analysis is not None else ()
+        negations = runtime.engine("q").plan.negations
+        components = negations.components if negations is not None else ()
         switches = {
             len(events) * number // len(granularities): granularity
             for number, granularity in enumerate(granularities[1:], 1)
@@ -458,7 +458,7 @@ def assert_every_aggregator_follows_its_recurrence(executor, events, components)
     for window_id, key, aggregator in executor.open_aggregators():
         cls = type(aggregator)
         plan = aggregator.plan
-        oracle = cls(plan, components) if components else cls(plan)
+        oracle = cls(plan)
         for event in events:
             if (
                 window_id in window.windows_of(event.time)
