@@ -23,7 +23,6 @@ from repro.query.ast import (
     EventTypePattern,
     KleenePlus,
     KleeneStar,
-    Negation,
     OptionalPattern,
     Pattern,
     Sequence as SequencePattern,
@@ -99,11 +98,6 @@ def _flatten(pattern: Pattern, max_repetitions: int, max_variants: int) -> List[
 
     if isinstance(pattern, OptionalPattern):
         return [()] + _flatten(pattern.inner, max_repetitions, max_variants)
-
-    if isinstance(pattern, Negation):
-        raise UnsupportedQueryError(
-            "fixed-length flattening does not support negated sub-patterns"
-        )
 
     if isinstance(pattern, Disjunction):
         variants: List[Variant] = []

@@ -23,12 +23,22 @@ stay small while full snapshots grow with total state -- the same argument
 that makes delta-based incremental view maintenance tractable.  The store
 writes in the caller's thread: a checkpoint is on disk when :meth:`save`
 returns.
+
+Each save is one JSON pass.  The delta diff compares entries by an exact
+binary fingerprint, ``pickle.dumps(state)``, which is only ever dumped,
+never loaded: pickle keeps ``0``, ``0.0`` and ``False`` apart, and ``0.0``
+and ``-0.0`` too, so equal fingerprints imply equal JSON and a delta never
+misses a change (a spurious difference only rewrites an unchanged entry).
+Every file is encoded with ``check_circular=False``: a snapshot is a tree
+of fresh primitives, so there is no cycle to detect, and the bytes are
+those of a plain ``json.dumps(..., sort_keys=True)``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
 from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -496,11 +506,38 @@ def split_executor_snapshot(
 # ---------------------------------------------------------------------------
 
 
+def _encode(value, snapshot: Dict[str, object]) -> str:
+    """The canonical JSON of ``value``, a tree of ``snapshot``'s parts.
+
+    Byte for byte ``json.dumps(value, sort_keys=True)``: a snapshot is a
+    tree, so the encoder's cycle check has nothing to find.  Trend counts
+    grow exponentially, and CPython refuses to write an int of more than
+    ``sys.get_int_max_str_digits()`` digits (4,300 by default); that
+    raises :class:`CheckpointError` naming the query that holds it, found
+    by encoding each executor again on this failure path only.
+    """
+    try:
+        return json.dumps(value, sort_keys=True, check_circular=False)
+    except ValueError as exc:
+        culprit = "the snapshot"
+        for name, state in snapshot.get("executors", {}).items():
+            try:
+                json.dumps(state, check_circular=False)
+            except ValueError:
+                culprit = f"query {name!r}"
+                break
+        raise CheckpointError(
+            f"cannot write the checkpoint: {culprit} holds an integer past "
+            f"Python's int-to-str digit limit; raise the limit with "
+            f"sys.set_int_max_str_digits() before the job starts"
+        ) from exc
+
+
 def save_checkpoint(state: Dict[str, object], path) -> Path:
     """Write a snapshot (e.g. ``StreamingRuntime.checkpoint()``) as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(state, sort_keys=True))
+    path.write_text(_encode(state, state))
     return path
 
 
@@ -545,12 +582,33 @@ class CheckpointEntry:
         )
 
 
-def _index_executor(state: Dict[str, object]) -> Dict[Tuple, str]:
-    """(window, key) -> canonical JSON of the aggregator entry's state."""
-    return {
-        (int(entry[0]), json.dumps(entry[1])): json.dumps(entry[2], sort_keys=True)
-        for entry in state["aggregators"]
-    }
+#: an executor's diff index: ``(window_id, repr(key))`` -> ``(key, fingerprint)``
+_Index = Dict[Tuple[int, str], Tuple[list, bytes]]
+
+
+def _index_executor(
+    state: Dict[str, object], previous: Optional[_Index] = None
+) -> Tuple[_Index, List[list]]:
+    """Index one executor's entries; list those that differ from ``previous``.
+
+    An entry's index key is its :func:`_entry_order`; its fingerprint is
+    ``pickle.dumps`` of its state, exact where JSON is (see the module
+    docstring).  The index holds the key lists and fresh bytes, never the
+    snapshot's state dicts.  With no ``previous`` nothing is compared.
+    """
+    dumps = pickle.dumps
+    protocol = pickle.HIGHEST_PROTOCOL
+    index: _Index = {}
+    changed: List[list] = []
+    for entry in state["aggregators"]:
+        key = _entry_order(entry)
+        fingerprint = dumps(entry[2], protocol)
+        index[key] = (entry[1], fingerprint)
+        if previous is not None:
+            known = previous.get(key)
+            if known is None or known[1] != fingerprint:
+                changed.append(entry)
+    return index, changed
 
 
 class CheckpointStore:
@@ -588,6 +646,15 @@ class CheckpointStore:
     tenant:
         Optional tenant name carried into the quota error, for the job
         server's per-tenant accounting.
+
+    A save encodes the snapshot once.  The diff against the previous save
+    compares each entry's ``pickle.dumps`` fingerprint, never loaded and
+    exact: equal bytes imply equal JSON, so a delta never misses a change.
+    The files are encoded with ``check_circular=False``, which is safe
+    because a snapshot is a tree of primitives, and they are byte for byte
+    ``json.dumps(payload, sort_keys=True)``.  An integer past CPython's
+    int-to-str digit limit raises :class:`~repro.errors.CheckpointError`
+    naming its query.
     """
 
     def __init__(
@@ -638,7 +705,7 @@ class CheckpointStore:
         self.entries: List[CheckpointEntry] = []
         self._manifest = self._read_manifest()
         #: per-executor index of the last saved snapshot, for diffing
-        self._last_index: Optional[Dict[str, Dict[Tuple, str]]] = None
+        self._last_index: Optional[Dict[str, _Index]] = None
         self._closed = False
         #: files superseded by the newest base, deleted after the manifest
         #: stopped referencing them
@@ -688,7 +755,7 @@ class CheckpointStore:
             # encode: the quota is a byte count, and non-ASCII state
             # serializes to more bytes than characters
             state_bytes = len(
-                json.dumps(snapshot.get("executors", {})).encode("utf-8")
+                _encode(snapshot.get("executors", {}), snapshot).encode("utf-8")
             )
             if state_bytes > self.max_state_bytes:
                 owner = f"tenant {self.tenant!r}" if self.tenant else "this store"
@@ -709,14 +776,14 @@ class CheckpointStore:
         checkpoint_id = int(self._manifest["next_id"])
         self._manifest["next_id"] = checkpoint_id + 1
         chain: List[Dict[str, object]] = self._manifest["chain"]
-        index = {
-            name: _index_executor(state)
-            for name, state in snapshot["executors"].items()
-        }
         if self._last_index is None or len(chain) >= self.compact_every:
+            index = {
+                name: _index_executor(state)[0]
+                for name, state in snapshot["executors"].items()
+            }
             entry = self._write_base(checkpoint_id, snapshot, chain)
         else:
-            entry = self._write_delta(checkpoint_id, snapshot, index, chain)
+            index, entry = self._write_delta(checkpoint_id, snapshot, chain)
         self._write_manifest()
         self._last_index = index
         self.entries.append(entry)
@@ -729,14 +796,14 @@ class CheckpointStore:
         self, checkpoint_id: int, snapshot: Dict[str, object], chain: List
     ) -> CheckpointEntry:
         name = f"base-{checkpoint_id:08d}.json"
-        payload = json.dumps(
+        payload = _encode(
             {
                 "store_version": STORE_VERSION,
                 "kind": "base",
                 "id": checkpoint_id,
                 "snapshot": snapshot,
             },
-            sort_keys=True,
+            snapshot,
         )
         (self.directory / name).write_text(payload)
         previous = list(chain)
@@ -754,24 +821,18 @@ class CheckpointStore:
         self,
         checkpoint_id: int,
         snapshot: Dict[str, object],
-        index: Dict[str, Dict[Tuple, str]],
         chain: List,
-    ) -> CheckpointEntry:
+    ) -> Tuple[Dict[str, _Index], CheckpointEntry]:
+        index: Dict[str, _Index] = {}
         executors: Dict[str, Dict[str, object]] = {}
         for name, state in snapshot["executors"].items():
             previous = self._last_index.get(name, {})
-            current = index[name]
-            # one key serialization per entry (the index already paid one);
-            # the diff runs on every periodic checkpoint, so this is hot
-            changed = []
-            for entry in state["aggregators"]:
-                key = (int(entry[0]), json.dumps(entry[1]))
-                if previous.get(key) != current[key]:
-                    changed.append(entry)
+            current, changed = _index_executor(state, previous)
+            index[name] = current
             removed = [
-                [window_id, json.loads(key)]
-                for (window_id, key) in previous
-                if (window_id, key) not in current
+                [order[0], key]
+                for order, (key, _) in previous.items()
+                if order not in current
             ]
             executors[name] = {
                 "events_seen": state["events_seen"],
@@ -794,11 +855,11 @@ class CheckpointStore:
         for key in _DELTA_FULL_KEYS:
             delta[key] = snapshot[key]
         name = f"delta-{checkpoint_id:08d}.json"
-        payload = json.dumps(delta, sort_keys=True)
+        payload = _encode(delta, snapshot)
         (self.directory / name).write_text(payload)
         chain.append({"id": checkpoint_id, "kind": "delta", "file": name})
         self._prune = []
-        return CheckpointEntry(
+        return index, CheckpointEntry(
             checkpoint_id, "delta", self.directory / name, len(payload)
         )
 
@@ -889,22 +950,17 @@ class CheckpointStore:
             executors: Dict[str, Dict[str, object]] = {}
             for name, change in delta["executors"].items():
                 state = snapshot["executors"][name]
-                entries = {
-                    (int(entry[0]), json.dumps(entry[1])): entry
-                    for entry in state["aggregators"]
-                }
+                entries = {_entry_order(entry): entry for entry in state["aggregators"]}
                 for entry in change["changed"]:
-                    entries[(int(entry[0]), json.dumps(entry[1]))] = entry
+                    entries[_entry_order(entry)] = entry
                 for window_id, key in change["removed"]:
-                    entries.pop((int(window_id), json.dumps(key)), None)
+                    entries.pop((window_id, repr(key)), None)
                 executors[name] = {
                     "query": state["query"],
                     "granularity": state["granularity"],
                     "events_seen": change["events_seen"],
                     "last_time": change["last_time"],
-                    "aggregators": [
-                        entries[key] for key in sorted(entries, key=repr)
-                    ],
+                    "aggregators": [entries[key] for key in sorted(entries)],
                 }
             rebuilt: Dict[str, object] = {"executors": executors}
             for key in _DELTA_FULL_KEYS:

@@ -17,7 +17,7 @@ import json
 import math
 from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Union
 
-from repro.errors import InvalidEventError
+from repro.errors import InvalidEventError, SourceError
 from repro.events.event import Event
 from repro.streaming.emission import EmissionRecord
 
@@ -220,6 +220,17 @@ def record_to_json_line(record: EmissionRecord) -> str:
     """One emitted result as a compact JSON line.
 
     Byte for byte ``json.dumps(record.as_dict(), sort_keys=True,
-    default=str)``, for anything with an ``as_dict()``.
+    default=str)``, for anything with an ``as_dict()``.  A value past
+    CPython's int-to-str digit limit (a trend count of more than 4,300
+    digits, by default) raises :class:`~repro.errors.SourceError` naming
+    the record's query.
     """
-    return _ENCODER.encode(record.as_dict())
+    try:
+        return _ENCODER.encode(record.as_dict())
+    except ValueError as exc:
+        query = getattr(record, "query", None)
+        raise SourceError(
+            f"cannot write a result of query {query!r} as JSON: it holds an "
+            f"integer past Python's int-to-str digit limit; raise the limit "
+            f"with sys.set_int_max_str_digits() before the job starts"
+        ) from exc

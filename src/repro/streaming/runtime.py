@@ -400,19 +400,23 @@ class PipelineDriver:
         self.metrics.record_backpressure(_time.perf_counter() - started)
 
     def _delivery_checkpoint(
-        self, source: EventSource, sink: Optional[Sink]
+        self,
+        snapshot: Dict[str, object],
+        source: EventSource,
+        sink: Optional[Sink],
     ) -> Dict[str, object]:
         """One snapshot covering runtime, source and sink state atomically.
 
-        The runtime snapshot is enriched with the source's consumer
-        offsets (``source_offsets``) and the sink's delivered position
-        (``sink``) when either exposes them, so a single
-        :meth:`CheckpointStore.save` commits all three facets together --
-        the invariant exactly-once recovery rests on.  Both runtimes'
-        ``restore`` ignore unknown snapshot keys, and the delta store
-        carries them verbatim, so plain checkpoints are unaffected.
+        The runtime ``snapshot`` (cut by :meth:`checkpoint`) is enriched
+        with the source's consumer offsets (``source_offsets``) and the
+        sink's delivered position (``sink``) when either exposes them, so
+        a single :meth:`CheckpointStore.save` commits all three facets
+        together -- the invariant exactly-once recovery rests on.  The
+        caller delivers the records the cut released before it calls this,
+        so the sink position covers them.  Both runtimes' ``restore``
+        ignore unknown snapshot keys, and the delta store carries them
+        verbatim, so plain checkpoints are unaffected.
         """
-        snapshot = self.checkpoint()
         offsets = getattr(source, "offsets", None)
         if callable(offsets):
             snapshot["source_offsets"] = offsets()
@@ -557,10 +561,15 @@ class DriveSession:
     it.  ``step`` splits slices at checkpoint-interval boundaries, lets the
     sink's ``ready`` signal throttle ingestion, drains late events to
     ``on_late``, saves periodic checkpoints through
-    :meth:`PipelineDriver._delivery_checkpoint` -- after the chunk's
-    records were delivered, so the sink offset inside the checkpoint
-    covers them -- and offers the metrics exporter a snapshot.  The sink
-    must not call back into the runtime while a slice is processed.
+    :meth:`PipelineDriver._delivery_checkpoint` and offers the metrics
+    exporter a snapshot.  A checkpoint runs in three steps: cut the
+    runtime snapshot (a sharded cut quiesces the workers, which can
+    release records), deliver every released record to the sink, and
+    only then read the source offsets and the sink position and save.  So
+    the sink position inside a checkpoint covers every record whose
+    window the saved state has closed, and a crash right after the save
+    loses none.  The sink must not call back into the runtime while a
+    slice is processed.
     """
 
     def __init__(
@@ -683,12 +692,14 @@ class DriveSession:
                 self._checkpoint_interval
                 and self.processed % self._checkpoint_interval == 0
             ):
-                self._checkpoint_store.save(
-                    driver._delivery_checkpoint(self.source, self.sink)
-                )
-                # a sharded checkpoint quiesces the workers; records
-                # that became ready during the quiesce surface now
+                snapshot = driver.checkpoint()
+                # a sharded checkpoint quiesces the workers; the records
+                # that became ready during the quiesce reach the sink
+                # before the save, which commits them with the cut
                 yield from self.deliver(driver.drain_pending())
+                self._checkpoint_store.save(
+                    driver._delivery_checkpoint(snapshot, self.source, self.sink)
+                )
             if self._metrics_exporter is not None:
                 if self._metrics_exporter.maybe_export(driver.registry_snapshot):
                     # a sharded snapshot pull quiesces the workers too

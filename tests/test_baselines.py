@@ -17,7 +17,7 @@ from repro.baselines.flattening import flatten_pattern, longest_possible_repetit
 from repro.errors import ExecutionAbortedError, InvalidQueryError, UnsupportedQueryError
 from repro.events.event import Event
 from repro.query.aggregates import avg, count_star, min_of
-from repro.query.ast import KleenePlus, atom, kleene_plus, sequence
+from repro.query.ast import KleenePlus, Negation, atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import comparison
 from repro.query.windows import WindowSpec
@@ -167,6 +167,11 @@ class TestFlattening:
     def test_nested_kleene_over_same_atom_deduplicates(self):
         variants = flatten_pattern(KleenePlus(kleene_plus("A")), max_repetitions=3)
         assert len(variants) == len(set(variants))
+
+    def test_negated_pattern_is_refused(self):
+        pattern = sequence(kleene_plus("A"), Negation(atom("C")), atom("B"))
+        with pytest.raises(UnsupportedQueryError, match="Negation"):
+            flatten_pattern(pattern, max_repetitions=3)
 
     def test_flattening_budget_enforced(self):
         with pytest.raises(ExecutionAbortedError):

@@ -8,6 +8,7 @@ store instances (i.e. across process restarts) -- and every failure path
 :class:`CheckpointError` with an actionable message.
 """
 
+import copy
 import json
 
 import pytest
@@ -51,6 +52,77 @@ def normalised(snapshot):
     for state in snapshot["executors"].values():
         state["aggregators"].sort(key=lambda entry: (entry[0], json.dumps(entry[1])))
     return snapshot
+
+
+def slot_of(entry):
+    """The cells of one type-grained entry's ``A`` targets, for mutation."""
+    return entry[2]["state"]["cells"]["A"]["states"][0]
+
+
+def reference_payloads(snapshots, compact_every):
+    """The files a store writes for ``snapshots``, built the plain way.
+
+    Diffs entries by their JSON and encodes each file once with
+    ``json.dumps(payload, sort_keys=True)``: the layout the store's bytes
+    must equal.
+    """
+    payloads = []
+    previous = None
+    chain = 0
+    for checkpoint_id, snapshot in enumerate(snapshots, start=1):
+        entries = {
+            name: {
+                (entry[0], json.dumps(entry[1])): entry
+                for entry in state["aggregators"]
+            }
+            for name, state in snapshot["executors"].items()
+        }
+        if previous is None or chain >= compact_every:
+            payload = {
+                "store_version": STORE_VERSION,
+                "kind": "base",
+                "id": checkpoint_id,
+                "snapshot": snapshot,
+            }
+            chain = 1
+        else:
+            executors = {}
+            for name, state in snapshot["executors"].items():
+                before, now = previous.get(name, {}), entries[name]
+                executors[name] = {
+                    "events_seen": state["events_seen"],
+                    "last_time": state["last_time"],
+                    "changed": [
+                        entry
+                        for key, entry in now.items()
+                        if key not in before
+                        or json.dumps(before[key][2], sort_keys=True)
+                        != json.dumps(entry[2], sort_keys=True)
+                    ],
+                    "removed": [
+                        [entry[0], entry[1]]
+                        for key, entry in before.items()
+                        if key not in now
+                    ],
+                }
+            full = ("version", "queries", "ingest", "metrics", "emitted_counts")
+            payload = {
+                "store_version": STORE_VERSION,
+                "kind": "delta",
+                "id": checkpoint_id,
+                "parent": checkpoint_id - 1,
+                "executors": executors,
+                "extra": {
+                    key: value
+                    for key, value in snapshot.items()
+                    if key not in full and key != "executors"
+                },
+                **{key: snapshot[key] for key in full},
+            }
+            chain += 1
+        payloads.append(json.dumps(payload, sort_keys=True))
+        previous = entries
+    return payloads
 
 
 def emission_signature(records):
@@ -150,6 +222,100 @@ class TestChainRoundTrip:
         assert len(changed) == 1  # only g0's aggregator changed
         assert delta["executors"]["q"]["removed"] == []
         assert entry.bytes_written < store.entries[0].bytes_written
+
+    @pytest.mark.parametrize(
+        "before, after",
+        [(0, 0.0), (0.0, -0.0), (1, True), (2**1024 - 1, 2**1024)],
+        ids=["int-to-float", "zero-sign", "int-to-bool", "near-2**1024"],
+    )
+    def test_a_delta_holds_exactly_the_entry_whose_json_changed(
+        self, tmp_path, before, after
+    ):
+        runtime = build_runtime()
+        for event in stream(count=60, span=120.0):
+            runtime.process(event)
+        first = runtime.checkpoint()
+        second = copy.deepcopy(first)
+        slot_of(first["executors"]["q"]["aggregators"][-2])[1] = before
+        flipped = second["executors"]["q"]["aggregators"][-2]
+        slot_of(flipped)[1] = after
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.save(first)
+        entry = store.save(second)
+        assert entry.kind == "delta"
+        delta = json.loads(entry.path.read_text())
+        assert delta["executors"]["q"]["changed"] == [
+            json.loads(json.dumps(flipped))
+        ]
+        assert delta["executors"]["q"]["removed"] == []
+
+    def test_an_unchanged_nan_stays_out_of_the_delta(self, tmp_path):
+        runtime = build_runtime()
+        for event in stream(count=60, span=120.0):
+            runtime.process(event)
+        first = runtime.checkpoint()
+        second = copy.deepcopy(first)
+        slot_of(first["executors"]["q"]["aggregators"][-2])[1] = float("nan")
+        slot_of(second["executors"]["q"]["aggregators"][-2])[1] = float("nan")
+        store = CheckpointStore(tmp_path / "ckpt")
+        store.save(first)
+        delta = json.loads(store.save(second).path.read_text())
+        assert delta["executors"]["q"]["changed"] == []
+
+    @pytest.mark.parametrize("compact_every", [None, 3])
+    def test_files_are_the_plain_sorted_json_of_the_chain(
+        self, tmp_path, compact_every
+    ):
+        options = {} if compact_every is None else {"compact_every": compact_every}
+        store = CheckpointStore(tmp_path / "ckpt", **options)
+        runtime = build_runtime()
+        snapshots, written = [], []
+        for index, event in enumerate(stream(count=280, span=120.0)):
+            runtime.process(event)
+            if index % 40 == 39:
+                snapshots.append(runtime.checkpoint())
+                written.append(store.save(snapshots[-1]).path.read_text())
+        expected = reference_payloads(snapshots, store.compact_every)
+        assert [json.loads(text)["kind"] for text in expected].count("delta") >= 4
+        assert written == expected
+
+    def test_a_delta_keeps_window_order_past_window_9(self, tmp_path):
+        """The entries come back in ``_entry_order``: window 10 after 9."""
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(
+            "RETURN g, COUNT(*) PATTERN A+ SEMANTICS skip-till-any-match "
+            "GROUP-BY g WITHIN 30 seconds SLIDE 1 seconds",
+            name="q",
+        )
+        store = CheckpointStore(tmp_path / "ckpt")
+        for index in range(120):
+            runtime.process(Event("A", index * 0.25, {"g": "x"}))
+            if index + 1 in (50, 120):
+                snapshot = runtime.checkpoint()
+                entry = store.save(snapshot)
+        assert entry.kind == "delta"
+        windows = [entry[0] for entry in snapshot["executors"]["q"]["aggregators"]]
+        assert {9, 10} <= set(windows)
+        assert store.load_latest()["executors"] == snapshot["executors"]
+
+    def test_a_count_past_the_int_digit_limit_names_query_and_limit(self, tmp_path):
+        # 15,000 S events in one group and window: COUNT(*) = 2**15000 - 1,
+        # 4,516 digits, past CPython's default 4,300-digit int-to-str limit
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(
+            "RETURN g, COUNT(*) PATTERN S+ SEMANTICS skip-till-any-match "
+            "GROUP-BY g WITHIN 100000 seconds",
+            name="huge",
+        )
+        runtime.process_batch(
+            [Event("S", index * 0.001, {"g": "x"}) for index in range(15_000)]
+        )
+        store = CheckpointStore(tmp_path / "ckpt")
+        with pytest.raises(CheckpointError) as raised:
+            store.save(runtime.checkpoint())
+        assert "'huge'" in str(raised.value)
+        assert "sys.set_int_max_str_digits" in str(raised.value)
+        assert store.load_latest() is None
 
     def test_empty_store_loads_none(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")

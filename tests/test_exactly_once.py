@@ -411,6 +411,80 @@ class TestExactlyOncePipeline:
         assert len(delivered) == len(set(delivered))  # zero double-deliveries
 
 
+class CrashAfterSave(CheckpointStore):
+    """A store whose process "dies" right after a durable save."""
+
+    def __init__(self, directory, crash_after):
+        super().__init__(directory)
+        self._crash_after = crash_after
+
+    def save(self, snapshot):
+        entry = super().save(snapshot)
+        if self.checkpoint_count == self._crash_after:
+            raise Crash(f"injected crash after checkpoint {entry.checkpoint_id}")
+        return entry
+
+
+class TestCrashRightAfterACheckpoint:
+    """Output released before a checkpoint's cut is committed with it.
+
+    A sharded checkpoint quiesces the workers, which can release records;
+    they must reach the sink before the save, or a parent that dies right
+    after the save loses them: the saved state has closed their windows,
+    so the recovered run never produces them again.
+    """
+
+    @staticmethod
+    def new_sharded(workers):
+        runtime = ShardedRuntime(workers=workers, lateness=0.0, ship_interval=8)
+        runtime.register(QUERY, name="q")
+        # records surface at a quiesce only: the per-slice non-blocking
+        # acknowledgement drain returns at once, so every record of a
+        # checkpoint interval is released by that checkpoint's cut
+        drain = runtime._drain_acks
+        runtime._drain_acks = lambda block: drain(block) if block else None
+        return runtime
+
+    @pytest.mark.parametrize("crash_after", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_record_is_lost_when_the_parent_dies_after_a_save(
+        self, tmp_path, workers, crash_after
+    ):
+        events = stream(count=400)
+        expected = reference_bytes(events, tmp_path / "ref.jsonl")
+        log_dir = write_log(tmp_path / "log", events)
+        out = tmp_path / "out.jsonl"
+
+        store = CrashAfterSave(tmp_path / "ckpt", crash_after)
+        sink = TransactionalSink(out)
+        with self.new_sharded(workers) as runtime, pytest.raises(Crash):
+            runtime.run(
+                PartitionedLogSource(log_dir),
+                sink,
+                checkpoint_store=store,
+                checkpoint_interval=100,
+            )
+        sink.close()
+        store.close()
+
+        store = CheckpointStore(tmp_path / "ckpt")
+        recovered_sink = TransactionalSink(out, recover=True)
+        with self.new_sharded(workers) as resumed:
+            info = resume_job(
+                resumed, store, PartitionedLogSource(log_dir), sink=recovered_sink
+            )
+            assert f"resumed from checkpoint {crash_after}" in info.notes[0]
+            resumed.run(
+                info.source,
+                recovered_sink,
+                checkpoint_store=store,
+                checkpoint_interval=100,
+            )
+        recovered_sink.close()
+        store.close()
+        assert out.read_bytes() == expected
+
+
 class TestCliSigkillRecovery:
     def test_sigkill_then_recover_matches_uninterrupted_run(self, tmp_path):
         """The operational drill: ``kill -9`` the CLI, rerun ``--recover``."""

@@ -26,6 +26,7 @@ from repro.streaming.sources import (
     JsonlFileTailSource,
     MemorySink,
     SocketJsonlSource,
+    TransactionalSink,
     as_source,
     open_source,
 )
@@ -533,6 +534,27 @@ class TestSinks:
     def test_jsonl_file_sink_unwritable_path_raises(self, tmp_path):
         with pytest.raises(SourceError, match="cannot open"):
             JsonlFileSink(tmp_path)  # a directory is not writable
+
+    @pytest.mark.parametrize("sink_class", [JsonlFileSink, TransactionalSink])
+    def test_a_count_past_the_int_digit_limit_names_query_and_limit(
+        self, tmp_path, sink_class
+    ):
+        # 15,000 S events in one group and window: COUNT(*) = 2**15000 - 1,
+        # 4,516 digits, past CPython's default 4,300-digit int-to-str limit
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(
+            "RETURN g, COUNT(*) PATTERN S+ SEMANTICS skip-till-any-match "
+            "GROUP-BY g WITHIN 100000 seconds",
+            name="huge",
+        )
+        events = [Event("S", index * 0.001, {"g": "x"}) for index in range(15_000)]
+        sink = sink_class(tmp_path / "out.jsonl")
+        with pytest.raises(SourceError) as raised:
+            runtime.run(events, sink)
+        sink.close()
+        assert "'huge'" in str(raised.value)
+        assert "sys.set_int_max_str_digits" in str(raised.value)
+        assert (tmp_path / "out.jsonl").read_text() == ""
 
 
 class TestDriverLoop:
