@@ -3,10 +3,10 @@
 A plan generates its hot-path functions at build time: the grouper
 (:meth:`CograPlan.group`) and, per pattern variable, the folds its
 aggregators can run -- Algorithm 1's type-grained kernel when a plan of the
-query may be type-grained, Algorithm 2's step (each automaton edge whose
+query may be type-grained (a negated query's reads and writes Section 8's
+compatible cells too), Algorithm 2's step (each automaton edge whose
 predecessor stores events scanned inside it) at MIXED and EVENT
-granularity, Algorithm 3's at PATTERN -- and the negation planner the
-negation type-grained fold, once per query.  Every fold is emitted from
+granularity, Algorithm 3's at PATTERN.  Every fold is emitted from
 one template of the recurrence's per-target arithmetic
 (:class:`repro.core.type_grained.Recurrence`).  Every generator follows
 the same rules:

@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.analyzer.granularity import Granularity
+from repro.analyzer.granularity import Granularity, split_variables
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.query.query import Query
 from repro.query.semantics import Semantics
@@ -258,15 +258,20 @@ def observed_updates_per_event(plan: CograPlan, observed: ObservedStatistics) ->
     length ``l`` the type/event crossover sits exactly at one stored event
     per variable.
     """
-    length = plan.automaton.length
+    split = (plan.type_grained, plan.event_grained)
+    return _updates_per_event(plan.granularity, plan.automaton.length, split, observed)
+
+
+def _updates_per_event(granularity, length, split, observed) -> float:
+    """:func:`observed_updates_per_event` at ``granularity``, ``split``
+    being the plan's ``(Tt, Te)``."""
     stored = observed.stored_per_variable(length)
-    granularity = plan.granularity
     if granularity is Granularity.PATTERN:
         return 1.0
     if granularity is Granularity.TYPE:
         return float(length)
     if granularity is Granularity.MIXED:
-        return float(len(plan.type_grained)) + len(plan.event_grained) * stored
+        return float(len(split[0])) + len(split[1]) * stored
     return length * stored  # EVENT granularity
 
 
@@ -278,22 +283,21 @@ def compare_observed_costs(
     Keys iterate coarsest-first (the order of
     :attr:`~repro.analyzer.plan.CograPlan.accepted_granularities`), so a
     plain ``min`` over the dictionary breaks cost ties toward the coarser
-    plan.
+    plan.  The costs come from the one plan: a plan of another granularity
+    differs only in its ``Tt`` / ``Te`` split, which for MIXED is
+    Theorem 5.1's (:func:`~repro.analyzer.granularity.split_variables`).
     """
     plan = (
         query_or_plan
         if isinstance(query_or_plan, CograPlan)
         else plan_query(query_or_plan)
     )
-    costs: Dict[Granularity, float] = {}
-    for granularity in plan.accepted_granularities:
-        forced = (
-            plan
-            if plan.granularity is granularity
-            else plan_query(plan.query, forced_granularity=granularity)
-        )
-        costs[granularity] = observed_updates_per_event(forced, observed)
-    return costs
+    length = plan.automaton.length
+    split = split_variables(plan.automaton, plan.classification)
+    return {
+        granularity: _updates_per_event(granularity, length, split, observed)
+        for granularity in plan.accepted_granularities
+    }
 
 
 def recommend_granularity(

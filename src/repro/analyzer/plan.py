@@ -15,7 +15,7 @@ A :class:`CograPlan` bundles everything the runtime executor needs:
 from __future__ import annotations
 
 from numbers import Number
-from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
 from repro.analyzer.codegen import Constants, compile_generated
@@ -56,10 +56,12 @@ class FoldStep(NamedTuple):
     own: Tuple[bool, ...]
     #: per plan target: the attribute to read off the event, else ``None``
     attributes: Tuple[Optional[str], ...]
+    #: the cells the type-grained kernel writes: ``variable``'s, then the
+    #: compatible cells it feeds (Section 8, ``NegationTables.feeds``)
+    writes: Tuple[Hashable, ...]
     #: ``kernel(windows, values, before)``: the step applied to the cells
     #: of type-grained aggregators (:func:`repro.core.type_grained.fold_kernel`);
-    #: ``None`` when no plan of the query is type-grained, or when the query
-    #: is negated (its type-grained aggregators run the negation cells folds)
+    #: ``None`` only when no plan of the query is type-grained
     kernel: Optional[Callable]
 
 
@@ -171,11 +173,13 @@ class CograPlan:
 
         # every plan of the query compiles the type kernels when one of them
         # may be type-grained: a live migration feeds the bindings of the
-        # new plan to the old plan's aggregators.  A negated query's
-        # type-grained aggregators fold through the negation cells folds
-        # instead, compiled below.
-        type_grained = Granularity.TYPE in self.accepted_granularities
-        kernels = type_grained and self.negations is None
+        # new plan to the old plan's aggregators.  A negated query's kernels
+        # read a crossing edge's predecessor from its compatible cell and
+        # also write the compatible cells their variable feeds (Section 8).
+        kernels = Granularity.TYPE in self.accepted_granularities
+        crossed, feeds = {}, {}
+        if self.negations is not None:
+            crossed, feeds = self.negations.crossed or {}, self.negations.feeds
         self._fold_steps: Dict[str, FoldStep] = {}
         for variable in self.automaton.variables:
             # pattern order: the order the folds add predecessor sums in,
@@ -186,6 +190,9 @@ class CograPlan:
             )
             starts = 1 if self.automaton.is_start(variable) else 0
             own = tuple(target == variable for target, _ in self.targets)
+            writes = (variable, *feeds.get(variable, ()))
+            crossing = crossed.get(variable, {})
+            reads = tuple(crossing.get(name, name) for name in predecessors)
             self._fold_steps[variable] = FoldStep(
                 variable=variable,
                 predecessors=predecessors,
@@ -195,12 +202,9 @@ class CograPlan:
                     attribute if target == variable else None
                     for target, attribute in self.targets
                 ),
+                writes=writes,
                 kernel=fold_kernel(
-                    f"<fold {query.name}:{variable}>",
-                    variable,
-                    predecessors,
-                    starts,
-                    own,
+                    f"<fold {query.name}:{variable}>", writes, reads, starts, own
                 )
                 if kernels
                 else None,
@@ -224,8 +228,6 @@ class CograPlan:
                 self.folds[variable] = pattern_step(
                     f"<pattern fold {query.name}:{variable}>", step, self
                 )
-        if type_grained and self.negations is not None:
-            self.negations.with_folds(self)
         # bindings that do not depend on the event at all: no local predicate
         # decides the variables and no target reads an attribute
         no_values = (None,) * len(self.targets)
@@ -442,15 +444,15 @@ class CograPlan:
         """The shape of the fold this plan's own aggregators run for ``variable``.
 
         ``pattern`` at PATTERN granularity; ``scanned`` when a predecessor
-        stores its events; ``self-loop`` when the only cell the step
-        extends is its own; ``fixed predecessors`` otherwise.
+        stores its events; ``self-loop`` when the step reads and writes no
+        cell but its own; ``fixed predecessors`` otherwise.
         """
         if self.granularity is Granularity.PATTERN:
             return "pattern"
         step = self._fold_steps[variable]
         if any(name in self.event_grained for name in step.predecessors):
             return "scanned"
-        if step.predecessors == (variable,):
+        if step.predecessors == step.writes == (variable,):
             return "self-loop"
         return "fixed predecessors"
 

@@ -28,7 +28,6 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.baselines.trend_enumeration import TrendOracle
 from repro.core.engine import CograEngine
-from repro.core.partitioner import filter_local_predicates, substreams
 from repro.core.results import GroupResult
 from repro.events.event import Event
 from repro.query.query import Query
@@ -80,13 +79,10 @@ def cross_check(
     name: str, query: Query, events: List[Event], results: List[GroupResult]
 ) -> None:
     """Compare query ``name``'s ``results`` with the enumeration if affordable."""
-    window = query.window
-    if window is not None and window.is_count_based:
-        return  # the enumeration places events by time only
-    parts = substreams(query, filter_local_predicates(query, events))
-    if any(len(part) > ENUMERABLE_EVENTS for _key, part in parts):
+    oracle = TrendOracle(query)
+    if any(len(part) > ENUMERABLE_EVENTS for _key, part in oracle.substreams(events)):
         return
-    expected = _indexed(TrendOracle(query).run(events))
+    expected = _indexed(oracle.run(events))
     actual = _indexed(results)
     for key in sorted(expected.keys() | actual.keys(), key=repr):
         if key not in expected or key not in actual:

@@ -27,7 +27,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.baselines.base import contiguous_adjacent, next_match_adjacent
 from repro.core.aggregate_state import TrendAccumulator
-from repro.core.partitioner import filter_local_predicates, substreams, window_bounds
+from repro.core.partitioner import (
+    filter_local_predicates,
+    partition_by_group,
+    substreams,
+    window_bounds,
+)
 from repro.core.results import GroupResult
 from repro.errors import UnsupportedQueryError
 from repro.events.event import Event
@@ -228,9 +233,25 @@ class TrendOracle:
             self._components, substream, trends, self.query.semantics
         )
 
-    def _substreams(self, events: Iterable[Event]):
-        filtered = filter_local_predicates(self._positive, events)
-        return substreams(self._positive, filtered)
+    def substreams(self, events: Iterable[Event]):
+        """The ``((window id, group key), events)`` sub-streams to enumerate,
+        as the executor forms them: a count window places an event by its
+        arrival ordinal, counted before the local predicates filter."""
+        query = self._positive
+        window = query.window
+        if window is None or not window.is_count_based:
+            return substreams(query, filter_local_predicates(query, events))
+        placed: Dict[int, List[Event]] = {}
+        for ordinal, event in enumerate(events):
+            placed.setdefault(window.window_of_ordinal(ordinal), []).append(event)
+        parts = []
+        for window_id, part in sorted(placed.items()):
+            groups = partition_by_group(
+                filter_local_predicates(query, part), query.partition_attributes
+            )
+            for key in sorted(groups, key=repr):
+                parts.append(((window_id, key), groups[key]))
+        return parts
 
     def trends_per_substream(
         self, events: Iterable[Event]
@@ -238,7 +259,7 @@ class TrendOracle:
         """Mapping from (window id, group key) to the trends of that sub-stream."""
         return {
             key: self._trends(substream)
-            for key, substream in self._substreams(events)
+            for key, substream in self.substreams(events)
         }
 
     def total_trend_count(self, events: Iterable[Event]) -> int:
@@ -248,7 +269,7 @@ class TrendOracle:
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
         """Evaluate the query and return results comparable to the executor's."""
         results: List[GroupResult] = []
-        for (window_id, key), substream in self._substreams(events):
+        for (window_id, key), substream in self.substreams(events):
             accumulator = aggregate_trends(self.plan, substream, self._trends(substream))
             if accumulator.trend_count == 0:
                 continue

@@ -46,22 +46,22 @@ from repro.core.type_grained import (
 from repro.events.event import Event
 
 
-def fold_mixed(windows, run, negations=None) -> None:
+def fold_mixed(windows, run) -> None:
     """Algorithm 2, lines 5-14 (generalised to all Table 8 aggregates).
 
     Events outer, the aggregators of ``windows`` -- one class, one plan --
     inner: each binding is one call of the step the aggregators' own plan
-    compiled for its variable (:func:`mixed_step`).  With ``negations``
-    (the :class:`~repro.extensions.negation.NegationTables` of aggregators
-    that keep ``_cutoffs``) an unbound event of a negated type blocks the
-    ``Tp`` events stored so far from the ``Tf`` variables (Section 8);
-    stored events are appended in arrival order, so one cut-off index per
-    (component, ``Tp`` variable) says which, and each step reads past the
-    cut-offs of its edges (``cut``).
+    compiled for its variable (:func:`mixed_step`).  For a negated query
+    (``plan.negations``, whose aggregators keep ``_cutoffs``) an unbound
+    event of a negated type blocks the ``Tp`` events stored so far from
+    the ``Tf`` variables (Section 8); stored events are appended in arrival
+    order, so one cut-off index per (component, ``Tp`` variable) says
+    which, and each step reads past the cut-offs of its edges (``cut``).
     """
     plan = windows[0].plan
     folds = plan.folds
     type_grained = plan.type_grained
+    negations = plan.negations
     negated = crossed = None
     if negations is not None:
         negated, crossed = negations.by_type, negations.crossed

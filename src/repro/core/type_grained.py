@@ -18,17 +18,25 @@ kernel (:func:`fold_kernel`): predecessors unrolled, slot offsets integer
 constants, and a Kleene self-loop -- a step whose one predecessor is its
 own cell -- reading and writing each slot once.
 
+Negated sub-patterns (Section 8) under skip-till-any-match are cells too:
+"mark ``Tp`` invalid for ``Tf``" keeps one *compatible* cell per (negated
+component, ``Tp`` variable), keyed ``(component.index, variable)`` in the
+same table as the variable cells
+(:class:`~repro.extensions.negation.NegationTypeGrainedAggregator`).  A
+``Tf`` step's kernel reads a crossing edge's predecessor from that key, a
+``Tp`` step's kernel also writes the keys it feeds (``FoldStep.writes``),
+and :meth:`TypeGrainedAggregator.process_run` resets them where an event
+of the negated type falls (``plan.negations``).
+
 This module also holds :class:`Recurrence`, the one template of the
 recurrence's per-target arithmetic: Algorithm 1's kernel, Algorithm 2's step
-(:func:`~repro.core.mixed_grained.mixed_step`), Algorithm 3's
-(:func:`~repro.core.pattern_grained.pattern_step`) and the negation
-type-grained cells fold (:mod:`repro.extensions.negation`) are all emitted
-from it.
+(:func:`~repro.core.mixed_grained.mixed_step`) and Algorithm 3's
+(:func:`~repro.core.pattern_grained.pattern_step`) are all emitted from it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from repro.analyzer.codegen import Constants, compile_generated
 from repro.analyzer.plan import CograPlan
@@ -44,8 +52,9 @@ class TypeGrainedAggregator(SubstreamAggregator):
     def __init__(self, plan: CograPlan):
         super().__init__(plan)
         targets = plan.targets
-        #: variable -> accumulator of all (partial) trends ending at that variable
-        self._cells: Dict[str, TrendAccumulator] = {
+        #: variable -> accumulator of all (partial) trends ending at that
+        #: variable; a negated query adds its compatible cells
+        self._cells: Dict[Hashable, TrendAccumulator] = {
             variable: TrendAccumulator.zero(targets)
             for variable in plan.automaton.variables
         }
@@ -59,11 +68,15 @@ class TypeGrainedAggregator(SubstreamAggregator):
         ``also`` (the same group in the run's other windows) in one pass,
         events outer and windows inner: each ``(step, values)`` of an
         event's binding is one call of the step's compiled kernel, which
-        applies it window by window (:func:`fold_kernel`).
+        applies it window by window (:func:`fold_kernel`).  An unbound
+        event of a negated type (``plan.negations``, Section 8) empties
+        the compatible cells of its components.
         """
         windows = (self, *also) if also else (self,)
+        negations = self.plan.negations
+        negated = None if negations is None else negations.by_type
         processed = 0
-        for _event, binding in run:
+        for event, binding in run:
             if len(binding) == 1:
                 step, values = binding[0]
                 step.kernel(windows, values, None)
@@ -76,11 +89,20 @@ class TypeGrainedAggregator(SubstreamAggregator):
                     cells = aggregator._cells
                     source = dict(cells)
                     for step, _values in binding:
-                        source[step.variable] = cells[step.variable].copy()
+                        for key in step.writes:
+                            source[key] = cells[key].copy()
                     before[aggregator] = source
                 for step, values in binding:
                     step.kernel(windows, values, before)
             else:
+                if negated and event.event_type in negated:
+                    targets = self.plan.targets
+                    for component in negated[event.event_type]:
+                        for variable in component.predecessor_variables:
+                            key = (component.index, variable)
+                            for aggregator in windows:
+                                if aggregator._cells[key].trend_count:
+                                    aggregator._cells[key] = TrendAccumulator(targets)
                 continue
             processed += 1
         for aggregator in windows:
@@ -438,42 +460,50 @@ def compile_fold(label: str, constants: Constants, header: str, body: List[str])
 
 def fold_kernel(
     label: str,
-    variable: str,
-    predecessors: Tuple[str, ...],
+    writes: Tuple[Hashable, ...],
+    reads: Tuple[Hashable, ...],
     starts: int,
     own: Tuple[bool, ...],
 ) -> Callable:
-    """Compile what binding an event to ``variable`` does to the cells.
+    """Compile what binding an event to a variable does to the cells.
 
     Returns ``kernel(windows, values, before)``: for each type-grained
-    aggregator of ``windows``, add to the cell of ``variable`` the trends of
-    every predecessor cell, each extended by the event, plus the one-event
-    trend if ``starts``.  ``values`` holds what the event's targets read
-    off it, aligned with the plan's targets; ``before`` is ``None``, or per
-    aggregator the cells as they were before an event bound to several
-    variables, to read the other predecessors from.
+    aggregator of ``windows``, add to every cell of ``writes`` the trends
+    of every cell of ``reads``, each extended by the event, plus the
+    one-event trend if ``starts``.  ``writes`` is the variable's cell, then
+    the compatible cells the variable feeds; ``reads`` are its
+    predecessors in pattern order, a predecessor whose edge crosses a
+    negation boundary (Section 8) by the key of its compatible cell.
+    ``values`` holds what the event's targets read off it, aligned with
+    the plan's targets; ``before`` is ``None``, or per aggregator the cells
+    as they were before an event bound to several variables, to read the
+    other predecessors from.
 
     The literal recurrence builds that summary in three fresh accumulators
     and then merges it; the kernel adds it slot by slot straight into the
-    cell (:class:`Recurrence`), which ``tests/test_type_grained_fold.py``
+    cells (:class:`Recurrence`), which ``tests/test_type_grained_fold.py``
     checks against the recurrence kept in ``tests/helpers.py``.  A Kleene
-    self-loop reads its predecessor from the cell being written: every slot
-    is read before it is written, and no other binding of the event writes
-    that cell.
+    self-loop that writes no other cell reads its predecessor from the
+    cell being written: every slot is read before it is written, and no
+    other binding of the event writes that cell.
 
-    The source holds only integers and names made here; variable names are
-    bound constants.
+    The source holds only integers and names made here; variable names and
+    cell keys are bound constants.
     """
-    names = cell_names(variable, predecessors)
+    variable = writes[0]
+    names = cell_names(variable, (*reads, *writes[1:]))
     template = Recurrence(own, starts)
     template.values(0)
-    if predecessors == (variable,):
+    if reads == writes == (variable,):
         template.emit("for window in windows:", 0)
         template.emit("cell = window._cells[name_0]", 1)
         template.self_loop("cell", 1)
-    elif predecessors or starts:
+    elif reads or starts:
         template.emit("for window in windows:", 0)
-        fixed_predecessors(template, names, predecessors, "window._cells", 1)
+        fixed_predecessors(template, names, reads, "window._cells", 1)
+        for key in writes[1:]:
+            template.emit(f"cell = cells[name_{names.index(key)}]", 1)
+            template.write("cell", 1)
     constants = Constants(
         **{f"name_{number}": name for number, name in enumerate(names)}
     )
@@ -482,9 +512,9 @@ def fold_kernel(
     )
 
 
-def cell_names(variable: str, predecessors: Tuple[str, ...]) -> List[str]:
-    """The variables a step's source calls ``name_k``: its own is ``name_0``,
-    the written cell, then each other predecessor once."""
+def cell_names(variable: str, predecessors: Tuple[Hashable, ...]) -> List[Hashable]:
+    """The cells a step's source calls ``name_k``: its own is ``name_0``,
+    the written cell, then each other of ``predecessors`` once."""
     names = [variable]
     for name in predecessors:
         if name not in names:

@@ -24,6 +24,15 @@ ridesharing pattern ``SEQ(Accept, NOT Cancel, Finish)``:
 * :func:`~repro.core.base.create_aggregator` builds the negation-aware
   counterpart of the plan's granularity from the plan alone.
 
+The counterparts add state, not folds: each runs its granularity's one
+fold, which reads ``plan.negations``.  The type-grained one keeps a
+compatible cell per (component, ``Tp`` variable) beside Algorithm 1's
+cells, which the plan's kernels read and write
+(:func:`~repro.core.type_grained.fold_kernel`); the event-grained one keeps
+a cut-off per key, which Algorithm 2's steps read past
+(:func:`~repro.core.mixed_grained.fold_mixed`); the pattern-grained one
+resets the last matched event.
+
 Enforced semantics
 ------------------
 The relation a counted trend satisfies is the one the rule of its matching
@@ -65,14 +74,11 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence as Seq, Tuple
 
 from repro.analyzer.automaton import PatternAutomaton
-from repro.analyzer.codegen import Constants
-from repro.analyzer.plan import CograPlan, FoldStep
+from repro.analyzer.plan import CograPlan
 from repro.core.aggregate_state import TrendAccumulator
-from repro.core.base import SubstreamAggregator
 from repro.core.event_grained import EventGrainedAggregator
-from repro.core.mixed_grained import fold_mixed
 from repro.core.pattern_grained import PatternGrainedAggregator
-from repro.core.type_grained import Recurrence, compile_fold
+from repro.core.type_grained import TypeGrainedAggregator
 from repro.errors import InvalidPatternError
 from repro.events.event import Event
 from repro.query.ast import EventTypePattern, Negation, Pattern, Sequence
@@ -292,7 +298,7 @@ class NegationTables:
     and derive from the negated components alone.
     """
 
-    __slots__ = ("components", "by_type", "feeds", "cell_keys", "crossed", "folds")
+    __slots__ = ("components", "by_type", "feeds", "crossed")
 
     def __init__(self, components: Seq[NegatedComponent]):
         self.components = tuple(components)
@@ -310,56 +316,26 @@ class NegationTables:
                     *self.feeds.get(variable, ()),
                     (component.index, variable),
                 )
-        #: edge crossing a negation boundary -> key of the ``Tp`` variable's
-        #: per-component state (compatible cell, cut-off index)
-        self.cell_keys: Optional[Dict[Tuple[str, str], Tuple[int, str]]] = None
-        #: ``Tf`` variable -> {``Tp`` predecessor: key of its compatible cell}
+        #: ``Tf`` variable -> {``Tp`` predecessor: key of its per-component
+        #: state (compatible cell, cut-off index)}, for every edge crossing a
+        #: negation boundary
         self.crossed: Optional[Dict[str, Dict[str, Tuple[int, str]]]] = None
-        #: variable -> the type-grained cells fold of an event bound to it
-        #: (:func:`cells_fold`)
-        self.folds: Optional[Dict[str, object]] = None
 
     def with_crossings(self) -> "NegationTables":
-        """These tables with :attr:`cell_keys` and :attr:`crossed` compiled.
+        """These tables with :attr:`crossed` compiled.
 
-        Only the per-type and per-event rules need them -- the per-pattern
+        Only the per-type and per-event rules need it -- the per-pattern
         rule resets on any negated type -- so a pattern they cannot enforce
         (:class:`InvalidPatternError`) is rejected where one of them is
         planned: in :class:`~repro.analyzer.plan.CograPlan`, before any event.
         """
-        if self.cell_keys is None:
-            cell_keys = {
-                (predecessor, follower): (component.index, predecessor)
-                for (predecessor, follower), component in _crossing_edges(
-                    self.components
-                ).items()
-            }
-            self.crossed = {}
-            for (predecessor, follower), key in cell_keys.items():
-                self.crossed.setdefault(follower, {})[predecessor] = key
-            self.cell_keys = cell_keys
-        return self
-
-    def with_folds(self, plan: CograPlan) -> "NegationTables":
-        """These tables with :attr:`folds` compiled from ``plan``'s fold steps.
-
-        What a step does to the full and compatible cells depends on the
-        query alone, so the folds of one plan also serve the aggregators a
-        plan of another granularity adopted after a live migration;
-        :class:`~repro.analyzer.plan.CograPlan` compiles them once per plan
-        when the query may be type-grained.
-        """
-        if self.folds is None:
-            crossed = self.with_crossings().crossed
-            self.folds = {
-                variable: cells_fold(
-                    f"<negation fold {plan.query.name}:{variable}>",
-                    step,
-                    crossed.get(variable, {}),
-                    self.feeds.get(variable, ()),
-                )
-                for variable, step in plan.fold_steps.items()
-            }
+        if self.crossed is None:
+            crossed: Dict[str, Dict[str, Tuple[int, str]]] = {}
+            edges = _crossing_edges(self.components)
+            for (predecessor, follower), component in edges.items():
+                key = (component.index, predecessor)
+                crossed.setdefault(follower, {})[predecessor] = key
+            self.crossed = crossed
         return self
 
     def state_keys(self) -> List[Tuple[int, str]]:
@@ -379,170 +355,36 @@ class NegationPatternGrainedAggregator(PatternGrainedAggregator):
     ending at the last matched event are invalidated (Section 8).
     """
 
-    __slots__ = ("_tables",)
-
-    def __init__(self, plan: CograPlan):
-        super().__init__(plan)
-        self._tables = plan.negations
+    __slots__ = ()
 
     def _unbound(self, event: Event) -> None:
-        for component in self._tables.by_type.get(event.event_type, ()):
+        for component in self.plan.negations.by_type.get(event.event_type, ()):
             if self._last_variable in component.prefix_variables:
                 self._reset_last()
         # a negated event also breaks contiguity like any other event
         super()._unbound(event)
 
 
-class NegationTypeGrainedAggregator(SubstreamAggregator):
+class NegationTypeGrainedAggregator(TypeGrainedAggregator):
     """Type-grained aggregation with negated sub-patterns (ANY semantics).
 
-    Besides the per-variable accumulator of Algorithm 1 the aggregator keeps
-    one *compatible* accumulator per (negated component, ``Tp`` variable).
-    Events of ``Tf`` variables draw their predecessor trends from the
-    compatible accumulator, which is reset whenever the negated type
-    matches -- exactly the "mark ``Tp`` invalid for ``Tf``" rule of
-    Section 8.
+    Besides the per-variable cells of Algorithm 1 the aggregator keeps one
+    *compatible* cell per (negated component, ``Tp`` variable), in the same
+    table under the key ``(component.index, variable)``.  Events of ``Tf``
+    variables draw their predecessor trends from the compatible cell, which
+    is emptied whenever the negated type matches -- exactly the "mark
+    ``Tp`` invalid for ``Tf``" rule of Section 8.  The fold is Algorithm
+    1's (:meth:`TypeGrainedAggregator.process_run`, with the plan's
+    kernels).
     """
 
-    __slots__ = ("_tables", "_full", "_compatible")
+    __slots__ = ()
 
     def __init__(self, plan: CograPlan):
         super().__init__(plan)
-        self._tables = tables = plan.negations
         targets = plan.targets
-        self._full: Dict[str, TrendAccumulator] = {
-            variable: TrendAccumulator.zero(targets)
-            for variable in plan.automaton.variables
-        }
-        self._compatible: Dict[Tuple[int, str], TrendAccumulator] = {
-            key: TrendAccumulator.zero(targets) for key in tables.state_keys()
-        }
-
-    # -- hot path -----------------------------------------------------------------
-
-    def process_run(self, run, also=()) -> None:
-        """The type-grained fold with two cells to read from and to write to.
-
-        An event's trends are added in place to its variable's full cell and
-        to the compatible cells the variable feeds, all at once, by the
-        variable's compiled fold (:func:`cells_fold`): they may be among the
-        cells the event reads.
-        """
-        tables = self._tables
-        negated = tables.by_type
-        folds = tables.folds
-        windows = (self, *also)
-        targets = self.plan.targets
-        processed = 0
-        for event, binding in run:
-            if not binding:
-                for component in negated.get(event.event_type, ()):
-                    for variable in component.predecessor_variables:
-                        key = (component.index, variable)
-                        for aggregator in windows:
-                            if aggregator._compatible[key].trend_count:
-                                aggregator._compatible[key] = TrendAccumulator(targets)
-                continue
-            processed += 1
-            before = None
-            if len(binding) > 1:
-                # an event bound to several variables (repeated types,
-                # Section 8) is never its own predecessor: every binding
-                # reads the cells as they were before the event
-                before = {}
-                for aggregator in windows:
-                    full = dict(aggregator._full)
-                    compatible = dict(aggregator._compatible)
-                    for step, _values in binding:
-                        full[step.variable] = full[step.variable].copy()
-                        for key in tables.feeds.get(step.variable, ()):
-                            compatible[key] = compatible[key].copy()
-                    before[aggregator] = (full, compatible)
-            for step, values in binding:
-                folds[step.variable](windows, values, before)
-        for aggregator in windows:
-            aggregator.events_processed += processed
-
-    # -- results -------------------------------------------------------------------
-
-    def final_accumulator(self) -> TrendAccumulator:
-        final = TrendAccumulator.zero(self.plan.targets)
-        for variable in self.plan.automaton.end_variables:
-            final.merge(self._full[variable])
-        return final
-
-    def cell(self, variable: str) -> TrendAccumulator:
-        """Full accumulator of ``variable`` (for inspection)."""
-        return self._full[variable]
-
-    # -- memory accounting -------------------------------------------------------------
-
-    def storage_units(self) -> int:
-        units = sum(cell.storage_units for cell in self._full.values())
-        units += sum(cell.storage_units for cell in self._compatible.values())
-        return units
-
-
-def cells_fold(
-    label: str,
-    step: FoldStep,
-    crossed: Dict[str, Tuple[int, str]],
-    feeds: Tuple[Tuple[int, str], ...],
-):
-    """Compile the negation type-grained fold of an event bound to ``step.variable``.
-
-    Returns ``fold(windows, values, before)``: for each
-    :class:`NegationTypeGrainedAggregator` of ``windows``, sum the trends
-    of the variable's predecessors in pattern order -- a predecessor whose
-    edge crosses a negation boundary from its compatible cell (``crossed``:
-    predecessor -> cell key), any other from its full cell -- extend them by
-    the event, and add them to the variable's full cell and to the
-    compatible cells of ``feeds``.  ``before`` is ``None``, or per
-    aggregator the ``(full, compatible)`` cells as they were before an event
-    bound to several variables; the step's own full cell is read where it
-    is written, as Algorithm 1's kernel reads it.
-    """
-    variable, predecessors, starts, own = step[:4]
-    constants = Constants(name_0=variable)
-    template = Recurrence(own, starts)
-    emit = template.emit
-    template.values(0)
-    if not predecessors and not starts:
-        return compile_fold(label, constants, "fold(windows, values, before)", [])
-    readers = []
-    for name in predecessors:
-        if name in crossed:
-            readers.append(f"read_compatible[{constants('key', crossed[name])}]")
-        elif name == variable:
-            readers.append("cell")
-        else:
-            readers.append(f"read_full[{constants('name', name)}]")
-    fed = [constants("key", key) for key in feeds]
-    emit("for window in windows:", 0)
-    emit("full = window._full", 1)
-    if fed or crossed:
-        emit("compatible = window._compatible", 1)
-    if any(reader != "cell" for reader in readers):
-        emit(
-            "read_full, read_compatible = "
-            "(full, compatible) if before is None else before[window]"
-            if crossed
-            else "read_full = full if before is None else before[window][0]",
-            1,
-        )
-    emit("cell = full[name_0]", 1)
-    cells = []
-    for number, reader in enumerate(readers):
-        if reader != "cell":
-            emit(f"cell_{number} = {reader}", 1)
-            reader = f"cell_{number}"
-        cells.append(reader)
-    template.extend_cells(cells, 1)
-    template.write("cell", 1)
-    for key in fed:
-        emit(f"cell = compatible[{key}]", 1)
-        template.write("cell", 1)
-    return compile_fold(label, constants, "fold(windows, values, before)", template.lines)
+        for key in plan.negations.state_keys():
+            self._cells[key] = TrendAccumulator.zero(targets)
 
 
 class NegationEventGrainedAggregator(EventGrainedAggregator):
@@ -554,18 +396,14 @@ class NegationEventGrainedAggregator(EventGrainedAggregator):
     appended in arrival order a single cut-off index per (component, ``Tp``
     variable) encodes the blocked set.  The fold is Algorithm 2's
     (:func:`~repro.core.mixed_grained.fold_mixed`), which moves the cut-offs
-    where a negated event falls and reads past them.
+    where a negated event falls (``plan.negations``) and reads past them.
     """
 
-    __slots__ = ("_tables", "_cutoffs")
+    __slots__ = ("_cutoffs",)
 
     def __init__(self, plan: CograPlan):
         super().__init__(plan)
-        self._tables = tables = plan.negations
-        self._cutoffs: Dict[Tuple[int, str], int] = dict.fromkeys(tables.state_keys(), 0)
-
-    def process_run(self, run, also=()) -> None:
-        fold_mixed((self, *also), run, self._tables)
+        self._cutoffs = dict.fromkeys(plan.negations.state_keys(), 0)
 
 
 # ---------------------------------------------------------------------------

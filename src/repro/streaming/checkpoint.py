@@ -192,26 +192,29 @@ def _apply_event(aggregator, state) -> None:
 
 
 def _extract_negation_type(aggregator) -> Dict[str, object]:
+    # one table holds both kinds of cell: the variables' by name, the
+    # compatible ones by (component index, variable)
+    cells = aggregator._cells.items()
     return {
         "full": {
-            variable: snapshot_accumulator(cell)
-            for variable, cell in aggregator._full.items()
+            key: snapshot_accumulator(cell)
+            for key, cell in cells
+            if isinstance(key, str)
         },
         "compatible": [
-            [index, variable, snapshot_accumulator(cell)]
-            for (index, variable), cell in aggregator._compatible.items()
+            [*key, snapshot_accumulator(cell)]
+            for key, cell in cells
+            if not isinstance(key, str)
         ],
     }
 
 
 def _apply_negation_type(aggregator, state) -> None:
-    aggregator._full = {
-        variable: restore_accumulator(cell) for variable, cell in state["full"].items()
-    }
-    aggregator._compatible = {
-        (int(index), variable): restore_accumulator(cell)
+    _apply_type(aggregator, {"cells": state["full"]})
+    aggregator._cells.update(
+        ((int(index), variable), restore_accumulator(cell))
         for index, variable, cell in state["compatible"]
-    }
+    )
 
 
 def _extract_negation_event(aggregator) -> Dict[str, object]:

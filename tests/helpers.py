@@ -236,7 +236,7 @@ def reference_negation_type_grained_process(aggregator, event: Event, components
     if negated:
         for component in negated:
             for variable in component.predecessor_variables:
-                aggregator._compatible[(component.index, variable)] = TrendAccumulator.zero(
+                aggregator._cells[(component.index, variable)] = TrendAccumulator.zero(
                     plan.targets
                 )
         return
@@ -256,16 +256,16 @@ def reference_negation_type_grained_process(aggregator, event: Event, components
             ]
             if crossed:
                 predecessor.merge(
-                    aggregator._compatible[(crossed[0].index, predecessor_variable)]
+                    aggregator._cells[(crossed[0].index, predecessor_variable)]
                 )
             else:
-                predecessor.merge(aggregator._full[predecessor_variable])
+                predecessor.merge(aggregator._cells[predecessor_variable])
         staged.append((variable, _literal_cell(plan, event, variable, predecessor)))
     for variable, cell in staged:
-        aggregator._full[variable].merge(cell)
+        aggregator._cells[variable].merge(cell)
         for component in components:
             if variable in component.predecessor_variables:
-                aggregator._compatible[(component.index, variable)].merge(cell)
+                aggregator._cells[(component.index, variable)].merge(cell)
 
 
 def reference_negation_event_grained_process(aggregator, event: Event, components) -> None:

@@ -43,6 +43,8 @@ class TestCli:
             ("SEQ(A+, B)", "any", "A.v < NEXT(A).v", ["scanned", "scanned"]),
             ("SEQ(A+, B+)", "any", "B.v < NEXT(B).v", ["self-loop", "scanned"]),
             ("SEQ(A+, B)", "next", None, ["pattern", "pattern"]),
+            # A's fold also writes A's compatible cell: not a self-loop
+            ("SEQ(A+, NOT C, B)", "any", None, ["fixed predecessors"] * 2),
         ],
     )
     def test_explain_names_the_kernel_each_fold_step_compiles_to(

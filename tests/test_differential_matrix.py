@@ -47,11 +47,13 @@ from differential import (
     workloads,
 )
 from repro.baselines.oracle import (
+    ENUMERABLE_EVENTS,
     OracleMismatch,
     accepted_events,
     cross_check,
     expected_records,
 )
+from repro.baselines.trend_enumeration import TrendOracle
 from repro.core.engine import CograEngine
 from repro.events.event import Event
 from repro.streaming.config import Job, ServerConfig
@@ -299,6 +301,25 @@ class TestWitnesses:
         assert set(witnesses_over_fifty_seeds()) <= kinds
 
 
+#: count-windowed queries the oracle enumerates: one per fold family, and a
+#: local predicate that drops events a count window still counts
+COUNT_WINDOWED = {
+    "count": QUERIES["count"],
+    "negated": (
+        "RETURN g, COUNT(*), MAX(B.v) PATTERN SEQ(A+, NOT C, B) "
+        "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 8 events"
+    ),
+    "contiguous": (
+        "RETURN g, COUNT(*) PATTERN SEQ(A+, B) "
+        "SEMANTICS contiguous GROUP-BY g WITHIN 8 events"
+    ),
+    "next-local": (
+        "RETURN g, COUNT(*), SUM(A.v) PATTERN SEQ(A+, B) "
+        "SEMANTICS skip-till-next-match WHERE A.v > 4 GROUP-BY g WITHIN 8 events"
+    ),
+}
+
+
 def event(event_type, time, sequence, g="x", v=1):
     return Event(event_type, time, {"g": g, "v": v}, sequence=sequence)
 
@@ -352,15 +373,31 @@ class TestOracle:
         with pytest.raises(OracleMismatch):
             cross_check("avg", query, events, results)
 
-    @pytest.mark.parametrize("reason", ["count window", "large sub-stream"])
-    def test_cross_check_skips_what_it_cannot_enumerate(self, reason):
-        if reason == "count window":
-            query = CograEngine(QUERIES["count"]).query
-            events = stream(2, 30, groups="xyz")
-        else:
-            query = CograEngine(QUERIES["any"]).query
-            # 16 events of one group in every window: past the 12 enumerated
-            events = stream(2, 16, groups="x", span=10.0)
+    def test_cross_check_skips_a_sub_stream_too_large_to_enumerate(self):
+        query = CograEngine(QUERIES["any"]).query
+        # 16 events of one group in every window: past the 12 enumerated
+        events = stream(2, 16, groups="x", span=10.0)
         results = CograEngine(query).run(events)
         results[0].values["COUNT(*)"] += 1
         cross_check("q", query, events, results)  # not compared: no error
+
+    @pytest.mark.parametrize("name", sorted(COUNT_WINDOWED))
+    def test_count_windows_are_checked_against_the_enumeration(self, name):
+        """The enumeration places an event by its arrival ordinal, counted
+        before the local predicates filter, as the executor does."""
+        query = CograEngine(COUNT_WINDOWED[name]).query
+        oracle = TrendOracle(query)
+        for seed in range(40):
+            events = stream(seed, 30)
+            parts = oracle.substreams(events)
+            assert all(len(part) <= ENUMERABLE_EVENTS for _key, part in parts)
+            cross_check(name, query, events, CograEngine(query).run(events))
+
+    def test_cross_check_rejects_a_wrong_count_window_result(self):
+        query = CograEngine(QUERIES["count"]).query
+        events = stream(2, 30, groups="xyz")
+        results = CograEngine(query).run(events)
+        cross_check("count", query, events, results)  # agrees
+        results[0].values["COUNT(*)"] += 1
+        with pytest.raises(OracleMismatch, match="count at"):
+            cross_check("count", query, events, results)

@@ -4,14 +4,15 @@ Each plan generates its folds from one template of the recurrence's
 per-target arithmetic (:class:`repro.core.type_grained.Recurrence`).  One
 case per generated shape -- Algorithm 1's Kleene self-loop (also with a
 target on another variable, which takes the self-loop's non-own branch) and
-fixed predecessors, Algorithm 2's fused scan (plain and past Section 8's
-cut-offs), Algorithm 3's pattern step and the negation type-grained cells
-fold -- is fed ``-0.0``, ``±inf``, ``NaN``, ``1e308`` and missing values,
-and compared after every run with the literal recurrence kept in
-``tests/helpers.py`` as checkpoint JSON, where ``NaN`` equals ``NaN``.  A
-run of ``1e308`` values long enough to outgrow the float range saturates
-the sums.  No sum slot may ever hold ``-0.0``: the self-loop reads a sum
-slot where the recurrence reads ``0 + slot``.
+fixed predecessors (also a negated query's, which read and write the
+compatible cells), Algorithm 2's fused scan (plain and past Section 8's
+cut-offs) and Algorithm 3's pattern step -- is fed ``-0.0``, ``±inf``,
+``NaN``, ``1e308`` and missing values, and compared after every run with
+the literal recurrence kept in ``tests/helpers.py`` as checkpoint JSON,
+where ``NaN`` equals ``NaN``.  A run of ``1e308`` values long enough to
+outgrow the float range saturates the sums.  No sum slot may ever hold
+``-0.0``: the self-loop reads a sum slot where the recurrence reads
+``0 + slot``.
 """
 
 import json
@@ -101,6 +102,9 @@ CASES = [
          reference=reference_pattern_grained_process),
     Case("fixed predecessors", "B", "SEQ(A+, NOT C, B)",
          "COUNT(*), SUM(A.v), MAX(A.v), AVG(B.v)",
+         reference=reference_negation_type_grained_process),
+    # A's Kleene step also writes A's compatible cell
+    Case("fixed predecessors", "A", "SEQ(A+, NOT C, B)", ALL,
          reference=reference_negation_type_grained_process),
 ]
 

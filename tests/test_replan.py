@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from differential import canonical, kill_worker, stream
+from differential import QUERIES, canonical, kill_worker, stream
 from repro.analyzer.cost import (
     ObservedStatistics,
     compare_observed_costs,
@@ -295,6 +295,27 @@ class TestObservedCostTables:
         # coarsest-first iteration order is what makes min() tie-break coarse
         assert list(costs) == [Granularity.TYPE, Granularity.MIXED, Granularity.EVENT]
 
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_observed_costs_equal_those_of_the_forced_plans(self, name):
+        plan = plan_query(parse_query(QUERIES[name]))
+        for observed in (ObservedStatistics(0.5), ObservedStatistics(7.0, 0.3)):
+            costs = compare_observed_costs(plan, observed)
+            assert list(costs) == list(plan.accepted_granularities)
+            for granularity, cost in costs.items():
+                forced = plan_query(plan.query, forced_granularity=granularity)
+                assert cost == observed_updates_per_event(forced, observed)
+
+    def test_observed_costs_build_no_plan(self, monkeypatch):
+        """A replan check prices every granularity from the plan it has."""
+        plan = plan_query(parse_query(ADJACENT_QUERY))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare_observed_costs built a plan")
+
+        monkeypatch.setattr("repro.analyzer.cost.plan_query", refuse)
+        costs = compare_observed_costs(plan, ObservedStatistics(4.0))
+        assert costs == {Granularity.MIXED: 3.0, Granularity.EVENT: 4.0}
+
     def test_mixed_plan_pays_per_variable_only_for_stored_variables(self):
         # the adjacent predicate forces A to stay event-grained under mixed
         query = parse_query(ADJACENT_QUERY)
@@ -505,22 +526,32 @@ class TestForcedMigration:
         finally:
             runtime.close()
 
-    def test_negated_query_migrates_through_the_negation_planner(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_negated_query_migrates_both_ways(self, workers):
+        """TYPE -> EVENT -> TYPE: adopted type aggregators fold the EVENT
+        plan's negation-aware kernels, adopted event aggregators the TYPE
+        plan's bindings."""
         events = stream(5, 250)
         expected = expected_records([("q", NEGATED_QUERY)], events, 0.0)
-        runtime = StreamingRuntime(lateness=0.0)
+        if workers == 1:
+            runtime = StreamingRuntime(lateness=0.0)
+        else:
+            runtime = ShardedRuntime(workers=workers, lateness=0.0, ship_interval=8)
         runtime.register(NEGATED_QUERY, name="q")
         records = []
         for index, event in enumerate(events):
             records.extend(runtime.process(event))
             if index == 100:
                 assert runtime.migrate_granularity("q", "event")
-            if index == 200:
+            if index == 150:
                 with pytest.raises(PlanningError, match="force 'event' instead"):
                     runtime.migrate_granularity("q", "mixed")
+            if index == 200:
+                assert runtime.migrate_granularity("q", "type")
         records.extend(runtime.flush())
         assert canonical(records) == canonical(expected)
-        assert runtime.plan_versions == {"q": 1}
+        assert runtime.plan_versions == {"q": 2}
+        assert runtime.metrics.replan_migrations == 2
 
 
 # ---------------------------------------------------------------------------
