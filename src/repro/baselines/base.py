@@ -76,6 +76,10 @@ class BaselineApproach:
     #: Whether the approach evaluates negated sub-patterns (Section 8, not a
     #: column of Table 9); one that does not refuses them.
     negation = False
+    #: Whether the approach evaluates count-based windows (``WITHIN n
+    #: events``), which place events by arrival ordinal; one that does not
+    #: refuses them.
+    count_windows = False
 
     def __init__(self, cost_budget: Optional[int] = None):
         #: Upper bound on constructed trends / stored sequences; ``None`` = unbounded.
@@ -134,6 +138,9 @@ class BaselineApproach:
             )
         if query.pattern.has_negation and not self.negation:
             raise UnsupportedQueryError(f"{self.name} does not support negated sub-patterns")
+        window = query.window
+        if window is not None and window.is_count_based and not self.count_windows:
+            raise UnsupportedQueryError(f"{self.name} does not support count-based windows")
 
     # -- extension point ---------------------------------------------------------------
 

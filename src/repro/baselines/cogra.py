@@ -29,6 +29,7 @@ class CograApproach(BaselineApproach):
         online_trend_aggregation=True,
     )
     negation = True
+    count_windows = True
 
     def __init__(
         self,

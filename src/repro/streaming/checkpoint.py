@@ -8,7 +8,7 @@ runtime configured with the *same queries* continues the computation as if
 it had never stopped: the final results are identical, which the test suite
 asserts window by window.
 
-The snapshot format is structural, not pickled: every aggregator class
+The snapshot format is structural: every aggregator class
 registers an (extract, apply) handler pair below, so checkpoints are
 inspectable, diffable, and independent of Python object layout.  Unknown
 aggregator classes raise :class:`~repro.errors.CheckpointError` instead of
@@ -24,24 +24,25 @@ that makes delta-based incremental view maintenance tractable.  The store
 writes in the caller's thread: a checkpoint is on disk when :meth:`save`
 returns.
 
-Each save is one JSON pass.  The delta diff compares entries by an exact
-binary fingerprint, ``pickle.dumps(state)``, which is only ever dumped,
-never loaded: pickle keeps ``0``, ``0.0`` and ``False`` apart, and ``0.0``
-and ``-0.0`` too, so equal fingerprints imply equal JSON and a delta never
-misses a change (a spurious difference only rewrites an unchanged entry).
-Every file is encoded with ``check_circular=False``: a snapshot is a tree
-of fresh primitives, so there is no cycle to detect, and the bytes are
-those of a plain ``json.dumps(..., sort_keys=True)``.
+Each snapshot entry ``[window_id, key, state]`` is encoded once, where its
+aggregator lives, by :func:`entry_text`: the bytes the entry has inside
+``json.dumps(snapshot, sort_keys=True)``.  A sharded worker ships its
+entries in that form (:class:`EncodedEntry`), so the parent neither
+rebuilds nor re-encodes their state.  The text is also the delta diff's
+fingerprint: an entry changed exactly when its text differs, which keeps
+``0``, ``0.0`` and ``False`` apart, ``0.0`` and ``-0.0`` too, and an
+unchanged ``NaN`` equal.  Files join those texts into their envelope
+member by member, so every file is byte for byte a plain
+``json.dumps(payload, sort_keys=True)`` and no state is encoded twice.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 from pathlib import Path
 from time import perf_counter as _perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.analyzer.plan import plan_query
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
@@ -54,6 +55,10 @@ from repro.streaming.jsonl import event_from_json, event_to_json
 
 #: bump when the snapshot layout changes incompatibly
 CHECKPOINT_VERSION = 1
+
+#: the one encoder of checkpoint JSON: ``json.dumps(value, sort_keys=True)``
+#: without the cycle check, which a tree of fresh primitives never needs
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,66 @@ def _entry_order(entry) -> Tuple[int, str]:
     return (entry[0], repr(entry[1]))
 
 
+class EncodedEntry(NamedTuple):
+    """A snapshot entry carried as its :func:`entry_text`.
+
+    The form of every entry in a sharded cut: the worker holding the
+    aggregator encodes it, merge, split and re-homing read only
+    ``window_id`` and ``key``, the store writes ``text`` as it is, and
+    :func:`decode_entry` rebuilds the ``[window_id, key, state]`` list.
+    """
+
+    window_id: int
+    key: list
+    text: str
+
+
+def entry_text(entry) -> str:
+    """The canonical JSON text of a ``[window_id, key, state]`` entry.
+
+    Byte for byte the entry inside ``json.dumps(snapshot, sort_keys=True)``.
+    An integer past CPython's int-to-str digit limit raises ``ValueError``.
+    """
+    if type(entry) is EncodedEntry:
+        return entry.text
+    return _encode(entry)
+
+
+def decode_entry(entry) -> list:
+    """The ``[window_id, key, state]`` list of an entry in either form."""
+    if type(entry) is EncodedEntry:
+        return json.loads(entry.text)
+    return entry
+
+
+def encode_executor_snapshot(state: Dict[str, object]) -> Dict[str, object]:
+    """Put a :func:`snapshot_executor` state's entries into their encoded form.
+
+    An entry the encoder refuses (an integer past the digit limit, a value
+    JSON cannot hold) stays a list: it still migrates between workers, and
+    saving it raises in the store exactly as for a single-process snapshot.
+    """
+    encoded = []
+    for entry in state["aggregators"]:
+        try:
+            text = _encode(entry)
+        except (TypeError, ValueError):
+            encoded.append(entry)
+        else:
+            encoded.append(EncodedEntry(entry[0], entry[1], text))
+    state["aggregators"] = encoded
+    return state
+
+
+def decoded_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
+    """``snapshot`` with every entry decoded: the public form of a cut."""
+    executors = {
+        name: {**state, "aggregators": [decode_entry(e) for e in state["aggregators"]]}
+        for name, state in snapshot["executors"].items()
+    }
+    return {**snapshot, "executors": executors}
+
+
 def snapshot_executor(executor: QueryExecutor) -> Dict[str, object]:
     """JSON-safe representation of one executor's runtime state."""
     aggregators = [
@@ -342,7 +407,8 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
     # recorded granularity (restore_aggregator_state stays the final check)
     plans = {granularity: executor.plan}
     restored = []
-    for window_id, key_values, aggregator_state in state["aggregators"]:
+    for entry in state["aggregators"]:
+        window_id, key_values, aggregator_state = decode_entry(entry)
         recorded = _CLASS_GRANULARITY.get(aggregator_state["class"], granularity)
         plan = plans.get(recorded)
         if plan is None:
@@ -509,38 +575,76 @@ def split_executor_snapshot(
 # ---------------------------------------------------------------------------
 
 
-def _encode(value, snapshot: Dict[str, object]) -> str:
-    """The canonical JSON of ``value``, a tree of ``snapshot``'s parts.
+def _unwritable(culprit: str) -> CheckpointError:
+    """The error of a snapshot holding an integer JSON cannot write.
 
-    Byte for byte ``json.dumps(value, sort_keys=True)``: a snapshot is a
-    tree, so the encoder's cycle check has nothing to find.  Trend counts
-    grow exponentially, and CPython refuses to write an int of more than
-    ``sys.get_int_max_str_digits()`` digits (4,300 by default); that
-    raises :class:`CheckpointError` naming the query that holds it, found
-    by encoding each executor again on this failure path only.
+    Trend counts grow exponentially, and CPython refuses to write an int
+    of more than ``sys.get_int_max_str_digits()`` digits (4,300 by
+    default).
     """
+    return CheckpointError(
+        f"cannot write the checkpoint: {culprit} holds an integer past "
+        f"Python's int-to-str digit limit; raise the limit with "
+        f"sys.set_int_max_str_digits() before the job starts"
+    )
+
+
+def _object(value: Dict[str, object], encoded: Dict[str, str]) -> str:
+    """``json.dumps({**value, **encoded}, sort_keys=True)``, ``encoded`` as JSON text.
+
+    How a file holds entry texts as they are: the object is joined member
+    by member, with no placeholder spliced into a finished encoding.
+    """
+    members = {key: _encode(item) for key, item in value.items() if key not in encoded}
+    members.update(encoded)
+    joined = ", ".join(f"{_encode(key)}: {members[key]}" for key in sorted(members))
+    return "{" + joined + "}"
+
+
+def _array(texts: List[str]) -> str:
+    """The JSON array of already-encoded ``texts``."""
+    return "[" + ", ".join(texts) + "]"
+
+
+def _entry_texts(name: str, state: Dict[str, object]) -> List[str]:
+    """The :func:`entry_text` of each of query ``name``'s entries, in order."""
     try:
-        return json.dumps(value, sort_keys=True, check_circular=False)
+        return [entry_text(entry) for entry in state["aggregators"]]
     except ValueError as exc:
-        culprit = "the snapshot"
-        for name, state in snapshot.get("executors", {}).items():
-            try:
-                json.dumps(state, check_circular=False)
-            except ValueError:
-                culprit = f"query {name!r}"
-                break
-        raise CheckpointError(
-            f"cannot write the checkpoint: {culprit} holds an integer past "
-            f"Python's int-to-str digit limit; raise the limit with "
-            f"sys.set_int_max_str_digits() before the job starts"
-        ) from exc
+        raise _unwritable(f"query {name!r}") from exc
+
+
+def _executors_json(executors: Dict[str, Dict], texts: Dict[str, List[str]]) -> str:
+    """The ``executors`` section of a snapshot, its entries given as texts."""
+    return _object(
+        {},
+        {
+            name: _object(state, {"aggregators": _array(texts[name])})
+            for name, state in executors.items()
+        },
+    )
+
+
+def _joined(value: Dict[str, object], encoded: Dict[str, str]) -> str:
+    """:func:`_object` for a file's envelope; a digit-limit error names the snapshot."""
+    try:
+        return _object(value, encoded)
+    except ValueError as exc:
+        raise _unwritable("the snapshot") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write one checkpoint file: every file this module writes goes through here."""
+    path.write_text(text)
 
 
 def save_checkpoint(state: Dict[str, object], path) -> Path:
     """Write a snapshot (e.g. ``StreamingRuntime.checkpoint()``) as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_encode(state, state))
+    executors = state["executors"]
+    texts = {name: _entry_texts(name, executor) for name, executor in executors.items()}
+    _write_text(path, _joined(state, {"executors": _executors_json(executors, texts)}))
     return path
 
 
@@ -585,33 +689,30 @@ class CheckpointEntry:
         )
 
 
-#: an executor's diff index: ``(window_id, repr(key))`` -> ``(key, fingerprint)``
-_Index = Dict[Tuple[int, str], Tuple[list, bytes]]
+#: an executor's diff index: ``(window_id, repr(key))`` -> ``(key, entry text)``
+_Index = Dict[Tuple[int, str], Tuple[list, str]]
 
 
 def _index_executor(
-    state: Dict[str, object], previous: Optional[_Index] = None
-) -> Tuple[_Index, List[list]]:
-    """Index one executor's entries; list those that differ from ``previous``.
+    name: str, state: Dict[str, object], previous: Optional[_Index] = None
+) -> Tuple[_Index, List[str], List[str]]:
+    """Index query ``name``'s entries; return the index, the texts, the changed texts.
 
-    An entry's index key is its :func:`_entry_order`; its fingerprint is
-    ``pickle.dumps`` of its state, exact where JSON is (see the module
-    docstring).  The index holds the key lists and fresh bytes, never the
-    snapshot's state dicts.  With no ``previous`` nothing is compared.
+    An entry's index key is its :func:`_entry_order` and its fingerprint
+    its :func:`entry_text`, so an entry changed exactly when its text
+    differs from ``previous``'s.  With no ``previous`` nothing is compared.
     """
-    dumps = pickle.dumps
-    protocol = pickle.HIGHEST_PROTOCOL
+    texts = _entry_texts(name, state)
     index: _Index = {}
-    changed: List[list] = []
-    for entry in state["aggregators"]:
+    changed: List[str] = []
+    for entry, text in zip(state["aggregators"], texts):
         key = _entry_order(entry)
-        fingerprint = dumps(entry[2], protocol)
-        index[key] = (entry[1], fingerprint)
+        index[key] = (entry[1], text)
         if previous is not None:
             known = previous.get(key)
-            if known is None or known[1] != fingerprint:
-                changed.append(entry)
-    return index, changed
+            if known is None or known[1] != text:
+                changed.append(text)
+    return index, texts, changed
 
 
 class CheckpointStore:
@@ -650,14 +751,13 @@ class CheckpointStore:
         Optional tenant name carried into the quota error, for the job
         server's per-tenant accounting.
 
-    A save encodes the snapshot once.  The diff against the previous save
-    compares each entry's ``pickle.dumps`` fingerprint, never loaded and
-    exact: equal bytes imply equal JSON, so a delta never misses a change.
-    The files are encoded with ``check_circular=False``, which is safe
-    because a snapshot is a tree of primitives, and they are byte for byte
-    ``json.dumps(payload, sort_keys=True)``.  An integer past CPython's
-    int-to-str digit limit raises :class:`~repro.errors.CheckpointError`
-    naming its query.
+    A save encodes each entry at most once: a sharded cut arrives with its
+    entries already encoded (:class:`EncodedEntry`), a single-process one
+    is encoded entry by entry.  The delta diff compares those texts, and
+    the base file, the delta file and the quota count all join the same
+    texts, so every file is byte for byte ``json.dumps(payload,
+    sort_keys=True)``.  An integer past CPython's int-to-str digit limit
+    raises :class:`~repro.errors.CheckpointError` naming its query.
     """
 
     def __init__(
@@ -710,9 +810,6 @@ class CheckpointStore:
         #: per-executor index of the last saved snapshot, for diffing
         self._last_index: Optional[Dict[str, _Index]] = None
         self._closed = False
-        #: files superseded by the newest base, deleted after the manifest
-        #: stopped referencing them
-        self._prune: List[Path] = []
 
     # -- manifest --------------------------------------------------------------
 
@@ -740,13 +837,13 @@ class CheckpointStore:
     def _write_manifest(self) -> None:
         path = self.directory / _MANIFEST_NAME
         temporary = path.with_suffix(".json.tmp")
-        temporary.write_text(json.dumps(self._manifest, sort_keys=True))
+        _write_text(temporary, json.dumps(self._manifest, sort_keys=True))
         os.replace(temporary, path)
 
     # -- writing ---------------------------------------------------------------
 
     def save(self, snapshot: Dict[str, object]) -> CheckpointEntry:
-        """Persist one runtime snapshot; return what was written."""
+        """Persist a runtime snapshot (a cut or its decoded form); return the entry."""
         self._check_open()
         if snapshot.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
@@ -754,12 +851,28 @@ class CheckpointStore:
                 f"this build's checkpoint version {CHECKPOINT_VERSION}; was it "
                 f"produced by runtime.checkpoint()?"
             )
-        if self.max_state_bytes is not None:
-            # encode: the quota is a byte count, and non-ASCII state
-            # serializes to more bytes than characters
-            state_bytes = len(
-                _encode(snapshot.get("executors", {}), snapshot).encode("utf-8")
+        return self._write(snapshot)
+
+    def _write(self, snapshot: Dict[str, object]) -> CheckpointEntry:
+        """Encode, diff and quota-check ``snapshot``, then write its file."""
+        started = _perf_counter()
+        chain: List[Dict[str, object]] = self._manifest["chain"]
+        base = self._last_index is None or len(chain) >= self.compact_every
+        executors = snapshot["executors"]
+        index: Dict[str, _Index] = {}
+        texts: Dict[str, List[str]] = {}
+        changed: Dict[str, List[str]] = {}
+        for name, state in executors.items():
+            previous = None if base else self._last_index.get(name, {})
+            index[name], texts[name], changed[name] = _index_executor(
+                name, state, previous
             )
+        executors_json = None
+        if base or self.max_state_bytes is not None:
+            executors_json = _executors_json(executors, texts)
+        if self.max_state_bytes is not None:
+            # JSON escapes every non-ASCII character: one byte a character
+            state_bytes = len(executors_json)
             if state_bytes > self.max_state_bytes:
                 owner = f"tenant {self.tenant!r}" if self.tenant else "this store"
                 raise StateQuotaError(
@@ -770,85 +883,71 @@ class CheckpointStore:
                     state_bytes=state_bytes,
                     limit_bytes=self.max_state_bytes,
                 )
-        entry = self._write(snapshot)
-        self._apply_prune()
-        return entry
-
-    def _write(self, snapshot: Dict[str, object]) -> CheckpointEntry:
-        started = _perf_counter()
         checkpoint_id = int(self._manifest["next_id"])
-        self._manifest["next_id"] = checkpoint_id + 1
-        chain: List[Dict[str, object]] = self._manifest["chain"]
-        if self._last_index is None or len(chain) >= self.compact_every:
-            index = {
-                name: _index_executor(state)[0]
-                for name, state in snapshot["executors"].items()
-            }
-            entry = self._write_base(checkpoint_id, snapshot, chain)
+        if base:
+            kind = "base"
+            payload = _joined(
+                {"store_version": STORE_VERSION, "kind": kind, "id": checkpoint_id},
+                {"snapshot": _joined(snapshot, {"executors": executors_json})},
+            )
         else:
-            index, entry = self._write_delta(checkpoint_id, snapshot, chain)
+            kind = "delta"
+            payload = self._delta_json(checkpoint_id, snapshot, index, changed)
+        name = f"{kind}-{checkpoint_id:08d}.json"
+        path = self.directory / name
+        _write_text(path, payload)
+        self._manifest["next_id"] = checkpoint_id + 1
+        superseded = []
+        if base:
+            # a new base subsumes the old chain, whose files are deleted once
+            # the manifest no longer references them
+            superseded = [self.directory / item["file"] for item in chain]
+            chain.clear()
+        chain.append({"id": checkpoint_id, "kind": kind, "file": name})
         self._write_manifest()
         self._last_index = index
+        entry = CheckpointEntry(checkpoint_id, kind, path, len(payload))
         self.entries.append(entry)
         if self._write_timers is not None:
-            self._write_timers[entry.kind].observe(_perf_counter() - started)
-            self._byte_counters[entry.kind].inc(entry.bytes_written)
+            self._write_timers[kind].observe(_perf_counter() - started)
+            self._byte_counters[kind].inc(entry.bytes_written)
+        for stale in superseded:
+            try:
+                stale.unlink()
+            except OSError:  # pragma: no cover - already gone
+                pass
         return entry
 
-    def _write_base(
-        self, checkpoint_id: int, snapshot: Dict[str, object], chain: List
-    ) -> CheckpointEntry:
-        name = f"base-{checkpoint_id:08d}.json"
-        payload = _encode(
-            {
-                "store_version": STORE_VERSION,
-                "kind": "base",
-                "id": checkpoint_id,
-                "snapshot": snapshot,
-            },
-            snapshot,
-        )
-        (self.directory / name).write_text(payload)
-        previous = list(chain)
-        chain.clear()
-        chain.append({"id": checkpoint_id, "kind": "base", "file": name})
-        # the new base subsumes the old chain; prune after the manifest no
-        # longer references the files (_write writes it before returning,
-        # so defer deletion until then via the entry bookkeeping)
-        self._prune = [self.directory / item["file"] for item in previous]
-        return CheckpointEntry(
-            checkpoint_id, "base", self.directory / name, len(payload)
-        )
-
-    def _write_delta(
+    def _delta_json(
         self,
         checkpoint_id: int,
         snapshot: Dict[str, object],
-        chain: List,
-    ) -> Tuple[Dict[str, _Index], CheckpointEntry]:
-        index: Dict[str, _Index] = {}
-        executors: Dict[str, Dict[str, object]] = {}
+        index: Dict[str, _Index],
+        changed: Dict[str, List[str]],
+    ) -> str:
+        """The delta file of ``snapshot`` against the last saved index."""
+        executors: Dict[str, str] = {}
         for name, state in snapshot["executors"].items():
             previous = self._last_index.get(name, {})
-            current, changed = _index_executor(state, previous)
-            index[name] = current
+            current = index[name]
             removed = [
                 [order[0], key]
                 for order, (key, _) in previous.items()
                 if order not in current
             ]
-            executors[name] = {
-                "events_seen": state["events_seen"],
-                "last_time": state["last_time"],
-                "changed": changed,
-                "removed": removed,
-            }
+            executors[name] = _joined(
+                {
+                    "events_seen": state["events_seen"],
+                    "last_time": state["last_time"],
+                    "removed": removed,
+                },
+                {"changed": _array(changed[name])},
+            )
         delta: Dict[str, object] = {
             "store_version": STORE_VERSION,
             "kind": "delta",
             "id": checkpoint_id,
-            "parent": chain[-1]["id"],
-            "executors": executors,
+            "parent": self._manifest["chain"][-1]["id"],
             "extra": {
                 key: value
                 for key, value in snapshot.items()
@@ -857,22 +956,7 @@ class CheckpointStore:
         }
         for key in _DELTA_FULL_KEYS:
             delta[key] = snapshot[key]
-        name = f"delta-{checkpoint_id:08d}.json"
-        payload = _encode(delta, snapshot)
-        (self.directory / name).write_text(payload)
-        chain.append({"id": checkpoint_id, "kind": "delta", "file": name})
-        self._prune = []
-        return index, CheckpointEntry(
-            checkpoint_id, "delta", self.directory / name, len(payload)
-        )
-
-    def _apply_prune(self) -> None:
-        for path in self._prune:
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._prune = []
+        return _joined(delta, {"executors": _object({}, executors)})
 
     # -- reading ---------------------------------------------------------------
 

@@ -76,7 +76,7 @@ from typing import (
 from repro.core.partitioner import single_shard_reason
 from repro.errors import ConfigError, CograError, JobStartError
 from repro.events.event import Event
-from repro.streaming.checkpoint import CheckpointStore
+from repro.streaming.checkpoint import CheckpointStore, decoded_snapshot
 from repro.streaming.emission import EmissionRecord
 from repro.streaming.ingest import (
     BoundedDelayWatermark,
@@ -1493,10 +1493,10 @@ class Job:
         """Snapshot the runtime state; persist it when a store is open."""
         if self._runtime is None:
             raise RuntimeError("the job is not started; call start() first")
-        snapshot = self._runtime.checkpoint()
+        snapshot = self._runtime._checkpoint_cut()
         if self._store is not None:
             self._store.save(snapshot)
-        return snapshot
+        return decoded_snapshot(snapshot)
 
     def _persist_late(self, late_events: List[Event]) -> None:
         """Persist side-channelled late events so they never pile up."""

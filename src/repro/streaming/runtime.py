@@ -123,7 +123,7 @@ class PipelineDriver:
 
     Subclasses provide the runtime interface the loop is written against:
     ``process_batch(events, emit)`` / ``flush()`` / ``checkpoint()`` /
-    ``drain_pending()`` -- both :class:`StreamingRuntime` and
+    ``_checkpoint_cut()`` / ``drain_pending()`` -- both :class:`StreamingRuntime` and
     :class:`~repro.streaming.sharded.ShardedRuntime` do, so the CLI,
     examples, benchmarks and :meth:`CograEngine.stream` stop hand-rolling
     ingestion loops.  Both ingest in this process and hold ``_ingestor``,
@@ -563,8 +563,9 @@ class DriveSession:
     ``on_late``, saves periodic checkpoints through
     :meth:`PipelineDriver._delivery_checkpoint` and offers the metrics
     exporter a snapshot.  A checkpoint runs in three steps: cut the
-    runtime snapshot (a sharded cut quiesces the workers, which can
-    release records), deliver every released record to the sink, and
+    runtime snapshot (``_checkpoint_cut``: a sharded cut quiesces the
+    workers, which can release records, and carries the entry texts they
+    encoded, saved undecoded), deliver every released record to the sink, and
     only then read the source offsets and the sink position and save.  So
     the sink position inside a checkpoint covers every record whose
     window the saved state has closed, and a crash right after the save
@@ -692,7 +693,9 @@ class DriveSession:
                 self._checkpoint_interval
                 and self.processed % self._checkpoint_interval == 0
             ):
-                snapshot = driver.checkpoint()
+                # the cut, saved as it is: a sharded cut's entries stay the
+                # JSON texts its workers encoded
+                snapshot = driver._checkpoint_cut()
                 # a sharded checkpoint quiesces the workers; the records
                 # that became ready during the quiesce reach the sink
                 # before the save, which commits them with the cut
@@ -1263,6 +1266,10 @@ class StreamingRuntime(PipelineDriver):
         recreates the runtime with the same registered queries and then
         calls :meth:`restore`.
         """
+        return self._checkpoint_cut()
+
+    def _checkpoint_cut(self) -> Dict[str, object]:
+        """The snapshot a periodic save writes: here :meth:`checkpoint`'s dict."""
         if self._flushed:
             raise CheckpointError("cannot checkpoint a runtime that was flushed")
         if self._poisoned:

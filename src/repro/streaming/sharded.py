@@ -69,7 +69,10 @@ writes: a sharded checkpoint restores into a single-process runtime, a
 single-process checkpoint restores into any worker count, and worker counts
 can change between checkpoint and restore.  The router travels inside every
 checkpoint, so ``--recover`` resumes the post-migration topology, not the
-seed one.
+seed one.  Each worker encodes its own entries as JSON text once, in
+parallel with the others; the parent merges, saves, re-homes and restores
+those texts without decoding them, and only the public
+:meth:`~ShardedRuntime.checkpoint` view decodes.
 
 Queries without partition attributes cannot be sharded (every event maps to
 the same key); the runtime then falls back to a single shard and records the
@@ -115,6 +118,8 @@ from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     check_query_identity,
     checkpointed_queries,
+    decoded_snapshot,
+    encode_executor_snapshot,
     merge_executor_snapshots,
     query_header,
     rehome_executor_snapshots,
@@ -350,9 +355,12 @@ def _worker_loop(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
                 )
             elif op == "checkpoint":
+                # each entry is encoded here, once, in parallel with the
+                # other workers; the parent merges, saves and migrates the
+                # texts without decoding them
                 payload = {
                     "executors": {
-                        r.name: snapshot_executor(r.executor)
+                        r.name: encode_executor_snapshot(snapshot_executor(r.executor))
                         for r in runtime._queries
                     },
                     "registry": runtime.observability.registry.snapshot(),
@@ -634,8 +642,9 @@ class ShardedRuntime(PipelineDriver):
         self._replay: List[List[tuple]] = []
         #: what a restarted worker resumes from: the slices the live workers
         #: held at the last consistent cut -- ``{shard: {"executors": ...,
-        #: "registry": snapshot or "reset"}}`` -- and the watermark shipped
-        #: by then (None until the first checkpoint, migration or restore)
+        #: "registry": snapshot or "reset"}}``, entries as the workers'
+        #: texts -- and the watermark shipped by then (None until the first
+        #: checkpoint, migration or restore)
         self._baseline: Optional[Tuple[Dict[int, dict], Optional[float]]] = None
         #: shards currently being recovered; a repeat failure inside its own
         #: recovery is fatal instead of recursing forever
@@ -1294,7 +1303,10 @@ class ShardedRuntime(PipelineDriver):
         edits the slices in place (they are fresh copies) and is all a
         caller supplies; because sub-streams never interact, re-homing
         entries, relabelling a plan or handing a partition off are the same
-        operation.  Returns the slices as installed.
+        operation.  The slices' entries are the texts the workers encoded
+        (:class:`~repro.streaming.checkpoint.EncodedEntry`): re-homing reads
+        only their window and key, and each restored worker decodes its own.
+        Returns the slices as installed.
         """
         slices = self._collect("checkpoint")
         self._install(slices, mutate(slices), None)
@@ -1750,8 +1762,13 @@ class ShardedRuntime(PipelineDriver):
         ``"sharded"`` key records the topology, including the versioned
         router map; a :class:`ShardedRuntime` with the same worker count
         adopts the map on restore (post-migration topology), every other
-        restorer ignores it.
+        restorer ignores it.  This is the cut decoded; a periodic save
+        writes the cut itself.
         """
+        return decoded_snapshot(self._checkpoint_cut())
+
+    def _checkpoint_cut(self) -> Dict[str, object]:
+        """:meth:`checkpoint` before decoding: its entries are the workers' texts."""
         self._check_usable()
         if not self._started:
             self._start()
@@ -1771,7 +1788,12 @@ class ShardedRuntime(PipelineDriver):
         return [payloads[shard]["registry"] for shard in sorted(payloads)]
 
     def _compose_snapshot(self, shard_payloads: Dict[int, Dict]) -> Dict[str, object]:
-        """Merge per-worker payloads into the single-process snapshot schema."""
+        """Merge per-worker payloads into the single-process snapshot schema.
+
+        The entries stay the :class:`~repro.streaming.checkpoint.EncodedEntry`
+        texts the workers sent: the merge orders them by window and key
+        alone.
+        """
         executors = {
             spec.name: merge_executor_snapshots(
                 [

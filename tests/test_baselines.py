@@ -19,6 +19,7 @@ from repro.events.event import Event
 from repro.query.aggregates import avg, count_star, min_of
 from repro.query.ast import KleenePlus, Negation, atom, kleene_plus, sequence
 from repro.query.builder import QueryBuilder
+from repro.query.parser import parse_query
 from repro.query.predicates import comparison
 from repro.query.windows import WindowSpec
 from helpers import assert_results_equal, total_trend_count
@@ -110,6 +111,24 @@ class TestExpressivePowerTable9:
     def test_aseq_rejects_non_any_semantics(self, figure2_stream):
         with pytest.raises(UnsupportedQueryError):
             ASeqApproach().run(build("contiguous"), figure2_stream)
+
+    @pytest.mark.parametrize("approach_class", ALL_APPROACHES)
+    def test_count_windows_run_on_cogra_and_are_refused_elsewhere(self, approach_class):
+        query = parse_query(
+            "RETURN g, COUNT(*) PATTERN SEQ(A+, B) "
+            "SEMANTICS skip-till-any-match GROUP-BY g WITHIN 8 events"
+        )
+        events = [
+            Event("AB"[index % 3 == 2], float(index), {"g": "xy"[index % 2]})
+            for index in range(30)
+        ]
+        if approach_class.count_windows:
+            expected = TrendOracle(query).run(events)
+            assert expected
+            assert_results_equal(approach_class().run(query, events), expected)
+        else:
+            with pytest.raises(UnsupportedQueryError, match="count-based windows"):
+                approach_class().run(query, events)
 
     def test_capability_table_matches_paper(self):
         table = capability_table()

@@ -12,14 +12,17 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro
 from differential import stream
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, StateQuotaError, WorkerCrashError
 from repro.events.event import Event
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     STORE_VERSION,
     CheckpointStore,
+    encode_executor_snapshot,
 )
 from repro.streaming.runtime import StreamingRuntime
 
@@ -317,6 +320,33 @@ class TestChainRoundTrip:
         assert "sys.set_int_max_str_digits" in str(raised.value)
         assert store.load_latest() is None
 
+    def test_a_count_past_the_int_digit_limit_names_query_and_limit_at_2_workers(
+        self, tmp_path
+    ):
+        # the worker cannot encode the entry; it ships it as a dict and the
+        # store raises what it raises for a single-process snapshot
+        config = {
+            "queries": [
+                {
+                    "name": "huge",
+                    "text": "RETURN g, COUNT(*) PATTERN S+ SEMANTICS "
+                    "skip-till-any-match GROUP-BY g WITHIN 100000 seconds",
+                }
+            ],
+            "shards": {"workers": 2, "max_restarts": 1},
+            "checkpoint": {"dir": str(tmp_path / "ckpt"), "interval": 15_000},
+        }
+        events = [Event("S", index * 0.001, {"g": "x"}) for index in range(15_000)]
+        running = repro.job(config, events=events).start()
+        with pytest.raises(CheckpointError) as raised:
+            running.results()
+        assert not isinstance(raised.value, WorkerCrashError)
+        assert "'huge'" in str(raised.value)
+        assert "sys.set_int_max_str_digits" in str(raised.value)
+        assert running.runtime.shard_count == 2
+        assert running.runtime.restart_counts == [0, 0]
+        assert CheckpointStore(tmp_path / "ckpt").load_latest() is None
+
     def test_empty_store_loads_none(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
         assert store.load_latest() is None
@@ -455,3 +485,98 @@ class TestSynchronousWrites:
         assert store.checkpoint_count == 4
         snapshot = store.load_latest()
         assert snapshot["metrics"]["events_ingested"] == 100
+
+
+#: JSON-safe state values, the awkward ones included: signed zeros, NaN and
+#: the infinities, bools beside ints, ints at the digit limit, non-ASCII text
+_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, 0.0, -0.0, 1, True, 10**4299, -(10**4299)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+_KEYS = st.lists(st.one_of(st.text(max_size=3), st.integers(-3, 3)), max_size=2)
+
+
+@st.composite
+def _snapshot_chains(draw):
+    """Snapshots over one pool of entries: kept, changed, added and dropped."""
+    names = draw(st.lists(st.text(max_size=3), min_size=0, max_size=2, unique=True))
+    pools = {
+        name: draw(
+            st.lists(
+                st.tuples(st.integers(0, 3), _KEYS),
+                max_size=4,
+                unique_by=lambda item: (item[0], repr(item[1])),
+            )
+        )
+        for name in names
+    }
+    snapshots = []
+    for number in range(draw(st.integers(1, 4))):
+        executors = {}
+        for name, pool in pools.items():
+            entries = []
+            for window_id, key in pool:
+                if draw(st.booleans()):
+                    state = {"state": draw(_VALUES) if draw(st.booleans()) else 0}
+                    entries.append([window_id, key, state])
+            executors[name] = {
+                "query": name,
+                "granularity": "type",
+                "events_seen": number,
+                "last_time": draw(st.none() | st.floats(allow_nan=False)),
+                "aggregators": entries,
+            }
+        snapshots.append(
+            {
+                "version": CHECKPOINT_VERSION,
+                "queries": [],
+                "executors": executors,
+                "ingest": {"clock": draw(_VALUES)},
+                "metrics": {},
+                "emitted_counts": {},
+                "extra-é": draw(_VALUES),
+            }
+        )
+    return snapshots
+
+
+def _encoded(snapshot):
+    executors = {
+        name: encode_executor_snapshot(dict(state))
+        for name, state in snapshot["executors"].items()
+    }
+    return {**snapshot, "executors": executors}
+
+
+class TestFileWriter:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(snapshots=_snapshot_chains())
+    def test_files_and_the_quota_count_are_the_plain_sorted_json(
+        self, tmp_path_factory, snapshots
+    ):
+        directory = tmp_path_factory.mktemp("writer")
+        expected = reference_payloads(snapshots, 2)
+        for form, prepare in (("dicts", lambda s: s), ("encoded", _encoded)):
+            store = CheckpointStore(directory / form, compact_every=2)
+            written = [
+                store.save(prepare(snapshot)).path.read_text() for snapshot in snapshots
+            ]
+            assert written == expected, form
+            # the quota counts the executors section's JSON bytes exactly
+            first = snapshots[0]
+            size = len(json.dumps(first["executors"], sort_keys=True).encode())
+            exact = CheckpointStore(directory / f"{form}-exact", max_state_bytes=size)
+            exact.save(prepare(first))
+            tight = CheckpointStore(
+                directory / f"{form}-tight", max_state_bytes=max(size - 1, 1)
+            )
+            with pytest.raises(StateQuotaError) as raised:
+                tight.save(prepare(first))
+            assert raised.value.state_bytes == size

@@ -531,7 +531,13 @@ class TestQuotas:
         )
         oversized = {
             "version": CHECKPOINT_VERSION,
-            "executors": {"pad": "x" * 100},
+            "executors": {
+                "pad": {
+                    "events_seen": 1,
+                    "last_time": 0.0,
+                    "aggregators": [[0, ["x" * 100], {}]],
+                }
+            },
         }
         with pytest.raises(StateQuotaError) as excinfo:
             store.save(oversized)

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from differential import bounded_shuffle, canonical, stream
 from repro.baselines.oracle import expected_records
 from repro.core.engine import CograEngine
@@ -51,7 +52,7 @@ from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.streaming.ingest import PunctuationWatermark
 from repro.streaming.runtime import StreamingRuntime, group_results
-from repro.streaming import sharded
+from repro.streaming import checkpoint, sharded
 from repro.streaming.sources import JsonlFileSource
 from repro.streaming.sharded import (
     ShardedRuntime,
@@ -777,6 +778,77 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="do not match"):
             other.restore(snapshot)
         other.close()
+
+    def test_the_parent_saves_the_worker_texts_without_decoding_them(
+        self, tmp_path, monkeypatch
+    ):
+        decoded = []
+        decode_entry = checkpoint.decode_entry
+
+        def counting(entry):
+            if isinstance(entry, checkpoint.EncodedEntry):
+                decoded.append(entry)  # counted in this process only
+            return decode_entry(entry)
+
+        saved = []
+        save = checkpoint.CheckpointStore.save
+
+        def spying(store, snapshot):
+            saved.extend(
+                entry
+                for state in snapshot["executors"].values()
+                for entry in state["aggregators"]
+            )
+            return save(store, snapshot)
+
+        monkeypatch.setattr(checkpoint, "decode_entry", counting)
+        monkeypatch.setattr(checkpoint.CheckpointStore, "save", spying)
+        events = stream(21, 600, types="AB", groups=("hot",) * 6 + ("a", "b", "c"))
+
+        def run(workers):
+            config = {
+                "queries": [{"name": "q", "text": TYPE_QUERY}],
+                "watermark": {"lateness": LATENESS},
+                "shards": {
+                    "workers": workers,
+                    "rebalance": {
+                        "enabled": True,
+                        "skew_threshold": 1.1,
+                        "min_interval": 64,
+                    },
+                },
+                "checkpoint": {"dir": str(tmp_path / str(workers)), "interval": 64},
+            }
+            running = repro.job(config, events=events).start()
+            records = running.results()
+            latest = checkpoint.CheckpointStore(tmp_path / str(workers)).load_latest()
+            for key in ("registry", "metrics", "sharded"):
+                latest.pop(key, None)
+            return running.runtime, records, latest
+
+        sharded_runtime, records, latest = run(2)
+        assert sharded_runtime.rebalance_log, "the stream must trigger a rebalance"
+        assert saved and all(isinstance(e, checkpoint.EncodedEntry) for e in saved)
+        assert decoded == []
+        _, single_records, single_latest = run(1)
+        assert canonical(records) == canonical(single_records)
+        assert latest == single_latest
+
+    def test_the_public_checkpoint_is_the_single_process_dict(self):
+        events = bounded_shuffle(stream(count=200), LATENESS)
+        sharded_runtime = registered(
+            ShardedRuntime(workers=2, lateness=LATENESS, ship_interval=5)
+        )
+        single = registered(StreamingRuntime(lateness=LATENESS))
+        for event in events:
+            sharded_runtime.process(event)
+            single.process(event)
+        public = sharded_runtime.checkpoint()
+        sharded_runtime.close()
+        assert public["executors"] == single.checkpoint()["executors"]
+        assert all(
+            type(entry) is list for entry in public["executors"]["q"]["aggregators"]
+        )
 
 
 class TestCrashDetection:
