@@ -1493,7 +1493,7 @@ class Job:
         """Snapshot the runtime state; persist it when a store is open."""
         if self._runtime is None:
             raise RuntimeError("the job is not started; call start() first")
-        snapshot = self._runtime._checkpoint_cut()
+        snapshot = self._runtime._checkpoint_for_save()
         if self._store is not None:
             self._store.save(snapshot)
         return decoded_snapshot(snapshot)

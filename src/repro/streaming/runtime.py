@@ -399,6 +399,24 @@ class PipelineDriver:
                 )
         self.metrics.record_backpressure(_time.perf_counter() - started)
 
+    #: true while :meth:`_checkpoint_for_save` takes the cut through
+    #: ``checkpoint()``, which then returns it undecoded
+    _keep_cut_encoded = False
+
+    def _checkpoint_for_save(self) -> Dict[str, object]:
+        """The cut a save writes, taken through the public ``checkpoint()``.
+
+        ``checkpoint()`` stays the one entry point every snapshot passes, so
+        whatever wraps it (a tracer, a profiler) sees the periodic saves
+        too.  Here it returns the cut before decoding: a sharded cut's
+        entries stay the JSON texts its workers encoded.
+        """
+        self._keep_cut_encoded = True
+        try:
+            return self.checkpoint()
+        finally:
+            self._keep_cut_encoded = False
+
     def _delivery_checkpoint(
         self,
         snapshot: Dict[str, object],
@@ -563,7 +581,7 @@ class DriveSession:
     ``on_late``, saves periodic checkpoints through
     :meth:`PipelineDriver._delivery_checkpoint` and offers the metrics
     exporter a snapshot.  A checkpoint runs in three steps: cut the
-    runtime snapshot (``_checkpoint_cut``: a sharded cut quiesces the
+    runtime snapshot (``_checkpoint_for_save``: a sharded cut quiesces the
     workers, which can release records, and carries the entry texts they
     encoded, saved undecoded), deliver every released record to the sink, and
     only then read the source offsets and the sink position and save.  So
@@ -695,7 +713,7 @@ class DriveSession:
             ):
                 # the cut, saved as it is: a sharded cut's entries stay the
                 # JSON texts its workers encoded
-                snapshot = driver._checkpoint_cut()
+                snapshot = driver._checkpoint_for_save()
                 # a sharded checkpoint quiesces the workers; the records
                 # that became ready during the quiesce reach the sink
                 # before the save, which commits them with the cut

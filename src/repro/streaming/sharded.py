@@ -1763,9 +1763,10 @@ class ShardedRuntime(PipelineDriver):
         router map; a :class:`ShardedRuntime` with the same worker count
         adopts the map on restore (post-migration topology), every other
         restorer ignores it.  This is the cut decoded; a periodic save
-        writes the cut itself.
+        writes the cut itself (:meth:`_checkpoint_for_save`).
         """
-        return decoded_snapshot(self._checkpoint_cut())
+        snapshot = self._checkpoint_cut()
+        return snapshot if self._keep_cut_encoded else decoded_snapshot(snapshot)
 
     def _checkpoint_cut(self) -> Dict[str, object]:
         """:meth:`checkpoint` before decoding: its entries are the workers' texts."""

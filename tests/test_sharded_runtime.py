@@ -790,10 +790,12 @@ class TestCheckpoint:
                 decoded.append(entry)  # counted in this process only
             return decode_entry(entry)
 
-        saved = []
+        saved, saves, cuts = [], [], []
         save = checkpoint.CheckpointStore.save
+        public_checkpoint = ShardedRuntime.checkpoint
 
         def spying(store, snapshot):
+            saves.append(store)
             saved.extend(
                 entry
                 for state in snapshot["executors"].values()
@@ -802,7 +804,14 @@ class TestCheckpoint:
             return save(store, snapshot)
 
         monkeypatch.setattr(checkpoint, "decode_entry", counting)
+        def cutting(runtime):
+            cuts.append(runtime)
+            return public_checkpoint(runtime)
+
         monkeypatch.setattr(checkpoint.CheckpointStore, "save", spying)
+        # the periodic save cuts through the public entry point, which
+        # wrappers such as a layer tracer see
+        monkeypatch.setattr(ShardedRuntime, "checkpoint", cutting)
         events = stream(21, 600, types="AB", groups=("hot",) * 6 + ("a", "b", "c"))
 
         def run(workers):
@@ -830,6 +839,7 @@ class TestCheckpoint:
         assert sharded_runtime.rebalance_log, "the stream must trigger a rebalance"
         assert saved and all(isinstance(e, checkpoint.EncodedEntry) for e in saved)
         assert decoded == []
+        assert len(cuts) == len(saves) == 600 // 64
         _, single_records, single_latest = run(1)
         assert canonical(records) == canonical(single_records)
         assert latest == single_latest
