@@ -63,7 +63,6 @@ from repro.streaming.config import (
     ObsConfig,
     QueryConfig,
     RebalanceConfig,
-    ReplanConfig,
     ShardConfig,
     SinkConfig,
     SourceConfig,
@@ -84,7 +83,6 @@ from repro.streaming.observability import (
     snapshot_quantile,
     snapshot_value,
 )
-from repro.streaming.replan import QueryObservation, ReplanPolicy
 from repro.streaming.routing import RebalancePolicy, ShardRouter
 from repro.streaming.runtime import StreamingRuntime, group_results
 from repro.streaming.sharded import ShardedRuntime
@@ -142,11 +140,8 @@ __all__ = [
     "Query",
     "QueryBuilder",
     "QueryConfig",
-    "QueryObservation",
     "RebalanceConfig",
     "RebalancePolicy",
-    "ReplanConfig",
-    "ReplanPolicy",
     "Semantics",
     "Sequence",
     "ShardConfig",

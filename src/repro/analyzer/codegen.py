@@ -1,10 +1,10 @@
 """Compiling the per-plan functions a :class:`~repro.analyzer.plan.CograPlan` generates.
 
 A plan generates its hot-path functions at build time: the grouper
-(:meth:`CograPlan.group`) and, per pattern variable, the folds its
-aggregators can run -- Algorithm 1's type-grained kernel when a plan of the
-query may be type-grained (a negated query's reads and writes Section 8's
-compatible cells too), Algorithm 2's step (each automaton edge whose
+(:meth:`CograPlan.group`) and, per pattern variable, the fold its
+aggregators run -- Algorithm 1's type-grained kernel at TYPE granularity
+(a negated query's reads and writes Section 8's compatible cells too),
+Algorithm 2's step (each automaton edge whose
 predecessor stores events scanned inside it) at MIXED and EVENT
 granularity, Algorithm 3's at PATTERN.  Every fold is emitted from
 one template of the recurrence's per-target arithmetic
@@ -17,8 +17,8 @@ the same rules:
   source's ``build`` function;
 * the source is registered with :mod:`linecache` under a ``<...>`` label,
   so tracebacks and profiles show the generated line;
-* nothing is cached across plans: a restore, a replan and each sharded
-  worker build a plan, and so generate, their own.
+* nothing is cached across plans: a restore and each sharded worker
+  build a plan, and so generate, their own.
 """
 
 from __future__ import annotations

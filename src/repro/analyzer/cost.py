@@ -19,6 +19,10 @@ storage-unit estimates the benchmark harness can compare against measured
 values.  The estimates are deliberately simple closed forms -- they predict
 *shape*, not milliseconds -- and the test suite checks them against the
 enumeration oracle and the runtime executor on small streams.
+
+The model only reports: the planner picks the coarsest granularity the
+query's semantics and predicates allow (:func:`~repro.analyzer.plan.
+plan_query`), and a query keeps that plan for its whole life.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.analyzer.granularity import Granularity, split_variables
+from repro.analyzer.granularity import Granularity
 from repro.analyzer.plan import CograPlan, plan_query
 from repro.query.query import Query
 from repro.query.semantics import Semantics
@@ -211,118 +215,3 @@ def compare_granularities(
         )
         for granularity in plan_query(query).accepted_granularities
     }
-
-
-# ---------------------------------------------------------------------------
-# observed-statistics mode (adaptive re-planning)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ObservedStatistics:
-    """Runtime statistics measured by the streaming runtime for one query.
-
-    Unlike the assumptions fed to :func:`estimate_cost`, these come from the
-    live stream: the running mean of events processed per open ``(window,
-    group)`` sub-stream and the fraction of processed events that bound to
-    some pattern variable.  Together they yield a *fractional* estimate of
-    the events each event-grained variable stores -- the quantity that
-    decides whether paying per-stored-event (event/mixed granularity) is
-    cheaper than paying per-variable (type granularity).
-    """
-
-    #: mean events processed per open (window, group) sub-stream
-    events_per_substream: float
-    #: fraction of processed events that matched some pattern variable
-    match_rate: float = 1.0
-
-    def stored_per_variable(self, pattern_length: int) -> float:
-        """Expected stored events per event-grained variable (fractional).
-
-        The static model clamps this to ``>= 1``; the observed model keeps
-        the fraction because sparse sub-streams (fewer matched events than
-        variables) are exactly where event granularity wins.
-        """
-        matched = max(0.0, self.match_rate) * max(0.0, self.events_per_substream)
-        return matched / max(1, pattern_length)
-
-
-def observed_updates_per_event(plan: CograPlan, observed: ObservedStatistics) -> float:
-    """Expected accumulator updates per event under ``plan``'s granularity.
-
-    The observed counterpart of ``estimated_updates_per_event`` in
-    :func:`estimate_cost`: pattern granularity touches one cell, type
-    granularity one per variable (``l``), and the event-grained variables of
-    mixed/event plans touch one cell per *stored* event -- here the observed
-    fractional estimate rather than a static assumption.  For a pattern of
-    length ``l`` the type/event crossover sits exactly at one stored event
-    per variable.
-    """
-    split = (plan.type_grained, plan.event_grained)
-    return _updates_per_event(plan.granularity, plan.automaton.length, split, observed)
-
-
-def _updates_per_event(granularity, length, split, observed) -> float:
-    """:func:`observed_updates_per_event` at ``granularity``, ``split``
-    being the plan's ``(Tt, Te)``."""
-    stored = observed.stored_per_variable(length)
-    if granularity is Granularity.PATTERN:
-        return 1.0
-    if granularity is Granularity.TYPE:
-        return float(length)
-    if granularity is Granularity.MIXED:
-        return float(len(split[0])) + len(split[1]) * stored
-    return length * stored  # EVENT granularity
-
-
-def compare_observed_costs(
-    query_or_plan, observed: ObservedStatistics
-) -> Dict[Granularity, float]:
-    """Observed per-event update cost of every granularity the query accepts.
-
-    Keys iterate coarsest-first (the order of
-    :attr:`~repro.analyzer.plan.CograPlan.accepted_granularities`), so a
-    plain ``min`` over the dictionary breaks cost ties toward the coarser
-    plan.  The costs come from the one plan: a plan of another granularity
-    differs only in its ``Tt`` / ``Te`` split, which for MIXED is
-    Theorem 5.1's (:func:`~repro.analyzer.granularity.split_variables`).
-    """
-    plan = (
-        query_or_plan
-        if isinstance(query_or_plan, CograPlan)
-        else plan_query(query_or_plan)
-    )
-    length = plan.automaton.length
-    split = split_variables(plan.automaton, plan.classification)
-    return {
-        granularity: _updates_per_event(granularity, length, split, observed)
-        for granularity in plan.accepted_granularities
-    }
-
-
-def recommend_granularity(
-    query_or_plan,
-    observed: ObservedStatistics,
-    current: Optional[Granularity] = None,
-    hysteresis: float = 0.0,
-) -> Granularity:
-    """Granularity the observed statistics recommend, with hysteresis.
-
-    Without ``current`` this is a pure argmin over
-    :func:`compare_observed_costs` (ties go to the coarser granularity).
-    With ``current``, the recommendation only moves away from it when the
-    current cost *strictly* exceeds the best cost by more than the
-    ``hysteresis`` fraction -- a query sitting exactly on the boundary keeps
-    its plan, so borderline queries do not flap.
-    """
-    costs = compare_observed_costs(query_or_plan, observed)
-    best = min(costs, key=costs.__getitem__)
-    if current is None:
-        return best
-    if isinstance(current, str):
-        current = Granularity(current)
-    if current not in costs:
-        return best
-    if costs[current] > costs[best] * (1.0 + hysteresis):
-        return best
-    return current

@@ -41,10 +41,7 @@ class FoldStep(NamedTuple):
     pattern): the cells to collect predecessor trends from, whether the
     event also starts a trend of its own, and which of the plan's targets
     the event itself occurs in -- and all of that once more as the
-    type-grained kernel generated from it.  The kernel reads nothing a
-    plan of another granularity would change, so after a live migration
-    a binding of the new plan still folds into the old plan's
-    type-grained aggregators.
+    type-grained kernel generated from it.
     """
 
     variable: str
@@ -61,7 +58,7 @@ class FoldStep(NamedTuple):
     writes: Tuple[Hashable, ...]
     #: ``kernel(windows, values, before)``: the step applied to the cells
     #: of type-grained aggregators (:func:`repro.core.type_grained.fold_kernel`);
-    #: ``None`` only when no plan of the query is type-grained
+    #: ``None`` unless the plan is type-grained
     kernel: Optional[Callable]
 
 
@@ -88,8 +85,8 @@ class CograPlan:
     """
 
     def __init__(self, query: Query, forced_granularity: Optional[Granularity] = None):
-        #: the query as written, negated sub-patterns included: re-planning
-        #: it at another granularity keeps them
+        #: the query as written, negated sub-patterns included: planning it
+        #: at another granularity keeps them
         self.query = query
         pattern = query.pattern
         #: the :class:`~repro.extensions.negation.NegationTables` of a query
@@ -171,12 +168,11 @@ class CograPlan:
         from repro.core.pattern_grained import pattern_step
         from repro.core.type_grained import fold_kernel
 
-        # every plan of the query compiles the type kernels when one of them
-        # may be type-grained: a live migration feeds the bindings of the
-        # new plan to the old plan's aggregators.  A negated query's kernels
-        # read a crossing edge's predecessor from its compatible cell and
-        # also write the compatible cells their variable feeds (Section 8).
-        kernels = Granularity.TYPE in self.accepted_granularities
+        # only a type-grained plan's aggregators run the type kernels.  A
+        # negated query's kernels read a crossing edge's predecessor from
+        # its compatible cell and also write the compatible cells their
+        # variable feeds (Section 8).
+        kernels = self.granularity is Granularity.TYPE
         crossed, feeds = {}, {}
         if self.negations is not None:
             crossed, feeds = self.negations.crossed or {}, self.negations.feeds

@@ -376,13 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         "a --config file",
     )
     stream.add_argument(
-        "--replan",
-        action="store_true",
-        help="adaptively re-plan each query's aggregation granularity from "
-        "the observed stream statistics (live migration, results "
-        "unchanged); tune via the replan.* keys of a --config file",
-    )
-    stream.add_argument(
         "--metrics",
         action="store_true",
         help="print throughput / latency / watermark-lag metrics to stderr",
@@ -657,7 +650,6 @@ _STREAM_FLAGS = {
     "ship_interval": "shards.ship_interval",
     "decode_batch_size": "batch.decode_batch_size",
     "rebalance": "shards.rebalance.enabled",
-    "replan": "replan.enabled",
     "metrics_export": "observability.metrics_export_path",
     "metrics_interval": "observability.metrics_interval_seconds",
     "trace": "observability.trace_path",

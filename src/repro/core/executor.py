@@ -12,7 +12,7 @@ dispatched once per (group, run) -- the group's aggregators in the run's
 windows are looked up in the windows' tables and handed the run together
 (:meth:`SubstreamAggregator.process_run`).  The layout is private;
 :meth:`QueryExecutor.open_aggregators` and :meth:`QueryExecutor.adopt` are
-how checkpointing and the replan loop read and replace it.
+how checkpointing reads and replaces it.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class QueryExecutor:
         #: window id -> group key -> aggregator; a table exists only while
         #: it holds an aggregator
         self._windows: Dict[int, Dict[Tuple, SubstreamAggregator]] = {}
-        #: largest window id holding an aggregator adopted under another plan
-        #: of this query (window ids start at 0): up to it a group's windows
-        #: may hold aggregators of two classes, see :meth:`adopt`
-        self._adopted_until = -1
         #: smallest open window id, or None; window ends grow with the id,
         #: so expiry checks can bail out in O(1) when nothing can close
         self._min_open_window: Optional[int] = None
@@ -208,7 +204,6 @@ class QueryExecutor:
             tables.append(table)
         first = tables[0]
         rest = tables[1:]
-        one_class = window_ids[0] > self._adopted_until
         new_aggregator = self._new_aggregator
         plan = self.plan
         for key, run in grouped.items():
@@ -221,10 +216,7 @@ class QueryExecutor:
                 if aggregator is None:
                     aggregator = table[key] = new_aggregator(plan)
                 also.append(aggregator)
-            if one_class:
-                head.process_run(run, also)
-            else:
-                _process_run_by_class(head, also, run)
+            head.process_run(run, also)
         return emitted
 
     def run(self, events: Iterable[Event]) -> List[GroupResult]:
@@ -298,7 +290,7 @@ class QueryExecutor:
             for _, _, aggregator in self.open_aggregators()
         )
 
-    # -- state transfer (checkpoint restore, live migration) --------------------------
+    # -- state transfer (checkpoint restore) ------------------------------------------
 
     def adopt(
         self,
@@ -309,21 +301,14 @@ class QueryExecutor:
         """Replace the runtime state by the given one.
 
         ``aggregators`` are ``(window_id, key, aggregator)`` entries as
-        :meth:`open_aggregators` yields them; whatever was open is discarded.
-        An aggregator built under another plan of the same query is kept as
-        it is: a live granularity migration leaves the open windows to the
-        previous granularity's aggregators until the watermark closes them,
-        while groups new to those windows aggregate under this executor's
-        plan.
+        :meth:`open_aggregators` yields them, built under this executor's
+        plan; whatever was open is discarded.
         """
         self._events_seen = events_seen
         self._last_time = last_time
         self._windows = {}
-        self._adopted_until = -1
         for window_id, key, aggregator in aggregators:
             self._windows.setdefault(window_id, {})[key] = aggregator
-            if aggregator.plan is not self.plan and window_id > self._adopted_until:
-                self._adopted_until = window_id
         self._min_open_window = min(self._windows) if self._windows else None
 
     # -- internals ---------------------------------------------------------------------
@@ -368,20 +353,3 @@ class QueryExecutor:
             emitted.append(GroupResult(window_id, start, end, group, values, count))
         return emitted
 
-
-def _process_run_by_class(head, also, run) -> None:
-    """``head.process_run(run, also)`` when ``also`` may hold other classes.
-
-    Each class folds a run its own way, so every stretch of consecutive
-    same-class aggregators gets its own call.  Window ids ascend and a
-    migration only affects windows open at the time, so there are at most
-    two stretches per migration still in flight.
-    """
-    stretch = []
-    for aggregator in also:
-        if type(aggregator) is type(head):
-            stretch.append(aggregator)
-        else:
-            head.process_run(run, stretch)
-            head, stretch = aggregator, []
-    head.process_run(run, stretch)

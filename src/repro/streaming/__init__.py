@@ -55,7 +55,6 @@ from repro.streaming.config import (
     ObsConfig,
     QueryConfig,
     RebalanceConfig,
-    ReplanConfig,
     ServerConfig,
     ShardConfig,
     SinkConfig,
@@ -100,12 +99,6 @@ from repro.streaming.observability import (
     render_prometheus,
     snapshot_quantile,
     snapshot_value,
-)
-from repro.streaming.replan import (
-    QueryObservation,
-    ReplanController,
-    ReplanPolicy,
-    migrate_engine,
 )
 from repro.streaming.routing import RebalancePolicy, ShardRouter, ShardStats
 from repro.streaming.runtime import (
@@ -174,12 +167,8 @@ __all__ = [
     "PrometheusTextServer",
     "PunctuationWatermark",
     "QueryConfig",
-    "QueryObservation",
     "RebalanceConfig",
     "RebalancePolicy",
-    "ReplanConfig",
-    "ReplanController",
-    "ReplanPolicy",
     "STORE_VERSION",
     "ServerConfig",
     "ShardConfig",
@@ -210,7 +199,6 @@ __all__ = [
     "label_snapshot",
     "load_checkpoint",
     "merge_snapshots",
-    "migrate_engine",
     "open_sink",
     "open_source",
     "read_config_file",

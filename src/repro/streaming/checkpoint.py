@@ -44,9 +44,8 @@ from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from repro.analyzer.plan import plan_query
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
-from repro.core.base import create_aggregator
+from repro.core.base import aggregator_class, create_aggregator
 from repro.core.executor import QueryExecutor
 from repro.core.partitioner import shard_index
 from repro.errors import CheckpointError, StateQuotaError
@@ -253,21 +252,6 @@ _HANDLERS: Dict[str, Tuple[Callable, Callable]] = {
     "NegationEventGrainedAggregator": (_extract_negation_event, _apply_negation_event),
 }
 
-#: aggregator class name -> the granularity whose plan builds it.  After a
-#: live granularity migration (:mod:`repro.streaming.replan`) a snapshot may
-#: hold aggregators of the *previous* granularity for still-open windows;
-#: :func:`restore_executor` uses this map to rebuild each one under a plan
-#: forced to its recorded granularity instead of the executor's current one.
-_CLASS_GRANULARITY = {
-    "PatternGrainedAggregator": "pattern",
-    "TypeGrainedAggregator": "type",
-    "MixedGrainedAggregator": "mixed",
-    "EventGrainedAggregator": "event",
-    "NegationPatternGrainedAggregator": "pattern",
-    "NegationTypeGrainedAggregator": "type",
-    "NegationEventGrainedAggregator": "event",
-}
-
 
 def snapshot_aggregator(aggregator) -> Dict[str, object]:
     """JSON-safe representation of one sub-stream aggregator."""
@@ -285,14 +269,18 @@ def snapshot_aggregator(aggregator) -> Dict[str, object]:
     }
 
 
+def _class_mismatch(recorded: str, built: str) -> CheckpointError:
+    return CheckpointError(
+        f"checkpoint holds a {recorded!r} aggregator but the plan "
+        f"builds {built!r}; was the query or granularity changed?"
+    )
+
+
 def restore_aggregator_state(aggregator, snapshot: Dict[str, object]) -> None:
     """Apply a snapshot to a freshly constructed aggregator of the same class."""
     class_name = type(aggregator).__name__
     if snapshot["class"] != class_name:
-        raise CheckpointError(
-            f"checkpoint holds a {snapshot['class']!r} aggregator but the plan "
-            f"builds {class_name!r}; was the query or granularity changed?"
-        )
+        raise _class_mismatch(snapshot["class"], class_name)
     _, apply = _HANDLERS[class_name]
     aggregator.events_processed = int(snapshot["events_processed"])
     apply(aggregator, snapshot["state"])
@@ -389,6 +377,20 @@ def snapshot_executor(executor: QueryExecutor) -> Dict[str, object]:
     }
 
 
+def check_aggregator_classes(plan, state: Dict[str, object]) -> None:
+    """Raise unless ``plan`` builds the class of every aggregator in ``state``.
+
+    :func:`restore_executor` fails on the first mismatching entry anyway;
+    the sharded parent calls this before any worker restores, so the
+    mismatch surfaces as the same :class:`~repro.errors.CheckpointError`.
+    """
+    built = aggregator_class(plan).__name__
+    for entry in state["aggregators"]:
+        recorded = decode_entry(entry)[2]["class"]
+        if recorded != built:
+            raise _class_mismatch(recorded, built)
+
+
 def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
     """Restore a snapshot into an executor built from the same plan.
 
@@ -402,18 +404,10 @@ def restore_executor(executor: QueryExecutor, state: Dict[str, object]) -> None:
             f"checkpoint was taken at granularity {state['granularity']!r} but "
             f"the plan selects {granularity!r}"
         )
-    # after a granularity migration still-open windows keep aggregators of
-    # the previous granularity; rebuild those under a plan forced to their
-    # recorded granularity (restore_aggregator_state stays the final check)
-    plans = {granularity: executor.plan}
+    plan = executor.plan
     restored = []
     for entry in state["aggregators"]:
         window_id, key_values, aggregator_state = decode_entry(entry)
-        recorded = _CLASS_GRANULARITY.get(aggregator_state["class"], granularity)
-        plan = plans.get(recorded)
-        if plan is None:
-            plan = plan_query(executor.plan.query, forced_granularity=recorded)
-            plans[recorded] = plan
         aggregator = create_aggregator(plan)
         restore_aggregator_state(aggregator, aggregator_state)
         restored.append((int(window_id), tuple(key_values), aggregator))

@@ -441,30 +441,6 @@ class RebalanceConfig(_Section):
 
 
 @dataclass(frozen=True)
-class ReplanConfig(_Section):
-    """Adaptive granularity re-planning: the online cost-model control loop.
-
-    With ``enabled`` the runtime periodically re-evaluates the cost model
-    against *observed* per-query statistics (mean events per open
-    sub-stream, match rate) and live-migrates a query whose chosen
-    granularity stopped being optimal -- through the checkpoint
-    snapshot/restore path, so answers never change, only cost.
-    ``check_interval_events`` is the number of ingested events between
-    checks; ``hysteresis`` is the fractional cost margin the current plan
-    must be beaten by before a migration happens (borderline queries keep
-    their plan instead of flapping); ``max_migrations`` caps the queries
-    migrated per check; ``ewma_alpha`` is the smoothing factor of the
-    observed-statistics EWMAs (1.0 trusts only the latest check).
-    """
-
-    enabled: bool = False
-    check_interval_events: int = field(default=2048, metadata={"min": 1})
-    hysteresis: float = field(default=0.25, metadata={"min": 0})
-    max_migrations: int = field(default=4, metadata={"min": 1})
-    ewma_alpha: float = field(default=0.5, metadata={"above": 0, "max": 1})
-
-
-@dataclass(frozen=True)
 class ShardConfig(_Section):
     """The process topology: worker count and shipping/recovery knobs.
 
@@ -748,7 +724,6 @@ class JobConfig(_Section):
     sink: SinkConfig = field(default_factory=SinkConfig)
     backpressure: BackpressureConfig = field(default_factory=BackpressureConfig)
     observability: ObsConfig = field(default_factory=ObsConfig)
-    replan: ReplanConfig = field(default_factory=ReplanConfig)
     emit_empty_groups: bool = False
 
     # -- serialization ---------------------------------------------------------
@@ -880,7 +855,6 @@ class JobConfig(_Section):
                 rebalance=self.shards.rebalance,
                 max_inflight=self.backpressure.max_inflight,
                 observability=observability,
-                replan=self.replan,
             )
         else:
             from repro.streaming.runtime import StreamingRuntime
@@ -890,7 +864,6 @@ class JobConfig(_Section):
                 late_policy=self.late.policy,
                 emit_empty_groups=self.emit_empty_groups,
                 observability=observability,
-                replan=self.replan,
             )
         if register:
             for name, query in zip(self.resolved_names(), self.queries):

@@ -3,12 +3,12 @@
 :class:`StreamingMetrics` is how the runtimes record and callers read a
 runtime's progress: ingestion and emission counts, watermark progress and
 lag, reorder-buffer occupancy, late-event accounting and the rebalance /
-replan / backpressure pauses.  It keeps no store of its own.  Every runtime
+backpressure pauses.  It keeps no store of its own.  Every runtime
 family declared in :data:`RUNTIME_METRICS` lives in the runtime's
 :class:`~repro.streaming.observability.Observability` registry, next to the
 per-query, per-shard and lifecycle instruments, so the exporters, the
-checkpoints and the sharded merge all read one registry.  The pause totals
-are the ``cogra_lifecycle_seconds{op="rebalance"|"replan"}`` sums.
+checkpoints and the sharded merge all read one registry.  The rebalance
+pause total is the ``cogra_lifecycle_seconds{op="rebalance"}`` sum.
 
 A sharded run counts each runtime family once, in the parent: its workers
 build their runtimes on ``Observability(count_results=False)``, whose
@@ -88,16 +88,6 @@ RUNTIME_METRICS = {
         "counter",
         "cogra_backpressure_waits_total",
         "times ingestion paused for downstream capacity",
-    ),
-    "replan_cycles": (
-        "counter",
-        "cogra_replan_cycles_total",
-        "granularity replan checks that evaluated the cost model",
-    ),
-    "replan_migrations": (
-        "counter",
-        "cogra_replan_migrations_total",
-        "live granularity migrations performed by replans",
     ),
     "backpressure_seconds": (
         "counter",
@@ -246,15 +236,6 @@ class StreamingMetrics:
         self._children["rebalance_slots_moved"].inc(slots)
         self._children["rebalance_keys_moved"].inc(keys)
 
-    def record_replan(self, migrations: int) -> None:
-        """Account one granularity replan check (and its migrations).
-
-        Its pause is the runtime's ``replan`` lifecycle observation.
-        """
-        self._children["replan_cycles"].inc()
-        if migrations:
-            self._children["replan_migrations"].inc(migrations)
-
     def record_backpressure(self, seconds: float) -> None:
         """Account one ingestion pause waiting for downstream capacity."""
         self._children["backpressure_waits"].inc()
@@ -276,11 +257,6 @@ class StreamingMetrics:
     def rebalance_pause_seconds(self) -> float:
         """Wall-clock seconds ingestion paused for shard migrations."""
         return self._observability.lifecycle_seconds("rebalance")
-
-    @property
-    def replan_pause_seconds(self) -> float:
-        """Wall-clock seconds ingestion paused for granularity replans."""
-        return self._observability.lifecycle_seconds("replan")
 
     def watermark_lag(self) -> float:
         """Distance between the newest event seen and the watermark.
@@ -389,9 +365,6 @@ class StreamingMetrics:
             f"(slots={self.rebalance_slots_moved}, "
             f"keys={self.rebalance_keys_moved}, "
             f"pause={self.rebalance_pause_seconds * 1000.0:.1f} ms)",
-            f"replans             : {self.replan_cycles} checks "
-            f"(migrations={self.replan_migrations}, "
-            f"pause={self.replan_pause_seconds * 1000.0:.1f} ms)",
             f"backpressure        : {self.backpressure_waits} waits "
             f"({self.backpressure_seconds * 1000.0:.1f} ms paused)",
         ]

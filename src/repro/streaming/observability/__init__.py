@@ -219,7 +219,7 @@ class Observability:
         """Cached ``cogra_lifecycle_seconds{op}`` child."""
         return self.registry.histogram(
             _LIFECYCLE_SECONDS,
-            "durations of checkpoint/restore/recovery/rebalance/replan operations",
+            "durations of checkpoint/restore/recovery/rebalance operations",
             ("op",),
         ).labels(op)
 

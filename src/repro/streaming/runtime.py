@@ -76,15 +76,6 @@ from repro.streaming.ingest import (
     WatermarkStrategy,
 )
 from repro.streaming.metrics import StreamingMetrics
-from repro.streaming.replan import (
-    QueryObservation,
-    ReplanController,
-    ReplanPolicy,
-    migrate_engine,
-    observe_executor,
-    observe_instruments,
-    resolve_replan_policy,
-)
 from repro.streaming.observability import (
     JsonlMetricsExporter,
     Observability,
@@ -127,10 +118,9 @@ class PipelineDriver:
     :class:`~repro.streaming.sharded.ShardedRuntime` do, so the CLI,
     examples, benchmarks and :meth:`CograEngine.stream` stop hand-rolling
     ingestion loops.  Both ingest in this process and hold ``_ingestor``,
-    ``metrics``, ``observability``, ``query_names``, ``_replan_controller``
-    and ``_windows`` (the window of each windowed query, by name, which
-    define the steps of :meth:`_ingest`), which the members shared here
-    read.
+    ``metrics``, ``observability``, ``query_names`` and ``_windows`` (the
+    window of each windowed query, by name, which define the steps of
+    :meth:`_ingest`), which the members shared here read.
     :meth:`drive` is the lazy form (a generator of emission records),
     :meth:`run` the eager one (collect, or push into a
     :class:`~repro.streaming.sources.Sink`).
@@ -513,41 +503,6 @@ class PipelineDriver:
         """
         return self._ingestor.take_side_channel()
 
-    # -- adaptive granularity re-planning --------------------------------------
-
-    def _ensure_replan_controller(self) -> ReplanController:
-        """The controller, created on demand for forced migrations.
-
-        A lazily created controller only tracks versions and the log; the
-        check loop stays off unless the runtime was constructed with an
-        enabled ``replan`` policy.
-        """
-        if self._replan_controller is None:
-            self._replan_controller = ReplanController(ReplanPolicy())
-        return self._replan_controller
-
-    @property
-    def replan_log(self) -> List[Dict[str, object]]:
-        """Migration records, oldest first (empty when none happened)."""
-        controller = self._replan_controller
-        return list(controller.log) if controller is not None else []
-
-    @property
-    def plan_versions(self) -> Dict[str, int]:
-        """Per-query plan version: 0 at registration, +1 per migration."""
-        versions = dict.fromkeys(self.query_names, 0)
-        if self._replan_controller is not None:
-            versions.update(self._replan_controller.plan_versions)
-        return versions
-
-    def query_observations(self) -> Dict[str, QueryObservation]:
-        """Last :class:`QueryObservation` per query (empty before a check).
-
-        A sharded runtime's observations merge the shards' statistics.
-        """
-        controller = self._replan_controller
-        return dict(controller.observations) if controller is not None else {}
-
 
 class DriveSession:
     """Step-at-a-time form of :meth:`PipelineDriver.drive`.
@@ -821,14 +776,6 @@ class StreamingRuntime(PipelineDriver):
         Optional :class:`~repro.streaming.observability.Observability`
         bundle (metrics registry + tracer).  By default a fresh bundle is
         created, with tracing off.
-    replan:
-        Optional adaptive granularity re-planning: a
-        :class:`~repro.streaming.replan.ReplanPolicy`, a
-        :class:`~repro.streaming.config.ReplanConfig` (or a mapping of its
-        settings), or ``None``.  When enabled the runtime periodically
-        re-evaluates the cost model against observed statistics and
-        live-migrates queries whose granularity stopped being optimal;
-        results are unchanged (see :mod:`repro.streaming.replan`).
     """
 
     def __init__(
@@ -838,7 +785,6 @@ class StreamingRuntime(PipelineDriver):
         late_policy: Union[LatePolicy, str, None] = None,
         emit_empty_groups: bool = False,
         observability: Optional[Observability] = None,
-        replan=None,
     ):
         # the constructor kwargs are one corner of the declarative JobConfig
         # API: normalising them through the component specs keeps defaults
@@ -859,13 +805,6 @@ class StreamingRuntime(PipelineDriver):
         self._poisoned = False
         #: highest watermark handed to :meth:`process_ordered` so far
         self._ordered_watermark = -math.inf
-        #: adaptive granularity re-planning (repro.streaming.replan); the
-        #: policy gates the hot-path check, the controller holds EWMAs and
-        #: the migration log (also created lazily by migrate_granularity)
-        self._replan_policy = resolve_replan_policy(replan)
-        self._replan_controller = (
-            ReplanController(self._replan_policy) if self._replan_policy else None
-        )
 
     # -- registration ----------------------------------------------------------
 
@@ -991,10 +930,6 @@ class StreamingRuntime(PipelineDriver):
             raise
         finally:
             self.metrics.record_emission(len(records))
-        if self._replan_policy is not None and self._replan_controller.due(
-            len(events)
-        ):
-            self._replan_now()
         return records
 
     def _apply_push(
@@ -1148,8 +1083,6 @@ class StreamingRuntime(PipelineDriver):
             self.metrics.record_watermark(watermark)
             self._advance_emission(watermark, records)
         self.metrics.record_emission(len(records))
-        if self._replan_policy is not None and self._replan_controller.due(count):
-            self._replan_now()
         return records
 
     def flush(self) -> List[EmissionRecord]:
@@ -1226,54 +1159,6 @@ class StreamingRuntime(PipelineDriver):
         """Stored scalar aggregates across every registered executor."""
         return sum(r.executor.storage_units() for r in self._queries)
 
-    # -- adaptive granularity re-planning --------------------------------------
-
-    def _replan_now(self) -> None:
-        """One check of the control loop: observe, decide, migrate."""
-        controller = self._replan_controller
-        controller.begin_check()
-        started = _time.perf_counter()
-        migrations = 0
-        for registered in self._queries:
-            raw = observe_executor(registered.executor)
-            observe_instruments(raw, registered.instruments)
-            target = controller.decide(registered.name, registered.engine, raw)
-            previous = registered.engine.plan.granularity
-            if target is previous or migrations >= controller.policy.max_migrations:
-                continue
-            if migrate_engine(registered.engine, target):
-                migrations += 1
-                controller.record_migration(
-                    registered.name, previous, target, registered.executor.events_seen
-                )
-        self.metrics.record_replan(migrations)
-        self._observe_lifecycle("replan", _time.perf_counter() - started)
-
-    def migrate_granularity(self, name: str, granularity) -> bool:
-        """Force a live granularity migration of one registered query.
-
-        The manual counterpart of the control loop's act step -- results
-        are unchanged, only cost.  Returns True when a migration happened
-        (False when the query already runs at ``granularity``); disallowed
-        granularities raise :class:`~repro.errors.PlanningError`.
-        """
-        self._check_processable(require_open=False)
-        registered = self._by_name[name]
-        previous = registered.engine.plan.granularity
-        started = _time.perf_counter()
-        migrated = migrate_engine(registered.engine, granularity)
-        if migrated:
-            pause = _time.perf_counter() - started
-            self._ensure_replan_controller().record_migration(
-                name,
-                previous,
-                registered.engine.plan.granularity,
-                registered.executor.events_seen,
-            )
-            self.metrics.record_replan(1)
-            self._observe_lifecycle("replan", pause)
-        return migrated
-
     # -- checkpointing ---------------------------------------------------------
 
     def checkpoint(self) -> Dict[str, object]:
@@ -1317,20 +1202,6 @@ class StreamingRuntime(PipelineDriver):
         from; anything else raises :class:`~repro.errors.CheckpointError`.
         """
         recorded = checkpointed_queries(state)
-        if self._replan_policy is not None:
-            # with re-planning enabled the checkpointed granularity wins:
-            # a recovery resumes the post-migration plan instead of the
-            # statically registered one (names/definitions stay strict)
-            recorded_by_name = {entry[0]: entry for entry in recorded}
-            for registered in self._queries:
-                entry = recorded_by_name.get(registered.name)
-                if entry is not None and entry[1] != registered.engine.granularity:
-                    try:
-                        migrate_engine(registered.engine, entry[1])
-                    except Exception:
-                        # an unplannable recorded granularity falls through
-                        # to the identity check below, which names it
-                        pass
         check_query_identity(
             recorded, query_header((r.name, r.engine) for r in self._queries)
         )

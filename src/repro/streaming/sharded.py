@@ -45,8 +45,6 @@ mutation:
   and re-homes the aggregator entries under the new map; only the workers
   that lose or gain a slot are restored, and events still buffered in the
   parent are re-routed under the new map;
-* **re-planning** (:mod:`repro.streaming.replan`) relabels the migrated
-  queries' granularity and broadcasts the plan swap instead of a restore;
 * :meth:`ShardedRuntime.restore` has nothing to collect: the slices are
   the given snapshot split under this runtime's topology, every worker is
   restored;
@@ -104,7 +102,6 @@ import traceback
 import warnings
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.analyzer.granularity import Granularity
 from repro.core.engine import CograEngine
 from repro.core.partitioner import shard_index, single_shard_reason
 from repro.core.results import GroupResult
@@ -116,6 +113,7 @@ from repro.query.query import Query
 from repro.query.windows import WindowSpec
 from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
+    check_aggregator_classes,
     check_query_identity,
     checkpointed_queries,
     decoded_snapshot,
@@ -146,14 +144,6 @@ from repro.streaming.observability import (
     ShardInstruments,
     finalize_snapshot,
     merge_snapshots,
-)
-from repro.streaming.replan import (
-    ReplanController,
-    merge_raw_observations,
-    migrate_engine,
-    observe_executor,
-    observe_instruments,
-    resolve_replan_policy,
 )
 from repro.streaming.routing import RebalancePolicy, ShardRouter, ShardStats
 from repro.streaming.runtime import (
@@ -384,42 +374,21 @@ def _worker_loop(
                 # batches resume emission exactly where the dead incarnation
                 # stood; plain restores start from scratch (the parent
                 # re-advances with the next shipped watermark)
-                watermark = message[3] if len(message) > 3 else None
+                watermark = message[3]
                 runtime._ordered_watermark = (
                     -math.inf if watermark is None else float(watermark)
                 )
-                # the optional fifth element steers the worker registry:
-                # absent/None keeps it (migrations -- counts are cumulative
-                # per worker), "reset" zeroes it (full restore: the parent's
-                # base snapshot already holds this worker's share), a dict
+                # the fifth element steers the worker registry: None keeps
+                # it (migrations -- counts are cumulative per worker),
+                # "reset" zeroes it (full restore: the parent's base
+                # snapshot already holds this worker's share), a dict
                 # restores a recovered incarnation to its checkpointed view
-                registry_action = message[4] if len(message) > 4 else None
+                registry_action = message[4]
                 if registry_action == "reset":
                     runtime.observability.registry.reset()
                 elif isinstance(registry_action, dict):
                     runtime.observability.registry.restore(registry_action)
                 reply(("ok", epoch, shard, None, 0.0))
-            elif op == "observe":
-                # raw replan statistics per query; the parent merges the
-                # shard views and decides centrally (repro.streaming.replan)
-                payload = {
-                    "observe": {
-                        registered.name: observe_instruments(
-                            observe_executor(registered.executor),
-                            registered.instruments,
-                        )
-                        for registered in runtime._queries
-                    }
-                }
-                reply(("ok", epoch, shard, payload, 0.0))
-            elif op == "replan":
-                # live granularity migration, parent-coordinated: arrives
-                # between shipped waves, so the local executor is quiescent
-                name, granularity = message[2], message[3]
-                migrate_engine(runtime._by_name[name].engine, granularity)
-                reply(
-                    ("ok", epoch, shard, None, _time.perf_counter() - started)
-                )
             else:
                 raise ValueError(f"unknown worker operation {op!r}")
         except Exception:
@@ -506,14 +475,6 @@ class ShardedRuntime(PipelineDriver):
         The block is accounted as ``backpressure_waits`` /
         ``backpressure_seconds`` in :attr:`metrics`.  Mirrors the
         ``backpressure.max_inflight`` JobConfig field.
-    replan:
-        Adaptive granularity re-planning: a
-        :class:`~repro.streaming.replan.ReplanPolicy`, a
-        :class:`~repro.streaming.config.ReplanConfig`, a mapping of its
-        fields, or ``None``/disabled to keep the planned granularities.
-        The parent merges the workers' observed statistics, re-evaluates
-        the cost model, and broadcasts plan swaps between shipped waves;
-        results are unchanged (see :mod:`repro.streaming.replan`).
     """
 
     def __init__(
@@ -529,7 +490,6 @@ class ShardedRuntime(PipelineDriver):
         rebalance: Union["RebalancePolicy", RebalanceConfig, Dict, None] = None,
         max_inflight: int = 64,
         observability: Optional[Observability] = None,
-        replan=None,
     ):
         # the kwargs are one corner of the declarative JobConfig API: the
         # component specs own validation and defaults (ConfigError is a
@@ -589,17 +549,6 @@ class ShardedRuntime(PipelineDriver):
         self._shipped_watermark = -math.inf
         #: human-readable log of slot migrations, newest last
         self.rebalance_log: List[str] = []
-
-        #: the adaptive granularity control loop (None when disabled); the
-        #: parent observes the merged shard statistics, decides against the
-        #: observed cost model and broadcasts plan swaps between shipped
-        #: waves -- workers never re-plan on their own
-        self._replan_policy = resolve_replan_policy(replan)
-        self._replan_controller = (
-            ReplanController(self._replan_policy)
-            if self._replan_policy is not None
-            else None
-        )
 
         self._procs: List = []
         #: per worker incarnation, the parent's ends of its two one-way
@@ -1032,8 +981,8 @@ class ShardedRuntime(PipelineDriver):
            moved into the replay range so acknowledgements merge into the
            original epochs -- or are dropped when the dead incarnation
            already delivered them;
-        5. re-issue the collection requests (checkpoint, metrics, observe)
-           the dead worker still owed.
+        5. re-issue the collection requests (checkpoint, metrics) the dead
+           worker still owed.
 
         Failures of *other* shards while waiting recover recursively; a
         second failure of this same shard (or exhausted ``max_restarts``)
@@ -1088,10 +1037,9 @@ class ShardedRuntime(PipelineDriver):
                 entry = self._inflight[epoch]
                 if shard not in entry.pending:
                     continue
-                if entry.op in ("restore", "replan"):
-                    # the baseline is set before either ships: the restore
-                    # above already applied the same state, and the respawned
-                    # worker was built from the post-migration specs
+                if entry.op == "restore":
+                    # the baseline is set before the restore ships: the
+                    # restore above already applied the same state
                     entry.pending.discard(shard)
                 elif entry.op not in ("batch", "flush"):  # those were replayed
                     self._send(shard, (entry.op, epoch))
@@ -1240,9 +1188,9 @@ class ShardedRuntime(PipelineDriver):
         """Quiesce, ask every worker for ``op``; return ``{shard: payload}``.
 
         The one collection loop (``checkpoint`` slices, ``metrics``
-        registries, ``observe`` statistics).  A worker that dies meanwhile
-        is recovered inside :meth:`_next_ack`, which re-issues the request
-        to the replacement -- the loop only watches the epoch's pending set.
+        registries).  A worker that dies meanwhile is recovered inside
+        :meth:`_next_ack`, which re-issues the request to the replacement --
+        the loop only watches the epoch's pending set.
         """
         self._drain_acks(block=True)
         entry = self._inflight[self._ship(op, range(self.shard_count))]
@@ -1302,8 +1250,8 @@ class ShardedRuntime(PipelineDriver):
         ``mutate`` returned are restored onto theirs -> await.  ``mutate``
         edits the slices in place (they are fresh copies) and is all a
         caller supplies; because sub-streams never interact, re-homing
-        entries, relabelling a plan or handing a partition off are the same
-        operation.  The slices' entries are the texts the workers encoded
+        entries and handing a partition off are the same operation.  The
+        slices' entries are the texts the workers encoded
         (:class:`~repro.streaming.checkpoint.EncodedEntry`): re-homing reads
         only their window and key, and each restored worker decodes its own.
         Returns the slices as installed.
@@ -1431,112 +1379,6 @@ class ShardedRuntime(PipelineDriver):
             f"{len(moved_keys)} key(s) ({moved}); paused {pause * 1000.0:.1f} ms"
         )
 
-    # -- adaptive granularity re-planning --------------------------------------
-
-    def _maybe_replan(self, released: int) -> None:
-        """Count a step's ``released`` events; check granularity when due."""
-        if self._replan_policy is None or not self._started:
-            return
-        if self._replan_controller.due(released):
-            self._replan_now()
-
-    def _replan_now(self) -> None:
-        """One check of the control loop: observe workers, decide, migrate."""
-        controller = self._replan_controller
-        controller.begin_check()
-        started = _time.perf_counter()
-        # per-shard, per-query raw statistics, summed into one stream-wide
-        # view per query; the decision is central, workers never re-plan
-        observed = self._collect("observe")
-        migrations: List[Tuple[str, "Granularity"]] = []
-        for spec in self._specs:
-            engine = self._engines[spec.name]
-            merged = merge_raw_observations(
-                [observed[shard]["observe"][spec.name] for shard in sorted(observed)]
-            )
-            target = controller.decide(spec.name, engine, merged)
-            if (
-                target is not engine.plan.granularity
-                and len(migrations) < controller.policy.max_migrations
-            ):
-                migrations.append((spec.name, target))
-        if migrations:
-            self._apply_replan(migrations)
-        self.metrics.record_replan(len(migrations))
-        self._observe_lifecycle("replan", _time.perf_counter() - started)
-
-    def _apply_replan(self, migrations: List[Tuple[str, "Granularity"]]) -> None:
-        """Broadcast granularity migrations to the workers, quiesced.
-
-        A :meth:`_migrate` whose mutation re-plans the parent engines
-        (validating the target granularity), updates the registration specs
-        -- so recovered workers and composed checkpoints describe the
-        post-migration plan -- and relabels the migrated queries' slices
-        with the new granularity (the worker snapshots were taken
-        pre-migration; open aggregators carry their own recorded classes
-        and rebuild unchanged).  Routing is granularity-blind, so no state
-        changes owner and nothing is restored: the ``replan`` operation is
-        broadcast instead, and acknowledged by every worker before any
-        further events ship.
-        """
-        controller = self._ensure_replan_controller()
-        performed: List[Tuple[str, "Granularity", "Granularity"]] = []
-
-        def relabel(slices: Dict[int, dict]) -> List[int]:
-            for name, target in migrations:
-                engine = self._engines[name]
-                previous = engine.plan.granularity
-                if not migrate_engine(engine, target):
-                    continue
-                new = engine.plan.granularity
-                for spec in self._specs:
-                    if spec.name == name:
-                        spec.granularity = new.value
-                for piece in slices.values():
-                    piece["executors"][name]["granularity"] = new.value
-                performed.append((name, previous, new))
-            return []
-
-        slices = self._migrate(relabel)
-        for name, previous, new in performed:
-            payloads = {
-                shard: ("replan", self._epoch, name, new.value)
-                for shard in range(self.shard_count)
-            }
-            self._ship("replan", range(self.shard_count), payloads)
-            controller.record_migration(
-                name,
-                previous,
-                new,
-                sum(int(p["executors"][name]["events_seen"]) for p in slices.values()),
-            )
-        self._drain_acks(block=True)
-
-    def migrate_granularity(self, name: str, granularity) -> bool:
-        """Force a live granularity migration of one registered query.
-
-        The sharded counterpart of :meth:`StreamingRuntime.
-        migrate_granularity`: the swap is coordinated across every worker
-        behind a quiesce.  Returns True when a migration happened;
-        disallowed granularities raise
-        :class:`~repro.errors.PlanningError`.
-        """
-        self._check_usable()
-        if not self._started:
-            self._start()
-        engine = self._engines.get(name)
-        if engine is None:
-            raise KeyError(f"no registered query named {name!r}")
-        if isinstance(granularity, str):
-            granularity = Granularity(granularity)
-        if granularity is engine.plan.granularity:
-            return False
-        started = _time.perf_counter()
-        self._apply_replan([(name, granularity)])
-        self.metrics.record_replan(1)
-        self._observe_lifecycle("replan", _time.perf_counter() - started)
-        return True
-
     # -- streaming -------------------------------------------------------------
 
     def _check_not_poisoned(self) -> None:
@@ -1572,10 +1414,10 @@ class ShardedRuntime(PipelineDriver):
         through the same steps as in
         :class:`~repro.streaming.runtime.StreamingRuntime` (see
         :meth:`_ingest`): shipping decisions (``ship_interval``,
-        backpressure), rebalancing and re-planning happen
-        once per step, and the push reaching a window edge ships alone with
-        its own watermark, so watermark stamps depend on neither the slicing
-        nor ``ship_interval``; acknowledgements are drained once per slice.
+        backpressure) and rebalancing happen once per step, and the push
+        reaching a window edge ships alone with its own watermark, so
+        watermark stamps depend on neither the slicing nor
+        ``ship_interval``; acknowledgements are drained once per slice.
 
         ``emit`` has the single-process contract: it is called on each
         returned record, in order, and must not call back into the runtime.
@@ -1623,7 +1465,6 @@ class ShardedRuntime(PipelineDriver):
         if batch.advanced:
             self._pending_watermark = batch.watermark
         self._maybe_rebalance(len(released))
-        self._maybe_replan(len(released))
         self._events_since_ship += len(released)
         if edge or self._events_since_ship >= self._ship_interval:
             self._ship_outboxes(self._pending_watermark)
@@ -1739,12 +1580,6 @@ class ShardedRuntime(PipelineDriver):
             )
         for note in self.rebalance_log:
             lines.append(f"rebalance           : {note}")
-        for record in self.replan_log:
-            lines.append(
-                f"replan              : {record['query']} "
-                f"{record['from']}->{record['to']} (v{record['version']}, "
-                f"after {record['events_total']} events)"
-            )
         for note in self.recovery_log:
             lines.append(f"recovery            : {note}")
         return "\n".join(lines)
@@ -1852,22 +1687,6 @@ class ShardedRuntime(PipelineDriver):
         self._check_usable()
         if not self._started:
             self._start()
-        if self._replan_policy is not None:
-            # with re-planning enabled the checkpointed granularity wins: a
-            # snapshot taken after a migration restores into a runtime whose
-            # queries were registered at the seed granularity, so adopt the
-            # recorded plan (parent and workers) before the identity check
-            recorded_by_name = {entry[0]: entry for entry in recorded}
-            for spec in self._specs:
-                entry = recorded_by_name.get(spec.name)
-                if entry is None or entry[1] == self._engines[spec.name].granularity:
-                    continue
-                try:
-                    self._apply_replan([(spec.name, entry[1])])
-                except WorkerCrashError:
-                    raise  # _fail already poisoned the runtime
-                except Exception:
-                    pass  # the identity check below reports the mismatch
         check_query_identity(recorded, query_header(self._engines.items()))
         # quiesce: outstanding epochs and unshipped events belong to the
         # abandoned timeline
@@ -1906,6 +1725,9 @@ class ShardedRuntime(PipelineDriver):
                 for shard in range(self.shard_count)
             }
             for spec in self._specs:
+                check_aggregator_classes(
+                    self._engines[spec.name].plan, state["executors"][spec.name]
+                )
                 per_shard = split_executor_snapshot(
                     state["executors"][spec.name],
                     self.shard_count,

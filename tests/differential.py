@@ -95,6 +95,18 @@ QUERIES = {
     ),
 }
 
+#: the granularities each catalogue query admits (Table 4, negation
+#: escalating mixed to event), coarsest -- the static plan's -- first
+ADMITTED = {
+    "any": ("type", "mixed", "event"),
+    "adjacent": ("mixed", "event"),
+    "next": ("pattern",),
+    "contiguous": ("pattern",),
+    "negated": ("type", "event"),
+    "negated-next": ("pattern",),
+    "count": ("type", "mixed", "event"),
+}
+
 
 def bounded_shuffle(events, disorder, seed=29):
     """``events`` in an arrival order where each slips at most ``disorder``."""

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import HOSTILE, streams
+from differential import ADMITTED, HOSTILE, QUERIES, streams
 from repro.analyzer.classifier import classify_predicates
 from repro.analyzer.granularity import Granularity, granularity_table, split_variables
 from repro.analyzer.automaton import PatternAutomaton
-from repro.analyzer.plan import plan_query
-from repro.errors import InvalidEventError
+from repro.analyzer.plan import CograPlan, plan_query
+from repro.errors import InvalidEventError, PlanningError
 from repro.events.event import Event
 from repro.query.aggregates import avg, count_star, min_of, sum_of
 from repro.query.ast import KleenePlus, atom, kleene_plus, sequence
@@ -17,6 +17,7 @@ from repro.query.builder import QueryBuilder
 from repro.query.parser import parse_query
 from repro.query.predicates import AdjacentPredicate, comparison
 from repro.query.semantics import Semantics
+from repro.streaming.runtime import StreamingRuntime
 
 FIGURE2 = KleenePlus(sequence(kleene_plus("A"), atom("B")))
 
@@ -212,6 +213,85 @@ class TestCograPlan:
     def test_sum_target(self):
         plan = plan_query(build(aggregates=[sum_of("A", "x")]))
         assert ("A", "x") in plan.targets
+
+
+ANY_QUERY = (
+    "RETURN g, COUNT(*), MAX(A.v) PATTERN SEQ(A+, B) SEMANTICS skip-till-any-match "
+    "GROUP-BY g WITHIN 20 seconds SLIDE 10 seconds"
+)
+#: skip-till-next: only pattern granularity is correct
+NEXT_QUERY = ANY_QUERY.replace("skip-till-any-match", "skip-till-next-match")
+#: adjacent predicate: type granularity is ruled out
+ADJACENT_QUERY = ANY_QUERY.replace("GROUP-BY", "WHERE A.v < NEXT(A).v GROUP-BY")
+NEGATED_QUERY = ANY_QUERY.replace("SEQ(A+, B)", "SEQ(A+, NOT C, B)")
+
+
+class TestForcedGranularityValidation:
+    """A forced granularity is checked when the plan is built, not at the
+    first event."""
+
+    def test_unknown_granularity_string_is_a_planning_error(self):
+        with pytest.raises(PlanningError, match="unknown granularity"):
+            plan_query(parse_query(ANY_QUERY), forced_granularity="bogus")
+
+    def test_disallowed_granularity_is_rejected_eagerly(self):
+        query = parse_query(NEXT_QUERY)
+        with pytest.raises(PlanningError, match="not correct"):
+            CograPlan(query, forced_granularity=Granularity.EVENT)
+        with pytest.raises(PlanningError, match="allowed"):
+            plan_query(query, forced_granularity="type")
+
+    def test_adjacent_predicates_reject_type_granularity(self):
+        with pytest.raises(PlanningError, match="adjacent"):
+            plan_query(parse_query(ADJACENT_QUERY), forced_granularity="type")
+
+    def test_negated_query_rejects_forced_mixed(self):
+        for forced in (Granularity.MIXED, "mixed"):
+            with pytest.raises(PlanningError, match="force 'event' instead"):
+                plan_query(parse_query(NEGATED_QUERY), forced_granularity=forced)
+
+    def test_register_validates_before_any_event(self):
+        runtime = StreamingRuntime(lateness=0.0)
+        with pytest.raises(PlanningError, match="unknown granularity"):
+            runtime.register(ANY_QUERY, name="q", granularity="bogus")
+        with pytest.raises(PlanningError, match="not correct"):
+            runtime.register(NEXT_QUERY, name="q", granularity="event")
+
+    def test_negated_queries_never_accept_mixed(self):
+        plan = plan_query(parse_query(NEGATED_QUERY))
+        assert plan.granularity is Granularity.TYPE
+        assert plan.accepted_granularities == (Granularity.TYPE, Granularity.EVENT)
+
+
+class TestCatalogueGranularities:
+    """Every catalogue query's static plan is its coarsest admitted
+    granularity; forcing one is accepted exactly where it is admitted."""
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_the_static_plan_is_the_coarsest_admitted(self, name):
+        plan = plan_query(parse_query(QUERIES[name]))
+        assert plan.granularity.value == ADMITTED[name][0]
+        assert tuple(g.value for g in plan.accepted_granularities) == ADMITTED[name]
+
+    @pytest.mark.parametrize(
+        "name, granularity",
+        [(name, granularity.value) for name in sorted(QUERIES) for granularity in Granularity],
+    )
+    def test_forcing_is_accepted_exactly_where_admitted(self, name, granularity):
+        query = parse_query(QUERIES[name])
+        runtime = StreamingRuntime(lateness=0.0)
+        if granularity in ADMITTED[name]:
+            plan = plan_query(query, forced_granularity=granularity)
+            assert plan.granularity.value == granularity
+            assert plan.accepted_granularities == plan_query(query).accepted_granularities
+            runtime.register(QUERIES[name], name="q", granularity=granularity)
+            assert runtime.checkpoint()["queries"][0]["granularity"] == granularity
+        else:
+            with pytest.raises(PlanningError):
+                plan_query(query, forced_granularity=granularity)
+            with pytest.raises(PlanningError):
+                runtime.register(QUERIES[name], name="q", granularity=granularity)
+            assert runtime.checkpoint()["queries"] == []
 
 
 #: queries whose events the grouper binds every way it can: inline, by a

@@ -1,5 +1,6 @@
 """Tests for the static cost model (Table 3 and the complexity theorems)."""
 
+import pytest
 
 from repro.analyzer.cost import (
     GrowthClass,
@@ -20,7 +21,7 @@ from repro.query.parser import parse_query
 from repro.query.predicates import comparison
 from repro.query.semantics import Semantics
 
-from differential import build_query
+from differential import ADMITTED, QUERIES, build_query
 
 
 class TestTable3:
@@ -163,3 +164,23 @@ class TestCompareGranularities:
         )
         assert estimate_cost(query).granularity is Granularity.EVENT
         assert set(compare_granularities(query)) == {"event"}
+
+
+class TestCatalogueCosts:
+    """The static plan is the cheapest one the engine accepts: for every
+    catalogue query, the coarsest admitted granularity estimates the fewest
+    updates and storage units, and each estimate is that of the forced plan."""
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    def test_the_coarsest_admitted_plan_is_estimated_cheapest(self, name):
+        query = parse_query(QUERIES[name])
+        estimates = compare_granularities(query, events_per_window=1000)
+        assert tuple(estimates) == ADMITTED[name]
+        for granularity, estimate in estimates.items():
+            forced = plan_query(query, forced_granularity=granularity)
+            assert estimate == estimate_cost(forced, events_per_window=1000)
+        static = estimate_cost(query, events_per_window=1000)
+        assert static == estimates[ADMITTED[name][0]]
+        for estimate in estimates.values():
+            assert static.estimated_updates_per_event <= estimate.estimated_updates_per_event
+            assert static.estimated_storage_units <= estimate.estimated_storage_units

@@ -5,8 +5,7 @@ A cell takes one value on each axis:
 * slicing -- the source is pulled 1 event, 7 events or the whole stream at
   a time;
 * workers -- 1 (in-process runtime) or 2 (sharded);
-* plan -- as planned, every query forced to an allowed granularity, or a
-  forced replan of one query at a drawn index;
+* plan -- as planned, or every query forced to an allowed granularity;
 * rebalance -- off, or every slot holding a group moved to the other worker
   at a drawn index;
 * fault -- none, a SIGKILL of one worker (``max_restarts=1``) at a drawn
@@ -70,7 +69,6 @@ class Cell(NamedTuple):
     rebalance: bool
     fault: Optional[str]
     host: str
-    replan_at: int = 1
     move_at: int = 1
     fault_at: int = 1
     seed: int = 0
@@ -87,11 +85,10 @@ def cells(draw):
     return Cell(
         slicing=draw(st.sampled_from([1, 7, None])),
         workers=workers,
-        plan=draw(st.sampled_from(["planned", "forced", "replan"])),
+        plan=draw(st.sampled_from(["planned", "forced"])),
         rebalance=workers == 2 and draw(st.booleans()),
         fault=draw(st.sampled_from(faults)),
         host=host,
-        replan_at=draw(index),
         move_at=draw(index),
         fault_at=draw(index),
         seed=draw(st.integers(min_value=0, max_value=10**6)),
@@ -124,22 +121,6 @@ def hooks_of(work, cell):
     """``[(event index, action(runtime))]``: the cell's mid-stream operations."""
     rng = random.Random(cell.seed)
     hooks = []
-    if cell.plan == "replan":
-        # a query that can move off its planned granularity, and where to
-        movable = [
-            (name, [g for g in allowed(text) if g != CograEngine(text).granularity])
-            for name, text in work.queries
-        ]
-        movable = [(name, targets) for name, targets in movable if targets]
-        if movable:
-            name, targets = rng.choice(movable)
-            target = rng.choice(targets)
-            hooks.append(
-                (
-                    at(work, cell.replan_at),
-                    lambda runtime: runtime.migrate_granularity(name, target),
-                )
-            )
     if cell.rebalance:
         keys = {(event.get("g"),) for event in work.arrivals}
 
@@ -208,8 +189,6 @@ def run_restored(config, work, cell, hooks):
     resumed = dict(
         config,
         shards=dict(config["shards"], workers=3 - cell.workers),
-        # adopt the granularity a replan left in the checkpoint
-        replan={"enabled": True, "check_interval_events": 10**9},
     )
     second = Job(resumed, events=work.arrivals[cut:]).start()
     second.runtime.restore(snapshot)
@@ -263,13 +242,13 @@ class TestMatrix:
         work=workload(3, count=60, queries=["count", "any"], lateness=2.0),
         cell=Cell(7, 2, "planned", False, "kill", "job", fault_at=31),
     )
-    @example(  # a replan under negation
+    @example(  # forced granularities under negation
         work=workload(3, count=24, queries=["negated", "negated-next"]),
-        cell=Cell(1, 1, "replan", False, None, "job", replan_at=11),
+        cell=Cell(1, 1, "forced", False, None, "job"),
     )
-    @example(  # a restore across worker counts after a replan
+    @example(  # a restore across worker counts at forced granularities
         work=workload(8, count=90, queries=["any", "adjacent"], lateness=5.0),
-        cell=Cell(7, 2, "replan", False, "restore", "job", replan_at=30, fault_at=60),
+        cell=Cell(7, 2, "forced", False, "restore", "job", fault_at=60),
     )
     @example(  # a live rebalance while three overlapping windows are open
         work=workload(13, count=100, queries=["any"], lateness=0.0),

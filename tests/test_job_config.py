@@ -40,7 +40,6 @@ from repro.streaming.config import (
     ObsConfig,
     QueryConfig,
     RebalanceConfig,
-    ReplanConfig,
     ServerConfig,
     ShardConfig,
     SinkConfig,
@@ -92,7 +91,6 @@ SECTIONS = {
     SinkConfig: "sink.",
     BackpressureConfig: "backpressure.",
     ObsConfig: "observability.",
-    ReplanConfig: "replan.",
     ServerConfig: "",
     TenantConfig: "tenants[].",
 }
@@ -179,9 +177,9 @@ def field_examples():
 class TestDeclaredFields:
     """One declaration per setting: the dataclass field is all there is."""
 
-    def test_the_config_surface_is_15_classes_and_61_fields(self):
-        assert len(SECTIONS) == 15
-        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 61
+    def test_the_config_surface_is_14_classes_and_55_fields(self):
+        assert len(SECTIONS) == 14
+        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 55
 
     @pytest.mark.parametrize("cls, name, value, valid", field_examples())
     def test_field_accepts_and_rejects_by_its_declaration(
@@ -212,8 +210,8 @@ class TestDeclaredFields:
             BackpressureConfig(poll_interval_seconds=float("inf"))
         # json.loads accepts NaN/Infinity, so a config file can carry them
         path = tmp_path / "job.json"
-        path.write_text('{"replan": {"hysteresis": NaN, "ewma_alpha": Infinity}}')
-        with pytest.raises(ConfigError, match="replan.hysteresis"):
+        path.write_text('{"shards": {"rebalance": {"skew_threshold": NaN}}}')
+        with pytest.raises(ConfigError, match="shards.rebalance.skew_threshold"):
             JobConfig.load(path)
 
     def test_missing_required_setting_is_a_config_error(self):
@@ -299,7 +297,7 @@ class TestDocumentedPaths:
     @pytest.mark.parametrize("document", DOCUMENTS)
     def test_backticked_config_paths_are_live(self, document):
         """A backticked span opening with a dotted path whose first segment
-        is a section (``shards.workers = 4``, ``replan.*``) names a live
+        is a section (``shards.workers = 4``, ``checkpoint.*``) names a live
         section or setting; code that shares a section's name is written
         qualified (``repro.streaming.checkpoint...``, ``Sink.emit``)."""
         live = self.live_paths()
@@ -381,6 +379,17 @@ REMOVED_SETTINGS = [
         "poll_interval_seconds",
         id="poll_interval_seconds",
     ),
+    # the granularity re-planning loop: a query keeps its static plan
+    *(
+        pytest.param(JobConfig, {"replan": {key: value}}, "replan", id=f"replan.{key}")
+        for key, value in (
+            ("enabled", True),
+            ("check_interval_events", 2048),
+            ("hysteresis", 0.25),
+            ("max_migrations", 4),
+            ("ewma_alpha", 0.5),
+        )
+    ),
 ]
 
 #: the constructor keywords that went with them
@@ -408,6 +417,8 @@ REMOVED_KEYWORDS = [
         {"poll_interval_seconds": 0.005},
         id="ServerConfig-poll_interval_seconds",
     ),
+    pytest.param(StreamingRuntime, {"replan": True}, id="StreamingRuntime-replan"),
+    pytest.param(ShardedRuntime, {"replan": True}, id="ShardedRuntime-replan"),
 ]
 
 
@@ -424,6 +435,14 @@ class TestRemovedSettings:
         monkeypatch.chdir(tmp_path)  # where a CheckpointStore would make "ckpt"
         with pytest.raises(TypeError, match="unexpected keyword"):
             cls(**kwargs)
+
+    def test_the_removed_replan_flag_exits_2(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["stream", TYPE_QUERY, "--dry-run", "--replan"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --replan" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +620,6 @@ def job_configs():
         metrics_interval_seconds=st.floats(min_value=0.01, max_value=60.0),
         prometheus_port=st.one_of(st.none(), st.integers(0, 65535)),
     )
-    replans = st.builds(
-        ReplanConfig,
-        enabled=st.booleans(),
-        check_interval_events=st.integers(1, 8192),
-        hysteresis=st.floats(min_value=0.0, max_value=2.0),
-        max_migrations=st.integers(1, 8),
-        ewma_alpha=st.floats(min_value=0.01, max_value=1.0),
-    )
     return st.builds(
         JobConfig,
         queries=st.builds(tuple, queries),
@@ -621,7 +632,6 @@ def job_configs():
         sink=sinks,
         backpressure=backpressures,
         observability=observabilities,
-        replan=replans,
         emit_empty_groups=st.booleans(),
     )
 

@@ -128,13 +128,16 @@ class TestPlanning:
 
     def test_a_negated_query_compiles_negation_aware_type_kernels(self):
         """Its type-grained aggregators run Algorithm 1's kernels, which also
-        write the compatible cells: every plan of the query compiles them,
-        an EVENT plan too, so a migration can hand them over."""
-        plan = plan_query(build_query(NEGATED_SEQ), forced_granularity=Granularity.EVENT)
+        write the compatible cells; a plan of another granularity compiles
+        none."""
+        plan = plan_query(build_query(NEGATED_SEQ))
+        assert plan.granularity is Granularity.TYPE
         steps = plan.fold_steps
         assert steps["A"].writes == ("A", (0, "A"))
         assert steps["B"].writes == ("B",)
         assert all(step.kernel is not None for step in steps.values())
+        plan = plan_query(build_query(NEGATED_SEQ), forced_granularity=Granularity.EVENT)
+        assert all(step.kernel is None for step in plan.fold_steps.values())
         plain = plan_query(build_query(sequence(kleene_plus("A"), atom("B"))))
         assert [step.writes for step in plain.fold_steps.values()] == [("A",), ("B",)]
         assert all(step.kernel is not None for step in plain.fold_steps.values())

@@ -829,11 +829,15 @@ class TestRuntimeFamilies:
         runtime.register(QUERY, name="q")
         runtime.restore(json.loads(json.dumps(state)))
         try:
-            assert runtime.metrics.snapshot() == state["metrics"]
+            # the counters of the removed re-planning loop are dropped
+            assert runtime.metrics.snapshot() == {
+                name: value
+                for name, value in state["metrics"].items()
+                if not name.startswith("replan_")
+            }
             # the pause views read the restored lifecycle sums; the
             # backpressure seconds were not in the old registry
             assert runtime.metrics.rebalance_pause_seconds == 0.25
-            assert runtime.metrics.replan_pause_seconds == 0.0
             assert runtime.metrics.backpressure_seconds == 0.0
             snapshot = runtime.registry_snapshot()
             assert snapshot_value(snapshot, "cogra_events_ingested_total") == 150

@@ -42,6 +42,50 @@ class TestTopLevelExports:
         assert results[0]["COUNT(*)"] == 43
 
 
+#: names that the adaptive re-planner exported; a query keeps its static
+#: plan for its whole life, so none of them may linger as a fallback
+REMOVED_NAMES = [
+    ("repro", "QueryObservation"),
+    ("repro", "ReplanConfig"),
+    ("repro", "ReplanPolicy"),
+    ("repro.streaming", "QueryObservation"),
+    ("repro.streaming", "ReplanConfig"),
+    ("repro.streaming", "ReplanController"),
+    ("repro.streaming", "ReplanPolicy"),
+    ("repro.streaming", "migrate_engine"),
+    ("repro.streaming.config", "ReplanConfig"),
+    ("repro.analyzer.cost", "ObservedStatistics"),
+    ("repro.analyzer.cost", "compare_observed_costs"),
+    ("repro.analyzer.cost", "observed_updates_per_event"),
+    ("repro.analyzer.cost", "recommend_granularity"),
+]
+
+#: runtime members that migrated a query's plan or reported on it
+REMOVED_MEMBERS = [
+    "migrate_granularity",
+    "plan_versions",
+    "query_observations",
+    "replan_log",
+]
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize("module_name, name", REMOVED_NAMES)
+    def test_a_removed_name_is_gone(self, module_name, name):
+        module = importlib.import_module(module_name)
+        assert not hasattr(module, name)
+        assert name not in getattr(module, "__all__", ())
+
+    def test_the_replan_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.streaming.replan")
+
+    @pytest.mark.parametrize("runtime", ["StreamingRuntime", "ShardedRuntime"])
+    @pytest.mark.parametrize("member", REMOVED_MEMBERS)
+    def test_a_removed_runtime_member_is_gone(self, runtime, member):
+        assert not hasattr(getattr(repro, runtime), member)
+
+
 class TestSubpackagesAreDocumented:
     SUBPACKAGES = [
         "repro.analyzer",

@@ -617,33 +617,6 @@ class TestDriverAccessors:
     """The introspection members both runtimes share answer alike."""
 
     @BOTH_RUNTIMES
-    def test_plan_versions_list_every_registered_query(self, kind):
-        runtime = either_runtime(kind, lateness=LATENESS)
-        runtime.register(TYPE_QUERY, name="a")
-        runtime.register(MIXED_QUERY, name="b")
-        try:
-            assert runtime.plan_versions == {"a": 0, "b": 0}
-            assert runtime.replan_log == []
-            assert runtime.query_observations() == {}
-        finally:
-            runtime.close()
-
-    @BOTH_RUNTIMES
-    def test_a_migration_versions_only_its_query(self, kind):
-        runtime = either_runtime(kind, lateness=LATENESS)
-        runtime.register(TYPE_QUERY, name="a", granularity="type")
-        runtime.register(MIXED_QUERY, name="b")
-        try:
-            assert runtime.migrate_granularity("a", "event")
-            assert runtime.plan_versions == {"a": 1, "b": 0}
-            assert [
-                (r["query"], r["from"], r["to"], r["version"])
-                for r in runtime.replan_log
-            ] == [("a", "type", "event", 1)]
-        finally:
-            runtime.close()
-
-    @BOTH_RUNTIMES
     def test_watermark_and_buffered_events_follow_the_reorder_buffer(self, kind):
         runtime = either_runtime(kind, lateness=LATENESS)
         runtime.register(TYPE_QUERY, name="q")
@@ -1145,7 +1118,8 @@ class TestWorkerLoopInProcess:
 
         acks = self._run(
             self._specs(),
-            ("restore", 0, payload["executors"]),
+            # the five fields of ShardedRuntime._restore_message
+            ("restore", 0, payload["executors"], None, None),
             ("flush", 1, []),
             None,
         )

@@ -12,8 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from differential import bounded_shuffle, stream
+from differential import ADMITTED, bounded_shuffle, canonical, stream
+from differential import QUERIES as CATALOGUE
+from repro.analyzer.plan import plan_query
+from repro.baselines.oracle import expected_records
 from repro.core.aggregate_state import TrendAccumulator
+from repro.core.base import aggregator_class
 from repro.errors import CheckpointError
 from repro.events.event import Event
 from repro.query.parser import parse_query
@@ -28,6 +32,7 @@ from repro.streaming.checkpoint import (
 )
 from repro.streaming.jsonl import record_to_json_line
 from repro.streaming.runtime import StreamingRuntime
+from repro.streaming.sharded import ShardedRuntime
 
 QUERIES = {
     "pattern": """
@@ -212,6 +217,13 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError):
             forced.restore(state)
 
+    def test_restore_rejects_an_event_snapshot_into_a_type_registration(self):
+        runtime = build_runtime(QUERIES["type"], granularity="event")
+        runtime.process_batch(stream(count=40))
+        state = json.loads(json.dumps(runtime.checkpoint()))
+        with pytest.raises(CheckpointError, match="granularit"):
+            build_runtime(QUERIES["type"], granularity="type").restore(state)
+
     def test_restore_rejects_changed_emit_empty_groups(self):
         state = build_runtime(QUERIES["type"]).checkpoint()
         other = StreamingRuntime(lateness=3.0)
@@ -270,6 +282,191 @@ class TestCheckpointValidation:
 
         with pytest.raises(CheckpointError):
             snapshot_aggregator(Mystery())
+
+
+#: the restore error names the recorded class and the class the plan builds
+MESSAGE_PATTERN = (
+    "'EventGrainedAggregator' aggregator but the plan builds 'TypeGrainedAggregator'"
+)
+
+
+def mixed_class_snapshot(label="type", other="event"):
+    """A snapshot labelled ``label`` whose first entry an ``other`` plan built.
+
+    Checkpoints once held such entries: a query live-migrated from type to
+    event granularity kept its open windows' aggregators of the old class.
+    A plan builds one class, so restoring one must fail.
+    """
+    events = stream(count=120)
+    labelled = build_runtime(QUERIES["type"], granularity=label)
+    built_by_other = build_runtime(QUERIES["type"], granularity=other)
+    labelled.process_batch(events)
+    built_by_other.process_batch(events)
+    state = json.loads(json.dumps(labelled.checkpoint()))
+    entries = state["executors"]["q"]["aggregators"]
+    (window, key, _), *_ = entries
+    for other_window, other_key, other_state in built_by_other.checkpoint()[
+        "executors"
+    ]["q"]["aggregators"]:
+        if (other_window, other_key) == (window, key):
+            entries[0] = [window, key, json.loads(json.dumps(other_state))]
+    assert state["executors"]["q"]["granularity"] == label
+    assert entries[0][2]["class"] == aggregator_name(other)
+    return state
+
+
+def aggregator_name(granularity):
+    """The aggregator class a ``granularity`` plan of the ANY query builds."""
+    plan = plan_query(parse_query(QUERIES["type"]), forced_granularity=granularity)
+    return aggregator_class(plan).__name__
+
+
+class TestMixedClassCheckpoints:
+    def test_single_process_restore_names_both_classes(self):
+        runtime = build_runtime(QUERIES["type"], granularity="type")
+        with pytest.raises(CheckpointError, match=MESSAGE_PATTERN):
+            runtime.restore(mixed_class_snapshot())
+        with pytest.raises(RuntimeError):
+            runtime.process(Event("A", 500.0, {"g": "x", "v": 1}))
+
+    def test_sharded_restore_names_both_classes_and_stops_the_workers(self):
+        runtime = ShardedRuntime(workers=2, lateness=3.0)
+        runtime.register(QUERIES["type"], name="q", granularity="type")
+        runtime.process(Event("A", 1.0, {"g": "x", "v": 1}))
+        workers = list(runtime._procs)
+        assert len(workers) == 2
+        with pytest.raises(CheckpointError, match=MESSAGE_PATTERN):
+            runtime.restore(mixed_class_snapshot())
+        assert runtime._poisoned
+        assert runtime._procs == []
+        assert not any(worker.is_alive() for worker in workers)
+
+    @pytest.mark.parametrize(
+        "label, other",
+        [
+            (label, other)
+            for label in ("type", "mixed", "event")
+            for other in ("type", "mixed", "event")
+            if label != other
+        ],
+    )
+    def test_restore_rejects_an_entry_another_plan_built(self, label, other):
+        runtime = build_runtime(QUERIES["type"], granularity=label)
+        message = (
+            f"'{aggregator_name(other)}' aggregator but the plan "
+            f"builds '{aggregator_name(label)}'"
+        )
+        with pytest.raises(CheckpointError, match=message):
+            runtime.restore(mixed_class_snapshot(label, other))
+
+
+#: every (catalogue query, granularity it admits) pair
+ADMITTED_CELLS = [(name, g) for name in sorted(CATALOGUE) for g in ADMITTED[name]]
+
+
+class TestEveryAdmittedGranularity:
+    """A query keeps the plan it was registered with for its whole life:
+    run, checkpointed and resumed at every granularity it admits, it emits
+    what the oracle says, and a snapshot resumes only into that plan."""
+
+    @pytest.mark.parametrize("name, granularity", ADMITTED_CELLS)
+    def test_forced_run_matches_the_oracle(self, name, granularity):
+        events = stream(count=160)
+        records = build_runtime(CATALOGUE[name], granularity).run(events)
+        expected = expected_records([("q", CATALOGUE[name])], events, 3.0)
+        assert canonical(records) == canonical(expected)
+
+    @pytest.mark.parametrize("name, granularity", ADMITTED_CELLS)
+    def test_checkpoint_records_the_plan_and_resumes_it(self, name, granularity):
+        events = stream(count=160)
+        text = CATALOGUE[name]
+        first = build_runtime(text, granularity)
+        records = []
+        for event in events[:80]:
+            records.extend(first.process(event))
+        state = json.loads(json.dumps(first.checkpoint()))
+        assert [query["granularity"] for query in state["queries"]] == [granularity]
+        assert state["executors"]["q"]["granularity"] == granularity
+
+        resumed = build_runtime(text, granularity)
+        resumed.restore(state)
+        for event in events[80:]:
+            records.extend(resumed.process(event))
+        records.extend(resumed.flush())
+        uninterrupted = build_runtime(text, granularity).run(events)
+        assert emission_signature(records) == emission_signature(uninterrupted)
+
+    @pytest.mark.parametrize(
+        "name, taken, registered",
+        [
+            (name, taken, registered)
+            for name in sorted(CATALOGUE)
+            for taken in ADMITTED[name]
+            for registered in ADMITTED[name]
+            if taken != registered
+        ],
+    )
+    def test_restore_into_another_granularity_is_rejected(
+        self, name, taken, registered
+    ):
+        runtime = build_runtime(CATALOGUE[name], taken)
+        runtime.process_batch(stream(count=80))
+        state = json.loads(json.dumps(runtime.checkpoint()))
+        with pytest.raises(CheckpointError, match="granularit"):
+            build_runtime(CATALOGUE[name], registered).restore(state)
+
+
+def run_split(first, second, events, cut):
+    """Process ``events[:cut]`` on ``first``, resume the rest on ``second``."""
+    records = []
+    for event in events[:cut]:
+        records.extend(first.process(event))
+    state = json.loads(json.dumps(first.checkpoint()))
+    if isinstance(first, ShardedRuntime):
+        records.extend(first.drain_pending())
+        first.close()
+    second.restore(state)
+    for event in events[cut:]:
+        records.extend(second.process(event))
+    records.extend(second.flush())
+    if isinstance(second, ShardedRuntime):
+        second.close()
+    return records
+
+
+def sharded_runtime(granularity):
+    runtime = ShardedRuntime(workers=2, lateness=3.0, ship_interval=8)
+    runtime.register(QUERIES["type"], name="q", granularity=granularity)
+    return runtime
+
+
+class TestSnapshotsAcrossTopologies:
+    """Checkpoints are topology-independent at every granularity: a sharded
+    snapshot resumes on one process and a single-process one on shards."""
+
+    @pytest.mark.parametrize("granularity", ["type", "mixed", "event"])
+    def test_sharded_snapshot_resumes_on_one_process(self, granularity):
+        events = stream(count=200)
+        records = run_split(
+            sharded_runtime(granularity),
+            build_runtime(QUERIES["type"], granularity),
+            events,
+            cut=100,
+        )
+        expected = expected_records([("q", QUERIES["type"])], events, 3.0)
+        assert canonical(records) == canonical(expected)
+
+    @pytest.mark.parametrize("granularity", ["type", "mixed", "event"])
+    def test_single_process_snapshot_resumes_on_shards(self, granularity):
+        events = stream(count=200)
+        records = run_split(
+            build_runtime(QUERIES["type"], granularity),
+            sharded_runtime(granularity),
+            events,
+            cut=100,
+        )
+        expected = expected_records([("q", QUERIES["type"])], events, 3.0)
+        assert canonical(records) == canonical(expected)
 
 
 class TestPrimitiveSnapshots:

@@ -990,7 +990,6 @@ FLAG_CASES = {
         ["--decode-batch-size", "0"],
     ),
     "rebalance": (["--rebalance"], True, None),
-    "replan": (["--replan"], True, None),
     "metrics_export": (
         ["--metrics-export", "m.jsonl"],
         "m.jsonl",
@@ -1022,7 +1021,7 @@ FLAG_CASES = {
 class TestFlagTable:
     """The one flag <-> config path table, walked in both directions."""
 
-    def test_stream_keeps_its_27_arguments_and_every_flag_has_a_case(self):
+    def test_stream_keeps_its_26_arguments_and_every_flag_has_a_case(self):
         from repro.cli import _STREAM_FLAGS, build_parser
 
         commands = build_parser()._subparsers._group_actions[0]
@@ -1031,7 +1030,7 @@ class TestFlagTable:
             for action in commands.choices["stream"]._actions
             if action.dest != "help"
         }
-        assert len(dests) == 27
+        assert len(dests) == 26
         assert set(_STREAM_FLAGS) == dests - {"queries", "config", "dry_run", "metrics"}
         assert set(FLAG_CASES) == set(_STREAM_FLAGS)
 

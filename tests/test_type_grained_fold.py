@@ -324,118 +324,42 @@ WITHIN 20 seconds SLIDE 5 seconds
 """
 
 
-class TestDispatchAfterMigration:
+class TestSlicedRunsFollowTheRecurrence:
     @pytest.mark.parametrize(
-        "before, after, seed",
+        "text, granularity",
         [
-            # a group's older windows hold the previous class, so one run
-            # meets two classes: type first (its fold reads ``_cells``, which
-            # no other class has), and the other way round
-            ("type", "event", 1),
-            ("type", "event", 2),
-            ("event", "type", 3),
-            ("type", "mixed", 4),
-        ],
-    )
-    def test_slices_reach_open_windows_of_the_previous_granularity(
-        self, before, after, seed
-    ):
-        """One executor, two granularities: one call per stretch of a class."""
-        events = stream(29, 300, types="AAB", groups="xyz")
-        cut = len(events) // 2
-        static = StreamingRuntime(lateness=0.0)
-        static.register(QUERY, name="q", granularity=before)
-        expected = []
-        for event in events:
-            expected.extend(static.process_ordered([event]))  # the slice-of-one loop
-        expected.extend(static.flush())
-
-        runtime = StreamingRuntime(lateness=0.0)
-        runtime.register(QUERY, name="q", granularity=before)
-        # process_ordered hands the sorted slice to the executors as runs
-        records = runtime.process_ordered(events[:cut])
-        assert runtime.migrate_granularity("q", after)
-
-        def open_classes():
-            executor = runtime.engine("q").executor
-            return {
-                type(aggregator).__name__
-                for _window, _key, aggregator in executor.open_aggregators()
-            }
-
-        previous = open_classes()
-        assert len(previous) == 1
-        # the very next slices feed executor.process_batch while windows of
-        # the old granularity are still open next to freshly opened ones
-        rng = random.Random(seed)
-        slices_into_both = 0
-        start = cut
-        while start < len(events):
-            size = rng.randint(1, 30)
-            records.extend(runtime.process_ordered(events[start:start + size]))
-            start += size
-            classes = open_classes()
-            if len(classes) == 2:
-                assert previous < classes
-                slices_into_both += 1
-        assert slices_into_both >= 2
-        records.extend(runtime.flush())
-        assert open_classes() == set()
-
-        assert [json.dumps(record.as_dict()) for record in records] == [
-            json.dumps(record.as_dict()) for record in expected
-        ]
-
-    @pytest.mark.parametrize(
-        "text, granularities",
-        [
-            (QUERY, ("type", "mixed", "event")),
+            pytest.param(QUERY, "type", id="plain-type"),
+            pytest.param(QUERY, "mixed", id="plain-mixed"),
+            pytest.param(QUERY, "event", id="plain-event"),
             # a negated query admits no mixed granularity
-            (NEGATED, ("type", "event")),
+            pytest.param(NEGATED, "type", id="negated-type"),
+            pytest.param(NEGATED, "event", id="negated-event"),
         ],
-        ids=["plain", "negated"],
     )
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_live_migrations_through_every_admitted_granularity(
-        self, text, granularities, seed
-    ):
-        """Windows stay open across each switch, and after every slice each
-        open aggregator holds what the literal recurrence of its own class
-        builds from the events of its (window, group)."""
-        events = stream(seed + 40, 300, types="AAABC", groups="xyz")
+    def test_every_admitted_granularity_folds_slice_by_slice(self, text, granularity):
+        """After every slice each open aggregator holds what the literal
+        recurrence of its class builds from the events of its (window,
+        group), and the sliced run emits what the whole-stream run does."""
+        events = stream(45, 200, types="AAABC", groups="xyz")
         static = StreamingRuntime(lateness=0.0)
-        static.register(text, name="q", granularity=granularities[0])
+        static.register(text, name="q", granularity=granularity)
         expected = static.process_ordered(events) + static.flush()
 
         runtime = StreamingRuntime(lateness=0.0)
-        runtime.register(text, name="q", granularity=granularities[0])
+        runtime.register(text, name="q", granularity=granularity)
         negations = runtime.engine("q").plan.negations
         components = negations.components if negations is not None else ()
-        switches = {
-            len(events) * number // len(granularities): granularity
-            for number, granularity in enumerate(granularities[1:], 1)
-        }
-        rng = random.Random(seed)
+        rng = random.Random(granularity)
         records = []
-        seen_classes = []
         start = 0
         while start < len(events):
             stop = min(len(events), start + rng.randint(1, 30))
-            stop = min([stop, *(cut for cut in switches if cut > start)])
             records.extend(runtime.process_ordered(events[start:stop]))
             start = stop
-            executor = runtime.engine("q").executor
             assert_every_aggregator_follows_its_recurrence(
-                executor, events[:start], components
+                runtime.engine("q").executor, events[:start], components
             )
-            seen_classes.append(
-                {type(a).__name__ for _w, _k, a in executor.open_aggregators()}
-            )
-            if start in switches:
-                assert runtime.migrate_granularity("q", switches[start])
         records.extend(runtime.flush())
-        # every switch left windows of the previous class open next to new ones
-        assert sum(len(classes) >= 2 for classes in seen_classes) >= len(switches)
         assert [json.dumps(record.as_dict()) for record in records] == [
             json.dumps(record.as_dict()) for record in expected
         ]

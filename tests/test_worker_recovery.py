@@ -170,8 +170,8 @@ class TestRecoveredStateIsExact:
     The recovery baseline is the per-shard slices the live workers held at
     the last consistent cut, so a respawned worker resumes *its own*
     ``events_seen`` -- not a share re-split from a composed snapshot --
-    whatever cut the baseline last: a checkpoint, a rebalance, a
-    granularity migration or a ``restore()``.
+    whatever cut the baseline last: a checkpoint, a rebalance or a
+    ``restore()``.
     """
 
     @staticmethod
@@ -180,7 +180,7 @@ class TestRecoveredStateIsExact:
 
         The baseline is cut at event 100 (a checkpoint, or a ``restore()``
         of a 2-worker checkpoint into 3 workers) and -- for ``rebalance``
-        and ``replan`` -- re-cut at event 150; shard ``kill`` dies at 200.
+        -- re-cut at event 150; shard ``kill`` dies at 200.
         """
         events = stream(count=400)
         runtime = ShardedRuntime(
@@ -206,8 +206,6 @@ class TestRecoveredStateIsExact:
                 slot = runtime._router.slot_of(key)
                 moves = [(slot, 1 - runtime._router.assignment[slot])]
                 assert runtime.rebalance(moves) == moves
-            elif scenario == "replan":
-                assert runtime.migrate_granularity("q", "event")
             runtime.process_batch(events[150:200])
             if kill is not None:
                 kill_worker(runtime, kill)
@@ -222,7 +220,6 @@ class TestRecoveredStateIsExact:
             ("checkpoint", 0),
             ("checkpoint", 1),
             ("rebalance", 0),
-            ("replan", 0),
             ("restore", 0),
         ],
     )
@@ -234,15 +231,15 @@ class TestRecoveredStateIsExact:
         assert recovered == uncrashed
 
 
-class TestObserveDuringRecovery:
-    def test_observe_ack_delivered_during_another_shards_recovery_is_kept(
+class TestCollectDuringRecovery:
+    def test_collect_ack_delivered_during_another_shards_recovery_is_kept(
         self, monkeypatch
     ):
-        """Shard 1 dies during an ``observe`` collection over 3 workers and
+        """Shard 1 dies during a ``metrics`` collection over 3 workers and
         shard 2's answer is delivered while shard 1's ready handshake is
-        awaited: the answer belongs to the observe epoch whoever reads it,
-        so the merged observation still covers all three shards (it used to
-        be swallowed, and the collection waited out the ack timeout)."""
+        awaited: the answer belongs to the collection's epoch whoever reads
+        it, so the collection still covers all three shards (it used to be
+        swallowed, and the collection waited out the ack timeout)."""
         # a lost answer fails in seconds, not in two minutes
         monkeypatch.setattr(sharded, "ACK_TIMEOUT_SECONDS", 5.0)
         events = stream(count=120, types="AB")  # every event reaches q
@@ -251,13 +248,12 @@ class TestObserveDuringRecovery:
             lateness=0.0,
             ship_interval=4,
             max_restarts=1,
-            replan={"enabled": True, "check_interval_events": 10**6},
         )
         runtime.register(QUERY, name="q")
         with runtime:
             runtime.process_batch(events)
             runtime.checkpoint()  # quiesces: nothing is in flight from here
-            observe_epoch = runtime._epoch
+            collect_epoch = runtime._epoch
             read_ack = runtime._read_ack
             answers = {}
             calls = []
@@ -269,7 +265,7 @@ class TestObserveDuringRecovery:
                     # with its pipe, shard 0's is delivered first
                     while len(answers) < 3:
                         ack = read_ack(1.0)
-                        assert ack[:2] == ("ok", observe_epoch)
+                        assert ack[:2] == ("ok", collect_epoch)
                         answers[ack[2]] = ack
                     return answers[0]
                 if len(calls) == 2:
@@ -281,7 +277,15 @@ class TestObserveDuringRecovery:
                 return read_ack(timeout)
 
             monkeypatch.setattr(runtime, "_read_ack", scripted)
-            runtime._replan_now()
+            payloads = runtime._collect("metrics")
             assert runtime.restart_counts == [0, 1, 0]
+            assert sorted(payloads) == [0, 1, 2]
+            counted = sum(
+                child["value"]
+                for payload in payloads.values()
+                for child in payload["registry"]["families"][
+                    "cogra_query_events_total"
+                ]["children"]
+            )
             shipped = sum(stats.events_sent for stats in runtime.shard_stats)
-            assert runtime.query_observations()["q"].events_total == shipped > 0
+            assert counted == shipped > 0
