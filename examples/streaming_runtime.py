@@ -1,12 +1,12 @@
-"""Streaming pipeline demo: sources, sinks, incremental checkpoints, recovery.
+"""Streaming pipeline demo: sources, sinks, checkpoints, recovery.
 
 Simulates a live stock feed with bounded disorder and runs it through the
 pipeline driver (source -> ingest/watermark -> route -> execute -> emit ->
 sink) instead of a hand-rolled ingestion loop:
 
 1. two queries registered against one out-of-order stream, emitted into an
-   in-memory sink while an incremental :class:`CheckpointStore` snapshots
-   the runtime every 500 events (deltas + periodic base compaction);
+   in-memory sink while a :class:`CheckpointStore` snapshots the runtime
+   every 500 events (each save a full snapshot replacing the last);
 2. the run is *abandoned mid-stream* -- as if the process had died -- and a
    fresh runtime resumes from the newest on-disk checkpoint, replaying only
    the events the checkpoint had not ingested yet;
@@ -105,7 +105,7 @@ def main() -> None:
 
     # == 2: the same job, checkpointing every 500 events -- then it "dies" ==
     store_dir = tempfile.mkdtemp(prefix="cogra-ckpt-")
-    with CheckpointStore(store_dir, compact_every=4) as store:
+    with CheckpointStore(store_dir) as store:
         crashed = build_runtime()
         survivors = []
         for record in crashed.drive(

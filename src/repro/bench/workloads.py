@@ -1,11 +1,11 @@
 """Workload builders for every figure of the paper's evaluation (Section 9).
 
-Each builder returns the list of workload points of one parameter sweep.
-The default sizes are chosen so that ``pytest benchmarks/ --benchmark-only``
-finishes in minutes on a laptop; the CLI (``cogra figures --scale paper``)
-runs the same sweeps at larger sizes.  Exponential baselines are protected
-by cost budgets, so oversized configurations show up as ``DNF`` exactly
-like the paper's non-terminating runs.
+Each builder returns the list of workload points of one parameter sweep,
+at the one size both ``pytest benchmarks`` and ``cogra figures`` run
+(neither takes a scale).  The whole suite takes about half an hour on two
+vCPUs (``--benchmark-disable``).  Exponential baselines are protected by
+cost budgets, so oversized configurations show up as ``DNF`` exactly like
+the paper's non-terminating runs.
 """
 
 from __future__ import annotations

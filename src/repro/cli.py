@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--checkpoint-dir",
         default=None,
-        help="directory of the incremental checkpoint store; with "
+        help="directory of the checkpoint store; with "
         "--checkpoint-interval the job checkpoints periodically, with "
         "--recover it resumes from the newest checkpoint",
     )
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="checkpoint every N ingested events into --checkpoint-dir "
-        "(incremental deltas, periodically compacted)",
+        "(each a full snapshot replacing the previous one)",
     )
     stream.add_argument(
         "--recover",
@@ -724,26 +724,11 @@ def _resolve_stream_config(args) -> JobConfig:
     :func:`_in_flag_words`) for anything invalid.
     """
     file_layer = read_config_file(args.config) if args.config else {}
-    config = JobConfig.from_dict(
+    return JobConfig.from_dict(
         merge_config_layers(
             _STREAM_CLI_DEFAULTS, file_layer, _stream_flag_overrides(args)
         )
     )
-    if (
-        config.checkpoint.recover
-        and config.checkpoint.interval
-        and config.shards.workers > 1
-        and config.shards.max_restarts == 0
-    ):
-        # --recover with periodic checkpoints also means "survive worker
-        # crashes": restart shards from the latest checkpoint instead of
-        # aborting.  Without an interval the replay buffers would never be
-        # trimmed (nothing calls checkpoint()) and the parent would retain
-        # every shipped event, so restarts stay disabled then.
-        config = dataclasses.replace(
-            config, shards=dataclasses.replace(config.shards, max_restarts=3)
-        )
-    return config
 
 
 def _command_stream(args) -> int:
@@ -756,8 +741,11 @@ def _command_stream(args) -> int:
 
     if args.dry_run:
         # stdout gets the resolved spec as valid JSON -- reusable verbatim
-        # as a --config file -- and stderr the human-readable plan
-        print(json.dumps(config.to_dict(), indent=2))
+        # as a --config file, with the worker restarts the runtime gets --
+        # and stderr the human-readable plan
+        spec = config.to_dict()
+        spec["shards"]["max_restarts"] = config.worker_restarts()
+        print(json.dumps(spec, indent=2))
         for name, granularity in config.granularity_plan().items():
             print(f"# {name}: granularity={granularity}", file=sys.stderr)
         return 0

@@ -14,25 +14,17 @@ inspectable, diffable, and independent of Python object layout.  Unknown
 aggregator classes raise :class:`~repro.errors.CheckpointError` instead of
 silently writing an incomplete snapshot.
 
-On top of the snapshot codec, :class:`CheckpointStore` persists a *chain*
-of checkpoints to a directory: full base snapshots plus **incremental
-deltas** (only the per-executor aggregators that changed since the previous
-checkpoint), periodically compacted into a fresh base.  Sustained update
-streams mutate a small working set of open windows per interval, so deltas
-stay small while full snapshots grow with total state -- the same argument
-that makes delta-based incremental view maintenance tractable.  The store
-writes in the caller's thread: a checkpoint is on disk when :meth:`save`
-returns.
+On top of the snapshot codec, :class:`CheckpointStore` persists the
+newest checkpoint to a directory as one full snapshot, replacing the
+previous one.  The store writes in the caller's thread: a checkpoint is on
+disk when :meth:`save` returns.
 
 Each snapshot entry ``[window_id, key, state]`` is encoded once, where its
 aggregator lives, by :func:`entry_text`: the bytes the entry has inside
 ``json.dumps(snapshot, sort_keys=True)``.  A sharded worker ships its
 entries in that form (:class:`EncodedEntry`), so the parent neither
-rebuilds nor re-encodes their state.  The text is also the delta diff's
-fingerprint: an entry changed exactly when its text differs, which keeps
-``0``, ``0.0`` and ``False`` apart, ``0.0`` and ``-0.0`` too, and an
-unchanged ``NaN`` equal.  Files join those texts into their envelope
-member by member, so every file is byte for byte a plain
+rebuilds nor re-encodes their state.  Files join those texts into their
+envelope member by member, so every file is byte for byte a plain
 ``json.dumps(payload, sort_keys=True)`` and no state is encoded twice.
 """
 
@@ -294,9 +286,9 @@ def restore_aggregator_state(aggregator, snapshot: Dict[str, object]) -> None:
 def _entry_order(entry) -> Tuple[int, str]:
     """Canonical position of a ``[window_id, key, state]`` snapshot entry.
 
-    The entries are a set keyed by ``(window_id, key)`` -- restore, merge,
-    split and the delta diff all treat them so; one order makes snapshots
-    of equal state equal and diffable.
+    The entries are a set keyed by ``(window_id, key)`` -- restore, merge
+    and split all treat them so; one order makes snapshots of equal state
+    equal and diffable.
     """
     return (entry[0], repr(entry[1]))
 
@@ -595,28 +587,19 @@ def _object(value: Dict[str, object], encoded: Dict[str, str]) -> str:
     return "{" + joined + "}"
 
 
-def _array(texts: List[str]) -> str:
-    """The JSON array of already-encoded ``texts``."""
-    return "[" + ", ".join(texts) + "]"
+def _executors_json(executors: Dict[str, Dict]) -> str:
+    """The ``executors`` section of a snapshot, each entry joined as its text.
 
-
-def _entry_texts(name: str, state: Dict[str, object]) -> List[str]:
-    """The :func:`entry_text` of each of query ``name``'s entries, in order."""
-    try:
-        return [entry_text(entry) for entry in state["aggregators"]]
-    except ValueError as exc:
-        raise _unwritable(f"query {name!r}") from exc
-
-
-def _executors_json(executors: Dict[str, Dict], texts: Dict[str, List[str]]) -> str:
-    """The ``executors`` section of a snapshot, its entries given as texts."""
-    return _object(
-        {},
-        {
-            name: _object(state, {"aggregators": _array(texts[name])})
-            for name, state in executors.items()
-        },
-    )
+    An entry past the int-to-str digit limit raises, naming its query.
+    """
+    members = {}
+    for name, state in executors.items():
+        try:
+            texts = [entry_text(entry) for entry in state["aggregators"]]
+        except ValueError as exc:
+            raise _unwritable(f"query {name!r}") from exc
+        members[name] = _object(state, {"aggregators": "[" + ", ".join(texts) + "]"})
+    return _object({}, members)
 
 
 def _joined(value: Dict[str, object], encoded: Dict[str, str]) -> str:
@@ -636,9 +619,8 @@ def save_checkpoint(state: Dict[str, object], path) -> Path:
     """Write a snapshot (e.g. ``StreamingRuntime.checkpoint()``) as JSON."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    executors = state["executors"]
-    texts = {name: _entry_texts(name, executor) for name, executor in executors.items()}
-    _write_text(path, _joined(state, {"executors": _executors_json(executors, texts)}))
+    executors_json = _executors_json(state["executors"])
+    _write_text(path, _joined(state, {"executors": executors_json}))
     return path
 
 
@@ -652,17 +634,13 @@ def load_checkpoint(path) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
-# the incremental checkpoint store
+# the checkpoint store
 # ---------------------------------------------------------------------------
 
 #: bump when the store's file/manifest layout changes incompatibly
 STORE_VERSION = 1
 
 _MANIFEST_NAME = "MANIFEST.json"
-
-#: snapshot keys a delta always carries in full (they are small and change
-#: every interval); everything else top-level travels under "extra"
-_DELTA_FULL_KEYS = ("version", "queries", "ingest", "metrics", "emitted_counts")
 
 
 class CheckpointEntry:
@@ -683,56 +661,24 @@ class CheckpointEntry:
         )
 
 
-#: an executor's diff index: ``(window_id, repr(key))`` -> ``(key, entry text)``
-_Index = Dict[Tuple[int, str], Tuple[list, str]]
-
-
-def _index_executor(
-    name: str, state: Dict[str, object], previous: Optional[_Index] = None
-) -> Tuple[_Index, List[str], List[str]]:
-    """Index query ``name``'s entries; return the index, the texts, the changed texts.
-
-    An entry's index key is its :func:`_entry_order` and its fingerprint
-    its :func:`entry_text`, so an entry changed exactly when its text
-    differs from ``previous``'s.  With no ``previous`` nothing is compared.
-    """
-    texts = _entry_texts(name, state)
-    index: _Index = {}
-    changed: List[str] = []
-    for entry, text in zip(state["aggregators"], texts):
-        key = _entry_order(entry)
-        index[key] = (entry[1], text)
-        if previous is not None:
-            known = previous.get(key)
-            if known is None or known[1] != text:
-                changed.append(text)
-    return index, texts, changed
-
-
 class CheckpointStore:
-    """A directory of incremental checkpoints with periodic compaction.
+    """A directory holding the newest full checkpoint.
 
-    Layout: ``MANIFEST.json`` names the current chain -- one *base* file
-    holding a full snapshot, followed by *delta* files each holding only
-    the aggregator entries that changed (or disappeared) since the
-    previous checkpoint.  :meth:`load_latest` replays the chain back into
-    one full snapshot that restores into any runtime the snapshot schema
-    allows (single-process or sharded, any worker count).
+    Layout: ``MANIFEST.json`` names the current *base* file, which holds a
+    full snapshot; every :meth:`save` writes a new base, points the
+    manifest at it and deletes the one it replaces.  :meth:`load_latest`
+    reads it back as a snapshot that restores into any runtime the
+    snapshot schema allows (single-process or sharded, any worker count).
 
     Parameters
     ----------
     directory:
-        Where the chain lives.  Created if missing; an existing chain is
-        picked up (the first :meth:`save` then starts a fresh base, since
-        the in-memory diffing state is gone).
-    compact_every:
-        Chain length at which the next save writes a full base snapshot
-        and prunes the previous chain.  ``1`` makes every checkpoint a
-        full snapshot (no deltas).
+        Where the checkpoint lives.  Created if missing; an existing
+        checkpoint is picked up and replaced by the first :meth:`save`.
     registry:
         Optional
         :class:`~repro.streaming.observability.MetricsRegistry` recording
-        write durations and bytes (labelled by base/delta kind) and
+        write durations and bytes (labelled ``kind="base"``) and
         :meth:`load_latest` durations.
     max_state_bytes:
         Optional cap on the serialized size of a snapshot's aggregator
@@ -747,8 +693,7 @@ class CheckpointStore:
 
     A save encodes each entry at most once: a sharded cut arrives with its
     entries already encoded (:class:`EncodedEntry`), a single-process one
-    is encoded entry by entry.  The delta diff compares those texts, and
-    the base file, the delta file and the quota count all join the same
+    is encoded entry by entry.  The file and the quota count join the same
     texts, so every file is byte for byte ``json.dumps(payload,
     sort_keys=True)``.  An integer past CPython's int-to-str digit limit
     raises :class:`~repro.errors.CheckpointError` naming its query.
@@ -757,13 +702,11 @@ class CheckpointStore:
     def __init__(
         self,
         directory: Union[str, Path],
-        compact_every: int = 8,
+        *,
         registry=None,
         max_state_bytes: Optional[int] = None,
         tenant: Optional[str] = None,
     ):
-        if compact_every < 1:
-            raise ValueError(f"compact_every must be at least 1, got {compact_every}")
         if max_state_bytes is not None and max_state_bytes < 1:
             raise ValueError(
                 f"max_state_bytes must be a positive byte count, "
@@ -773,27 +716,20 @@ class CheckpointStore:
         self.tenant = tenant
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.compact_every = compact_every
-        self._write_timers = None
-        self._byte_counters = None
+        self._write_timer = None
+        self._byte_counter = None
         self._restore_timer = None
         if registry is not None:
-            write_seconds = registry.histogram(
+            self._write_timer = registry.histogram(
                 "cogra_checkpoint_write_seconds",
                 "disk write duration of one checkpoint file",
                 ("kind",),
-            )
-            written_bytes = registry.counter(
+            ).labels("base")
+            self._byte_counter = registry.counter(
                 "cogra_checkpoint_bytes_total",
                 "serialized checkpoint bytes written to the store",
                 ("kind",),
-            )
-            self._write_timers = {
-                kind: write_seconds.labels(kind) for kind in ("base", "delta")
-            }
-            self._byte_counters = {
-                kind: written_bytes.labels(kind) for kind in ("base", "delta")
-            }
+            ).labels("base")
             self._restore_timer = registry.histogram(
                 "cogra_checkpoint_restore_seconds",
                 "duration of reconstructing the newest checkpoint chain",
@@ -801,8 +737,6 @@ class CheckpointStore:
         #: metadata of every checkpoint written by THIS store instance
         self.entries: List[CheckpointEntry] = []
         self._manifest = self._read_manifest()
-        #: per-executor index of the last saved snapshot, for diffing
-        self._last_index: Optional[Dict[str, _Index]] = None
         self._closed = False
 
     # -- manifest --------------------------------------------------------------
@@ -848,22 +782,9 @@ class CheckpointStore:
         return self._write(snapshot)
 
     def _write(self, snapshot: Dict[str, object]) -> CheckpointEntry:
-        """Encode, diff and quota-check ``snapshot``, then write its file."""
+        """Encode and quota-check ``snapshot``, then write it as the new base."""
         started = _perf_counter()
-        chain: List[Dict[str, object]] = self._manifest["chain"]
-        base = self._last_index is None or len(chain) >= self.compact_every
-        executors = snapshot["executors"]
-        index: Dict[str, _Index] = {}
-        texts: Dict[str, List[str]] = {}
-        changed: Dict[str, List[str]] = {}
-        for name, state in executors.items():
-            previous = None if base else self._last_index.get(name, {})
-            index[name], texts[name], changed[name] = _index_executor(
-                name, state, previous
-            )
-        executors_json = None
-        if base or self.max_state_bytes is not None:
-            executors_json = _executors_json(executors, texts)
+        executors_json = _executors_json(snapshot["executors"])
         if self.max_state_bytes is not None:
             # JSON escapes every non-ASCII character: one byte a character
             state_bytes = len(executors_json)
@@ -878,33 +799,24 @@ class CheckpointStore:
                     limit_bytes=self.max_state_bytes,
                 )
         checkpoint_id = int(self._manifest["next_id"])
-        if base:
-            kind = "base"
-            payload = _joined(
-                {"store_version": STORE_VERSION, "kind": kind, "id": checkpoint_id},
-                {"snapshot": _joined(snapshot, {"executors": executors_json})},
-            )
-        else:
-            kind = "delta"
-            payload = self._delta_json(checkpoint_id, snapshot, index, changed)
-        name = f"{kind}-{checkpoint_id:08d}.json"
+        payload = _joined(
+            {"store_version": STORE_VERSION, "kind": "base", "id": checkpoint_id},
+            {"snapshot": _joined(snapshot, {"executors": executors_json})},
+        )
+        name = f"base-{checkpoint_id:08d}.json"
         path = self.directory / name
         _write_text(path, payload)
+        # the new base replaces the old one, whose file is deleted once the
+        # manifest no longer names it
+        superseded = [self.directory / link["file"] for link in self._manifest["chain"]]
         self._manifest["next_id"] = checkpoint_id + 1
-        superseded = []
-        if base:
-            # a new base subsumes the old chain, whose files are deleted once
-            # the manifest no longer references them
-            superseded = [self.directory / item["file"] for item in chain]
-            chain.clear()
-        chain.append({"id": checkpoint_id, "kind": kind, "file": name})
+        self._manifest["chain"] = [{"id": checkpoint_id, "kind": "base", "file": name}]
         self._write_manifest()
-        self._last_index = index
-        entry = CheckpointEntry(checkpoint_id, kind, path, len(payload))
+        entry = CheckpointEntry(checkpoint_id, "base", path, len(payload))
         self.entries.append(entry)
-        if self._write_timers is not None:
-            self._write_timers[kind].observe(_perf_counter() - started)
-            self._byte_counters[kind].inc(entry.bytes_written)
+        if self._write_timer is not None:
+            self._write_timer.observe(_perf_counter() - started)
+            self._byte_counter.inc(entry.bytes_written)
         for stale in superseded:
             try:
                 stale.unlink()
@@ -912,100 +824,31 @@ class CheckpointStore:
                 pass
         return entry
 
-    def _delta_json(
-        self,
-        checkpoint_id: int,
-        snapshot: Dict[str, object],
-        index: Dict[str, _Index],
-        changed: Dict[str, List[str]],
-    ) -> str:
-        """The delta file of ``snapshot`` against the last saved index."""
-        executors: Dict[str, str] = {}
-        for name, state in snapshot["executors"].items():
-            previous = self._last_index.get(name, {})
-            current = index[name]
-            removed = [
-                [order[0], key]
-                for order, (key, _) in previous.items()
-                if order not in current
-            ]
-            executors[name] = _joined(
-                {
-                    "events_seen": state["events_seen"],
-                    "last_time": state["last_time"],
-                    "removed": removed,
-                },
-                {"changed": _array(changed[name])},
-            )
-        delta: Dict[str, object] = {
-            "store_version": STORE_VERSION,
-            "kind": "delta",
-            "id": checkpoint_id,
-            "parent": self._manifest["chain"][-1]["id"],
-            "extra": {
-                key: value
-                for key, value in snapshot.items()
-                if key not in _DELTA_FULL_KEYS and key != "executors"
-            },
-        }
-        for key in _DELTA_FULL_KEYS:
-            delta[key] = snapshot[key]
-        return _joined(delta, {"executors": _object({}, executors)})
-
     # -- reading ---------------------------------------------------------------
 
     def load_latest(self) -> Optional[Dict[str, object]]:
-        """Reconstruct the newest checkpoint, or ``None`` for an empty store.
-
-        Replays the chain: the base snapshot, then every delta in order --
-        changed aggregator entries replace or extend the set, removed ones
-        (windows emitted and evicted between checkpoints) are dropped, and
-        the small whole-value sections (ingest, metrics, ...) are taken
-        from the newest delta.
+        """The newest checkpoint's snapshot, or ``None`` for an empty store.
 
         Reading works on a closed store too -- closing only stops writes.
         """
         started = _perf_counter()
-        manifest = self._read_manifest()
-        chain: List[Dict[str, object]] = manifest["chain"]
+        chain: List[Dict[str, object]] = self._read_manifest()["chain"]
         if not chain:
             return None
-        if chain[0].get("kind") != "base":
+        if len(chain) > 1:
             raise CheckpointError(
-                f"checkpoint store at {self.directory} has a chain that does "
-                f"not start with a base snapshot; the store is corrupt"
+                f"checkpoint store manifest {self.directory / _MANIFEST_NAME} "
+                f"chains {len(chain)} files: a base followed by incremental "
+                f"deltas, which this build no longer reads; recover with the "
+                f"build that wrote it or start a fresh directory"
             )
-        snapshot = self._read_file(chain[0])["snapshot"]
-        self._validate_snapshot_shape(snapshot, chain[0])
-        previous_id = int(chain[0]["id"])
-        for link in chain[1:]:
-            delta = self._read_file(link)
-            if delta.get("kind") != "delta":
-                raise CheckpointError(
-                    f"checkpoint {link.get('file')} should be a delta but "
-                    f"records kind {delta.get('kind')!r}; the store is corrupt"
-                )
-            if delta.get("parent") != previous_id:
-                raise CheckpointError(
-                    f"checkpoint {link.get('file')} continues checkpoint "
-                    f"{delta.get('parent')!r} but the chain is at "
-                    f"{previous_id}; the store is corrupt"
-                )
-            snapshot = self._apply_delta(snapshot, delta, link)
-            previous_id = int(delta["id"])
-        if self._restore_timer is not None:
-            self._restore_timer.observe(_perf_counter() - started)
-        return snapshot
-
-    def _read_file(self, link: Dict[str, object]) -> Dict[str, object]:
-        path = self.directory / str(link["file"])
+        path = self.directory / str(chain[0]["file"])
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise CheckpointError(
                 f"checkpoint file {path} is missing, truncated or corrupt "
-                f"({exc}); the newest usable state is an earlier chain -- "
-                f"restore from a different store or restart the job"
+                f"({exc}); restore from a different store or restart the job"
             ) from exc
         version = payload.get("store_version")
         if version != STORE_VERSION:
@@ -1013,46 +856,15 @@ class CheckpointStore:
                 f"checkpoint file {path} has layout version {version!r} but "
                 f"this build reads {STORE_VERSION}"
             )
-        return payload
-
-    @staticmethod
-    def _validate_snapshot_shape(snapshot, link) -> None:
+        snapshot = payload.get("snapshot")
         if not isinstance(snapshot, dict) or "executors" not in snapshot:
             raise CheckpointError(
-                f"checkpoint {link.get('file')} does not hold a runtime "
-                f"snapshot; the store is corrupt"
+                f"checkpoint {path} does not hold a runtime snapshot; the "
+                f"store is corrupt"
             )
-
-    @staticmethod
-    def _apply_delta(
-        snapshot: Dict[str, object], delta: Dict[str, object], link
-    ) -> Dict[str, object]:
-        try:
-            executors: Dict[str, Dict[str, object]] = {}
-            for name, change in delta["executors"].items():
-                state = snapshot["executors"][name]
-                entries = {_entry_order(entry): entry for entry in state["aggregators"]}
-                for entry in change["changed"]:
-                    entries[_entry_order(entry)] = entry
-                for window_id, key in change["removed"]:
-                    entries.pop((window_id, repr(key)), None)
-                executors[name] = {
-                    "query": state["query"],
-                    "granularity": state["granularity"],
-                    "events_seen": change["events_seen"],
-                    "last_time": change["last_time"],
-                    "aggregators": [entries[key] for key in sorted(entries)],
-                }
-            rebuilt: Dict[str, object] = {"executors": executors}
-            for key in _DELTA_FULL_KEYS:
-                rebuilt[key] = delta[key]
-            rebuilt.update(delta.get("extra", {}))
-            return rebuilt
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint delta {link.get('file')} cannot be applied "
-                f"({exc}); the store is corrupt"
-            ) from exc
+        if self._restore_timer is not None:
+            self._restore_timer.observe(_perf_counter() - started)
+        return snapshot
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -1083,7 +895,4 @@ class CheckpointStore:
         return int(chain[-1]["id"]) if chain else None
 
     def __repr__(self) -> str:
-        return (
-            f"CheckpointStore({str(self.directory)!r}, "
-            f"compact_every={self.compact_every})"
-        )
+        return f"CheckpointStore({str(self.directory)!r})"

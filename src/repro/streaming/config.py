@@ -484,8 +484,7 @@ class CheckpointConfig(_Section):
 
     ``dir`` names the on-disk :class:`~repro.streaming.checkpoint.
     CheckpointStore`; ``interval`` checkpoints every N ingested events
-    (incremental deltas, compacted every ``compact_every`` checkpoints,
-    each on disk before the job ingests on);
+    (each a full snapshot, on disk before the job ingests on);
     ``recover`` resumes the job from the newest checkpoint in ``dir`` --
     and, combined with ``interval`` on a sharded topology, also restarts
     crashed workers from checkpoints instead of aborting.
@@ -493,7 +492,6 @@ class CheckpointConfig(_Section):
 
     dir: Optional[str] = None
     interval: Optional[int] = field(default=None, metadata={"min": 1})
-    compact_every: int = field(default=8, metadata={"min": 1})
     recover: bool = False
 
     def __post_init__(self) -> None:
@@ -501,7 +499,7 @@ class CheckpointConfig(_Section):
         if self.interval is not None and not self.dir:
             raise ConfigError(
                 "checkpoint.interval requires checkpoint.dir "
-                "(where the incremental checkpoints are stored)"
+                "(where the checkpoints are stored)"
             )
         if self.recover and not self.dir:
             raise ConfigError(
@@ -525,11 +523,7 @@ class CheckpointConfig(_Section):
         """
         if not self.dir:
             return None
-        return CheckpointStore(
-            self.dir,
-            compact_every=self.compact_every,
-            registry=registry,
-        )
+        return CheckpointStore(self.dir, registry=registry)
 
 
 @dataclass(frozen=True)
@@ -819,6 +813,27 @@ class JobConfig(_Section):
             for name, query in zip(self.resolved_names(), self.queries)
         }
 
+    def worker_restarts(self) -> int:
+        """The ``max_restarts`` a sharded runtime built from this spec gets.
+
+        ``shards.max_restarts``, except that ``checkpoint.recover`` with
+        ``checkpoint.interval`` on a sharded topology also means "survive
+        worker crashes": a 0 there becomes 3, so a crashed shard restarts
+        from the newest checkpoint instead of aborting the job.  Without
+        an interval the replay buffers would never be trimmed (nothing
+        calls ``checkpoint()``) and the parent would retain every shipped
+        event, so restarts stay as set then.
+        """
+        shards, checkpoint = self.shards, self.checkpoint
+        if (
+            shards.max_restarts == 0
+            and shards.workers > 1
+            and checkpoint.recover
+            and checkpoint.interval
+        ):
+            return 3
+        return shards.max_restarts
+
     # -- building --------------------------------------------------------------
 
     def build_runtime(
@@ -850,7 +865,7 @@ class JobConfig(_Section):
                 late_policy=self.late.policy,
                 emit_empty_groups=self.emit_empty_groups,
                 ship_interval=self.shards.ship_interval,
-                max_restarts=self.shards.max_restarts,
+                max_restarts=self.worker_restarts(),
                 start_method=self.shards.start_method,
                 rebalance=self.shards.rebalance,
                 max_inflight=self.backpressure.max_inflight,

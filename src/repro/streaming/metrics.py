@@ -29,7 +29,7 @@ import math
 import time as _time
 from typing import Callable, Dict, Optional
 
-from repro.streaming.observability import Observability
+from repro.streaming.observability import INSTRUMENT_FAMILIES, Observability
 
 #: attribute -> (registry kind, metric name, help text) of every runtime
 #: family, in report order
@@ -104,6 +104,13 @@ RUNTIME_METRICS = {
         "cogra_watermark_lag",
         "newest event time minus watermark (event-time units)",
     ),
+}
+
+#: every family a runtime's registry holds, by name, with its closed set of
+#: label values (``None``: any): the runtime families and the instruments'
+REGISTRY_FAMILIES = {
+    **{name: None for _kind, name, _help in RUNTIME_METRICS.values()},
+    **INSTRUMENT_FAMILIES,
 }
 
 #: gauges created at the first finite watermark, so absent before it
@@ -316,6 +323,36 @@ class StreamingMetrics:
             None if math.isinf(self.max_event_time) else self.max_event_time
         )
         return state
+
+    def restore_registry(self, state: Optional[dict]) -> None:
+        """Restore a checkpoint's registry, less what this code no longer writes.
+
+        A checkpoint written by older code can name families, or label
+        values of a closed set, that nothing here records any more (a
+        removed feature's counters and lifecycle timer, the store's
+        ``kind="delta"`` children); restoring them would export them from
+        then on.  Only the series :data:`REGISTRY_FAMILIES` allows come
+        back.  ``None`` resets the registry, as
+        :meth:`~repro.streaming.observability.MetricsRegistry.restore` does.
+        """
+        if state:
+            families = {}
+            for name, entry in state.get("families", {}).items():
+                if name not in REGISTRY_FAMILIES:
+                    continue
+                allowed = REGISTRY_FAMILIES[name]
+                if allowed is not None:
+                    entry = {
+                        **entry,
+                        "children": [
+                            child
+                            for child in entry.get("children", ())
+                            if tuple(child.get("labels", ())) in allowed
+                        ],
+                    }
+                families[name] = entry
+            state = {**state, "families": families}
+        self._observability.registry.restore(state)
 
     def restore(self, state: Dict[str, object]) -> None:
         """Restore the counters written by :meth:`snapshot`.

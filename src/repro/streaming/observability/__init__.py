@@ -91,6 +91,25 @@ _NOOP_CHILD = _NoopChild()
 
 _LIFECYCLE_SECONDS = "cogra_lifecycle_seconds"
 
+#: the families of the instruments below and of a job's
+#: :class:`~repro.streaming.checkpoint.CheckpointStore`, by name, each with
+#: the label values it writes where they form a closed set (``None``: any
+#: value).  With the runtime families they are all a runtime's registry
+#: holds; a restore brings back nothing else
+#: (:meth:`~repro.streaming.metrics.StreamingMetrics.restore_registry`).
+INSTRUMENT_FAMILIES = {
+    "cogra_query_events_total": None,
+    "cogra_query_matched_total": None,
+    "cogra_query_latency_seconds": None,
+    "cogra_query_results_total": None,
+    "cogra_shard_outbox_depth": None,
+    "cogra_shard_ship_latency_seconds": None,
+    _LIFECYCLE_SECONDS: {("checkpoint",), ("restore",), ("recovery",), ("rebalance",)},
+    "cogra_checkpoint_write_seconds": {("base",)},
+    "cogra_checkpoint_bytes_total": {("base",)},
+    "cogra_checkpoint_restore_seconds": None,
+}
+
 
 class QueryInstruments:
     """Cached per-query metric children (one bundle per registered query)."""

@@ -164,7 +164,7 @@ class PipelineDriver:
         checkpoint_store / checkpoint_interval:
             Together they enable periodic checkpointing: every
             ``checkpoint_interval`` ingested events the runtime state is
-            snapshotted into the store (incremental deltas; see
+            snapshotted into the store (see
             :class:`~repro.streaming.checkpoint.CheckpointStore`).
         on_late:
             Called with each batch of drained side-channel late events
@@ -422,8 +422,8 @@ class PipelineDriver:
         together -- the invariant exactly-once recovery rests on.  The
         caller delivers the records the cut released before it calls this,
         so the sink position covers them.  Both runtimes' ``restore``
-        ignore unknown snapshot keys, and the delta store carries them
-        verbatim, so plain checkpoints are unaffected.
+        ignore unknown snapshot keys, and the store writes them verbatim,
+        so plain checkpoints are unaffected.
         """
         offsets = getattr(source, "offsets", None)
         if callable(offsets):
@@ -1216,7 +1216,7 @@ class StreamingRuntime(PipelineDriver):
             # old checkpoints carry no registry section; restore(None)
             # resets the instruments instead of failing.  The metrics
             # section goes second: older registries lack the runtime families
-            self.observability.registry.restore(state.get("registry"))
+            self.metrics.restore_registry(state.get("registry"))
             self.metrics.restore(state["metrics"])
             self._controller.emitted_counts = {
                 name: int(count) for name, count in state["emitted_counts"].items()

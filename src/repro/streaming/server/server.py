@@ -402,7 +402,6 @@ class JobServer:
             try:
                 store = CheckpointStore(
                     self.directory / "checkpoints" / job_id,
-                    compact_every=config.checkpoint.compact_every,
                     registry=observability.registry,
                     max_state_bytes=tenant.max_state_bytes,
                     tenant=tenant.name,

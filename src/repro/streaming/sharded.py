@@ -933,10 +933,10 @@ class ShardedRuntime(PipelineDriver):
 
         What an acknowledgement *is* follows from the operation of its
         epoch, never from its payload: a batch/flush carries a record blob,
-        every other operation's payload (a checkpoint slice, a registry, an
-        observation, ``None``) is filed under its shard for whoever shipped
-        the epoch.  Replayed operations come back with their epoch encoded
-        below ``-_REPLAY_OFFSET``; they count toward the original epoch
+        every other operation's payload (a checkpoint slice, a registry,
+        ``None``) is filed under its shard for whoever shipped the epoch.
+        Replayed operations come back with their epoch encoded below
+        ``-_REPLAY_OFFSET``; they count toward the original epoch
         unless the dead incarnation's own acknowledgement already did.
         Stale acknowledgements from a replaced incarnation are dropped.
         """
@@ -1736,7 +1736,7 @@ class ShardedRuntime(PipelineDriver):
                 for shard, snapshot in per_shard.items():
                     slices[shard]["executors"][spec.name] = snapshot
             self._ingestor.restore(state["ingest"])
-            self.observability.registry.restore(state.get("registry"))
+            self.metrics.restore_registry(state.get("registry"))
             self.metrics.restore(state["metrics"])
             self._final_worker_registries = None
             self._emitted_counts = {

@@ -384,7 +384,7 @@ class TestExactlyOncePipeline:
         reference_bytes(events, tmp_path / "ref.jsonl")
         expected = canonical(sink_rows(tmp_path / "ref.jsonl"))
         log_dir = write_log(tmp_path / "log", events)
-        store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
+        store = CheckpointStore(tmp_path / "ckpt")
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, max_restarts=2
         )

@@ -50,7 +50,7 @@ from repro.streaming.config import (
 from repro.streaming.ingest import LatePolicy
 from repro.streaming.runtime import StreamingRuntime
 from repro.streaming.sharded import ShardedRuntime
-from differential import canonical, stream
+from differential import canonical, kill_worker, stream
 from helpers import assert_results_equal
 
 LATENESS = 5.0
@@ -177,9 +177,9 @@ def field_examples():
 class TestDeclaredFields:
     """One declaration per setting: the dataclass field is all there is."""
 
-    def test_the_config_surface_is_14_classes_and_55_fields(self):
+    def test_the_config_surface_is_14_classes_and_54_fields(self):
         assert len(SECTIONS) == 14
-        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 55
+        assert sum(len(dataclasses.fields(cls)) for cls in SECTIONS) == 54
 
     @pytest.mark.parametrize("cls, name, value, valid", field_examples())
     def test_field_accepts_and_rejects_by_its_declaration(
@@ -202,8 +202,8 @@ class TestDeclaredFields:
     def test_drifted_checks_are_gone(self, tmp_path):
         # each constructed before the checks were derived, while sibling
         # fields rejected the very same values
-        with pytest.raises(ConfigError, match="checkpoint.compact_every"):
-            CheckpointConfig(dir="x", interval=4, compact_every=True)
+        with pytest.raises(ConfigError, match="checkpoint.interval"):
+            CheckpointConfig(dir="x", interval=True)
         with pytest.raises(ConfigError, match="watermark.lateness"):
             WatermarkConfig(lateness=float("nan"))
         with pytest.raises(ConfigError, match="backpressure.poll_interval_seconds"):
@@ -366,6 +366,12 @@ REMOVED_SETTINGS = [
     ),
     pytest.param(
         JobConfig,
+        {"checkpoint": {"dir": "ckpt", "interval": 8, "compact_every": 1}},
+        "checkpoint.compact_every",
+        id="checkpoint.compact_every",
+    ),
+    pytest.param(
+        JobConfig,
         {"queries": [{"text": TYPE_QUERY, "emit_empty_groups": True}]},
         "queries[0].emit_empty_groups",
         id="queries[].emit_empty_groups",
@@ -405,6 +411,16 @@ REMOVED_KEYWORDS = [
     pytest.param(
         CheckpointStore, {"directory": "ckpt", "background": True},
         id="CheckpointStore-background",
+    ),
+    # every checkpoint is a full snapshot: no delta chain to compact
+    pytest.param(
+        CheckpointConfig,
+        {"dir": "ckpt", "interval": 8, "compact_every": 1},
+        id="CheckpointConfig-compact_every",
+    ),
+    pytest.param(
+        CheckpointStore, {"directory": "ckpt", "compact_every": 8},
+        id="CheckpointStore-compact_every",
     ),
     pytest.param(
         QueryConfig,
@@ -568,7 +584,6 @@ def job_configs():
             CheckpointConfig,
             dir=st.just("ckpt"),
             interval=st.integers(min_value=1, max_value=1000),
-            compact_every=st.integers(min_value=1, max_value=16),
             recover=st.booleans(),
         ),
     )
@@ -901,6 +916,33 @@ class TestValidate:
 
 
 class TestBuildRuntime:
+    @pytest.mark.parametrize(
+        "workers, recover, interval, max_restarts, restarts",
+        [
+            (2, True, 10, 0, 3),
+            (2, True, 10, 1, 1),  # a value set is kept
+            (2, True, None, 0, 0),  # nothing would trim the replay buffers
+            (2, False, 10, 0, 0),
+            (1, True, 10, 0, 0),
+        ],
+    )
+    def test_recover_with_an_interval_sets_the_worker_restarts(
+        self, workers, recover, interval, max_restarts, restarts
+    ):
+        config = JobConfig(
+            queries=(QueryConfig(text=TYPE_QUERY, name="q"),),
+            shards=ShardConfig(workers=workers, max_restarts=max_restarts),
+            checkpoint=CheckpointConfig(
+                dir="ckpt", interval=interval, recover=recover
+            ),
+        )
+        assert config.worker_restarts() == restarts
+        runtime = config.build_runtime()
+        try:
+            assert getattr(runtime, "max_restarts", 0) == restarts
+        finally:
+            runtime.close()
+
     def test_workers_1_builds_streaming_runtime(self):
         config = JobConfig(queries=(QueryConfig(text=TYPE_QUERY, name="q"),))
         runtime = config.build_runtime()
@@ -1250,22 +1292,45 @@ class TestJobFacade:
                 with pytest.raises(RuntimeError, match="stopped"):
                     failing.results()
 
-    @pytest.mark.parametrize(
-        "compact_every, chain", [(1, ["base"]), (8, ["base"] + ["delta"] * 5)]
-    )
-    def test_checkpoints_compact_on_the_configured_chain_length(
-        self, tmp_path, compact_every, chain
-    ):
-        # 60 events checkpointed every 10: six checkpoints
+    def test_each_checkpoint_replaces_the_last(self, tmp_path):
+        # 60 events checkpointed every 10: six checkpoints, the newest kept
         config = self._config(
-            checkpoint=CheckpointConfig(
-                dir=str(tmp_path), interval=10, compact_every=compact_every
-            )
+            checkpoint=CheckpointConfig(dir=str(tmp_path), interval=10)
         )
         job(config, events=stream(count=60, disorder=LATENESS)).results()
         manifest = json.loads((tmp_path / "MANIFEST.json").read_text())
-        kinds = [link["kind"] for link in manifest["chain"]]
-        assert kinds == chain
+        assert manifest["chain"] == [
+            {"id": 6, "kind": "base", "file": "base-00000006.json"}
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "MANIFEST.json",
+            "base-00000006.json",
+        ]
+
+    def test_recover_with_an_interval_restarts_a_crashed_worker(self, tmp_path):
+        """``repro.job`` restarts shards as ``cogra stream --recover`` does."""
+        events = stream(count=300)
+        expected = expected_records([("q", TYPE_QUERY)], events, 0.0)
+        config = self._config(
+            watermark=WatermarkConfig(lateness=0.0),
+            shards=ShardConfig(workers=2, ship_interval=8),
+            checkpoint=CheckpointConfig(
+                dir=str(tmp_path / "ckpt"), interval=100, recover=True
+            ),
+        )
+        assert config.shards.max_restarts == 0
+        assert config.worker_restarts() == 3
+
+        def feed():
+            for index, event in enumerate(events):
+                if index == 150:
+                    kill_worker(running.runtime, 1)
+                yield event
+
+        running = job(config, events=feed())
+        records = running.results()
+        assert running.runtime.restart_counts == [0, 1]
+        assert canonical(records) == canonical(expected)
 
     def test_max_inflight_bounds_the_shipped_epochs(self):
         """One slice ships many waves at ship_interval=1; their acks are

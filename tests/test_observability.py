@@ -32,7 +32,7 @@ from differential import kill_worker, stream
 from repro.events.event import Event
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.ingest import PunctuationWatermark
-from repro.streaming.metrics import RUNTIME_METRICS
+from repro.streaming.metrics import REGISTRY_FAMILIES, RUNTIME_METRICS
 from repro.streaming.observability import (
     DEFAULT_LATENCY_BUCKETS,
     JsonlMetricsExporter,
@@ -639,9 +639,7 @@ class TestShardedParity:
         forcibly migrated mid-stream."""
         events = stream(seed, 300, types="AB")
         expected = single_process_totals(events)
-        store = CheckpointStore(
-            tmp_path_factory.mktemp("obs-parity") / "ckpt", compact_every=3
-        )
+        store = CheckpointStore(tmp_path_factory.mktemp("obs-parity") / "ckpt")
         runtime = ShardedRuntime(
             workers=workers, lateness=0.0, ship_interval=8, max_restarts=2
         )
@@ -696,7 +694,7 @@ class TestShardedParity:
         the workers' shares."""
         events = stream(count=300, types="AB")
         expected = single_process_totals(events)
-        store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
+        store = CheckpointStore(tmp_path / "ckpt")
         first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         first.register(QUERY, name="q")
         for event in events[:150]:
@@ -844,6 +842,82 @@ class TestRuntimeFamilies:
             assert snapshot_value(snapshot, "cogra_watermark") == 31.452
         finally:
             runtime.close()
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_a_restore_brings_back_no_series_the_code_no_longer_writes(
+        self, sharded
+    ):
+        probe = StreamingRuntime(lateness=0.0)
+        probe.register(QUERY, name="q")
+        state = legacy_checkpoint(probe.checkpoint()["queries"])
+        families = state["registry"]["families"]
+        # what older builds wrote: the re-planning loop's counters and
+        # lifecycle timer, and the store's delta children
+        for name in ("cogra_replan_cycles_total", "cogra_replan_migrations_total"):
+            families[name] = {
+                "kind": "counter",
+                "help": "",
+                "labels": [],
+                "children": [{"labels": [], "value": 2.0}],
+            }
+        lifecycle = families["cogra_lifecycle_seconds"]
+        lifecycle["children"].append({**lifecycle["children"][0], "labels": ["replan"]})
+        families["cogra_checkpoint_bytes_total"] = {
+            "kind": "counter",
+            "help": "serialized checkpoint bytes written to the store",
+            "labels": ["kind"],
+            "children": [
+                {"labels": ["base"], "value": 900.0},
+                {"labels": ["delta"], "value": 300.0},
+            ],
+        }
+        runtime = (
+            ShardedRuntime(workers=2, lateness=0.0) if sharded
+            else StreamingRuntime(lateness=0.0)
+        )
+        runtime.register(QUERY, name="q")
+        runtime.restore(json.loads(json.dumps(state)))
+        try:
+            restored = runtime.registry_snapshot()["families"]
+            assert "cogra_replan_cycles_total" not in restored
+            assert "cogra_replan_migrations_total" not in restored
+            ops = [c["labels"] for c in restored["cogra_lifecycle_seconds"]["children"]]
+            assert ["replan"] not in ops and ["rebalance"] in ops
+            assert restored["cogra_checkpoint_bytes_total"]["children"] == [
+                {"labels": ["base"], "value": 900.0}
+            ]
+            assert runtime.metrics.rebalance_pause_seconds == 0.25
+        finally:
+            runtime.close()
+
+    def test_every_series_a_run_writes_is_declared(self, tmp_path):
+        runtime = ShardedRuntime(
+            workers=2, lateness=0.0, ship_interval=8, max_restarts=1
+        )
+        runtime.register(QUERY, name="q")
+        store = CheckpointStore(
+            tmp_path / "ckpt", registry=runtime.observability.registry
+        )
+        for index, event in enumerate(stream(count=200, types="AB")):
+            runtime.process(event)
+            if index == 60:
+                runtime.rebalance([(0, (runtime._router.assignment[0] + 1) % 2)])
+            elif index == 100:
+                store.save(runtime.checkpoint())
+            elif index == 140:
+                kill_worker(runtime, 1)
+        runtime.restore(store.load_latest())
+        runtime.flush()
+        snapshot = runtime.registry_snapshot()
+        runtime.close()
+        assert runtime.restart_counts == [0, 1]
+        families = snapshot["families"]
+        derived = {"cogra_query_selectivity"}  # added at export
+        assert set(families) - derived <= set(REGISTRY_FAMILIES)
+        for name, allowed in REGISTRY_FAMILIES.items():
+            if allowed is not None:
+                children = families[name]["children"]
+                assert {tuple(child["labels"]) for child in children} == allowed, name
 
     def test_pause_totals_are_cumulative_across_a_restore(self):
         events = stream(count=200, types="AB")

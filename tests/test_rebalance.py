@@ -449,7 +449,7 @@ class TestChaos:
     def test_kill_during_policy_run_with_checkpoint_store(self, tmp_path):
         events = skewed_stream(count=900)
         expected = expected_records(JOB, events, 0.0)
-        store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
+        store = CheckpointStore(tmp_path / "ckpt")
         runtime = ShardedRuntime(
             workers=2,
             lateness=0.0,
@@ -485,7 +485,7 @@ class TestChaos:
         """The CLI ``--recover`` path: parent dies post-migration, a fresh
         runtime restores from the store and adopts the migrated map."""
         events = stream(count=300)
-        store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
+        store = CheckpointStore(tmp_path / "ckpt")
         first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         first.register(QUERY, name="q")
         records = []

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.errors import InvalidEventError
 from repro.events.event import Event
+from repro.streaming.config import JobConfig
 from repro.streaming.jsonl import (
     event_from_json,
     event_to_json,
@@ -462,7 +463,7 @@ class TestPipelineFlags:
         assert main(["stream", QUERY, "--input", str(path), "--recover"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
-    def test_periodic_checkpoints_build_an_incremental_chain(self, tmp_path, capsys):
+    def test_periodic_checkpoints_leave_the_newest_base(self, tmp_path, capsys):
         path = write_events(tmp_path / "events.jsonl", event_rows())
         directory = tmp_path / "ckpt"
         assert (
@@ -476,9 +477,10 @@ class TestPipelineFlags:
             == 0
         )
         names = sorted(p.name for p in directory.iterdir())
-        assert "MANIFEST.json" in names
-        assert any(name.startswith("base-") for name in names)
-        assert any(name.startswith("delta-") for name in names)
+        assert len(names) == 2 and names[0] == "MANIFEST.json"
+        assert names[1].startswith("base-")
+        manifest = json.loads((directory / "MANIFEST.json").read_text())
+        assert [link["file"] for link in manifest["chain"]] == [names[1]]
 
     def test_recover_rerun_of_the_same_command_continues_exactly(
         self, tmp_path, capsys
@@ -736,6 +738,22 @@ class TestConfigFlag:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["watermark"]["lateness"] == 3.0
         assert resolved["late"]["policy"] == "drop"  # the CLI default
+
+    @pytest.mark.parametrize(
+        "interval, restarts", [(["--checkpoint-interval", "10"], 3), ([], 0)]
+    )
+    def test_dry_run_shows_the_worker_restarts_the_runtime_gets(
+        self, tmp_path, capsys, interval, restarts
+    ):
+        argv = [
+            "stream", QUERY, "--workers", "2", "--recover",
+            "--checkpoint-dir", str(tmp_path / "ckpt"), *interval, "--dry-run",
+        ]
+        assert main(argv) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert resolved["shards"]["max_restarts"] == restarts
+        config = JobConfig.from_dict(resolved)
+        assert config.worker_restarts() == restarts
 
     def test_rebalance_flag_merges_with_config_tuning(self, tmp_path, capsys):
         events = write_events(tmp_path / "events.jsonl", event_rows())

@@ -40,7 +40,7 @@ class TestRecovery:
         events = stream(count=400)
         expected = expected_records(JOB, events, 0.0)
 
-        store = CheckpointStore(tmp_path / "ckpt", compact_every=4)
+        store = CheckpointStore(tmp_path / "ckpt")
         runtime = ShardedRuntime(
             workers=2, lateness=0.0, ship_interval=8, max_restarts=2
         )
@@ -132,7 +132,7 @@ class TestRecovery:
         """
         events = stream(count=300)
         expected = expected_records(JOB, events, 0.0)
-        store = CheckpointStore(tmp_path / "ckpt", compact_every=3)
+        store = CheckpointStore(tmp_path / "ckpt")
 
         first = ShardedRuntime(workers=2, lateness=0.0, ship_interval=8)
         first.register(QUERY, name="q")
