@@ -88,6 +88,9 @@ class CograPlan:
         #: the query as written, negated sub-patterns included: planning it
         #: at another granularity keeps them
         self.query = query
+        #: the name the plan's errors give its query: the query's own name,
+        #: or the one a runtime registers it under
+        self.name = query.name
         pattern = query.pattern
         #: the :class:`~repro.extensions.negation.NegationTables` of a query
         #: with negated sub-patterns (Section 8), else ``None``: the plan is
@@ -241,6 +244,9 @@ class CograPlan:
         #: ``partition_key(event)``: the grouping key of ``event`` (GROUP-BY
         #: plus ``[attr]`` predicates), the expression :attr:`group` keys by
         self.partition_key: Callable[[Event], Tuple] = partition_key
+        #: the generated checkpoint-entry encoder, compiled on this plan's
+        #: first cut (:func:`repro.streaming.checkpoint.entry_encoder`)
+        self.checkpoint_encoder: Optional[Callable] = None
 
     def _resolve_granularity(self, forced: Optional[Granularity]) -> Granularity:
         """Apply a forced granularity after checking it preserves correctness.
@@ -328,6 +334,25 @@ class CograPlan:
             binding.append((step, values))
         return tuple(binding)
 
+    def unhashable_key(self, event: Event) -> Exception:
+        """The error for an event whose partition key cannot be hashed.
+
+        Sub-streams are found by their key, so an event whose GROUP-BY or
+        ``[attr]`` value is a list (say) belongs to none; it is rejected
+        where the key is looked up, naming the first unhashable value.
+        """
+        for attribute in self.partition_attributes:
+            value = event.attributes.get(attribute)
+            try:
+                hash(value)
+            except TypeError:
+                break
+        return InvalidEventError(
+            f"query {self.name!r}: partition attribute {attribute!r} of "
+            f"the event at time {event.time} is {value!r}, which cannot key a "
+            f"group (it is unhashable)"
+        )
+
     def _not_a_number(self, event: Event, variable: str, attribute: str, value) -> Exception:
         """The error for a target value that is not a number.
 
@@ -335,7 +360,7 @@ class CograPlan:
         value could only fail the fold; it is rejected where it is read.
         """
         return InvalidEventError(
-            f"query {self.query.name!r}: {variable}.{attribute} of the event at "
+            f"query {self.name!r}: {variable}.{attribute} of the event at "
             f"time {event.time} is {value!r}, not a number"
         )
 
@@ -618,6 +643,7 @@ def _group_functions(plan: "CograPlan") -> Tuple[Callable, Callable]:
         plain=_PLAIN_NUMBERS,
         Number=Number,
         not_a_number=plan._not_a_number,
+        unhashable_key=plan.unhashable_key,
     )
     branches: List[str] = []
     for event_type, variables in plan._unconditional_by_type.items():
@@ -669,7 +695,10 @@ def _group_functions(plan: "CograPlan") -> Tuple[Callable, Callable]:
             "            attributes = event.attributes",
             *(f"            {line}" for line in branches),
             f"            key = {key}",
-            "            run = grouped.get(key)",
+            "            try:",
+            "                run = grouped.get(key)",
+            "            except TypeError:",
+            "                raise unhashable_key(event) from None",
             "            if run is None:",
             "                grouped[key] = [(event, binding)]",
             "            else:",

@@ -20,11 +20,13 @@ previous one.  The store writes in the caller's thread: a checkpoint is on
 disk when :meth:`save` returns.
 
 Each snapshot entry ``[window_id, key, state]`` is encoded once, where its
-aggregator lives, by :func:`entry_text`: the bytes the entry has inside
-``json.dumps(snapshot, sort_keys=True)``.  A sharded worker ships its
-entries in that form (:class:`EncodedEntry`), so the parent neither
-rebuilds nor re-encodes their state.  Files join those texts into their
-envelope member by member, so every file is byte for byte a plain
+aggregator lives: the bytes the entry has inside ``json.dumps(snapshot,
+sort_keys=True)``, which a type-grained plan's generated encoder
+(:func:`entry_encoder`) writes straight from the live aggregator and the
+reference (:func:`reference_entry_text`) writes otherwise.  Both runtimes
+cut entries in that form (:class:`EncodedEntry`), so a sharded parent
+neither rebuilds nor re-encodes the state its workers ship.  Files join those texts into
+their envelope member by member, so every file is byte for byte a plain
 ``json.dumps(payload, sort_keys=True)`` and no state is encoded twice.
 """
 
@@ -32,14 +34,17 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii as _encode_string
 from pathlib import Path
 from time import perf_counter as _perf_counter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
+from repro.analyzer.codegen import Constants, compile_generated
 from repro.core.aggregate_state import WIDTH, TrendAccumulator
 from repro.core.base import aggregator_class, create_aggregator
 from repro.core.executor import QueryExecutor
 from repro.core.partitioner import shard_index
+from repro.core.type_grained import TypeGrainedAggregator
 from repro.errors import CheckpointError, StateQuotaError
 from repro.events.event import Event
 from repro.streaming.jsonl import event_from_json, event_to_json
@@ -230,6 +235,123 @@ def _apply_negation_event(aggregator, state) -> None:
     }
 
 
+# ---------------------------------------------------------------------------
+# the generated entry encoder
+# ---------------------------------------------------------------------------
+#
+# A type-grained plan generates, on its first cut, ``render(window_id, key,
+# aggregator)``: the entry's text in exactly the bytes of
+# :func:`reference_entry_text`, written straight from the live aggregator.
+# The layout the plan fixes -- class name, sorted variable names, the
+# targets' JSON, the slot layout -- is bound constants; ints, finite floats,
+# ``None`` and str key parts are rendered inline.  On any other value (a
+# bool, a subclass, a non-finite float) ``render`` returns ``None`` and the
+# entry is written by the reference, the way the generated groupers fall
+# back to ``plan.bind``.  Every other class's encoder is :func:`_declined`:
+# the reference writes all its entries, as no measured workload checkpoints
+# them.
+
+
+def _number(name: str) -> str:
+    """Source: ``name`` is an int or a finite float, whose ``str`` is its JSON."""
+    finite = f"{name} - {name} == 0.0"
+    return f"({name}.__class__ is int or {name}.__class__ is float and {finite})"
+
+
+def _optional(name: str) -> str:
+    """Source: ``name`` is ``None`` or :func:`_number`."""
+    return f"({name} is None or {_number(name)})"
+
+
+def _literal(text: str) -> str:
+    """``text`` inside a generated f-string."""
+    return text.replace("{", "{{").replace("}", "}}")
+
+
+def _field(expression: str) -> str:
+    """The value of ``expression`` inside a generated f-string."""
+    return "{" + expression + "}"
+
+
+class _EntrySource:
+    """The body of one plan's generated ``render``, emitted line by line."""
+
+    def __init__(self, plan):
+        self.constants = Constants(
+            cls=TypeGrainedAggregator,
+            targets=plan.targets,
+            targets_text=_encode([list(target) for target in plan.targets]),
+            string=_encode_string,
+        )
+        #: slots of one accumulator: :data:`WIDTH` a target
+        self.width = WIDTH * len(plan.targets)
+        self.lines: List[str] = []
+
+    def emit(self, line: str) -> None:
+        self.lines.append("        " + line)
+
+    def refuse_unless(self, *conditions: str) -> None:
+        """Lines returning ``None`` (the reference writes the entry) unless all hold."""
+        self.emit(f"if not ({' and '.join(conditions)}):")
+        self.emit("    return None")
+
+    def text(self, value: str) -> str:
+        """A bound piece of JSON text, as an f-string field."""
+        return _field(self.constants("text", value))
+
+
+def _accumulator(source: _EntrySource, cell: str, expression: str) -> str:
+    """Lines reading the accumulator at ``expression``; the source of its text.
+
+    The text is :func:`snapshot_accumulator`'s, ``cell`` names its locals.
+    """
+    count = f"{cell}_count"
+    slots = [f"{cell}_{index}" for index in range(source.width)]
+    source.emit(f"{cell} = {expression}")
+    source.refuse_unless(f"{cell}.targets is targets or {cell}.targets == targets")
+    source.emit(f"{count} = {cell}.trend_count")
+    source.emit(f"[{', '.join(slots)}] = {cell}.slots")
+    # occurrence count and sum are numbers, min and max also None
+    plain = [index % WIDTH < 2 for index in range(len(slots))]
+    source.refuse_unless(
+        _number(count),
+        *(_number(s) if p else _optional(s) for s, p in zip(slots, plain)),
+    )
+    fields = [
+        _field(s) if p else _field(f'"null" if {s} is None else {s}')
+        for s, p in zip(slots, plain)
+    ]
+    states = ", ".join(
+        "[" + ", ".join(fields[base : base + WIDTH]) + "]"
+        for base in range(0, len(fields), WIDTH)
+    )
+    return (
+        _literal('{"states": [')
+        + states
+        + _literal('], "targets": ')
+        + _field("targets_text")
+        + _literal(', "trend_count": ')
+        + _field(count)
+        + _literal("}")
+    )
+
+
+def _type_state(source: _EntrySource, plan) -> str:
+    """Lines reading a type-grained ``aggregator``; the source of its state's text.
+
+    The text is :func:`_extract_type`'s.
+    """
+    variables = sorted(TypeGrainedAggregator(plan)._cells)
+    source.emit("cells = aggregator._cells")
+    source.refuse_unless(f"len(cells) == {len(variables)}")
+    members = []
+    for index, variable in enumerate(variables):
+        name = source.constants("variable", variable)
+        text = _accumulator(source, f"cell{index}", f"cells[{name}]")
+        members.append(source.text(_encode(variable) + ": ") + text)
+    return _literal('{"cells": {') + ", ".join(members) + _literal("}}")
+
+
 #: aggregator class name -> (extract, apply) state handlers
 _HANDLERS: Dict[str, Tuple[Callable, Callable]] = {
     "PatternGrainedAggregator": (_extract_pattern, _apply_pattern),
@@ -276,6 +398,107 @@ def restore_aggregator_state(aggregator, snapshot: Dict[str, object]) -> None:
     _, apply = _HANDLERS[class_name]
     aggregator.events_processed = int(snapshot["events_processed"])
     apply(aggregator, snapshot["state"])
+
+
+def reference_entry_text(window_id: int, key, aggregator) -> str:
+    """The reference text of one ``[window_id, key, state]`` entry.
+
+    The tree of primitives (:func:`snapshot_aggregator`) encoded: what
+    every generated encoder writes byte for byte, and what
+    :func:`encode_entry` writes for an entry the encoder declines.
+    """
+    return _encode([window_id, list(key), snapshot_aggregator(aggregator)])
+
+
+def _declined(window_id: int, key, aggregator) -> None:
+    """The encoder of a plan that is not type-grained: the reference writes."""
+    return None
+
+
+def _generate_encoder(plan) -> Callable:
+    """Compile ``plan``'s ``render(window_id, key, aggregator)`` (see above)."""
+    if aggregator_class(plan) is not TypeGrainedAggregator:
+        return _declined
+    source = _EntrySource(plan)
+    source.refuse_unless("aggregator.__class__ is cls", "window_id.__class__ is int")
+    parts = [f"part{index}" for index in range(len(plan.partition_attributes))]
+    source.emit(f"[{', '.join(parts)}] = key")
+    for part in parts:
+        source.emit(f"if {part}.__class__ is str:")
+        source.emit(f"    {part} = string({part})")
+        source.emit(f"elif {part} is None:")
+        source.emit(f'    {part} = "null"')
+        source.emit(f"elif not {_number(part)}:")
+        source.emit("    return None")
+    source.emit("processed = aggregator.events_processed")
+    source.refuse_unless(_number("processed"))
+    state = _type_state(source, plan)
+    entry = (
+        "["
+        + _field("window_id")
+        + ", ["
+        + ", ".join(_field(part) for part in parts)
+        + "], "
+        + source.text('{"class": "TypeGrainedAggregator", "events_processed": ')
+        + _field("processed")
+        + _literal(', "state": ')
+        + state
+        + _literal("}")
+        + "]"
+    )
+    source.emit(f"return f'{entry}'")
+    text = "\n".join(
+        [
+            f"def build({', '.join(source.constants.names)}):",
+            "    def render(window_id, key, aggregator):",
+            *source.lines,
+            "",
+            "    return render",
+            "",
+        ]
+    )
+    return compile_generated(
+        f"<checkpoint {plan.query.name}>", text, *source.constants.values
+    )
+
+
+def entry_encoder(plan) -> Callable:
+    """``plan``'s generated ``render(window_id, key, aggregator)``.
+
+    Returns the entry's :func:`reference_entry_text`, or ``None`` for a
+    value it does not render inline (for every entry of a plan that is not
+    type-grained); a count past the int-to-str digit limit raises
+    ``ValueError`` as the reference does.  Generated on the plan's first
+    cut and kept on the plan.
+    """
+    render = plan.checkpoint_encoder
+    if render is None:
+        render = plan.checkpoint_encoder = _generate_encoder(plan)
+    return render
+
+
+def encode_entry(render: Callable, window_id: int, key, aggregator):
+    """One open aggregator as an :class:`EncodedEntry` through ``render``.
+
+    Where ``render`` declines, the reference writes the entry; an entry the
+    reference refuses too (an integer past the digit limit, a value JSON
+    cannot hold) stays a ``[window_id, key, state]`` list: it still
+    migrates between workers and restores, and saving it raises in the
+    store exactly as before it was encoded.
+    """
+    try:
+        text = render(window_id, key, aggregator)
+    except (KeyError, TypeError, ValueError):
+        # a state the plan's layout does not describe, or a value its
+        # inline rendering refuses: the reference decides
+        text = None
+    if text is None:
+        entry = [window_id, list(key), snapshot_aggregator(aggregator)]
+        try:
+            text = _encode(entry)
+        except (TypeError, ValueError):
+            return entry
+    return EncodedEntry(window_id, list(key), text)
 
 
 # ---------------------------------------------------------------------------
@@ -325,25 +548,6 @@ def decode_entry(entry) -> list:
     return entry
 
 
-def encode_executor_snapshot(state: Dict[str, object]) -> Dict[str, object]:
-    """Put a :func:`snapshot_executor` state's entries into their encoded form.
-
-    An entry the encoder refuses (an integer past the digit limit, a value
-    JSON cannot hold) stays a list: it still migrates between workers, and
-    saving it raises in the store exactly as for a single-process snapshot.
-    """
-    encoded = []
-    for entry in state["aggregators"]:
-        try:
-            text = _encode(entry)
-        except (TypeError, ValueError):
-            encoded.append(entry)
-        else:
-            encoded.append(EncodedEntry(entry[0], entry[1], text))
-    state["aggregators"] = encoded
-    return state
-
-
 def decoded_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
     """``snapshot`` with every entry decoded: the public form of a cut."""
     executors = {
@@ -354,9 +558,15 @@ def decoded_snapshot(snapshot: Dict[str, object]) -> Dict[str, object]:
 
 
 def snapshot_executor(executor: QueryExecutor) -> Dict[str, object]:
-    """JSON-safe representation of one executor's runtime state."""
+    """One executor's runtime state, each entry encoded where it lives.
+
+    Every entry is what :func:`encode_entry` makes of it with the plan's
+    generated encoder: an :class:`EncodedEntry`, or the list the reference
+    refuses to encode.  :func:`decoded_snapshot` gives the tree form.
+    """
+    render = entry_encoder(executor.plan)
     aggregators = [
-        [window_id, list(key), snapshot_aggregator(aggregator)]
+        encode_entry(render, window_id, key, aggregator)
         for window_id, key, aggregator in executor.open_aggregators()
     ]
     aggregators.sort(key=_entry_order)

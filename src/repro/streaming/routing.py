@@ -20,6 +20,11 @@ from repro.core.partitioner import shard_index
 from repro.errors import CheckpointError
 from repro.streaming.config import RebalanceConfig
 
+#: keys a :class:`ShardRouter` memoises slots for before it starts over:
+#: bounds the memo under high-cardinality keys, and NaN keys, which never
+#: equal an earlier key
+SLOT_MEMO_LIMIT = 65_536
+
 
 class ShardStats:
     """Per-worker accounting the parent keeps while routing and merging.
@@ -117,7 +122,7 @@ class ShardRouter:
     one.
     """
 
-    __slots__ = ("shard_count", "slots", "assignment", "version")
+    __slots__ = ("shard_count", "slots", "assignment", "version", "slot_memo")
 
     def __init__(self, shard_count: int, slots_per_worker: int = 16):
         if shard_count < 1:
@@ -130,10 +135,23 @@ class ShardRouter:
         self.slots = shard_count * slots_per_worker
         self.assignment: List[int] = [s % shard_count for s in range(self.slots)]
         self.version = 0
+        #: partition key -> its slot; a slot depends only on the key and
+        #: :attr:`slots`, so :meth:`move` leaves every memoised slot valid
+        self.slot_memo: Dict[Tuple, int] = {}
 
     def slot_of(self, key) -> int:
-        """The hash slot a partition key falls into."""
-        return shard_index(key, self.slots)
+        """The hash slot a partition key falls into, memoised per key.
+
+        The memo is cleared when it holds :data:`SLOT_MEMO_LIMIT` keys.  An
+        unhashable key raises ``TypeError``.
+        """
+        memo = self.slot_memo
+        slot = memo.get(key)
+        if slot is None:
+            if len(memo) >= SLOT_MEMO_LIMIT:
+                memo.clear()
+            slot = memo[key] = shard_index(key, self.slots)
+        return slot
 
     def owner_of_key(self, key) -> int:
         """The worker owning a partition key under the current map."""

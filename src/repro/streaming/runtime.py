@@ -47,7 +47,13 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Un
 from repro.core.engine import CograEngine
 from repro.core.executor import QueryExecutor
 from repro.core.results import GroupResult
-from repro.errors import CheckpointError, ConfigError, LateEventError, SourceError
+from repro.errors import (
+    CheckpointError,
+    ConfigError,
+    InvalidEventError,
+    LateEventError,
+    SourceError,
+)
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.query.query import Query
@@ -58,6 +64,7 @@ from repro.streaming.checkpoint import (
     CheckpointStore,
     check_query_identity,
     checkpointed_queries,
+    decoded_snapshot,
     query_header,
     restore_executor,
     snapshot_executor,
@@ -398,8 +405,9 @@ class PipelineDriver:
 
         ``checkpoint()`` stays the one entry point every snapshot passes, so
         whatever wraps it (a tracer, a profiler) sees the periodic saves
-        too.  Here it returns the cut before decoding: a sharded cut's
-        entries stay the JSON texts its workers encoded.
+        too.  Here it returns the cut before decoding: its entries stay the
+        JSON texts written where each aggregator lives (a worker, in a
+        sharded runtime).
         """
         self._keep_cut_encoded = True
         try:
@@ -800,8 +808,9 @@ class StreamingRuntime(PipelineDriver):
         self._by_name: Dict[str, RegisteredQuery] = {}
         self._windows: Dict[str, WindowSpec] = {}
         self._flushed = False
-        #: set when a restore failed mid-application; the mixed state must
-        #: never process events (see :meth:`restore`)
+        #: set when a restore or a step failed mid-application; the mixed
+        #: state must never process events (see :meth:`restore` and
+        #: :meth:`_route_slice`)
         self._poisoned = False
         #: highest watermark handed to :meth:`process_ordered` so far
         self._ordered_watermark = -math.inf
@@ -853,6 +862,8 @@ class StreamingRuntime(PipelineDriver):
         name = name or engine.query.name
         if name in self._by_name:
             raise ValueError(f"a query named {name!r} is already registered")
+        # an event the plan refuses names the query as registered
+        engine.plan.name = name
         registered = RegisteredQuery(
             name,
             engine,
@@ -882,8 +893,9 @@ class StreamingRuntime(PipelineDriver):
             raise RuntimeError("no queries are registered with this runtime")
         if self._poisoned:
             raise RuntimeError(
-                "a failed restore left this runtime in an inconsistent state; "
-                "create a new runtime (and retry the restore if desired)"
+                "a failed restore or a refused event left this runtime in an "
+                "inconsistent state; create a new runtime (or restore a "
+                "checkpoint into this one)"
             )
         if require_open and self._flushed:
             raise RuntimeError(
@@ -996,6 +1008,11 @@ class StreamingRuntime(PipelineDriver):
         order feeding the span event by event would produce (index of the
         closing event, then registration order).  ``span`` is a sampled
         ``route`` span; each query fed adds an ``execute`` child.
+
+        An event a query refuses (:class:`~repro.errors.InvalidEventError`:
+        a target value that is not a number, a key that cannot be hashed)
+        poisons the runtime: the span was released, and the queries and
+        runs before it were applied while the rest was not.
         """
         present = {event.event_type for event in released}
         #: (span index of the closing event, registration order, records)
@@ -1013,7 +1030,11 @@ class StreamingRuntime(PipelineDriver):
                 if span is None
                 else span.child("execute", query=registered.name, events=len(events))
             )
-            emitting = self._apply_span(registered, events)
+            try:
+                emitting = self._apply_span(registered, events)
+            except InvalidEventError:
+                self._poisoned = True
+                raise
             if emitting:
                 if events is not released:
                     positions = [
@@ -1167,17 +1188,19 @@ class StreamingRuntime(PipelineDriver):
         The snapshot does not embed the query definitions themselves -- like
         restoring a stream-processing job from a savepoint, the caller
         recreates the runtime with the same registered queries and then
-        calls :meth:`restore`.
+        calls :meth:`restore`.  This is the cut decoded; a periodic save
+        writes the cut itself (:meth:`_checkpoint_for_save`).
         """
-        return self._checkpoint_cut()
+        snapshot = self._checkpoint_cut()
+        return snapshot if self._keep_cut_encoded else decoded_snapshot(snapshot)
 
     def _checkpoint_cut(self) -> Dict[str, object]:
-        """The snapshot a periodic save writes: here :meth:`checkpoint`'s dict."""
+        """:meth:`checkpoint` before decoding: its entries are encoded texts."""
         if self._flushed:
             raise CheckpointError("cannot checkpoint a runtime that was flushed")
         if self._poisoned:
             raise CheckpointError(
-                "cannot checkpoint a runtime whose restore failed mid-way"
+                "cannot checkpoint a runtime whose restore or step failed mid-way"
             )
         started = _time.perf_counter()
         state = {

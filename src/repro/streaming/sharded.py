@@ -103,7 +103,7 @@ import warnings
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.engine import CograEngine
-from repro.core.partitioner import shard_index, single_shard_reason
+from repro.core.partitioner import single_shard_reason
 from repro.core.results import GroupResult
 from repro.errors import CheckpointError, LateEventError, WorkerCrashError
 from repro.events.event import Event
@@ -117,7 +117,6 @@ from repro.streaming.checkpoint import (
     check_query_identity,
     checkpointed_queries,
     decoded_snapshot,
-    encode_executor_snapshot,
     merge_executor_snapshots,
     query_header,
     rehome_executor_snapshots,
@@ -345,13 +344,12 @@ def _worker_loop(
                     ("ok", epoch, shard, records, _time.perf_counter() - started)
                 )
             elif op == "checkpoint":
-                # each entry is encoded here, once, in parallel with the
-                # other workers; the parent merges, saves and migrates the
-                # texts without decoding them
+                # each entry is encoded here, once, by the plan's generated
+                # encoder, in parallel with the other workers; the parent
+                # merges, saves and migrates the texts without decoding them
                 payload = {
                     "executors": {
-                        r.name: encode_executor_snapshot(snapshot_executor(r.executor))
-                        for r in runtime._queries
+                        r.name: snapshot_executor(r.executor) for r in runtime._queries
                     },
                     "registry": runtime.observability.registry.snapshot(),
                 }
@@ -638,6 +636,8 @@ class ShardedRuntime(PipelineDriver):
         name = name or engine.query.name
         if name in self._engines:
             raise ValueError(f"a query named {name!r} is already registered")
+        # an event the plan refuses names the query as registered
+        engine.plan.name = name
         self._specs.append(_QuerySpec(name, query, granularity, flag))
         self._engines[name] = engine
         if engine.query.window is not None:
@@ -1167,18 +1167,34 @@ class ShardedRuntime(PipelineDriver):
         Uses the executor's own key computation (``plan.partition_key``) so
         sharded and single-process runs agree on partitions; ownership goes
         through the live :class:`ShardRouter` map, with the per-slot load
-        counted for the rebalance policy.
+        counted for the rebalance policy.  A key that cannot be hashed stops
+        the runtime with :class:`~repro.errors.InvalidEventError`.
         """
         plan = self._routing_plan
         if self.shard_count == 1:
             self._outboxes[0].extend(events)
             return
-        slots = self._router.slots
-        assignment = self._router.assignment
+        router = self._router
+        # ShardRouter.slot_of inlined for the memo hits, which are nearly all
+        memo = router.slot_memo
+        partition_key = plan.partition_key
+        assignment = router.assignment
         slot_loads = self._slot_loads
         outboxes = self._outboxes
         for event in events:
-            slot = shard_index(plan.partition_key(event), slots)
+            key = partition_key(event)
+            try:
+                slot = memo[key]
+            except KeyError:
+                slot = router.slot_of(key)
+            except TypeError:
+                # the release is routed up to this event and dropped after
+                # it: like a worker failure, stop rather than go on without
+                # the events that follow
+                error = plan.unhashable_key(event)
+                self._poisoned = True
+                self.close()
+                raise error from None
             slot_loads[slot] += 1
             outboxes[assignment[slot]].append(event)
 
@@ -1363,10 +1379,9 @@ class ShardedRuntime(PipelineDriver):
         # held events re-routed under the swapped map (their slot loads were
         # already counted when they were first routed)
         assignment = router.assignment
-        slots = router.slots
-        plan = self._routing_plan
+        partition_key = self._routing_plan.partition_key
         for event in sort_events(held):
-            slot = shard_index(plan.partition_key(event), slots)
+            slot = router.slot_of(partition_key(event))
             self._outboxes[assignment[slot]].append(event)
         pause = _time.perf_counter() - started
         self.metrics.record_rebalance(len(moves), len(moved_keys))

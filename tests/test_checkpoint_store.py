@@ -22,7 +22,7 @@ from repro.streaming.checkpoint import (
     CHECKPOINT_VERSION,
     STORE_VERSION,
     CheckpointStore,
-    encode_executor_snapshot,
+    EncodedEntry,
 )
 from repro.streaming.runtime import StreamingRuntime
 
@@ -488,8 +488,16 @@ def _snapshot_sequences(draw):
 
 
 def _encoded(snapshot):
+    """``snapshot`` in a cut's form: each entry JSON can hold as its text."""
+
+    def encoded(entry):
+        try:
+            return EncodedEntry(entry[0], entry[1], json.dumps(entry, sort_keys=True))
+        except ValueError:  # past the digit limit: the cut keeps the list
+            return entry
+
     executors = {
-        name: encode_executor_snapshot(dict(state))
+        name: {**state, "aggregators": [encoded(e) for e in state["aggregators"]]}
         for name, state in snapshot["executors"].items()
     }
     return {**snapshot, "executors": executors}

@@ -339,6 +339,16 @@ class TestNonNumericValues:
         with pytest.raises(InvalidEventError, match=self.MESSAGE):
             runtime.process_batch(self.EVENTS)
 
+    def test_the_runtime_names_the_query_as_registered_and_stops(self):
+        runtime = StreamingRuntime(lateness=0.0)
+        runtime.register(self.query("MAX(A.v)"), name="mine")
+        message = self.MESSAGE.replace("'sums'", "'mine'")
+        with pytest.raises(InvalidEventError, match=message):
+            runtime.process_batch(self.EVENTS)
+        # the step holding the event was applied only in part
+        with pytest.raises(RuntimeError, match="refused event"):
+            runtime.process(Event("B", 4.0, {"g": "x"}))
+
     def test_a_type_error_among_numbers_is_re_raised(self):
         # complex numbers add up but do not compare: MAX fails on the second
         events = [

@@ -66,6 +66,23 @@ class TestShardRouter:
             key = (f"k{value}",)
             assert router.owner_of_key(key) == shard_index(key, 4)
 
+    def test_the_slot_memo_routes_like_the_hash_and_stays_bounded(self, monkeypatch):
+        from repro.core.partitioner import shard_index
+        from repro.streaming import routing
+
+        monkeypatch.setattr(routing, "SLOT_MEMO_LIMIT", 4)
+        router = ShardRouter(2, slots_per_worker=4)
+        # NaN never equals an earlier NaN key: every one is a fresh entry
+        keys = [(f"k{value}", value) for value in range(10)]
+        keys += [(float("nan"),) for _ in range(3)] + [(1,), (1.0,), (True,)]
+        for key in keys * 2:
+            assert router.slot_of(key) == shard_index(key, router.slots)
+            assert len(router.slot_memo) <= 4
+        # a slot depends on the key alone, so moving slots keeps the memo
+        router.move(router.slot_of(keys[0]), 1)
+        assert router.slot_of(keys[0]) == shard_index(keys[0], router.slots)
+        assert router.slot_memo
+
     def test_move_bumps_the_version(self):
         router = ShardRouter(2, slots_per_worker=2)
         router.move(0, 1)

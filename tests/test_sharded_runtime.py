@@ -47,7 +47,7 @@ from repro.datasets.transportation import (
     TransportationConfig,
     generate_transportation_stream,
 )
-from repro.errors import CheckpointError, WorkerCrashError
+from repro.errors import CheckpointError, InvalidEventError, WorkerCrashError
 from repro.events.event import Event
 from repro.events.stream import sort_events
 from repro.streaming.ingest import PunctuationWatermark
@@ -648,6 +648,30 @@ class TestDriverAccessors:
             assert runtime.late_events == []
             assert runtime.take_late_events() == []
             assert runtime.metrics.late_events_rerouted == 2
+        finally:
+            runtime.close()
+
+    @BOTH_RUNTIMES
+    def test_an_unhashable_group_key_is_an_invalid_event(self, kind):
+        # the single-process grouper and the sharded parent's slot memo
+        # hash the key; neither may fail with a bare TypeError or a crash,
+        # and the error names the query as registered
+        runtime = either_runtime(kind, lateness=LATENESS)
+        runtime.register(TYPE_QUERY, name="q")
+        try:
+            runtime.process(Event("A", 1.0, {"g": "x", "v": 1}))
+            runtime.process(Event("A", 2.0, {"g": [1, 2], "v": 1}))
+            runtime.process(Event("A", 3.0, {"g": "x", "v": 1}))
+            with pytest.raises(
+                InvalidEventError, match=r"^query 'q': partition attribute 'g' .* \[1, 2\]"
+            ):
+                runtime.flush()
+            # the release holding the event was cut short: the runtime
+            # refuses further work instead of going on without its events
+            with pytest.raises(RuntimeError, match="create a new runtime"):
+                runtime.process(Event("A", 4.0, {"g": "x", "v": 1}))
+            with pytest.raises((RuntimeError, CheckpointError)):
+                runtime.checkpoint()
         finally:
             runtime.close()
 
